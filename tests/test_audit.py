@@ -4,6 +4,31 @@ from manetsec.audit import audit, expectation_met, knowledge_set
 from manetsec.sim import Action, Expectation, SimulationError, run
 from topologies import churn_scenario, line_scenario, stealth_link_scenario
 
+PROPERTIES = (
+    "backward_secrecy",
+    "forward_secrecy",
+    "mutual_auth",
+    "chain_soundness",
+    "duplicate_suppression",
+    "detection_outcomes",
+    "epoch_monotonicity",
+    "causality",
+    "conservation",
+    "secret_confinement",
+)
+
+# The one failing line of each fault-injected churn audit; every other
+# property passes.  Any change to how the auditor reads the log must keep
+# these event indices exactly.
+PINNED_FAILURES = {
+    (100, "leak_key"): "backward_secrecy: FAIL at events 2900,4314,5331,5533",
+    (100, "skip_rekey"): "backward_secrecy: FAIL at events 4263,5405",
+    (100, "forge_admit"): "mutual_auth: FAIL at events 330,1168,2608,3874,4947",
+    (500, "leak_key"): "backward_secrecy: FAIL at events 2164,3698,5617,7153",
+    (500, "skip_rekey"): "backward_secrecy: FAIL at events 2164,5500,6745",
+    (500, "forge_admit"): "mutual_auth: FAIL at events 530,1731,3086,4923,6327",
+}
+
 
 def test_clean_churn_run_passes_everything():
     report = audit(run(churn_scenario(seed=100)))
@@ -150,3 +175,11 @@ def test_stale_sender_after_rekey_arrival_is_a_violation():
     scenario.nodes[0].battery = 1.0
     log = run(scenario)
     assert not audit(log).result("backward_secrecy").passed
+
+
+@pytest.mark.parametrize(("seed", "fault"), sorted(PINNED_FAILURES))
+def test_fault_counterexamples_are_pinned(seed, fault):
+    failing = PINNED_FAILURES[(seed, fault)]
+    name = failing.split(":", 1)[0]
+    expected = "".join((failing if p == name else f"{p}: PASS") + "\n" for p in PROPERTIES)
+    assert audit(run(churn_scenario(seed, faults={fault}))).to_text() == expected

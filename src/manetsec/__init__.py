@@ -11,18 +11,14 @@ from .crypto import (
     SymmetricKey,
     dh_contribute,
     make_provider,
-    mod_pow,
     zk_commit,
     zk_respond,
-    zk_run,
     zk_setup,
     zk_verify,
 )
 from .group import (
-    GroupState,
     NodeAttributes,
     WeightConfig,
-    admit_capacity_check,
     elect_leader,
     mobility,
     update_trust,

@@ -12,26 +12,27 @@ A sender can legitimately still use a retired key while its own copy of
 the rekey is in flight (multi-hop delivery takes one tick per hop), so a
 ciphertext under an old epoch only counts against backward secrecy if its
 sender had already received newer key material when it spoke.
+
+An audit reads the log once.  One pass splits every event's principals
+and detail and builds the index all ten checks read from: deliveries by
+recipient, the rekey timeline and the membership intervals.  Each
+distinct payload is decoded at most once, and each principal's knowledge
+set is closed once and shared by both secrecy checks.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from . import encoding
 from .crypto import DecryptionError, make_provider
 from .messages import MessageKind, decode_message
 from .routing import expected_chain
-from .sim import EventLog, SimulationError
+from .sim import EventLog, SimEvent, SimulationError
 
 KEY_PROPAGATION_TICKS = 2
-
-_REKEY_RE = re.compile(r"lineage=(?P<lineage>[^:]+):epoch=(?P<epoch>\d+)")
-_SRC_SEQ_RE = re.compile(r"source=(?P<source>[^:]+):seq=(?P<seq>\d+)")
-_TX_RE = re.compile(r"tx=(?P<tx>\d+)$")
-_HOPS_RE = re.compile(r"hops=(?P<hops>\d+)")
 
 
 @dataclass
@@ -72,29 +73,157 @@ class KnowledgeSet:
         return any(label.startswith(prefix) for label in self.sym_keys.values())
 
 
-def _principal_of(event) -> str:
-    return event.principals.split(":", 1)[0].split(">", 1)[0]
+# ---------------------------------------------------------------------------
+# The log index
+# ---------------------------------------------------------------------------
 
 
-def _recipient_of(event) -> Optional[str]:
-    if ">" in event.principals:
-        return event.principals.split(">", 1)[1]
-    return None
+class _Entry(NamedTuple):
+    index: int  # position in the log
+    event: SimEvent
+    actor: str
+    recipient: Optional[str]  # after ">", if any
+    about: str  # after ":", or ""
+    word: str  # the detail's leading word
+    fields: dict  # the detail's key=value tokens; shared, never mutated
 
 
-def _about_of(event) -> str:
-    parts = event.principals.split(":", 1)
-    return parts[1] if len(parts) > 1 else ""
+@dataclass
+class RekeyPoint:
+    index: int  # position in the group's rekey order
+    event_index: int
+    tick: int
+    lineage: str
+    epoch: int
+
+
+@dataclass
+class MembershipChange:
+    event_index: int
+    tick: int
+    node: str
+    change: str  # "in" | "out"
+
+
+class _LogIndex:
+    """What the property checks read, built in one pass over the log.
+
+    It lives for one `audit()` (or one `knowledge_set()` / `expectation_met()`)
+    call.  Payloads are decoded on first use and each principal's knowledge
+    set is closed on first use; both are then kept for the index's life.
+    """
+
+    def __init__(self, log: EventLog):
+        self.registry = log.registry
+        self.payloads = log.payloads
+        self.provider = make_provider(log.registry.provider_name)
+        self.horizon = log.events[-1].tick if log.events else 0
+        self.entries = []
+        self.by_kind: dict[str, list] = {}
+        self.received: dict[str, list] = {}  # recipient -> deliveries carrying a payload
+        self.timeline: dict[str, list] = {}  # group -> rekey points; lineage prefix names the group
+        self.changes = []  # membership changes in log order
+        self._messages: dict = {}
+        self._knowledge: dict = {}
+        self._parties: dict = {}  # principals -> (actor, recipient, about)
+        self._details: dict = {}  # detail -> (word, fields)
+        leaders: dict[str, str] = {}
+        for i, event in enumerate(log.events):
+            entry = self._split(i, event)
+            self.entries.append(entry)
+            self.by_kind.setdefault(event.kind, []).append(entry)
+            kind, fields = event.kind, entry.fields
+            if kind == "deliver" and event.digest != "-":
+                self.received.setdefault(entry.recipient, []).append(entry)
+            elif kind == "rekey" and entry.word != "ring" and "lineage" in fields and "epoch" in fields:
+                lineage = fields["lineage"]
+                points = self.timeline.setdefault(lineage.rsplit("-", 1)[0], [])
+                points.append(RekeyPoint(len(points), i, event.tick, lineage, int(fields["epoch"])))
+            elif kind in ("admit", "remove"):
+                self.changes.append(
+                    MembershipChange(i, event.tick, entry.about, "in" if kind == "admit" else "out")
+                )
+            elif kind == "elect":
+                group = fields["group"]
+                previous = leaders.get(group)
+                if previous is not None and previous != entry.actor:
+                    self.changes.append(MembershipChange(i, event.tick, previous, "out"))
+                leaders[group] = entry.actor
+                self.changes.append(MembershipChange(i, event.tick, entry.actor, "in"))
+        self.intervals = _membership_intervals(self.changes)
+
+    def _split(self, index: int, event: SimEvent) -> _Entry:
+        """Read an event's principals (`actor`, `actor>recipient` or
+        `actor:about`) and detail (`:`-separated tokens).  Each distinct
+        string is split once: a broadcast's deliveries share one detail."""
+        parties = self._parties.get(event.principals)
+        if parties is None:
+            # str(): an election signalled for no group logs principals
+            # None, which the log text renders as "None".
+            principals = str(event.principals)
+            head, _, about = principals.partition(":")
+            _, arrow, recipient = principals.partition(">")
+            parties = (head.partition(">")[0], recipient if arrow else None, about)
+            self._parties[event.principals] = parties
+        detail = self._details.get(event.detail)
+        if detail is None:
+            tokens = event.detail.split(":")
+            detail = (tokens[0], dict(token.split("=", 1) for token in tokens if "=" in token))
+            self._details[event.detail] = detail
+        return _Entry(index, event, *parties, *detail)
+
+    def of_kind(self, kind: str) -> list:
+        return self.by_kind.get(kind, [])
+
+    def message(self, digest: str):
+        """The decoded payload, or None when it is missing or malformed."""
+        if digest not in self._messages:
+            payload = self.payloads.get(digest)
+            try:
+                self._messages[digest] = None if payload is None else decode_message(payload)
+            except Exception:
+                self._messages[digest] = None
+        return self._messages[digest]
+
+    def knowledge(self, principal: str) -> KnowledgeSet:
+        """The principal's knowledge at the end of the log."""
+        if principal not in self._knowledge:
+            self._knowledge[principal] = knowledge_set(principal, self)
+        return self._knowledge[principal]
+
+    @cached_property
+    def ciphertexts(self) -> tuple:
+        return _collect_ciphertexts(self)
+
+    @cached_property
+    def rekeys_received(self) -> dict:
+        """recipient -> [(deliver tick, carried lineage, carried epoch)].
+
+        A sealed-to-member rekey carries the epoch in its header; a rekey
+        sealed under the previous group key carries that header epoch plus one.
+        """
+        out: dict = {}
+        for recipient, entries in self.received.items():
+            for entry in entries:
+                message = self.message(entry.event.digest)
+                if message is None or message.kind != MessageKind.REKEY:
+                    continue
+                carried = message["epoch"] + (1 if message["mode"] == "group" else 0)
+                out.setdefault(recipient, []).append((entry.event.tick, message["lineage"], carried))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Knowledge sets
 # ---------------------------------------------------------------------------
 
-_HARVEST = {
-    # message kind -> (seal mode, [(field index in decrypted payload, label pattern)])
-    MessageKind.REKEY: None,  # handled specially (two modes)
-    MessageKind.MEMBER_SET: ("sym", [(2, "group_key:{lineage}:{epoch}")]),
+# message kind -> (seal mode, [(index in the opened plaintext, key label)]).
+# A label's {n} placeholders are filled from the plaintext.  A REKEY is
+# sealed to a member's public key or under the previous group key, as its
+# `mode` header says; only the public form carries a member key.
+_SEALS = {
+    MessageKind.REKEY: (None, [(0, "group_key:{2}:{1}"), (4, "member_key")]),
+    MessageKind.MEMBER_SET: ("sym", [(2, "group_key:{3}:{4}")]),
     MessageKind.ADMIT: ("pk", [(2, "member_key")]),
     MessageKind.SESSION_3: ("pk", [(3, "session_key")]),
     MessageKind.NONCE: ("sym", []),
@@ -109,13 +238,16 @@ _HARVEST = {
 }
 
 
-def knowledge_set(principal: str, log: EventLog, tick: Optional[int] = None) -> KnowledgeSet:
-    """Closure of everything the principal holds or could decrypt by `tick`."""
+def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeSet:
+    """Closure of everything the principal holds or could decrypt by `tick`.
+
+    `log` is an EventLog, or the index an audit already built from one.
+    """
     registry = log.registry
     if principal not in registry.node_names and principal not in registry.adversary_names:
         raise SimulationError(f"unknown principal {principal!r}")
-    provider = make_provider(registry.provider_name)
-    horizon = tick if tick is not None else (log.events[-1].tick if log.events else 0)
+    index = log if isinstance(log, _LogIndex) else _LogIndex(log)
+    horizon = tick if tick is not None else index.horizon
 
     keypair = registry.keypairs.get(principal)
     private = keypair.private if keypair is not None else None
@@ -124,32 +256,18 @@ def knowledge_set(principal: str, log: EventLog, tick: Optional[int] = None) -> 
         if owner == principal and entry_tick <= horizon and not label.startswith("member_secret"):
             sym_keys[value] = label
 
-    seen_digests = []
-    seen_set = set()
-    for event in log.events:
-        if event.tick > horizon or event.kind != "deliver":
-            continue
-        if _recipient_of(event) != principal or event.digest == "-":
-            continue
-        if event.digest not in seen_set:
-            seen_set.add(event.digest)
-            seen_digests.append(event.digest)
-
+    digests = dict.fromkeys(
+        entry.event.digest for entry in index.received.get(principal, []) if entry.event.tick <= horizon
+    )
+    received = [(d, m) for d in digests if (m := index.message(d)) is not None]
     opened: set[str] = set()
     progress = True
     while progress:
         progress = False
-        for digest in seen_digests:
+        for digest, message in received:
             if digest in opened:
                 continue
-            payload = log.payloads.get(digest)
-            if payload is None:
-                continue
-            try:
-                message = decode_message(payload)
-            except Exception:
-                continue
-            plain = _try_open(provider, message, private, sym_keys)
+            plain = _try_open(index.provider, message, private, sym_keys)
             if plain is None:
                 continue
             opened.add(digest)
@@ -159,26 +277,12 @@ def knowledge_set(principal: str, log: EventLog, tick: Optional[int] = None) -> 
 
 
 def _try_open(provider, message, private, sym_keys) -> Optional[list]:
-    kind = message.kind
-    if kind == MessageKind.REKEY:
-        sealed = message["sealed"]
-        if message["mode"] == "public":
-            if private is not None:
-                try:
-                    return encoding.decode(provider.pk_decrypt(private, sealed))
-                except Exception:
-                    return None
-            return None
-        for key in list(sym_keys):
-            try:
-                return encoding.decode(provider.sym_decrypt(key, sealed))
-            except DecryptionError:
-                continue
-        return None
-    spec = _HARVEST.get(kind)
+    spec = _SEALS.get(message.kind)
     if spec is None or "sealed" not in message.fields:
         return None
-    mode, _ = spec
+    mode = spec[0]
+    if message.kind == MessageKind.REKEY:
+        mode = "pk" if message["mode"] == "public" else "sym"
     sealed = message["sealed"]
     if mode == "pk":
         if private is None:
@@ -196,26 +300,13 @@ def _try_open(provider, message, private, sym_keys) -> Optional[list]:
 
 
 def _harvest_keys(message, plain, sym_keys) -> None:
-    kind = message.kind
-    if kind == MessageKind.REKEY:
-        key_bytes, epoch, lineage = plain[0], plain[1], plain[2]
-        sym_keys.setdefault(bytes(key_bytes), f"group_key:{lineage}:{epoch}")
-        if message["mode"] == "public" and len(plain) >= 6 and plain[4]:
-            sym_keys.setdefault(bytes(plain[4]), "member_key")
-        return
-    spec = _HARVEST.get(kind)
-    if spec is None:
-        return
-    _, harvests = spec
-    for index, label in harvests:
+    for index, label in _SEALS[message.kind][1]:
         if index < len(plain) and isinstance(plain[index], (bytes, bytearray)) and plain[index]:
-            if "{lineage}" in label:
-                label = label.format(lineage=plain[3], epoch=plain[4])
-            sym_keys.setdefault(bytes(plain[index]), label)
+            sym_keys.setdefault(bytes(plain[index]), label.format(*plain))
 
 
 # ---------------------------------------------------------------------------
-# Log digests and timelines
+# Ciphertexts and timelines
 # ---------------------------------------------------------------------------
 
 
@@ -238,69 +329,33 @@ class PkCiphertext:
     sealed: bytes
 
 
-def _collect_ciphertexts(log: EventLog):
+def _collect_ciphertexts(index: _LogIndex):
     """Group-key-sealed and member-addressed ciphertexts, one per distinct
     payload, attributed to the first transmitter (re-flooded copies carry
     the same bytes and say nothing new)."""
     group_ct, pk_ct = [], []
     seen = set()
-    for idx, event in enumerate(log.events):
-        if event.kind != "send" or event.digest == "-" or event.digest in seen:
+    for entry in index.of_kind("send"):
+        event = entry.event
+        if event.digest == "-" or event.digest in seen:
             continue
-        payload = log.payloads.get(event.digest)
-        if payload is None:
+        seen.add(event.digest)
+        message = index.message(event.digest)
+        if message is None:
             continue
-        try:
-            message = decode_message(payload)
-        except Exception:
-            continue
-        if message.kind == MessageKind.DATA and message["group"] != "ring":
-            seen.add(event.digest)
+        group_sealed = (message.kind == MessageKind.DATA and message["group"] != "ring") or (
+            message.kind == MessageKind.REKEY and message["mode"] == "group"
+        )
+        if group_sealed:
             group_ct.append(
                 GroupCiphertext(
-                    idx, event.tick, message["group"], message["lineage"], message["epoch"],
-                    message["sealed"], event.principals,
+                    entry.index, event.tick, message["group"], message["lineage"], message["epoch"],
+                    message["sealed"], entry.actor,
                 )
             )
         elif message.kind == MessageKind.REKEY:
-            seen.add(event.digest)
-            if message["mode"] == "group":
-                group_ct.append(
-                    GroupCiphertext(
-                        idx, event.tick, message["group"], message["lineage"], message["epoch"],
-                        message["sealed"], event.principals,
-                    )
-                )
-            else:
-                to = event.detail.split("to=", 1)[-1].split(":", 1)[0]
-                pk_ct.append(PkCiphertext(idx, event.tick, to, message["sealed"]))
+            pk_ct.append(PkCiphertext(entry.index, event.tick, entry.fields["to"], message["sealed"]))
     return group_ct, pk_ct
-
-
-@dataclass
-class RekeyPoint:
-    index: int  # position in the group's rekey order
-    event_index: int
-    tick: int
-    lineage: str
-    epoch: int
-
-
-def _rekey_timeline(log: EventLog) -> dict:
-    """Per-group ordered rekey points; lineage prefix names the group."""
-    timeline: dict[str, list] = {}
-    for idx, event in enumerate(log.events):
-        if event.kind != "rekey" or event.detail.startswith("ring:"):
-            continue
-        match = _REKEY_RE.search(event.detail)
-        if not match:
-            continue
-        lineage = match.group("lineage")
-        epoch = int(match.group("epoch"))
-        group = lineage.rsplit("-", 1)[0]
-        points = timeline.setdefault(group, [])
-        points.append(RekeyPoint(len(points), idx, event.tick, lineage, epoch))
-    return timeline
 
 
 def _key_position(timeline: dict, group: str, lineage: str, epoch: int) -> Optional[int]:
@@ -308,26 +363,6 @@ def _key_position(timeline: dict, group: str, lineage: str, epoch: int) -> Optio
         if point.lineage == lineage and point.epoch == epoch:
             return point.index
     return None
-
-
-def _rekey_deliveries(log: EventLog) -> dict:
-    """recipient -> [(deliver tick, carried lineage, carried epoch)].
-
-    A sealed-to-member rekey carries the epoch in its header; a rekey sealed
-    under the previous group key carries that header epoch plus one.
-    """
-    out: dict = {}
-    for event in log.events:
-        if event.kind != "deliver" or event.digest == "-":
-            continue
-        payload = log.payloads.get(event.digest)
-        if payload is None or not payload.startswith(bytes([MessageKind.REKEY])):
-            continue
-        message = decode_message(payload)
-        carried = message["epoch"] + (1 if message["mode"] == "group" else 0)
-        recipient = _recipient_of(event)
-        out.setdefault(recipient, []).append((event.tick, message["lineage"], carried))
-    return out
 
 
 def _stale_sender_excused(
@@ -350,37 +385,10 @@ def _stale_sender_excused(
     return True
 
 
-@dataclass
-class MembershipChange:
-    event_index: int
-    tick: int
-    node: str
-    change: str  # "in" | "out"
-    cause: str
-
-
-def _membership_changes(log: EventLog) -> list:
-    changes = []
-    leaders: dict[str, str] = {}
-    for idx, event in enumerate(log.events):
-        if event.kind == "admit":
-            changes.append(MembershipChange(idx, event.tick, _about_of(event), "in", event.detail))
-        elif event.kind == "remove":
-            changes.append(MembershipChange(idx, event.tick, _about_of(event), "out", event.detail))
-        elif event.kind == "elect":
-            group = event.detail.split("group=", 1)[-1].split(":", 1)[0]
-            previous = leaders.get(group)
-            if previous is not None and previous != event.principals:
-                changes.append(MembershipChange(idx, event.tick, previous, "out", "leader_departure"))
-            leaders[group] = event.principals
-            changes.append(MembershipChange(idx, event.tick, event.principals, "in", "elected"))
-    return changes
-
-
-def _membership_intervals(log: EventLog) -> dict:
+def _membership_intervals(changes: list) -> dict:
     """node -> list of (start tick, end tick or None)."""
     intervals: dict[str, list] = {}
-    for change in _membership_changes(log):
+    for change in changes:
         spans = intervals.setdefault(change.node, [])
         if change.change == "in":
             if not spans or spans[-1][1] is not None:
@@ -406,29 +414,20 @@ def _was_member_at(intervals: dict, node: str, tick: int) -> bool:
 def audit(log: EventLog) -> AuditReport:
     if not log.complete:
         raise SimulationError("event log is truncated (no completion marker)")
-    provider = make_provider(log.registry.provider_name)
+    index = _LogIndex(log)
     results = [
-        _check_backward_secrecy(log, provider),
-        _check_forward_secrecy(log, provider),
-        _check_mutual_auth(log),
-        _check_chain_soundness(log, provider),
-        _check_duplicate_suppression(log),
-        _check_detection_outcomes(log),
-        _check_epoch_monotonicity(log),
-        _check_causality(log),
-        _check_conservation(log),
-        _check_secret_confinement(log),
+        _check_backward_secrecy(index),
+        _check_forward_secrecy(index),
+        _check_mutual_auth(index),
+        _check_chain_soundness(index),
+        _check_duplicate_suppression(index),
+        _check_detection_outcomes(index),
+        _check_epoch_monotonicity(index),
+        _check_causality(index),
+        _check_conservation(index),
+        _check_secret_confinement(index),
     ]
     return AuditReport(results=results)
-
-
-def _departures(log: EventLog) -> list:
-    """(node, tick, event index) for every loss of membership."""
-    out = []
-    for change in _membership_changes(log):
-        if change.change == "out":
-            out.append((change.node, change.tick, change.event_index))
-    return out
 
 
 def _attempt_all(provider, knowledge: KnowledgeSet, sealed: bytes) -> bool:
@@ -442,14 +441,16 @@ def _attempt_all(provider, knowledge: KnowledgeSet, sealed: bytes) -> bool:
     return False
 
 
-def _check_backward_secrecy(log: EventLog, provider) -> PropertyResult:
-    group_ct, pk_ct = _collect_ciphertexts(log)
-    timeline = _rekey_timeline(log)
-    intervals = _membership_intervals(log)
-    deliveries = _rekey_deliveries(log)
+def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
+    provider = index.provider
+    group_ct, pk_ct = index.ciphertexts
+    timeline, intervals = index.timeline, index.intervals
     failures = []
-    for node, out_tick, out_idx in _departures(log):
-        knowledge = knowledge_set(node, log)
+    for change in index.changes:
+        if change.change != "out":
+            continue
+        node, out_tick, out_idx = change.node, change.tick, change.event_index
+        knowledge = index.knowledge(node)
         # Holding a group key minted after this departure is itself a leak,
         # unless a later re-admission covers it.
         for key, label in knowledge.sym_keys.items():
@@ -472,7 +473,7 @@ def _check_backward_secrecy(log: EventLog, provider) -> PropertyResult:
                 continue
             if _attempt_all(provider, knowledge, ct.sealed):
                 if not _stale_sender_excused(
-                    deliveries, timeline, ct.sender, ct.group, ct.lineage, ct.epoch, ct.tick
+                    index.rekeys_received, timeline, ct.sender, ct.group, ct.lineage, ct.epoch, ct.tick
                 ):
                     failures.append(ct.event_index)
         if knowledge.private_key is not None:
@@ -489,24 +490,20 @@ def _check_backward_secrecy(log: EventLog, provider) -> PropertyResult:
     return PropertyResult("backward_secrecy", not failures, sorted(set(failures)))
 
 
-def _check_forward_secrecy(log: EventLog, provider) -> PropertyResult:
-    group_ct, _ = _collect_ciphertexts(log)
-    timeline = _rekey_timeline(log)
+def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
+    group_ct, _ = index.ciphertexts
+    intervals = index.intervals
     failures = []
-    joins = [
-        (idx, event)
-        for idx, event in enumerate(log.events)
-        if event.kind == "admit" and event.detail == "handshake"
-    ]
-    intervals = _membership_intervals(log)
-    for join_idx, join_event in joins:
-        node = _about_of(join_event)
-        knowledge = knowledge_set(node, log)
+    for join in index.of_kind("admit"):
+        if join.event.detail != "handshake":
+            continue
+        node, join_tick = join.about, join.event.tick
+        knowledge = index.knowledge(node)
         # Epochs inside earlier membership intervals of this node are its
         # own history, not "the past" this property protects.
-        spans = [s for s in intervals.get(node, []) if s[0] < join_event.tick]
+        spans = [s for s in intervals.get(node, []) if s[0] < join_tick]
         for ct in group_ct:
-            if ct.tick > join_event.tick:
+            if ct.tick > join_tick:
                 continue
             if not _was_member_at(intervals, ct.sender, ct.tick):
                 continue
@@ -515,42 +512,42 @@ def _check_forward_secrecy(log: EventLog, provider) -> PropertyResult:
             )
             if legitimate:
                 continue
-            if _attempt_all(provider, knowledge, ct.sealed):
+            if _attempt_all(index.provider, knowledge, ct.sealed):
                 failures.append(ct.event_index)
     return PropertyResult("forward_secrecy", not failures, sorted(set(failures)))
 
 
-def _check_mutual_auth(log: EventLog) -> PropertyResult:
+def _check_mutual_auth(index: _LogIndex) -> PropertyResult:
     zk_ok: set = set()
     cert_ok: set = set()
     failures = []
-    for idx, event in enumerate(log.events):
-        if event.kind == "verdict":
-            if event.detail == "zk_ok":
-                zk_ok.add(_about_of(event))
-            elif event.detail == "cert_ok":
-                cert_ok.add(_about_of(event))
-        elif event.kind == "admit" and event.detail == "handshake":
-            node = _about_of(event)
+    for entry in index.entries:
+        kind, detail = entry.event.kind, entry.event.detail
+        if kind == "verdict":
+            if detail == "zk_ok":
+                zk_ok.add(entry.about)
+            elif detail == "cert_ok":
+                cert_ok.add(entry.about)
+        elif kind == "admit" and detail == "handshake":
+            node = entry.about
             if node not in zk_ok or node not in cert_ok:
-                failures.append(idx)
+                failures.append(entry.index)
             zk_ok.discard(node)
             cert_ok.discard(node)
     return PropertyResult("mutual_auth", not failures, failures)
 
 
-def _check_chain_soundness(log: EventLog, provider) -> PropertyResult:
+def _check_chain_soundness(index: _LogIndex) -> PropertyResult:
     failures = []
-    for idx, event in enumerate(log.events):
-        if event.kind != "verdict" or not event.detail.startswith("accept:") or event.digest == "-":
+    for entry in index.of_kind("verdict"):
+        if entry.word != "accept" or entry.event.digest == "-":
             continue
-        payload = log.payloads.get(event.digest)
-        if payload is None:
-            failures.append(idx)
+        message = index.message(entry.event.digest)
+        if message is None:
+            failures.append(entry.index)
             continue
-        message = decode_message(payload)
         expect = expected_chain(
-            provider,
+            index.provider,
             message["source"],
             message["dest"],
             message["seq"],
@@ -558,159 +555,119 @@ def _check_chain_soundness(log: EventLog, provider) -> PropertyResult:
             message["route"],
         )
         if expect != message["chain"]:
-            failures.append(idx)
+            failures.append(entry.index)
     return PropertyResult("chain_soundness", not failures, failures)
 
 
-def _check_duplicate_suppression(log: EventLog) -> PropertyResult:
-    seen = {}
+def _check_duplicate_suppression(index: _LogIndex) -> PropertyResult:
+    seen = set()
     failures = []
-    for idx, event in enumerate(log.events):
-        if event.kind != "verdict" or not event.detail.startswith("rreq_processed:"):
+    for entry in index.of_kind("verdict"):
+        fields = entry.fields
+        if entry.word != "rreq_processed" or "source" not in fields or "seq" not in fields:
             continue
-        match = _SRC_SEQ_RE.search(event.detail)
-        if not match:
-            continue
-        key = (_principal_of(event), match.group("source"), match.group("seq"))
+        key = (entry.actor, fields["source"], fields["seq"])
         if key in seen:
-            failures.append(idx)
-        seen[key] = idx
+            failures.append(entry.index)
+        seen.add(key)
     return PropertyResult("duplicate_suppression", not failures, failures)
 
 
-def expectation_met(log: EventLog, expectation) -> tuple[bool, list]:
-    kind, args = expectation.kind, expectation.args
-    events = log.events
+# Expectation kinds that want no matching event; each names its positive form.
+_NEGATED = {"no_route": "route", "no_verdict": "verdict", "not_admitted": "admitted"}
 
-    def verdicts(node: str, prefix: str) -> list:
-        return [
-            i
-            for i, e in enumerate(events)
-            if e.kind == "verdict" and _principal_of(e) == node and e.detail.startswith(prefix)
-        ]
 
+def _expectation_met(index: _LogIndex, expectation) -> tuple[bool, list]:
+    kind, args = _NEGATED.get(expectation.kind, expectation.kind), expectation.args
     if kind == "route":
         source, dest = args
-        hits = verdicts(source, f"route_installed:dest={dest}")
-        return (bool(hits), hits)
-    if kind == "no_route":
-        source, dest = args
-        hits = verdicts(source, f"route_installed:dest={dest}")
-        return (not hits, hits)
-    if kind == "verdict":
+        needle = f"route_installed:dest={dest}"
+        where, test = "verdict", lambda e: e.actor == source and e.event.detail.startswith(needle)
+    elif kind == "verdict":
         node, prefix = args
-        hits = verdicts(node, prefix)
-        return (bool(hits), hits)
-    if kind == "no_verdict":
-        node, prefix = args
-        hits = verdicts(node, prefix)
-        return (not hits, hits)
-    if kind == "admitted":
+        where, test = "verdict", lambda e: e.actor == node and e.event.detail.startswith(prefix)
+    elif kind == "admitted":
         (node,) = args
-        hits = [
-            i
-            for i, e in enumerate(events)
-            if e.kind == "admit" and _about_of(e) == node and e.detail == "handshake"
-        ]
-        return (bool(hits), hits)
-    if kind == "not_admitted":
-        (node,) = args
-        hits = [
-            i
-            for i, e in enumerate(events)
-            if e.kind == "admit" and _about_of(e) == node and e.detail == "handshake"
-        ]
-        return (not hits, hits)
-    if kind == "session":
+        where, test = "admit", lambda e: e.about == node and e.event.detail == "handshake"
+    elif kind == "session":
         a, b, status = args
-        needle = f"session_{status}"
-        hits = [
-            i
-            for i, e in enumerate(events)
-            if e.kind == "verdict" and _about_of(e) == f"{a}-{b}" and e.detail.startswith(needle)
-        ]
-        return (bool(hits), hits)
-    if kind == "alerted":
+        pair, needle = f"{a}-{b}", f"session_{status}"
+        where, test = "verdict", lambda e: e.about == pair and e.event.detail.startswith(needle)
+    elif kind == "alerted":
         (accused,) = args
-        hits = [i for i, e in enumerate(events) if e.kind == "alert" and _about_of(e) == accused]
-        return (bool(hits), hits)
-    raise SimulationError(f"unknown expectation kind {kind!r}")
+        where, test = "alert", lambda e: e.about == accused
+    else:
+        raise SimulationError(f"unknown expectation kind {expectation.kind!r}")
+    hits = [e.index for e in index.of_kind(where) if test(e)]
+    return (bool(hits) != (expectation.kind in _NEGATED), hits)
 
 
-def _check_detection_outcomes(log: EventLog) -> PropertyResult:
+def expectation_met(log: EventLog, expectation) -> tuple[bool, list]:
+    return _expectation_met(_LogIndex(log), expectation)
+
+
+def _check_detection_outcomes(index: _LogIndex) -> PropertyResult:
     failures = []
-    for n, expectation in enumerate(log.registry.expectations):
-        ok, hits = expectation_met(log, expectation)
+    for n, expectation in enumerate(index.registry.expectations):
+        ok, hits = _expectation_met(index, expectation)
         if not ok:
             failures.append(hits[0] if hits else n)
     return PropertyResult("detection_outcomes", not failures, failures)
 
 
-def _check_epoch_monotonicity(log: EventLog) -> PropertyResult:
+def _check_epoch_monotonicity(index: _LogIndex) -> PropertyResult:
     failures = []
     last: dict[str, int] = {}
-    for idx, event in enumerate(log.events):
-        if event.kind != "rekey" or event.detail.startswith("ring:"):
-            continue
-        match = _REKEY_RE.search(event.detail)
-        if not match:
-            continue
-        lineage, epoch = match.group("lineage"), int(match.group("epoch"))
-        if lineage in last and epoch <= last[lineage]:
-            failures.append(idx)
-        last[lineage] = epoch
+    points = sorted((p for ps in index.timeline.values() for p in ps), key=lambda p: p.event_index)
+    for point in points:
+        if point.lineage in last and point.epoch <= last[point.lineage]:
+            failures.append(point.event_index)
+        last[point.lineage] = point.epoch
     return PropertyResult("epoch_monotonicity", not failures, failures)
 
 
-def _check_causality(log: EventLog) -> PropertyResult:
+def _check_causality(index: _LogIndex) -> PropertyResult:
     sends = {}
     failures = []
-    for idx, event in enumerate(log.events):
-        match = _TX_RE.search(event.detail)
-        if not match:
+    for entry in index.entries:
+        tx = entry.fields.get("tx")
+        if tx is None:
             continue
-        tx = match.group("tx")
+        event = entry.event
         if event.kind == "send":
-            sends[tx] = (idx, event.tick)
+            sends[tx] = event.tick
         elif event.kind in ("deliver", "drop"):
-            origin = sends.get(tx)
-            hops_match = _HOPS_RE.search(event.detail)
-            hops = int(hops_match.group("hops")) if hops_match else 1
-            if origin is None or (event.kind == "deliver" and event.tick != origin[1] + hops):
-                failures.append(idx)
+            sent = sends.get(tx)
+            hops = int(entry.fields.get("hops", 1))
+            if sent is None or (event.kind == "deliver" and event.tick != sent + hops):
+                failures.append(entry.index)
     return PropertyResult("causality", not failures, failures)
 
 
-def _check_conservation(log: EventLog) -> PropertyResult:
-    outcomes: dict[tuple, int] = {}
+def _check_conservation(index: _LogIndex) -> PropertyResult:
+    outcomes = set()
     failures = []
-    for idx, event in enumerate(log.events):
-        if event.kind not in ("deliver", "drop"):
+    for entry in index.entries:
+        tx = entry.fields.get("tx")
+        if entry.event.kind not in ("deliver", "drop") or tx is None:
             continue
-        match = _TX_RE.search(event.detail)
-        if not match:
-            continue
-        key = (match.group("tx"), _recipient_of(event) or event.principals)
+        key = (tx, entry.recipient or entry.event.principals)
         if key in outcomes:
-            failures.append(idx)
-        outcomes[key] = idx
+            failures.append(entry.index)
+        outcomes.add(key)
     return PropertyResult("conservation", not failures, failures)
 
 
-def _check_secret_confinement(log: EventLog) -> PropertyResult:
+def _check_secret_confinement(index: _LogIndex) -> PropertyResult:
     secrets = [
         value
-        for _, _, label, value in log.registry.secrets
+        for _, _, label, value in index.registry.secrets
         if label.startswith("member_secret") and len(value) >= 8
     ]
-    failures = []
-    if secrets:
-        for idx, event in enumerate(log.events):
-            if event.digest == "-":
-                continue
-            payload = log.payloads.get(event.digest, b"")
-            for secret in secrets:
-                if secret in payload:
-                    failures.append(idx)
-                    break
+    leaking = {
+        digest
+        for digest, payload in index.payloads.items()
+        if any(secret in payload for secret in secrets)
+    }
+    failures = [entry.index for entry in index.entries if entry.event.digest in leaking]
     return PropertyResult("secret_confinement", not failures, failures)

@@ -322,25 +322,8 @@ def make_provider(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Integer arithmetic: modular exponentiation, identification scheme, ring DH
+# Integer arithmetic: identification scheme, ring DH
 # ---------------------------------------------------------------------------
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """``base ** exp mod modulus`` for arbitrary-precision integers."""
-    if modulus <= 1:
-        raise ValueError("modulus must be greater than 1")
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, exp, modulus)
-
-
-class ZkPhase(str, Enum):
-    COMMITTED = "committed"
-    CHALLENGED = "challenged"
-    RESPONDED = "responded"
-    VERIFIED = "verified"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -356,17 +339,6 @@ class ZkPublicParams:
 class ZkProverSecret:
     secret: int
     modulus: int
-
-
-@dataclass
-class ZkSession:
-    """One commit/challenge/response exchange, tracked message by message."""
-
-    params: ZkPublicParams
-    commitment: int = 0
-    challenge: int = 0
-    response: int = 0
-    phase: ZkPhase = ZkPhase.COMMITTED
 
 
 def zk_setup(p: int, q: int, secret: int) -> tuple[ZkPublicParams, ZkProverSecret]:
@@ -405,22 +377,6 @@ def zk_respond(witness: int, secret: int, challenge: int, modulus: int) -> int:
 def zk_verify(commitment: int, square: int, challenge: int, response: int, modulus: int) -> bool:
     """Check response**2 == commitment * square**challenge (mod modulus)."""
     return pow(response, 2, modulus) == (commitment * pow(square, challenge, modulus)) % modulus
-
-
-def zk_run(rng: random.Random, params: ZkPublicParams, prover: ZkProverSecret,
-           challenge_bits: int = 64) -> ZkSession:
-    """Drive one honest commit/challenge/response exchange to a verdict."""
-    session = ZkSession(params=params)
-    session.commitment, witness = zk_commit(rng, params.modulus)
-    session.challenge = rng.getrandbits(challenge_bits)
-    session.phase = ZkPhase.CHALLENGED
-    session.response = zk_respond(witness, prover.secret, session.challenge, params.modulus)
-    session.phase = ZkPhase.RESPONDED
-    ok = zk_verify(
-        session.commitment, params.square, session.challenge, session.response, params.modulus
-    )
-    session.phase = ZkPhase.VERIFIED if ok else ZkPhase.FAILED
-    return session
 
 
 def dh_contribute(generator: int, modulus: int, own_secret: int, accumulated: int) -> int:

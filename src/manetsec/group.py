@@ -13,7 +13,7 @@ reference speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 Position = tuple[float, float]
@@ -102,22 +102,3 @@ def update_trust(current: float, observation: str, deltas: Optional[dict] = None
     if observation not in table:
         raise ValueError(f"unknown observation {observation!r}")
     return min(1.0, max(0.0, current + table[observation]))
-
-
-@dataclass
-class GroupState:
-    group_id: str
-    leader: str
-    members: set = field(default_factory=set)
-    capacity: int = 16
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.members = set(self.members)
-        self.members.add(self.leader)
-
-
-def admit_capacity_check(state: GroupState) -> bool:
-    """True while the group can still take one more member."""
-    return len(state.members) < state.capacity

@@ -54,10 +54,6 @@ RING_MODULUS = int(
 RING_GENERATOR = 2
 
 
-class HandshakeError(Exception):
-    """A join or session step arrived out of order or failed verification."""
-
-
 # ---------------------------------------------------------------------------
 # Certificates (offline authority, issued before the run)
 # ---------------------------------------------------------------------------

@@ -44,6 +44,9 @@ from .runtime import Ctx
 LOG_HEADER = "#manetsec-log v1"
 LOG_FOOTER = "#complete"
 PAYLOAD_MAGIC = b"MSPAY1\n"
+EVENT_KINDS = frozenset(
+    ("send", "deliver", "drop", "verdict", "rekey", "admit", "remove", "elect", "alert")
+)
 
 
 class SimulationError(Exception):
@@ -350,8 +353,19 @@ def parse_log_text(text: str) -> EventLog:
             tick, seq = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise SimulationError(f"line {i}: bad tick/sequence") from exc
+        if parts[2] not in EVENT_KINDS:
+            raise SimulationError(f"line {i}: unknown event kind {parts[2]!r}")
+        if log.events:
+            last = log.events[-1]
+            if seq <= last.seq:
+                raise SimulationError(f"line {i}: sequence {seq} does not follow {last.seq}")
+            if tick < last.tick:
+                raise SimulationError(f"line {i}: tick {tick} is before tick {last.tick}")
         log.events.append(SimEvent(tick, seq, parts[2], parts[3], parts[4], parts[5]))
     return log
+
+
+_HEX_DIGITS = frozenset(b"0123456789abcdef")
 
 
 def parse_payload_blob(blob: bytes) -> dict:
@@ -360,11 +374,18 @@ def parse_payload_blob(blob: bytes) -> dict:
     payloads = {}
     pos = len(PAYLOAD_MAGIC)
     while pos < len(blob):
-        digest = blob[pos : pos + 64].decode("ascii")
-        length = int.from_bytes(blob[pos + 64 : pos + 72], "big")
         start = pos + 72
-        payloads[digest] = blob[start : start + length]
-        pos = start + length
+        if start > len(blob):
+            raise SimulationError(f"payload sidecar byte {pos}: truncated entry header")
+        digest = blob[pos : pos + 64]
+        if not _HEX_DIGITS.issuperset(digest):
+            raise SimulationError(f"payload sidecar byte {pos}: digest is not 64 lowercase hex digits")
+        end = start + int.from_bytes(blob[pos + 64 : start], "big")
+        if end > len(blob):
+            missing = end - len(blob)
+            raise SimulationError(f"payload sidecar byte {start}: payload is {missing} bytes short")
+        payloads[digest.decode("ascii")] = blob[start:end]
+        pos = end
     return payloads
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from manetsec.audit import audit, expectation_met, knowledge_set
@@ -183,3 +185,21 @@ def test_fault_counterexamples_are_pinned(seed, fault):
     name = failing.split(":", 1)[0]
     expected = "".join((failing if p == name else f"{p}: PASS") + "\n" for p in PROPERTIES)
     assert audit(run(churn_scenario(seed, faults={fault}))).to_text() == expected
+
+
+def test_audit_decodes_each_payload_at_most_once(monkeypatch):
+    # The package re-exports the audit() function under the module's name.
+    audit_module = importlib.import_module("manetsec.audit")
+    log = run(churn_scenario(seed=100))
+    decodes = 0
+    real_decode = audit_module.decode_message
+
+    def counting_decode(data):
+        nonlocal decodes
+        decodes += 1
+        return real_decode(data)
+
+    monkeypatch.setattr(audit_module, "decode_message", counting_decode)
+    audit(log)
+    payloads = len(log.payloads)
+    assert 0 < decodes <= payloads

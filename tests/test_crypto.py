@@ -13,7 +13,6 @@ from manetsec.crypto import (
     RealCryptoProvider,
     Signature,
     dh_contribute,
-    mod_pow,
     zk_commit,
     zk_respond,
     zk_setup,
@@ -130,21 +129,6 @@ def test_sym_roundtrip_property(plaintext):
     rng = random.Random(1)
     key = provider.generate_symmetric_key(rng, KeyKind.SESSION)
     assert provider.sym_decrypt(key, provider.sym_encrypt(key, plaintext, rng)) == plaintext
-
-
-# ---------------------------------------------------------------------------
-# Modular arithmetic
-# ---------------------------------------------------------------------------
-
-
-def test_mod_pow_hand_values():
-    assert mod_pow(5, 0, 21) == 1
-    assert mod_pow(5, 2, 21) == 4  # 25 mod 21
-    assert mod_pow(2, 3, 21) == 8
-    with pytest.raises(ValueError):
-        mod_pow(5, 2, 1)
-    with pytest.raises(ValueError):
-        mod_pow(5, -1, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +253,3 @@ def test_dh_three_party_equal_secrets():
     g, p, s = 5, 23, 6
     via_ring = dh_contribute(g, p, s, dh_contribute(g, p, s, dh_contribute(g, p, s, g)))
     assert via_ring == pow(g, s * s * s, p)
-
-
-def test_zk_run_honest_exchange_verifies(rng):
-    from manetsec.crypto import ZkPhase, zk_run
-
-    params, prover = zk_setup(1009, 1013, 2024)
-    session = zk_run(rng, params, prover)
-    assert session.phase == ZkPhase.VERIFIED
-    assert zk_verify(
-        session.commitment, params.square, session.challenge, session.response, params.modulus
-    )

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manetsec.group import (
-    GroupState,
     NodeAttributes,
     WeightConfig,
-    admit_capacity_check,
     elect_leader,
     mobility,
     update_trust,
@@ -216,12 +214,3 @@ def test_trust_hand_value():
 def test_trust_unknown_observation():
     with pytest.raises(ValueError):
         update_trust(0.5, "sneezed")
-
-
-def test_capacity_check():
-    nearly_full = GroupState("g", leader="L", members={"L", "a", "b"}, capacity=4)
-    assert admit_capacity_check(nearly_full)
-    full = GroupState("g", leader="L", members={"L", "a", "b", "c"}, capacity=4)
-    assert not admit_capacity_check(full)
-    solo = GroupState("g", leader="L", members={"L"}, capacity=1)
-    assert not admit_capacity_check(solo)

@@ -3,6 +3,7 @@ import pytest
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
 from manetsec.sim import (
+    PAYLOAD_MAGIC,
     Action,
     AdversarySpec,
     Expectation,
@@ -116,6 +117,46 @@ def test_log_parse_rejects_garbage():
         parse_log_text("not a log\n")
     with pytest.raises(SimulationError):
         parse_log_text("#manetsec-log v1\nbroken line\n#complete\n")
+
+
+def test_log_parse_rejects_unknown_kind():
+    with pytest.raises(SimulationError, match="line 2: unknown event kind 'bogus'"):
+        parse_log_text("#manetsec-log v1\n0\t0\tbogus\tA\t-\tx\n#complete\n")
+
+
+def test_log_parse_rejects_swapped_lines():
+    lines = run(line_scenario(["A", "B"], duration=10)).to_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    with pytest.raises(SimulationError, match="line 3: sequence 0 does not follow 1"):
+        parse_log_text("\n".join(lines) + "\n")
+
+
+def test_log_parse_rejects_tick_going_back():
+    text = "#manetsec-log v1\n5\t0\talert\tA\t-\tx\n4\t1\talert\tA\t-\tx\n#complete\n"
+    with pytest.raises(SimulationError, match="line 3: tick 4 is before tick 5"):
+        parse_log_text(text)
+
+
+def _sidecar():
+    log = run(line_scenario(["A", "B", "C"], script=[Action(2, "discover", ("A", "C"))], duration=15))
+    return log.payload_blob()
+
+
+def test_payload_blob_rejects_truncated_body():
+    with pytest.raises(SimulationError, match="payload sidecar byte .*: payload is 10 bytes short"):
+        parse_payload_blob(_sidecar()[:-10])
+
+
+def test_payload_blob_rejects_truncated_header():
+    with pytest.raises(SimulationError, match="payload sidecar byte 7: truncated entry header"):
+        parse_payload_blob(_sidecar()[:50])
+
+
+def test_payload_blob_rejects_non_hex_digest():
+    blob = bytearray(_sidecar())
+    blob[len(PAYLOAD_MAGIC) + 3] = ord("Z")
+    with pytest.raises(SimulationError, match="payload sidecar byte 7: digest is not 64"):
+        parse_payload_blob(bytes(blob))
 
 
 # ---------------------------------------------------------------------------

@@ -182,11 +182,14 @@ class LeaderJoinSession:
     pending_public: bytes = b""
 
 
+# Bit length of each prime in a leader's identification modulus.
+PRIME_BITS = 32
+
+
 @dataclass
 class JoinConfig:
     challenge_bits: int = 64
     challenge_rounds: int = 1
-    prime_bits: int = 32
 
 
 def _draw_prime(rng: random.Random, bits: int) -> int:
@@ -217,10 +220,10 @@ class LeaderKeyService:
         self.capacity = capacity
         self.cfg = cfg
         self.faults = faults or set()
-        p = _draw_prime(rng, cfg.prime_bits)
-        q = _draw_prime(rng, cfg.prime_bits)
+        p = _draw_prime(rng, PRIME_BITS)
+        q = _draw_prime(rng, PRIME_BITS)
         while q == p:
-            q = _draw_prime(rng, cfg.prime_bits)
+            q = _draw_prime(rng, PRIME_BITS)
         secret = rng.randrange(2, p * q)
         self.zk_params, self.zk_secret = zk_setup(p, q, secret)
         self.hierarchy = KeyHierarchy(

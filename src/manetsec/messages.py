@@ -10,8 +10,10 @@ the payload bytes -- the event log records it separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from types import MappingProxyType
 
 from . import encoding
 
@@ -79,10 +81,13 @@ _FIELDS: dict[MessageKind, tuple[str, ...]] = {
 BROADCAST = "*"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Message:
+    """An immutable payload: its fields are a read-only mapping, and its wire
+    bytes are encoded on first use and then shared by every reader."""
+
     kind: MessageKind
-    fields: dict
+    fields: MappingProxyType
 
     def __post_init__(self):
         expected = _FIELDS[self.kind]
@@ -92,14 +97,17 @@ class Message:
             raise ValueError(
                 f"{self.kind.name} payload mismatch (missing={missing}, extra={extra})"
             )
+        object.__setattr__(self, "fields", MappingProxyType(dict(self.fields)))
 
     def __getitem__(self, name: str):
         return self.fields[name]
 
+    @cached_property
+    def encoded(self) -> bytes:
+        return encode_message(self)
+
     def replace(self, **changes) -> "Message":
-        merged = dict(self.fields)
-        merged.update(changes)
-        return Message(self.kind, merged)
+        return Message(self.kind, {**self.fields, **changes})
 
 
 def msg(kind: MessageKind, **fields) -> Message:
@@ -135,6 +143,3 @@ class Envelope:
     sender: str
     to: str = BROADCAST  # node name, or BROADCAST
     channel: str = "radio"  # "radio" or "ring" (leader-to-leader)
-
-    def encoded(self) -> bytes:
-        return encode_message(self.message)

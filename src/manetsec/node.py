@@ -29,7 +29,8 @@ from .keymgmt import (
     MemberKeyService,
     SessionService,
 )
-from .messages import BROADCAST, Envelope, Message, MessageKind, encode_message, msg
+from .messages import BROADCAST, Envelope, Message, MessageKind, msg
+from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .routing import Discovery, Router
 from .runtime import Ctx
 
@@ -79,7 +80,7 @@ class ProtocolNode:
         self.leader_last_seen: Optional[int] = None
         self.signals: list = []
         # Cross-group discovery bookkeeping.
-        self.relayed: set = set()  # digests of group broadcasts already re-flooded
+        self.relayed: set = set()  # wire bytes of group broadcasts already re-flooded
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
         self.gateway_jobs: dict = {}  # (requester, dest, seq) -> {answered, negs, peers}
         self.remote_jobs: dict = {}  # dest -> list of [requester, seq, origin_leader, deadline]
@@ -143,10 +144,9 @@ class ProtocolNode:
             and envelope.to == BROADCAST
             and kind not in self._NO_RELAY
         ):
-            digest = self.provider.hash(encode_message(message))
-            if digest in self.relayed:
+            if message.encoded in self.relayed:
                 return
-            self.relayed.add(digest)
+            self.relayed.add(message.encoded)
             ctx.emit(message)
         if kind in (MessageKind.JOIN_REQ, MessageKind.ZK_CHALLENGE, MessageKind.CERT, MessageKind.NONCE):
             if self.leader_service is not None:
@@ -621,10 +621,9 @@ class AdversaryNode:
         message = envelope.message
         kind = message.kind
         if envelope.to == BROADCAST:
-            digest = self.provider.hash(encode_message(message))
-            if digest in self.state.seen_broadcasts:
+            if message.encoded in self.state.seen_broadcasts:
                 return
-            self.state.seen_broadcasts.add(digest)
+            self.state.seen_broadcasts.add(message.encoded)
         if kind == MessageKind.ZK_PARAMS:
             self.state.recorded_params = message
         elif kind == MessageKind.ZK_RESPONSE:

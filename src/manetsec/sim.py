@@ -36,8 +36,9 @@ from typing import Optional
 
 from .crypto import make_provider
 from .group import NodeAttributes, WeightConfig, elect_leader, mobility
-from .keymgmt import CertificateAuthority, JoinConfig, LeaderKeyService, leader_ring_agree
-from .messages import BROADCAST, Envelope, Message, MessageKind, encode_message, msg
+from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
+from .messages import BROADCAST, Envelope, Message, MessageKind, msg
+from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import AdversaryNode, NodeParams, ProtocolNode, mutate_message
 from .runtime import Ctx
 
@@ -47,6 +48,7 @@ PAYLOAD_MAGIC = b"MSPAY1\n"
 EVENT_KINDS = frozenset(
     ("send", "deliver", "drop", "verdict", "rekey", "admit", "remove", "elect", "alert")
 )
+NAME_RE = re.compile(r"^[A-Za-z0-9_.]+$")
 
 
 class SimulationError(Exception):
@@ -163,12 +165,11 @@ def validate_scenario(scenario: Scenario) -> list:
     """Structural and referential checks; returns a list of problems."""
     problems = []
     names = set()
-    name_re = re.compile(r"^[A-Za-z0-9_.]+$")
     for spec in scenario.nodes:
         if spec.name in names:
             problems.append(f"duplicate node name {spec.name!r}")
         names.add(spec.name)
-        if not name_re.match(spec.name):
+        if not NAME_RE.match(spec.name):
             problems.append(f"node name {spec.name!r} must be alphanumeric/underscore/dot")
         if not spec.trace:
             problems.append(f"node {spec.name}: empty position trace")
@@ -206,11 +207,10 @@ def validate_scenario(scenario: Scenario) -> list:
                 problems.append(f"adversary {i}: drop probability must be within [0, 1]")
     grouped = set()
     group_ids = set()
-    name_re = re.compile(r"^[A-Za-z0-9_.]+$")
     for spec in scenario.groups:
         if spec.group_id in group_ids:
             problems.append(f"duplicate group id {spec.group_id!r}")
-        if not name_re.match(spec.group_id):
+        if not NAME_RE.match(spec.group_id):
             problems.append(f"group id {spec.group_id!r} must be alphanumeric/underscore/dot")
         group_ids.add(spec.group_id)
         for member in spec.members:
@@ -461,6 +461,7 @@ class Simulation:
         self.last_trust: dict[str, dict] = {}
         self.ring_version = 0
         self._signals: list = []
+        self._reach: dict[str, list] = {}  # name -> _neighbours row, for self.now
 
         seed_bytes = scenario.seed.to_bytes(8, "big", signed=True)
 
@@ -493,7 +494,7 @@ class Simulation:
             publics[name] = keypairs[name].public
         registry.keypairs = keypairs
 
-        self.nodes: dict[str, object] = {}
+        self.nodes: dict[str, object] = {}  # in sorted name order
         node_params = scenario.params.node_params()
         for name in sorted(node_specs):
             if name in adversarial:
@@ -547,6 +548,16 @@ class Simulation:
         bx, by = self._position(b)
         return math.hypot(ax - bx, ay - by) <= self.params.radio_radius
 
+    def _neighbours(self, name: str) -> list:
+        """Sorted names within radio range of `name` this tick, dead or alive:
+        positions change only between ticks, liveness at any time, so callers
+        check liveness themselves."""
+        row = self._reach.get(name)
+        if row is None:
+            row = [v for v in self.nodes if v != name and self._in_range(name, v)]
+            self._reach[name] = row
+        return row
+
     def _tap_for(self, a: str, b: str) -> Optional[LinkTap]:
         for tap in self.taps:
             if tap.matches(a, b):
@@ -563,17 +574,15 @@ class Simulation:
 
     def _radio_path(self, source: str, target: str) -> Optional[list]:
         """Shortest live radio path; relays are honest nodes or stealth relays."""
-        if self._in_range(source, target):
+        if target in self._neighbours(source):
             return [source, target]
         frontier = [source]
         parents = {source: None}
         while frontier:
             nxt = []
             for u in frontier:
-                for v in sorted(self.nodes):
+                for v in self._neighbours(u):
                     if v in parents or not self.nodes[v].alive:
-                        continue
-                    if not self._in_range(u, v):
                         continue
                     if v != target and not self._relay_capable(v):
                         continue
@@ -587,17 +596,17 @@ class Simulation:
             frontier = nxt
         return None
 
-    def _transmit(self, envelope: Envelope) -> None:
+    def _send(self, envelope: Envelope, sender: str, to: str) -> int:
+        """Number and log one transmission; returns its tx number."""
         tx = self._tx
         self._tx += 1
-        data = envelope.encoded()
-        kind_name = envelope.message.kind.name
-        self._log(
-            "send",
-            envelope.sender,
-            f"{kind_name}:to={envelope.to}:ch={envelope.channel}:tx={tx}",
-            data,
-        )
+        message = envelope.message
+        detail = f"{message.kind.name}:to={to}:ch={envelope.channel}:tx={tx}"
+        self._log("send", sender, detail, message.encoded)
+        return tx
+
+    def _transmit(self, envelope: Envelope) -> None:
+        tx = self._send(envelope, envelope.sender, envelope.to)
         if envelope.channel == "ring":
             if envelope.to == BROADCAST:
                 targets = sorted(
@@ -610,15 +619,19 @@ class Simulation:
                 self._schedule(self.now + 1, envelope, target, envelope.sender, f"tx={tx}")
             return
         if envelope.to == BROADCAST:
-            for name in sorted(self.nodes):
-                if name == envelope.sender:
-                    continue
-                node = self.nodes[name]
-                if not node.alive or not self._in_range(envelope.sender, name):
-                    continue
-                self._dispatch_radio(envelope, name, tx)
+            for name in self._neighbours(envelope.sender):
+                if self.nodes[name].alive:
+                    self._dispatch_radio(envelope, name, tx)
             return
         self._unicast(envelope, tx)
+
+    def _overhear(self, envelope: Envelope, tx: int, skip=()) -> None:
+        """Live adversarial nodes in range of the transmitter, except those in
+        `skip`, overhear an addressed message."""
+        for name in self._neighbours(envelope.sender):
+            node = self.nodes[name]
+            if isinstance(node, AdversaryNode) and node.alive and name not in skip:
+                self._schedule(self.now + 1, envelope, name, envelope.sender, f"overheard:tx={tx}")
 
     def _unicast(self, envelope: Envelope, tx: int) -> None:
         target = envelope.to
@@ -629,37 +642,19 @@ class Simulation:
         if path is None:
             reason = "out_of_range" if (node is not None and node.alive) else "dead"
             self._log("drop", f"{envelope.sender}>{target}", f"{reason}:tx={tx}")
-            for name in self.log.registry.adversary_names:
-                other = self.nodes.get(name)
-                if (
-                    other is not None
-                    and name != envelope.sender
-                    and other.alive
-                    and self._in_range(envelope.sender, name)
-                ):
-                    self._schedule(self.now + 1, envelope, name, envelope.sender, f"overheard:tx={tx}")
+            self._overhear(envelope, tx)
             return
         hops = len(path) - 1
         message = envelope.message
         extra = 0
-        overheard = set()
+        skip = {target}  # the addressee, and adversarial relays that hear it in transit
         for i, relay in enumerate(path[1:-1], start=1):
             if isinstance(self.nodes.get(relay), AdversaryNode):
-                overheard.add(relay)
+                skip.add(relay)
                 self._schedule(
                     self.now + i, envelope, relay, path[i - 1], f"overheard:hops={i}:tx={tx}"
                 )
-        for name in self.log.registry.adversary_names:
-            other = self.nodes.get(name)
-            if (
-                other is not None
-                and name != target
-                and name != envelope.sender
-                and name not in overheard
-                and other.alive
-                and self._in_range(envelope.sender, name)
-            ):
-                self._schedule(self.now + 1, envelope, name, envelope.sender, f"overheard:tx={tx}")
+        self._overhear(envelope, tx, skip)
         for i in range(hops):
             u, v = path[i], path[i + 1]
             tap = self._tap_for(u, v)
@@ -711,15 +706,7 @@ class Simulation:
             due = [item for item in tap.outbox if item[0] <= self.now]
             tap.outbox = [item for item in tap.outbox if item[0] > self.now]
             for _, envelope, recipient in due:
-                tx = self._tx
-                self._tx += 1
-                data = envelope.encoded()
-                self._log(
-                    "send",
-                    tap.name,
-                    f"{envelope.message.kind.name}:to={recipient}:ch=radio:tx={tx}",
-                    data,
-                )
+                tx = self._send(envelope, tap.name, recipient)
                 self._schedule(self.now + 1, envelope, recipient, tap.name, f"tx={tx}")
 
     # -- context plumbing ----------------------------------------------------------
@@ -732,9 +719,7 @@ class Simulation:
             self.log.registry.secrets.append((self.now, name, label, value))
         for note in ctx.notes:
             principals = name if not note.about else f"{name}:{note.about}"
-            payload = None
-            if note.message is not None:
-                payload = encode_message(note.message)
+            payload = None if note.message is None else note.message.encoded
             self._log(note.kind, principals, note.detail, payload)
             if note.kind == "admit":
                 node = self.nodes.get(name)
@@ -750,7 +735,7 @@ class Simulation:
                 and envelope.to == BROADCAST
                 and envelope.message.kind not in ProtocolNode._NO_RELAY
             ):
-                node.relayed.add(self.provider.hash(envelope.encoded()))
+                node.relayed.add(envelope.message.encoded)
             self._transmit(envelope)
         node = self.nodes.get(name)
         if node is not None and getattr(node, "signals", None):
@@ -763,10 +748,6 @@ class Simulation:
         node = self.nodes[name]
         self.lineage_counters[group_id] = self.lineage_counters.get(group_id, 0) + 1
         lineage = f"{group_id}-{self.lineage_counters[group_id]}"
-        cfg = JoinConfig(
-            challenge_bits=self.params.challenge_bits,
-            challenge_rounds=self.params.challenge_rounds,
-        )
         capacity = next(g.capacity for g in self.scenario.groups if g.group_id == group_id)
         node.leader_service = LeaderKeyService(
             name,
@@ -777,7 +758,7 @@ class Simulation:
             node.rng,
             self.authority.public,
             capacity,
-            cfg,
+            node.member.cfg,
             faults=set(self.scenario.faults),
         )
         trust_seed = self.last_trust.get(group_id, {})
@@ -988,6 +969,7 @@ class Simulation:
         pending = list(script)
         for tick in range(duration + 1):
             self.now = tick
+            self._reach = {}
             while pending and pending[0].tick <= tick:
                 self._action(pending.pop(0))
             self._drain_taps()
@@ -996,12 +978,12 @@ class Simulation:
                 kind_name = envelope.message.kind.name
                 if node is None:
                     # Tap pseudo-principal: logging the delivery is the point.
-                    self._log("deliver", f"{via}>{recipient}", f"{kind_name}:{detail}", envelope.encoded())
+                    self._log("deliver", f"{via}>{recipient}", f"{kind_name}:{detail}", envelope.message.encoded)
                     continue
                 if not node.alive:
                     self._log("drop", f"{via}>{recipient}", f"dead:{detail}")
                     continue
-                self._log("deliver", f"{via}>{recipient}", f"{kind_name}:{detail}", envelope.encoded())
+                self._log("deliver", f"{via}>{recipient}", f"{kind_name}:{detail}", envelope.message.encoded)
                 ctx = self._ctx(recipient)
                 if isinstance(node, AdversaryNode):
                     node.handle(envelope, ctx, overheard="overheard" in detail)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manetsec import encoding
+from manetsec.messages import MessageKind, decode_message, encode_message, msg
 
 
 def test_roundtrip_basic():
@@ -66,3 +67,20 @@ def test_roundtrip_property(values):
 def test_injective_property(a, b):
     if a != b:
         assert encoding.encode(*a) != encoding.encode(*b)
+
+
+def test_message_is_immutable_and_encodes_once():
+    message = msg(MessageKind.HEARTBEAT, who="a", role="member", group="g1", beat=10)
+    with pytest.raises(TypeError):
+        message.fields["beat"] = 11
+    assert message.encoded is message.encoded
+    assert decode_message(message.encoded) == message
+
+
+def test_message_replace_has_its_own_encoding():
+    message = msg(MessageKind.HEARTBEAT, who="a", role="member", group="g1", beat=10)
+    before = message.encoded
+    later = message.replace(beat=11)
+    assert later is not message and later["beat"] == 11
+    assert message.encoded is before and message["beat"] == 10
+    assert later.encoded == encode_message(later) != before

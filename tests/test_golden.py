@@ -19,11 +19,9 @@ import sys
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(__file__))
-
-from manetsec.scenariofile import parse_scenario  # noqa: E402
-from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, run  # noqa: E402
-from topologies import (  # noqa: E402
+from manetsec.scenariofile import parse_scenario
+from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, run
+from topologies import (
     RADIUS,
     churn_scenario,
     line_scenario,
@@ -36,7 +34,8 @@ from topologies import (  # noqa: E402
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "scenarios")
-TABLE = os.path.join(HERE, "golden_digests.json")
+with open(os.path.join(HERE, "golden_digests.json")) as fh:
+    GOLDEN = json.load(fh)
 
 ADVERSARY_ARGS = {
     "drop_all": {},
@@ -127,18 +126,13 @@ def digest(scenario) -> str:
 CASES = cases()
 
 
-def _table():
-    with open(TABLE) as fh:
-        return json.load(fh)
-
-
 def test_table_names_every_case():
-    assert sorted(_table()) == sorted(case_id for case_id, _ in CASES)
+    assert sorted(GOLDEN) == sorted(case_id for case_id, _ in CASES)
 
 
 @pytest.mark.parametrize("case_id,build", CASES, ids=[case_id for case_id, _ in CASES])
 def test_golden_digest(case_id, build):
-    assert digest(build()) == _table()[case_id]
+    assert digest(build()) == GOLDEN[case_id]
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from manetsec.sim import (
     validate_scenario,
 )
 from topologies import (
+    churn_scenario,
     line_scenario,
     stealth_link_scenario,
     stealth_node_scenario,
@@ -196,6 +197,46 @@ def test_group_chat_reaches_multihop_members():
         if e.kind == "send" and e.detail.startswith("DATA") and e.principals == "S"
     ]
     assert chat_digests and all(d in k.opened for d in chat_digests)
+
+
+def test_crash_mid_tick_cuts_relay_out_of_cached_reach():
+    # Line C-B-A, C leads.  A's broadcast computes A's radio reach early in
+    # tick 20, B then crashes in the same tick, and A's heartbeat to C at the
+    # end of that tick must find no path: B is in A's reach but dead.
+    log = run(
+        line_scenario(
+            ["C", "B", "A"],
+            script=[Action(20, "send_data", ("A", "*", "hello")), Action(20, "crash", ("B",))],
+            duration=22,
+        )
+    )
+    assert [e.principals for e in log.events if e.kind == "elect"] == ["C"]
+    tick20 = [e for e in log.events if e.tick == 20]
+    kinds = [(e.kind, e.principals, e.detail.split(":", 1)[0]) for e in tick20]
+    broadcast = kinds.index(("send", "A", "DATA"))
+    crash = kinds.index(("alert", "B", "node_crashed"))
+    beat = next(e for e in tick20 if e.kind == "send" and e.detail.startswith("HEARTBEAT:to=C:"))
+    assert broadcast < crash < tick20.index(beat)
+    tx = beat.detail.rsplit("tx=", 1)[1]
+    assert any(e.kind == "drop" and e.principals == "A>C" and e.detail == f"out_of_range:tx={tx}" for e in tick20)
+    assert not [e for e in log.events if e.kind == "deliver" and e.detail.endswith(f":tx={tx}")]
+
+
+def test_each_message_encoded_once(monkeypatch):
+    import manetsec.messages as messages
+
+    encoded = []  # holding the messages keeps their ids unique
+    original = messages.encode_message
+
+    def counting(message):
+        encoded.append(message)
+        return original(message)
+
+    monkeypatch.setattr(messages, "encode_message", counting)
+    log = run(churn_scenario(500))
+    assert len({id(m) for m in encoded}) == len(encoded)
+    # Every encoding is a logged payload and every payload came from one.
+    assert {m.encoded for m in encoded} == set(log.payloads.values())
 
 
 def test_heartbeat_keeps_connected_members_alive():

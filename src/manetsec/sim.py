@@ -574,7 +574,7 @@ class Simulation:
 
     def _radio_path(self, source: str, target: str) -> Optional[list]:
         """Shortest live radio path; relays are honest nodes or stealth relays."""
-        if target in self._neighbours(source):
+        if target == source or target in self._neighbours(source):
             return [source, target]
         frontier = [source]
         parents = {source: None}

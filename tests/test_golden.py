@@ -5,9 +5,10 @@ sidecar.  The committed table in ``golden_digests.json`` was generated from
 the simulator before any refactoring of its hot path, so a refactoring that
 claims to keep behaviour must reproduce every digest.  The cases cover the
 fixtures, the stealth, family, two-group, churn (plain and fault-injected)
-and random-group builders, plus every adversary kind placed on a link, at
-a node that bridges a gap and at a bystander node, so overhearing, taps and
-out-of-range drops are all exercised.
+and random-group builders, a leader's session with a node outside its group
+(a unicast addressed to the sender itself), plus every adversary kind placed
+on a link, at a node that bridges a gap and at a bystander node, so
+overhearing, taps and out-of-range drops are all exercised.
 
 To print the table for the current code: ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -85,6 +86,14 @@ def adversary_line_scenario(kind, placement):
     )
 
 
+def leader_session_scenario(seed):
+    """Two groups; g1's founding leader a1 opens a session with a node of g2,
+    so its key query is a unicast addressed to itself."""
+    scenario, _, dest = two_group_scenario(seed)
+    scenario.script.append(Action(20, "session", ("a1", dest)))
+    return scenario
+
+
 def cases():
     """(case id, zero-argument scenario builder) for every pinned run."""
     out = []
@@ -96,6 +105,7 @@ def cases():
         out.append((f"stealth_link:{seed}", lambda s=seed: stealth_link_scenario(seed=s)))
         out.append((f"stealth_node:{seed}", lambda s=seed: stealth_node_scenario(seed=s)))
         out.append((f"two_group:{seed}", lambda s=seed: two_group_scenario(s)[0]))
+        out.append((f"leader_session:{seed}", lambda s=seed: leader_session_scenario(s)))
     for hops in (2, 3, 4):
         for position in range(hops):
             out.append(

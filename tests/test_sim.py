@@ -222,6 +222,21 @@ def test_crash_mid_tick_cuts_relay_out_of_cached_reach():
     assert not [e for e in log.events if e.kind == "deliver" and e.detail.endswith(f":tx={tx}")]
 
 
+def test_leader_unicast_to_itself_is_delivered():
+    # A leader opening a session with a node outside its group asks its
+    # leader, itself, for the peer's key: a zero-hop unicast that arrives
+    # next tick like any one-hop message.
+    scenario, _, dest = two_group_scenario(seed=1)
+    scenario.script.append(Action(20, "session", ("a1", dest)))
+    log = run(scenario)
+    assert ("a1", "group=g1:cause=founding") in [(e.principals, e.detail) for e in log.events if e.kind == "elect"]
+    query = next(e for e in log.events if e.kind == "send" and e.detail.startswith("PUBKEY_QUERY:to=a1:"))
+    tx = query.detail.rsplit("tx=", 1)[1]
+    assert not [e for e in log.events if e.kind == "drop" and e.detail.endswith(f":tx={tx}")]
+    delivered = [e for e in log.events if e.kind == "deliver" and e.detail == f"PUBKEY_QUERY:hops=1:tx={tx}"]
+    assert [(e.tick, e.principals) for e in delivered] == [(query.tick + 1, "a1>a1")]
+
+
 def test_each_message_encoded_once(monkeypatch):
     import manetsec.messages as messages
 

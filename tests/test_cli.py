@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from manetsec.cli import main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -131,3 +133,52 @@ def test_strict_chain_flag(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "expect verdict D reject:chain_mismatch: MISSED" in out
+
+
+# Full report text of two fixtures, as `report` printed it before it became
+# table-driven; between them they hit every timeline row but `alert`.
+REPORTS = {
+    "stealth_mitm": """\
+t=0    elect    A (group=g1:cause=founding)
+t=0    admit    A:B (founding)
+t=0    admit    A:D (founding)
+t=0    admit    A:S (founding)
+t=0    rekey    A (founding:lineage=g1-1:epoch=1)
+t=0    rekey    A (ring:version=1)
+t=2    discover S:S (discovery_started:dest=D:seq=1)
+t=6    reject   D:D (reject:chain_mismatch:source=S:seq=1)
+summary: elections=1 admits=3 removals=0 rekeys=2 discoveries=1 accepts=0 rejects=1 routes_installed=0 alerts=0
+""",
+    "benign_line": """\
+t=0    elect    n0 (group=g1:cause=founding)
+t=0    admit    n0:n1 (founding)
+t=0    admit    n0:n2 (founding)
+t=0    admit    n0:n3 (founding)
+t=0    admit    n0:n4 (founding)
+t=0    rekey    n0 (founding:lineage=g1-1:epoch=1)
+t=0    rekey    n0 (ring:version=1)
+t=2    discover n0:n0 (discovery_started:dest=n4:seq=1)
+t=6    accept   n4:n4 (accept:source=n0:seq=1)
+t=10   route    n0:n0 (route_installed:dest=n4:seq=1)
+t=23   remove   n0:n3 (announced_leave)
+t=23   rekey    n0 (leave:lineage=g1-1:epoch=2)
+summary: elections=1 admits=4 removals=1 rekeys=3 discoveries=1 accepts=1 rejects=0 routes_installed=1 alerts=0
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_text_is_pinned(name, tmp_path, capsys):
+    main(["run", scn(f"{name}.scn"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / f"{name}.log")]) == 0
+    assert capsys.readouterr().out == REPORTS[name]
+
+
+def test_report_counts_alerts(tmp_path, capsys):
+    path = tmp_path / "alerts.log"
+    path.write_text("#manetsec-log v1\n3\t0\talert\tA\t-\tnode_crashed\n#complete\n")
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "t=3    alert    A (node_crashed)"
+    assert "alerts=1" in out

@@ -4,9 +4,11 @@ Each case runs one scenario and hashes its log text followed by its payload
 sidecar.  The committed table in ``golden_digests.json`` was generated from
 the simulator before any refactoring of its hot path, so a refactoring that
 claims to keep behaviour must reproduce every digest.  The cases cover the
-fixtures, the stealth, family, two-group, churn (plain and fault-injected)
-and random-group builders, a leader's session with a node outside its group
-(a unicast addressed to the sender itself), plus every adversary kind placed
+fixtures, the stealth (also with the chain checked at every hop), family,
+two-group, churn (plain and fault-injected) and random-group builders, a
+leader's session with a node outside its group (a unicast addressed to the
+sender itself), a routed unicast across the leader ring, a discovery of a
+node no group holds, plus every adversary kind placed
 on a link, at a node that bridges a gap and at a bystander node, so
 overhearing, taps and out-of-range drops are all exercised.
 
@@ -94,6 +96,28 @@ def leader_session_scenario(seed):
     return scenario
 
 
+def ring_data_scenario(seed):
+    """Two groups; a0 sends b0 a unicast over the composed route, so DATA is
+    relayed hop by hop and forwarded across the leader ring."""
+    scenario, source, dest = two_group_scenario(seed)
+    scenario.script.append(Action(30, "send_data", (source, dest)))
+    return scenario
+
+
+def unknown_destination_scenario():
+    """Two groups and a node in neither: the remote leader answers the
+    gateway query with a route_missing GROUP_NEG."""
+    scenario, source, _ = two_group_scenario(seed=4)
+    scenario.nodes.append(NodeSpec("zz", [(900.0, 900.0)], 0.5))
+    scenario.script = [Action(3, "discover", (source, "zz"))]
+    return scenario
+
+
+def strict(scenario):
+    scenario.params.strict_chain = True
+    return scenario
+
+
 def cases():
     """(case id, zero-argument scenario builder) for every pinned run."""
     out = []
@@ -106,6 +130,10 @@ def cases():
         out.append((f"stealth_node:{seed}", lambda s=seed: stealth_node_scenario(seed=s)))
         out.append((f"two_group:{seed}", lambda s=seed: two_group_scenario(s)[0]))
         out.append((f"leader_session:{seed}", lambda s=seed: leader_session_scenario(s)))
+        out.append((f"ring_data:{seed}", lambda s=seed: ring_data_scenario(s)))
+        out.append((f"strict_link:{seed}", lambda s=seed: strict(stealth_link_scenario(seed=s))))
+        out.append((f"strict_node:{seed}", lambda s=seed: strict(stealth_node_scenario(seed=s))))
+    out.append(("unknown_destination", unknown_destination_scenario))
     for hops in (2, 3, 4):
         for position in range(hops):
             out.append(

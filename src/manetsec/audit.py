@@ -234,7 +234,6 @@ _SEALS = {
     MessageKind.GROUP_REQ: ("sym", []),
     MessageKind.GROUP_REP: ("sym", []),
     MessageKind.GROUP_NEG: ("sym", []),
-    MessageKind.ROUTE_COMPOSED: ("sym", []),
 }
 
 

@@ -104,6 +104,21 @@ def cmd_run(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+# Timeline rows of `report`, in summary order: (event kind, detail prefix,
+# summary counter, timeline label).  An event matches at most one row.
+_REPORT_ROWS = (
+    ("elect", "", "elections", "elect"),
+    ("admit", "", "admits", "admit"),
+    ("remove", "", "removals", "remove"),
+    ("rekey", "", "rekeys", "rekey"),
+    ("verdict", "discovery_started", "discoveries", "discover"),
+    ("verdict", "accept:", "accepts", "accept"),
+    ("verdict", "reject:", "rejects", "reject"),
+    ("verdict", "route_installed", "routes_installed", "route"),
+    ("alert", "", "alerts", "alert"),
+)
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.log, "r", encoding="utf-8") as handle:
@@ -116,47 +131,13 @@ def cmd_report(args) -> int:
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    counts = {
-        "elections": 0,
-        "admits": 0,
-        "removals": 0,
-        "rekeys": 0,
-        "discoveries": 0,
-        "accepts": 0,
-        "rejects": 0,
-        "routes_installed": 0,
-        "alerts": 0,
-    }
+    counts = dict.fromkeys((counter for _, _, counter, _ in _REPORT_ROWS), 0)
     for event in log.events:
-        principal = event.principals
-        if event.kind == "elect":
-            counts["elections"] += 1
-            print(f"t={event.tick:<4} elect    {principal} ({event.detail})")
-        elif event.kind == "admit":
-            counts["admits"] += 1
-            print(f"t={event.tick:<4} admit    {principal} ({event.detail})")
-        elif event.kind == "remove":
-            counts["removals"] += 1
-            print(f"t={event.tick:<4} remove   {principal} ({event.detail})")
-        elif event.kind == "rekey":
-            counts["rekeys"] += 1
-            print(f"t={event.tick:<4} rekey    {principal} ({event.detail})")
-        elif event.kind == "alert":
-            counts["alerts"] += 1
-            print(f"t={event.tick:<4} alert    {principal} ({event.detail})")
-        elif event.kind == "verdict":
-            if event.detail.startswith("discovery_started"):
-                counts["discoveries"] += 1
-                print(f"t={event.tick:<4} discover {principal} ({event.detail})")
-            elif event.detail.startswith("accept:"):
-                counts["accepts"] += 1
-                print(f"t={event.tick:<4} accept   {principal} ({event.detail})")
-            elif event.detail.startswith("reject:"):
-                counts["rejects"] += 1
-                print(f"t={event.tick:<4} reject   {principal} ({event.detail})")
-            elif event.detail.startswith("route_installed"):
-                counts["routes_installed"] += 1
-                print(f"t={event.tick:<4} route    {principal} ({event.detail})")
+        for kind, prefix, counter, label in _REPORT_ROWS:
+            if event.kind == kind and event.detail.startswith(prefix):
+                counts[counter] += 1
+                print(f"t={event.tick:<4} {label:<8} {event.principals} ({event.detail})")
+                break
     print(
         "summary: "
         + " ".join(f"{name}={value}" for name, value in counts.items())

@@ -96,9 +96,8 @@ def elect_leader(candidates: Sequence[NodeAttributes], cfg: WeightConfig) -> str
     return best.node
 
 
-def update_trust(current: float, observation: str, deltas: Optional[dict] = None) -> float:
+def update_trust(current: float, observation: str) -> float:
     """Additive trust update, clamped to [0, 1]."""
-    table = deltas if deltas is not None else TRUST_DELTAS
-    if observation not in table:
+    if observation not in TRUST_DELTAS:
         raise ValueError(f"unknown observation {observation!r}")
-    return min(1.0, max(0.0, current + table[observation]))
+    return min(1.0, max(0.0, current + TRUST_DELTAS[observation]))

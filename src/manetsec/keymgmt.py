@@ -262,34 +262,34 @@ class LeaderKeyService:
         ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key.bytes)
         for member_name in sorted(self.hierarchy.member_publics):
             ctx.secret(f"member_key:{member_name}:{h.lineage}", h.member_keys[member_name].bytes)
-            self._send_full_keyset(member_name, rows, ctx)
+            plain = self._keyset(rows, h.member_keys[member_name].bytes, h.member_ids[member_name])
+            self._send_keyset(member_name, h.member_publics[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
             self.trust.setdefault(member_name, 0.5)
         ctx.note("rekey", f"{cause}:lineage={self.hierarchy.lineage}:epoch={self.hierarchy.epoch}")
 
-    def _send_full_keyset(self, member_name: str, rows: list, ctx: Ctx) -> None:
+    # -- rekey messages --------------------------------------------------------
+
+    def _keyset(self, rows: list, member_key: bytes = b"", member_id: int = 0) -> bytes:
+        """Plaintext of a public-mode REKEY: the current group key and
+        membership, the addressee's derived key and member id (empty when
+        they do not change) and the leader's identity."""
         h = self.hierarchy
-        plain = encoding.encode(
-            h.group_key.bytes,
-            h.epoch,
-            h.lineage,
-            rows,
-            h.member_keys[member_name].bytes,
-            h.member_ids[member_name],
-            self.name,
-            self.keypair.public,
+        return encoding.encode(
+            h.group_key.bytes, h.epoch, h.lineage, rows, member_key, member_id, self.name, self.keypair.public
         )
-        sealed = self.provider.pk_encrypt(h.member_publics[member_name], plain, ctx.rng)
+
+    def _send_keyset(self, member_name: str, public: bytes, plain: bytes, ctx: Ctx) -> None:
+        self._emit_rekey("public", self.provider.pk_encrypt(public, plain, ctx.rng), ctx, to=member_name)
+
+    def _emit_rekey(self, mode: str, sealed: bytes, ctx: Ctx, to: str = BROADCAST) -> None:
+        """Announce the current epoch.  A group-mode REKEY is sealed under the
+        previous group key, so its header names that key's epoch."""
+        h = self.hierarchy
+        epoch = h.epoch - 1 if mode == "group" else h.epoch
         ctx.emit(
-            msg(
-                MessageKind.REKEY,
-                group=self.group_id,
-                lineage=h.lineage,
-                epoch=h.epoch,
-                mode="public",
-                sealed=sealed,
-            ),
-            to=member_name,
+            msg(MessageKind.REKEY, group=self.group_id, lineage=h.lineage, epoch=epoch, mode=mode, sealed=sealed),
+            to=to,
         )
 
     # -- nine-message join, leader side --------------------------------------
@@ -420,16 +420,7 @@ class LeaderKeyService:
             to=session.requester,
         )
         rekey_inner = encoding.encode(h.group_key.bytes, h.epoch, h.lineage, rows)
-        ctx.emit(
-            msg(
-                MessageKind.REKEY,
-                group=self.group_id,
-                lineage=h.lineage,
-                epoch=h.epoch - 1,
-                mode="group",
-                sealed=self.provider.sym_encrypt(old_key, rekey_inner, ctx.rng),
-            )
-        )
+        self._emit_rekey("group", self.provider.sym_encrypt(old_key, rekey_inner, ctx.rng), ctx)
         session.phase = JoinPhase.ADMITTED
         self.heartbeats[session.requester] = ctx.now
         self.trust.setdefault(session.requester, 0.5)
@@ -464,37 +455,12 @@ class LeaderKeyService:
         if "skip_rekey" not in self.faults:
             h.rotate(ctx.rng, self.provider)
             ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key.bytes)
-            inner = encoding.encode(
-                h.group_key.bytes, h.epoch, h.lineage, self.directory_rows(), b"", 0,
-                self.name, self.keypair.public,
-            )
-            for member_name in sorted(h.member_publics):
-                sealed = self.provider.pk_encrypt(h.member_publics[member_name], inner, ctx.rng)
-                ctx.emit(
-                    msg(
-                        MessageKind.REKEY,
-                        group=self.group_id,
-                        lineage=h.lineage,
-                        epoch=h.epoch,
-                        mode="public",
-                        sealed=sealed,
-                    ),
-                    to=member_name,
-                )
+            inner = self._keyset(self.directory_rows())
+            recipients = sorted(h.member_publics.items())
             if "leak_key" in self.faults:
-                for name, public in departed.items():
-                    sealed = self.provider.pk_encrypt(public, inner, ctx.rng)
-                    ctx.emit(
-                        msg(
-                            MessageKind.REKEY,
-                            group=self.group_id,
-                            lineage=h.lineage,
-                            epoch=h.epoch,
-                            mode="public",
-                            sealed=sealed,
-                        ),
-                        to=name,
-                    )
+                recipients += departed.items()
+            for member_name, public in recipients:
+                self._send_keyset(member_name, public, inner, ctx)
             ctx.note("rekey", f"leave:lineage={h.lineage}:epoch={h.epoch}")
         if reason == "misbehavior":
             for name in departed:

@@ -44,7 +44,6 @@ class MessageKind(IntEnum):
     GROUP_REQ = 0x17
     GROUP_REP = 0x18
     GROUP_NEG = 0x19
-    ROUTE_COMPOSED = 0x1A
 
 
 _FIELDS: dict[MessageKind, tuple[str, ...]] = {
@@ -75,7 +74,6 @@ _FIELDS: dict[MessageKind, tuple[str, ...]] = {
     MessageKind.GROUP_REQ: ("from_leader", "sealed"),
     MessageKind.GROUP_REP: ("from_leader", "sealed"),
     MessageKind.GROUP_NEG: ("from_leader", "sealed"),
-    MessageKind.ROUTE_COMPOSED: ("group", "lineage", "epoch", "sealed"),
 }
 
 BROADCAST = "*"

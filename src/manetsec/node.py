@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import encoding
 from .crypto import DecryptionError, SymmetricKey
@@ -34,17 +34,8 @@ from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py
 from .routing import Discovery, Router
 from .runtime import Ctx
 
-
-@dataclass
-class NodeParams:
-    rreq_lifetime: int = 8
-    heartbeat_period: int = 10
-    liveness_deadline: int = 30
-    freshness_window: int = 50
-    challenge_bits: int = 64
-    challenge_rounds: int = 1
-    strict_chain: bool = False
-    discovery_timeout: int = 30
+if TYPE_CHECKING:
+    from .sim import SimParams
 
 
 class ProtocolNode:
@@ -55,7 +46,7 @@ class ProtocolNode:
         certificate: Certificate,
         provider,
         rng: random.Random,
-        params: NodeParams,
+        params: SimParams,
         authority_public: bytes,
     ):
         self.name = name
@@ -210,16 +201,7 @@ class ProtocolNode:
         self.known_leaders[leader] = message["leader_public"]
         self.leader_groups[leader] = group
         if is_new and self.leader_service is not None:
-            ctx.emit(
-                msg(
-                    MessageKind.LEADER_ANNOUNCE,
-                    leader=self.name,
-                    group=self.group_id() or "",
-                    leader_public=self.keypair.public,
-                ),
-                to=leader,
-                channel="ring",
-            )
+            self.announce(ctx, to=leader)
 
     def _handle_heartbeat(self, message: Message, ctx: Ctx) -> None:
         if self.leader_service is not None and message["role"] == "member":
@@ -253,6 +235,19 @@ class ProtocolNode:
         self.sessions.handle_session1(message, self.current_leader_name() or "", ctx)
 
     # ------------------------------------------------------------------ actions
+
+    def announce(self, ctx: Ctx, to: str = BROADCAST) -> None:
+        """Tell the other leaders, over the ring, that this node leads its group."""
+        ctx.emit(
+            msg(
+                MessageKind.LEADER_ANNOUNCE,
+                leader=self.name,
+                group=self.group_id() or "",
+                leader_public=self.keypair.public,
+            ),
+            to=to,
+            channel="ring",
+        )
 
     def begin_join(self, leader: str, ctx: Ctx) -> None:
         self.member.begin_join(leader, ctx)
@@ -298,23 +293,8 @@ class ProtocolNode:
 
     def send_data(self, dest: str, text: str, ctx: Ctx) -> None:
         if dest == BROADCAST:
-            state = self.group_key_state()
-            if state is None:
+            if not self._emit_data(encoding.encode("chat", self.name, text), [], 0, BROADCAST, ctx):
                 ctx.note("verdict", "send_failed:no_group", about=self.name)
-                return
-            key, lineage, epoch = state
-            sealed = self.provider.sym_encrypt(key, encoding.encode("chat", self.name, text), ctx.rng)
-            ctx.emit(
-                msg(
-                    MessageKind.DATA,
-                    group=self.group_id() or "",
-                    lineage=lineage,
-                    epoch=epoch,
-                    route=[],
-                    hop=0,
-                    sealed=sealed,
-                )
-            )
             return
         self._send_routed(["chat", self.name, text], dest, ctx)
 
@@ -323,24 +303,30 @@ class ProtocolNode:
         if entry is None:
             ctx.note("verdict", f"send_failed:no_route:dest={dest}", about=self.name)
             return
+        to = entry.route[1] if len(entry.route) > 1 else dest
+        if not self._emit_data(encoding.encode(*inner), entry.route, 1, to, ctx):
+            ctx.note("verdict", "send_failed:no_group", about=self.name)
+
+    def _emit_data(self, plain: bytes, route: list, hop: int, to: str, ctx: Ctx) -> bool:
+        """Seal `plain` under the current group key and emit it as DATA;
+        False when this node holds no group key."""
         state = self.group_key_state()
         if state is None:
-            ctx.note("verdict", "send_failed:no_group", about=self.name)
-            return
+            return False
         key, lineage, epoch = state
-        sealed = self.provider.sym_encrypt(key, encoding.encode(*inner), ctx.rng)
         ctx.emit(
             msg(
                 MessageKind.DATA,
                 group=self.group_id() or "",
                 lineage=lineage,
                 epoch=epoch,
-                route=entry.route,
-                hop=1,
-                sealed=sealed,
+                route=route,
+                hop=hop,
+                sealed=self.provider.sym_encrypt(key, plain, ctx.rng),
             ),
-            to=entry.route[1] if len(entry.route) > 1 else dest,
+            to=to,
         )
+        return True
 
     # ------------------------------------------------------------------ data plane
 
@@ -391,24 +377,8 @@ class ProtocolNode:
                 channel="ring",
             )
             return
-        state = self.group_key_state()
-        if state is None:
+        if not self._emit_data(plain, route, hop + 1, nxt, ctx):
             ctx.note("drop", "data_undeliverable:no_group", about=self.name)
-            return
-        key, lineage, epoch = state
-        sealed = self.provider.sym_encrypt(key, plain, ctx.rng)
-        ctx.emit(
-            msg(
-                MessageKind.DATA,
-                group=self.group_id() or "",
-                lineage=lineage,
-                epoch=epoch,
-                route=route,
-                hop=hop + 1,
-                sealed=sealed,
-            ),
-            to=nxt,
-        )
 
     def _consume_data(self, inner: list, ctx: Ctx) -> None:
         tag = inner[0]
@@ -471,12 +441,9 @@ class ProtocolNode:
                     jobs = self.remote_jobs.setdefault(dest, [])
                     jobs.append([requester, seq, origin, ctx.now + self.params.discovery_timeout])
                     if len(jobs) == 1:
-                        self.router.start_discovery(
-                            dest, self.params.rreq_lifetime, ctx, purpose="gateway_leg3", final_dest=dest
-                        )
+                        self.router.start_discovery(dest, self.params.rreq_lifetime, ctx, purpose="gateway_leg3")
             else:
-                sealed = self._ring_seal(["route_missing", requester, dest, seq, self.name], ctx)
-                ctx.emit(msg(MessageKind.GROUP_NEG, from_leader=self.name, sealed=sealed), to=origin, channel="ring")
+                self._send_route_missing(requester, dest, seq, origin, ctx)
         elif kind == MessageKind.GROUP_REP:
             _, requester, dest, seq, remote_leader, rows = inner
             job = self.gateway_jobs.get((requester, dest, seq))
@@ -508,6 +475,10 @@ class ProtocolNode:
     def _answer_group_req(self, requester, dest, seq, origin, route, ctx: Ctx) -> None:
         sealed = self._ring_seal(["route_found", requester, dest, seq, self.name, list(route)], ctx)
         ctx.emit(msg(MessageKind.GROUP_REP, from_leader=self.name, sealed=sealed), to=origin, channel="ring")
+
+    def _send_route_missing(self, requester, dest, seq, origin, ctx: Ctx) -> None:
+        sealed = self._ring_seal(["route_missing", requester, dest, seq, self.name], ctx)
+        ctx.emit(msg(MessageKind.GROUP_NEG, from_leader=self.name, sealed=sealed), to=origin, channel="ring")
 
     def _discovery_completed(self, discovery: Discovery, ctx: Ctx) -> None:
         if discovery.purpose == "gateway_leg1":
@@ -564,12 +535,7 @@ class ProtocolNode:
             still = []
             for requester, seq, origin, deadline in self.remote_jobs[dest]:
                 if ctx.now >= deadline and self.router.route_to(dest) is None:
-                    sealed = self._ring_seal(["route_missing", requester, dest, seq, self.name], ctx)
-                    ctx.emit(
-                        msg(MessageKind.GROUP_NEG, from_leader=self.name, sealed=sealed),
-                        to=origin,
-                        channel="ring",
-                    )
+                    self._send_route_missing(requester, dest, seq, origin, ctx)
                 else:
                     still.append([requester, seq, origin, deadline])
             if still:

@@ -58,6 +58,14 @@ def expected_chain(provider, source: str, dest: str, seq: int, lifetime: int, ro
     return chain
 
 
+def chain_matches(provider, message: Message) -> bool:
+    """Whether a request's chain equals the one rebuilt from its received budget."""
+    expect = expected_chain(
+        provider, message["source"], message["dest"], message["seq"], message["lifetime"], message["route"]
+    )
+    return expect == message["chain"]
+
+
 def rreq_signed_payload(source: str, dest: str, seq: int, signer: str) -> bytes:
     return encoding.encode("rreq", source, dest, seq, signer)
 
@@ -118,6 +126,18 @@ def verify_route_signatures(provider, message: Message, directory: dict) -> bool
     return True
 
 
+def rrep_signature_ok(provider, message: Message, directory: dict) -> bool:
+    """Whether a reply's last signature is its destination's, over the
+    discovery, the route and the chain."""
+    public = directory.get(message["dest"])
+    if public is None:
+        return False
+    payload = rrep_signed_payload(
+        message["source"], message["dest"], message["seq"], message["route"], message["chain"]
+    )
+    return provider.verify(public, payload, Signature(bytes=message["sigs"][-1]))
+
+
 # ---------------------------------------------------------------------------
 # Per-node routing state
 # ---------------------------------------------------------------------------
@@ -137,7 +157,6 @@ class Discovery:
     dest: str
     seq: int
     lifetime: int
-    started: int
     purpose: str = "direct"  # "direct" or "gateway" (leg toward the leader)
     final_dest: str = ""
 
@@ -165,7 +184,7 @@ class Router:
         seq = self.next_seq
         message = make_rreq(self.provider, self.keypair, self.name, dest, seq, lifetime)
         self.pending[(dest, seq)] = Discovery(
-            dest=dest, seq=seq, lifetime=lifetime, started=ctx.now, purpose=purpose, final_dest=final_dest
+            dest=dest, seq=seq, lifetime=lifetime, purpose=purpose, final_dest=final_dest
         )
         self.seen.add((self.name, seq))
         ctx.emit(message)
@@ -200,13 +219,9 @@ class Router:
         if not verify_route_signatures(self.provider, message, directory):
             ctx.note("verdict", f"rreq_discard:bad_signature:source={source}:seq={seq}", about=self.name)
             return
-        if self.strict_chain:
-            expect = expected_chain(
-                self.provider, source, message["dest"], seq, message["lifetime"], message["route"]
-            )
-            if expect != message["chain"]:
-                ctx.note("verdict", f"rreq_discard:chain_mismatch:source={source}:seq={seq}", about=self.name)
-                return
+        if self.strict_chain and not chain_matches(self.provider, message):
+            ctx.note("verdict", f"rreq_discard:chain_mismatch:source={source}:seq={seq}", about=self.name)
+            return
         new_lifetime = message["lifetime"] - 1
         sig = self.provider.sign(
             self.keypair.private,
@@ -244,10 +259,7 @@ class Router:
     def check_as_destination(self, message: Message, directory: dict) -> tuple[str, str]:
         """Chain, signatures, then freshness; first failure wins."""
         source, seq = message["source"], message["seq"]
-        expect = expected_chain(
-            self.provider, source, message["dest"], seq, message["lifetime"], message["route"]
-        )
-        if expect != message["chain"]:
+        if not chain_matches(self.provider, message):
             return REJECT, "chain_mismatch"
         if not verify_route_signatures(self.provider, message, directory):
             return REJECT, "bad_signature"
@@ -265,10 +277,7 @@ class Router:
         if self.name not in route:
             ctx.note("drop", f"rrep_off_path:source={source}:seq={seq}", about=self.name)
             return None
-        dest_public = directory.get(dest)
-        dest_sig = Signature(bytes=message["sigs"][-1])
-        payload = rrep_signed_payload(source, dest, seq, route, message["chain"])
-        if dest_public is None or not self.provider.verify(dest_public, payload, dest_sig):
+        if not rrep_signature_ok(self.provider, message, directory):
             ctx.note("verdict", f"rrep_discard:bad_signature:source={source}:seq={seq}", about=self.name)
             return None
         position = route.index(self.name)
@@ -282,10 +291,11 @@ class Router:
         if discovery is None or (entry is not None and seq <= entry.seq):
             ctx.note("verdict", f"rrep_reject:stale_seq:dest={dest}:seq={seq}", about=self.name)
             return None
+        # The reply carries the chain the destination received; with k
+        # forwarders listed, that request arrived with this node's budget - k.
         route = message["route"]
-        expect = chain_origin(self.provider, self.name, dest, seq, discovery.lifetime)
-        for i, node in enumerate(route[1:-1], start=1):
-            expect = chain_extend(self.provider, expect, node, discovery.lifetime - i)
+        path = route[:-1]
+        expect = expected_chain(self.provider, self.name, dest, seq, discovery.lifetime - len(path) + 1, path)
         if expect != message["chain"]:
             ctx.note("verdict", f"rrep_reject:chain_mismatch:dest={dest}:seq={seq}", about=self.name)
             return None
@@ -293,27 +303,14 @@ class Router:
         if len(sigs) != len(route):
             ctx.note("verdict", f"rrep_reject:bad_signature:dest={dest}:seq={seq}", about=self.name)
             return None
-        ok = True
-        for node, sig_bytes in zip(route[:-1], sigs[:-1]):
-            public = directory.get(node)
-            if public is None or not self.provider.verify(
-                public,
-                rreq_signed_payload(self.name, dest, seq, node),
-                Signature(bytes=sig_bytes),
-            ):
-                ok = False
-                break
-        dest_public = directory.get(dest)
-        if ok and (
-            dest_public is None
-            or not self.provider.verify(
-                dest_public,
-                rrep_signed_payload(self.name, dest, seq, route, message["chain"]),
-                Signature(bytes=sigs[-1]),
+        ok = all(
+            directory.get(node) is not None
+            and self.provider.verify(
+                directory[node], rreq_signed_payload(self.name, dest, seq, node), Signature(bytes=sig_bytes)
             )
-        ):
-            ok = False
-        if not ok:
+            for node, sig_bytes in zip(path, sigs[:-1])
+        )
+        if not ok or not rrep_signature_ok(self.provider, message, directory):
             ctx.note("verdict", f"rrep_reject:bad_signature:dest={dest}:seq={seq}", about=self.name)
             return None
         del self.pending[(dest, seq)]

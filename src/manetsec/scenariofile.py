@@ -5,7 +5,7 @@ A scenario file is line-oriented with `#` comments and six sections:
     [params]       key = value pairs (seed, radio_radius, rreq_lifetime,
                    heartbeat_period, liveness_deadline, freshness_window,
                    challenge_bits, challenge_rounds, strict_chain,
-                   discovery_timeout, duration, provider)
+                   discovery_timeout, trust_initial, duration, provider)
     [weights]      w0/w1/w2 (must sum to 1), invert_battery_trust,
                    mobility_scale
     [nodes]        name battery x,y[;x,y;...]   one node per line

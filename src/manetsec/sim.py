@@ -37,9 +37,9 @@ from typing import Optional
 from .crypto import make_provider
 from .group import NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
-from .messages import BROADCAST, Envelope, Message, MessageKind, msg
+from .messages import BROADCAST, Envelope, Message, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
-from .node import AdversaryNode, NodeParams, ProtocolNode, mutate_message
+from .node import AdversaryNode, ProtocolNode, mutate_message
 from .runtime import Ctx
 
 LOG_HEADER = "#manetsec-log v1"
@@ -107,18 +107,6 @@ class SimParams:
     discovery_timeout: int = 30
     trust_initial: float = 0.5
     duration: Optional[int] = None
-
-    def node_params(self) -> NodeParams:
-        return NodeParams(
-            rreq_lifetime=self.rreq_lifetime,
-            heartbeat_period=self.heartbeat_period,
-            liveness_deadline=self.liveness_deadline,
-            freshness_window=self.freshness_window,
-            challenge_bits=self.challenge_bits,
-            challenge_rounds=self.challenge_rounds,
-            strict_chain=self.strict_chain,
-            discovery_timeout=self.discovery_timeout,
-        )
 
 
 @dataclass
@@ -462,6 +450,7 @@ class Simulation:
         self.ring_version = 0
         self._signals: list = []
         self._reach: dict[str, list] = {}  # name -> _neighbours row, for self.now
+        self._digests: dict[bytes, str] = {}  # logged payload -> its digest, hex
 
         seed_bytes = scenario.seed.to_bytes(8, "big", signed=True)
 
@@ -495,7 +484,6 @@ class Simulation:
         registry.keypairs = keypairs
 
         self.nodes: dict[str, object] = {}  # in sorted name order
-        node_params = scenario.params.node_params()
         for name in sorted(node_specs):
             if name in adversarial:
                 spec = next(
@@ -514,7 +502,7 @@ class Simulation:
                     cert,
                     self.provider,
                     rng_for(f"node:{name}"),
-                    node_params,
+                    scenario.params,
                     self.authority.public,
                 )
         self.taps = [
@@ -529,8 +517,11 @@ class Simulation:
     def _log(self, kind: str, principals: str, detail: str, payload: Optional[bytes] = None) -> None:
         digest = "-"
         if payload is not None:
-            digest = self.provider.hash(payload).hex()
-            self.log.payloads.setdefault(digest, payload)
+            digest = self._digests.get(payload)
+            if digest is None:
+                digest = self.provider.hash(payload).hex()
+                self._digests[payload] = digest
+                self.log.payloads.setdefault(digest, payload)
         self.log.events.append(SimEvent(self.now, self._event_seq, kind, principals, digest, detail))
         self._event_seq += 1
 
@@ -714,6 +705,13 @@ class Simulation:
     def _ctx(self, name: str) -> Ctx:
         return Ctx(name, self.now, self.nodes[name].rng, self.provider)
 
+    def _step(self, name: str, act, *args) -> None:
+        """One step of node `name`: `act(*args, ctx)`, then log and send what
+        it noted and emitted."""
+        ctx = self._ctx(name)
+        act(*args, ctx)
+        self._flush(name, ctx)
+
     def _flush(self, name: str, ctx: Ctx) -> None:
         for label, value in ctx.secrets:
             self.log.registry.secrets.append((self.now, name, label, value))
@@ -776,15 +774,7 @@ class Simulation:
             self.group_map[member] = group_id
         self.group_map[name] = group_id
         self.leaders[group_id] = name
-        ctx.emit(
-            msg(
-                MessageKind.LEADER_ANNOUNCE,
-                leader=name,
-                group=group_id,
-                leader_public=node.keypair.public,
-            ),
-            channel="ring",
-        )
+        node.announce(ctx)
         self._flush(name, ctx)
 
     def _ring_rekey(self) -> None:
@@ -840,50 +830,10 @@ class Simulation:
 
     def _action(self, action: Action) -> None:
         op, args = action.op, action.args
-        if op not in ("crash", "crash_leader"):
-            actor = self.leaders.get(args[0]) if op == "expel" else args[0]
-            if actor is None:
+        if op in ("crash", "crash_leader"):
+            name = args[0] if op == "crash" else self.leaders.get(args[0])
+            if name is None:
                 return
-            node = self.nodes.get(actor)
-            if node is not None and not node.alive:
-                self._log("alert", actor, f"action_skipped_dead:{op}")
-                return
-        if op in ("join", "join_via"):
-            name, target = args[0], args[1]
-            node = self.nodes[name]
-            leader = self.leaders.get(target) if op == "join" else target
-            if leader is None:
-                self._log("alert", name, f"join_failed:no_leader:{target}")
-                return
-            ctx = self._ctx(name)
-            node.begin_join(leader, ctx)
-            self._flush(name, ctx)
-        elif op == "leave":
-            name = args[0]
-            node = self.nodes[name]
-            ctx = self._ctx(name)
-            if isinstance(node, ProtocolNode):
-                was_leader = node.leader_service is not None
-                group = node.group_id()
-                node.announce_leave(ctx)
-                if was_leader:
-                    self._stash_trust(name)
-                    node.leader_service = None
-                    if group is not None:
-                        self.leaders[group] = None
-                self.group_map.pop(name, None)
-                if was_leader and group is not None:
-                    remaining = [n for n, g in self.group_map.items() if g == group]
-                    if not remaining:
-                        self._log("alert", group, "group_dissolved")
-            self._flush(name, ctx)
-        elif op in ("crash", "crash_leader"):
-            name = args[0]
-            if op == "crash_leader":
-                leader = self.leaders.get(name)
-                if leader is None:
-                    return
-                name = leader
             node = self.nodes[name]
             lost_group = None
             if isinstance(node, ProtocolNode) and node.leader_service is not None:
@@ -897,42 +847,55 @@ class Simulation:
                 remaining = [n for n, g in self.group_map.items() if g == lost_group]
                 if not remaining:
                     self._log("alert", lost_group, "group_dissolved")
-        elif op == "discover":
-            source, dest = args[0], args[1]
-            ctx = self._ctx(source)
-            self.nodes[source].start_route_discovery(dest, ctx)
-            self._flush(source, ctx)
-        elif op == "send_data":
-            source, dest = args[0], args[1]
-            text = args[2] if len(args) > 2 else f"payload@{self.now}"
-            ctx = self._ctx(source)
-            self.nodes[source].send_data(dest, text, ctx)
-            self._flush(source, ctx)
-        elif op == "session":
-            initiator, peer = args[0], args[1]
-            ctx = self._ctx(initiator)
-            self.nodes[initiator].start_session(peer, ctx)
-            self._flush(initiator, ctx)
-        elif op == "expel":
-            leader_name, member = args[0], args[1]
-            node = self.nodes[leader_name]
-            if isinstance(node, ProtocolNode) and node.leader_service is not None:
-                ctx = self._ctx(leader_name)
-                node.leader_service.remove_member(member, "misbehavior", ctx)
-                self._flush(leader_name, ctx)
-        elif op == "forged_join":
-            name, group = args[0], args[1]
-            leader = self.leaders.get(group)
+            return
+        actor = args[0]
+        node = self.nodes[actor]
+        if not node.alive:
+            self._log("alert", actor, f"action_skipped_dead:{op}")
+            return
+        if op in ("join", "join_via"):
+            leader = self.leaders.get(args[1]) if op == "join" else args[1]
             if leader is None:
+                self._log("alert", actor, f"join_failed:no_leader:{args[1]}")
                 return
-            ctx = self._ctx(name)
-            self.nodes[name].begin_forged_join(leader, ctx)
-            self._flush(name, ctx)
+            self._step(actor, node.begin_join, leader)
+        elif op == "leave":
+            self._step(actor, self._leave)
+        elif op == "discover":
+            self._step(actor, node.start_route_discovery, args[1])
+        elif op == "send_data":
+            text = args[2] if len(args) > 2 else f"payload@{self.now}"
+            self._step(actor, node.send_data, args[1], text)
+        elif op == "session":
+            self._step(actor, node.start_session, args[1])
+        elif op == "expel":
+            if node.leader_service is None:
+                self._log("alert", actor, f"expel_failed:not_leader:{args[1]}")
+                return
+            self._step(actor, node.leader_service.remove_member, args[1], "misbehavior")
+        elif op == "forged_join":
+            leader = self.leaders.get(args[1])
+            if leader is not None:
+                self._step(actor, node.begin_forged_join, leader)
         elif op == "rogue_session":
-            name, peer = args[0], args[1]
-            ctx = self._ctx(name)
-            self.nodes[name].begin_rogue_session(peer, ctx)
-            self._flush(name, ctx)
+            self._step(actor, node.begin_rogue_session, args[1])
+
+    def _leave(self, ctx: Ctx) -> None:
+        """Scripted leave: the node announces it, and a leaving leader's group
+        is left leaderless until its members notice."""
+        name = ctx.name
+        node = self.nodes[name]
+        was_leader = node.leader_service is not None
+        group = node.group_id()
+        node.announce_leave(ctx)
+        if was_leader:
+            self._stash_trust(name)
+            node.leader_service = None
+        self.group_map.pop(name, None)
+        if was_leader and group is not None:
+            self.leaders[group] = None
+            if group not in self.group_map.values():
+                self._log("alert", group, "group_dissolved")
 
     # -- main loop --------------------------------------------------------------------
 
@@ -946,18 +909,8 @@ class Simulation:
         for leader, spec in founding:
             self._make_leader(leader, spec.group_id, [m for m in spec.members if m != leader], "founding")
         # Announce again once every leader exists so they all know each other.
-        for leader, spec in founding:
-            ctx = self._ctx(leader)
-            ctx.emit(
-                msg(
-                    MessageKind.LEADER_ANNOUNCE,
-                    leader=leader,
-                    group=spec.group_id,
-                    leader_public=self.nodes[leader].keypair.public,
-                ),
-                channel="ring",
-            )
-            self._flush(leader, ctx)
+        for leader, _ in founding:
+            self._step(leader, self.nodes[leader].announce)
         self._ring_rekey()
 
     def run(self) -> EventLog:
@@ -994,9 +947,7 @@ class Simulation:
                 node = self.nodes[name]
                 if not node.alive:
                     continue
-                ctx = self._ctx(name)
-                node.on_tick(ctx)
-                self._flush(name, ctx)
+                self._step(name, node.on_tick)
             if self._signals:
                 signaled = {}
                 for signal in self._signals:

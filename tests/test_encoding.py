@@ -84,3 +84,12 @@ def test_message_replace_has_its_own_encoding():
     assert later is not message and later["beat"] == 11
     assert message.encoded is before and message["beat"] == 10
     assert later.encoded == encode_message(later) != before
+
+
+def test_unassigned_message_tags_rejected():
+    # 0x1A is past the last kind the protocol builds (GROUP_NEG, 0x19).
+    assert max(MessageKind) == MessageKind.GROUP_NEG
+    body = encoding.encode("g1", "g1-1", 1, b"sealed")
+    for tag in (0x00, 0x1A, 0xFF):
+        with pytest.raises(encoding.EncodingError, match="unknown message tag"):
+            decode_message(bytes([tag]) + body)

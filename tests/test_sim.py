@@ -254,6 +254,52 @@ def test_each_message_encoded_once(monkeypatch):
     assert {m.encoded for m in encoded} == set(log.payloads.values())
 
 
+def test_each_payload_hashed_once(monkeypatch):
+    from manetsec.crypto import DeterministicProvider
+    from manetsec.sim import Simulation
+
+    logging, hashed = [], []
+    original_log, original_hash = Simulation._log, DeterministicProvider.hash
+
+    def log_step(self, *args):
+        logging.append(True)
+        try:
+            return original_log(self, *args)
+        finally:
+            logging.pop()
+
+    def counting(self, data):
+        if logging:
+            hashed.append(data)
+        return original_hash(self, data)
+
+    monkeypatch.setattr(Simulation, "_log", log_step)
+    monkeypatch.setattr(DeterministicProvider, "hash", counting)
+    log = run(churn_scenario(500))
+    assert len(hashed) == len(log.payloads)
+    assert set(hashed) == set(log.payloads.values())
+
+
+def test_scripted_expel_removes_member_and_rekeys():
+    # A, the best-charged node of the line, founds and leads the group.
+    scenario = line_scenario(["A", "B", "C", "D"], script=[Action(5, "expel", ("A", "C"))], duration=30)
+    log = run(scenario)
+    assert [e.principals for e in log.events if e.kind == "elect"] == ["A"]
+    removals = [(e.tick, e.principals, e.detail) for e in log.events if e.kind == "remove"]
+    assert removals == [(5, "A:C", "misbehavior")]
+    rekeys = [e.detail for e in log.events if e.kind == "rekey" and e.tick == 5]
+    assert rekeys == ["leave:lineage=g1-1:epoch=2"]
+    assert audit(log).passed
+
+
+def test_scripted_expel_by_non_leader_is_logged():
+    scenario = line_scenario(["A", "B", "C", "D"], script=[Action(5, "expel", ("B", "C"))], duration=20)
+    log = run(scenario)
+    assert not [e for e in log.events if e.kind == "remove"]
+    alerts = [(e.principals, e.detail) for e in log.events if e.kind == "alert"]
+    assert alerts == [("B", "expel_failed:not_leader:C")]
+
+
 def test_heartbeat_keeps_connected_members_alive():
     log = run(line_scenario(["A", "B", "C", "D"], duration=80))
     assert not [e for e in log.events if e.kind == "remove"]

@@ -300,6 +300,23 @@ def test_reply_chain_mismatch_rejected_at_source(net):
     assert any("rrep_reject" in n.detail for n in notes)
 
 
+def test_reply_forwarder_signature_flip_rejected_at_source(net):
+    # The destination signs the route and chain but not the forwarders'
+    # signatures, so only the source's own check of them catches this.
+    reply = full_discovery(net)
+    sigs = list(reply["sigs"])
+    flipped = bytearray(sigs[1])
+    flipped[0] ^= 1
+    sigs[1] = bytes(flipped)
+    bad = reply.replace(sigs=sigs)
+    at_a, _, _ = net.reply_step("A", bad)
+    assert at_a == bad
+    _, notes, done = net.reply_step("S", at_a)
+    assert done is None
+    assert [n.detail for n in notes] == ["rrep_reject:bad_signature:dest=D:seq=1"]
+    assert net.routers["S"].route_to("D") is None
+
+
 def test_replayed_reply_with_old_seq_rejected(net):
     reply1 = full_discovery(net)
     reply2 = full_discovery(net)

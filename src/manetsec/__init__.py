@@ -4,11 +4,8 @@ with a deterministic simulator and a post-run security auditor."""
 from .audit import AuditReport, audit, expectation_met, knowledge_set
 from .crypto import (
     DeterministicProvider,
-    KeyKind,
     KeyPair,
     RealCryptoProvider,
-    Signature,
-    SymmetricKey,
     dh_contribute,
     make_provider,
     zk_commit,
@@ -29,7 +26,6 @@ from .keymgmt import (
     CertificateAuthority,
     KeyHierarchy,
     derive_member_key,
-    generate_group_key,
     leader_ring_agree,
 )
 from .routing import Router, chain_extend, chain_origin, expected_chain, make_rreq, make_rrep

@@ -23,7 +23,6 @@ import hmac
 import hashlib
 import random
 from dataclasses import dataclass
-from enum import Enum
 
 import sympy
 
@@ -48,33 +47,10 @@ class MalformedCiphertextError(DecryptionError):
     """Ciphertext is structurally invalid (too short, bad framing)."""
 
 
-class KeyKind(str, Enum):
-    GROUP = "group"
-    MEMBER = "member"
-    LEADER_RING = "leader_ring"
-    SESSION = "session"
-
-
 @dataclass(frozen=True)
 class KeyPair:
     public: bytes
     private: bytes
-
-
-@dataclass(frozen=True)
-class Signature:
-    bytes: bytes
-    signer_hint: str = ""
-
-
-@dataclass(frozen=True)
-class SymmetricKey:
-    bytes: bytes
-    kind: KeyKind
-
-
-def _key_bytes(key) -> bytes:
-    return key.bytes if isinstance(key, SymmetricKey) else bytes(key)
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +93,15 @@ class DeterministicProvider:
             raise MalformedKeyError("private key must be a 32-octet seed")
         return _b2(private, key=b"manetsec.pub")
 
-    def sign(self, private: bytes, data: bytes, signer_hint: str = "") -> Signature:
+    def sign(self, private: bytes, data: bytes) -> bytes:
         mac_key = _b2(self._public_of(private), key=b"manetsec.sig")
-        return Signature(bytes=_b2(bytes(data), key=mac_key), signer_hint=signer_hint)
+        return _b2(bytes(data), key=mac_key)
 
-    def verify(self, public: bytes, data: bytes, sig: Signature) -> bool:
-        if len(public) != 32 or not isinstance(sig, Signature):
+    def verify(self, public: bytes, data: bytes, sig: bytes) -> bool:
+        if len(public) != 32 or not isinstance(sig, bytes):
             return False
         mac_key = _b2(public, key=b"manetsec.sig")
-        return hmac.compare_digest(_b2(bytes(data), key=mac_key), sig.bytes)
+        return hmac.compare_digest(_b2(bytes(data), key=mac_key), sig)
 
     def pk_encrypt(self, public: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         if len(public) != 32:
@@ -142,14 +118,14 @@ class DeterministicProvider:
         content_key = _b2(self._public_of(private) + eph, key=b"manetsec.pkwrap")
         return self._open(content_key, sealed)
 
-    def generate_symmetric_key(self, rng: random.Random, kind: KeyKind) -> SymmetricKey:
-        return SymmetricKey(bytes=rng.randbytes(self.sym_key_size), kind=kind)
+    def generate_symmetric_key(self, rng: random.Random) -> bytes:
+        return rng.randbytes(self.sym_key_size)
 
-    def sym_encrypt(self, key, plaintext: bytes, rng: random.Random) -> bytes:
-        return self._seal(_key_bytes(key), bytes(plaintext), rng)
+    def sym_encrypt(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
+        return self._seal(key, bytes(plaintext), rng)
 
-    def sym_decrypt(self, key, ciphertext: bytes) -> bytes:
-        return self._open(_key_bytes(key), bytes(ciphertext))
+    def sym_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
+        return self._open(key, bytes(ciphertext))
 
     def _keystream(self, key: bytes, nonce: bytes, length: int) -> bytes:
         blocks = []
@@ -236,21 +212,21 @@ class RealCryptoProvider:
             raise MalformedKeyError("private key must be 64 octets (sign seed + kex seed)")
         return private[:32], private[32:]
 
-    def sign(self, private: bytes, data: bytes, signer_hint: str = "") -> Signature:
+    def sign(self, private: bytes, data: bytes) -> bytes:
         sign_seed, _ = self._split_private(private)
         key = self._ed25519.Ed25519PrivateKey.from_private_bytes(sign_seed)
-        return Signature(bytes=key.sign(bytes(data)), signer_hint=signer_hint)
+        return key.sign(bytes(data))
 
-    def verify(self, public: bytes, data: bytes, sig: Signature) -> bool:
-        if len(public) != 64 or not isinstance(sig, Signature):
+    def verify(self, public: bytes, data: bytes, sig: bytes) -> bool:
+        if len(public) != 64 or not isinstance(sig, bytes):
             return False
-        cache_key = (public[:32], bytes(data), sig.bytes)
+        cache_key = (public[:32], bytes(data), sig)
         hit = self._verify_cache.get(cache_key)
         if hit is not None:
             return hit
         try:
             pub = self._ed25519.Ed25519PublicKey.from_public_bytes(public[:32])
-            pub.verify(sig.bytes, bytes(data))
+            pub.verify(sig, bytes(data))
             ok = True
         except (self._invalid_sig, ValueError):
             ok = False
@@ -292,21 +268,21 @@ class RealCryptoProvider:
         except self._invalid_tag as exc:
             raise CiphertextAuthenticationError("hybrid ciphertext failed authentication") from exc
 
-    def generate_symmetric_key(self, rng: random.Random, kind: KeyKind) -> SymmetricKey:
-        return SymmetricKey(bytes=rng.randbytes(self.sym_key_size), kind=kind)
+    def generate_symmetric_key(self, rng: random.Random) -> bytes:
+        return rng.randbytes(self.sym_key_size)
 
-    def sym_encrypt(self, key, plaintext: bytes, rng: random.Random) -> bytes:
+    def sym_encrypt(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         nonce = rng.randbytes(12)
-        return nonce + self._aead.ChaCha20Poly1305(_key_bytes(key)).encrypt(
+        return nonce + self._aead.ChaCha20Poly1305(key).encrypt(
             nonce, bytes(plaintext), b""
         )
 
-    def sym_decrypt(self, key, ciphertext: bytes) -> bytes:
+    def sym_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
         ciphertext = bytes(ciphertext)
         if len(ciphertext) < 12 + 16:
             raise MalformedCiphertextError("ciphertext shorter than nonce plus tag")
         try:
-            return self._aead.ChaCha20Poly1305(_key_bytes(key)).decrypt(
+            return self._aead.ChaCha20Poly1305(key).decrypt(
                 ciphertext[:12], ciphertext[12:], b""
             )
         except self._invalid_tag as exc:

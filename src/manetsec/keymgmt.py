@@ -24,9 +24,6 @@ import sympy
 from . import encoding
 from .crypto import (
     DecryptionError,
-    KeyKind,
-    Signature,
-    SymmetricKey,
     dh_contribute,
     zk_commit,
     zk_respond,
@@ -82,14 +79,12 @@ class CertificateAuthority:
 
     def issue(self, subject: str, subject_public: bytes) -> Certificate:
         cert = Certificate(subject=subject, subject_public=subject_public, authority_sig=b"")
-        sig = self.provider.sign(self.keypair.private, cert.signed_payload(), signer_hint="authority")
-        return Certificate(subject=subject, subject_public=subject_public, authority_sig=sig.bytes)
+        sig = self.provider.sign(self.keypair.private, cert.signed_payload())
+        return Certificate(subject=subject, subject_public=subject_public, authority_sig=sig)
 
 
 def check_certificate(provider, authority_public: bytes, cert: Certificate) -> bool:
-    return provider.verify(
-        authority_public, cert.signed_payload(), Signature(bytes=cert.authority_sig)
-    )
+    return provider.verify(authority_public, cert.signed_payload(), cert.authority_sig)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +92,10 @@ def check_certificate(provider, authority_public: bytes, cert: Certificate) -> b
 # ---------------------------------------------------------------------------
 
 
-def derive_member_key(member_id: int, secret: int, provider) -> SymmetricKey:
+def derive_member_key(member_id: int, secret: int, provider) -> bytes:
     """Leader-to-member key: hash of the member id and the leader's secret."""
     digest = provider.hash(encoding.encode("member-key", member_id, secret))
-    return SymmetricKey(bytes=digest[: provider.sym_key_size], kind=KeyKind.MEMBER)
-
-
-def generate_group_key(rng: random.Random, provider) -> SymmetricKey:
-    return provider.generate_symmetric_key(rng, KeyKind.GROUP)
+    return digest[: provider.sym_key_size]
 
 
 @dataclass
@@ -113,9 +104,9 @@ class KeyHierarchy:
     lineage: str
     leader: str
     member_secret: int
-    group_key: SymmetricKey
+    group_key: bytes
     epoch: int = 1
-    member_keys: dict = field(default_factory=dict)  # name -> SymmetricKey
+    member_keys: dict = field(default_factory=dict)  # name -> key bytes
     member_ids: dict = field(default_factory=dict)  # name -> int
     member_publics: dict = field(default_factory=dict)  # name -> bytes
     next_member_id: int = 1
@@ -128,9 +119,9 @@ class KeyHierarchy:
         """Every member including the leader, sorted."""
         return sorted(set(self.member_publics) | {self.leader})
 
-    def rotate(self, rng: random.Random, provider) -> SymmetricKey:
+    def rotate(self, rng: random.Random, provider) -> bytes:
         old = self.group_key
-        self.group_key = generate_group_key(rng, provider)
+        self.group_key = provider.generate_symmetric_key(rng)
         self.epoch += 1
         self.key_history[(self.lineage, self.epoch)] = self.group_key
         return old
@@ -140,13 +131,13 @@ class KeyHierarchy:
         self.next_member_id += 1
         return member_id
 
-    def enroll(self, name: str, public: bytes, provider) -> tuple[int, SymmetricKey]:
+    def enroll(self, name: str, public: bytes, provider) -> tuple[int, bytes]:
         member_id = self.reserve_member_id()
         key = derive_member_key(member_id, self.member_secret, provider)
         self.commit_member(name, public, member_id, key)
         return member_id, key
 
-    def commit_member(self, name: str, public: bytes, member_id: int, key: SymmetricKey) -> None:
+    def commit_member(self, name: str, public: bytes, member_id: int, key: bytes) -> None:
         self.member_ids[name] = member_id
         self.member_keys[name] = key
         self.member_publics[name] = public
@@ -178,7 +169,7 @@ class LeaderJoinSession:
     phase: JoinPhase
     witnesses: list  # ephemeral witnesses, one per round
     pending_id: int = 0
-    pending_key: Optional[SymmetricKey] = None
+    pending_key: Optional[bytes] = None
     pending_public: bytes = b""
 
 
@@ -231,7 +222,7 @@ class LeaderKeyService:
             lineage=lineage,
             leader=name,
             member_secret=rng.getrandbits(128),
-            group_key=generate_group_key(rng, provider),
+            group_key=provider.generate_symmetric_key(rng),
         )
         self.join_sessions: dict[str, LeaderJoinSession] = {}
         self.heartbeats: dict[str, int] = {}
@@ -259,10 +250,10 @@ class LeaderKeyService:
         rows = self.directory_rows()
         h = self.hierarchy
         ctx.secret(f"member_secret:{h.lineage}", h.member_secret)
-        ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key.bytes)
+        ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
         for member_name in sorted(self.hierarchy.member_publics):
-            ctx.secret(f"member_key:{member_name}:{h.lineage}", h.member_keys[member_name].bytes)
-            plain = self._keyset(rows, h.member_keys[member_name].bytes, h.member_ids[member_name])
+            ctx.secret(f"member_key:{member_name}:{h.lineage}", h.member_keys[member_name])
+            plain = self._keyset(rows, h.member_keys[member_name], h.member_ids[member_name])
             self._send_keyset(member_name, h.member_publics[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
             self.trust.setdefault(member_name, 0.5)
@@ -276,7 +267,7 @@ class LeaderKeyService:
         they do not change) and the leader's identity."""
         h = self.hierarchy
         return encoding.encode(
-            h.group_key.bytes, h.epoch, h.lineage, rows, member_key, member_id, self.name, self.keypair.public
+            h.group_key, h.epoch, h.lineage, rows, member_key, member_id, self.name, self.keypair.public
         )
 
     def _send_keyset(self, member_name: str, public: bytes, plain: bytes, ctx: Ctx) -> None:
@@ -382,12 +373,12 @@ class LeaderKeyService:
         # mid-handshake rekey never reaches (or is readable by) the joiner.
         member_id = self.hierarchy.reserve_member_id()
         member_key = derive_member_key(member_id, self.hierarchy.member_secret, self.provider)
-        ctx.secret(f"member_key:{session.requester}:{self.hierarchy.lineage}", member_key.bytes)
+        ctx.secret(f"member_key:{session.requester}:{self.hierarchy.lineage}", member_key)
         session.pending_id = member_id
         session.pending_key = member_key
         session.pending_public = cert.subject_public
         session.phase = JoinPhase.CERT_VERIFIED
-        plain = encoding.encode(self.keypair.public, member_id, member_key.bytes)
+        plain = encoding.encode(self.keypair.public, member_id, member_key)
         sealed = self.provider.pk_encrypt(cert.subject_public, plain, ctx.rng)
         ctx.emit(msg(MessageKind.ADMIT, join_id=session.requester, sealed=sealed), to=session.requester)
 
@@ -410,7 +401,7 @@ class LeaderKeyService:
         )
         old_key = h.rotate(ctx.rng, self.provider)
         rows = self.directory_rows()
-        inner = encoding.encode(nonce, rows, h.group_key.bytes, h.lineage, h.epoch, self.group_id)
+        inner = encoding.encode(nonce, rows, h.group_key, h.lineage, h.epoch, self.group_id)
         ctx.emit(
             msg(
                 MessageKind.MEMBER_SET,
@@ -419,12 +410,12 @@ class LeaderKeyService:
             ),
             to=session.requester,
         )
-        rekey_inner = encoding.encode(h.group_key.bytes, h.epoch, h.lineage, rows)
+        rekey_inner = encoding.encode(h.group_key, h.epoch, h.lineage, rows)
         self._emit_rekey("group", self.provider.sym_encrypt(old_key, rekey_inner, ctx.rng), ctx)
         session.phase = JoinPhase.ADMITTED
         self.heartbeats[session.requester] = ctx.now
         self.trust.setdefault(session.requester, 0.5)
-        ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key.bytes)
+        ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
         ctx.note("admit", "handshake", about=session.requester)
         ctx.note("rekey", f"join:lineage={h.lineage}:epoch={h.epoch}")
 
@@ -454,7 +445,7 @@ class LeaderKeyService:
             return
         if "skip_rekey" not in self.faults:
             h.rotate(ctx.rng, self.provider)
-            ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key.bytes)
+            ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
             inner = self._keyset(self.directory_rows())
             recipients = sorted(h.member_publics.items())
             if "leak_key" in self.faults:
@@ -491,19 +482,15 @@ class LeaderKeyService:
             ctx.emit(self._alert(subject, "not_a_member"))
             ctx.note("alert", "not_a_member", about=subject)
             return
-        sig = self.provider.sign(
-            self.keypair.private, encoding.encode("pubkey", subject, public), signer_hint=self.name
-        )
+        sig = self.provider.sign(self.keypair.private, encoding.encode("pubkey", subject, public))
         ctx.emit(
-            msg(MessageKind.PUBKEY_ANSWER, subject=subject, subject_public=public, leader_sig=sig.bytes),
+            msg(MessageKind.PUBKEY_ANSWER, subject=subject, subject_public=public, leader_sig=sig),
             to=asker,
         )
 
     def _alert(self, accused: str, reason: str) -> Message:
-        sig = self.provider.sign(
-            self.keypair.private, encoding.encode("alert", accused, reason), signer_hint=self.name
-        )
-        return msg(MessageKind.MALICIOUS_ALERT, accused=accused, reason=reason, leader_sig=sig.bytes)
+        sig = self.provider.sign(self.keypair.private, encoding.encode("alert", accused, reason))
+        return msg(MessageKind.MALICIOUS_ALERT, accused=accused, reason=reason, leader_sig=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +522,15 @@ class MemberKeyService:
         self.group_id: Optional[str] = None
         self.lineage: Optional[str] = None
         self.epoch: int = 0
-        self.keyring: dict[tuple[str, int], SymmetricKey] = {}
-        self.member_key: Optional[SymmetricKey] = None
+        self.keyring: dict[tuple[str, int], bytes] = {}
+        self.member_key: Optional[bytes] = None
         self.member_id: int = 0
         self.leader: Optional[str] = None
         self.leader_public: Optional[bytes] = None
         self.member_view: dict[str, bytes] = {}
 
     @property
-    def group_key(self) -> Optional[SymmetricKey]:
+    def group_key(self) -> Optional[bytes]:
         if self.lineage is None:
             return None
         return self.keyring.get((self.lineage, self.epoch))
@@ -552,7 +539,7 @@ class MemberKeyService:
         return self.group_key is not None
 
     def _store_group_key(self, key_bytes: bytes, lineage: str, epoch: int) -> None:
-        self.keyring[(lineage, epoch)] = SymmetricKey(bytes=key_bytes, kind=KeyKind.GROUP)
+        self.keyring[(lineage, epoch)] = key_bytes
         self.lineage = lineage
         self.epoch = epoch
 
@@ -636,11 +623,11 @@ class MemberKeyService:
         except DecryptionError:
             self._abort_join("bad_admit_seal", ctx)
             return
-        leader_public, member_id, member_key_bytes = fields
+        leader_public, member_id, member_key = fields
         self.leader = join.leader
         self.leader_public = leader_public
         self.member_id = member_id
-        self.member_key = SymmetricKey(bytes=member_key_bytes, kind=KeyKind.MEMBER)
+        self.member_key = member_key
         join.nonce = ctx.rng.getrandbits(64)
         join.phase = JoinPhase.CERT_VERIFIED
         sealed = self.provider.sym_encrypt(self.member_key, encoding.encode(join.nonce), ctx.rng)
@@ -689,14 +676,14 @@ class MemberKeyService:
             except DecryptionError:
                 ctx.note("verdict", "rekey_undecryptable:not_addressee", about=self.name)
                 return
-            key_bytes, epoch, lineage, rows, member_key_bytes, member_id, leader_name, leader_public = fields
+            key_bytes, epoch, lineage, rows, member_key, member_id, leader_name, leader_public = fields
             self.leader = leader_name
             self.leader_public = leader_public
             self.group_id = message["group"]
             self._store_group_key(key_bytes, lineage, epoch)
             self.member_view = {name: public for name, public in rows}
-            if member_key_bytes:
-                self.member_key = SymmetricKey(bytes=member_key_bytes, kind=KeyKind.MEMBER)
+            if member_key:
+                self.member_key = member_key
                 self.member_id = member_id
 
     def forget_membership(self) -> None:
@@ -730,7 +717,7 @@ class SessionState:
     t_a: int = 0
     t_b: int = 0
     nonce1: int = 0
-    key: Optional[SymmetricKey] = None
+    key: Optional[bytes] = None
     phase: SessionPhase = SessionPhase.INITIATED
 
 
@@ -778,19 +765,28 @@ class SessionService:
     def _send_session1(self, peer: str, ctx: Ctx) -> None:
         session = self.sessions[(self.name, peer)]
         session.t_a = ctx.now
-        sig = self.provider.sign(
-            self.keypair.private, _session1_payload(self.name, peer, session.t_a), signer_hint=self.name
-        )
-        plain = encoding.encode(self.name, peer, session.t_a, sig.bytes)
+        sig = self.provider.sign(self.keypair.private, _session1_payload(self.name, peer, session.t_a))
+        plain = encoding.encode(self.name, peer, session.t_a, sig)
         sealed = self.provider.pk_encrypt(self.directory[peer], plain, ctx.rng)
         ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
 
-    def handle_session1(self, message: Message, leader: str, ctx: Ctx) -> None:
+    def open_session1(self, message: Message) -> Optional[list]:
+        """The fields of a SESSION_1 sealed to this node, or None."""
         try:
-            fields = encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
+            return encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
         except DecryptionError:
+            return None
+
+    def handle_session1(self, message: Message, leader: str, ctx: Ctx) -> None:
+        fields = self.open_session1(message)
+        if fields is None:
             ctx.note("verdict", "session_drop:not_addressee", about=self.name)
             return
+        self.answer_session1(fields, leader, ctx)
+
+    def answer_session1(self, fields: list, leader: str, ctx: Ctx) -> None:
+        """Act on an opened SESSION_1: check it, then sign a reply or ask
+        `leader` for the initiator's public key."""
         initiator, responder, t_a, sig_bytes = fields
         if responder != self.name:
             return
@@ -811,20 +807,15 @@ class SessionService:
     def _verify_and_respond(self, initiator: str, t_a: int, sig_bytes: bytes, ctx: Ctx) -> None:
         session = self.sessions[(initiator, self.name)]
         ok = self.provider.verify(
-            self.directory[initiator],
-            _session1_payload(initiator, self.name, t_a),
-            Signature(bytes=sig_bytes),
+            self.directory[initiator], _session1_payload(initiator, self.name, t_a), sig_bytes
         )
         if not ok:
             self._abort(session, "bad_signature", ctx)
             return
         session.t_b = ctx.now
-        sig = self.provider.sign(
-            self.keypair.private,
-            _session2_payload(initiator, self.name, t_a, session.t_b),
-            signer_hint=self.name,
-        )
-        plain = encoding.encode(initiator, self.name, t_a, session.t_b, sig.bytes)
+        payload = _session2_payload(initiator, self.name, t_a, session.t_b)
+        sig = self.provider.sign(self.keypair.private, payload)
+        plain = encoding.encode(initiator, self.name, t_a, session.t_b, sig)
         sealed = self.provider.pk_encrypt(self.directory[initiator], plain, ctx.rng)
         session.phase = SessionPhase.RESPONDED
         ctx.emit(msg(MessageKind.SESSION_2, sealed=sealed), to=initiator)
@@ -847,17 +838,15 @@ class SessionService:
             self._abort(session, "stale_timestamp", ctx)
             return
         if responder not in self.directory or not self.provider.verify(
-            self.directory[responder],
-            _session2_payload(initiator, responder, t_a, t_b),
-            Signature(bytes=sig_bytes),
+            self.directory[responder], _session2_payload(initiator, responder, t_a, t_b), sig_bytes
         ):
             self._abort(session, "bad_signature", ctx)
             return
         session.t_b = t_b
-        session.key = self.provider.generate_symmetric_key(ctx.rng, KeyKind.SESSION)
-        ctx.secret(f"session_key:{responder}", session.key.bytes)
+        session.key = self.provider.generate_symmetric_key(ctx.rng)
+        ctx.secret(f"session_key:{responder}", session.key)
         session.nonce1 = ctx.rng.getrandbits(64)
-        plain = encoding.encode(t_a, t_b, session.nonce1, session.key.bytes)
+        plain = encoding.encode(t_a, t_b, session.nonce1, session.key)
         sealed = self.provider.pk_encrypt(self.directory[responder], plain, ctx.rng)
         session.phase = SessionPhase.KEYED
         ctx.emit(msg(MessageKind.SESSION_3, sealed=sealed), to=responder)
@@ -883,7 +872,7 @@ class SessionService:
         if t_b != session.t_b:
             self._abort(session, "timestamp_mismatch", ctx)
             return
-        session.key = SymmetricKey(bytes=key_bytes, kind=KeyKind.SESSION)
+        session.key = key_bytes
         session.nonce1 = nonce1
         nonce2 = ctx.rng.getrandbits(64)
         sealed = self.provider.sym_encrypt(session.key, encoding.encode(nonce1, nonce2), ctx.rng)
@@ -919,11 +908,8 @@ class SessionService:
 
     def handle_pubkey_answer(self, message: Message, leader_public: bytes, ctx: Ctx) -> None:
         subject = message["subject"]
-        ok = self.provider.verify(
-            leader_public,
-            encoding.encode("pubkey", subject, message["subject_public"]),
-            Signature(bytes=message["leader_sig"]),
-        )
+        payload = encoding.encode("pubkey", subject, message["subject_public"])
+        ok = self.provider.verify(leader_public, payload, message["leader_sig"])
         if not ok:
             ctx.note("verdict", "pubkey_answer_rejected", about=subject)
             return
@@ -938,9 +924,7 @@ class SessionService:
     def handle_alert(self, message: Message, leader_public: Optional[bytes], ctx: Ctx) -> None:
         accused = message["accused"]
         if leader_public is not None and not self.provider.verify(
-            leader_public,
-            encoding.encode("alert", accused, message["reason"]),
-            Signature(bytes=message["leader_sig"]),
+            leader_public, encoding.encode("alert", accused, message["reason"]), message["leader_sig"]
         ):
             return
         self.distrusted.add(accused)
@@ -961,7 +945,7 @@ def leader_ring_agree(
     provider,
     generator: int = RING_GENERATOR,
     modulus: int = RING_MODULUS,
-) -> SymmetricKey:
+) -> bytes:
     """Ring key agreement over an ordered leader list.
 
     Runs the serialized ring exchange in n-1 passes: on each pass every
@@ -989,4 +973,4 @@ def leader_ring_agree(
             raise ArithmeticError("ring exchange diverged")
         shared = finals[0]
     digest = provider.hash(encoding.encode("ring-key", shared))
-    return SymmetricKey(bytes=digest[: provider.sym_key_size], kind=KeyKind.LEADER_RING)
+    return digest[: provider.sym_key_size]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from . import encoding
-from .crypto import DecryptionError, SymmetricKey
+from .crypto import DecryptionError
 from .keymgmt import (
     Certificate,
     JoinConfig,
@@ -63,7 +63,7 @@ class ProtocolNode:
         self.sessions = SessionService(name, keypair, provider, params.freshness_window)
         self.router = Router(name, keypair, provider, strict_chain=params.strict_chain)
         self.leader_service: Optional[LeaderKeyService] = None
-        self.ring_key: Optional[SymmetricKey] = None
+        self.ring_key: Optional[bytes] = None
         self.ring_secret: int = 0
         self.known_leaders: dict[str, bytes] = {}
         self.leader_groups: dict[str, str] = {}
@@ -100,7 +100,7 @@ class ProtocolNode:
             return self.member.group_key, self.member.lineage, self.member.epoch
         return None
 
-    def lookup_group_key(self, lineage: str, epoch: int) -> Optional[SymmetricKey]:
+    def lookup_group_key(self, lineage: str, epoch: int) -> Optional[bytes]:
         if self.leader_service is not None:
             key = self.leader_service.hierarchy.key_history.get((lineage, epoch))
             if key is not None:
@@ -219,20 +219,22 @@ class ProtocolNode:
             self.signals.append(("election", group, who))
 
     def _handle_session1(self, message: Message, ctx: Ctx) -> None:
-        if self.leader_service is not None:
-            # The leader is its own lookup authority: pre-seed the directory
-            # and alert the group directly for non-member initiators.
-            self.sessions.directory.update(self.leader_service.hierarchy.member_publics)
-            try:
-                fields = encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
-            except DecryptionError:
-                return
-            initiator = fields[0]
-            if initiator not in self.leader_service.hierarchy.member_publics:
-                ctx.emit(self.leader_service._alert(initiator, "not_a_member"))
-                ctx.note("alert", "not_a_member", about=initiator)
-                return
-        self.sessions.handle_session1(message, self.current_leader_name() or "", ctx)
+        if self.leader_service is None:
+            self.sessions.handle_session1(message, self.current_leader_name() or "", ctx)
+            return
+        # The leader is its own lookup authority: pre-seed the directory
+        # and alert the group directly for non-member initiators.  A
+        # SESSION_1 the leader cannot open is dropped silently.
+        self.sessions.directory.update(self.leader_service.hierarchy.member_publics)
+        fields = self.sessions.open_session1(message)
+        if fields is None:
+            return
+        initiator = fields[0]
+        if initiator not in self.leader_service.hierarchy.member_publics:
+            ctx.emit(self.leader_service._alert(initiator, "not_a_member"))
+            ctx.note("alert", "not_a_member", about=initiator)
+            return
+        self.sessions.answer_session1(fields, self.name, ctx)
 
     # ------------------------------------------------------------------ actions
 
@@ -583,7 +585,7 @@ class AdversaryNode:
     def is_leader(self) -> bool:
         return False
 
-    def handle(self, envelope: Envelope, ctx: Ctx, overheard: bool = False) -> None:
+    def handle(self, envelope: Envelope, ctx: Ctx) -> None:
         message = envelope.message
         kind = message.kind
         if envelope.to == BROADCAST:
@@ -607,7 +609,7 @@ class AdversaryNode:
         if self.behavior == "replay":
             self.state.replay_buffer.append((ctx.now + int(self.args.get("delay", 5)), envelope))
             return
-        if overheard or envelope.to != BROADCAST:
+        if envelope.to != BROADCAST:
             return
         if self.behavior == "mitm_relay":
             self._relay(message, ctx)
@@ -701,8 +703,8 @@ class AdversaryNode:
         if peer_public is None:
             return
         payload = encoding.encode("session1", self.name, peer, ctx.now)
-        sig = self.provider.sign(self.keypair.private, payload, signer_hint=self.name)
-        plain = encoding.encode(self.name, peer, ctx.now, sig.bytes)
+        sig = self.provider.sign(self.keypair.private, payload)
+        plain = encoding.encode(self.name, peer, ctx.now, sig)
         sealed = self.provider.pk_encrypt(peer_public, plain, ctx.rng)
         ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
 
@@ -712,6 +714,12 @@ class AdversaryNode:
         for _, envelope in due:
             ctx.emit(envelope.message, to=envelope.to, channel=envelope.channel)
         return []
+
+
+# The single-field mutations `mutate_message` knows; those in VALUE_OPS
+# take a value.
+VALUE_OPS = ("add", "set")
+MUTATION_OPS = VALUE_OPS + ("flip", "flipbit", "flip_item", "swap", "drop_last", "dup_last")
 
 
 def mutate_message(message: Message, fieldname: str, op: str, value, rng: random.Random) -> Message:

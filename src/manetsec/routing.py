@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import encoding
-from .crypto import Signature
 from .messages import Message, MessageKind, msg
 from .runtime import Ctx
 
@@ -77,7 +76,7 @@ def rrep_signed_payload(source: str, dest: str, seq: int, route: list, chain: by
 def make_rreq(provider, keypair, source: str, dest: str, seq: int, lifetime: int) -> Message:
     if lifetime < 1:
         raise ValueError("origin hop budget must be at least 1")
-    sig = provider.sign(keypair.private, rreq_signed_payload(source, dest, seq, source), signer_hint=source)
+    sig = provider.sign(keypair.private, rreq_signed_payload(source, dest, seq, source))
     return msg(
         MessageKind.RREQ,
         source=source,
@@ -85,7 +84,7 @@ def make_rreq(provider, keypair, source: str, dest: str, seq: int, lifetime: int
         seq=seq,
         lifetime=lifetime,
         route=[source],
-        sigs=[sig.bytes],
+        sigs=[sig],
         chain=chain_origin(provider, source, dest, seq, lifetime),
     )
 
@@ -97,9 +96,7 @@ def make_rrep(provider, keypair, dest_name: str, accepted: Message) -> Message:
     route = accepted["route"] + [dest_name]
     chain = accepted["chain"]
     sig = provider.sign(
-        keypair.private,
-        rrep_signed_payload(accepted["source"], dest_name, accepted["seq"], route, chain),
-        signer_hint=dest_name,
+        keypair.private, rrep_signed_payload(accepted["source"], dest_name, accepted["seq"], route, chain)
     )
     return msg(
         MessageKind.RREP,
@@ -107,12 +104,14 @@ def make_rrep(provider, keypair, dest_name: str, accepted: Message) -> Message:
         dest=dest_name,
         seq=accepted["seq"],
         route=route,
-        sigs=accepted["sigs"] + [sig.bytes],
+        sigs=accepted["sigs"] + [sig],
         chain=chain,
     )
 
 
 def verify_route_signatures(provider, message: Message, directory: dict) -> bool:
+    """Whether each listed node's request signature is present and valid,
+    in route order."""
     route, sigs = message["route"], message["sigs"]
     if len(route) != len(sigs) or not route:
         return False
@@ -121,7 +120,7 @@ def verify_route_signatures(provider, message: Message, directory: dict) -> bool
         if public is None:
             return False
         payload = rreq_signed_payload(message["source"], message["dest"], message["seq"], node)
-        if not provider.verify(public, payload, Signature(bytes=sig_bytes)):
+        if not provider.verify(public, payload, sig_bytes):
             return False
     return True
 
@@ -135,7 +134,7 @@ def rrep_signature_ok(provider, message: Message, directory: dict) -> bool:
     payload = rrep_signed_payload(
         message["source"], message["dest"], message["seq"], message["route"], message["chain"]
     )
-    return provider.verify(public, payload, Signature(bytes=message["sigs"][-1]))
+    return provider.verify(public, payload, message["sigs"][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +200,8 @@ class Router:
         if (source, seq) in self.seen:
             ctx.note("drop", f"duplicate:source={source}:seq={seq}", about=self.name)
             return
+        self.seen.add((source, seq))
+        ctx.note("verdict", f"rreq_processed:source={source}:seq={seq}", about=self.name)
         if dest == self.name:
             self._destination_verify(message, directory, ctx)
         else:
@@ -208,8 +209,6 @@ class Router:
 
     def _forward_rreq(self, message: Message, directory: dict, ctx: Ctx) -> None:
         source, seq = message["source"], message["seq"]
-        self.seen.add((source, seq))
-        ctx.note("verdict", f"rreq_processed:source={source}:seq={seq}", about=self.name)
         if self.name in message["route"]:
             ctx.note("drop", f"loop:source={source}:seq={seq}", about=self.name)
             return
@@ -223,23 +222,18 @@ class Router:
             ctx.note("verdict", f"rreq_discard:chain_mismatch:source={source}:seq={seq}", about=self.name)
             return
         new_lifetime = message["lifetime"] - 1
-        sig = self.provider.sign(
-            self.keypair.private,
-            rreq_signed_payload(source, message["dest"], seq, self.name),
-            signer_hint=self.name,
-        )
+        payload = rreq_signed_payload(source, message["dest"], seq, self.name)
+        sig = self.provider.sign(self.keypair.private, payload)
         forwarded = message.replace(
             lifetime=new_lifetime,
             route=message["route"] + [self.name],
-            sigs=message["sigs"] + [sig.bytes],
+            sigs=message["sigs"] + [sig],
             chain=chain_extend(self.provider, message["chain"], self.name, new_lifetime),
         )
         ctx.emit(forwarded)
 
     def _destination_verify(self, message: Message, directory: dict, ctx: Ctx) -> None:
         source, seq = message["source"], message["seq"]
-        self.seen.add((source, seq))
-        ctx.note("verdict", f"rreq_processed:source={source}:seq={seq}", about=self.name)
         verdict, reason = self.check_as_destination(message, directory)
         if verdict == REJECT:
             ctx.note(
@@ -299,18 +293,13 @@ class Router:
         if expect != message["chain"]:
             ctx.note("verdict", f"rrep_reject:chain_mismatch:dest={dest}:seq={seq}", about=self.name)
             return None
-        sigs = message["sigs"]
-        if len(sigs) != len(route):
-            ctx.note("verdict", f"rrep_reject:bad_signature:dest={dest}:seq={seq}", about=self.name)
-            return None
-        ok = all(
-            directory.get(node) is not None
-            and self.provider.verify(
-                directory[node], rreq_signed_payload(self.name, dest, seq, node), Signature(bytes=sig_bytes)
-            )
-            for node, sig_bytes in zip(path, sigs[:-1])
-        )
-        if not ok or not rrep_signature_ok(self.provider, message, directory):
+        # Every signature but the destination's is a request signature over
+        # the route up to the destination.
+        request = message.replace(route=path, sigs=message["sigs"][:-1])
+        if not (
+            verify_route_signatures(self.provider, request, directory)
+            and rrep_signature_ok(self.provider, message, directory)
+        ):
             ctx.note("verdict", f"rrep_reject:bad_signature:dest={dest}:seq={seq}", about=self.name)
             return None
         del self.pending[(dest, seq)]

@@ -39,7 +39,7 @@ from .group import NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, Envelope, Message, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
-from .node import AdversaryNode, ProtocolNode, mutate_message
+from .node import MUTATION_OPS, VALUE_OPS, AdversaryNode, ProtocolNode, mutate_message
 from .runtime import Ctx
 
 LOG_HEADER = "#manetsec-log v1"
@@ -193,6 +193,15 @@ def validate_scenario(scenario: Scenario) -> list:
             p = adv.args.get("p", 1.0)
             if not 0.0 <= p <= 1.0:
                 problems.append(f"adversary {i}: drop probability must be within [0, 1]")
+        if adv.kind == "modify_field":
+            for key in ("field", "op"):
+                if key not in adv.args:
+                    problems.append(f"adversary {i}: modify_field needs {key}=")
+            op = adv.args.get("op")
+            if op is not None and op not in MUTATION_OPS:
+                problems.append(f"adversary {i}: unknown modify_field op {op!r}")
+            elif op in VALUE_OPS and "value" not in adv.args:
+                problems.append(f"adversary {i}: modify_field op {op} needs value=")
     grouped = set()
     group_ids = set()
     for spec in scenario.groups:
@@ -259,6 +268,8 @@ def validate_scenario(scenario: Scenario) -> list:
     for expect in scenario.expectations:
         if expect.kind not in _KNOWN_EXPECTATIONS:
             problems.append(f"unknown expectation {expect.kind!r}")
+        elif len(expect.args) != _KNOWN_EXPECTATIONS[expect.kind]:
+            problems.append(f"expectation {expect.kind} expects {_KNOWN_EXPECTATIONS[expect.kind]} arguments")
     return problems
 
 
@@ -282,19 +293,15 @@ class SimEvent:
 
 @dataclass
 class RunRegistry:
-    """Auditor-side record of the run: key material and configuration.
+    """Auditor-side record of the run: provider, principals, key material
+    and expectations.
 
     Never part of the wire traffic; holding it is what lets the auditor
     attempt decryptions on behalf of every principal.
     """
 
     provider_name: str = "test_double"
-    seed: int = 0
-    params: SimParams = field(default_factory=SimParams)
-    weights: WeightConfig = field(default_factory=lambda: WeightConfig(0.4, 0.4, 0.2))
     keypairs: dict = field(default_factory=dict)
-    certificates: dict = field(default_factory=dict)
-    authority_public: bytes = b""
     secrets: list = field(default_factory=list)  # (tick, owner, label, bytes)
     expectations: list = field(default_factory=list)
     adversary_names: list = field(default_factory=list)
@@ -468,10 +475,6 @@ class Simulation:
         node_specs = {spec.name: spec for spec in scenario.nodes}
         registry = self.log.registry
         registry.provider_name = scenario.provider_name
-        registry.seed = scenario.seed
-        registry.params = scenario.params
-        registry.weights = scenario.weights
-        registry.authority_public = self.authority.public
         registry.expectations = list(scenario.expectations)
         registry.node_names = sorted(node_specs)
         registry.adversary_names = sorted(adversarial)
@@ -494,12 +497,10 @@ class Simulation:
                     name, keypairs[name], self.provider, rng_for(f"node:{name}"), spec.kind, spec.args, publics
                 )
             else:
-                cert = self.authority.issue(name, keypairs[name].public)
-                registry.certificates[name] = cert
                 self.nodes[name] = ProtocolNode(
                     name,
                     keypairs[name],
-                    cert,
+                    self.authority.issue(name, keypairs[name].public),
                     self.provider,
                     rng_for(f"node:{name}"),
                     scenario.params,
@@ -713,6 +714,7 @@ class Simulation:
         self._flush(name, ctx)
 
     def _flush(self, name: str, ctx: Ctx) -> None:
+        node = self.nodes[name]
         for label, value in ctx.secrets:
             self.log.registry.secrets.append((self.now, name, label, value))
         for note in ctx.notes:
@@ -720,13 +722,11 @@ class Simulation:
             payload = None if note.message is None else note.message.encoded
             self._log(note.kind, principals, note.detail, payload)
             if note.kind == "admit":
-                node = self.nodes.get(name)
                 if isinstance(node, ProtocolNode) and node.leader_service is not None:
                     self.group_map[note.about] = node.leader_service.group_id
             elif note.kind == "remove":
                 self.group_map.pop(note.about, None)
         for envelope in ctx.outbound:
-            node = self.nodes.get(name)
             if (
                 isinstance(node, ProtocolNode)
                 and envelope.channel == "radio"
@@ -735,8 +735,7 @@ class Simulation:
             ):
                 node.relayed.add(envelope.message.encoded)
             self._transmit(envelope)
-        node = self.nodes.get(name)
-        if node is not None and getattr(node, "signals", None):
+        if node.signals:
             self._signals.extend(node.signals)
             node.signals = []
 
@@ -787,7 +786,7 @@ class Simulation:
         for name in leaders:
             self.nodes[name].ring_key = key
             self.log.registry.secrets.append(
-                (self.now, name, f"ring_key:{self.ring_version}", key.bytes)
+                (self.now, name, f"ring_key:{self.ring_version}", key)
             )
         self._log("rekey", ",".join(leaders), f"ring:version={self.ring_version}")
 
@@ -937,12 +936,7 @@ class Simulation:
                     self._log("drop", f"{via}>{recipient}", f"dead:{detail}")
                     continue
                 self._log("deliver", f"{via}>{recipient}", f"{kind_name}:{detail}", envelope.message.encoded)
-                ctx = self._ctx(recipient)
-                if isinstance(node, AdversaryNode):
-                    node.handle(envelope, ctx, overheard="overheard" in detail)
-                else:
-                    node.handle(envelope, ctx)
-                self._flush(recipient, ctx)
+                self._step(recipient, node.handle, envelope)
             for name in sorted(self.nodes):
                 node = self.nodes[name]
                 if not node.alive:

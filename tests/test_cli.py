@@ -36,6 +36,35 @@ def test_validate_unknown_actor(tmp_path, capsys):
     assert "unknown node 'Z'" in capsys.readouterr().err
 
 
+HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 A B\n"
+
+
+@pytest.mark.parametrize(
+    "tail, problem",
+    [
+        ("[expect]\nroute A\n", "expectation route expects 2 arguments"),
+        ("[expect]\nverdict A accept: extra\n", "expectation verdict expects 2 arguments"),
+        ("[expect]\nsession A B\n", "expectation session expects 3 arguments"),
+        ("[expect]\nalerted\n", "expectation alerted expects 1 argument"),
+        ("[adversaries]\nnode X modify_field op=add value=1\n", "adversary 0: modify_field needs field="),
+        ("[adversaries]\nlink A B modify_field op=swap\n", "adversary 0: modify_field needs field="),
+        ("[adversaries]\nnode X modify_field field=seq\n", "adversary 0: modify_field needs op="),
+        ("[adversaries]\nlink A B modify_field field=seq\n", "adversary 0: modify_field needs op="),
+        ("[adversaries]\nnode X modify_field field=seq op=add\n", "adversary 0: modify_field op add needs value="),
+        (
+            "[adversaries]\nlink A B modify_field field=seq op=bogus\n",
+            "adversary 0: unknown modify_field op 'bogus'",
+        ),
+    ],
+)
+def test_half_formed_scenario_rejected(tmp_path, capsys, tail, problem):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(HALF_FORMED_BASE + "[script]\n2 discover A B\n" + tail)
+    assert main(["validate", str(bad)]) == 2
+    assert problem in capsys.readouterr().err
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+
+
 def test_run_benign_exit_zero(tmp_path, capsys):
     assert main(["run", scn("benign_line.scn"), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -8,10 +8,8 @@ from manetsec.crypto import (
     CiphertextAuthenticationError,
     DecryptionError,
     DeterministicProvider,
-    KeyKind,
     MalformedCiphertextError,
     RealCryptoProvider,
-    Signature,
     dh_contribute,
     zk_commit,
     zk_respond,
@@ -59,8 +57,14 @@ def test_sign_verify_roundtrip(any_provider, rng):
 
 def test_verify_malformed_returns_false(any_provider, rng):
     pair = any_provider.generate_keypair(rng)
-    assert not any_provider.verify(pair.public, b"m", Signature(bytes=b"short"))
+    assert not any_provider.verify(pair.public, b"m", b"short")
     assert not any_provider.verify(b"not a key", b"m", any_provider.sign(pair.private, b"m"))
+
+
+@pytest.mark.parametrize("sig", [None, "text", 7, [b"x"]])
+def test_verify_non_bytes_signature_returns_false(any_provider, rng, sig):
+    pair = any_provider.generate_keypair(rng)
+    assert not any_provider.verify(pair.public, b"m", sig)
 
 
 def test_sign_malformed_key_raises(any_provider):
@@ -98,8 +102,8 @@ def test_pk_roundtrip_empty_and_large(any_provider, rng):
 
 
 def test_sym_roundtrip_and_tamper(any_provider, rng):
-    key = any_provider.generate_symmetric_key(rng, KeyKind.GROUP)
-    wrong = any_provider.generate_symmetric_key(rng, KeyKind.GROUP)
+    key = any_provider.generate_symmetric_key(rng)
+    wrong = any_provider.generate_symmetric_key(rng)
     ct = any_provider.sym_encrypt(key, b"group traffic", rng)
     assert any_provider.sym_decrypt(key, ct) == b"group traffic"
     with pytest.raises(CiphertextAuthenticationError):
@@ -118,7 +122,7 @@ def test_deterministic_provider_reproducible():
     pa, pb = a.generate_keypair(ra), b.generate_keypair(rb)
     assert pa == pb
     assert a.sign(pa.private, b"x") == b.sign(pb.private, b"x")
-    ka, kb = a.generate_symmetric_key(ra, KeyKind.GROUP), b.generate_symmetric_key(rb, KeyKind.GROUP)
+    ka, kb = a.generate_symmetric_key(ra), b.generate_symmetric_key(rb)
     assert a.sym_encrypt(ka, b"m", ra) == b.sym_encrypt(kb, b"m", rb)
 
 
@@ -127,7 +131,7 @@ def test_deterministic_provider_reproducible():
 def test_sym_roundtrip_property(plaintext):
     provider = DeterministicProvider()
     rng = random.Random(1)
-    key = provider.generate_symmetric_key(rng, KeyKind.SESSION)
+    key = provider.generate_symmetric_key(rng)
     assert provider.sym_decrypt(key, provider.sym_encrypt(key, plaintext, rng)) == plaintext
 
 

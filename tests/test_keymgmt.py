@@ -3,7 +3,7 @@ import random
 import pytest
 
 from manetsec import encoding
-from manetsec.crypto import DecryptionError, KeyKind
+from manetsec.crypto import DecryptionError
 from manetsec.keymgmt import (
     Certificate,
     CertificateAuthority,
@@ -15,7 +15,6 @@ from manetsec.keymgmt import (
     SessionService,
     check_certificate,
     derive_member_key,
-    generate_group_key,
     leader_ring_agree,
 )
 from manetsec.messages import MessageKind
@@ -57,27 +56,26 @@ def world(provider):
 def test_derive_member_key_deterministic(provider):
     a = derive_member_key(7, 123456789, provider)
     b = derive_member_key(7, 123456789, provider)
-    assert a.bytes == b.bytes
-    assert a.kind == KeyKind.MEMBER
+    assert a == b
 
 
 def test_derive_member_key_distinct_across_ids(provider):
     secret = 987654321
-    keys = {derive_member_key(i, secret, provider).bytes for i in range(1, 65)}
+    keys = {derive_member_key(i, secret, provider) for i in range(1, 65)}
     assert len(keys) == 64
 
 
 def test_derive_member_key_distinct_across_secrets(provider, rng):
     seen = set()
     for _ in range(1000):
-        seen.add(derive_member_key(5, rng.getrandbits(128), provider).bytes)
+        seen.add(derive_member_key(5, rng.getrandbits(128), provider))
     assert len(seen) == 1000
 
 
 def test_group_key_freshness(provider, rng):
-    k1 = generate_group_key(rng, provider)
-    k2 = generate_group_key(rng, provider)
-    assert k1.bytes != k2.bytes
+    k1 = provider.generate_symmetric_key(rng)
+    k2 = provider.generate_symmetric_key(rng)
+    assert k1 != k2
 
 
 def test_certificate_roundtrip(provider, rng):
@@ -157,8 +155,8 @@ def test_honest_join_admits_and_rekeys(world):
         MessageKind.REKEY,
     ]
     # The joiner ends up holding the same group key the leader now uses.
-    assert member.group_key.bytes == world.leader.hierarchy.group_key.bytes
-    assert member.member_key.bytes == world.leader.hierarchy.member_keys["N"].bytes
+    assert member.group_key == world.leader.hierarchy.group_key
+    assert member.member_key == world.leader.hierarchy.member_keys["N"]
     assert member.member_id == world.leader.hierarchy.member_ids["N"]
 
 
@@ -228,14 +226,14 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     for env in ctx.outbound:
         if env.to == "M1":
             m1.handle_rekey(env.message, make_ctx("M1", 1, rng, world.provider))
-    assert m1.group_key.bytes == world.leader.hierarchy.group_key.bytes
+    assert m1.group_key == world.leader.hierarchy.group_key
 
     _, transcript = run_join(world, "N")
     rekey = next(e for e in transcript if e.message.kind == MessageKind.REKEY)
     m1_ctx = make_ctx("M1", 2, rng, world.provider)
     m1.handle_rekey(rekey.message, m1_ctx)
     assert m1.epoch == world.leader.hierarchy.epoch
-    assert m1.group_key.bytes == world.leader.hierarchy.group_key.bytes
+    assert m1.group_key == world.leader.hierarchy.group_key
 
     outsider = MemberKeyService("M2", world.keys["M2"], world.certs["M2"], world.provider)
     out_ctx = make_ctx("M2", 2, rng, world.provider)
@@ -260,7 +258,7 @@ def test_remove_member_rotates_and_excludes(world, rng):
     sealed = rekeys[0].message["sealed"]
     plain = world.provider.pk_decrypt(world.keys["M1"].private, sealed)
     fields = encoding.decode(plain)
-    assert fields[0] == world.leader.hierarchy.group_key.bytes
+    assert fields[0] == world.leader.hierarchy.group_key
     with pytest.raises(DecryptionError):
         world.provider.pk_decrypt(world.keys["M2"].private, sealed)
 
@@ -360,7 +358,7 @@ def test_session_confirms_with_leader_lookup(sessions):
     sb = sessions.b.sessions[("A", "B")]
     assert sa.phase == SessionPhase.CONFIRMED
     assert sb.phase == SessionPhase.CONFIRMED
-    assert sa.key.bytes == sb.key.bytes
+    assert sa.key == sb.key
     # Both sides resolved the peer key through the leader, not a priori.
     assert "B" in sessions.a.directory and "A" in sessions.b.directory
 
@@ -463,7 +461,7 @@ def test_leader_alert_for_unknown_peer(sessions):
     ghost_keys = sessions.provider.generate_keypair(rng)
     payload = encoding.encode("session1", "ghost", "B", 10)
     sig = sessions.provider.sign(ghost_keys.private, payload)
-    plain = encoding.encode("ghost", "B", 10, sig.bytes)
+    plain = encoding.encode("ghost", "B", 10, sig)
     sealed = sessions.provider.pk_encrypt(sessions.keys["B"].public, plain, rng)
     from manetsec.messages import msg
 
@@ -492,29 +490,28 @@ def test_ring_two_leaders_matches_direct_exponentiation(provider):
     shared = pow(pow(5, 6, 23), 15, 23)
     assert shared == pow(pow(5, 15, 23), 6, 23) == 2
     expected = provider.hash(encoding.encode("ring-key", shared))[: provider.sym_key_size]
-    assert key.bytes == expected
-    assert key.kind == KeyKind.LEADER_RING
+    assert key == expected
 
 
 def test_ring_single_leader_degenerate(provider):
     key = leader_ring_agree([("L1", 6)], provider, generator=5, modulus=23)
     expected = provider.hash(encoding.encode("ring-key", pow(5, 6, 23)))[:32]
-    assert key.bytes == expected
+    assert key == expected
 
 
 def test_ring_order_of_members_does_not_change_key(provider):
     a = leader_ring_agree([("L1", 6), ("L2", 15), ("L3", 11)], provider, 2, 1019)
     b = leader_ring_agree([("L3", 11), ("L1", 6), ("L2", 15)], provider, 2, 1019)
-    assert a.bytes == b.bytes  # product of secrets is order-free
+    assert a == b  # product of secrets is order-free
     # Oracle: three equal contributions nest to one exponent product.
     shared = pow(2, 6 * 15 * 11, 1019)
-    assert a.bytes == provider.hash(encoding.encode("ring-key", shared))[:32]
+    assert a == provider.hash(encoding.encode("ring-key", shared))[:32]
 
 
 def test_ring_key_changes_after_replacement(provider, rng):
     before = leader_ring_agree([("L1", 6), ("L2", 15)], provider, 5, 23)
     after = leader_ring_agree([("L1", 6), ("L3", 11)], provider, 5, 23)
-    assert before.bytes != after.bytes
+    assert before != after
 
 
 def test_ring_empty_rejected(provider):

@@ -338,7 +338,7 @@ def test_no_reply_for_rejected_request(net):
 
 
 # ---------------------------------------------------------------------------
-# Signature payload coverage
+# What the route signatures cover
 # ---------------------------------------------------------------------------
 
 

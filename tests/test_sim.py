@@ -280,6 +280,29 @@ def test_each_payload_hashed_once(monkeypatch):
     assert set(hashed) == set(log.payloads.values())
 
 
+def test_leader_opens_each_session1_once(monkeypatch):
+    from manetsec.crypto import DeterministicProvider
+    from manetsec.messages import MessageKind, decode_message
+
+    opened = []
+    original = DeterministicProvider.pk_decrypt
+
+    def counting(self, private, ciphertext):
+        opened.append(ciphertext)
+        return original(self, private, ciphertext)
+
+    monkeypatch.setattr(DeterministicProvider, "pk_decrypt", counting)
+    # A, the best-charged node of the line, leads; B opens a session with it.
+    log = run(line_scenario(["A", "B", "C"], script=[Action(3, "session", ("B", "A"))], duration=20))
+    firsts = [
+        m for m in map(decode_message, log.payloads.values()) if m.kind == MessageKind.SESSION_1
+    ]
+    assert len(firsts) == 1
+    assert opened.count(firsts[0]["sealed"]) == 1
+    confirms = [e.principals for e in log.events if e.detail == "session_confirmed"]
+    assert confirms == ["A:B-A", "B:B-A"]
+
+
 def test_scripted_expel_removes_member_and_rekeys():
     # A, the best-charged node of the line, founds and leads the group.
     scenario = line_scenario(["A", "B", "C", "D"], script=[Action(5, "expel", ("A", "C"))], duration=30)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from . import encoding
 from .crypto import DecryptionError, make_provider
-from .messages import MessageKind, decode_message
+from .messages import PK, MessageKind, decode_message, sealed_readings, seals
 from .routing import expected_chain
 from .sim import EventLog, SimEvent, SimulationError
 
@@ -217,23 +217,12 @@ class _LogIndex:
 # Knowledge sets
 # ---------------------------------------------------------------------------
 
-# message kind -> (seal mode, [(index in the opened plaintext, key label)]).
-# A label's {n} placeholders are filled from the plaintext.  A REKEY is
-# sealed to a member's public key or under the previous group key, as its
-# `mode` header says; only the public form carries a member key.
-_SEALS = {
-    MessageKind.REKEY: (None, [(0, "group_key:{2}:{1}"), (4, "member_key")]),
-    MessageKind.MEMBER_SET: ("sym", [(2, "group_key:{3}:{4}")]),
-    MessageKind.ADMIT: ("pk", [(2, "member_key")]),
-    MessageKind.SESSION_3: ("pk", [(3, "session_key")]),
-    MessageKind.NONCE: ("sym", []),
-    MessageKind.SESSION_1: ("pk", []),
-    MessageKind.SESSION_2: ("pk", []),
-    MessageKind.SESSION_4: ("sym", []),
-    MessageKind.DATA: ("sym", []),
-    MessageKind.GROUP_REQ: ("sym", []),
-    MessageKind.GROUP_REP: ("sym", []),
-    MessageKind.GROUP_NEG: ("sym", []),
+# Sealed-plaintext field -> the label a key read from it is filed under.  A
+# label's {name} placeholders are filled from the same plaintext.
+_KEY_LABELS = {
+    "group_key": "group_key:{lineage}:{epoch}",
+    "member_key": "member_key",
+    "session_key": "session_key",
 }
 
 
@@ -275,33 +264,44 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
     return KnowledgeSet(principal=principal, sym_keys=sym_keys, private_key=private, opened=opened)
 
 
-def _try_open(provider, message, private, sym_keys) -> Optional[list]:
-    spec = _SEALS.get(message.kind)
-    if spec is None or "sealed" not in message.fields:
+def _try_open(provider, message, private, sym_keys) -> Optional[bytes]:
+    """The plaintext of the message's sealed field, if these keys open it."""
+    if "sealed" not in message.fields:
         return None
-    mode = spec[0]
-    if message.kind == MessageKind.REKEY:
-        mode = "pk" if message["mode"] == "public" else "sym"
     sealed = message["sealed"]
-    if mode == "pk":
-        if private is None:
-            return None
-        try:
-            return encoding.decode(provider.pk_decrypt(private, sealed))
-        except Exception:
-            return None
-    for key in list(sym_keys):
-        try:
-            return encoding.decode(provider.sym_decrypt(key, sealed))
-        except DecryptionError:
-            continue
+    for seal in seals(message.kind, message.fields.get("mode")):
+        if seal == PK:
+            if private is None:
+                continue
+            try:
+                return provider.pk_decrypt(private, sealed)
+            except DecryptionError:
+                continue
+        for key in list(sym_keys):
+            try:
+                return provider.sym_decrypt(key, sealed)
+            except DecryptionError:
+                continue
     return None
 
 
 def _harvest_keys(message, plain, sym_keys) -> None:
-    for index, label in _SEALS[message.kind][1]:
-        if index < len(plain) and isinstance(plain[index], (bytes, bytearray)) and plain[index]:
-            sym_keys.setdefault(bytes(plain[index]), label.format(*plain))
+    """File every non-empty key a layout of the message's kind places in the
+    plaintext, whatever the other fields hold; an undecodable plaintext
+    yields none."""
+    try:
+        readings = sealed_readings(message.kind, plain)
+    except encoding.EncodingError:
+        return
+    for fields in readings:
+        for name, label in _KEY_LABELS.items():
+            key = fields.get(name)
+            if isinstance(key, bytes) and key:
+                try:
+                    label = label.format_map(fields)
+                except KeyError:
+                    label = name
+                sym_keys.setdefault(key, label)
 
 
 # ---------------------------------------------------------------------------

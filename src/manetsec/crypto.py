@@ -262,7 +262,11 @@ class RealCryptoProvider:
         eph_pub, nonce, sealed = ciphertext[:32], ciphertext[32:44], ciphertext[44:]
         own = self._x25519.X25519PrivateKey.from_private_bytes(kex_seed)
         peer = self._x25519.X25519PublicKey.from_public_bytes(eph_pub)
-        key = self._hybrid_key(own.exchange(peer), eph_pub)
+        try:
+            shared = own.exchange(peer)
+        except ValueError as exc:  # a low-order ephemeral key
+            raise MalformedCiphertextError("hybrid ciphertext has a degenerate ephemeral key") from exc
+        key = self._hybrid_key(shared, eph_pub)
         try:
             return self._aead.ChaCha20Poly1305(key).decrypt(nonce, sealed, eph_pub)
         except self._invalid_tag as exc:

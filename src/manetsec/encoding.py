@@ -82,7 +82,10 @@ def _decode_body(data: bytes, start: int, end: int) -> list:
                 raise EncodingError("non-minimal integer encoding")
             items.append(int.from_bytes(body, "big"))
         elif tag == _TAG_STR:
-            items.append(body.decode("utf-8"))
+            try:
+                items.append(body.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise EncodingError("string body is not UTF-8") from exc
         elif tag == _TAG_BYTES:
             items.append(bytes(body))
         elif tag == _TAG_SEQ:

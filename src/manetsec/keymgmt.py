@@ -23,7 +23,6 @@ import sympy
 
 from . import encoding
 from .crypto import (
-    DecryptionError,
     dh_contribute,
     zk_commit,
     zk_respond,
@@ -31,7 +30,7 @@ from .crypto import (
     zk_verify,
 )
 from .group import update_trust
-from .messages import BROADCAST, Message, MessageKind, msg
+from .messages import BROADCAST, UNOPENABLE, Message, MessageKind, msg, open_sealed, seal_plain
 from .runtime import Ctx
 
 # 2048-bit MODP group (RFC 3526 group 14); used for the leader-ring agreement.
@@ -266,8 +265,9 @@ class LeaderKeyService:
         membership, the addressee's derived key and member id (empty when
         they do not change) and the leader's identity."""
         h = self.hierarchy
-        return encoding.encode(
-            h.group_key, h.epoch, h.lineage, rows, member_key, member_id, self.name, self.keypair.public
+        return seal_plain(
+            MessageKind.REKEY, "public", group_key=h.group_key, epoch=h.epoch, lineage=h.lineage, rows=rows,
+            member_key=member_key, member_id=member_id, leader=self.name, leader_public=self.keypair.public,
         )
 
     def _send_keyset(self, member_name: str, public: bytes, plain: bytes, ctx: Ctx) -> None:
@@ -378,7 +378,9 @@ class LeaderKeyService:
         session.pending_key = member_key
         session.pending_public = cert.subject_public
         session.phase = JoinPhase.CERT_VERIFIED
-        plain = encoding.encode(self.keypair.public, member_id, member_key)
+        plain = seal_plain(
+            MessageKind.ADMIT, leader_public=self.keypair.public, member_id=member_id, member_key=member_key
+        )
         sealed = self.provider.pk_encrypt(cert.subject_public, plain, ctx.rng)
         ctx.emit(msg(MessageKind.ADMIT, join_id=session.requester, sealed=sealed), to=session.requester)
 
@@ -390,18 +392,20 @@ class LeaderKeyService:
             self._reject(session, "out_of_order", ctx)
             return
         try:
-            fields = encoding.decode(self.provider.sym_decrypt(session.pending_key, message["sealed"]))
-        except DecryptionError:
+            opened = open_sealed(message.kind, self.provider.sym_decrypt(session.pending_key, message["sealed"]))
+        except UNOPENABLE:
             self._reject(session, "bad_nonce_seal", ctx)
             return
-        nonce = fields[0]
         h = self.hierarchy
         h.commit_member(
             session.requester, session.pending_public, session.pending_id, session.pending_key
         )
         old_key = h.rotate(ctx.rng, self.provider)
         rows = self.directory_rows()
-        inner = encoding.encode(nonce, rows, h.group_key, h.lineage, h.epoch, self.group_id)
+        inner = seal_plain(
+            MessageKind.MEMBER_SET, nonce=opened["nonce"], rows=rows, group_key=h.group_key, lineage=h.lineage,
+            epoch=h.epoch, group=self.group_id,
+        )
         ctx.emit(
             msg(
                 MessageKind.MEMBER_SET,
@@ -410,7 +414,9 @@ class LeaderKeyService:
             ),
             to=session.requester,
         )
-        rekey_inner = encoding.encode(h.group_key, h.epoch, h.lineage, rows)
+        rekey_inner = seal_plain(
+            MessageKind.REKEY, "group", group_key=h.group_key, epoch=h.epoch, lineage=h.lineage, rows=rows
+        )
         self._emit_rekey("group", self.provider.sym_encrypt(old_key, rekey_inner, ctx.rng), ctx)
         session.phase = JoinPhase.ADMITTED
         self.heartbeats[session.requester] = ctx.now
@@ -538,10 +544,11 @@ class MemberKeyService:
     def is_member(self) -> bool:
         return self.group_key is not None
 
-    def _store_group_key(self, key_bytes: bytes, lineage: str, epoch: int) -> None:
-        self.keyring[(lineage, epoch)] = key_bytes
-        self.lineage = lineage
-        self.epoch = epoch
+    def _store_keyset(self, opened: dict) -> None:
+        """Adopt an opened keyset: its group key, lineage, epoch and rows."""
+        self.lineage, self.epoch = opened["lineage"], opened["epoch"]
+        self.keyring[(self.lineage, self.epoch)] = opened["group_key"]
+        self.member_view = {name: public for name, public in opened["rows"]}
 
     # -- join, node side ---------------------------------------------------------
 
@@ -571,6 +578,9 @@ class MemberKeyService:
         join = self.join
         if join.phase != JoinPhase.REQUESTED:
             self._abort_join("out_of_order", ctx)
+            return
+        if message["modulus"] <= 3:  # too small to commit to (see zk_commit)
+            self._abort_join("bad_zk_params", ctx)
             return
         join.modulus = message["modulus"]
         join.square = message["square"]
@@ -619,18 +629,18 @@ class MemberKeyService:
             self._abort_join("out_of_order", ctx)
             return
         try:
-            fields = encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
-        except DecryptionError:
+            opened = open_sealed(message.kind, self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
+        except UNOPENABLE:
             self._abort_join("bad_admit_seal", ctx)
             return
-        leader_public, member_id, member_key = fields
         self.leader = join.leader
-        self.leader_public = leader_public
-        self.member_id = member_id
-        self.member_key = member_key
+        self.leader_public = opened["leader_public"]
+        self.member_id = opened["member_id"]
+        self.member_key = opened["member_key"]
         join.nonce = ctx.rng.getrandbits(64)
         join.phase = JoinPhase.CERT_VERIFIED
-        sealed = self.provider.sym_encrypt(self.member_key, encoding.encode(join.nonce), ctx.rng)
+        plain = seal_plain(MessageKind.NONCE, nonce=join.nonce)
+        sealed = self.provider.sym_encrypt(self.member_key, plain, ctx.rng)
         ctx.emit(msg(MessageKind.NONCE, join_id=self.name, sealed=sealed), to=join.leader)
 
     def _member_set(self, message: Message, ctx: Ctx) -> None:
@@ -639,17 +649,15 @@ class MemberKeyService:
             self._abort_join("out_of_order", ctx)
             return
         try:
-            fields = encoding.decode(self.provider.sym_decrypt(self.member_key, message["sealed"]))
-        except DecryptionError:
+            opened = open_sealed(message.kind, self.provider.sym_decrypt(self.member_key, message["sealed"]))
+        except UNOPENABLE:
             self._abort_join("bad_member_set_seal", ctx)
             return
-        nonce_echo, rows, key_bytes, lineage, epoch, group_id = fields
-        if nonce_echo != join.nonce:
+        if opened["nonce"] != join.nonce:
             self._abort_join("nonce_mismatch", ctx)
             return
-        self.group_id = group_id
-        self._store_group_key(key_bytes, lineage, epoch)
-        self.member_view = {name: public for name, public in rows}
+        self.group_id = opened["group"]
+        self._store_keyset(opened)
         join.phase = JoinPhase.ADMITTED
         ctx.note("verdict", "joined", about=self.name)
 
@@ -663,28 +671,25 @@ class MemberKeyService:
                 ctx.note("verdict", "rekey_undecryptable:unknown_epoch", about=self.name)
                 return
             try:
-                fields = encoding.decode(self.provider.sym_decrypt(old, message["sealed"]))
-            except DecryptionError:
+                opened = open_sealed(message.kind, self.provider.sym_decrypt(old, message["sealed"]), mode)
+            except UNOPENABLE:
                 ctx.note("verdict", "rekey_undecryptable:auth", about=self.name)
                 return
-            key_bytes, epoch, lineage, rows = fields
-            self._store_group_key(key_bytes, lineage, epoch)
-            self.member_view = {name: public for name, public in rows}
+            self._store_keyset(opened)
         elif mode == "public":
             try:
-                fields = encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
-            except DecryptionError:
+                plain = self.provider.pk_decrypt(self.keypair.private, message["sealed"])
+                opened = open_sealed(message.kind, plain, mode)
+            except UNOPENABLE:
                 ctx.note("verdict", "rekey_undecryptable:not_addressee", about=self.name)
                 return
-            key_bytes, epoch, lineage, rows, member_key, member_id, leader_name, leader_public = fields
-            self.leader = leader_name
-            self.leader_public = leader_public
+            self.leader = opened["leader"]
+            self.leader_public = opened["leader_public"]
             self.group_id = message["group"]
-            self._store_group_key(key_bytes, lineage, epoch)
-            self.member_view = {name: public for name, public in rows}
-            if member_key:
-                self.member_key = member_key
-                self.member_id = member_id
+            self._store_keyset(opened)
+            if opened["member_key"]:
+                self.member_key = opened["member_key"]
+                self.member_id = opened["member_id"]
 
     def forget_membership(self) -> None:
         """Local bookkeeping when this node leaves; held keys stay held."""
@@ -766,29 +771,29 @@ class SessionService:
         session = self.sessions[(self.name, peer)]
         session.t_a = ctx.now
         sig = self.provider.sign(self.keypair.private, _session1_payload(self.name, peer, session.t_a))
-        plain = encoding.encode(self.name, peer, session.t_a, sig)
+        plain = seal_plain(MessageKind.SESSION_1, initiator=self.name, responder=peer, t_a=session.t_a, sig=sig)
         sealed = self.provider.pk_encrypt(self.directory[peer], plain, ctx.rng)
         ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
 
-    def open_session1(self, message: Message) -> Optional[list]:
-        """The fields of a SESSION_1 sealed to this node, or None."""
+    def open_addressed(self, message: Message) -> Optional[dict]:
+        """The fields of a message sealed to this node's public key, or None."""
         try:
-            return encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
-        except DecryptionError:
+            return open_sealed(message.kind, self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
+        except UNOPENABLE:
             return None
 
     def handle_session1(self, message: Message, leader: str, ctx: Ctx) -> None:
-        fields = self.open_session1(message)
-        if fields is None:
+        opened = self.open_addressed(message)
+        if opened is None:
             ctx.note("verdict", "session_drop:not_addressee", about=self.name)
             return
-        self.answer_session1(fields, leader, ctx)
+        self.answer_session1(opened, leader, ctx)
 
-    def answer_session1(self, fields: list, leader: str, ctx: Ctx) -> None:
+    def answer_session1(self, opened: dict, leader: str, ctx: Ctx) -> None:
         """Act on an opened SESSION_1: check it, then sign a reply or ask
         `leader` for the initiator's public key."""
-        initiator, responder, t_a, sig_bytes = fields
-        if responder != self.name:
+        initiator, t_a, sig_bytes = opened["initiator"], opened["t_a"], opened["sig"]
+        if opened["responder"] != self.name:
             return
         session = SessionState(initiator=initiator, responder=self.name, t_a=t_a)
         self.sessions[(initiator, self.name)] = session
@@ -815,17 +820,19 @@ class SessionService:
         session.t_b = ctx.now
         payload = _session2_payload(initiator, self.name, t_a, session.t_b)
         sig = self.provider.sign(self.keypair.private, payload)
-        plain = encoding.encode(initiator, self.name, t_a, session.t_b, sig)
+        plain = seal_plain(
+            MessageKind.SESSION_2, initiator=initiator, responder=self.name, t_a=t_a, t_b=session.t_b, sig=sig
+        )
         sealed = self.provider.pk_encrypt(self.directory[initiator], plain, ctx.rng)
         session.phase = SessionPhase.RESPONDED
         ctx.emit(msg(MessageKind.SESSION_2, sealed=sealed), to=initiator)
 
     def handle_session2(self, message: Message, ctx: Ctx) -> None:
-        try:
-            fields = encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
-        except DecryptionError:
+        opened = self.open_addressed(message)
+        if opened is None:
             return
-        initiator, responder, t_a, t_b, sig_bytes = fields
+        initiator, responder = opened["initiator"], opened["responder"]
+        t_a, t_b, sig_bytes = opened["t_a"], opened["t_b"], opened["sig"]
         if initiator != self.name:
             return
         session = self.sessions.get((self.name, responder))
@@ -846,17 +853,16 @@ class SessionService:
         session.key = self.provider.generate_symmetric_key(ctx.rng)
         ctx.secret(f"session_key:{responder}", session.key)
         session.nonce1 = ctx.rng.getrandbits(64)
-        plain = encoding.encode(t_a, t_b, session.nonce1, session.key)
+        plain = seal_plain(MessageKind.SESSION_3, t_a=t_a, t_b=t_b, nonce=session.nonce1, session_key=session.key)
         sealed = self.provider.pk_encrypt(self.directory[responder], plain, ctx.rng)
         session.phase = SessionPhase.KEYED
         ctx.emit(msg(MessageKind.SESSION_3, sealed=sealed), to=responder)
 
     def handle_session3(self, message: Message, ctx: Ctx) -> None:
-        try:
-            fields = encoding.decode(self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
-        except DecryptionError:
+        opened = self.open_addressed(message)
+        if opened is None:
             return
-        t_a, t_b, nonce1, key_bytes = fields
+        t_a = opened["t_a"]
         session = None
         for candidate in self.sessions.values():
             if (
@@ -869,13 +875,14 @@ class SessionService:
         if session is None:
             ctx.note("verdict", "session_aborted:no_matching_exchange", about=self.name)
             return
-        if t_b != session.t_b:
+        if opened["t_b"] != session.t_b:
             self._abort(session, "timestamp_mismatch", ctx)
             return
-        session.key = key_bytes
-        session.nonce1 = nonce1
+        session.key = opened["session_key"]
+        session.nonce1 = opened["nonce"]
         nonce2 = ctx.rng.getrandbits(64)
-        sealed = self.provider.sym_encrypt(session.key, encoding.encode(nonce1, nonce2), ctx.rng)
+        plain = seal_plain(MessageKind.SESSION_4, nonce=session.nonce1, nonce2=nonce2)
+        sealed = self.provider.sym_encrypt(session.key, plain, ctx.rng)
         session.phase = SessionPhase.CONFIRMED
         ctx.note("verdict", "session_confirmed", about=f"{session.initiator}-{session.responder}")
         ctx.emit(
@@ -895,12 +902,11 @@ class SessionService:
         if session is None or session.phase != SessionPhase.KEYED:
             return
         try:
-            fields = encoding.decode(self.provider.sym_decrypt(session.key, message["sealed"]))
-        except DecryptionError:
+            opened = open_sealed(message.kind, self.provider.sym_decrypt(session.key, message["sealed"]))
+        except UNOPENABLE:
             self._abort(session, "bad_confirmation_seal", ctx)
             return
-        nonce1, _nonce2 = fields
-        if nonce1 != session.nonce1:
+        if opened["nonce"] != session.nonce1:
             self._abort(session, "nonce_mismatch", ctx)
             return
         session.phase = SessionPhase.CONFIRMED

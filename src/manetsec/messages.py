@@ -3,9 +3,12 @@
 A message is a one-octet kind tag followed by the canonical encoding of the
 kind's payload fields, in the fixed order listed in ``_FIELDS``.  Encrypted
 parts travel as a single ``sealed`` octet field whose plaintext is itself a
-canonical encoding; the handlers that seal and open them agree on the inner
-layout.  Radio metadata (who transmitted to whom, and when) is not part of
-the payload bytes -- the event log records it separately.
+canonical encoding, laid out as ``_SEALED`` lists.  Every field name, in a
+header or in a sealed plaintext, has one wire type (``FIELD_TYPES``); a
+``Message`` checks its fields against it when it is built, and
+:func:`open_sealed` checks a plaintext the same way.  Radio metadata (who
+transmitted to whom, and when) is not part of the payload bytes -- the
+event log records it separately.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 from . import encoding
+from .crypto import DecryptionError
 
 
 class MessageKind(IntEnum):
@@ -45,6 +50,66 @@ class MessageKind(IntEnum):
     GROUP_REP = 0x18
     GROUP_NEG = 0x19
 
+
+def _is_int(value) -> bool:
+    return type(value) is int and value >= 0  # bool is an int subclass, not a wire int
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_bytes(value) -> bool:
+    return isinstance(value, bytes)
+
+
+def _is_row(row) -> bool:
+    return (
+        isinstance(row, (list, tuple)) and len(row) == 2 and isinstance(row[0], str) and isinstance(row[1], bytes)
+    )
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+# Wire type -> the check a value of that type passes.  Integers are
+# non-negative; directory rows are [member name, public key] pairs.
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "str": _is_str,
+    "bytes": _is_bytes,
+    "list[int]": _list_of(_is_int),
+    "list[str]": _list_of(_is_str),
+    "list[bytes]": _list_of(_is_bytes),
+    "rows": _list_of(_is_row),
+}
+
+# The wire type of every field name, in message headers and in sealed
+# plaintexts alike: a name means the same kind of value wherever it appears.
+FIELD_TYPES: dict[str, str] = {
+    **dict.fromkeys(
+        ("requester", "join_id", "subject", "group", "lineage", "mode", "initiator", "responder", "accused",
+         "reason", "who", "role", "leader", "source", "dest", "from_leader", "tag", "text", "origin"),
+        "str",
+    ),
+    **dict.fromkeys(
+        ("modulus", "square", "epoch", "beat", "seq", "lifetime", "hop", "member_id", "nonce", "nonce2", "t_a",
+         "t_b"),
+        "int",
+    ),
+    **dict.fromkeys(
+        ("subject_public", "authority_sig", "sealed", "leader_sig", "leader_public", "chain", "member_key",
+         "group_key", "session_key", "sig"),
+        "bytes",
+    ),
+    "commitments": "list[int]",
+    "challenges": "list[int]",
+    "responses": "list[int]",
+    "route": "list[str]",
+    "sigs": "list[bytes]",
+    "rows": "rows",
+}
 
 _FIELDS: dict[MessageKind, tuple[str, ...]] = {
     MessageKind.JOIN_REQ: ("requester",),
@@ -76,25 +141,85 @@ _FIELDS: dict[MessageKind, tuple[str, ...]] = {
     MessageKind.GROUP_NEG: ("from_leader", "sealed"),
 }
 
+# Every field name some message kind carries in its header.
+HEADER_FIELDS = frozenset(name for names in _FIELDS.values() for name in names)
+
+# How a sealed field is sealed: to the addressee's public key, or under a
+# symmetric key both ends hold.
+PK = "pk"
+SYM = "sym"
+
+
+class Layout(NamedTuple):
+    seal: str  # PK or SYM
+    names: tuple  # the plaintext's fields, in wire order
+
+
+# The plaintext inside each message's `sealed` field, keyed by (kind,
+# variant).  A REKEY's variant is its `mode` header.  DATA and the ring
+# messages lead with a `tag` field, and the tag is the variant.
+_SEALED: dict[tuple, Layout] = {
+    (MessageKind.ADMIT, None): Layout(PK, ("leader_public", "member_id", "member_key")),
+    (MessageKind.NONCE, None): Layout(SYM, ("nonce",)),
+    (MessageKind.MEMBER_SET, None): Layout(SYM, ("nonce", "rows", "group_key", "lineage", "epoch", "group")),
+    (MessageKind.REKEY, "group"): Layout(SYM, ("group_key", "epoch", "lineage", "rows")),
+    (MessageKind.REKEY, "public"): Layout(
+        PK, ("group_key", "epoch", "lineage", "rows", "member_key", "member_id", "leader", "leader_public")
+    ),
+    (MessageKind.SESSION_1, None): Layout(PK, ("initiator", "responder", "t_a", "sig")),
+    (MessageKind.SESSION_2, None): Layout(PK, ("initiator", "responder", "t_a", "t_b", "sig")),
+    (MessageKind.SESSION_3, None): Layout(PK, ("t_a", "t_b", "nonce", "session_key")),
+    (MessageKind.SESSION_4, None): Layout(SYM, ("nonce", "nonce2")),
+    (MessageKind.DATA, "chat"): Layout(SYM, ("tag", "source", "text")),
+    (MessageKind.DATA, "route_wanted"): Layout(SYM, ("tag", "requester", "dest", "seq")),
+    (MessageKind.DATA, "route_composed"): Layout(SYM, ("tag", "dest", "seq", "route")),
+    (MessageKind.DATA, "route_failed"): Layout(SYM, ("tag", "dest", "seq")),
+    (MessageKind.GROUP_REQ, "route_query"): Layout(SYM, ("tag", "requester", "dest", "seq", "origin")),
+    (MessageKind.GROUP_REP, "route_found"): Layout(SYM, ("tag", "requester", "dest", "seq", "leader", "route")),
+    (MessageKind.GROUP_NEG, "route_missing"): Layout(SYM, ("tag", "requester", "dest", "seq", "leader")),
+}
+
+# What opening a sealed field can fail with: the seal does not open, or its
+# plaintext does not fit the layout.
+UNOPENABLE = (DecryptionError, encoding.EncodingError)
+
+
+def _checks(names: tuple) -> tuple:
+    return tuple((name, _TYPE_CHECKS[FIELD_TYPES[name]]) for name in names)
+
+
+_HEADER_CHECKS = {kind: _checks(names) for kind, names in _FIELDS.items()}
+_SEALED_CHECKS = {key: _checks(layout.names) for key, layout in _SEALED.items()}
+
+
+def _check(what: str, checks: tuple, fields) -> None:
+    """Raise EncodingError unless `fields` holds exactly the names in
+    `checks`, each of its wire type."""
+    if len(fields) != len(checks):
+        extra = sorted(set(fields) - {name for name, _ in checks})
+        missing = [name for name, _ in checks if name not in fields]
+        raise encoding.EncodingError(f"{what} fields do not match (missing={missing}, unknown={extra})")
+    for name, check in checks:
+        if name not in fields:
+            raise encoding.EncodingError(f"{what} lacks field {name!r}")
+        if not check(fields[name]):
+            raise encoding.EncodingError(f"{what} field {name!r} is not {FIELD_TYPES[name]}")
+
+
 BROADCAST = "*"
 
 
 @dataclass(frozen=True)
 class Message:
-    """An immutable payload: its fields are a read-only mapping, and its wire
-    bytes are encoded on first use and then shared by every reader."""
+    """An immutable payload: its fields are a read-only mapping, checked
+    against the kind's names and wire types when the message is built, and
+    its wire bytes are encoded on first use and then shared by every reader."""
 
     kind: MessageKind
     fields: MappingProxyType
 
     def __post_init__(self):
-        expected = _FIELDS[self.kind]
-        missing = [n for n in expected if n not in self.fields]
-        extra = [n for n in self.fields if n not in expected]
-        if missing or extra:
-            raise ValueError(
-                f"{self.kind.name} payload mismatch (missing={missing}, extra={extra})"
-            )
+        _check(self.kind.name, _HEADER_CHECKS[self.kind], self.fields)
         object.__setattr__(self, "fields", MappingProxyType(dict(self.fields)))
 
     def __getitem__(self, name: str):
@@ -131,6 +256,57 @@ def decode_message(data: bytes) -> Message:
             f"{kind.name} expects {len(names)} fields, got {len(values)}"
         )
     return Message(kind, dict(zip(names, values)))
+
+
+def _layout_key(kind: MessageKind, mode, tag) -> Optional[tuple]:
+    if kind == MessageKind.REKEY:
+        key = (kind, mode)
+    elif (kind, None) in _SEALED:
+        key = (kind, None)
+    else:
+        key = (kind, tag if isinstance(tag, str) else None)
+    return key if key in _SEALED else None
+
+
+def seal_plain(kind: MessageKind, mode: Optional[str] = None, **fields) -> bytes:
+    """The plaintext of a `kind` message's sealed field, built from its named
+    fields; a REKEY names its `mode`, a tagged layout its `tag` field."""
+    key = _layout_key(kind, mode, fields.get("tag"))
+    if key is None:
+        raise encoding.EncodingError(f"no sealed layout for {kind.name} {mode or fields.get('tag')!r}")
+    _check(f"sealed {kind.name}", _SEALED_CHECKS[key], fields)
+    return encoding.encode(*(fields[name] for name in _SEALED[key].names))
+
+
+def open_sealed(kind: MessageKind, plaintext: bytes, mode: Optional[str] = None) -> dict:
+    """The named fields of a `kind` message's sealed plaintext (a REKEY's
+    layout follows its `mode` header).  Raises EncodingError unless the
+    plaintext decodes and fits its layout, name for name and type for type."""
+    values = encoding.decode(plaintext)
+    key = _layout_key(kind, mode, values[0] if values else None)
+    if key is None or len(values) != len(_SEALED[key].names):
+        raise encoding.EncodingError(f"plaintext does not fit any sealed {kind.name} layout")
+    fields = dict(zip(_SEALED[key].names, values))
+    _check(f"sealed {kind.name}", _SEALED_CHECKS[key], fields)
+    return fields
+
+
+def seals(kind: MessageKind, mode: Optional[str] = None) -> tuple:
+    """How a `kind` message's sealed field may be sealed: the seal of the
+    layout a REKEY's mode names, else every seal its kind's layouts use
+    (none for a kind that carries no sealed field)."""
+    named = _SEALED.get((kind, mode)) if kind == MessageKind.REKEY else None
+    if named is not None:
+        return (named.seal,)
+    return tuple(dict.fromkeys(layout.seal for (k, _), layout in _SEALED.items() if k == kind))
+
+
+def sealed_readings(kind: MessageKind, plaintext: bytes) -> list:
+    """Each way a decrypted plaintext can be read by name: one mapping per
+    layout of `kind`, pairing names with values by position, whatever their
+    types.  Raises EncodingError when the plaintext does not decode."""
+    values = encoding.decode(plaintext)
+    return [dict(zip(layout.names, values)) for (k, _), layout in _SEALED.items() if k == kind]
 
 
 @dataclass

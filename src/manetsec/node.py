@@ -29,7 +29,7 @@ from .keymgmt import (
     MemberKeyService,
     SessionService,
 )
-from .messages import BROADCAST, Envelope, Message, MessageKind, msg
+from .messages import BROADCAST, FIELD_TYPES, UNOPENABLE, Envelope, Message, MessageKind, msg, open_sealed, seal_plain
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .routing import Discovery, Router
 from .runtime import Ctx
@@ -226,15 +226,15 @@ class ProtocolNode:
         # and alert the group directly for non-member initiators.  A
         # SESSION_1 the leader cannot open is dropped silently.
         self.sessions.directory.update(self.leader_service.hierarchy.member_publics)
-        fields = self.sessions.open_session1(message)
-        if fields is None:
+        opened = self.sessions.open_addressed(message)
+        if opened is None:
             return
-        initiator = fields[0]
+        initiator = opened["initiator"]
         if initiator not in self.leader_service.hierarchy.member_publics:
             ctx.emit(self.leader_service._alert(initiator, "not_a_member"))
             ctx.note("alert", "not_a_member", about=initiator)
             return
-        self.sessions.answer_session1(fields, self.name, ctx)
+        self.sessions.answer_session1(opened, self.name, ctx)
 
     # ------------------------------------------------------------------ actions
 
@@ -291,22 +291,24 @@ class ProtocolNode:
         self.router.next_seq += 1
         seq = self.router.next_seq
         self.pending_composed[dest] = seq
-        self._send_routed(["route_wanted", self.name, dest, seq], leader, ctx)
+        plain = seal_plain(MessageKind.DATA, tag="route_wanted", requester=self.name, dest=dest, seq=seq)
+        self._send_routed(plain, leader, ctx)
 
     def send_data(self, dest: str, text: str, ctx: Ctx) -> None:
+        plain = seal_plain(MessageKind.DATA, tag="chat", source=self.name, text=text)
         if dest == BROADCAST:
-            if not self._emit_data(encoding.encode("chat", self.name, text), [], 0, BROADCAST, ctx):
+            if not self._emit_data(plain, [], 0, BROADCAST, ctx):
                 ctx.note("verdict", "send_failed:no_group", about=self.name)
             return
-        self._send_routed(["chat", self.name, text], dest, ctx)
+        self._send_routed(plain, dest, ctx)
 
-    def _send_routed(self, inner: list, dest: str, ctx: Ctx) -> None:
+    def _send_routed(self, plain: bytes, dest: str, ctx: Ctx) -> None:
         entry = self.router.route_to(dest)
         if entry is None:
             ctx.note("verdict", f"send_failed:no_route:dest={dest}", about=self.name)
             return
         to = entry.route[1] if len(entry.route) > 1 else dest
-        if not self._emit_data(encoding.encode(*inner), entry.route, 1, to, ctx):
+        if not self._emit_data(plain, entry.route, 1, to, ctx):
             ctx.note("verdict", "send_failed:no_group", about=self.name)
 
     def _emit_data(self, plain: bytes, route: list, hop: int, to: str, ctx: Ctx) -> bool:
@@ -354,11 +356,12 @@ class ProtocolNode:
             return
         try:
             plain = self.provider.sym_decrypt(key, message["sealed"])
-        except DecryptionError:
+            inner = open_sealed(message.kind, plain) if hop == len(route) - 1 else None
+        except UNOPENABLE:
             ctx.note("drop", "data_undecryptable:auth", about=self.name)
             return
-        if hop == len(route) - 1:
-            self._consume_data(encoding.decode(plain), ctx)
+        if inner is not None:
+            self._consume_data(inner, ctx)
             return
         nxt = route[hop + 1]
         if nxt in self.known_leaders and nxt not in self.group_members() and self.leader_service is not None:
@@ -382,30 +385,29 @@ class ProtocolNode:
         if not self._emit_data(plain, route, hop + 1, nxt, ctx):
             ctx.note("drop", "data_undeliverable:no_group", about=self.name)
 
-    def _consume_data(self, inner: list, ctx: Ctx) -> None:
-        tag = inner[0]
+    def _consume_data(self, inner: dict, ctx: Ctx) -> None:
+        tag = inner["tag"]
         if tag == "chat":
-            ctx.note("verdict", f"data_delivered:from={inner[1]}", about=self.name)
+            ctx.note("verdict", f"data_delivered:from={inner['source']}", about=self.name)
         elif tag == "route_wanted":
-            _, requester, dest, seq = inner
             if self.leader_service is not None:
-                self._gateway_request(requester, dest, seq, ctx)
+                self._gateway_request(inner["requester"], inner["dest"], inner["seq"], ctx)
         elif tag == "route_composed":
-            _, dest, seq, rows = inner
+            dest, seq = inner["dest"], inner["seq"]
             if self.pending_composed.get(dest) == seq:
                 del self.pending_composed[dest]
-                self.router.install(dest, [str(n) for n in rows], seq, ctx.now)
+                self.router.install(dest, inner["route"], seq, ctx.now)
                 ctx.note("verdict", f"route_installed:dest={dest}:seq={seq}:composed", about=self.name)
         elif tag == "route_failed":
-            _, dest, seq = inner
+            dest, seq = inner["dest"], inner["seq"]
             if self.pending_composed.get(dest) == seq:
                 del self.pending_composed[dest]
             ctx.note("verdict", f"no_route:dest={dest}:seq={seq}", about=self.name)
 
     # ------------------------------------------------------------------ gateway
 
-    def _ring_seal(self, values: list, ctx: Ctx) -> bytes:
-        return self.provider.sym_encrypt(self.ring_key, encoding.encode(*values), ctx.rng)
+    def _ring_seal(self, kind: MessageKind, ctx: Ctx, **fields) -> bytes:
+        return self.provider.sym_encrypt(self.ring_key, seal_plain(kind, **fields), ctx.rng)
 
     def _gateway_request(self, requester: str, dest: str, seq: int, ctx: Ctx) -> None:
         if self.leader_service is None or self.ring_key is None:
@@ -415,7 +417,10 @@ class ProtocolNode:
             self._gateway_fail(requester, dest, seq, ctx)
             return
         self.gateway_jobs[(requester, dest, seq)] = {"answered": False, "negs": 0, "peers": len(peers)}
-        sealed = self._ring_seal(["route_query", requester, dest, seq, self.name], ctx)
+        sealed = self._ring_seal(
+            MessageKind.GROUP_REQ, ctx, tag="route_query", requester=requester, dest=dest, seq=seq,
+            origin=self.name,
+        )
         ctx.emit(msg(MessageKind.GROUP_REQ, from_leader=self.name, sealed=sealed), channel="ring")
 
     def _gateway_fail(self, requester: str, dest: str, seq: int, ctx: Ctx) -> None:
@@ -423,16 +428,17 @@ class ProtocolNode:
             self.pending_composed.pop(dest, None)
             ctx.note("verdict", f"no_route:dest={dest}:seq={seq}", about=self.name)
         else:
-            self._send_routed(["route_failed", dest, seq], requester, ctx)
+            self._send_routed(seal_plain(MessageKind.DATA, tag="route_failed", dest=dest, seq=seq), requester, ctx)
 
     def _handle_ring(self, message: Message, kind: MessageKind, ctx: Ctx) -> None:
         try:
-            inner = encoding.decode(self.provider.sym_decrypt(self.ring_key, message["sealed"]))
-        except DecryptionError:
+            inner = open_sealed(kind, self.provider.sym_decrypt(self.ring_key, message["sealed"]))
+        except UNOPENABLE:
             ctx.note("drop", "ring_undecryptable", about=self.name)
             return
+        requester, dest, seq = inner["requester"], inner["dest"], inner["seq"]
         if kind == MessageKind.GROUP_REQ:
-            _, requester, dest, seq, origin = inner
+            origin = inner["origin"]
             if dest in self.leader_service.hierarchy.members() or dest == self.name:
                 entry = self.router.route_to(dest)
                 if dest == self.name:
@@ -447,12 +453,11 @@ class ProtocolNode:
             else:
                 self._send_route_missing(requester, dest, seq, origin, ctx)
         elif kind == MessageKind.GROUP_REP:
-            _, requester, dest, seq, remote_leader, rows = inner
             job = self.gateway_jobs.get((requester, dest, seq))
             if job is None or job["answered"]:
                 return
             job["answered"] = True
-            remote_route = [str(n) for n in rows]
+            remote_route = inner["route"]
             if requester == self.name:
                 self.pending_composed.pop(dest, None)
                 self.router.install(dest, [self.name] + remote_route, seq, ctx.now)
@@ -463,9 +468,9 @@ class ProtocolNode:
                 self._gateway_fail(requester, dest, seq, ctx)
                 return
             composed = list(reversed(entry.route)) + remote_route
-            self._send_routed(["route_composed", dest, seq, composed], requester, ctx)
+            plain = seal_plain(MessageKind.DATA, tag="route_composed", dest=dest, seq=seq, route=composed)
+            self._send_routed(plain, requester, ctx)
         elif kind == MessageKind.GROUP_NEG:
-            _, requester, dest, seq, _remote = inner
             job = self.gateway_jobs.get((requester, dest, seq))
             if job is None or job["answered"]:
                 return
@@ -475,11 +480,17 @@ class ProtocolNode:
                 self._gateway_fail(requester, dest, seq, ctx)
 
     def _answer_group_req(self, requester, dest, seq, origin, route, ctx: Ctx) -> None:
-        sealed = self._ring_seal(["route_found", requester, dest, seq, self.name, list(route)], ctx)
+        sealed = self._ring_seal(
+            MessageKind.GROUP_REP, ctx, tag="route_found", requester=requester, dest=dest, seq=seq,
+            leader=self.name, route=list(route),
+        )
         ctx.emit(msg(MessageKind.GROUP_REP, from_leader=self.name, sealed=sealed), to=origin, channel="ring")
 
     def _send_route_missing(self, requester, dest, seq, origin, ctx: Ctx) -> None:
-        sealed = self._ring_seal(["route_missing", requester, dest, seq, self.name], ctx)
+        sealed = self._ring_seal(
+            MessageKind.GROUP_NEG, ctx, tag="route_missing", requester=requester, dest=dest, seq=seq,
+            leader=self.name,
+        )
         ctx.emit(msg(MessageKind.GROUP_NEG, from_leader=self.name, sealed=sealed), to=origin, channel="ring")
 
     def _discovery_completed(self, discovery: Discovery, ctx: Ctx) -> None:
@@ -607,7 +618,7 @@ class AdversaryNode:
             self._impostor_step(envelope, ctx)
             return
         if self.behavior == "replay":
-            self.state.replay_buffer.append((ctx.now + int(self.args.get("delay", 5)), envelope))
+            self.state.replay_buffer.append((ctx.now + self.args.get("delay", 5), envelope))
             return
         if envelope.to != BROADCAST:
             return
@@ -704,7 +715,7 @@ class AdversaryNode:
             return
         payload = encoding.encode("session1", self.name, peer, ctx.now)
         sig = self.provider.sign(self.keypair.private, payload)
-        plain = encoding.encode(self.name, peer, ctx.now, sig)
+        plain = seal_plain(MessageKind.SESSION_1, initiator=self.name, responder=peer, t_a=ctx.now, sig=sig)
         sealed = self.provider.pk_encrypt(peer_public, plain, ctx.rng)
         ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
 
@@ -716,35 +727,57 @@ class AdversaryNode:
         return []
 
 
-# The single-field mutations `mutate_message` knows; those in VALUE_OPS
-# take a value.
+# The single-field mutations `mutate_message` knows, each with the wire
+# types (`messages.FIELD_TYPES`) it applies to; those in VALUE_OPS take a
+# value.
+_LISTS = ("list[int]", "list[str]", "list[bytes]")
+MUTATION_OPS = {
+    "add": ("int",),
+    "set": ("int", "str"),
+    "flip": ("bytes",),
+    "flipbit": ("bytes",),
+    "flip_item": ("list[bytes]",),
+    "swap": _LISTS,
+    "drop_last": _LISTS,
+    "dup_last": _LISTS,
+}
 VALUE_OPS = ("add", "set")
-MUTATION_OPS = VALUE_OPS + ("flip", "flipbit", "flip_item", "swap", "drop_last", "dup_last")
+
+
+def _flip_bit(data: bytes, rng: random.Random) -> bytes:
+    if not data:
+        return data
+    bit = rng.randrange(len(data) * 8)
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
 
 
 def mutate_message(message: Message, fieldname: str, op: str, value, rng: random.Random) -> Message:
-    """Apply one named single-field mutation; used by adversaries and fuzzing."""
+    """Apply one named single-field mutation; used by adversaries and fuzzing.
+    A mutation with nothing to act on (an empty list or byte string) leaves
+    the field as it is."""
+    if op not in MUTATION_OPS:
+        raise ValueError(f"unknown mutation op {op!r}")
+    wire_type = FIELD_TYPES[fieldname]
+    if wire_type not in MUTATION_OPS[op]:
+        raise ValueError(f"mutation op {op!r} does not apply to {fieldname} ({wire_type})")
     current = message[fieldname]
+    mutated = current
     if op == "add":
         mutated = max(0, current + int(value))
     elif op == "set":
-        mutated = type(current)(value) if not isinstance(current, list) else list(value)
+        mutated = int(value) if wire_type == "int" else str(value)
     elif op == "flip":
-        data = bytearray(current)
-        data[-1] ^= 0x01
-        mutated = bytes(data)
+        if current:
+            mutated = current[:-1] + bytes([current[-1] ^ 0x01])
     elif op == "flipbit":
-        data = bytearray(current)
-        bit = rng.randrange(len(data) * 8)
-        data[bit // 8] ^= 1 << (bit % 8)
-        mutated = bytes(data)
+        mutated = _flip_bit(current, rng)
     elif op == "flip_item":
-        mutated = list(current)
-        index = rng.randrange(len(mutated))
-        data = bytearray(mutated[index])
-        bit = rng.randrange(len(data) * 8)
-        data[bit // 8] ^= 1 << (bit % 8)
-        mutated[index] = bytes(data)
+        if current:
+            mutated = list(current)
+            index = rng.randrange(len(mutated))
+            mutated[index] = _flip_bit(mutated[index], rng)
     elif op == "swap":
         mutated = list(current)
         if len(mutated) >= 2:
@@ -752,7 +785,6 @@ def mutate_message(message: Message, fieldname: str, op: str, value, rng: random
     elif op == "drop_last":
         mutated = list(current[:-1])
     elif op == "dup_last":
-        mutated = list(current) + [current[-1]]
-    else:
-        raise ValueError(f"unknown mutation op {op!r}")
+        if current:
+            mutated = list(current) + [current[-1]]
     return message.replace(**{fieldname: mutated})

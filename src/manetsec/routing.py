@@ -43,13 +43,16 @@ def chain_extend(provider, chain: bytes, node: str, lifetime: int) -> bytes:
     return provider.hash(encoding.encode(chain, node, lifetime))
 
 
-def expected_chain(provider, source: str, dest: str, seq: int, lifetime: int, route: list) -> bytes:
+def expected_chain(provider, source: str, dest: str, seq: int, lifetime: int, route: list) -> Optional[bytes]:
     """Rebuild the chain from the received remaining budget.
 
     With k forwarders listed after the source and a received budget of l,
     the source term is reconstructed at l+k, the first forwarder at l+k-1,
-    and so on down to the last forwarder at l.
+    and so on down to the last forwarder at l.  No chain exists (None) for
+    an empty route or a negative budget.
     """
+    if not route or lifetime < 0:
+        return None
     hops = len(route) - 1
     chain = chain_origin(provider, source, dest, seq, lifetime + hops)
     for i, node in enumerate(route[1:], start=1):
@@ -129,7 +132,7 @@ def rrep_signature_ok(provider, message: Message, directory: dict) -> bool:
     """Whether a reply's last signature is its destination's, over the
     discovery, the route and the chain."""
     public = directory.get(message["dest"])
-    if public is None:
+    if public is None or not message["sigs"]:
         return False
     payload = rrep_signed_payload(
         message["source"], message["dest"], message["seq"], message["route"], message["chain"]

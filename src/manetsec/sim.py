@@ -37,7 +37,7 @@ from typing import Optional
 from .crypto import make_provider
 from .group import NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
-from .messages import BROADCAST, Envelope, Message, MessageKind
+from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, Envelope, Message, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import MUTATION_OPS, VALUE_OPS, AdversaryNode, ProtocolNode, mutate_message
 from .runtime import Ctx
@@ -149,6 +149,47 @@ _KNOWN_EXPECTATIONS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _adversary_arg_problems(adv: AdversarySpec) -> list:
+    """What is wrong with one adversary's `key=value` arguments."""
+    args, problems = adv.args, []
+    if adv.kind == "drop_probabilistic":
+        p = args.get("p", 1.0)
+        if not (isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0):
+            problems.append("drop probability must be within [0, 1]")
+    elif adv.kind == "replay":
+        delay = args.get("delay", 5)
+        if not (_is_int(delay) and delay >= 0):
+            problems.append(f"replay delay must be a non-negative integer, not {delay!r}")
+    elif adv.kind == "impersonate":
+        if args.get("strategy", "replay") not in ("replay", "random"):
+            problems.append(f"impersonate strategy must be replay or random, not {args['strategy']!r}")
+        if "modulus" in args and not (_is_int(args["modulus"]) and args["modulus"] >= 4):
+            problems.append(f"impersonate modulus must be an integer of at least 4, not {args['modulus']!r}")
+    elif adv.kind == "modify_field":
+        for key in ("field", "op"):
+            if key not in args:
+                problems.append(f"modify_field needs {key}=")
+        fieldname, op = args.get("field"), args.get("op")
+        if op is not None and op not in MUTATION_OPS:
+            problems.append(f"unknown modify_field op {op!r}")
+        elif op in VALUE_OPS and "value" not in args:
+            problems.append(f"modify_field op {op} needs value=")
+        if fieldname is not None and fieldname not in HEADER_FIELDS:
+            problems.append(f"modify_field field {fieldname!r} names no message field")
+        elif fieldname is not None and op in MUTATION_OPS:
+            wire_type = FIELD_TYPES[fieldname]
+            if wire_type not in MUTATION_OPS[op]:
+                problems.append(f"modify_field op {op} does not apply to {fieldname}, whose type is {wire_type}")
+            elif op in VALUE_OPS and wire_type == "int" and "value" in args and not _is_int(args["value"]):
+                value = args["value"]
+                problems.append(f"modify_field value {value!r} for int field {fieldname} is not an integer")
+    return problems
+
+
 def validate_scenario(scenario: Scenario) -> list:
     """Structural and referential checks; returns a list of problems."""
     problems = []
@@ -189,19 +230,7 @@ def validate_scenario(scenario: Scenario) -> list:
             "drop_probabilistic",
         ):
             problems.append(f"adversary {i}: unknown behavior {adv.kind!r}")
-        if adv.kind == "drop_probabilistic":
-            p = adv.args.get("p", 1.0)
-            if not 0.0 <= p <= 1.0:
-                problems.append(f"adversary {i}: drop probability must be within [0, 1]")
-        if adv.kind == "modify_field":
-            for key in ("field", "op"):
-                if key not in adv.args:
-                    problems.append(f"adversary {i}: modify_field needs {key}=")
-            op = adv.args.get("op")
-            if op is not None and op not in MUTATION_OPS:
-                problems.append(f"adversary {i}: unknown modify_field op {op!r}")
-            elif op in VALUE_OPS and "value" not in adv.args:
-                problems.append(f"adversary {i}: modify_field op {op} needs value=")
+        problems += [f"adversary {i}: {problem}" for problem in _adversary_arg_problems(adv)]
     grouped = set()
     group_ids = set()
     for spec in scenario.groups:
@@ -416,7 +445,7 @@ def adversary_apply(kind: str, args: dict, message: Message, rng: random.Random)
     if kind == "drop_all":
         return "drop", None
     if kind == "drop_probabilistic":
-        if rng.random() < float(args.get("p", 1.0)):
+        if rng.random() < args.get("p", 1.0):
             return "drop", None
         return "forward", message
     if kind == "mitm_relay":
@@ -657,7 +686,7 @@ class Simulation:
             tapped = Envelope(message=message, sender=envelope.sender, to=target, channel="radio")
             if tap.spec.kind == "replay":
                 self._schedule(arrive, tapped, tap.name, u, f"overheard:hops={link_hops}:tx={tx}")
-                delay = int(tap.spec.args.get("delay", 5))
+                delay = tap.spec.args.get("delay", 5)
                 tap.outbox.append((arrive + delay, tapped, target))
                 continue
             self._schedule(arrive, tapped, tap.name, u, f"intercepted:hops={link_hops}:tx={tx}")
@@ -681,7 +710,7 @@ class Simulation:
             # A passive tap: traffic flows normally, a copy is re-emitted later.
             self._schedule(self.now + 1, envelope, recipient, envelope.sender, f"tx={tx}")
             self._schedule(self.now + 1, envelope, tap.name, envelope.sender, f"overheard:tx={tx}")
-            delay = int(tap.spec.args.get("delay", 5))
+            delay = tap.spec.args.get("delay", 5)
             tap.outbox.append((self.now + 1 + delay, envelope, recipient))
             return
         self._schedule(self.now + 1, envelope, tap.name, envelope.sender, f"intercepted:tx={tx}")

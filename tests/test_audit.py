@@ -203,3 +203,45 @@ def test_audit_decodes_each_payload_at_most_once(monkeypatch):
     audit(log)
     payloads = len(log.payloads)
     assert 0 < decodes <= payloads
+
+
+def test_undecodable_plaintext_counts_as_opened():
+    # Two crafted deliveries to n3, which leaves at tick 20: a DATA sealed
+    # under a group key n3 holds and a SESSION_1 sealed to its public key,
+    # both carrying a plaintext that is not an encoding at all.
+    import os
+    import random
+
+    from manetsec.crypto import make_provider
+    from manetsec.messages import MessageKind, msg
+    from manetsec.scenariofile import parse_scenario
+    from manetsec.sim import SimEvent
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "benign_line.scn")
+    with open(path) as handle:
+        log = run(parse_scenario(handle.read()))
+    provider = make_provider(log.registry.provider_name)
+    before = knowledge_set("n3", log)
+    key = next(k for k, label in before.sym_keys.items() if label.startswith("group_key:"))
+    rng = random.Random(7)
+    crafted = [
+        msg(
+            MessageKind.DATA, group="g1", lineage="g1-1", epoch=1, route=[], hop=0,
+            sealed=provider.sym_encrypt(key, b"\xff\x00", rng),
+        ),
+        msg(
+            MessageKind.SESSION_1,
+            sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, b"\xff\x00", rng),
+        ),
+    ]
+    last = log.events[-1]
+    for n, message in enumerate(crafted, start=1):
+        digest = provider.hash(message.encoded).hex()
+        log.payloads[digest] = message.encoded
+        detail = f"{message.kind.name}:crafted"
+        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2>n3", digest, detail))
+    report = audit(log)
+    assert report.result("backward_secrecy").passed
+    after = knowledge_set("n3", log)
+    assert after.opened == before.opened | {provider.hash(m.encoded).hex() for m in crafted}
+    assert after.sym_keys == before.sym_keys

@@ -55,6 +55,51 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
             "[adversaries]\nlink A B modify_field field=seq op=bogus\n",
             "adversary 0: unknown modify_field op 'bogus'",
         ),
+        (
+            "[adversaries]\nlink A B modify_field field=chian op=flip\n",
+            "adversary 0: modify_field field 'chian' names no message field",
+        ),
+        (
+            "[adversaries]\nlink A B modify_field field=chain op=add value=1\n",
+            "adversary 0: modify_field op add does not apply to chain, whose type is bytes",
+        ),
+        (
+            "[adversaries]\nlink A B modify_field field=chain op=set value=abc\n",
+            "adversary 0: modify_field op set does not apply to chain, whose type is bytes",
+        ),
+        (
+            "[adversaries]\nlink A B modify_field field=route op=flip\n",
+            "adversary 0: modify_field op flip does not apply to route, whose type is list[str]",
+        ),
+        (
+            "[adversaries]\nlink A B modify_field field=route op=flip_item\n",
+            "adversary 0: modify_field op flip_item does not apply to route, whose type is list[str]",
+        ),
+        (
+            "[adversaries]\nnode X modify_field field=seq op=swap\n",
+            "adversary 0: modify_field op swap does not apply to seq, whose type is int",
+        ),
+        (
+            "[adversaries]\nlink A B modify_field field=seq op=set value=abc\n",
+            "adversary 0: modify_field value 'abc' for int field seq is not an integer",
+        ),
+        (
+            "[adversaries]\nlink A B modify_field field=lifetime op=add value=1.5\n",
+            "adversary 0: modify_field value 1.5 for int field lifetime is not an integer",
+        ),
+        ("[adversaries]\nnode X drop_probabilistic p=abc\n", "adversary 0: drop probability must be within [0, 1]"),
+        (
+            "[adversaries]\nlink A B replay delay=abc\n",
+            "adversary 0: replay delay must be a non-negative integer, not 'abc'",
+        ),
+        (
+            "[adversaries]\nnode X impersonate strategy=random modulus=1\n",
+            "adversary 0: impersonate modulus must be an integer of at least 4, not 1",
+        ),
+        (
+            "[adversaries]\nnode X impersonate strategy=bogus\n",
+            "adversary 0: impersonate strategy must be replay or random, not 'bogus'",
+        ),
     ],
 )
 def test_half_formed_scenario_rejected(tmp_path, capsys, tail, problem):

@@ -67,6 +67,14 @@ def test_verify_non_bytes_signature_returns_false(any_provider, rng, sig):
     assert not any_provider.verify(pair.public, b"m", sig)
 
 
+def test_real_pk_decrypt_of_degenerate_ephemeral_key_is_a_decryption_error(rng):
+    # An all-zero X25519 point has low order; the exchange refuses it.
+    provider = RealCryptoProvider()
+    pair = provider.generate_keypair(rng)
+    with pytest.raises(crypto.DecryptionError):
+        provider.pk_decrypt(pair.private, bytes(32 + 12 + 40))
+
+
 def test_sign_malformed_key_raises(any_provider):
     with pytest.raises(crypto.MalformedKeyError):
         any_provider.sign(b"bogus", b"m")

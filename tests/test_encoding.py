@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manetsec import encoding
-from manetsec.messages import MessageKind, decode_message, encode_message, msg
+from manetsec.messages import MessageKind, decode_message, encode_message, msg, open_sealed, seal_plain
 
 
 def test_roundtrip_basic():
@@ -38,6 +38,11 @@ def test_truncated_data_rejected():
 def test_non_minimal_int_rejected():
     with pytest.raises(encoding.EncodingError):
         encoding.decode(b"\x01\x00\x00\x00\x02\x00\x05")
+
+
+def test_invalid_utf8_string_rejected():
+    with pytest.raises(encoding.EncodingError, match="not UTF-8"):
+        encoding.decode(b"\x02\x00\x00\x00\x01\xff")
 
 
 def test_distinct_tuples_distinct_bytes():
@@ -93,3 +98,88 @@ def test_unassigned_message_tags_rejected():
     for tag in (0x00, 0x1A, 0xFF):
         with pytest.raises(encoding.EncodingError, match="unknown message tag"):
             decode_message(bytes([tag]) + body)
+
+
+# ---------------------------------------------------------------------------
+# The typed schema
+# ---------------------------------------------------------------------------
+
+
+def test_every_field_name_has_one_wire_type():
+    from manetsec.messages import _FIELDS, _SEALED, _TYPE_CHECKS, FIELD_TYPES
+
+    used = [name for names in _FIELDS.values() for name in names]
+    used += [name for layout in _SEALED.values() for name in layout.names]
+    assert set(used) == set(FIELD_TYPES)
+    assert set(FIELD_TYPES.values()) <= set(_TYPE_CHECKS)
+    for (kind, variant), layout in _SEALED.items():
+        assert len(set(layout.names)) == len(layout.names)
+        assert "sealed" in _FIELDS[kind]
+        assert (variant is None) == ("tag" not in layout.names and kind != MessageKind.REKEY)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"who": "a", "role": "member", "group": "g1", "beat": "10"},
+        {"who": b"a", "role": "member", "group": "g1", "beat": 10},
+        {"who": "a", "role": "member", "group": "g1", "beat": True},
+        {"who": "a", "role": "member", "group": "g1", "beat": -1},
+        {"who": "a", "role": "member", "group": "g1"},
+        {"who": "a", "role": "member", "group": "g1", "beat": 10, "extra": 1},
+    ],
+)
+def test_ill_typed_message_rejected_on_construction(fields):
+    with pytest.raises(encoding.EncodingError):
+        msg(MessageKind.HEARTBEAT, **fields)
+
+
+def test_ill_typed_bytes_rejected_on_decode():
+    good = msg(MessageKind.LEAVE, who="a").encoded
+    assert decode_message(good)["who"] == "a"
+    for who in (7, b"a", ["a"]):
+        with pytest.raises(encoding.EncodingError, match="'who' is not str"):
+            decode_message(bytes([MessageKind.LEAVE]) + encoding.encode(who))
+    rows = [["a", b"k"], ["b"]]
+    with pytest.raises(encoding.EncodingError):
+        decode_message(bytes([MessageKind.RREQ]) + encoding.encode("s", "d", 1, 2, ["s", 3], [b"x"], b"c"))
+    with pytest.raises(encoding.EncodingError):
+        open_sealed(MessageKind.REKEY, encoding.encode(b"k", 1, "g1-1", rows), "group")
+
+
+def test_sealed_plaintexts_round_trip_by_name():
+    rows = [["a", b"pa"], ["b", b"pb"]]
+    plain = seal_plain(MessageKind.REKEY, "group", group_key=b"k", epoch=2, lineage="g1-1", rows=rows)
+    assert plain == encoding.encode(b"k", 2, "g1-1", rows)
+    assert open_sealed(MessageKind.REKEY, plain, "group") == {
+        "group_key": b"k", "epoch": 2, "lineage": "g1-1", "rows": rows,
+    }
+    chat = seal_plain(MessageKind.DATA, tag="chat", source="a", text="hi")
+    assert open_sealed(MessageKind.DATA, chat) == {"tag": "chat", "source": "a", "text": "hi"}
+
+
+@pytest.mark.parametrize(
+    "kind, plaintext, mode",
+    [
+        (MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", []), "public"),  # layout of the other mode
+        (MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", []), "bogus"),
+        (MessageKind.DATA, encoding.encode("gossip", "a", "hi"), None),  # unknown tag
+        (MessageKind.DATA, encoding.encode(["chat"], "a", "hi"), None),
+        (MessageKind.DATA, b"", None),
+        (MessageKind.GROUP_REQ, encoding.encode("route_found", "a", "b", 1, "L"), None),  # another kind's tag
+        (MessageKind.NONCE, encoding.encode(1, 2), None),
+        (MessageKind.SESSION_4, b"\xff\x00", None),
+    ],
+)
+def test_plaintext_that_fits_no_layout_rejected(kind, plaintext, mode):
+    with pytest.raises(encoding.EncodingError):
+        open_sealed(kind, plaintext, mode)
+
+
+def test_seal_plain_checks_names_and_types():
+    with pytest.raises(encoding.EncodingError):
+        seal_plain(MessageKind.NONCE, nonce="1")
+    with pytest.raises(encoding.EncodingError):
+        seal_plain(MessageKind.NONCE, nonce=1, extra=2)
+    with pytest.raises(encoding.EncodingError):
+        seal_plain(MessageKind.DATA, tag="gossip", source="a", text="hi")

@@ -14,7 +14,9 @@ from manetsec.routing import (
     chain_extend,
     chain_origin,
     expected_chain,
+    make_rrep,
     make_rreq,
+    rrep_signature_ok,
     verify_route_signatures,
 )
 from manetsec.runtime import Ctx
@@ -315,6 +317,35 @@ def test_reply_forwarder_signature_flip_rejected_at_source(net):
     assert done is None
     assert [n.detail for n in notes] == ["rrep_reject:bad_signature:dest=D:seq=1"]
     assert net.routers["S"].route_to("D") is None
+
+
+def test_reply_without_signatures_discarded_on_path(net):
+    reply = full_discovery(net)
+    bare = reply.replace(sigs=[])
+    assert not rrep_signature_ok(net.provider, bare, net.directory)
+    out, notes, _ = net.reply_step("B", bare)
+    assert out is None
+    assert [n.detail for n in notes] == ["rrep_discard:bad_signature:source=S:seq=1"]
+
+
+def test_reply_path_longer_than_budget_rejected_at_source(net):
+    # Rebuilding the chain for this path would need a negative budget at
+    # the source: no chain exists, so the reply fails the chain check.
+    net.originate("S", "D", 2)
+    forged = make_rrep(net.provider, net.keys["D"], "D", make_rreq(net.provider, net.keys["S"], "S", "D", 1, 2))
+    long = forged.replace(route=["S", "A", "B", "A", "B", "D"])
+    _, notes, done = net.reply_step("S", long)
+    assert done is None
+    assert [n.detail for n in notes] == ["rrep_reject:chain_mismatch:dest=D:seq=1"]
+
+
+def test_request_with_empty_route_rejected_at_destination(net):
+    origin = net.originate("S", "D", 8)
+    empty = origin.replace(route=[], sigs=[], lifetime=0)
+    assert expected_chain(net.provider, "S", "D", 1, 0, []) is None
+    reply, notes = net.step("D", empty)
+    assert reply is None
+    assert any(n.detail.startswith("reject:chain_mismatch") for n in notes)
 
 
 def test_replayed_reply_with_old_seq_rejected(net):

@@ -717,3 +717,50 @@ def test_confirmed_session_survives_rekey():
     assert len(confirms) == 2
     rekeys = [e for e in log.events if e.kind == "rekey" and e.detail.startswith("leave")]
     assert rekeys and rekeys[0].tick > confirms[-1].tick
+
+
+# ---------------------------------------------------------------------------
+# Ill-shaped values
+# ---------------------------------------------------------------------------
+
+
+def test_mutations_leave_empty_values_unchanged(rng):
+    from manetsec.messages import MessageKind, msg
+    from manetsec.node import mutate_message
+
+    rreq = msg(MessageKind.RREQ, source="S", dest="D", seq=1, lifetime=3, route=[], sigs=[], chain=b"")
+    for fieldname, op in (("chain", "flip"), ("chain", "flipbit"), ("sigs", "flip_item"), ("route", "dup_last")):
+        assert mutate_message(rreq, fieldname, op, None, rng)[fieldname] == rreq[fieldname]
+
+
+def test_broadcast_data_through_dup_last_tap_runs():
+    # A broadcast DATA carries route=[]; the tap has no last hop to repeat.
+    scenario = line_scenario(
+        ["A", "B"],
+        script=[Action(2, "send_data", ("A", "*"))],
+        adversaries=[AdversarySpec("modify_field", ("link", "A", "B"), {"field": "route", "op": "dup_last"})],
+        duration=10,
+    )
+    log = run(scenario)
+    tapped = [e for e in log.events if e.kind == "deliver" and ">tap0" in e.principals]
+    assert [e for e in tapped if e.detail.startswith("DATA")]
+    assert audit(log).passed
+
+
+@pytest.mark.parametrize("modulus", [0, 1, 3])
+def test_joiner_aborts_on_degenerate_zk_modulus(modulus):
+    # N hears the leader only through the tap, which rewrites the modulus.
+    scenario = line_scenario(
+        ["L", "M"],
+        seed=44,
+        script=[Action(3, "join", ("N", "g1"))],
+        adversaries=[
+            AdversarySpec("modify_field", ("link", "L", "N"), {"field": "modulus", "op": "set", "value": modulus})
+        ],
+        duration=30,
+    )
+    scenario.nodes.append(NodeSpec("N", [(-60.0, 0.0)], 0.5))
+    log = run(scenario)
+    assert verdicts(log, "N", "join_abort:bad_zk_params")
+    assert not verdicts(log, "N", "zk_ok")
+    assert not [e for e in log.events if e.kind == "admit" and e.detail == "handshake"]

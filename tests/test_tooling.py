@@ -5,6 +5,7 @@ tracer's target table and patches nothing."""
 
 import importlib.util
 import os
+import pathlib
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -17,3 +18,11 @@ def test_every_traced_binding_exists():
     assert len(points) > len(tracing._TARGETS)
     for owner, attr, target in points:
         assert callable(target), f"{owner.__name__}.{attr}"
+
+
+def test_only_the_schema_decodes():
+    # Every other module reads messages and sealed plaintexts by name,
+    # through `messages.decode_message` and `messages.open_sealed`.
+    src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
+    decoders = sorted(path.name for path in src.glob("*.py") if "encoding.decode(" in path.read_text())
+    assert decoders == ["messages.py"]

@@ -455,7 +455,8 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
         for key, label in knowledge.sym_keys.items():
             if not label.startswith("group_key:"):
                 continue
-            _, lineage, epoch = label.split(":")
+            # The epoch is the last field; a crafted lineage may hold colons.
+            lineage, epoch = label[len("group_key:"):].rsplit(":", 1)
             group = lineage.rsplit("-", 1)[0]
             for point in timeline.get(group, []):
                 if point.lineage == lineage and point.epoch == int(epoch):

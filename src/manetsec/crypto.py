@@ -66,6 +66,11 @@ def _b2(data: bytes, key: bytes = b"", size: int = 32) -> bytes:
     return hashlib.blake2b(data, key=key[:64], digest_size=size).digest()
 
 
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """`data` XOR an equally long keystream, as one big-integer operation."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(len(data), "big")
+
+
 class DeterministicProvider:
     """Keyed-BLAKE2b stand-ins for hash/sign/encrypt; fully reproducible.
 
@@ -135,7 +140,7 @@ class DeterministicProvider:
 
     def _seal(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         nonce = rng.randbytes(_NONCE_LEN)
-        body = bytes(a ^ b for a, b in zip(plaintext, self._keystream(key, nonce, len(plaintext))))
+        body = _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
         tag = _b2(nonce + body, key=_b2(key, key=b"manetsec.tag"), size=_MAC_LEN)
         return nonce + body + tag
 
@@ -148,7 +153,7 @@ class DeterministicProvider:
         expect = _b2(nonce + body, key=_b2(key, key=b"manetsec.tag"), size=_MAC_LEN)
         if not hmac.compare_digest(tag, expect):
             raise CiphertextAuthenticationError("ciphertext failed authentication")
-        return bytes(a ^ b for a, b in zip(body, self._keystream(key, nonce, len(body))))
+        return _xor(body, self._keystream(key, nonce, len(body)))
 
 
 # ---------------------------------------------------------------------------

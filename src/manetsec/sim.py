@@ -153,12 +153,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _adversary_arg_problems(adv: AdversarySpec) -> list:
     """What is wrong with one adversary's `key=value` arguments."""
     args, problems = adv.args, []
     if adv.kind == "drop_probabilistic":
         p = args.get("p", 1.0)
-        if not (isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0):
+        if not (_is_finite(p) and 0.0 <= p <= 1.0):
             problems.append("drop probability must be within [0, 1]")
     elif adv.kind == "replay":
         delay = args.get("delay", 5)
@@ -187,6 +191,25 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
             elif op in VALUE_OPS and wire_type == "int" and "value" in args and not _is_int(args["value"]):
                 value = args["value"]
                 problems.append(f"modify_field value {value!r} for int field {fieldname} is not an integer")
+    return problems
+
+
+def _param_problems(params: SimParams) -> list:
+    """What is wrong with a scenario's `[params]`: values the run would
+    divide by, crash on, or silently run with no radio at all."""
+    problems = []
+    radius = params.radio_radius
+    if not (_is_finite(radius) and radius > 0):
+        problems.append(f"radio_radius must be finite and positive, not {radius!r}")
+    for name in ("heartbeat_period", "rreq_lifetime"):
+        value = getattr(params, name)
+        if not (_is_int(value) and value >= 1):
+            problems.append(f"{name} must be an integer of at least 1, not {value!r}")
+    trust = params.trust_initial
+    if not (_is_finite(trust) and 0.0 <= trust <= 1.0):
+        problems.append(f"trust_initial must be within [0, 1], not {trust!r}")
+    if params.duration is not None and not (_is_int(params.duration) and params.duration >= 0):
+        problems.append(f"duration must be a non-negative integer, not {params.duration!r}")
     return problems
 
 
@@ -255,6 +278,7 @@ def validate_scenario(scenario: Scenario) -> list:
         WeightConfig(scenario.weights.w0, scenario.weights.w1, scenario.weights.w2)
     except ValueError as exc:
         problems.append(str(exc))
+    problems += _param_problems(scenario.params)
     last_tick = 0
     for action in scenario.script:
         if action.tick < last_tick:
@@ -485,7 +509,13 @@ class Simulation:
         self.last_trust: dict[str, dict] = {}
         self.ring_version = 0
         self._signals: list = []
-        self._reach: dict[str, list] = {}  # name -> _neighbours row, for self.now
+        # name -> _neighbours row.  Positions change only on ticks 1 ..
+        # _last_move, so rows built on the last of those stay valid after it.
+        self._reach: dict[str, list] = {}
+        self._last_move = max((len(spec.trace) for spec in scenario.nodes), default=1) - 1
+        self._where: dict[str, tuple] = {}  # name -> position on the tick _cells was built
+        self._cells: Optional[dict] = None  # (column, row) -> names in that cell
+        self._side = 0.0
         self._digests: dict[bytes, str] = {}  # logged payload -> its digest, hex
 
         seed_bytes = scenario.seed.to_bytes(8, "big", signed=True)
@@ -560,13 +590,28 @@ class Simulation:
 
     # -- radio ------------------------------------------------------------------
 
-    def _position(self, name: str):
-        trace = self.specs[name].trace
-        return trace[min(self.now, len(trace) - 1)]
+    def _index_cells(self) -> None:
+        """Read every node's position for this tick and bucket it into square
+        cells, so that a node's neighbours lie in the 3x3 block around its
+        cell.  The side exceeds the radius by a margin that outweighs the
+        rounding of `x / side` (relative to the largest coordinate), so two
+        nodes within the radius never land two cells apart, and that keeps
+        `x / side` finite however small the radius."""
+        where = {}
+        for name in self.nodes:
+            trace = self.specs[name].trace
+            where[name] = trace[min(self.now, len(trace) - 1)]
+        radius = self.params.radio_radius
+        extent = max((max(abs(x), abs(y)) for x, y in where.values()), default=0.0)
+        side = radius + (radius + extent) * 1e-9
+        cells: dict[tuple, list] = {}
+        for name, (x, y) in where.items():
+            cells.setdefault((math.floor(x / side), math.floor(y / side)), []).append(name)
+        self._where, self._cells, self._side = where, cells, side
 
     def _in_range(self, a: str, b: str) -> bool:
-        ax, ay = self._position(a)
-        bx, by = self._position(b)
+        ax, ay = self._where[a]
+        bx, by = self._where[b]
         return math.hypot(ax - bx, ay - by) <= self.params.radio_radius
 
     def _neighbours(self, name: str) -> list:
@@ -575,7 +620,17 @@ class Simulation:
         check liveness themselves."""
         row = self._reach.get(name)
         if row is None:
-            row = [v for v in self.nodes if v != name and self._in_range(name, v)]
+            if self._cells is None:
+                self._index_cells()
+            x, y = self._where[name]
+            column, line = math.floor(x / self._side), math.floor(y / self._side)
+            near = [
+                v
+                for dx in (-1, 0, 1)
+                for dy in (-1, 0, 1)
+                for v in self._cells.get((column + dx, line + dy), ())
+            ]
+            row = sorted(v for v in near if v != name and self._in_range(name, v))
             self._reach[name] = row
         return row
 
@@ -950,7 +1005,8 @@ class Simulation:
         pending = list(script)
         for tick in range(duration + 1):
             self.now = tick
-            self._reach = {}
+            if 0 < tick <= self._last_move:
+                self._reach, self._cells = {}, None
             while pending and pending[0].tick <= tick:
                 self._action(pending.pop(0))
             self._drain_taps()

@@ -245,3 +245,36 @@ def test_undecodable_plaintext_counts_as_opened():
     after = knowledge_set("n3", log)
     assert after.opened == before.opened | {provider.hash(m.encoded).hex() for m in crafted}
     assert after.sym_keys == before.sym_keys
+
+
+def test_colon_in_crafted_rekey_lineage_is_audited():
+    # A public-mode REKEY sealed to n3 after it left, naming a lineage with a
+    # colon in it: n3 files the key it opens as `group_key:g1:x:2`, and the
+    # auditor must read the epoch from the right instead of dying on it.
+    import os
+    import random
+
+    from manetsec.crypto import make_provider
+    from manetsec.messages import MessageKind, msg, seal_plain
+    from manetsec.scenariofile import parse_scenario
+    from manetsec.sim import SimEvent
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "benign_line.scn")
+    with open(path) as handle:
+        log = run(parse_scenario(handle.read()))
+    provider = make_provider(log.registry.provider_name)
+    rng = random.Random(7)
+    plaintext = seal_plain(
+        MessageKind.REKEY, "public", group_key=rng.randbytes(16), epoch=2, lineage="g1:x", rows=[],
+        member_key=rng.randbytes(16), member_id=1, leader="n2", leader_public=log.registry.keypairs["n2"].public,
+    )
+    crafted = msg(
+        MessageKind.REKEY, group="g1", lineage="g1:x", epoch=2, mode="public",
+        sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, plaintext, rng),
+    )
+    digest = provider.hash(crafted.encoded).hex()
+    log.payloads[digest] = crafted.encoded
+    last = log.events[-1]
+    log.events.append(SimEvent(last.tick, last.seq + 1, "deliver", "n2>n3", digest, "REKEY:crafted"))
+    assert "group_key:g1:x:2" in knowledge_set("n3", log).sym_keys.values()
+    assert audit(log).result("backward_secrecy").passed

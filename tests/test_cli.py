@@ -96,6 +96,17 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
             "[adversaries]\nnode X impersonate strategy=random modulus=1\n",
             "adversary 0: impersonate modulus must be an integer of at least 4, not 1",
         ),
+        ("[params]\nradio_radius = 0\n", "radio_radius must be finite and positive, not 0.0"),
+        ("[params]\nradio_radius = -1\n", "radio_radius must be finite and positive, not -1.0"),
+        ("[params]\nradio_radius = nan\n", "radio_radius must be finite and positive, not nan"),
+        ("[params]\nradio_radius = inf\n", "radio_radius must be finite and positive, not inf"),
+        ("[params]\nheartbeat_period = 0\n", "heartbeat_period must be an integer of at least 1, not 0"),
+        ("[params]\nrreq_lifetime = -1\n", "rreq_lifetime must be an integer of at least 1, not -1"),
+        ("[params]\nrreq_lifetime = 0\n", "rreq_lifetime must be an integer of at least 1, not 0"),
+        ("[params]\ntrust_initial = nan\n", "trust_initial must be within [0, 1], not nan"),
+        ("[params]\ntrust_initial = 1.5\n", "trust_initial must be within [0, 1], not 1.5"),
+        ("[params]\ntrust_initial = -0.1\n", "trust_initial must be within [0, 1], not -0.1"),
+        ("[params]\nduration = -1\n", "duration must be a non-negative integer, not -1"),
         (
             "[adversaries]\nnode X impersonate strategy=bogus\n",
             "adversary 0: impersonate strategy must be replay or random, not 'bogus'",

@@ -143,6 +143,14 @@ def test_sym_roundtrip_property(plaintext):
     assert provider.sym_decrypt(key, provider.sym_encrypt(key, plaintext, rng)) == plaintext
 
 
+@given(st.binary(max_size=300).flatmap(lambda a: st.tuples(st.just(a), st.binary(min_size=len(a), max_size=len(a)))))
+def test_integer_xor_equals_bytewise_xor(pair):
+    # The reference is the byte loop the test provider once used; leading
+    # zero bytes on either side must survive the trip through an integer.
+    data, keystream = pair
+    assert crypto._xor(data, keystream) == bytes(a ^ b for a, b in zip(data, keystream))
+
+
 # ---------------------------------------------------------------------------
 # Quadratic-residue identification
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ leader's session with a node outside its group (a unicast addressed to the
 sender itself), a routed unicast across the leader ring, a discovery of a
 node no group holds, plus every adversary kind placed
 on a link, at a node that bridges a gap and at a bystander node, so
-overhearing, taps and out-of-range drops are all exercised.
+overhearing, taps and out-of-range drops are all exercised.  Two 121-node
+grids from the benchmark's recipes (``perfbench/workloads.py``), one static
+and one walking every tick, pin radio reach where many nodes share a
+neighbourhood.
 
 To print the table for the current code: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -37,6 +41,13 @@ from topologies import (
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "scenarios")
+# The benchmark's recipes, loaded by path; registered in sys.modules so that
+# their dataclasses can resolve the module they live in.
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "perfbench_workloads", os.path.join(HERE, "..", "perfbench", "workloads.py")
+)
+workloads = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(workloads)
 with open(os.path.join(HERE, "golden_digests.json")) as fh:
     GOLDEN = json.load(fh)
 
@@ -153,6 +164,8 @@ def cases():
             out.append(
                 (f"adversary:{kind}:{placement}", lambda k=kind, p=placement: adversary_line_scenario(k, p))
             )
+    for recipe in (workloads.grid_static, workloads.grid_mobile):
+        out.append((f"{recipe.__name__}:11x11:1", lambda r=recipe: r(1, side=11)))
     return out
 
 

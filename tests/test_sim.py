@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
@@ -11,6 +14,7 @@ from manetsec.sim import (
     NodeSpec,
     Scenario,
     SimParams,
+    Simulation,
     SimulationError,
     parse_log_text,
     parse_payload_blob,
@@ -220,6 +224,82 @@ def test_crash_mid_tick_cuts_relay_out_of_cached_reach():
     tx = beat.detail.rsplit("tx=", 1)[1]
     assert any(e.kind == "drop" and e.principals == "A>C" and e.detail == f"out_of_range:tx={tx}" for e in tick20)
     assert not [e for e in log.events if e.kind == "deliver" and e.detail.endswith(f":tx={tx}")]
+
+
+class _CheckedReach(Simulation):
+    """Checks every node's reach row against an all-pairs distance test at
+    the start of each tick of a real run, after the run loop has decided
+    whether the rows of earlier ticks still hold."""
+
+    def _drain_taps(self):
+        r = self.params.radio_radius
+        where = {name: spec.trace[min(self.now, len(spec.trace) - 1)] for name, spec in self.specs.items()}
+        for name, (ax, ay) in where.items():
+            brute = [v for v in self.nodes if v != name and math.hypot(ax - where[v][0], ay - where[v][1]) <= r]
+            assert self._neighbours(name) == brute, (self.now, name)
+        super()._drain_taps()
+
+
+# Coordinates in half radii put pairs exactly one radius apart, along an
+# axis and across a cell boundary (-r/2 and r/2 straddle 0); the free ones
+# add negative and irregular positions.  A hair below zero, -1e-300 and r
+# are one radius apart in floating point yet straddle two cell boundaries
+# of side r; a radius of 1e-300 beside a coordinate of 1e10 overflows x / r.
+_RADII = st.sampled_from([0.3, 7.5, 100.0, 110.0, 130.0, 1e4])
+
+
+@st.composite
+def _reach_scenario(draw):
+    radius = draw(_RADII)
+    coordinate = st.one_of(
+        st.integers(min_value=-8, max_value=8).map(lambda k: k * radius / 2),
+        st.just(-1e-300),
+        st.floats(min_value=-3 * radius, max_value=3 * radius, allow_nan=False),
+    )
+    point = st.tuples(coordinate, coordinate)
+    traces = draw(st.lists(st.lists(point, min_size=1, max_size=5), min_size=2, max_size=9))
+    nodes = [NodeSpec(f"n{i}", trace) for i, trace in enumerate(traces)]
+    duration = max(len(trace) for trace in traces) + 1
+    return Scenario(seed=1, nodes=nodes, groups=[], params=SimParams(radio_radius=radius, duration=duration))
+
+
+def _still(radius, *points):
+    nodes = [NodeSpec(f"n{i}", [p]) for i, p in enumerate(points)]
+    return Scenario(seed=1, nodes=nodes, groups=[], params=SimParams(radio_radius=radius, duration=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reach_scenario())
+@example(_still(100.0, (-1e-300, 0.0), (100.0, 0.0), (0.0, -1e-300), (0.0, 100.0)))
+@example(_still(100.0, (-50.0, 0.0), (50.0, 0.0), (0.0, -50.0), (0.0, 50.0), (150.0, 0.0), (-150.0, 0.0)))
+@example(_still(0.3, (-0.15, -0.15), (0.15, -0.15), (-0.15, 0.15), (0.45, 0.15), (-0.45, -0.45)))
+@example(_still(1e-300, (0.0, 0.0), (1e-300, 0.0), (1e10, -1e10)))
+@example(_still(130.0, (-1e6, -1e6), (-1e6 + 130.0, -1e6), (1e6, 1e6), (1e6 - 130.0, 1e6)))
+def test_reach_rows_equal_all_pairs_distance_test(scenario):
+    _CheckedReach(scenario).run()
+
+
+def test_static_run_tests_each_pair_at_most_once(monkeypatch):
+    # No node moves, so the rows of tick 0 serve the whole run: radio reach
+    # costs at most one distance test per ordered pair.
+    calls = []
+    in_range = Simulation._in_range
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return in_range(self, a, b)
+
+    monkeypatch.setattr(Simulation, "_in_range", counted)
+    names = ["A", "B", "C", "D", "E"]
+    log = run(
+        line_scenario(
+            names,
+            script=[Action(2, "discover", ("A", "E")), Action(15, "send_data", ("A", "*", "hi"))],
+            duration=40,
+        )
+    )
+    assert verdicts(log, "A", "route_installed:dest=E")
+    assert 0 < len(calls) == len(set(calls)) <= len(names) * (len(names) - 1)
 
 
 def test_leader_unicast_to_itself_is_delivered():

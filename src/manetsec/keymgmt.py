@@ -30,7 +30,7 @@ from .crypto import (
     zk_verify,
 )
 from .group import update_trust
-from .messages import BROADCAST, UNOPENABLE, Message, MessageKind, msg, open_sealed, seal_plain
+from .messages import BROADCAST, UNOPENABLE, Message, MessageKind, msg, open_sealed, seal_batch, seal_plain
 from .runtime import Ctx
 
 # 2048-bit MODP group (RFC 3526 group 14); used for the leader-ring agreement.
@@ -246,13 +246,14 @@ class LeaderKeyService:
             if member_name == self.name:
                 continue
             self.hierarchy.enroll(member_name, public, self.provider)
-        rows = self.directory_rows()
         h = self.hierarchy
         ctx.secret(f"member_secret:{h.lineage}", h.member_secret)
         ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
-        for member_name in sorted(self.hierarchy.member_publics):
+        names = sorted(h.member_publics)
+        addressed = [{"member_key": h.member_keys[name], "member_id": h.member_ids[name]} for name in names]
+        plains = seal_batch(MessageKind.REKEY, "public", self._keyset_fields(self.directory_rows()), addressed)
+        for member_name, plain in zip(names, plains):
             ctx.secret(f"member_key:{member_name}:{h.lineage}", h.member_keys[member_name])
-            plain = self._keyset(rows, h.member_keys[member_name], h.member_ids[member_name])
             self._send_keyset(member_name, h.member_publics[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
             self.trust.setdefault(member_name, 0.5)
@@ -260,15 +261,16 @@ class LeaderKeyService:
 
     # -- rekey messages --------------------------------------------------------
 
-    def _keyset(self, rows: list, member_key: bytes = b"", member_id: int = 0) -> bytes:
-        """Plaintext of a public-mode REKEY: the current group key and
-        membership, the addressee's derived key and member id (empty when
-        they do not change) and the leader's identity."""
+    def _keyset_fields(self, rows: list) -> dict:
+        """The fields every public-mode REKEY of the current epoch shares: the
+        group key and membership and the leader's identity.  The rest are
+        the addressee's derived key and member id, empty when they do not
+        change."""
         h = self.hierarchy
-        return seal_plain(
-            MessageKind.REKEY, "public", group_key=h.group_key, epoch=h.epoch, lineage=h.lineage, rows=rows,
-            member_key=member_key, member_id=member_id, leader=self.name, leader_public=self.keypair.public,
-        )
+        return {
+            "group_key": h.group_key, "epoch": h.epoch, "lineage": h.lineage, "rows": rows, "leader": self.name,
+            "leader_public": self.keypair.public,
+        }
 
     def _send_keyset(self, member_name: str, public: bytes, plain: bytes, ctx: Ctx) -> None:
         self._emit_rekey("public", self.provider.pk_encrypt(public, plain, ctx.rng), ctx, to=member_name)
@@ -452,7 +454,9 @@ class LeaderKeyService:
         if "skip_rekey" not in self.faults:
             h.rotate(ctx.rng, self.provider)
             ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
-            inner = self._keyset(self.directory_rows())
+            inner = seal_plain(
+                MessageKind.REKEY, "public", **self._keyset_fields(self.directory_rows()), member_key=b"", member_id=0
+            )
             recipients = sorted(h.member_publics.items())
             if "leak_key" in self.faults:
                 recipients += departed.items()
@@ -544,6 +548,11 @@ class MemberKeyService:
     def is_member(self) -> bool:
         return self.group_key is not None
 
+    def _key_fits(self, key: bytes) -> bool:
+        """Whether `key` is a symmetric key this provider can use; a member
+        adopts no key of another size."""
+        return len(key) == self.provider.sym_key_size
+
     def _store_keyset(self, opened: dict) -> None:
         """Adopt an opened keyset: its group key, lineage, epoch and rows."""
         self.lineage, self.epoch = opened["lineage"], opened["epoch"]
@@ -633,6 +642,9 @@ class MemberKeyService:
         except UNOPENABLE:
             self._abort_join("bad_admit_seal", ctx)
             return
+        if not self._key_fits(opened["member_key"]):
+            self._abort_join("bad_admit_seal", ctx)
+            return
         self.leader = join.leader
         self.leader_public = opened["leader_public"]
         self.member_id = opened["member_id"]
@@ -651,6 +663,9 @@ class MemberKeyService:
         try:
             opened = open_sealed(message.kind, self.provider.sym_decrypt(self.member_key, message["sealed"]))
         except UNOPENABLE:
+            self._abort_join("bad_member_set_seal", ctx)
+            return
+        if not self._key_fits(opened["group_key"]):
             self._abort_join("bad_member_set_seal", ctx)
             return
         if opened["nonce"] != join.nonce:
@@ -675,6 +690,9 @@ class MemberKeyService:
             except UNOPENABLE:
                 ctx.note("verdict", "rekey_undecryptable:auth", about=self.name)
                 return
+            if not self._key_fits(opened["group_key"]):
+                ctx.note("verdict", "rekey_undecryptable:bad_key", about=self.name)
+                return
             self._store_keyset(opened)
         elif mode == "public":
             try:
@@ -683,12 +701,16 @@ class MemberKeyService:
             except UNOPENABLE:
                 ctx.note("verdict", "rekey_undecryptable:not_addressee", about=self.name)
                 return
+            member_key = opened["member_key"]
+            if not self._key_fits(opened["group_key"]) or (member_key and not self._key_fits(member_key)):
+                ctx.note("verdict", "rekey_undecryptable:bad_key", about=self.name)
+                return
             self.leader = opened["leader"]
             self.leader_public = opened["leader_public"]
             self.group_id = message["group"]
             self._store_keyset(opened)
-            if opened["member_key"]:
-                self.member_key = opened["member_key"]
+            if member_key:
+                self.member_key = member_key
                 self.member_id = opened["member_id"]
 
     def forget_membership(self) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import groupby
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -271,11 +272,38 @@ def _layout_key(kind: MessageKind, mode, tag) -> Optional[tuple]:
 def seal_plain(kind: MessageKind, mode: Optional[str] = None, **fields) -> bytes:
     """The plaintext of a `kind` message's sealed field, built from its named
     fields; a REKEY names its `mode`, a tagged layout its `tag` field."""
-    key = _layout_key(kind, mode, fields.get("tag"))
+    return seal_batch(kind, mode, fields, [{}])[0]
+
+
+def seal_batch(kind: MessageKind, mode: Optional[str], shared: dict, items: list) -> list:
+    """The plaintexts of `kind` messages of one layout (chosen as by
+    :func:`seal_plain`, from `mode` or the shared `tag`) that hold the fields
+    in `shared` and, per item, that item's fields.  Shared fields are checked
+    and encoded once, each unbroken run of them as one piece; an item's
+    plaintext joins those pieces and the encodings of its own runs in layout
+    order, which is exactly its `seal_plain` (the encoding is a plain
+    concatenation of per-field encodings)."""
+    key = _layout_key(kind, mode, shared.get("tag"))
     if key is None:
-        raise encoding.EncodingError(f"no sealed layout for {kind.name} {mode or fields.get('tag')!r}")
-    _check(f"sealed {kind.name}", _SEALED_CHECKS[key], fields)
-    return encoding.encode(*(fields[name] for name in _SEALED[key].names))
+        raise encoding.EncodingError(f"no sealed layout for {kind.name} {mode or shared.get('tag')!r}")
+    what = f"sealed {kind.name}"
+    checks = _SEALED_CHECKS[key]
+    _check(what, tuple(check for check in checks if check[0] in shared), shared)
+    own = tuple(check for check in checks if check[0] not in shared)
+    pieces = []  # per run of the layout: its encoding if shared, else its names
+    for is_shared, run in groupby(_SEALED[key].names, key=shared.__contains__):
+        names = tuple(run)
+        pieces.append(encoding.encode(*(shared[name] for name in names)) if is_shared else names)
+    plains = []
+    for item in items:
+        _check(what, own, item)
+        plains.append(
+            b"".join(
+                piece if isinstance(piece, bytes) else encoding.encode(*(item[n] for n in piece))
+                for piece in pieces
+            )
+        )
+    return plains
 
 
 def open_sealed(kind: MessageKind, plaintext: bytes, mode: Optional[str] = None) -> dict:

@@ -196,15 +196,21 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
 
 def _param_problems(params: SimParams) -> list:
     """What is wrong with a scenario's `[params]`: values the run would
-    divide by, crash on, or silently run with no radio at all."""
+    divide by, crash on, or silently run with no radio, no liveness or a
+    join that asks for no secret."""
     problems = []
     radius = params.radio_radius
     if not (_is_finite(radius) and radius > 0):
         problems.append(f"radio_radius must be finite and positive, not {radius!r}")
-    for name in ("heartbeat_period", "rreq_lifetime"):
+    for name in (
+        "heartbeat_period", "rreq_lifetime", "liveness_deadline", "discovery_timeout", "challenge_bits",
+        "challenge_rounds",
+    ):
         value = getattr(params, name)
         if not (_is_int(value) and value >= 1):
             problems.append(f"{name} must be an integer of at least 1, not {value!r}")
+    if not (_is_int(params.freshness_window) and params.freshness_window >= 0):
+        problems.append(f"freshness_window must be a non-negative integer, not {params.freshness_window!r}")
     trust = params.trust_initial
     if not (_is_finite(trust) and 0.0 <= trust <= 1.0):
         problems.append(f"trust_initial must be within [0, 1], not {trust!r}")
@@ -517,6 +523,9 @@ class Simulation:
         self._cells: Optional[dict] = None  # (column, row) -> names in that cell
         self._side = 0.0
         self._digests: dict[bytes, str] = {}  # logged payload -> its digest, hex
+        # source -> its resumable path search, [parents, FIFO queue, head];
+        # emptied with _reach and whenever a node dies.
+        self._searches: dict[str, list] = {}
 
         seed_bytes = scenario.seed.to_bytes(8, "big", signed=True)
 
@@ -649,28 +658,33 @@ class Simulation:
         return node.behavior == "mitm_relay"
 
     def _radio_path(self, source: str, target: str) -> Optional[list]:
-        """Shortest live radio path; relays are honest nodes or stealth relays."""
+        """Shortest live radio path; relays are honest nodes or stealth relays.
+
+        One breadth-first search per source serves every addressed message it
+        sends while reach and liveness hold: it expands nodes in FIFO order
+        until `target` has a parent, and the next call resumes it there.  A
+        live node that cannot relay gets a parent but is never expanded."""
         if target == source or target in self._neighbours(source):
             return [source, target]
-        frontier = [source]
-        parents = {source: None}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self._neighbours(u):
-                    if v in parents or not self.nodes[v].alive:
-                        continue
-                    if v != target and not self._relay_capable(v):
-                        continue
+        search = self._searches.get(source)
+        if search is None:
+            search = self._searches[source] = [{source: None}, [source], 0]
+        parents, queue, head = search
+        while target not in parents and head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in self._neighbours(u):
+                if v not in parents and self.nodes[v].alive:
                     parents[v] = u
-                    if v == target:
-                        path = [v]
-                        while parents[path[-1]] is not None:
-                            path.append(parents[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(v)
-            frontier = nxt
-        return None
+                    if self._relay_capable(v):
+                        queue.append(v)
+        search[2] = head
+        if target not in parents:
+            return None
+        path = [target]
+        while parents[path[-1]] is not None:
+            path.append(parents[path[-1]])
+        return path[::-1]
 
     def _send(self, envelope: Envelope, sender: str, to: str) -> int:
         """Number and log one transmission; returns its tx number."""
@@ -924,6 +938,7 @@ class Simulation:
                 lost_group = node.leader_service.group_id
                 self.leaders[lost_group] = None
             node.alive = False
+            self._searches = {}
             self.group_map.pop(name, None)
             self._log("alert", name, "node_crashed")
             if lost_group is not None:
@@ -1006,7 +1021,7 @@ class Simulation:
         for tick in range(duration + 1):
             self.now = tick
             if 0 < tick <= self._last_move:
-                self._reach, self._cells = {}, None
+                self._reach, self._cells, self._searches = {}, None, {}
             while pending and pending[0].tick <= tick:
                 self._action(pending.pop(0))
             self._drain_taps()

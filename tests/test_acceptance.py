@@ -24,7 +24,11 @@ from manetsec.runtime import Ctx
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import Action, AdversarySpec, run
 from topologies import (
+    RADIUS,
     churn_scenario,
+    connected_random_positions,
+    diameter,
+    hop_distance,
     line_scenario,
     random_group_scenario,
     stealth_family_scenario,
@@ -296,6 +300,17 @@ def test_criterion_5_secrecy_audit_over_churn():
 # ---------------------------------------------------------------------------
 # 6. Benign routing completeness
 # ---------------------------------------------------------------------------
+
+
+def test_diameter_is_largest_pairwise_hop_distance():
+    # `diameter` sizes criterion 6's request budgets; it must equal the
+    # largest hop distance over all pairs, as drawn for those seeds.
+    for seed in range(700, 706):
+        rng = random.Random(seed)
+        positions = connected_random_positions(rng, rng.randint(8, 32))
+        count = len(positions)
+        pairwise = max(hop_distance(positions, RADIUS, a, b) for a in range(count) for b in range(a + 1, count))
+        assert diameter(positions, RADIUS) == pairwise
 
 
 def test_criterion_6_benign_completeness():

@@ -107,6 +107,12 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         ("[params]\ntrust_initial = 1.5\n", "trust_initial must be within [0, 1], not 1.5"),
         ("[params]\ntrust_initial = -0.1\n", "trust_initial must be within [0, 1], not -0.1"),
         ("[params]\nduration = -1\n", "duration must be a non-negative integer, not -1"),
+        ("[params]\nchallenge_bits = -1\n", "challenge_bits must be an integer of at least 1, not -1"),
+        ("[params]\nchallenge_bits = 0\n", "challenge_bits must be an integer of at least 1, not 0"),
+        ("[params]\nchallenge_rounds = 0\n", "challenge_rounds must be an integer of at least 1, not 0"),
+        ("[params]\nliveness_deadline = 0\n", "liveness_deadline must be an integer of at least 1, not 0"),
+        ("[params]\ndiscovery_timeout = 0\n", "discovery_timeout must be an integer of at least 1, not 0"),
+        ("[params]\nfreshness_window = -1\n", "freshness_window must be a non-negative integer, not -1"),
         (
             "[adversaries]\nnode X impersonate strategy=bogus\n",
             "adversary 0: impersonate strategy must be replay or random, not 'bogus'",

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec import encoding
 from manetsec.keymgmt import JoinPhase
-from manetsec.messages import _FIELDS, _SEALED, FIELD_TYPES, PK, Envelope, MessageKind, decode_message, seal_plain
+from manetsec.messages import _FIELDS, _SEALED, FIELD_TYPES, PK, Envelope, MessageKind, decode_message, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import Simulation
 
@@ -193,3 +193,52 @@ def test_arbitrary_payload_is_dropped_or_handled(kind, data):
         node = sim.nodes[recipient]
         sim._step(recipient, node.handle, Envelope(message, sender, to, channel))
         sim._step(recipient, node.on_tick)
+
+
+SHORT = b"\x05" * 5  # no symmetric key of the real provider is this size
+
+
+@pytest.mark.parametrize("forged", ["public:group_key", "public:member_key", "group:group_key", "member_set"])
+def test_member_adopts_no_key_of_the_wrong_size(forged):
+    # Under real crypto a 5-byte key would make the next seal under it raise;
+    # the member must refuse it and keep working with what it holds.
+    scenario = parse_scenario(FIXTURE)
+    scenario.provider_name = "real_crypto"
+    sim = Simulation(scenario)
+    sim.run()
+    provider, rng = sim.provider, random.Random(9)
+    publics = {n: pair.public for n, pair in sim.log.registry.keypairs.items()}
+    name = "J" if forged == "member_set" else "M1"
+    node = sim.nodes[name]
+    member = node.member
+    held = (member.group_id, member.lineage, member.epoch, member.group_key, member.member_key, member.leader)
+    if forged == "member_set":
+        plain = seal_plain(
+            MessageKind.MEMBER_SET, nonce=member.join.nonce, rows=[], group_key=SHORT, lineage="g1-1", epoch=0,
+            group="g1",
+        )
+        message = msg(MessageKind.MEMBER_SET, join_id="J", sealed=provider.sym_encrypt(member.member_key, plain, rng))
+        verdict = "join_abort:bad_member_set_seal"
+    elif forged == "group:group_key":
+        plain = seal_plain(
+            MessageKind.REKEY, "group", group_key=SHORT, epoch=member.epoch + 1, lineage=member.lineage, rows=[]
+        )
+        sealed = provider.sym_encrypt(member.group_key, plain, rng)
+        message = msg(MessageKind.REKEY, group="g1", lineage=member.lineage, epoch=member.epoch, mode="group",
+                      sealed=sealed)
+        verdict = "rekey_undecryptable:bad_key"
+    else:
+        group_key, member_key = (SHORT, b"") if forged == "public:group_key" else (b"\x07" * 32, SHORT)
+        plain = seal_plain(
+            MessageKind.REKEY, "public", group_key=group_key, epoch=9, lineage="g1-9", rows=[["N", publics["N"]]],
+            member_key=member_key, member_id=0, leader="N", leader_public=publics["N"],
+        )
+        sealed = provider.pk_encrypt(publics["M1"], plain, rng)
+        message = msg(MessageKind.REKEY, group="g1", lineage="g1-9", epoch=9, mode="public", sealed=sealed)
+        verdict = "rekey_undecryptable:bad_key"
+    sim._step(name, node.handle, Envelope(message, "N", name))
+    assert (sim.log.events[-1].kind, sim.log.events[-1].detail) == ("verdict", verdict)
+    assert (member.group_id, member.lineage, member.epoch, member.group_key, member.member_key, member.leader) == held
+    if forged != "member_set":
+        sim._step(name, node.send_data, "*", "still keyed")
+        assert sim.log.events[-1].kind == "send" and sim.log.events[-1].detail.startswith("DATA:to=*:")

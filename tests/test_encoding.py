@@ -1,8 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from manetsec import encoding
-from manetsec.messages import MessageKind, decode_message, encode_message, msg, open_sealed, seal_plain
+from manetsec.keymgmt import CertificateAuthority, LeaderKeyService
+from manetsec.messages import (
+    MessageKind,
+    decode_message,
+    encode_message,
+    msg,
+    open_sealed,
+    seal_batch,
+    seal_plain,
+)
+from manetsec.runtime import Ctx
 
 
 def test_roundtrip_basic():
@@ -183,3 +195,58 @@ def test_seal_plain_checks_names_and_types():
         seal_plain(MessageKind.NONCE, nonce=1, extra=2)
     with pytest.raises(encoding.EncodingError):
         seal_plain(MessageKind.DATA, tag="gossip", source="a", text="hi")
+
+
+def test_founding_keysets_equal_their_seal_plain(provider):
+    rng = random.Random(5)
+    authority = CertificateAuthority(provider, rng)
+    keys = {name: provider.generate_keypair(rng) for name in ("L", "a", "b", "c")}
+    leader = LeaderKeyService("L", "g1", "g1-1", keys["L"], provider, rng, authority.public, capacity=8)
+    ctx = Ctx("L", 0, rng, provider)
+    leader.found_group([(name, keys[name].public) for name in ("c", "a", "b")], ctx, "founding")
+    h = leader.hierarchy
+    rekeys = [envelope for envelope in ctx.outbound if envelope.message.kind == MessageKind.REKEY]
+    assert [envelope.to for envelope in rekeys] == ["a", "b", "c"]
+    for envelope in rekeys:
+        member = envelope.to
+        assert provider.pk_decrypt(keys[member].private, envelope.message["sealed"]) == seal_plain(
+            MessageKind.REKEY, "public", group_key=h.group_key, epoch=h.epoch, lineage=h.lineage,
+            rows=leader.directory_rows(), member_key=h.member_keys[member], member_id=h.member_ids[member],
+            leader="L", leader_public=keys["L"].public,
+        )
+
+
+SHARED = {"group_key": b"k" * 32, "epoch": 3, "lineage": "g1-2", "rows": [["a", b"pa"]], "leader": "L",
+          "leader_public": b"pl"}
+
+
+def test_batch_equals_seal_plain_whichever_fields_vary():
+    items = [{"member_key": b"m" * 32, "member_id": 1}, {"member_key": b"", "member_id": 0}]
+    for item, plain in zip(items, seal_batch(MessageKind.REKEY, "public", SHARED, items)):
+        assert plain == seal_plain(MessageKind.REKEY, "public", **SHARED, **item)
+    # Varying fields first, last, or every field: the same bytes.
+    fields = {**SHARED, "member_key": b"m", "member_id": 2}
+    for varying in (("group_key",), ("leader_public",), tuple(fields)):
+        shared = {name: value for name, value in fields.items() if name not in varying}
+        [plain] = seal_batch(MessageKind.REKEY, "public", shared, [{name: fields[name] for name in varying}])
+        assert plain == seal_plain(MessageKind.REKEY, "public", **fields)
+    chats = seal_batch(MessageKind.DATA, None, {"tag": "chat", "source": "a"}, [{"text": "x"}, {"text": "y"}])
+    assert chats == [seal_plain(MessageKind.DATA, tag="chat", source="a", text=t) for t in "xy"]
+
+
+@pytest.mark.parametrize(
+    "shared, item",
+    [
+        ({**SHARED, "epoch": -1}, {"member_key": b"m", "member_id": 1}),  # ill-typed shared field
+        ({**SHARED, "rows": [["a", "pa"]]}, {"member_key": b"m", "member_id": 1}),
+        (SHARED, {"member_key": "m", "member_id": 1}),  # ill-typed per-item field
+        (SHARED, {"member_key": b"m", "member_id": True}),
+        (SHARED, {"member_key": b"m"}),  # missing
+        (SHARED, {"member_key": b"m", "member_id": 1, "epoch": 3}),  # also shared
+        ({**SHARED, "extra": 1}, {"member_key": b"m", "member_id": 1}),  # names no field
+    ],
+)
+def test_batch_rejects_ill_typed_or_misnamed_fields(shared, item):
+    good = {"member_key": b"m", "member_id": 1}
+    with pytest.raises(encoding.EncodingError):
+        seal_batch(MessageKind.REKEY, "public", shared, [good, item])

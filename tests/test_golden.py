@@ -13,7 +13,8 @@ on a link, at a node that bridges a gap and at a bystander node, so
 overhearing, taps and out-of-range drops are all exercised.  Two 121-node
 grids from the benchmark's recipes (``perfbench/workloads.py``), one static
 and one walking every tick, pin radio reach where many nodes share a
-neighbourhood.
+neighbourhood; two 256-node ones pin the scale the founding fan-out and the
+per-source path search were sped up for.
 
 To print the table for the current code: ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -165,7 +166,8 @@ def cases():
                 (f"adversary:{kind}:{placement}", lambda k=kind, p=placement: adversary_line_scenario(k, p))
             )
     for recipe in (workloads.grid_static, workloads.grid_mobile):
-        out.append((f"{recipe.__name__}:11x11:1", lambda r=recipe: r(1, side=11)))
+        for side in (11, 16):
+            out.append((f"{recipe.__name__}:{side}x{side}:1", lambda r=recipe, n=side: r(1, side=n)))
     return out
 
 

@@ -17,7 +17,7 @@ from manetsec.keymgmt import (
     derive_member_key,
     leader_ring_agree,
 )
-from manetsec.messages import MessageKind
+from manetsec.messages import MessageKind, seal_plain
 from manetsec.runtime import Ctx
 
 
@@ -197,6 +197,25 @@ def test_join_aborts_when_response_invalid(world):
     assert member.join.phase == JoinPhase.REJECTED
     kinds = [env.message.kind for env in transcript]
     assert MessageKind.CERT not in kinds  # node never reveals its certificate
+
+
+def test_join_aborts_on_member_key_of_wrong_size(world):
+    # An ADMIT that opens but carries a 5-byte member key: the joiner must
+    # not adopt it (a real provider could not seal its NONCE under it).
+    def tamper(env):
+        if env.message.kind == MessageKind.ADMIT:
+            plain = seal_plain(
+                MessageKind.ADMIT, leader_public=world.keys["L"].public, member_id=1, member_key=b"\x05" * 5
+            )
+            sealed = world.provider.pk_encrypt(world.keys["N"].public, plain, world.rng)
+            return env.__class__(
+                message=env.message.replace(sealed=sealed), sender=env.sender, to=env.to, channel=env.channel
+            )
+
+    member, transcript = run_join(world, "N", tamper=tamper)
+    assert member.join.phase == JoinPhase.REJECTED
+    assert member.member_key is None
+    assert MessageKind.NONCE not in [env.message.kind for env in transcript]
 
 
 def test_out_of_order_message_rejects_session(world):

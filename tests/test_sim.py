@@ -65,6 +65,14 @@ def test_validation_catches_structural_problems():
     assert "alphanumeric" in problems
 
 
+def test_validation_accepts_smallest_join_and_liveness_params():
+    scenario = line_scenario(["A", "B"])
+    params = scenario.params
+    params.challenge_bits = params.challenge_rounds = params.liveness_deadline = params.discovery_timeout = 1
+    params.freshness_window = 0
+    assert validate_scenario(scenario) == []
+
+
 def test_validation_rejects_bad_weights():
     scenario = line_scenario(["A", "B"], weights=WeightConfig.__new__(WeightConfig))
     object.__setattr__(scenario.weights, "w0", 0.5)
@@ -224,6 +232,155 @@ def test_crash_mid_tick_cuts_relay_out_of_cached_reach():
     tx = beat.detail.rsplit("tx=", 1)[1]
     assert any(e.kind == "drop" and e.principals == "A>C" and e.detail == f"out_of_range:tx={tx}" for e in tick20)
     assert not [e for e in log.events if e.kind == "deliver" and e.detail.endswith(f":tx={tx}")]
+
+
+def test_crash_mid_tick_cuts_relay_out_of_kept_path_search():
+    # Line C-B-A, C leads; A's trace runs to tick 20, so every search of
+    # earlier ticks is gone when tick 20 begins.  A's session with C builds
+    # A's path search through B early in tick 20, B then crashes, and A's
+    # heartbeat to C at the end of that tick must find no path.
+    scenario = line_scenario(
+        ["C", "B", "A"],
+        script=[Action(20, "session", ("A", "C")), Action(20, "crash", ("B",))],
+        duration=22,
+    )
+    scenario.nodes[2].trace *= 21
+    log = run(scenario)
+    tick20 = [e for e in log.events if e.tick == 20]
+    session = next(e for e in tick20 if e.kind == "send" and e.principals == "A" and ":to=C:" in e.detail)
+    session_tx = session.detail.rsplit("tx=", 1)[1]
+    # The search ran through B before the crash: the message takes two hops.
+    assert any(e.kind == "deliver" and e.principals == "A>C" and e.detail.endswith(f":hops=2:tx={session_tx}")
+               for e in log.events)
+    crash = next(e for e in tick20 if e.kind == "alert" and e.principals == "B")
+    beat = next(e for e in tick20 if e.kind == "send" and e.detail.startswith("HEARTBEAT:to=C:"))
+    assert tick20.index(session) < tick20.index(crash) < tick20.index(beat)
+    tx = beat.detail.rsplit("tx=", 1)[1]
+    assert any(e.kind == "drop" and e.principals == "A>C" and e.detail == f"out_of_range:tx={tx}" for e in tick20)
+    assert not [e for e in log.events if e.kind == "deliver" and e.detail.endswith(f":tx={tx}")]
+
+
+def _fresh_path(sim, source, target):
+    """The path search as it was before searches were kept: a new early-exit
+    breadth-first search per call, where only the target may be unable to
+    relay."""
+    if target == source or target in sim._neighbours(source):
+        return [source, target]
+    frontier = [source]
+    parents = {source: None}
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in sim._neighbours(u):
+                if v in parents or not sim.nodes[v].alive:
+                    continue
+                if v != target and not sim._relay_capable(v):
+                    continue
+                parents[v] = u
+                if v == target:
+                    path = [v]
+                    while parents[path[-1]] is not None:
+                        path.append(parents[path[-1]])
+                    return list(reversed(path))
+                nxt.append(v)
+        frontier = nxt
+    return None
+
+
+class _CheckedPaths(Simulation):
+    """Checks every path the kept searches give against a fresh search."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.paths = []  # (tick, source, target, path)
+        self.searches_seen = {}  # source -> the searches it used, in order
+
+    def _radio_path(self, source, target):
+        path = super()._radio_path(source, target)
+        assert path == _fresh_path(self, source, target), (self.now, source, target)
+        self.paths.append((self.now, source, target, path))
+        if source in self._searches:
+            seen = self.searches_seen.setdefault(source, [])
+            if not seen or seen[-1] is not self._searches[source]:
+                seen.append(self._searches[source])
+        return path
+
+
+@st.composite
+def _path_scenario(draw):
+    count = draw(st.integers(min_value=3, max_value=9))
+    names = [f"n{i}" for i in range(count)]
+    # Mostly a lattice a little over half a radius apart, so that paths of
+    # several hops, with and without adversarial relays, are common.
+    spot = st.one_of(st.integers(min_value=0, max_value=4).map(lambda k: 60.0 * k), st.floats(0.0, 240.0))
+    step = st.sampled_from([-60.0, 0.0, 60.0])
+    moving = draw(st.booleans())
+    nodes = []
+    for name in names:
+        trace = [(draw(spot), draw(spot))]
+        for dx, dy in draw(st.lists(st.tuples(step, step), max_size=12)) if moving else ():
+            trace.append((trace[-1][0] + dx, trace[-1][1] + dy))
+        nodes.append(NodeSpec(name, trace, draw(st.floats(min_value=0.1, max_value=1.0))))
+    kinds = st.sampled_from(["mitm_relay", "drop_all", "impersonate", "replay"])
+    placed = draw(st.lists(st.sampled_from(names[1:]), unique=True, max_size=count // 2))
+    adversaries = [AdversarySpec(draw(kinds), ("node", name)) for name in placed]
+    honest = [name for name in names if name not in placed]
+    tick = st.integers(min_value=1, max_value=24)
+    script = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        op = draw(st.sampled_from(["crash", "session", "discover", "forged_join"]))
+        if op == "crash":
+            script.append(Action(draw(tick), op, (draw(st.sampled_from(names)),)))
+        elif op == "forged_join" and placed:
+            script.append(Action(draw(tick), op, (draw(st.sampled_from(placed)), "g1")))
+        elif op in ("session", "discover") and len(honest) > 1:
+            a, b = draw(st.lists(st.sampled_from(honest), min_size=2, max_size=2, unique=True))
+            script.append(Action(draw(tick), op, (a, b)))
+    script.sort(key=lambda action: action.tick)
+    params = SimParams(radio_radius=110.0, heartbeat_period=3, liveness_deadline=9, duration=28)
+    return Scenario(
+        seed=draw(st.integers(min_value=0, max_value=1000)),
+        nodes=nodes,
+        groups=[GroupSpec("g1", count + 2, honest)],
+        params=params,
+        script=script,
+        adversaries=adversaries,
+    )
+
+
+def _bridged(kind):
+    """Members A and B, 200 apart, bridged only by an adversarial node X of
+    `kind`; C, beside A, crashes at tick 4."""
+    nodes = [NodeSpec("A", [(0.0, 0.0)]), NodeSpec("X", [(100.0, 0.0)]), NodeSpec("B", [(200.0, 0.0)]),
+             NodeSpec("C", [(0.0, 100.0)], 0.9)]
+    return Scenario(
+        seed=1,
+        nodes=nodes,
+        groups=[GroupSpec("g1", 6, ["A", "B", "C"])],
+        params=SimParams(radio_radius=110.0, heartbeat_period=3, duration=8),
+        script=[Action(4, "crash", ("C",)), Action(5, "forged_join", ("X", "g1"))],
+        adversaries=[AdversarySpec(kind, ("node", "X"))],
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_path_scenario())
+@example(_bridged("drop_all"))
+@example(_bridged("mitm_relay"))
+def test_kept_path_searches_equal_fresh_searches(scenario):
+    _CheckedPaths(scenario).run()
+
+
+def test_static_run_keeps_one_path_search_per_source():
+    # No node moves or dies, so the search a source starts serves every
+    # unicast it sends for the rest of the run, founding keysets included.
+    sim = _CheckedPaths(line_scenario(["A", "B", "C", "D", "E"], duration=40))
+    sim.run()
+    relayed = [(tick, source) for tick, source, _, path in sim.paths if path is not None and len(path) > 2]
+    assert len({source for _, source in relayed}) >= 2 and len({tick for tick, _ in relayed}) >= 2
+    assert len(sim._searches) == len({source for _, source in relayed})
+    for _, source in relayed:
+        assert len(sim.searches_seen[source]) == 1 and sim.searches_seen[source][0] is sim._searches[source]
 
 
 class _CheckedReach(Simulation):

@@ -110,8 +110,8 @@ def _connected(positions, radius):
     return len(seen) == len(positions)
 
 
-def hop_distance(positions, radius, start, goal):
-    adjacency = _neighbors(positions, radius)
+def _hops_from(adjacency, start):
+    """Hop count from `start` to every node it reaches."""
     frontier, dist = [start], {start: 0}
     while frontier:
         nxt = []
@@ -121,15 +121,18 @@ def hop_distance(positions, radius, start, goal):
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
-    return dist.get(goal)
+    return dist
+
+
+def hop_distance(positions, radius, start, goal):
+    return _hops_from(_neighbors(positions, radius), start).get(goal)
 
 
 def diameter(positions, radius):
-    worst = 0
-    for start in range(len(positions)):
-        for goal in range(start + 1, len(positions)):
-            worst = max(worst, hop_distance(positions, radius, start, goal))
-    return worst
+    """Largest hop distance between two nodes of a connected disk graph: one
+    breadth-first search per node over one adjacency."""
+    adjacency = _neighbors(positions, radius)
+    return max((max(_hops_from(adjacency, start).values()) for start in range(len(positions))), default=0)
 
 
 def random_group_scenario(seed, count=None, discover=True):

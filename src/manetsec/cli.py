@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from .audit import audit, expectation_met
@@ -119,6 +120,12 @@ _REPORT_ROWS = (
 )
 
 
+def _drop_reason(detail: str) -> str:
+    """A drop's detail without its `name=value` parts:
+    `duplicate:source=S:seq=1` -> `duplicate`."""
+    return ":".join(part for part in detail.split(":") if "=" not in part)
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.log, "r", encoding="utf-8") as handle:
@@ -142,6 +149,8 @@ def cmd_report(args) -> int:
         "summary: "
         + " ".join(f"{name}={value}" for name, value in counts.items())
     )
+    drops = Counter(_drop_reason(event.detail) for event in log.events if event.kind == "drop")
+    print("drops: " + (" ".join(f"{reason}={drops[reason]}" for reason in sorted(drops)) or "none"))
     return EXIT_OK
 
 

@@ -12,9 +12,10 @@ Two providers implement the same surface:
   hybrid public-key encryption and ChaCha20-Poly1305 symmetric encryption,
   for runs where actual cryptographic strength matters.
 
-The quadratic-residue identification arithmetic (``zk_*``) and the ring
-key-agreement step (``dh_contribute``) are provider-independent integer
-math and live here as plain functions.
+The quadratic-residue identification arithmetic (``zk_*``), the primality
+test behind it (``is_prime``, ``next_prime``) and the ring key-agreement
+step (``dh_contribute``) are provider-independent integer math and live
+here as plain functions.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import hmac
 import hashlib
 import random
 from dataclasses import dataclass
-
-import sympy
 
 
 class CryptoError(Exception):
@@ -307,8 +306,56 @@ def make_provider(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Integer arithmetic: identification scheme, ring DH
+# Integer arithmetic: primality, identification scheme, ring DH
 # ---------------------------------------------------------------------------
+
+# Miller-Rabin with the first twelve primes as bases has no strong
+# pseudoprime below psi_12 (OEIS A014233; Sorenson & Webster 2015), so below
+# that bound the test is exact.  The often-quoted 3.317e24 is psi_13, which
+# needs base 41 as well.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for ``n`` below psi_12.
+
+    Raises ``ValueError`` at or above the bound, where the fixed bases no
+    longer make the test exact.
+    """
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the exact range of the primality test")
+    for base in _MR_BASES:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n: int) -> int:
+    """The smallest prime strictly greater than ``n``, as long as the search
+    stays below :func:`is_prime`'s bound (``ValueError`` otherwise)."""
+    if n < 2:
+        return 2
+    candidate = n + 1 + (n & 1)
+    while not is_prime(candidate):
+        candidate += 2
+    return candidate
 
 
 @dataclass(frozen=True)
@@ -332,7 +379,7 @@ def zk_setup(p: int, q: int, secret: int) -> tuple[ZkPublicParams, ZkProverSecre
     The announced values are the composite modulus ``p*q`` and the secret's
     square modulo it; the prover keeps the secret.
     """
-    if not sympy.isprime(p) or not sympy.isprime(q):
+    if not is_prime(p) or not is_prime(q):
         raise ValueError("both factors must be prime")
     if p == q:
         raise ValueError("the two primes must be distinct")

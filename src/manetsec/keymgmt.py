@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import sympy
-
 from . import encoding
 from .crypto import (
     dh_contribute,
+    next_prime,
     zk_commit,
     zk_respond,
     zk_setup,
@@ -183,7 +182,7 @@ class JoinConfig:
 
 
 def _draw_prime(rng: random.Random, bits: int) -> int:
-    return int(sympy.nextprime(rng.getrandbits(bits) | (1 << (bits - 1))))
+    return next_prime(rng.getrandbits(bits) | (1 << (bits - 1)))
 
 
 class LeaderKeyService:

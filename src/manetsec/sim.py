@@ -438,7 +438,10 @@ def parse_payload_blob(blob: bytes) -> dict:
         if end > len(blob):
             missing = end - len(blob)
             raise SimulationError(f"payload sidecar byte {start}: payload is {missing} bytes short")
-        payloads[digest.decode("ascii")] = blob[start:end]
+        key = digest.decode("ascii")
+        if key in payloads:
+            raise SimulationError(f"payload sidecar byte {pos}: digest {key} repeats an earlier entry")
+        payloads[key] = blob[start:end]
         pos = end
     return payloads
 

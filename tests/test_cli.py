@@ -239,6 +239,7 @@ t=0    rekey    A (ring:version=1)
 t=2    discover S:S (discovery_started:dest=D:seq=1)
 t=6    reject   D:D (reject:chain_mismatch:source=S:seq=1)
 summary: elections=1 admits=3 removals=0 rekeys=2 discoveries=1 accepts=0 rejects=1 routes_installed=0 alerts=0
+drops: duplicate=2
 """,
     "benign_line": """\
 t=0    elect    n0 (group=g1:cause=founding)
@@ -254,6 +255,7 @@ t=10   route    n0:n0 (route_installed:dest=n4:seq=1)
 t=23   remove   n0:n3 (announced_leave)
 t=23   rekey    n0 (leave:lineage=g1-1:epoch=2)
 summary: elections=1 admits=4 removals=1 rekeys=3 discoveries=1 accepts=1 rejects=0 routes_installed=1 alerts=0
+drops: duplicate=3
 """,
 }
 
@@ -273,3 +275,15 @@ def test_report_counts_alerts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "t=3    alert    A (node_crashed)"
     assert "alerts=1" in out
+    assert out.splitlines()[-1] == "drops: none"
+
+
+def test_report_summarises_drops_by_reason(tmp_path, capsys):
+    path = tmp_path / "drops.log"
+    details = ["duplicate:source=S:seq=1", "out_of_range:tx=4", "data_undecryptable:no_key", "duplicate:source=A:seq=2"]
+    rows = "".join(f"1\t{seq}\tdrop\tB\t-\t{detail}\n" for seq, detail in enumerate(details))
+    path.write_text(f"#manetsec-log v1\n{rows}#complete\n")
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("summary: ")
+    assert out[1:] == ["drops: data_undecryptable:no_key=1 duplicate=2 out_of_range=1"]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from manetsec import crypto
@@ -11,6 +12,8 @@ from manetsec.crypto import (
     MalformedCiphertextError,
     RealCryptoProvider,
     dh_contribute,
+    is_prime,
+    next_prime,
     zk_commit,
     zk_respond,
     zk_setup,
@@ -149,6 +152,58 @@ def test_integer_xor_equals_bytewise_xor(pair):
     # zero bytes on either side must survive the trip through an integer.
     data, keystream = pair
     assert crypto._xor(data, keystream) == bytes(a ^ b for a, b in zip(data, keystream))
+
+
+# ---------------------------------------------------------------------------
+# Primality
+# ---------------------------------------------------------------------------
+
+# psi_12 (OEIS A014233) = 399165290221 * 798330580441: the least composite
+# that is a strong pseudoprime to every one of the first twelve prime bases.
+PSI_12 = 318_665_857_834_031_151_167_461
+
+
+def test_is_prime_agrees_with_sieve_below_200000():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    primes = [n for n in range(limit) if sieve[n]]
+    assert [n for n in range(limit) if is_prime(n)] == primes
+    assert all(next_prime(a) == b for a, b in zip(primes, primes[1:]))
+    assert [next_prime(n) for n in range(-3, 12)] == [2, 2, 2, 2, 2, 3, 5, 5, 7, 7, 11, 11, 11, 11, 13]
+
+
+def test_next_prime_matches_sympy_on_drawn_values():
+    # Shaped like keymgmt._draw_prime's draws, then wider than 64 bits.
+    rng = random.Random(20)
+    for _ in range(20_000):
+        value = rng.getrandbits(32) | (1 << 31)
+        assert next_prime(value) == sympy.nextprime(value)
+    for _ in range(2_000):
+        value = rng.getrandbits(70)
+        assert next_prime(value) == sympy.nextprime(value)
+
+
+@pytest.mark.parametrize(
+    "pseudoprime",
+    [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051],
+)
+def test_is_prime_rejects_strong_pseudoprimes_below_psi_12(pseudoprime):
+    assert not is_prime(pseudoprime)
+
+
+def test_is_prime_refuses_psi_12_and_above():
+    assert is_prime(PSI_12 - 20)  # the largest prime below the bound
+    assert not is_prime(PSI_12 - 2)  # 137 * 1619 * 111519523 * 12883006211
+    with pytest.raises(ValueError):
+        is_prime(PSI_12)
+    with pytest.raises(ValueError):
+        is_prime(PSI_12 + 1)
+    with pytest.raises(ValueError):
+        zk_setup(PSI_12, 3, 2)
 
 
 # ---------------------------------------------------------------------------

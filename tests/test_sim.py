@@ -172,6 +172,15 @@ def test_payload_blob_rejects_non_hex_digest():
         parse_payload_blob(bytes(blob))
 
 
+def test_payload_blob_rejects_repeated_digest():
+    blob = _sidecar()
+    first = len(PAYLOAD_MAGIC)
+    end = first + 72 + int.from_bytes(blob[first + 64 : first + 72], "big")
+    digest = blob[first : first + 64].decode("ascii")
+    with pytest.raises(SimulationError, match=f"payload sidecar byte {len(blob)}: digest {digest} repeats an earlier entry"):
+        parse_payload_blob(blob + blob[first:end])
+
+
 # ---------------------------------------------------------------------------
 # Benign runs
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ tracer's target table and patches nothing."""
 import importlib.util
 import os
 import pathlib
+import subprocess
+import sys
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -26,3 +28,18 @@ def test_only_the_schema_decodes():
     src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
     decoders = sorted(path.name for path in src.glob("*.py") if "encoding.decode(" in path.read_text())
     assert decoders == ["messages.py"]
+
+
+def test_import_loads_no_heavy_dependency():
+    # The identification primes come from crypto.is_prime, and the real
+    # provider imports `cryptography` only when constructed, so importing
+    # the package pulls in neither sympy (with mpmath) nor cryptography.
+    src = pathlib.Path(__file__).parent.parent / "src"
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import manetsec; "
+        "print(' '.join(sorted({'sympy', 'mpmath', 'cryptography'} & set(sys.modules))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == ""

@@ -151,6 +151,11 @@ def cmd_report(args) -> int:
     )
     drops = Counter(_drop_reason(event.detail) for event in log.events if event.kind == "drop")
     print("drops: " + (" ".join(f"{reason}={drops[reason]}" for reason in sorted(drops)) or "none"))
+    # Traffic by message kind, the first `:` part of a send or deliver detail.
+    sent = Counter(event.detail.split(":", 1)[0] for event in log.events if event.kind == "send")
+    delivered = Counter(event.detail.split(":", 1)[0] for event in log.events if event.kind == "deliver")
+    kinds = sorted(sent.keys() | delivered.keys())
+    print("traffic: " + (" ".join(f"{kind}={sent[kind]}/{delivered[kind]}" for kind in kinds) or "none"))
     return EXIT_OK
 
 

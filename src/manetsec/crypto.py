@@ -132,9 +132,14 @@ class DeterministicProvider:
         return self._open(key, bytes(ciphertext))
 
     def _keystream(self, key: bytes, nonce: bytes, length: int) -> bytes:
+        """Block i is `_b2(nonce + i.to_bytes(8, "big"), key=key, size=64)`;
+        BLAKE2b streams, so each block resumes one state that has hashed `nonce`."""
+        state = hashlib.blake2b(nonce, key=key[:64], digest_size=64)
         blocks = []
         for counter in range((length + 63) // 64):
-            blocks.append(_b2(nonce + counter.to_bytes(8, "big"), key=key, size=64))
+            block = state.copy()
+            block.update(counter.to_bytes(8, "big"))
+            blocks.append(block.digest())
         return b"".join(blocks)[:length]
 
     def _seal(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:

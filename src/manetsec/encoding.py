@@ -21,6 +21,7 @@ encoding is injective: distinct value tuples never produce the same bytes.
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence, Union
 
 Value = Union[int, str, bytes, Sequence["Value"]]
@@ -35,67 +36,70 @@ class EncodingError(ValueError):
     """Raised for unencodable values or malformed encoded data."""
 
 
+_HEADER = struct.Struct(">BI")  # tag, body length
+
+
 def _encode_one(value: Value) -> bytes:
-    if isinstance(value, bool):
+    if isinstance(value, bytes):
+        tag, body = _TAG_BYTES, value
+    elif isinstance(value, str):
+        tag, body = _TAG_STR, value.encode("utf-8")
+    elif isinstance(value, bool):
         raise EncodingError("booleans are not part of the wire format")
-    if isinstance(value, int):
+    elif isinstance(value, int):
         if value < 0:
             raise EncodingError("negative integers are not part of the wire format")
-        body = value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
-        tag = _TAG_INT
-    elif isinstance(value, str):
-        body = value.encode("utf-8")
-        tag = _TAG_STR
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        body = bytes(value)
-        tag = _TAG_BYTES
+        tag, body = _TAG_INT, value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
     elif isinstance(value, (list, tuple)):
-        body = b"".join(_encode_one(item) for item in value)
-        tag = _TAG_SEQ
+        tag, body = _TAG_SEQ, b"".join(map(_encode_one, value))
+    elif isinstance(value, (bytearray, memoryview)):
+        tag, body = _TAG_BYTES, bytes(value)
     else:
         raise EncodingError(f"cannot encode value of type {type(value).__name__}")
     if len(body) > 0xFFFFFFFF:
         raise EncodingError("field body exceeds 4-octet length range")
-    return bytes([tag]) + len(body).to_bytes(4, "big") + body
+    return _HEADER.pack(tag, len(body)) + body
 
 
 def encode(*values: Value) -> bytes:
     """Encode the given values as a concatenation of tagged fields."""
-    return b"".join(_encode_one(v) for v in values)
+    return b"".join(map(_encode_one, values))
 
 
 def _decode_body(data: bytes, start: int, end: int) -> list:
     items = []
+    append = items.append
+    header = _HEADER.unpack_from
     pos = start
     while pos < end:
         if pos + 5 > end:
             raise EncodingError("truncated field header")
-        tag = data[pos]
-        length = int.from_bytes(data[pos + 1 : pos + 5], "big")
+        tag, length = header(data, pos)
         body_start = pos + 5
-        body_end = body_start + length
-        if body_end > end:
+        pos = body_start + length
+        if pos > end:
             raise EncodingError("field body runs past end of data")
-        body = data[body_start:body_end]
-        if tag == _TAG_INT:
-            if len(body) == 0 or (len(body) > 1 and body[0] == 0):
-                raise EncodingError("non-minimal integer encoding")
-            items.append(int.from_bytes(body, "big"))
+        # Tags in the order of how often the simulator's payloads use them.
+        if tag == _TAG_BYTES:
+            append(data[body_start:pos])
         elif tag == _TAG_STR:
             try:
-                items.append(body.decode("utf-8"))
+                append(data[body_start:pos].decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise EncodingError("string body is not UTF-8") from exc
-        elif tag == _TAG_BYTES:
-            items.append(bytes(body))
         elif tag == _TAG_SEQ:
-            items.append(_decode_body(data, body_start, body_end))
+            append(_decode_body(data, body_start, pos))
+        elif tag == _TAG_INT:
+            if length == 0 or (length > 1 and data[body_start] == 0):
+                raise EncodingError("non-minimal integer encoding")
+            append(int.from_bytes(data[body_start:pos], "big"))
         else:
             raise EncodingError(f"unknown field tag 0x{tag:02x}")
-        pos = body_end
     return items
 
 
 def decode(data: bytes) -> list:
-    """Decode a concatenation of tagged fields back into a list of values."""
+    """Decode a concatenation of tagged fields back into a list of values;
+    `data` may be any bytes-like object."""
+    data = bytes(data)
     return _decode_body(data, 0, len(data))

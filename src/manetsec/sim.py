@@ -526,7 +526,7 @@ class Simulation:
         self._cells: Optional[dict] = None  # (column, row) -> names in that cell
         self._side = 0.0
         self._digests: dict[bytes, str] = {}  # logged payload -> its digest, hex
-        # source -> its resumable path search, [parents, FIFO queue, head];
+        # addressee -> its resumable path search, [hops, FIFO queue, head];
         # emptied with _reach and whenever a node dies.
         self._searches: dict[str, list] = {}
 
@@ -583,6 +583,8 @@ class Simulation:
             if adv.placement[0] == "link"
         ]
         registry.adversary_names.extend(tap.name for tap in self.taps)
+        # Nodes that never relay: no node changes its behaviour during a run.
+        self._no_relay = frozenset(name for name in self.nodes if not self._relay_capable(name))
 
     # -- logging helpers -------------------------------------------------------
 
@@ -662,32 +664,43 @@ class Simulation:
 
     def _radio_path(self, source: str, target: str) -> Optional[list]:
         """Shortest live radio path; relays are honest nodes or stealth relays.
+        Of several, it is the one whose names, read from `source`, sort first.
 
-        One breadth-first search per source serves every addressed message it
-        sends while reach and liveness hold: it expands nodes in FIFO order
-        until `target` has a parent, and the next call resumes it there.  A
-        live node that cannot relay gets a parent but is never expanded."""
+        One breadth-first search per addressee serves every sender that
+        addresses it while reach and liveness hold: rooted at `target`, it
+        counts hops in FIFO order until `source` has a count, and the next
+        call resumes it there.  A live node that cannot relay gets a count but
+        is never expanded; the root always is.  The path then walks from
+        `source`, taking at each hop the first name in the sorted row that is
+        one hop nearer and is the addressee or can relay.  Only live nodes
+        send, so `source` gets a count whenever a path exists."""
         if target == source or target in self._neighbours(source):
             return [source, target]
-        search = self._searches.get(source)
+        nodes, no_relay = self.nodes, self._no_relay
+        if not nodes[target].alive:
+            return None
+        search = self._searches.get(target)
         if search is None:
-            search = self._searches[source] = [{source: None}, [source], 0]
-        parents, queue, head = search
-        while target not in parents and head < len(queue):
+            search = self._searches[target] = [{target: 0}, [target], 0]
+        hops, queue, head = search
+        while source not in hops and head < len(queue):
             u = queue[head]
             head += 1
+            count = hops[u] + 1
             for v in self._neighbours(u):
-                if v not in parents and self.nodes[v].alive:
-                    parents[v] = u
-                    if self._relay_capable(v):
+                if v not in hops and nodes[v].alive:
+                    hops[v] = count
+                    if v not in no_relay:
                         queue.append(v)
         search[2] = head
-        if target not in parents:
+        count = hops.get(source)
+        if count is None:
             return None
-        path = [target]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        return path[::-1]
+        path = [source]
+        for nearer in range(count - 1, 0, -1):
+            path.append(next(v for v in self._neighbours(path[-1]) if hops.get(v) == nearer and v not in no_relay))
+        path.append(target)
+        return path
 
     def _send(self, envelope: Envelope, sender: str, to: str) -> int:
         """Number and log one transmission; returns its tx number."""

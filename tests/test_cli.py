@@ -227,7 +227,8 @@ def test_strict_chain_flag(tmp_path, capsys):
 
 
 # Full report text of two fixtures, as `report` printed it before it became
-# table-driven; between them they hit every timeline row but `alert`.
+# table-driven, and then the `traffic:` line; between them they hit every
+# timeline row but `alert`.
 REPORTS = {
     "stealth_mitm": """\
 t=0    elect    A (group=g1:cause=founding)
@@ -240,6 +241,7 @@ t=2    discover S:S (discovery_started:dest=D:seq=1)
 t=6    reject   D:D (reject:chain_mismatch:source=S:seq=1)
 summary: elections=1 admits=3 removals=0 rekeys=2 discoveries=1 accepts=0 rejects=1 routes_installed=0 alerts=0
 drops: duplicate=2
+traffic: HEARTBEAT=13/13 LEADER_ANNOUNCE=2/0 REKEY=3/5 RREQ=5/7
 """,
     "benign_line": """\
 t=0    elect    n0 (group=g1:cause=founding)
@@ -256,6 +258,7 @@ t=23   remove   n0:n3 (announced_leave)
 t=23   rekey    n0 (leave:lineage=g1-1:epoch=2)
 summary: elections=1 admits=4 removals=1 rekeys=3 discoveries=1 accepts=1 rejects=0 routes_installed=1 alerts=0
 drops: duplicate=3
+traffic: DATA=10/16 HEARTBEAT=33/45 LEADER_ANNOUNCE=2/0 LEAVE=5/8 REKEY=7/7 RREP=4/4 RREQ=4/7
 """,
 }
 
@@ -275,7 +278,7 @@ def test_report_counts_alerts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "t=3    alert    A (node_crashed)"
     assert "alerts=1" in out
-    assert out.splitlines()[-1] == "drops: none"
+    assert out.splitlines()[-2:] == ["drops: none", "traffic: none"]
 
 
 def test_report_summarises_drops_by_reason(tmp_path, capsys):
@@ -286,4 +289,4 @@ def test_report_summarises_drops_by_reason(tmp_path, capsys):
     assert main(["report", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("summary: ")
-    assert out[1:] == ["drops: data_undecryptable:no_key=1 duplicate=2 out_of_range=1"]
+    assert out[1:] == ["drops: data_undecryptable:no_key=1 duplicate=2 out_of_range=1", "traffic: none"]

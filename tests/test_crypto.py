@@ -154,6 +154,18 @@ def test_integer_xor_equals_bytewise_xor(pair):
     assert crypto._xor(data, keystream) == bytes(a ^ b for a, b in zip(data, keystream))
 
 
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 3410])
+@pytest.mark.parametrize("key_size", [0, 16, 32, 64, 80])
+def test_keystream_equals_its_per_block_definition(length, key_size):
+    # Block i is keyed BLAKE2b over nonce || i; an 80-octet key checks that
+    # only its first 64 octets count, as in `_b2`.
+    key, nonce = bytes(range(key_size)), bytes(range(100, 116))
+    blocks = [crypto._b2(nonce + i.to_bytes(8, "big"), key=key, size=64) for i in range((length + 63) // 64)]
+    stream = DeterministicProvider()._keystream(key, nonce, length)
+    assert stream == b"".join(blocks)[:length]
+    assert stream == DeterministicProvider()._keystream(key[:64], nonce, length)
+
+
 # ---------------------------------------------------------------------------
 # Primality
 # ---------------------------------------------------------------------------

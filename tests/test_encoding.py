@@ -86,6 +86,51 @@ def test_injective_property(a, b):
         assert encoding.encode(*a) != encoding.encode(*b)
 
 
+_nested = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def _damaged(draw):
+    """The encoding of random values, cut short at any point or with any
+    one byte changed."""
+    data = encoding.encode(*draw(st.lists(_nested, max_size=4)))
+    if not data or draw(st.booleans()):
+        return data[: draw(st.integers(min_value=0, max_value=max(0, len(data) - 1)))]
+    i = draw(st.integers(min_value=0, max_value=len(data) - 1))
+    return data[:i] + bytes([data[i] ^ draw(st.integers(min_value=1, max_value=255))]) + data[i + 1 :]
+
+
+@given(_damaged())
+def test_damaged_data_rejected_or_reencodes_exactly(data):
+    # The encoding is canonical: whatever decodes re-encodes to the same bytes.
+    try:
+        values = encoding.decode(data)
+    except encoding.EncodingError:
+        return
+    assert encoding.encode(*values) == data
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_decode_reads_any_bytes_like(wrap):
+    values = [7, "h\u00e9llo", b"\x00\x01", ["x", [2, b""]]]
+    decoded = encoding.decode(wrap(encoding.encode(*values)))
+    assert decoded == values
+    assert type(decoded[2]) is bytes and type(decoded[3][1][1]) is bytes
+
+
+@pytest.mark.parametrize("value", [[True], ["a", [1, False]], [-1], [0, [-5]], None, [None], 1.5, [b"x", 0.5]])
+def test_encode_rejects_values_outside_the_wire_format(value):
+    with pytest.raises(encoding.EncodingError):
+        encoding.encode(value)
+
+
+def test_encode_reads_int_enums_and_bytes_likes():
+    assert encoding.encode(MessageKind.HEARTBEAT) == encoding.encode(int(MessageKind.HEARTBEAT))
+    assert encoding.encode([MessageKind.REKEY]) == encoding.encode([int(MessageKind.REKEY)])
+    assert encoding.encode(bytearray(b"ab"), memoryview(b"cd")) == encoding.encode(b"ab", b"cd")
+    assert encoding.encode([bytearray(b"ab"), [memoryview(b"")]]) == encoding.encode([b"ab", [b""]])
+
+
 def test_message_is_immutable_and_encodes_once():
     message = msg(MessageKind.HEARTBEAT, who="a", role="member", group="g1", beat=10)
     with pytest.raises(TypeError):

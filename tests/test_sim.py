@@ -302,16 +302,16 @@ class _CheckedPaths(Simulation):
     def __init__(self, scenario):
         super().__init__(scenario)
         self.paths = []  # (tick, source, target, path)
-        self.searches_seen = {}  # source -> the searches it used, in order
+        self.searches_seen = {}  # addressee -> the searches its paths used, in order
 
     def _radio_path(self, source, target):
         path = super()._radio_path(source, target)
         assert path == _fresh_path(self, source, target), (self.now, source, target)
         self.paths.append((self.now, source, target, path))
-        if source in self._searches:
-            seen = self.searches_seen.setdefault(source, [])
-            if not seen or seen[-1] is not self._searches[source]:
-                seen.append(self._searches[source])
+        if target in self._searches:
+            seen = self.searches_seen.setdefault(target, [])
+            if not seen or seen[-1] is not self._searches[target]:
+                seen.append(self._searches[target])
         return path
 
 
@@ -372,24 +372,80 @@ def _bridged(kind):
     )
 
 
+def _walking_grid():
+    """A 3x3 grid 100 apart whose nodes all walk within 30 of their points
+    every tick; n4, in the middle, leads, and every member sends it a
+    heartbeat every other tick, a corner's often over two hops with a choice
+    of relays."""
+    offsets = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (-30.0, 0.0), (0.0, -30.0), (30.0, 30.0), (-30.0, -30.0)]
+    nodes = []
+    for i in range(9):
+        x, y = 100.0 * (i % 3), 100.0 * (i // 3)
+        trace = [(x + offsets[(i + t) % 7][0], y + offsets[(2 * i + t) % 7][1]) for t in range(14)]
+        nodes.append(NodeSpec(f"n{i}", trace, 1.0 if i == 4 else 0.3))
+    return Scenario(
+        seed=3,
+        nodes=nodes,
+        groups=[GroupSpec("g1", 11, [node.name for node in nodes])],
+        params=SimParams(radio_radius=140.0, heartbeat_period=2, liveness_deadline=9, duration=13),
+    )
+
+
+def _crash_between_senders():
+    """P and Q both reach L only through R.  At tick 6, P opens a session
+    with L, R crashes, then Q opens one: Q's search toward L must not be
+    the one P's session used."""
+    nodes = [NodeSpec("L", [(0.0, 0.0)], 1.0), NodeSpec("R", [(100.0, 0.0)], 0.3),
+             NodeSpec("P", [(200.0, 0.0)], 0.3), NodeSpec("Q", [(150.0, 80.0)], 0.3)]
+    return Scenario(
+        seed=2,
+        nodes=nodes,
+        groups=[GroupSpec("g1", 6, ["L", "P", "Q", "R"])],
+        params=SimParams(radio_radius=110.0, heartbeat_period=3, duration=9),
+        script=[Action(6, "session", ("P", "L")), Action(6, "crash", ("R",)), Action(6, "session", ("Q", "L"))],
+    )
+
+
+def _forged_join_far():
+    """X, which cannot relay, sends a forged join to the leader L three hops
+    away, X-M-N-L.  D, a dropper that cannot relay either, is as near to L
+    as M and sorts before it."""
+    nodes = [NodeSpec("X", [(0.0, 0.0)]), NodeSpec("D", [(100.0, 40.0)]), NodeSpec("M", [(100.0, 0.0)], 0.3),
+             NodeSpec("N", [(200.0, 0.0)], 0.3), NodeSpec("L", [(300.0, 0.0)], 1.0)]
+    return Scenario(
+        seed=4,
+        nodes=nodes,
+        groups=[GroupSpec("g1", 6, ["L", "M", "N"])],
+        params=SimParams(radio_radius=110.0, heartbeat_period=3, duration=12),
+        script=[Action(2, "forged_join", ("X", "g1"))],
+        adversaries=[AdversarySpec("impersonate", ("node", "X")), AdversarySpec("drop_all", ("node", "D"))],
+    )
+
+
 @settings(max_examples=120, deadline=None)
 @given(_path_scenario())
 @example(_bridged("drop_all"))
 @example(_bridged("mitm_relay"))
+@example(_walking_grid())
+@example(_crash_between_senders())
+@example(_forged_join_far())
 def test_kept_path_searches_equal_fresh_searches(scenario):
     _CheckedPaths(scenario).run()
 
 
-def test_static_run_keeps_one_path_search_per_source():
-    # No node moves or dies, so the search a source starts serves every
-    # unicast it sends for the rest of the run, founding keysets included.
+def test_static_run_keeps_one_path_search_per_addressee():
+    # No node moves or dies, so the search rooted at an addressee serves
+    # every sender that addresses it for the rest of the run, founding
+    # keysets included.
     sim = _CheckedPaths(line_scenario(["A", "B", "C", "D", "E"], duration=40))
     sim.run()
-    relayed = [(tick, source) for tick, source, _, path in sim.paths if path is not None and len(path) > 2]
-    assert len({source for _, source in relayed}) >= 2 and len({tick for tick, _ in relayed}) >= 2
-    assert len(sim._searches) == len({source for _, source in relayed})
-    for _, source in relayed:
-        assert len(sim.searches_seen[source]) == 1 and sim.searches_seen[source][0] is sim._searches[source]
+    relayed = [(tick, source, target) for tick, source, target, path in sim.paths if path is not None and len(path) > 2]
+    addressees = {target for _, _, target in relayed}
+    assert len(addressees) >= 2 and len({tick for tick, _, _ in relayed}) >= 2
+    assert any(len({source for _, source, t in relayed if t == target}) >= 2 for target in addressees)
+    assert len(sim._searches) == len(addressees)
+    for target in addressees:
+        assert len(sim.searches_seen[target]) == 1 and sim.searches_seen[target][0] is sim._searches[target]
 
 
 class _CheckedReach(Simulation):

@@ -46,15 +46,15 @@ def main():
     log = run(scenario)
     step = 0
     for event in log.events:
-        if event.kind == "send" and event.principals in ("L", "N"):
-            kind = event.detail.split(":", 1)[0]
+        if event.kind == "send" and event.actor in ("L", "N"):
+            kind = event.word
             if kind in (
                 "JOIN_REQ", "ZK_PARAMS", "ZK_CHALLENGE", "ZK_RESPONSE",
                 "CERT", "ADMIT", "NONCE", "MEMBER_SET", "REKEY",
             ) and step < 9:
                 step += 1
                 print(f"  message {step}: t={event.tick:<3} {event.principals} sends {kind:<12} ({NAMES[step]})")
-        if event.kind in ("admit", "remove", "rekey") and "ring" not in event.detail:
+        if event.kind in ("admit", "remove", "rekey") and event.word != "ring":
             print(f"  event:     t={event.tick:<3} {event.kind} {event.principals} {event.detail}")
     print()
     for who in ("N", "M2"):

@@ -30,11 +30,9 @@ def build(with_relay):
 def show(title, log):
     print(f"--- {title} ---")
     for event in log.events:
-        if event.kind == "deliver" and "RREQ" in event.detail:
+        if event.kind == "deliver" and event.word == "RREQ":
             print(f"  t={event.tick:<3} {event.principals:<12} carries the request")
-        if event.kind == "verdict" and (
-            event.detail.startswith(("accept:", "reject:", "route_installed"))
-        ):
+        if event.kind == "verdict" and event.word in ("accept", "reject", "route_installed"):
             print(f"  t={event.tick:<3} {event.principals:<12} {event.detail}")
     report = audit(log)
     print(f"  audit: {'all properties hold' if report.passed else report.to_text()}")

@@ -13,9 +13,10 @@ the rekey is in flight (multi-hop delivery takes one tick per hop), so a
 ciphertext under an old epoch only counts against backward secrecy if its
 sender had already received newer key material when it spoke.
 
-An audit reads the log once.  One pass splits every event's principals
-and detail and builds the index all ten checks read from: deliveries by
-recipient, the rekey timeline and the membership intervals.  Each
+An audit reads the log once.  Events hold their principals and detail
+parts as fields, and one pass over them builds the index all ten checks
+read from: deliveries by recipient, the rekey timeline and the membership
+intervals.  Each
 distinct payload is decoded at most once, and each principal's knowledge
 set is closed once and shared by both secrecy checks.
 """
@@ -50,6 +51,7 @@ class PropertyResult:
 @dataclass
 class AuditReport:
     results: list
+    met: list = field(default_factory=list)  # whether each run expectation held, in order
 
     @property
     def passed(self) -> bool:
@@ -81,11 +83,6 @@ class KnowledgeSet:
 class _Entry(NamedTuple):
     index: int  # position in the log
     event: SimEvent
-    actor: str
-    recipient: Optional[str]  # after ">", if any
-    about: str  # after ":", or ""
-    word: str  # the detail's leading word
-    fields: dict  # the detail's key=value tokens; shared, never mutated
 
 
 @dataclass
@@ -125,52 +122,31 @@ class _LogIndex:
         self.changes = []  # membership changes in log order
         self._messages: dict = {}
         self._knowledge: dict = {}
-        self._parties: dict = {}  # principals -> (actor, recipient, about)
-        self._details: dict = {}  # detail -> (word, fields)
         leaders: dict[str, str] = {}
         for i, event in enumerate(log.events):
-            entry = self._split(i, event)
+            entry = _Entry(i, event)
             self.entries.append(entry)
-            self.by_kind.setdefault(event.kind, []).append(entry)
-            kind, fields = event.kind, entry.fields
+            kind = event.kind
+            self.by_kind.setdefault(kind, []).append(entry)
             if kind == "deliver" and event.digest != "-":
-                self.received.setdefault(entry.recipient, []).append(entry)
-            elif kind == "rekey" and entry.word != "ring" and "lineage" in fields and "epoch" in fields:
-                lineage = fields["lineage"]
-                points = self.timeline.setdefault(lineage.rsplit("-", 1)[0], [])
-                points.append(RekeyPoint(len(points), i, event.tick, lineage, int(fields["epoch"])))
+                self.received.setdefault(event.recipient, []).append(entry)
+            elif kind == "rekey" and event.word != "ring":
+                lineage, epoch = event.get("lineage"), event.get("epoch")
+                if lineage is not None and epoch is not None:
+                    points = self.timeline.setdefault(lineage.rsplit("-", 1)[0], [])
+                    points.append(RekeyPoint(len(points), i, event.tick, lineage, int(epoch)))
             elif kind in ("admit", "remove"):
                 self.changes.append(
-                    MembershipChange(i, event.tick, entry.about, "in" if kind == "admit" else "out")
+                    MembershipChange(i, event.tick, event.about, "in" if kind == "admit" else "out")
                 )
             elif kind == "elect":
-                group = fields["group"]
+                group = event.get("group")
                 previous = leaders.get(group)
-                if previous is not None and previous != entry.actor:
+                if previous is not None and previous != event.actor:
                     self.changes.append(MembershipChange(i, event.tick, previous, "out"))
-                leaders[group] = entry.actor
-                self.changes.append(MembershipChange(i, event.tick, entry.actor, "in"))
+                leaders[group] = event.actor
+                self.changes.append(MembershipChange(i, event.tick, event.actor, "in"))
         self.intervals = _membership_intervals(self.changes)
-
-    def _split(self, index: int, event: SimEvent) -> _Entry:
-        """Read an event's principals (`actor`, `actor>recipient` or
-        `actor:about`) and detail (`:`-separated tokens).  Each distinct
-        string is split once: a broadcast's deliveries share one detail."""
-        parties = self._parties.get(event.principals)
-        if parties is None:
-            # str(): an election signalled for no group logs principals
-            # None, which the log text renders as "None".
-            principals = str(event.principals)
-            head, _, about = principals.partition(":")
-            _, arrow, recipient = principals.partition(">")
-            parties = (head.partition(">")[0], recipient if arrow else None, about)
-            self._parties[event.principals] = parties
-        detail = self._details.get(event.detail)
-        if detail is None:
-            tokens = event.detail.split(":")
-            detail = (tokens[0], dict(token.split("=", 1) for token in tokens if "=" in token))
-            self._details[event.detail] = detail
-        return _Entry(index, event, *parties, *detail)
 
     def of_kind(self, kind: str) -> list:
         return self.by_kind.get(kind, [])
@@ -190,6 +166,11 @@ class _LogIndex:
         if principal not in self._knowledge:
             self._knowledge[principal] = knowledge_set(principal, self)
         return self._knowledge[principal]
+
+    @cached_property
+    def outcomes(self) -> list:
+        """(met, hit event indices) of each run expectation, in order."""
+        return [_expectation_met(self, expectation) for expectation in self.registry.expectations]
 
     @cached_property
     def ciphertexts(self) -> tuple:
@@ -349,11 +330,11 @@ def _collect_ciphertexts(index: _LogIndex):
             group_ct.append(
                 GroupCiphertext(
                     entry.index, event.tick, message["group"], message["lineage"], message["epoch"],
-                    message["sealed"], entry.actor,
+                    message["sealed"], event.actor,
                 )
             )
         elif message.kind == MessageKind.REKEY:
-            pk_ct.append(PkCiphertext(entry.index, event.tick, entry.fields["to"], message["sealed"]))
+            pk_ct.append(PkCiphertext(entry.index, event.tick, event.get("to"), message["sealed"]))
     return group_ct, pk_ct
 
 
@@ -426,7 +407,7 @@ def audit(log: EventLog) -> AuditReport:
         _check_conservation(index),
         _check_secret_confinement(index),
     ]
-    return AuditReport(results=results)
+    return AuditReport(results, [met for met, _ in index.outcomes])
 
 
 def _attempt_all(provider, knowledge: KnowledgeSet, sealed: bytes) -> bool:
@@ -495,9 +476,9 @@ def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
     intervals = index.intervals
     failures = []
     for join in index.of_kind("admit"):
-        if join.event.detail != "handshake":
+        if join.event.parts != ("handshake",):
             continue
-        node, join_tick = join.about, join.event.tick
+        node, join_tick = join.event.about, join.event.tick
         knowledge = index.knowledge(node)
         # Epochs inside earlier membership intervals of this node are its
         # own history, not "the past" this property protects.
@@ -522,14 +503,14 @@ def _check_mutual_auth(index: _LogIndex) -> PropertyResult:
     cert_ok: set = set()
     failures = []
     for entry in index.entries:
-        kind, detail = entry.event.kind, entry.event.detail
-        if kind == "verdict":
-            if detail == "zk_ok":
-                zk_ok.add(entry.about)
-            elif detail == "cert_ok":
-                cert_ok.add(entry.about)
-        elif kind == "admit" and detail == "handshake":
-            node = entry.about
+        event = entry.event
+        if event.kind == "verdict":
+            if event.parts == ("zk_ok",):
+                zk_ok.add(event.about)
+            elif event.parts == ("cert_ok",):
+                cert_ok.add(event.about)
+        elif event.kind == "admit" and event.parts == ("handshake",):
+            node = event.about
             if node not in zk_ok or node not in cert_ok:
                 failures.append(entry.index)
             zk_ok.discard(node)
@@ -540,7 +521,7 @@ def _check_mutual_auth(index: _LogIndex) -> PropertyResult:
 def _check_chain_soundness(index: _LogIndex) -> PropertyResult:
     failures = []
     for entry in index.of_kind("verdict"):
-        if entry.word != "accept" or entry.event.digest == "-":
+        if entry.event.word != "accept" or entry.event.digest == "-":
             continue
         message = index.message(entry.event.digest)
         if message is None:
@@ -563,10 +544,11 @@ def _check_duplicate_suppression(index: _LogIndex) -> PropertyResult:
     seen = set()
     failures = []
     for entry in index.of_kind("verdict"):
-        fields = entry.fields
-        if entry.word != "rreq_processed" or "source" not in fields or "seq" not in fields:
+        event = entry.event
+        source, seq = event.get("source"), event.get("seq")
+        if event.word != "rreq_processed" or source is None or seq is None:
             continue
-        key = (entry.actor, fields["source"], fields["seq"])
+        key = (event.actor, source, seq)
         if key in seen:
             failures.append(entry.index)
         seen.add(key)
@@ -581,24 +563,23 @@ def _expectation_met(index: _LogIndex, expectation) -> tuple[bool, list]:
     kind, args = _NEGATED.get(expectation.kind, expectation.kind), expectation.args
     if kind == "route":
         source, dest = args
-        needle = f"route_installed:dest={dest}"
-        where, test = "verdict", lambda e: e.actor == source and e.event.detail.startswith(needle)
+        where, test = "verdict", lambda e: e.actor == source and e.parts[:2] == ("route_installed", ("dest", dest))
     elif kind == "verdict":
         node, prefix = args
-        where, test = "verdict", lambda e: e.actor == node and e.event.detail.startswith(prefix)
+        where, test = "verdict", lambda e: e.actor == node and e.detail.startswith(prefix)
     elif kind == "admitted":
         (node,) = args
-        where, test = "admit", lambda e: e.about == node and e.event.detail == "handshake"
+        where, test = "admit", lambda e: e.about == node and e.parts == ("handshake",)
     elif kind == "session":
         a, b, status = args
-        pair, needle = f"{a}-{b}", f"session_{status}"
-        where, test = "verdict", lambda e: e.about == pair and e.event.detail.startswith(needle)
+        pair, word = f"{a}-{b}", f"session_{status}"
+        where, test = "verdict", lambda e: e.about == pair and e.word == word
     elif kind == "alerted":
         (accused,) = args
         where, test = "alert", lambda e: e.about == accused
     else:
         raise SimulationError(f"unknown expectation kind {expectation.kind!r}")
-    hits = [e.index for e in index.of_kind(where) if test(e)]
+    hits = [entry.index for entry in index.of_kind(where) if test(entry.event)]
     return (bool(hits) != (expectation.kind in _NEGATED), hits)
 
 
@@ -608,8 +589,7 @@ def expectation_met(log: EventLog, expectation) -> tuple[bool, list]:
 
 def _check_detection_outcomes(index: _LogIndex) -> PropertyResult:
     failures = []
-    for n, expectation in enumerate(index.registry.expectations):
-        ok, hits = _expectation_met(index, expectation)
+    for n, (ok, hits) in enumerate(index.outcomes):
         if not ok:
             failures.append(hits[0] if hits else n)
     return PropertyResult("detection_outcomes", not failures, failures)
@@ -630,15 +610,15 @@ def _check_causality(index: _LogIndex) -> PropertyResult:
     sends = {}
     failures = []
     for entry in index.entries:
-        tx = entry.fields.get("tx")
+        event = entry.event
+        tx = event.get("tx")
         if tx is None:
             continue
-        event = entry.event
         if event.kind == "send":
             sends[tx] = event.tick
         elif event.kind in ("deliver", "drop"):
             sent = sends.get(tx)
-            hops = int(entry.fields.get("hops", 1))
+            hops = int(event.get("hops", 1))
             if sent is None or (event.kind == "deliver" and event.tick != sent + hops):
                 failures.append(entry.index)
     return PropertyResult("causality", not failures, failures)
@@ -648,10 +628,13 @@ def _check_conservation(index: _LogIndex) -> PropertyResult:
     outcomes = set()
     failures = []
     for entry in index.entries:
-        tx = entry.fields.get("tx")
-        if entry.event.kind not in ("deliver", "drop") or tx is None:
+        event = entry.event
+        if event.kind not in ("deliver", "drop"):
             continue
-        key = (tx, entry.recipient or entry.event.principals)
+        tx = event.get("tx")
+        if tx is None:
+            continue
+        key = (tx, event.recipient or event.principals)
         if key in outcomes:
             failures.append(entry.index)
         outcomes.add(key)

@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from .audit import audit, expectation_met
+from .audit import audit
 from .scenariofile import ScenarioParseError, parse_scenario
 from .sim import SimulationError, parse_log_text, run, validate_scenario
 
@@ -96,8 +96,7 @@ def cmd_run(args) -> int:
     ok = report.passed
     for result in report.results:
         print(result.line())
-    for expectation in scenario.expectations:
-        met, _ = expectation_met(log, expectation)
+    for expectation, met in zip(scenario.expectations, report.met):
         label = f"expect {expectation.kind} {' '.join(str(a) for a in expectation.args)}"
         print(f"{label}: {'MET' if met else 'MISSED'}")
         ok = ok and met
@@ -105,25 +104,20 @@ def cmd_run(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-# Timeline rows of `report`, in summary order: (event kind, detail prefix,
-# summary counter, timeline label).  An event matches at most one row.
+# Timeline rows of `report`, in summary order: (event kind, the detail's
+# leading word or None for any, summary counter, timeline label).  An event
+# matches at most one row.
 _REPORT_ROWS = (
-    ("elect", "", "elections", "elect"),
-    ("admit", "", "admits", "admit"),
-    ("remove", "", "removals", "remove"),
-    ("rekey", "", "rekeys", "rekey"),
+    ("elect", None, "elections", "elect"),
+    ("admit", None, "admits", "admit"),
+    ("remove", None, "removals", "remove"),
+    ("rekey", None, "rekeys", "rekey"),
     ("verdict", "discovery_started", "discoveries", "discover"),
-    ("verdict", "accept:", "accepts", "accept"),
-    ("verdict", "reject:", "rejects", "reject"),
+    ("verdict", "accept", "accepts", "accept"),
+    ("verdict", "reject", "rejects", "reject"),
     ("verdict", "route_installed", "routes_installed", "route"),
-    ("alert", "", "alerts", "alert"),
+    ("alert", None, "alerts", "alert"),
 )
-
-
-def _drop_reason(detail: str) -> str:
-    """A drop's detail without its `name=value` parts:
-    `duplicate:source=S:seq=1` -> `duplicate`."""
-    return ":".join(part for part in detail.split(":") if "=" not in part)
 
 
 def cmd_report(args) -> int:
@@ -140,8 +134,8 @@ def cmd_report(args) -> int:
         return EXIT_INVALID
     counts = dict.fromkeys((counter for _, _, counter, _ in _REPORT_ROWS), 0)
     for event in log.events:
-        for kind, prefix, counter, label in _REPORT_ROWS:
-            if event.kind == kind and event.detail.startswith(prefix):
+        for kind, word, counter, label in _REPORT_ROWS:
+            if event.kind == kind and word in (None, event.word):
                 counts[counter] += 1
                 print(f"t={event.tick:<4} {label:<8} {event.principals} ({event.detail})")
                 break
@@ -149,11 +143,12 @@ def cmd_report(args) -> int:
         "summary: "
         + " ".join(f"{name}={value}" for name, value in counts.items())
     )
-    drops = Counter(_drop_reason(event.detail) for event in log.events if event.kind == "drop")
+    # Drops by reason, the words of a drop's detail.
+    drops = Counter(event.words for event in log.events if event.kind == "drop")
     print("drops: " + (" ".join(f"{reason}={drops[reason]}" for reason in sorted(drops)) or "none"))
-    # Traffic by message kind, the first `:` part of a send or deliver detail.
-    sent = Counter(event.detail.split(":", 1)[0] for event in log.events if event.kind == "send")
-    delivered = Counter(event.detail.split(":", 1)[0] for event in log.events if event.kind == "deliver")
+    # Traffic by message kind, the leading word of a send or deliver detail.
+    sent = Counter(event.word for event in log.events if event.kind == "send")
+    delivered = Counter(event.word for event in log.events if event.kind == "deliver")
     kinds = sorted(sent.keys() | delivered.keys())
     print("traffic: " + (" ".join(f"{kind}={sent[kind]}/{delivered[kind]}" for kind in kinds) or "none"))
     return EXIT_OK

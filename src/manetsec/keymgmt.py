@@ -256,7 +256,7 @@ class LeaderKeyService:
             self._send_keyset(member_name, h.member_publics[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
             self.trust.setdefault(member_name, 0.5)
-        ctx.note("rekey", f"{cause}:lineage={self.hierarchy.lineage}:epoch={self.hierarchy.epoch}")
+        ctx.note("rekey", cause, ("lineage", self.hierarchy.lineage), ("epoch", self.hierarchy.epoch))
 
     # -- rekey messages --------------------------------------------------------
 
@@ -299,17 +299,17 @@ class LeaderKeyService:
 
     def _reject(self, session: LeaderJoinSession, reason: str, ctx: Ctx) -> None:
         session.phase = JoinPhase.REJECTED
-        ctx.note("verdict", f"join_rejected:{reason}", about=session.requester)
+        ctx.note("verdict", "join_rejected", reason, about=session.requester)
 
     def _join_request(self, message: Message, ctx: Ctx) -> None:
         requester = message["requester"]
         if requester in self.hierarchy.members():
-            ctx.note("verdict", "join_rejected:already_member", about=requester)
+            ctx.note("verdict", "join_rejected", "already_member", about=requester)
             return
         if len(self.hierarchy.members()) >= self.capacity:
             session = LeaderJoinSession(requester, JoinPhase.REJECTED, [])
             self.join_sessions[requester] = session
-            ctx.note("verdict", "join_rejected:capacity", about=requester)
+            ctx.note("verdict", "join_rejected", "capacity", about=requester)
             return
         commitments = []
         witnesses = []
@@ -424,7 +424,7 @@ class LeaderKeyService:
         self.trust.setdefault(session.requester, 0.5)
         ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
         ctx.note("admit", "handshake", about=session.requester)
-        ctx.note("rekey", f"join:lineage={h.lineage}:epoch={h.epoch}")
+        ctx.note("rekey", "join", ("lineage", h.lineage), ("epoch", h.epoch))
 
     # -- removal and liveness -------------------------------------------------
 
@@ -461,7 +461,7 @@ class LeaderKeyService:
                 recipients += departed.items()
             for member_name, public in recipients:
                 self._send_keyset(member_name, public, inner, ctx)
-            ctx.note("rekey", f"leave:lineage={h.lineage}:epoch={h.epoch}")
+            ctx.note("rekey", "leave", ("lineage", h.lineage), ("epoch", h.epoch))
         if reason == "misbehavior":
             for name in departed:
                 ctx.emit(self._alert(name, "misbehavior"), to=BROADCAST, channel="ring")
@@ -580,7 +580,7 @@ class MemberKeyService:
     def _abort_join(self, reason: str, ctx: Ctx) -> None:
         if self.join is not None:
             self.join.phase = JoinPhase.REJECTED
-        ctx.note("verdict", f"join_abort:{reason}", about=self.name)
+        ctx.note("verdict", "join_abort", reason, about=self.name)
 
     def _zk_params(self, message: Message, ctx: Ctx) -> None:
         join = self.join
@@ -682,15 +682,15 @@ class MemberKeyService:
         if mode == "group":
             old = self.keyring.get((message["lineage"], message["epoch"]))
             if old is None:
-                ctx.note("verdict", "rekey_undecryptable:unknown_epoch", about=self.name)
+                ctx.note("verdict", "rekey_undecryptable", "unknown_epoch", about=self.name)
                 return
             try:
                 opened = open_sealed(message.kind, self.provider.sym_decrypt(old, message["sealed"]), mode)
             except UNOPENABLE:
-                ctx.note("verdict", "rekey_undecryptable:auth", about=self.name)
+                ctx.note("verdict", "rekey_undecryptable", "auth", about=self.name)
                 return
             if not self._key_fits(opened["group_key"]):
-                ctx.note("verdict", "rekey_undecryptable:bad_key", about=self.name)
+                ctx.note("verdict", "rekey_undecryptable", "bad_key", about=self.name)
                 return
             self._store_keyset(opened)
         elif mode == "public":
@@ -698,11 +698,11 @@ class MemberKeyService:
                 plain = self.provider.pk_decrypt(self.keypair.private, message["sealed"])
                 opened = open_sealed(message.kind, plain, mode)
             except UNOPENABLE:
-                ctx.note("verdict", "rekey_undecryptable:not_addressee", about=self.name)
+                ctx.note("verdict", "rekey_undecryptable", "not_addressee", about=self.name)
                 return
             member_key = opened["member_key"]
             if not self._key_fits(opened["group_key"]) or (member_key and not self._key_fits(member_key)):
-                ctx.note("verdict", "rekey_undecryptable:bad_key", about=self.name)
+                ctx.note("verdict", "rekey_undecryptable", "bad_key", about=self.name)
                 return
             self.leader = opened["leader"]
             self.leader_public = opened["leader_public"]
@@ -771,15 +771,11 @@ class SessionService:
 
     def _abort(self, session: SessionState, reason: str, ctx: Ctx) -> None:
         session.phase = SessionPhase.ABORTED
-        ctx.note(
-            "verdict",
-            f"session_aborted:{reason}",
-            about=f"{session.initiator}-{session.responder}",
-        )
+        ctx.note("verdict", "session_aborted", reason, about=f"{session.initiator}-{session.responder}")
 
     def initiate(self, peer: str, leader: str, ctx: Ctx) -> None:
         if peer in self.distrusted:
-            ctx.note("verdict", "session_refused:distrusted", about=f"{self.name}-{peer}")
+            ctx.note("verdict", "session_refused", "distrusted", about=f"{self.name}-{peer}")
             return
         self.sessions[(self.name, peer)] = SessionState(initiator=self.name, responder=peer)
         if peer not in self.directory:
@@ -806,7 +802,7 @@ class SessionService:
     def handle_session1(self, message: Message, leader: str, ctx: Ctx) -> None:
         opened = self.open_addressed(message)
         if opened is None:
-            ctx.note("verdict", "session_drop:not_addressee", about=self.name)
+            ctx.note("verdict", "session_drop", "not_addressee", about=self.name)
             return
         self.answer_session1(opened, leader, ctx)
 
@@ -894,7 +890,7 @@ class SessionService:
                 session = candidate
                 break
         if session is None:
-            ctx.note("verdict", "session_aborted:no_matching_exchange", about=self.name)
+            ctx.note("verdict", "session_aborted", "no_matching_exchange", about=self.name)
             return
         if opened["t_b"] != session.t_b:
             self._abort(session, "timestamp_mismatch", ctx)

@@ -13,6 +13,7 @@ event log records it separately.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -60,6 +61,16 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
+# A node or group name, as scenarios give them.  Names are written into the
+# event log, so a name field never carries the log's separators, a tab or a
+# line break.
+NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
+
+
+def _is_name(value) -> bool:
+    return isinstance(value, str) and NAME_RE.fullmatch(value) is not None
+
+
 def _is_bytes(value) -> bool:
     return isinstance(value, bytes)
 
@@ -79,9 +90,10 @@ def _list_of(check):
 _TYPE_CHECKS = {
     "int": _is_int,
     "str": _is_str,
+    "name": _is_name,
     "bytes": _is_bytes,
     "list[int]": _list_of(_is_int),
-    "list[str]": _list_of(_is_str),
+    "list[name]": _list_of(_is_name),
     "list[bytes]": _list_of(_is_bytes),
     "rows": _list_of(_is_row),
 }
@@ -89,10 +101,11 @@ _TYPE_CHECKS = {
 # The wire type of every field name, in message headers and in sealed
 # plaintexts alike: a name means the same kind of value wherever it appears.
 FIELD_TYPES: dict[str, str] = {
+    **dict.fromkeys(("lineage", "mode", "reason", "role", "tag", "text"), "str"),
     **dict.fromkeys(
-        ("requester", "join_id", "subject", "group", "lineage", "mode", "initiator", "responder", "accused",
-         "reason", "who", "role", "leader", "source", "dest", "from_leader", "tag", "text", "origin"),
-        "str",
+        ("requester", "join_id", "subject", "group", "initiator", "responder", "accused", "who", "leader",
+         "source", "dest", "from_leader", "origin"),
+        "name",
     ),
     **dict.fromkeys(
         ("modulus", "square", "epoch", "beat", "seq", "lifetime", "hop", "member_id", "nonce", "nonce2", "t_a",
@@ -107,7 +120,7 @@ FIELD_TYPES: dict[str, str] = {
     "commitments": "list[int]",
     "challenges": "list[int]",
     "responses": "list[int]",
-    "route": "list[str]",
+    "route": "list[name]",
     "sigs": "list[bytes]",
     "rows": "rows",
 }

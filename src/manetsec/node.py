@@ -278,7 +278,7 @@ class ProtocolNode:
             return
         leader = self.current_leader_name()
         if leader is None:
-            ctx.note("verdict", f"no_route:dest={dest}:not_in_group", about=self.name)
+            ctx.note("verdict", "no_route", ("dest", dest), "not_in_group", about=self.name)
             return
         if self.router.route_to(leader) is not None:
             self._request_composed(dest, leader, ctx)
@@ -298,18 +298,18 @@ class ProtocolNode:
         plain = seal_plain(MessageKind.DATA, tag="chat", source=self.name, text=text)
         if dest == BROADCAST:
             if not self._emit_data(plain, [], 0, BROADCAST, ctx):
-                ctx.note("verdict", "send_failed:no_group", about=self.name)
+                ctx.note("verdict", "send_failed", "no_group", about=self.name)
             return
         self._send_routed(plain, dest, ctx)
 
     def _send_routed(self, plain: bytes, dest: str, ctx: Ctx) -> None:
         entry = self.router.route_to(dest)
         if entry is None:
-            ctx.note("verdict", f"send_failed:no_route:dest={dest}", about=self.name)
+            ctx.note("verdict", "send_failed", "no_route", ("dest", dest), about=self.name)
             return
         to = entry.route[1] if len(entry.route) > 1 else dest
         if not self._emit_data(plain, entry.route, 1, to, ctx):
-            ctx.note("verdict", "send_failed:no_group", about=self.name)
+            ctx.note("verdict", "send_failed", "no_group", about=self.name)
 
     def _emit_data(self, plain: bytes, route: list, hop: int, to: str, ctx: Ctx) -> bool:
         """Seal `plain` under the current group key and emit it as DATA;
@@ -352,13 +352,13 @@ class ProtocolNode:
         else:
             key = self.lookup_group_key(message["lineage"], message["epoch"])
         if key is None:
-            ctx.note("drop", "data_undecryptable:no_key", about=self.name)
+            ctx.note("drop", "data_undecryptable", "no_key", about=self.name)
             return
         try:
             plain = self.provider.sym_decrypt(key, message["sealed"])
             inner = open_sealed(message.kind, plain) if hop == len(route) - 1 else None
         except UNOPENABLE:
-            ctx.note("drop", "data_undecryptable:auth", about=self.name)
+            ctx.note("drop", "data_undecryptable", "auth", about=self.name)
             return
         if inner is not None:
             self._consume_data(inner, ctx)
@@ -383,12 +383,12 @@ class ProtocolNode:
             )
             return
         if not self._emit_data(plain, route, hop + 1, nxt, ctx):
-            ctx.note("drop", "data_undeliverable:no_group", about=self.name)
+            ctx.note("drop", "data_undeliverable", "no_group", about=self.name)
 
     def _consume_data(self, inner: dict, ctx: Ctx) -> None:
         tag = inner["tag"]
         if tag == "chat":
-            ctx.note("verdict", f"data_delivered:from={inner['source']}", about=self.name)
+            ctx.note("verdict", "data_delivered", ("from", inner["source"]), about=self.name)
         elif tag == "route_wanted":
             if self.leader_service is not None:
                 self._gateway_request(inner["requester"], inner["dest"], inner["seq"], ctx)
@@ -397,12 +397,12 @@ class ProtocolNode:
             if self.pending_composed.get(dest) == seq:
                 del self.pending_composed[dest]
                 self.router.install(dest, inner["route"], seq, ctx.now)
-                ctx.note("verdict", f"route_installed:dest={dest}:seq={seq}:composed", about=self.name)
+                ctx.note("verdict", "route_installed", ("dest", dest), ("seq", seq), "composed", about=self.name)
         elif tag == "route_failed":
             dest, seq = inner["dest"], inner["seq"]
             if self.pending_composed.get(dest) == seq:
                 del self.pending_composed[dest]
-            ctx.note("verdict", f"no_route:dest={dest}:seq={seq}", about=self.name)
+            ctx.note("verdict", "no_route", ("dest", dest), ("seq", seq), about=self.name)
 
     # ------------------------------------------------------------------ gateway
 
@@ -426,7 +426,7 @@ class ProtocolNode:
     def _gateway_fail(self, requester: str, dest: str, seq: int, ctx: Ctx) -> None:
         if requester == self.name:
             self.pending_composed.pop(dest, None)
-            ctx.note("verdict", f"no_route:dest={dest}:seq={seq}", about=self.name)
+            ctx.note("verdict", "no_route", ("dest", dest), ("seq", seq), about=self.name)
         else:
             self._send_routed(seal_plain(MessageKind.DATA, tag="route_failed", dest=dest, seq=seq), requester, ctx)
 
@@ -461,7 +461,7 @@ class ProtocolNode:
             if requester == self.name:
                 self.pending_composed.pop(dest, None)
                 self.router.install(dest, [self.name] + remote_route, seq, ctx.now)
-                ctx.note("verdict", f"route_installed:dest={dest}:seq={seq}:composed", about=self.name)
+                ctx.note("verdict", "route_installed", ("dest", dest), ("seq", seq), "composed", about=self.name)
                 return
             entry = self.router.route_to(requester)
             if entry is None:
@@ -730,10 +730,10 @@ class AdversaryNode:
 # The single-field mutations `mutate_message` knows, each with the wire
 # types (`messages.FIELD_TYPES`) it applies to; those in VALUE_OPS take a
 # value.
-_LISTS = ("list[int]", "list[str]", "list[bytes]")
+_LISTS = ("list[int]", "list[name]", "list[bytes]")
 MUTATION_OPS = {
     "add": ("int",),
-    "set": ("int", "str"),
+    "set": ("int", "str", "name"),
     "flip": ("bytes",),
     "flipbit": ("bytes",),
     "flip_item": ("list[bytes]",),

@@ -190,7 +190,7 @@ class Router:
         )
         self.seen.add((self.name, seq))
         ctx.emit(message)
-        ctx.note("verdict", f"discovery_started:dest={dest}:seq={seq}", about=self.name)
+        ctx.note("verdict", "discovery_started", ("dest", dest), ("seq", seq), about=self.name)
         return seq
 
     # -- request handling ------------------------------------------------------
@@ -198,13 +198,13 @@ class Router:
     def handle_rreq(self, message: Message, directory: dict, members: set, ctx: Ctx) -> None:
         source, dest, seq = message["source"], message["dest"], message["seq"]
         if any(node not in members for node in message["route"]):
-            ctx.note("drop", f"foreign_group:source={source}:seq={seq}", about=self.name)
+            ctx.note("drop", "foreign_group", ("source", source), ("seq", seq), about=self.name)
             return
         if (source, seq) in self.seen:
-            ctx.note("drop", f"duplicate:source={source}:seq={seq}", about=self.name)
+            ctx.note("drop", "duplicate", ("source", source), ("seq", seq), about=self.name)
             return
         self.seen.add((source, seq))
-        ctx.note("verdict", f"rreq_processed:source={source}:seq={seq}", about=self.name)
+        ctx.note("verdict", "rreq_processed", ("source", source), ("seq", seq), about=self.name)
         if dest == self.name:
             self._destination_verify(message, directory, ctx)
         else:
@@ -213,16 +213,16 @@ class Router:
     def _forward_rreq(self, message: Message, directory: dict, ctx: Ctx) -> None:
         source, seq = message["source"], message["seq"]
         if self.name in message["route"]:
-            ctx.note("drop", f"loop:source={source}:seq={seq}", about=self.name)
+            ctx.note("drop", "loop", ("source", source), ("seq", seq), about=self.name)
             return
         if message["lifetime"] < 1:
-            ctx.note("drop", f"lifetime_exhausted:source={source}:seq={seq}", about=self.name)
+            ctx.note("drop", "lifetime_exhausted", ("source", source), ("seq", seq), about=self.name)
             return
         if not verify_route_signatures(self.provider, message, directory):
-            ctx.note("verdict", f"rreq_discard:bad_signature:source={source}:seq={seq}", about=self.name)
+            ctx.note("verdict", "rreq_discard", "bad_signature", ("source", source), ("seq", seq), about=self.name)
             return
         if self.strict_chain and not chain_matches(self.provider, message):
-            ctx.note("verdict", f"rreq_discard:chain_mismatch:source={source}:seq={seq}", about=self.name)
+            ctx.note("verdict", "rreq_discard", "chain_mismatch", ("source", source), ("seq", seq), about=self.name)
             return
         new_lifetime = message["lifetime"] - 1
         payload = rreq_signed_payload(source, message["dest"], seq, self.name)
@@ -239,18 +239,13 @@ class Router:
         source, seq = message["source"], message["seq"]
         verdict, reason = self.check_as_destination(message, directory)
         if verdict == REJECT:
-            ctx.note(
-                "verdict",
-                f"{REJECT}:{reason}:source={source}:seq={seq}",
-                about=self.name,
-                message=message,
-            )
+            ctx.note("verdict", REJECT, reason, ("source", source), ("seq", seq), about=self.name, message=message)
             return
         self.last_seq_from[source] = seq
         reply = make_rrep(self.provider, self.keypair, self.name, message)
         # The accepted request also teaches the destination the reverse path.
         self.install(source, list(reversed(reply["route"])), seq, ctx.now)
-        ctx.note("verdict", f"{ACCEPT}:source={source}:seq={seq}", about=self.name, message=message)
+        ctx.note("verdict", ACCEPT, ("source", source), ("seq", seq), about=self.name, message=message)
         ctx.emit(reply, to=message["route"][-1])
 
     def check_as_destination(self, message: Message, directory: dict) -> tuple[str, str]:
@@ -272,10 +267,10 @@ class Router:
         if self.name == source:
             return self._source_verify(message, directory, ctx)
         if self.name not in route:
-            ctx.note("drop", f"rrep_off_path:source={source}:seq={seq}", about=self.name)
+            ctx.note("drop", "rrep_off_path", ("source", source), ("seq", seq), about=self.name)
             return None
         if not rrep_signature_ok(self.provider, message, directory):
-            ctx.note("verdict", f"rrep_discard:bad_signature:source={source}:seq={seq}", about=self.name)
+            ctx.note("verdict", "rrep_discard", "bad_signature", ("source", source), ("seq", seq), about=self.name)
             return None
         position = route.index(self.name)
         ctx.emit(message, to=route[position - 1])
@@ -286,7 +281,7 @@ class Router:
         discovery = self.pending.get((dest, seq))
         entry = self.table.get(dest)
         if discovery is None or (entry is not None and seq <= entry.seq):
-            ctx.note("verdict", f"rrep_reject:stale_seq:dest={dest}:seq={seq}", about=self.name)
+            ctx.note("verdict", "rrep_reject", "stale_seq", ("dest", dest), ("seq", seq), about=self.name)
             return None
         # The reply carries the chain the destination received; with k
         # forwarders listed, that request arrived with this node's budget - k.
@@ -294,7 +289,7 @@ class Router:
         path = route[:-1]
         expect = expected_chain(self.provider, self.name, dest, seq, discovery.lifetime - len(path) + 1, path)
         if expect != message["chain"]:
-            ctx.note("verdict", f"rrep_reject:chain_mismatch:dest={dest}:seq={seq}", about=self.name)
+            ctx.note("verdict", "rrep_reject", "chain_mismatch", ("dest", dest), ("seq", seq), about=self.name)
             return None
         # Every signature but the destination's is a request signature over
         # the route up to the destination.
@@ -303,11 +298,11 @@ class Router:
             verify_route_signatures(self.provider, request, directory)
             and rrep_signature_ok(self.provider, message, directory)
         ):
-            ctx.note("verdict", f"rrep_reject:bad_signature:dest={dest}:seq={seq}", about=self.name)
+            ctx.note("verdict", "rrep_reject", "bad_signature", ("dest", dest), ("seq", seq), about=self.name)
             return None
         del self.pending[(dest, seq)]
         self.install(dest, route, seq, ctx.now)
-        ctx.note("verdict", f"route_installed:dest={dest}:seq={seq}", about=self.name)
+        ctx.note("verdict", "route_installed", ("dest", dest), ("seq", seq), about=self.name)
         return discovery
 
     def install(self, dest: str, route: list, seq: int, now: int) -> Optional[RouteEntry]:

@@ -19,9 +19,15 @@ class Note:
     """One loggable observation from a handler (verdict, admit, alert...)."""
 
     kind: str
-    detail: str
+    parts: tuple  # the event's detail parts, as text
     about: str = ""
     message: Message = None  # attach the message a verdict refers to
+
+    @property
+    def detail(self) -> str:
+        from .sim import render_detail
+
+        return render_detail(self.parts)
 
 
 @dataclass
@@ -37,8 +43,11 @@ class Ctx:
     def emit(self, message: Message, to: str = BROADCAST, channel: str = "radio") -> None:
         self.outbound.append(Envelope(message=message, sender=self.name, to=to, channel=channel))
 
-    def note(self, kind: str, detail: str, about: str = "", message: Message = None) -> None:
-        self.notes.append(Note(kind=kind, detail=detail, about=about, message=message))
+    def note(self, kind: str, *parts, about: str = "", message: Message = None) -> None:
+        """Note an event whose detail is `parts`, each a word or a (name,
+        value) pair; values are held as the text they render to."""
+        text = tuple(part if isinstance(part, str) else (part[0], str(part[1])) for part in parts)
+        self.notes.append(Note(kind, text, about, message))
 
     def secret(self, label: str, value) -> None:
         if isinstance(value, int):

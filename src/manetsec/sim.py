@@ -37,7 +37,7 @@ from typing import Optional
 from .crypto import make_provider
 from .group import NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
-from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, Envelope, Message, MessageKind
+from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, Message, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import MUTATION_OPS, VALUE_OPS, AdversaryNode, ProtocolNode, mutate_message
 from .runtime import Ctx
@@ -48,7 +48,6 @@ PAYLOAD_MAGIC = b"MSPAY1\n"
 EVENT_KINDS = frozenset(
     ("send", "deliver", "drop", "verdict", "rekey", "admit", "remove", "elect", "alert")
 )
-NAME_RE = re.compile(r"^[A-Za-z0-9_.]+$")
 
 
 class SimulationError(Exception):
@@ -188,9 +187,12 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
             wire_type = FIELD_TYPES[fieldname]
             if wire_type not in MUTATION_OPS[op]:
                 problems.append(f"modify_field op {op} does not apply to {fieldname}, whose type is {wire_type}")
-            elif op in VALUE_OPS and wire_type == "int" and "value" in args and not _is_int(args["value"]):
+            elif op in VALUE_OPS and "value" in args:
                 value = args["value"]
-                problems.append(f"modify_field value {value!r} for int field {fieldname} is not an integer")
+                if wire_type == "int" and not _is_int(value):
+                    problems.append(f"modify_field value {value!r} for int field {fieldname} is not an integer")
+                elif wire_type == "name" and not NAME_RE.fullmatch(str(value)):
+                    problems.append(f"modify_field value {value!r} for name field {fieldname} is not a name")
     return problems
 
 
@@ -227,7 +229,7 @@ def validate_scenario(scenario: Scenario) -> list:
         if spec.name in names:
             problems.append(f"duplicate node name {spec.name!r}")
         names.add(spec.name)
-        if not NAME_RE.match(spec.name):
+        if not NAME_RE.fullmatch(spec.name):
             problems.append(f"node name {spec.name!r} must be alphanumeric/underscore/dot")
         if not spec.trace:
             problems.append(f"node {spec.name}: empty position trace")
@@ -265,7 +267,7 @@ def validate_scenario(scenario: Scenario) -> list:
     for spec in scenario.groups:
         if spec.group_id in group_ids:
             problems.append(f"duplicate group id {spec.group_id!r}")
-        if not NAME_RE.match(spec.group_id):
+        if not NAME_RE.fullmatch(spec.group_id):
             problems.append(f"group id {spec.group_id!r} must be alphanumeric/underscore/dot")
         group_ids.add(spec.group_id)
         for member in spec.members:
@@ -337,17 +339,65 @@ def validate_scenario(scenario: Scenario) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
+    """One logged event, held as the parts its log line is rendered from.
+
+    The principals are the `actor`, plus the `recipient` of a transmission
+    (`actor>recipient`, None when there is none) or what a note is `about`
+    (`actor:about`, "" when nothing).  The detail is its ordered `parts`,
+    each a word or a (name, value) pair, rendered `:`-joined with each pair
+    as `name=value`.  Every part is held as the text it renders to, so a
+    line read back by :func:`parse_log_text` is equal to the event logged.
+    """
+
     tick: int
     seq: int
     kind: str
-    principals: str
+    actor: str
+    recipient: Optional[str]
+    about: str
     digest: str
-    detail: str
+    parts: tuple
+
+    @property
+    def principals(self) -> str:
+        if self.recipient is not None:
+            return f"{self.actor}>{self.recipient}"
+        if self.about:
+            return f"{self.actor}:{self.about}"
+        return self.actor
+
+    @property
+    def detail(self) -> str:
+        return render_detail(self.parts)
+
+    @property
+    def word(self) -> str:
+        """The detail's leading word, or "" when it leads with a pair."""
+        first = self.parts[0]
+        return first if isinstance(first, str) else ""
+
+    @property
+    def words(self) -> str:
+        """The detail without its pairs, as it renders:
+        `duplicate:source=S:seq=1` -> `duplicate`."""
+        return ":".join(part for part in self.parts if isinstance(part, str))
+
+    def get(self, name: str, default=None):
+        """The value of the detail's last `name` pair, or `default`."""
+        for part in reversed(self.parts):
+            if not isinstance(part, str) and part[0] == name:
+                return part[1]
+        return default
 
     def line(self) -> str:
-        return f"{self.tick}\t{self.seq}\t{self.kind}\t{self.principals}\t{self.digest}\t{self.detail}"
+        return f"{self.tick}\t{self.seq}\t{self.kind}\t{self.principals}\t{self.digest}\t{render_detail(self.parts)}"
+
+
+def render_detail(parts) -> str:
+    """The `:`-joined text of detail parts, each pair as `name=value`."""
+    return ":".join([part if isinstance(part, str) else "=".join(part) for part in parts])
 
 
 @dataclass
@@ -390,7 +440,37 @@ class EventLog:
         return b"".join(chunks)
 
 
+# The pieces of an event's text.  An actor, a word or a pair's name is never
+# empty; a recipient or a pair's value may be, and an empty about is none.
+_PIECE = re.compile(r"[^>:=]+")
+_OPTIONAL_PIECE = re.compile(r"[^>:=]*")
+
+
+def _read_principals(text: str) -> tuple:
+    """(actor, recipient, about) of `actor`, `actor>recipient` or
+    `actor:about`."""
+    actor, arrow, recipient = text.partition(">")
+    actor, _, about = actor.partition(":")
+    if not (_PIECE.fullmatch(actor) and _OPTIONAL_PIECE.fullmatch(recipient) and _OPTIONAL_PIECE.fullmatch(about)):
+        raise ValueError(f"principals {text!r} are not actor, actor>recipient or actor:about")
+    return actor, (recipient if arrow else None), about
+
+
+def _read_detail(text: str) -> tuple:
+    """The parts of a `:`-joined detail, each a word or a `name=value` pair."""
+    parts = []
+    for part in text.split(":"):
+        name, equals, value = part.partition("=")
+        if not (_PIECE.fullmatch(name) and _OPTIONAL_PIECE.fullmatch(value)):
+            raise ValueError(f"detail {text!r} has a part {part!r} that is neither a word nor name=value")
+        parts.append((name, value) if equals else name)
+    return tuple(parts)
+
+
 def parse_log_text(text: str) -> EventLog:
+    """Read a log back into the events that were logged.  A line that does
+    not follow the grammar of :class:`SimEvent`, or does not render back to
+    itself, is rejected with its line number."""
     lines = text.splitlines()
     if not lines or lines[0] != LOG_HEADER:
         raise SimulationError("not an event log (bad header)")
@@ -400,22 +480,28 @@ def parse_log_text(text: str) -> EventLog:
         log.complete = True
         body = body[:-1]
     for i, line in enumerate(body, start=2):
-        parts = line.split("\t")
-        if len(parts) != 6:
+        fields = line.split("\t")
+        if len(fields) != 6:
             raise SimulationError(f"line {i}: expected 6 tab-separated fields")
         try:
-            tick, seq = int(parts[0]), int(parts[1])
+            tick, seq = int(fields[0]), int(fields[1])
         except ValueError as exc:
             raise SimulationError(f"line {i}: bad tick/sequence") from exc
-        if parts[2] not in EVENT_KINDS:
-            raise SimulationError(f"line {i}: unknown event kind {parts[2]!r}")
+        if fields[2] not in EVENT_KINDS:
+            raise SimulationError(f"line {i}: unknown event kind {fields[2]!r}")
+        try:
+            event = SimEvent(tick, seq, fields[2], *_read_principals(fields[3]), fields[4], _read_detail(fields[5]))
+        except ValueError as exc:
+            raise SimulationError(f"line {i}: {exc}") from None
+        if event.line() != line:
+            raise SimulationError(f"line {i}: does not render back to itself")
         if log.events:
             last = log.events[-1]
             if seq <= last.seq:
                 raise SimulationError(f"line {i}: sequence {seq} does not follow {last.seq}")
             if tick < last.tick:
                 raise SimulationError(f"line {i}: tick {tick} is before tick {last.tick}")
-        log.events.append(SimEvent(tick, seq, parts[2], parts[3], parts[4], parts[5]))
+        log.events.append(event)
     return log
 
 
@@ -588,7 +674,17 @@ class Simulation:
 
     # -- logging helpers -------------------------------------------------------
 
-    def _log(self, kind: str, principals: str, detail: str, payload: Optional[bytes] = None) -> None:
+    def _log(
+        self,
+        kind: str,
+        actor,
+        parts: tuple,
+        payload: Optional[bytes] = None,
+        recipient: Optional[str] = None,
+        about: str = "",
+    ) -> None:
+        """Log one event.  Its `parts` are text already; `str` makes the
+        actor text too (an election signalled for no group logs `None`)."""
         digest = "-"
         if payload is not None:
             digest = self._digests.get(payload)
@@ -596,11 +692,12 @@ class Simulation:
                 digest = self.provider.hash(payload).hex()
                 self._digests[payload] = digest
                 self.log.payloads.setdefault(digest, payload)
-        self.log.events.append(SimEvent(self.now, self._event_seq, kind, principals, digest, detail))
+        self.log.events.append(SimEvent(self.now, self._event_seq, kind, str(actor), recipient, about, digest, parts))
         self._event_seq += 1
 
-    def _schedule(self, tick: int, envelope: Envelope, recipient: str, via: str, detail: str) -> None:
-        self.queue.setdefault(tick, []).append((envelope, recipient, via, detail))
+    def _schedule(self, tick: int, envelope: Envelope, recipient: str, via: str, parts: tuple) -> None:
+        """Queue a delivery; `parts` end the detail its deliver or drop logs."""
+        self.queue.setdefault(tick, []).append((envelope, recipient, via, parts))
 
     # -- radio ------------------------------------------------------------------
 
@@ -702,13 +799,13 @@ class Simulation:
         path.append(target)
         return path
 
-    def _send(self, envelope: Envelope, sender: str, to: str) -> int:
-        """Number and log one transmission; returns its tx number."""
-        tx = self._tx
+    def _send(self, envelope: Envelope, sender: str, to: str) -> tuple:
+        """Number and log one transmission; returns its `("tx", number)`
+        part, which every delivery and drop of it shares."""
+        tx = ("tx", str(self._tx))
         self._tx += 1
         message = envelope.message
-        detail = f"{message.kind.name}:to={to}:ch={envelope.channel}:tx={tx}"
-        self._log("send", sender, detail, message.encoded)
+        self._log("send", sender, (message.kind.name, ("to", to), ("ch", envelope.channel), tx), message.encoded)
         return tx
 
     def _transmit(self, envelope: Envelope) -> None:
@@ -722,7 +819,7 @@ class Simulation:
             else:
                 targets = [envelope.to]
             for target in targets:
-                self._schedule(self.now + 1, envelope, target, envelope.sender, f"tx={tx}")
+                self._schedule(self.now + 1, envelope, target, envelope.sender, (tx,))
             return
         if envelope.to == BROADCAST:
             for name in self._neighbours(envelope.sender):
@@ -731,15 +828,15 @@ class Simulation:
             return
         self._unicast(envelope, tx)
 
-    def _overhear(self, envelope: Envelope, tx: int, skip=()) -> None:
+    def _overhear(self, envelope: Envelope, tx: tuple, skip=()) -> None:
         """Live adversarial nodes in range of the transmitter, except those in
         `skip`, overhear an addressed message."""
         for name in self._neighbours(envelope.sender):
             node = self.nodes[name]
             if isinstance(node, AdversaryNode) and node.alive and name not in skip:
-                self._schedule(self.now + 1, envelope, name, envelope.sender, f"overheard:tx={tx}")
+                self._schedule(self.now + 1, envelope, name, envelope.sender, ("overheard", tx))
 
-    def _unicast(self, envelope: Envelope, tx: int) -> None:
+    def _unicast(self, envelope: Envelope, tx: tuple) -> None:
         target = envelope.to
         node = self.nodes.get(target)
         path = None
@@ -747,7 +844,7 @@ class Simulation:
             path = self._radio_path(envelope.sender, target)
         if path is None:
             reason = "out_of_range" if (node is not None and node.alive) else "dead"
-            self._log("drop", f"{envelope.sender}>{target}", f"{reason}:tx={tx}")
+            self._log("drop", envelope.sender, (reason, tx), recipient=target)
             self._overhear(envelope, tx)
             return
         hops = len(path) - 1
@@ -758,7 +855,7 @@ class Simulation:
             if isinstance(self.nodes.get(relay), AdversaryNode):
                 skip.add(relay)
                 self._schedule(
-                    self.now + i, envelope, relay, path[i - 1], f"overheard:hops={i}:tx={tx}"
+                    self.now + i, envelope, relay, path[i - 1], ("overheard", ("hops", str(i)), tx)
                 )
         self._overhear(envelope, tx, skip)
         for i in range(hops):
@@ -770,11 +867,11 @@ class Simulation:
             link_hops = arrive - self.now
             tapped = Envelope(message=message, sender=envelope.sender, to=target, channel="radio")
             if tap.spec.kind == "replay":
-                self._schedule(arrive, tapped, tap.name, u, f"overheard:hops={link_hops}:tx={tx}")
+                self._schedule(arrive, tapped, tap.name, u, ("overheard", ("hops", str(link_hops)), tx))
                 delay = tap.spec.args.get("delay", 5)
                 tap.outbox.append((arrive + delay, tapped, target))
                 continue
-            self._schedule(arrive, tapped, tap.name, u, f"intercepted:hops={link_hops}:tx={tx}")
+            self._schedule(arrive, tapped, tap.name, u, ("intercepted", ("hops", str(link_hops)), tx))
             outcome, modified = adversary_apply(tap.spec.kind, tap.spec.args, message, tap.rng)
             if outcome == "drop":
                 return
@@ -782,23 +879,23 @@ class Simulation:
             extra += 1
         delivered = Envelope(message=message, sender=envelope.sender, to=target, channel="radio")
         self._schedule(
-            self.now + hops + extra, delivered, target, envelope.sender, f"hops={hops + extra}:tx={tx}"
+            self.now + hops + extra, delivered, target, envelope.sender, (("hops", str(hops + extra)), tx)
         )
 
-    def _dispatch_radio(self, envelope: Envelope, recipient: str, tx: int) -> None:
+    def _dispatch_radio(self, envelope: Envelope, recipient: str, tx: tuple) -> None:
         tap = self._tap_for(envelope.sender, recipient)
         if tap is None:
-            self._schedule(self.now + 1, envelope, recipient, envelope.sender, f"tx={tx}")
+            self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
             return
         kind = tap.spec.kind
         if kind == "replay":
             # A passive tap: traffic flows normally, a copy is re-emitted later.
-            self._schedule(self.now + 1, envelope, recipient, envelope.sender, f"tx={tx}")
-            self._schedule(self.now + 1, envelope, tap.name, envelope.sender, f"overheard:tx={tx}")
+            self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
+            self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("overheard", tx))
             delay = tap.spec.args.get("delay", 5)
             tap.outbox.append((self.now + 1 + delay, envelope, recipient))
             return
-        self._schedule(self.now + 1, envelope, tap.name, envelope.sender, f"intercepted:tx={tx}")
+        self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("intercepted", tx))
         outcome, modified = adversary_apply(kind, tap.spec.args, envelope.message, tap.rng)
         if outcome == "drop":
             return
@@ -813,7 +910,7 @@ class Simulation:
             tap.outbox = [item for item in tap.outbox if item[0] > self.now]
             for _, envelope, recipient in due:
                 tx = self._send(envelope, tap.name, recipient)
-                self._schedule(self.now + 1, envelope, recipient, tap.name, f"tx={tx}")
+                self._schedule(self.now + 1, envelope, recipient, tap.name, (tx,))
 
     # -- context plumbing ----------------------------------------------------------
 
@@ -832,9 +929,8 @@ class Simulation:
         for label, value in ctx.secrets:
             self.log.registry.secrets.append((self.now, name, label, value))
         for note in ctx.notes:
-            principals = name if not note.about else f"{name}:{note.about}"
             payload = None if note.message is None else note.message.encoded
-            self._log(note.kind, principals, note.detail, payload)
+            self._log(note.kind, name, note.parts, payload, about=note.about)
             if note.kind == "admit":
                 if isinstance(node, ProtocolNode) and node.leader_service is not None:
                     self.group_map[note.about] = node.leader_service.group_id
@@ -883,7 +979,7 @@ class Simulation:
         ]
         node.leader_service.found_group(members_with_pubs, ctx, cause)
         for member, _ in members_with_pubs:
-            self._log("admit", f"{name}:{member}", cause)
+            self._log("admit", name, (cause,), about=member)
             self.group_map[member] = group_id
         self.group_map[name] = group_id
         self.leaders[group_id] = name
@@ -902,7 +998,7 @@ class Simulation:
             self.log.registry.secrets.append(
                 (self.now, name, f"ring_key:{self.ring_version}", key)
             )
-        self._log("rekey", ",".join(leaders), f"ring:version={self.ring_version}")
+        self._log("rekey", ",".join(leaders), ("ring", ("version", str(self.ring_version))))
 
     def _attrs(self, candidates: list, trust_table: dict) -> list:
         out = []
@@ -925,12 +1021,12 @@ class Simulation:
             if group == group_id and name != departed and self.nodes[name].alive
         ]
         if not candidates:
-            self._log("alert", group_id, "group_dissolved")
+            self._log("alert", group_id, ("group_dissolved",))
             self.leaders[group_id] = None
             return
         trust_table = self.last_trust.get(group_id, {})
         winner = elect_leader(self._attrs(candidates, trust_table), self.scenario.weights)
-        self._log("elect", winner, f"group={group_id}:cause=leader_departure")
+        self._log("elect", winner, (("group", group_id), ("cause", "leader_departure")))
         self._make_leader(winner, group_id, [c for c in candidates if c != winner], "election")
         self._ring_rekey()
 
@@ -956,21 +1052,21 @@ class Simulation:
             node.alive = False
             self._searches = {}
             self.group_map.pop(name, None)
-            self._log("alert", name, "node_crashed")
+            self._log("alert", name, ("node_crashed",))
             if lost_group is not None:
                 remaining = [n for n, g in self.group_map.items() if g == lost_group]
                 if not remaining:
-                    self._log("alert", lost_group, "group_dissolved")
+                    self._log("alert", lost_group, ("group_dissolved",))
             return
         actor = args[0]
         node = self.nodes[actor]
         if not node.alive:
-            self._log("alert", actor, f"action_skipped_dead:{op}")
+            self._log("alert", actor, ("action_skipped_dead", op))
             return
         if op in ("join", "join_via"):
             leader = self.leaders.get(args[1]) if op == "join" else args[1]
             if leader is None:
-                self._log("alert", actor, f"join_failed:no_leader:{args[1]}")
+                self._log("alert", actor, ("join_failed", "no_leader", args[1]))
                 return
             self._step(actor, node.begin_join, leader)
         elif op == "leave":
@@ -984,7 +1080,7 @@ class Simulation:
             self._step(actor, node.start_session, args[1])
         elif op == "expel":
             if node.leader_service is None:
-                self._log("alert", actor, f"expel_failed:not_leader:{args[1]}")
+                self._log("alert", actor, ("expel_failed", "not_leader", args[1]))
                 return
             self._step(actor, node.leader_service.remove_member, args[1], "misbehavior")
         elif op == "forged_join":
@@ -1009,7 +1105,7 @@ class Simulation:
         if was_leader and group is not None:
             self.leaders[group] = None
             if group not in self.group_map.values():
-                self._log("alert", group, "group_dissolved")
+                self._log("alert", group, ("group_dissolved",))
 
     # -- main loop --------------------------------------------------------------------
 
@@ -1018,7 +1114,7 @@ class Simulation:
         for spec in sorted(self.scenario.groups, key=lambda g: g.group_id):
             attrs = self._attrs(list(spec.members), {})
             leader = elect_leader(attrs, self.scenario.weights)
-            self._log("elect", leader, f"group={spec.group_id}:cause=founding")
+            self._log("elect", leader, (("group", spec.group_id), ("cause", "founding")))
             founding.append((leader, spec))
         for leader, spec in founding:
             self._make_leader(leader, spec.group_id, [m for m in spec.members if m != leader], "founding")
@@ -1041,17 +1137,15 @@ class Simulation:
             while pending and pending[0].tick <= tick:
                 self._action(pending.pop(0))
             self._drain_taps()
-            for envelope, recipient, via, detail in self.queue.pop(tick, []):
+            for envelope, recipient, via, parts in self.queue.pop(tick, []):
                 node = self.nodes.get(recipient)
-                kind_name = envelope.message.kind.name
+                if node is not None and not node.alive:
+                    self._log("drop", via, ("dead",) + parts, recipient=recipient)
+                    continue
+                message = envelope.message
+                self._log("deliver", via, (message.kind.name,) + parts, message.encoded, recipient=recipient)
                 if node is None:
-                    # Tap pseudo-principal: logging the delivery is the point.
-                    self._log("deliver", f"{via}>{recipient}", f"{kind_name}:{detail}", envelope.message.encoded)
-                    continue
-                if not node.alive:
-                    self._log("drop", f"{via}>{recipient}", f"dead:{detail}")
-                    continue
-                self._log("deliver", f"{via}>{recipient}", f"{kind_name}:{detail}", envelope.message.encoded)
+                    continue  # a tap pseudo-principal: logging the delivery is the point
                 self._step(recipient, node.handle, envelope)
             for name in sorted(self.nodes):
                 node = self.nodes[name]

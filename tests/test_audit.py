@@ -1,9 +1,20 @@
 import importlib
+import os
 
 import pytest
 
 from manetsec.audit import audit, expectation_met, knowledge_set
-from manetsec.sim import Action, Expectation, SimulationError, run
+from manetsec.scenariofile import parse_scenario
+from manetsec.sim import (
+    Action,
+    EventLog,
+    Expectation,
+    SimEvent,
+    SimulationError,
+    parse_log_text,
+    parse_payload_blob,
+    run,
+)
 from topologies import churn_scenario, line_scenario, stealth_link_scenario
 
 PROPERTIES = (
@@ -86,6 +97,48 @@ def test_member_knowledge_contains_current_key_material():
     assert k.has_key_labelled("group_key:g1-1:1")
     assert k.has_key_labelled("member_key")
     assert k.private_key is not None
+
+
+def test_route_and_session_expectations_match_whole_parts():
+    # A route to B10 is not a route to B, and a session that aborted did not
+    # "abort": the expectation names the destination and the status exactly.
+    events = [
+        SimEvent(1, 0, "verdict", "A", None, "A", "-", ("route_installed", ("dest", "B10"), ("seq", "1"))),
+        SimEvent(2, 1, "verdict", "A", None, "A-B", "-", ("session_aborted", "stale_timestamp")),
+    ]
+    log = EventLog(events=events, complete=True)
+    expected = {
+        ("route", ("A", "B10")): True,
+        ("route", ("A", "B")): False,
+        ("session", ("A", "B", "aborted")): True,
+        ("session", ("A", "B", "abort")): False,
+        ("verdict", ("A", "route_installed:dest=B")): True,
+    }
+    for (kind, args), met in expected.items():
+        assert expectation_met(log, Expectation(kind, args))[0] is met, (kind, args)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+REAUDITED = [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.endswith(".scn")] + [
+    f"churn:{seed}:{fault}" for seed in range(500, 505) for fault in ("plain", "leak_key", "skip_rekey", "forge_admit")
+]
+
+
+@pytest.mark.parametrize("case", REAUDITED)
+def test_log_read_back_audits_as_the_run_did(case):
+    # The written log and sidecar, read back and given the run's registry,
+    # hand the auditor exactly what the simulator gave it.
+    what, name = case.split(":", 1)
+    if what == "fixture":
+        with open(os.path.join(FIXTURES, name)) as handle:
+            log = run(parse_scenario(handle.read()))
+    else:
+        seed, fault = name.split(":")
+        log = run(churn_scenario(int(seed), frozenset() if fault == "plain" else frozenset({fault})))
+    parsed = parse_log_text(log.to_text())
+    parsed.payloads, parsed.registry = parse_payload_blob(log.payload_blob()), log.registry
+    assert parsed.events == log.events
+    assert audit(parsed).to_text() == audit(log).to_text()
 
 
 def test_expectations_evaluate_against_log():
@@ -238,8 +291,8 @@ def test_undecodable_plaintext_counts_as_opened():
     for n, message in enumerate(crafted, start=1):
         digest = provider.hash(message.encoded).hex()
         log.payloads[digest] = message.encoded
-        detail = f"{message.kind.name}:crafted"
-        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2>n3", digest, detail))
+        parts = (message.kind.name, "crafted")
+        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", "n3", "", digest, parts))
     report = audit(log)
     assert report.result("backward_secrecy").passed
     after = knowledge_set("n3", log)
@@ -275,6 +328,6 @@ def test_colon_in_crafted_rekey_lineage_is_audited():
     digest = provider.hash(crafted.encoded).hex()
     log.payloads[digest] = crafted.encoded
     last = log.events[-1]
-    log.events.append(SimEvent(last.tick, last.seq + 1, "deliver", "n2>n3", digest, "REKEY:crafted"))
+    log.events.append(SimEvent(last.tick, last.seq + 1, "deliver", "n2", "n3", "", digest, ("REKEY", "crafted")))
     assert "group_key:g1:x:2" in knowledge_set("n3", log).sym_keys.values()
     assert audit(log).result("backward_secrecy").passed

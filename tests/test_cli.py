@@ -1,3 +1,4 @@
+import importlib
 import os
 
 import pytest
@@ -69,11 +70,11 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         ),
         (
             "[adversaries]\nlink A B modify_field field=route op=flip\n",
-            "adversary 0: modify_field op flip does not apply to route, whose type is list[str]",
+            "adversary 0: modify_field op flip does not apply to route, whose type is list[name]",
         ),
         (
             "[adversaries]\nlink A B modify_field field=route op=flip_item\n",
-            "adversary 0: modify_field op flip_item does not apply to route, whose type is list[str]",
+            "adversary 0: modify_field op flip_item does not apply to route, whose type is list[name]",
         ),
         (
             "[adversaries]\nnode X modify_field field=seq op=swap\n",
@@ -82,6 +83,10 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         (
             "[adversaries]\nlink A B modify_field field=seq op=set value=abc\n",
             "adversary 0: modify_field value 'abc' for int field seq is not an integer",
+        ),
+        (
+            "[adversaries]\nlink A B modify_field field=source op=set value=a:b\n",
+            "adversary 0: modify_field value 'a:b' for name field source is not a name",
         ),
         (
             "[adversaries]\nlink A B modify_field field=lifetime op=add value=1.5\n",
@@ -140,6 +145,25 @@ def test_run_benign_exit_zero(tmp_path, capsys):
 def test_run_detected_attack_is_expected_outcome(tmp_path):
     # Detection is the scripted expectation, so the exit code is success.
     assert main(["run", scn("stealth_mitm.scn"), "--out", str(tmp_path)]) == 0
+
+
+def test_run_indexes_the_log_once(tmp_path, monkeypatch, capsys):
+    # The audit's index also answers the MET/MISSED lines.
+    audit_module = importlib.import_module("manetsec.audit")
+    built = []
+
+    class CountedIndex(audit_module._LogIndex):
+        def __init__(self, log):
+            built.append(log)
+            super().__init__(log)
+
+    monkeypatch.setattr(audit_module, "_LogIndex", CountedIndex)
+    assert main(["run", scn("stealth_mitm.scn"), "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    out = capsys.readouterr().out
+    assert "expect verdict D reject:chain_mismatch: MET" in out
+    assert "expect no_verdict D accept:: MET" in out
+    assert "expect no_route S D: MET" in out
 
 
 def test_run_expectation_mismatch_exits_one(tmp_path):

@@ -20,7 +20,7 @@ from manetsec import encoding
 from manetsec.keymgmt import JoinPhase
 from manetsec.messages import _FIELDS, _SEALED, FIELD_TYPES, PK, Envelope, MessageKind, decode_message, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
-from manetsec.sim import Simulation
+from manetsec.sim import Simulation, parse_log_text
 
 FIXTURE = """[params]
 duration = 7
@@ -101,9 +101,10 @@ _bytes = st.one_of(st.sampled_from(KEYS + PUBLICS), st.binary(max_size=40))
 _TYPED = {
     "int": _int,
     "str": _str,
+    "name": _str,
     "bytes": _bytes,
     "list[int]": st.lists(_int, max_size=3),
-    "list[str]": st.lists(st.sampled_from(NAMES), max_size=5),
+    "list[name]": st.lists(st.sampled_from(NAMES), max_size=5),
     "list[bytes]": st.lists(_bytes, max_size=4),
     "rows": st.lists(st.tuples(_str, _bytes).map(list), max_size=4),
 }
@@ -193,6 +194,25 @@ def test_arbitrary_payload_is_dropped_or_handled(kind, data):
         node = sim.nodes[recipient]
         sim._step(recipient, node.handle, Envelope(message, sender, to, channel))
         sim._step(recipient, node.on_tick)
+    assert parse_log_text(sim.log.to_text()).events == sim.log.events
+
+
+@pytest.mark.parametrize("source", ["a\tb\nc", "x:y=z"])
+def test_wire_names_cannot_corrupt_the_log(source):
+    # An RREQ naming a source that would split M1's log line (a tab, a line
+    # break) or read back as other detail parts (`x:y=z` as `source=x` and
+    # `y=z`).  It must be dropped as malformed, and the log must read back
+    # as the events that were logged.
+    sim = _copy_of_fixture()
+    payload = bytes([MessageKind.RREQ]) + encoding.encode(source, "L1", 1, 8, [], [], b"")
+    try:
+        message = decode_message(payload)
+    except encoding.EncodingError:
+        message = None
+    else:
+        sim._step("M1", sim.nodes["M1"].handle, Envelope(message, "N", "*"))
+    assert parse_log_text(sim.log.to_text()).events == sim.log.events
+    assert message is None
 
 
 SHORT = b"\x05" * 5  # no symmetric key of the real provider is this size

@@ -195,13 +195,26 @@ def test_ill_typed_bytes_rejected_on_decode():
     good = msg(MessageKind.LEAVE, who="a").encoded
     assert decode_message(good)["who"] == "a"
     for who in (7, b"a", ["a"]):
-        with pytest.raises(encoding.EncodingError, match="'who' is not str"):
+        with pytest.raises(encoding.EncodingError, match="'who' is not name"):
             decode_message(bytes([MessageKind.LEAVE]) + encoding.encode(who))
     rows = [["a", b"k"], ["b"]]
     with pytest.raises(encoding.EncodingError):
         decode_message(bytes([MessageKind.RREQ]) + encoding.encode("s", "d", 1, 2, ["s", 3], [b"x"], b"c"))
     with pytest.raises(encoding.EncodingError):
         open_sealed(MessageKind.REKEY, encoding.encode(b"k", 1, "g1-1", rows), "group")
+
+
+@pytest.mark.parametrize("name", ["", "*", "a:b", "a>b", "x=y", "a\tb", "a\n", "\u00e9", "g1-1"])
+def test_name_fields_hold_only_names(name):
+    # Node and group names reach the event log, so a header or sealed field
+    # that holds one must be a name as scenarios give them.
+    with pytest.raises(encoding.EncodingError, match="'who' is not name"):
+        msg(MessageKind.LEAVE, who=name)
+    with pytest.raises(encoding.EncodingError, match="'route' is not list\\[name\\]"):
+        decode_message(bytes([MessageKind.RREQ]) + encoding.encode("s", "d", 1, 2, ["s", name], [b"x"], b"c"))
+    with pytest.raises(encoding.EncodingError, match="'source' is not name"):
+        open_sealed(MessageKind.DATA, encoding.encode("chat", name, "hi"))
+    assert msg(MessageKind.LEAVE, who="a_1.B")["who"] == "a_1.B"
 
 
 def test_sealed_plaintexts_round_trip_by_name():

@@ -1,7 +1,8 @@
 """Golden digests: the simulator's output, pinned byte for byte.
 
 Each case runs one scenario and hashes its log text followed by its payload
-sidecar.  The committed table in ``golden_digests.json`` was generated from
+sidecar, and reads the log text back into the events that were logged.  The
+committed table in ``golden_digests.json`` was generated from
 the simulator before any refactoring of its hot path, so a refactoring that
 claims to keep behaviour must reproduce every digest.  The cases cover the
 fixtures, the stealth (also with the chain checked at every hop), family,
@@ -28,7 +29,7 @@ import sys
 import pytest
 
 from manetsec.scenariofile import parse_scenario
-from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, run
+from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, parse_log_text, run
 from topologies import (
     RADIUS,
     churn_scenario,
@@ -171,8 +172,7 @@ def cases():
     return out
 
 
-def digest(scenario) -> str:
-    log = run(scenario)
+def digest(log) -> str:
     return hashlib.sha256(log.to_text().encode() + log.payload_blob()).hexdigest()
 
 
@@ -185,9 +185,12 @@ def test_table_names_every_case():
 
 @pytest.mark.parametrize("case_id,build", CASES, ids=[case_id for case_id, _ in CASES])
 def test_golden_digest(case_id, build):
-    assert digest(build()) == GOLDEN[case_id]
+    log = run(build())
+    assert digest(log) == GOLDEN[case_id]
+    # The log reads back as the very events that were logged.
+    assert parse_log_text(log.to_text()).events == log.events
 
 
 if __name__ == "__main__":
-    json.dump({case_id: digest(build()) for case_id, build in CASES}, sys.stdout, indent=1, sort_keys=True)
+    json.dump({case_id: digest(run(build())) for case_id, build in CASES}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,14 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
 from manetsec.sim import (
+    EVENT_KINDS,
     PAYLOAD_MAGIC,
     Action,
     AdversarySpec,
+    EventLog,
     Expectation,
     GroupSpec,
     NodeSpec,
     Scenario,
     SimParams,
+    SimEvent,
     Simulation,
     SimulationError,
     parse_log_text,
@@ -63,6 +67,16 @@ def test_validation_catches_structural_problems():
     assert "unknown group 'g9'" in problems
     assert "decreases" in problems
     assert "alphanumeric" in problems
+
+
+def test_validation_rejects_a_name_with_a_trailing_line_break():
+    # A name is logged as it is, so a line break after it would split the log.
+    scenario = line_scenario(["A", "B"])
+    scenario.nodes[0].name = scenario.groups[0].members[0] = "A\n"
+    scenario.groups[0].group_id = "g1\n"
+    problems = validate_scenario(scenario)
+    assert "node name 'A\\n' must be alphanumeric/underscore/dot" in problems
+    assert "group id 'g1\\n' must be alphanumeric/underscore/dot" in problems
 
 
 def test_validation_accepts_smallest_join_and_liveness_params():
@@ -120,9 +134,81 @@ def test_log_text_roundtrip():
     log = run(line_scenario(["A", "B", "C"], script=[Action(2, "discover", ("A", "C"))], duration=15))
     parsed = parse_log_text(log.to_text())
     assert parsed.complete
-    assert [e.line() for e in parsed.events] == [e.line() for e in log.events]
+    assert parsed.events == log.events
     payloads = parse_payload_blob(log.payload_blob())
     assert payloads == log.payloads
+
+
+# A piece of event text: any character but the separators, a tab or a line
+# break (control characters and line separators are left out altogether).
+_PIECE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters=">:="), min_size=1, max_size=4
+)
+
+
+@st.composite
+def _event(draw, tick, seq):
+    """An event of any shape the grammar allows: principals `actor`,
+    `actor>recipient` (the recipient may be empty) or `actor:about`, and a
+    detail of words and `name=value` pairs (the value may be empty)."""
+    shape = draw(st.sampled_from(("actor", "recipient", "about")))
+    recipient = draw(_PIECE_TEXT | st.just("")) if shape == "recipient" else None
+    about = draw(_PIECE_TEXT) if shape == "about" else ""
+    part = _PIECE_TEXT | st.tuples(_PIECE_TEXT, _PIECE_TEXT | st.just(""))
+    return SimEvent(
+        tick,
+        seq,
+        draw(st.sampled_from(sorted(EVENT_KINDS))),
+        draw(_PIECE_TEXT),
+        recipient,
+        about,
+        draw(st.sampled_from(("-", "0f" * 32))),
+        tuple(draw(st.lists(part, min_size=1, max_size=5))),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_rendered_events_parse_back_to_themselves(data):
+    ticks = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6))
+    events = [data.draw(_event(tick, seq)) for seq, tick in enumerate(sorted(ticks))]
+    text = EventLog(events=events, complete=True).to_text()
+    parsed = parse_log_text(text)
+    assert parsed.events == events
+    assert parsed.to_text() == text
+
+
+@pytest.mark.parametrize(
+    "principals, detail, error",
+    [
+        ("a>b>c", "x", "principals 'a>b>c' are not"),
+        ("a>b:c", "x", "principals 'a>b:c' are not"),
+        ("a:b:c", "x", "principals 'a:b:c' are not"),
+        ("a=b", "x", "principals 'a=b' are not"),
+        (">b", "x", "principals '>b' are not"),
+        ("", "x", "principals '' are not"),
+        ("a:b>c", "x", "does not render back to itself"),
+        ("a:", "x", "does not render back to itself"),
+        ("a", "x::y", "part '' that is neither"),
+        ("a", "", "part '' that is neither"),
+        ("a", "x:", "part '' that is neither"),
+        ("a", "=v", "part '=v' that is neither"),
+        ("a", "x:n=v=w", "part 'n=v=w' that is neither"),
+        ("a", "x:n>v", "part 'n>v' that is neither"),
+    ],
+)
+def test_log_parse_rejects_what_does_not_follow_the_grammar(principals, detail, error):
+    good = "0\t0\talert\tA\t-\tnode_crashed"
+    text = f"#manetsec-log v1\n{good}\n1\t1\talert\t{principals}\t-\t{detail}\n#complete\n"
+    with pytest.raises(SimulationError, match=f"^line 3: .*{re.escape(error)}"):
+        parse_log_text(text)
+
+
+@pytest.mark.parametrize("tick", ["01", "+1", " 1", "1_0"])
+def test_log_parse_rejects_numbers_that_do_not_render_back(tick):
+    text = f"#manetsec-log v1\n{tick}\t0\talert\tA\t-\tnode_crashed\n#complete\n"
+    with pytest.raises(SimulationError, match="^line 2: does not render back to itself"):
+        parse_log_text(text)
 
 
 def test_log_parse_rejects_garbage():
@@ -563,10 +649,10 @@ def test_each_payload_hashed_once(monkeypatch):
     logging, hashed = [], []
     original_log, original_hash = Simulation._log, DeterministicProvider.hash
 
-    def log_step(self, *args):
+    def log_step(self, *args, **kwargs):
         logging.append(True)
         try:
-            return original_log(self, *args)
+            return original_log(self, *args, **kwargs)
         finally:
             logging.pop()
 

@@ -66,7 +66,6 @@ class AuditReport:
 
 @dataclass
 class KnowledgeSet:
-    principal: str
     sym_keys: dict  # key bytes -> label
     private_key: Optional[bytes]
     opened: set  # digests this principal could open
@@ -242,7 +241,7 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
             opened.add(digest)
             progress = True
             _harvest_keys(message, plain, sym_keys)
-    return KnowledgeSet(principal=principal, sym_keys=sym_keys, private_key=private, opened=opened)
+    return KnowledgeSet(sym_keys=sym_keys, private_key=private, opened=opened)
 
 
 def _try_open(provider, message, private, sym_keys) -> Optional[bytes]:

@@ -175,12 +175,6 @@ class LeaderJoinSession:
 PRIME_BITS = 32
 
 
-@dataclass
-class JoinConfig:
-    challenge_bits: int = 64
-    challenge_rounds: int = 1
-
-
 def _draw_prime(rng: random.Random, bits: int) -> int:
     return next_prime(rng.getrandbits(bits) | (1 << (bits - 1)))
 
@@ -198,7 +192,7 @@ class LeaderKeyService:
         rng: random.Random,
         authority_public: bytes,
         capacity: int,
-        cfg: JoinConfig = JoinConfig(),
+        challenge_rounds: int = 1,
         faults: Optional[set] = None,
     ):
         self.name = name
@@ -207,7 +201,7 @@ class LeaderKeyService:
         self.provider = provider
         self.authority_public = authority_public
         self.capacity = capacity
-        self.cfg = cfg
+        self.challenge_rounds = challenge_rounds
         self.faults = faults or set()
         p = _draw_prime(rng, PRIME_BITS)
         q = _draw_prime(rng, PRIME_BITS)
@@ -313,7 +307,7 @@ class LeaderKeyService:
             return
         commitments = []
         witnesses = []
-        for _ in range(self.cfg.challenge_rounds):
+        for _ in range(self.challenge_rounds):
             commitment, witness = zk_commit(ctx.rng, self.zk_params.modulus)
             commitments.append(commitment)
             witnesses.append(witness)
@@ -428,9 +422,6 @@ class LeaderKeyService:
 
     # -- removal and liveness -------------------------------------------------
 
-    def remove_member(self, name: str, reason: str, ctx: Ctx) -> None:
-        self.remove_members([name], reason, ctx)
-
     def remove_members(self, names: list, reason: str, ctx: Ctx) -> None:
         """Drop one or more members and rotate the group key once.
 
@@ -521,12 +512,21 @@ class NodeJoinState:
 class MemberKeyService:
     """Member-side keyring and the node half of the join handshake."""
 
-    def __init__(self, name: str, keypair, certificate: Certificate, provider, cfg: JoinConfig = JoinConfig()):
+    def __init__(
+        self,
+        name: str,
+        keypair,
+        certificate: Certificate,
+        provider,
+        challenge_bits: int = 64,
+        challenge_rounds: int = 1,
+    ):
         self.name = name
         self.keypair = keypair
         self.certificate = certificate
         self.provider = provider
-        self.cfg = cfg
+        self.challenge_bits = challenge_bits
+        self.challenge_rounds = challenge_rounds
         self.join: Optional[NodeJoinState] = None
         self.group_id: Optional[str] = None
         self.lineage: Optional[str] = None
@@ -593,11 +593,11 @@ class MemberKeyService:
         join.modulus = message["modulus"]
         join.square = message["square"]
         join.commitments = list(message["commitments"])
-        if len(join.commitments) != self.cfg.challenge_rounds:
+        if len(join.commitments) != self.challenge_rounds:
             self._abort_join("bad_commitment_count", ctx)
             return
         join.challenges = [
-            ctx.rng.getrandbits(self.cfg.challenge_bits) for _ in join.commitments
+            ctx.rng.getrandbits(self.challenge_bits) for _ in join.commitments
         ]
         join.phase = JoinPhase.CHALLENGED
         ctx.emit(msg(MessageKind.ZK_CHALLENGE, join_id=self.name, challenges=join.challenges))
@@ -747,7 +747,7 @@ class SessionState:
     phase: SessionPhase = SessionPhase.INITIATED
 
 
-def _session1_payload(initiator: str, responder: str, t_a: int) -> bytes:
+def session1_payload(initiator: str, responder: str, t_a: int) -> bytes:
     return encoding.encode("session1", initiator, responder, t_a)
 
 
@@ -787,7 +787,7 @@ class SessionService:
     def _send_session1(self, peer: str, ctx: Ctx) -> None:
         session = self.sessions[(self.name, peer)]
         session.t_a = ctx.now
-        sig = self.provider.sign(self.keypair.private, _session1_payload(self.name, peer, session.t_a))
+        sig = self.provider.sign(self.keypair.private, session1_payload(self.name, peer, session.t_a))
         plain = seal_plain(MessageKind.SESSION_1, initiator=self.name, responder=peer, t_a=session.t_a, sig=sig)
         sealed = self.provider.pk_encrypt(self.directory[peer], plain, ctx.rng)
         ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
@@ -829,7 +829,7 @@ class SessionService:
     def _verify_and_respond(self, initiator: str, t_a: int, sig_bytes: bytes, ctx: Ctx) -> None:
         session = self.sessions[(initiator, self.name)]
         ok = self.provider.verify(
-            self.directory[initiator], _session1_payload(initiator, self.name, t_a), sig_bytes
+            self.directory[initiator], session1_payload(initiator, self.name, t_a), sig_bytes
         )
         if not ok:
             self._abort(session, "bad_signature", ctx)

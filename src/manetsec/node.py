@@ -20,15 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from . import encoding
 from .crypto import DecryptionError
-from .keymgmt import (
-    Certificate,
-    JoinConfig,
-    LeaderKeyService,
-    MemberKeyService,
-    SessionService,
-)
+from .keymgmt import Certificate, LeaderKeyService, MemberKeyService, SessionService, session1_payload
 from .messages import BROADCAST, FIELD_TYPES, UNOPENABLE, Envelope, Message, MessageKind, msg, open_sealed, seal_plain
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .routing import Discovery, Router
@@ -47,19 +40,15 @@ class ProtocolNode:
         provider,
         rng: random.Random,
         params: SimParams,
-        authority_public: bytes,
     ):
         self.name = name
         self.keypair = keypair
-        self.certificate = certificate
         self.provider = provider
         self.rng = rng
         self.params = params
-        self.authority_public = authority_public
-        join_cfg = JoinConfig(
-            challenge_bits=params.challenge_bits, challenge_rounds=params.challenge_rounds
+        self.member = MemberKeyService(
+            name, keypair, certificate, provider, params.challenge_bits, params.challenge_rounds
         )
-        self.member = MemberKeyService(name, keypair, certificate, provider, join_cfg)
         self.sessions = SessionService(name, keypair, provider, params.freshness_window)
         self.router = Router(name, keypair, provider, strict_chain=params.strict_chain)
         self.leader_service: Optional[LeaderKeyService] = None
@@ -77,9 +66,6 @@ class ProtocolNode:
         self.remote_jobs: dict = {}  # dest -> list of [requester, seq, origin_leader, deadline]
 
     # ------------------------------------------------------------------ identity
-
-    def is_leader(self) -> bool:
-        return self.leader_service is not None
 
     def group_id(self) -> Optional[str]:
         if self.leader_service is not None:
@@ -212,7 +198,7 @@ class ProtocolNode:
     def _handle_leave(self, message: Message, ctx: Ctx) -> None:
         who = message["who"]
         if self.leader_service is not None:
-            self.leader_service.remove_member(who, "announced_leave", ctx)
+            self.leader_service.remove_members([who], "announced_leave", ctx)
         elif who == self.member.leader and self.member.is_member():
             group = self.member.group_id
             self.leader_last_seen = None
@@ -250,9 +236,6 @@ class ProtocolNode:
             to=to,
             channel="ring",
         )
-
-    def begin_join(self, leader: str, ctx: Ctx) -> None:
-        self.member.begin_join(leader, ctx)
 
     def announce_leave(self, ctx: Ctx) -> None:
         ctx.emit(msg(MessageKind.LEAVE, who=self.name))
@@ -396,7 +379,7 @@ class ProtocolNode:
             dest, seq = inner["dest"], inner["seq"]
             if self.pending_composed.get(dest) == seq:
                 del self.pending_composed[dest]
-                self.router.install(dest, inner["route"], seq, ctx.now)
+                self.router.install(dest, inner["route"], seq)
                 ctx.note("verdict", "route_installed", ("dest", dest), ("seq", seq), "composed", about=self.name)
         elif tag == "route_failed":
             dest, seq = inner["dest"], inner["seq"]
@@ -460,7 +443,7 @@ class ProtocolNode:
             remote_route = inner["route"]
             if requester == self.name:
                 self.pending_composed.pop(dest, None)
-                self.router.install(dest, [self.name] + remote_route, seq, ctx.now)
+                self.router.install(dest, [self.name] + remote_route, seq)
                 ctx.note("verdict", "route_installed", ("dest", dest), ("seq", seq), "composed", about=self.name)
                 return
             entry = self.router.route_to(requester)
@@ -503,10 +486,9 @@ class ProtocolNode:
 
     # ------------------------------------------------------------------ clock
 
-    def on_tick(self, ctx: Ctx) -> list:
-        self.signals = []
+    def on_tick(self, ctx: Ctx) -> None:
         if not self.alive:
-            return self.signals
+            return
         period = self.params.heartbeat_period
         if self.leader_service is not None:
             if ctx.now > 0 and ctx.now % period == 0:
@@ -541,7 +523,6 @@ class ProtocolNode:
             ):
                 self.leader_last_seen = None
                 self.signals.append(("election", self.member.group_id, self.member.leader))
-        return self.signals
 
     def _expire_remote_jobs(self, ctx: Ctx) -> None:
         for dest in sorted(self.remote_jobs):
@@ -560,6 +541,44 @@ class ProtocolNode:
 # ---------------------------------------------------------------------------
 # Adversarial node behaviours
 # ---------------------------------------------------------------------------
+
+# Every adversary behavior, with the default of each argument it reads; a
+# placed adversary runs with these under the arguments its scenario gives.
+# `modify_field` also needs `field=` and `op=`, which have no default.
+BEHAVIORS = {
+    "mitm_relay": {},
+    "modify_field": {"value": None},
+    "replay": {"delay": 5},
+    "impersonate": {"strategy": "replay", "modulus": (1 << 61) - 1},
+    "drop_all": {},
+    "drop_probabilistic": {"p": 1.0},
+}
+# The one behavior that keeps transport alive: a stealth relay forwards
+# whatever it carries to stay invisible, so addressed traffic may be routed
+# through it; the other behaviours do not cooperate with transport.
+STEALTH_RELAY = "mitm_relay"
+# The node adversaries that pass on broadcasts they hear: a stealth relay
+# all of them, a mutator those it changed.  The others keep them, and draw
+# nothing from their random stream for them.
+_REBROADCASTS = (STEALTH_RELAY, "modify_field")
+
+
+def intercept(kind: str, args: dict, message: Message, rng: random.Random) -> Optional[Message]:
+    """What one interception by a `kind` adversary, with every argument in
+    `args`, does to `message`: the message it passes on, or None when it eats
+    it.  A stealth relay burns one hop of a request's budget but alters
+    nothing else, a mutator rewrites one field of the messages that have it,
+    and a replayer or impostor passes the message on as it is."""
+    if kind == "drop_all":
+        return None
+    if kind == "drop_probabilistic":
+        return None if rng.random() < args["p"] else message
+    if kind == "mitm_relay" and message.kind == MessageKind.RREQ:
+        lifetime = message["lifetime"]
+        return message.replace(lifetime=lifetime - 1) if lifetime >= 1 else None
+    if kind == "modify_field" and args["field"] in message.fields:
+        return mutate_message(message, args["field"], args["op"], args["value"], rng)
+    return message
 
 
 @dataclass
@@ -587,14 +606,11 @@ class AdversaryNode:
         self.provider = provider
         self.rng = rng
         self.behavior = behavior
-        self.args = args
+        self.args = {**BEHAVIORS[behavior], **args}
         self.publics = publics  # certificate directory: public material only
         self.alive = True
         self.state = AdversaryState()
         self.signals: list = []
-
-    def is_leader(self) -> bool:
-        return False
 
     def handle(self, envelope: Envelope, ctx: Ctx) -> None:
         message = envelope.message
@@ -618,26 +634,13 @@ class AdversaryNode:
             self._impostor_step(envelope, ctx)
             return
         if self.behavior == "replay":
-            self.state.replay_buffer.append((ctx.now + self.args.get("delay", 5), envelope))
+            self.state.replay_buffer.append((ctx.now + self.args["delay"], envelope))
             return
-        if envelope.to != BROADCAST:
+        if envelope.to != BROADCAST or self.behavior not in _REBROADCASTS:
             return
-        if self.behavior == "mitm_relay":
-            self._relay(message, ctx)
-        elif self.behavior == "modify_field":
-            if self.args["field"] in message.fields:
-                mutated = mutate_message(
-                    message, self.args["field"], self.args["op"], self.args.get("value"), ctx.rng
-                )
-                ctx.emit(mutated)
-
-    def _relay(self, message: Message, ctx: Ctx) -> None:
-        if message.kind == MessageKind.RREQ:
-            if message["lifetime"] < 1:
-                return
-            ctx.emit(message.replace(lifetime=message["lifetime"] - 1))
-        else:
-            ctx.emit(message)
+        passed = intercept(self.behavior, self.args, message, ctx.rng)
+        if passed is not None and (self.behavior == STEALTH_RELAY or passed is not message):
+            ctx.emit(passed)
 
     def _impostor_step(self, envelope: Envelope, ctx: Ctx) -> None:
         """Pose as a group leader: answer join attempts with replayed or
@@ -646,20 +649,11 @@ class AdversaryNode:
         if message.kind == MessageKind.JOIN_REQ and envelope.to == self.name:
             requester = message["requester"]
             self.state.active_impostor_joins.add(requester)
-            strategy = self.args.get("strategy", "replay")
             recorded = self.state.recorded_params
-            if strategy == "replay" and recorded is not None:
-                ctx.emit(
-                    msg(
-                        MessageKind.ZK_PARAMS,
-                        join_id=requester,
-                        modulus=recorded["modulus"],
-                        square=recorded["square"],
-                        commitments=list(recorded["commitments"]),
-                    )
-                )
+            if self.args["strategy"] == "replay" and recorded is not None:
+                ctx.emit(recorded.replace(join_id=requester))
             else:
-                modulus = self.args.get("modulus", (1 << 61) - 1)
+                modulus = self.args["modulus"]
                 ctx.emit(
                     msg(
                         MessageKind.ZK_PARAMS,
@@ -673,9 +667,8 @@ class AdversaryNode:
             join_id = message["join_id"]
             if join_id not in self.state.active_impostor_joins:
                 return
-            strategy = self.args.get("strategy", "replay")
             recorded = self.state.recorded_responses
-            if strategy == "replay" and recorded is not None:
+            if self.args["strategy"] == "replay" and recorded is not None:
                 responses = list(recorded["responses"])[: len(message["challenges"])]
             else:
                 responses = [self.rng.getrandbits(64) + 2 for _ in message["challenges"]]
@@ -713,18 +706,16 @@ class AdversaryNode:
         peer_public = self.publics.get(peer)
         if peer_public is None:
             return
-        payload = encoding.encode("session1", self.name, peer, ctx.now)
-        sig = self.provider.sign(self.keypair.private, payload)
+        sig = self.provider.sign(self.keypair.private, session1_payload(self.name, peer, ctx.now))
         plain = seal_plain(MessageKind.SESSION_1, initiator=self.name, responder=peer, t_a=ctx.now, sig=sig)
         sealed = self.provider.pk_encrypt(peer_public, plain, ctx.rng)
         ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
 
-    def on_tick(self, ctx: Ctx) -> list:
+    def on_tick(self, ctx: Ctx) -> None:
         due = [item for item in self.state.replay_buffer if item[0] <= ctx.now]
         self.state.replay_buffer = [item for item in self.state.replay_buffer if item[0] > ctx.now]
         for _, envelope in due:
             ctx.emit(envelope.message, to=envelope.to, channel=envelope.channel)
-        return []
 
 
 # The single-field mutations `mutate_message` knows, each with the wire

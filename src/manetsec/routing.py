@@ -151,7 +151,6 @@ class RouteEntry:
     next_hop: str
     route: list
     seq: int
-    learned: int
 
 
 @dataclass
@@ -244,7 +243,7 @@ class Router:
         self.last_seq_from[source] = seq
         reply = make_rrep(self.provider, self.keypair, self.name, message)
         # The accepted request also teaches the destination the reverse path.
-        self.install(source, list(reversed(reply["route"])), seq, ctx.now)
+        self.install(source, list(reversed(reply["route"])), seq)
         ctx.note("verdict", ACCEPT, ("source", source), ("seq", seq), about=self.name, message=message)
         ctx.emit(reply, to=message["route"][-1])
 
@@ -301,16 +300,16 @@ class Router:
             ctx.note("verdict", "rrep_reject", "bad_signature", ("dest", dest), ("seq", seq), about=self.name)
             return None
         del self.pending[(dest, seq)]
-        self.install(dest, route, seq, ctx.now)
+        self.install(dest, route, seq)
         ctx.note("verdict", "route_installed", ("dest", dest), ("seq", seq), about=self.name)
         return discovery
 
-    def install(self, dest: str, route: list, seq: int, now: int) -> Optional[RouteEntry]:
+    def install(self, dest: str, route: list, seq: int) -> Optional[RouteEntry]:
         entry = self.table.get(dest)
         if entry is not None and seq < entry.seq:
             return None
         next_hop = route[1] if len(route) > 1 else dest
-        new_entry = RouteEntry(dest=dest, next_hop=next_hop, route=list(route), seq=seq, learned=now)
+        new_entry = RouteEntry(dest=dest, next_hop=next_hop, route=list(route), seq=seq)
         self.table[dest] = new_entry
         return new_entry
 

@@ -31,15 +31,15 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .crypto import make_provider
 from .group import NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
-from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, Message, MessageKind
+from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
-from .node import MUTATION_OPS, VALUE_OPS, AdversaryNode, ProtocolNode, mutate_message
+from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept
 from .runtime import Ctx
 
 LOG_HEADER = "#manetsec-log v1"
@@ -75,7 +75,7 @@ class GroupSpec:
 
 @dataclass
 class AdversarySpec:
-    kind: str  # mitm_relay | modify_field | replay | impersonate | drop_all | drop_probabilistic
+    kind: str  # a behavior of node.BEHAVIORS
     placement: tuple  # ("node", name) or ("link", u, v)
     args: dict = field(default_factory=dict)
 
@@ -122,29 +122,41 @@ class Scenario:
     provider_name: str = "test_double"
 
 
-_KNOWN_ACTIONS = {
-    "join": 2,
-    "join_via": 2,
-    "leave": 1,
-    "crash": 1,
-    "crash_leader": 1,
-    "discover": 2,
-    "send_data": 2,
-    "session": 2,
-    "expel": 2,
-    "forged_join": 2,
-    "rogue_session": 2,
+# The roles an argument of a script action or an expectation can play.
+ANY_NODE = "node"
+PROTOCOL_NODE = "protocol node"  # a node that is not adversarial
+ADVERSARIAL_NODE = "adversarial node"
+GROUP = "group"
+NODE_OR_ALL = "node or *"  # `*` addresses the whole group
+TEXT = "text"
+OPTIONAL_TEXT = "optional text"  # only ever the last argument
+
+# Each script action with the roles of its arguments, in order.
+ACTIONS = {
+    "join": (PROTOCOL_NODE, GROUP),
+    "join_via": (PROTOCOL_NODE, ANY_NODE),
+    "leave": (PROTOCOL_NODE,),
+    "crash": (ANY_NODE,),
+    "crash_leader": (GROUP,),
+    "discover": (PROTOCOL_NODE, ANY_NODE),
+    "send_data": (PROTOCOL_NODE, NODE_OR_ALL, OPTIONAL_TEXT),
+    "session": (PROTOCOL_NODE, ANY_NODE),
+    "expel": (PROTOCOL_NODE, ANY_NODE),
+    "forged_join": (ADVERSARIAL_NODE, GROUP),
+    "rogue_session": (ADVERSARIAL_NODE, ANY_NODE),
 }
 
-_KNOWN_EXPECTATIONS = {
-    "route": 2,
-    "no_route": 2,
-    "verdict": 2,
-    "no_verdict": 2,
-    "admitted": 1,
-    "not_admitted": 1,
-    "session": 3,
-    "alerted": 1,
+# Each expectation with the roles of its arguments: a verdict's detail
+# prefix and a session's status are free text.
+EXPECTATIONS = {
+    "route": (ANY_NODE, ANY_NODE),
+    "no_route": (ANY_NODE, ANY_NODE),
+    "verdict": (ANY_NODE, TEXT),
+    "no_verdict": (ANY_NODE, TEXT),
+    "admitted": (ANY_NODE,),
+    "not_admitted": (ANY_NODE,),
+    "session": (ANY_NODE, ANY_NODE, TEXT),
+    "alerted": (ANY_NODE,),
 }
 
 
@@ -157,29 +169,30 @@ def _is_finite(value) -> bool:
 
 
 def _adversary_arg_problems(adv: AdversarySpec) -> list:
-    """What is wrong with one adversary's `key=value` arguments."""
-    args, problems = adv.args, []
+    """What is wrong with one adversary's `key=value` arguments, read over
+    its behavior's defaults."""
+    if adv.kind not in BEHAVIORS:
+        return [f"unknown behavior {adv.kind!r}"]
+    args, problems = {**BEHAVIORS[adv.kind], **adv.args}, []
     if adv.kind == "drop_probabilistic":
-        p = args.get("p", 1.0)
-        if not (_is_finite(p) and 0.0 <= p <= 1.0):
+        if not (_is_finite(args["p"]) and 0.0 <= args["p"] <= 1.0):
             problems.append("drop probability must be within [0, 1]")
     elif adv.kind == "replay":
-        delay = args.get("delay", 5)
-        if not (_is_int(delay) and delay >= 0):
-            problems.append(f"replay delay must be a non-negative integer, not {delay!r}")
+        if not (_is_int(args["delay"]) and args["delay"] >= 0):
+            problems.append(f"replay delay must be a non-negative integer, not {args['delay']!r}")
     elif adv.kind == "impersonate":
-        if args.get("strategy", "replay") not in ("replay", "random"):
+        if args["strategy"] not in ("replay", "random"):
             problems.append(f"impersonate strategy must be replay or random, not {args['strategy']!r}")
-        if "modulus" in args and not (_is_int(args["modulus"]) and args["modulus"] >= 4):
+        if not (_is_int(args["modulus"]) and args["modulus"] >= 4):
             problems.append(f"impersonate modulus must be an integer of at least 4, not {args['modulus']!r}")
     elif adv.kind == "modify_field":
         for key in ("field", "op"):
             if key not in args:
                 problems.append(f"modify_field needs {key}=")
-        fieldname, op = args.get("field"), args.get("op")
+        fieldname, op, value = args.get("field"), args.get("op"), args["value"]
         if op is not None and op not in MUTATION_OPS:
             problems.append(f"unknown modify_field op {op!r}")
-        elif op in VALUE_OPS and "value" not in args:
+        elif op in VALUE_OPS and value is None:
             problems.append(f"modify_field op {op} needs value=")
         if fieldname is not None and fieldname not in HEADER_FIELDS:
             problems.append(f"modify_field field {fieldname!r} names no message field")
@@ -187,8 +200,7 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
             wire_type = FIELD_TYPES[fieldname]
             if wire_type not in MUTATION_OPS[op]:
                 problems.append(f"modify_field op {op} does not apply to {fieldname}, whose type is {wire_type}")
-            elif op in VALUE_OPS and "value" in args:
-                value = args["value"]
+            elif op in VALUE_OPS and value is not None:
                 if wire_type == "int" and not _is_int(value):
                     problems.append(f"modify_field value {value!r} for int field {fieldname} is not an integer")
                 elif wire_type == "name" and not NAME_RE.fullmatch(str(value)):
@@ -218,6 +230,29 @@ def _param_problems(params: SimParams) -> list:
         problems.append(f"trust_initial must be within [0, 1], not {trust!r}")
     if params.duration is not None and not (_is_int(params.duration) and params.duration >= 0):
         problems.append(f"duration must be a non-negative integer, not {params.duration!r}")
+    return problems
+
+
+def _argument_problems(what: str, word: str, args: tuple, roles: tuple, names, adversarial, groups) -> list:
+    """What is wrong with the arguments of one script action or expectation
+    (`what`, of kind `word`), checked against the `roles` of its row."""
+    required = sum(role != OPTIONAL_TEXT for role in roles)
+    if not required <= len(args) <= len(roles):
+        count = required if required == len(roles) else f"{required} or {len(roles)}"
+        return [f"{what} {word} expects {count} arguments"]
+    problems = []
+    for role, arg in zip(roles, args):
+        if role in (TEXT, OPTIONAL_TEXT) or (role == NODE_OR_ALL and arg == BROADCAST):
+            continue
+        if role == GROUP:
+            if arg not in groups:
+                problems.append(f"{what} {word}: unknown group {arg!r}")
+        elif arg not in names:
+            problems.append(f"{what} {word}: unknown node {arg!r}")
+        elif role == PROTOCOL_NODE and arg in adversarial:
+            problems.append(f"{what} {word}: {arg!r} is adversarial, not a protocol node")
+        elif role == ADVERSARIAL_NODE and arg not in adversarial:
+            problems.append(f"{what} {word}: {arg!r} is not an adversarial node")
     return problems
 
 
@@ -252,15 +287,6 @@ def validate_scenario(scenario: Scenario) -> list:
                     problems.append(f"adversary {i}: unknown link endpoint {end!r}")
         else:
             problems.append(f"adversary {i}: unknown placement kind {where[0]!r}")
-        if adv.kind not in (
-            "mitm_relay",
-            "modify_field",
-            "replay",
-            "impersonate",
-            "drop_all",
-            "drop_probabilistic",
-        ):
-            problems.append(f"adversary {i}: unknown behavior {adv.kind!r}")
         problems += [f"adversary {i}: {problem}" for problem in _adversary_arg_problems(adv)]
     grouped = set()
     group_ids = set()
@@ -287,50 +313,27 @@ def validate_scenario(scenario: Scenario) -> list:
     except ValueError as exc:
         problems.append(str(exc))
     problems += _param_problems(scenario.params)
+    duration = scenario.params.duration
     last_tick = 0
     for action in scenario.script:
         if action.tick < last_tick:
             problems.append(f"script time {action.tick} decreases (after {last_tick})")
         last_tick = max(last_tick, action.tick)
-        if action.op not in _KNOWN_ACTIONS:
+        if _is_int(duration) and action.tick > duration:
+            problems.append(f"script time {action.tick} is after the duration {duration}, so it would never run")
+        if action.op not in ACTIONS:
             problems.append(f"unknown script action {action.op!r}")
             continue
-        if len(action.args) < _KNOWN_ACTIONS[action.op]:
-            problems.append(f"action {action.op} expects {_KNOWN_ACTIONS[action.op]} arguments")
-            continue
-        actor = action.args[0]
-        if action.op in ("crash_leader",):
-            if actor not in group_ids:
-                problems.append(f"action {action.op}: unknown group {actor!r}")
-        elif actor not in names:
-            problems.append(f"action {action.op}: unknown node {actor!r}")
-        if action.op in ("join", "expel"):
-            target = action.args[1]
-            if action.op == "join" and target not in group_ids:
-                problems.append(f"action join: unknown group {target!r}")
-            if action.op == "expel" and target not in names:
-                problems.append(f"action expel: unknown node {target!r}")
-        if action.op in ("join_via", "discover", "session", "rogue_session", "forged_join"):
-            target = action.args[1]
-            if action.op == "forged_join":
-                if target not in group_ids:
-                    problems.append(f"action forged_join: unknown group {target!r}")
-            elif target not in names:
-                problems.append(f"action {action.op}: unknown node {target!r}")
-        if action.op == "send_data":
-            target = action.args[1]
-            if target != BROADCAST and target not in names:
-                problems.append(f"action send_data: unknown node {target!r}")
-        if action.op in ("forged_join", "rogue_session") and actor not in adversarial:
-            problems.append(f"action {action.op}: {actor!r} is not an adversarial node")
-        if action.op in ("join", "join_via", "leave", "discover", "send_data", "session", "expel"):
-            if actor in adversarial:
-                problems.append(f"action {action.op}: {actor!r} is adversarial, not a protocol node")
+        problems += _argument_problems(
+            "action", action.op, action.args, ACTIONS[action.op], names, adversarial, group_ids
+        )
     for expect in scenario.expectations:
-        if expect.kind not in _KNOWN_EXPECTATIONS:
+        if expect.kind not in EXPECTATIONS:
             problems.append(f"unknown expectation {expect.kind!r}")
-        elif len(expect.args) != _KNOWN_EXPECTATIONS[expect.kind]:
-            problems.append(f"expectation {expect.kind} expects {_KNOWN_EXPECTATIONS[expect.kind]} arguments")
+            continue
+        problems += _argument_problems(
+            "expectation", expect.kind, expect.args, EXPECTATIONS[expect.kind], names, adversarial, group_ids
+        )
     return problems
 
 
@@ -543,6 +546,10 @@ class LinkTap:
     spec: AdversarySpec
     rng: random.Random
     outbox: list = field(default_factory=list)  # (due, envelope, recipient)
+    args: dict = field(init=False)  # the spec's arguments over its behavior's defaults
+
+    def __post_init__(self):
+        self.args = {**BEHAVIORS[self.spec.kind], **self.spec.args}
 
     def matches(self, a: str, b: str) -> bool:
         _, u, v = self.spec.placement
@@ -552,36 +559,6 @@ class LinkTap:
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
-
-
-def adversary_apply(kind: str, args: dict, message: Message, rng: random.Random):
-    """What one interception does to a message.
-
-    Returns (outcome, message): outcome is "forward", "drop", or "mutate";
-    a stealth relay burns one hop of a request's budget but alters nothing
-    else, mutations rewrite one field, drops eat the message.
-    """
-    if kind == "drop_all":
-        return "drop", None
-    if kind == "drop_probabilistic":
-        if rng.random() < args.get("p", 1.0):
-            return "drop", None
-        return "forward", message
-    if kind == "mitm_relay":
-        if message.kind == MessageKind.RREQ:
-            if message["lifetime"] < 1:
-                return "drop", None
-            return "forward", message.replace(lifetime=message["lifetime"] - 1)
-        return "forward", message
-    if kind == "modify_field":
-        if args["field"] not in message.fields:
-            return "forward", message
-        return "mutate", mutate_message(message, args["field"], args["op"], args.get("value"), rng)
-    if kind == "impersonate":
-        return "forward", message
-    if kind == "replay":
-        return "forward", message
-    raise ValueError(f"unknown adversary kind {kind!r}")
 
 
 class Simulation:
@@ -622,7 +599,6 @@ class Simulation:
             digest = hashlib.blake2b(seed_bytes + label.encode(), digest_size=8).digest()
             return random.Random(int.from_bytes(digest, "big"))
 
-        self.rng_for = rng_for
         authority_rng = rng_for("authority")
         self.authority = CertificateAuthority(self.provider, authority_rng)
 
@@ -661,7 +637,6 @@ class Simulation:
                     self.provider,
                     rng_for(f"node:{name}"),
                     scenario.params,
-                    self.authority.public,
                 )
         self.taps = [
             LinkTap(f"tap{i}", adv, rng_for(f"tap:{i}"))
@@ -669,8 +644,12 @@ class Simulation:
             if adv.placement[0] == "link"
         ]
         registry.adversary_names.extend(tap.name for tap in self.taps)
-        # Nodes that never relay: no node changes its behaviour during a run.
-        self._no_relay = frozenset(name for name in self.nodes if not self._relay_capable(name))
+        # Nodes that never relay, all adversaries but stealth relays: no node
+        # changes its behaviour during a run.
+        self._no_relay = frozenset(
+            name for name, node in self.nodes.items()
+            if isinstance(node, AdversaryNode) and node.behavior != STEALTH_RELAY
+        )
 
     # -- logging helpers -------------------------------------------------------
 
@@ -750,14 +729,6 @@ class Simulation:
             if tap.matches(a, b):
                 return tap
         return None
-
-    def _relay_capable(self, name: str) -> bool:
-        node = self.nodes[name]
-        if not isinstance(node, AdversaryNode):
-            return True
-        # A stealth relay keeps the link alive to stay invisible; the other
-        # behaviours do not cooperate with transport.
-        return node.behavior == "mitm_relay"
 
     def _radio_path(self, source: str, target: str) -> Optional[list]:
         """Shortest live radio path; relays are honest nodes or stealth relays.
@@ -868,14 +839,12 @@ class Simulation:
             tapped = Envelope(message=message, sender=envelope.sender, to=target, channel="radio")
             if tap.spec.kind == "replay":
                 self._schedule(arrive, tapped, tap.name, u, ("overheard", ("hops", str(link_hops)), tx))
-                delay = tap.spec.args.get("delay", 5)
-                tap.outbox.append((arrive + delay, tapped, target))
+                tap.outbox.append((arrive + tap.args["delay"], tapped, target))
                 continue
             self._schedule(arrive, tapped, tap.name, u, ("intercepted", ("hops", str(link_hops)), tx))
-            outcome, modified = adversary_apply(tap.spec.kind, tap.spec.args, message, tap.rng)
-            if outcome == "drop":
+            message = intercept(tap.spec.kind, tap.args, message, tap.rng)
+            if message is None:
                 return
-            message = modified
             extra += 1
         delivered = Envelope(message=message, sender=envelope.sender, to=target, channel="radio")
         self._schedule(
@@ -887,22 +856,16 @@ class Simulation:
         if tap is None:
             self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
             return
-        kind = tap.spec.kind
-        if kind == "replay":
+        if tap.spec.kind == "replay":
             # A passive tap: traffic flows normally, a copy is re-emitted later.
             self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
             self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("overheard", tx))
-            delay = tap.spec.args.get("delay", 5)
-            tap.outbox.append((self.now + 1 + delay, envelope, recipient))
+            tap.outbox.append((self.now + 1 + tap.args["delay"], envelope, recipient))
             return
         self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("intercepted", tx))
-        outcome, modified = adversary_apply(kind, tap.spec.args, envelope.message, tap.rng)
-        if outcome == "drop":
-            return
-        relayed = Envelope(
-            message=modified, sender=envelope.sender, to=envelope.to, channel=envelope.channel
-        )
-        tap.outbox.append((self.now + 1, relayed, recipient))
+        passed = intercept(tap.spec.kind, tap.args, envelope.message, tap.rng)
+        if passed is not None:
+            tap.outbox.append((self.now + 1, replace(envelope, message=passed), recipient))
 
     def _drain_taps(self) -> None:
         for tap in self.taps:
@@ -965,7 +928,7 @@ class Simulation:
             node.rng,
             self.authority.public,
             capacity,
-            node.member.cfg,
+            self.params.challenge_rounds,
             faults=set(self.scenario.faults),
         )
         trust_seed = self.last_trust.get(group_id, {})
@@ -1068,7 +1031,7 @@ class Simulation:
             if leader is None:
                 self._log("alert", actor, ("join_failed", "no_leader", args[1]))
                 return
-            self._step(actor, node.begin_join, leader)
+            self._step(actor, node.member.begin_join, leader)
         elif op == "leave":
             self._step(actor, self._leave)
         elif op == "discover":
@@ -1082,7 +1045,7 @@ class Simulation:
             if node.leader_service is None:
                 self._log("alert", actor, ("expel_failed", "not_leader", args[1]))
                 return
-            self._step(actor, node.leader_service.remove_member, args[1], "misbehavior")
+            self._step(actor, node.leader_service.remove_members, [args[1]], "misbehavior")
         elif op == "forged_join":
             leader = self.leaders.get(args[1])
             if leader is not None:

@@ -122,6 +122,19 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
             "[adversaries]\nnode X impersonate strategy=bogus\n",
             "adversary 0: impersonate strategy must be replay or random, not 'bogus'",
         ),
+        # Extra arguments would be ignored, and an action after the duration
+        # would never run.
+        ("3 discover A B extra words\n", "action discover expects 2 arguments"),
+        ("3 leave A B C\n", "action leave expects 1 arguments"),
+        ("3 send_data A B hello world\n", "action send_data expects 2 or 3 arguments"),
+        ("3 send_data A\n", "action send_data expects 2 or 3 arguments"),
+        ("[params]\nduration = 1\n", "script time 2 is after the duration 1, so it would never run"),
+        # An expectation about a node the scenario lacks would hold vacuously.
+        ("[expect]\nno_route A Zed\n", "expectation no_route: unknown node 'Zed'"),
+        ("[expect]\nno_verdict Zed accept\n", "expectation no_verdict: unknown node 'Zed'"),
+        ("[expect]\nnot_admitted Qq\n", "expectation not_admitted: unknown node 'Qq'"),
+        ("[expect]\nsession Zed B confirmed\n", "expectation session: unknown node 'Zed'"),
+        ("[expect]\nalerted g1\n", "expectation alerted: unknown node 'g1'"),
     ],
 )
 def test_half_formed_scenario_rejected(tmp_path, capsys, tail, problem):

@@ -171,7 +171,7 @@ def _copy_of_fixture() -> Simulation:
 
 def test_fixture_holds_every_recipient_role():
     sim = _copy_of_fixture()
-    leaders = {name for name in RECIPIENTS if sim.nodes[name].is_leader()}
+    leaders = {name for name in RECIPIENTS if sim.nodes[name].leader_service is not None}
     assert leaders == {"L1", "L2"} and all(sim.nodes[name].ring_key for name in leaders)
     assert sim.nodes["M1"].member.is_member() and not sim.nodes["N"].group_id()
     assert sim.nodes["J"].member.join.phase == JoinPhase.CERT_VERIFIED and not sim.nodes["J"].group_id()

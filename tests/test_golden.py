@@ -11,7 +11,12 @@ leader's session with a node outside its group (a unicast addressed to the
 sender itself), a routed unicast across the leader ring, a discovery of a
 node no group holds, plus every adversary kind placed
 on a link, at a node that bridges a gap and at a bystander node, so
-overhearing, taps and out-of-range drops are all exercised.  Two 121-node
+overhearing, taps and out-of-range drops are all exercised; each bridging
+adversary also forges a join and opens rogue sessions.  The replay
+and probabilistic-drop behaviors are pinned again with no arguments, and an
+impostor that a node joins through with none (with and without a recorded
+handshake to replay) and with only ``strategy=random``, so every default a
+behavior declares is read by some case.  Two 121-node
 grids from the benchmark's recipes (``perfbench/workloads.py``), one static
 and one walking every tick, pin radio reach where many nodes share a
 neighbourhood; two 256-node ones pin the scale the founding fan-out and the
@@ -71,16 +76,18 @@ ADVERSARY_SCRIPT = [
 ]
 
 
-def adversary_line_scenario(kind, placement):
+def adversary_line_scenario(kind, placement, args=None):
     """S-A-B-D with one adversary of `kind` on the A-B link ("link"), at a
     node X that bridges a gap between A and B ("bridge"), or at a node X
-    beside an A-B link that works without it ("bystander")."""
+    beside an A-B link that works without it ("bystander").  The adversary
+    takes `args`, by default its entry in ADVERSARY_ARGS."""
+    args = dict(ADVERSARY_ARGS[kind] if args is None else args)
     if placement == "link":
         return line_scenario(
             ["S", "A", "B", "D"],
             seed=3,
             script=ADVERSARY_SCRIPT,
-            adversaries=[AdversarySpec(kind, ("link", "A", "B"), dict(ADVERSARY_ARGS[kind]))],
+            adversaries=[AdversarySpec(kind, ("link", "A", "B"), args)],
             duration=40,
         )
     gap, x = (150.0, (175.0, 0.0)) if placement == "bridge" else (100.0, (150.0, 40.0))
@@ -97,8 +104,38 @@ def adversary_line_scenario(kind, placement):
         groups=[GroupSpec("g1", 8, ["S", "A", "B", "D"])],
         params=SimParams(radio_radius=RADIUS, duration=40),
         script=list(ADVERSARY_SCRIPT),
-        adversaries=[AdversarySpec(kind, ("node", "X"), dict(ADVERSARY_ARGS[kind]))],
+        adversaries=[AdversarySpec(kind, ("node", "X"), args)],
     )
+
+
+def active_adversary_scenario(kind):
+    """The bridge placement of `kind`, where X also attempts a forged join
+    and two rogue sessions, so its own random stream reaches the log."""
+    scenario = adversary_line_scenario(kind, "bridge")
+    scenario.script += [
+        Action(5, "forged_join", ("X", "g1")),
+        Action(8, "rogue_session", ("X", "D")),
+        Action(30, "rogue_session", ("X", "A")),
+    ]
+    scenario.script.sort(key=lambda action: action.tick)
+    return scenario
+
+
+def impostor_scenario(args, overheard):
+    """A line L-M (group g1) and an impostor X that N joins through; when
+    `overheard`, P joins g1 first within X's hearing, so X holds a recorded
+    handshake to replay."""
+    script = [Action(15, "join_via", ("N", "X"))]
+    if overheard:
+        script.insert(0, Action(3, "join", ("P", "g1")))
+    scenario = line_scenario(["L", "M"], seed=45, script=script, duration=40)
+    scenario.nodes += [
+        NodeSpec("N", [(50.0, 40.0)], 0.5),
+        NodeSpec("X", [(60.0, 60.0)], 0.5),
+        NodeSpec("P", [(30.0, -40.0)], 0.5),
+    ]
+    scenario.adversaries.append(AdversarySpec("impersonate", ("node", "X"), dict(args)))
+    return scenario
 
 
 def leader_session_scenario(seed):
@@ -166,6 +203,20 @@ def cases():
             out.append(
                 (f"adversary:{kind}:{placement}", lambda k=kind, p=placement: adversary_line_scenario(k, p))
             )
+    for kind in ADVERSARY_ARGS:
+        out.append((f"active:{kind}", lambda k=kind: active_adversary_scenario(k)))
+    # Behaviors left to their default arguments.
+    for kind in ("replay", "drop_probabilistic"):
+        for placement in ("link", "bridge", "bystander"):
+            out.append(
+                (f"defaults:{kind}:{placement}", lambda k=kind, p=placement: adversary_line_scenario(k, p, {}))
+            )
+    for label, args, overheard in (
+        ("plain", {}, False),
+        ("plain_overheard", {}, True),
+        ("random_overheard", {"strategy": "random"}, True),
+    ):
+        out.append((f"defaults:impersonate:{label}", lambda a=args, o=overheard: impostor_scenario(a, o)))
     for recipe in (workloads.grid_static, workloads.grid_mobile):
         for side in (11, 16):
             out.append((f"{recipe.__name__}:{side}x{side}:1", lambda r=recipe, n=side: r(1, side=n)))

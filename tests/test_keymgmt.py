@@ -7,7 +7,6 @@ from manetsec.crypto import DecryptionError
 from manetsec.keymgmt import (
     Certificate,
     CertificateAuthority,
-    JoinConfig,
     JoinPhase,
     LeaderKeyService,
     MemberKeyService,
@@ -268,7 +267,7 @@ def test_remove_member_rotates_and_excludes(world, rng):
     )
     epoch_before = world.leader.hierarchy.epoch
     ctx2 = make_ctx("L", 5, rng, world.provider)
-    world.leader.remove_member("M2", "silent_timeout", ctx2)
+    world.leader.remove_members(["M2"], "silent_timeout", ctx2)
     assert "M2" not in world.leader.hierarchy.members()
     assert world.leader.hierarchy.epoch == epoch_before + 1
     rekeys = [e for e in ctx2.outbound if e.message.kind == MessageKind.REKEY]
@@ -284,7 +283,7 @@ def test_remove_member_rotates_and_excludes(world, rng):
 
 def test_remove_unknown_member_warns(world, rng):
     ctx = make_ctx("L", 0, rng, world.provider)
-    world.leader.remove_member("ghost", "silent_timeout", ctx)
+    world.leader.remove_members(["ghost"], "silent_timeout", ctx)
     assert any("remove_unknown_member" in n.detail for n in ctx.notes)
     assert not ctx.outbound
 
@@ -293,7 +292,7 @@ def test_misbehavior_removal_alerts_ring(world, rng):
     ctx = make_ctx("L", 0, rng, world.provider)
     world.leader.found_group([("M1", world.keys["M1"].public)], ctx, "founding")
     ctx2 = make_ctx("L", 5, rng, world.provider)
-    world.leader.remove_member("M1", "misbehavior", ctx2)
+    world.leader.remove_members(["M1"], "misbehavior", ctx2)
     alerts = [e for e in ctx2.outbound if e.message.kind == MessageKind.MALICIOUS_ALERT]
     assert len(alerts) == 1 and alerts[0].channel == "ring"
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
+from manetsec.node import AdversaryNode
 from manetsec.sim import (
     EVENT_KINDS,
     PAYLOAD_MAGIC,
@@ -357,8 +358,8 @@ def test_crash_mid_tick_cuts_relay_out_of_kept_path_search():
 
 def _fresh_path(sim, source, target):
     """The path search as it was before searches were kept: a new early-exit
-    breadth-first search per call, where only the target may be unable to
-    relay."""
+    breadth-first search per call, where only the target may be an adversary
+    other than a stealth relay."""
     if target == source or target in sim._neighbours(source):
         return [source, target]
     frontier = [source]
@@ -369,7 +370,8 @@ def _fresh_path(sim, source, target):
             for v in sim._neighbours(u):
                 if v in parents or not sim.nodes[v].alive:
                     continue
-                if v != target and not sim._relay_capable(v):
+                node = sim.nodes[v]
+                if v != target and isinstance(node, AdversaryNode) and node.behavior != "mitm_relay":
                     continue
                 parents[v] = u
                 if v == target:
@@ -1007,32 +1009,28 @@ def test_adversary_apply_semantics(rng):
 
     from manetsec.crypto import DeterministicProvider
     from manetsec.keymgmt import CertificateAuthority
+    from manetsec.node import intercept
     from manetsec.routing import make_rreq
-    from manetsec.sim import adversary_apply
 
     provider = DeterministicProvider()
     r = random.Random(1)
     pair = provider.generate_keypair(r)
     request = make_rreq(provider, pair, "S", "D", 1, 8)
 
-    outcome, relayed = adversary_apply("mitm_relay", {}, request, r)
-    assert outcome == "forward" and relayed["lifetime"] == 7
+    relayed = intercept("mitm_relay", {}, request, r)
+    assert relayed is not None and relayed["lifetime"] == 7
     assert relayed["chain"] == request["chain"]  # nothing else touched
 
-    outcome, _ = adversary_apply("drop_all", {}, request, r)
-    assert outcome == "drop"
+    assert intercept("drop_all", {}, request, r) is None
 
-    outcome, mutated = adversary_apply(
-        "modify_field", {"field": "seq", "op": "add", "value": 1}, request, r
-    )
-    assert outcome == "mutate" and mutated["seq"] == 2
+    mutated = intercept("modify_field", {"field": "seq", "op": "add", "value": 1}, request, r)
+    assert mutated is not request and mutated["seq"] == 2
 
-    outcome, same = adversary_apply("replay", {"delay": 3}, request, r)
-    assert outcome == "forward" and same == request
+    same = intercept("replay", {"delay": 3}, request, r)
+    assert same is request
 
     exhausted = request.replace(lifetime=0)
-    outcome, _ = adversary_apply("mitm_relay", {}, exhausted, r)
-    assert outcome == "drop"
+    assert intercept("mitm_relay", {}, exhausted, r) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     manetsec validate SCENARIO
-    manetsec run SCENARIO [--seed N] [--out DIR] [--provider test|real]
+    manetsec run SCENARIO [--seed N] [--out DIR] [--provider NAME]
                           [--strict-chain]
     manetsec report LOGFILE
 
@@ -20,8 +20,9 @@ from collections import Counter
 from dataclasses import replace
 
 from .audit import audit
+from .crypto import PROVIDERS
 from .scenariofile import ScenarioParseError, parse_scenario
-from .sim import SimulationError, parse_log_text, run, validate_scenario
+from .sim import Simulation, SimulationError, parse_log_text, validate_scenario
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -29,7 +30,15 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 
+def _invalid(path: str, problems) -> int:
+    for problem in problems:
+        print(f"{path}: {problem}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _load_scenario(path: str):
+    """The parsed scenario and EXIT_OK, or None and the exit code; the
+    scenario is not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -37,23 +46,18 @@ def _load_scenario(path: str):
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, EXIT_IO
     try:
-        scenario = parse_scenario(text)
+        return parse_scenario(text), EXIT_OK
     except ScenarioParseError as exc:
-        for problem in exc.problems:
-            print(f"{path}: {problem}", file=sys.stderr)
-        return None, EXIT_INVALID
-    problems = validate_scenario(scenario)
-    if problems:
-        for problem in problems:
-            print(f"{path}: {problem}", file=sys.stderr)
-        return None, EXIT_INVALID
-    return scenario, EXIT_OK
+        return None, _invalid(path, exc.problems)
 
 
 def cmd_validate(args) -> int:
     scenario, status = _load_scenario(args.scenario)
     if status != EXIT_OK:
         return status
+    problems = validate_scenario(scenario)
+    if problems:
+        return _invalid(args.scenario, problems)
     print(f"{args.scenario}: ok ({len(scenario.nodes)} nodes, {len(scenario.groups)} groups)")
     return EXIT_OK
 
@@ -65,22 +69,21 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         scenario.seed = args.seed
     if args.provider:
-        scenario.provider_name = {"test": "test_double", "real": "real_crypto"}.get(
-            args.provider, args.provider
-        )
+        scenario.provider_name = PROVIDERS[args.provider].name
     if args.strict_chain:
         scenario.params = replace(scenario.params, strict_chain=True)
+    # The one check of the scenario, after the overrides and before any output.
+    try:
+        simulation = Simulation(scenario)
+    except SimulationError as exc:
+        return _invalid(args.scenario, exc.problems)
     out_dir = args.out or os.environ.get("MANETSEC_OUT") or "manetsec-out"
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        log = run(scenario)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    log = simulation.run()
     report = audit(log)
     base = os.path.splitext(os.path.basename(args.scenario))[0]
     try:
@@ -169,7 +172,7 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--out", default=None, help="output directory (default $MANETSEC_OUT or ./manetsec-out)")
-    p_run.add_argument("--provider", choices=["test", "real"], default=None, help="crypto provider")
+    p_run.add_argument("--provider", choices=list(PROVIDERS), default=None, help="crypto provider")
     p_run.add_argument("--strict-chain", action="store_true", help="chain-check at every hop")
     p_run.set_defaults(func=cmd_run)
 

@@ -302,12 +302,20 @@ class RealCryptoProvider:
             raise CiphertextAuthenticationError("ciphertext failed authentication") from exc
 
 
+# Each provider name a scenario or the command line accepts, with the
+# provider it makes; the provider's `name` is the canonical one.
+PROVIDERS = {
+    "test": DeterministicProvider,
+    "test_double": DeterministicProvider,
+    "real": RealCryptoProvider,
+    "real_crypto": RealCryptoProvider,
+}
+
+
 def make_provider(name: str):
-    if name in ("test", "test_double"):
-        return DeterministicProvider()
-    if name in ("real", "real_crypto"):
-        return RealCryptoProvider()
-    raise ValueError(f"unknown crypto provider {name!r}")
+    if name not in PROVIDERS:
+        raise ValueError(f"unknown crypto provider {name!r}")
+    return PROVIDERS[name]()
 
 
 # ---------------------------------------------------------------------------

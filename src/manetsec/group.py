@@ -45,7 +45,9 @@ def mobility(trace: Sequence[Position]) -> float:
     total = 0.0
     for (x0, y0), (x1, y1) in zip(trace, trace[1:]):
         total += math.hypot(x1 - x0, y1 - y0)
-    return total / steps
+    # A trace that moved scores above zero, also where the mean of a
+    # subnormal total underflows.
+    return max(total / steps, math.ulp(0.0)) if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -65,17 +67,22 @@ class NodeAttributes:
 
 @dataclass(frozen=True)
 class WeightConfig:
-    w0: float
-    w1: float
-    w2: float
+    w0: float = 0.4
+    w1: float = 0.4
+    w2: float = 0.2
     invert_battery_trust: bool = True
     mobility_scale: Optional[float] = None
 
     def __post_init__(self):
+        if not all(math.isfinite(w) for w in (self.w0, self.w1, self.w2)):
+            raise ValueError("weight factors must be finite")
         if min(self.w0, self.w1, self.w2) < 0:
             raise ValueError("weight factors must be non-negative")
         if abs(self.w0 + self.w1 + self.w2 - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError("weight factors must satisfy w0 + w1 + w2 = 1")
+        scale = self.mobility_scale
+        if scale is not None and not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"mobility_scale must be finite and positive, not {scale!r}")
 
 
 def weight(attrs: NodeAttributes, cfg: WeightConfig) -> float:

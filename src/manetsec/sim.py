@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .crypto import make_provider
+from .crypto import PROVIDERS, make_provider
 from .group import NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope
@@ -51,7 +51,11 @@ EVENT_KINDS = frozenset(
 
 
 class SimulationError(Exception):
-    """Scenario invalid or log unusable."""
+    """Scenario invalid or log unusable; `problems` lists what is wrong."""
+
+    def __init__(self, *problems):
+        self.problems = list(problems)
+        super().__init__("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +118,7 @@ class Scenario:
     nodes: list  # NodeSpec
     groups: list  # GroupSpec
     params: SimParams = field(default_factory=SimParams)
-    weights: WeightConfig = field(default_factory=lambda: WeightConfig(0.4, 0.4, 0.2))
+    weights: WeightConfig = field(default_factory=WeightConfig)
     script: list = field(default_factory=list)  # Action
     adversaries: list = field(default_factory=list)  # AdversarySpec
     expectations: list = field(default_factory=list)  # Expectation
@@ -259,6 +263,11 @@ def _argument_problems(what: str, word: str, args: tuple, roles: tuple, names, a
 def validate_scenario(scenario: Scenario) -> list:
     """Structural and referential checks; returns a list of problems."""
     problems = []
+    # Simulation.__init__ packs the seed into 8 signed bytes.
+    if not (_is_int(scenario.seed) and -(2**63) <= scenario.seed < 2**63):
+        problems.append(f"seed must be an integer within signed 64 bits, not {scenario.seed!r}")
+    if scenario.provider_name not in PROVIDERS:
+        problems.append(f"unknown crypto provider {scenario.provider_name!r}")
     names = set()
     for spec in scenario.nodes:
         if spec.name in names:
@@ -309,7 +318,7 @@ def validate_scenario(scenario: Scenario) -> list:
                 f"group {spec.group_id}: capacity {spec.capacity} below initial size {len(spec.members)}"
             )
     try:
-        WeightConfig(scenario.weights.w0, scenario.weights.w1, scenario.weights.w2)
+        replace(scenario.weights)  # WeightConfig checks itself; this catches one built around that
     except ValueError as exc:
         problems.append(str(exc))
     problems += _param_problems(scenario.params)
@@ -565,7 +574,7 @@ class Simulation:
     def __init__(self, scenario: Scenario):
         problems = validate_scenario(scenario)
         if problems:
-            raise SimulationError("; ".join(problems))
+            raise SimulationError(*problems)
         self.scenario = scenario
         self.params = scenario.params
         self.provider = make_provider(scenario.provider_name)

@@ -135,6 +135,20 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         ("[expect]\nnot_admitted Qq\n", "expectation not_admitted: unknown node 'Qq'"),
         ("[expect]\nsession Zed B confirmed\n", "expectation session: unknown node 'Zed'"),
         ("[expect]\nalerted g1\n", "expectation alerted: unknown node 'g1'"),
+        # A file must be read as it was written: no key set twice, no field
+        # ignored, no value the run cannot use.
+        ("[params]\nseed = 3\nseed = 4\n", "line 11: seed is already set on line 10"),
+        ("[nodes]\nY 0.5 0,0 junk\n", "line 10: expected: name battery x,y[;x,y...]"),
+        ("[adversaries]\nlink A B replay delay=1 delay=2\n", "line 10: adversary argument delay given twice"),
+        ("[weights]\nw0 = nan\nw1 = 0.8\n", "weight factors must be finite"),
+        ("[weights]\nw0 = inf\n", "weight factors must be finite"),
+        ("[weights]\nmobility_scale = -3\n", "mobility_scale must be finite and positive, not -3.0"),
+        ("[weights]\nmobility_scale = nan\n", "mobility_scale must be finite and positive, not nan"),
+        ("[params]\nprovider = bogus\n", "unknown crypto provider 'bogus'"),
+        (
+            "[params]\nseed = 99999999999999999999\n",
+            "seed must be an integer within signed 64 bits, not 99999999999999999999",
+        ),
     ],
 )
 def test_half_formed_scenario_rejected(tmp_path, capsys, tail, problem):
@@ -177,6 +191,30 @@ def test_run_indexes_the_log_once(tmp_path, monkeypatch, capsys):
     assert "expect verdict D reject:chain_mismatch: MET" in out
     assert "expect no_verdict D accept:: MET" in out
     assert "expect no_route S D: MET" in out
+
+
+def test_run_checks_the_scenario_after_its_overrides(tmp_path, capsys):
+    # The seed override is checked with the rest of the scenario, before any
+    # output is made.
+    out = tmp_path / "out"
+    assert main(["run", scn("benign_line.scn"), "--seed", str(2**64), "--out", str(out)]) == 2
+    assert "seed must be an integer within signed 64 bits, not 18446744073709551616" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_checks_the_scenario_once(tmp_path, monkeypatch):
+    sim_module = importlib.import_module("manetsec.sim")
+    original, checked = sim_module.validate_scenario, []
+
+    def counted(scenario):
+        checked.append(scenario)
+        return original(scenario)
+
+    for module in (sim_module, importlib.import_module("manetsec.cli")):
+        monkeypatch.setattr(module, "validate_scenario", counted)
+    assert main(["run", scn("benign_line.scn"), "--provider", "real", "--out", str(tmp_path)]) == 0
+    assert len(checked) == 1
+    assert checked[0].provider_name == "real_crypto"
 
 
 def test_run_expectation_mismatch_exits_one(tmp_path):

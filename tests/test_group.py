@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manetsec.group import (
     NodeAttributes,
@@ -61,6 +61,7 @@ def test_mobility_rotation_invariant(trace, angle):
 
 
 @given(_traces)
+@example([(0.0, 5e-324), (0.0, 0.0), (0.0, 0.0)])  # the mean of a subnormal total underflows
 def test_mobility_nonnegative_zero_iff_still(trace):
     value = mobility(trace)
     assert value >= 0.0

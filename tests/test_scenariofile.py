@@ -1,8 +1,29 @@
+import importlib.util
+import os
+import sys
+from dataclasses import fields
+
 import pytest
 
+from manetsec.group import WeightConfig
 from manetsec.scenariofile import ScenarioParseError, parse_scenario, scenario_to_text
-from manetsec.sim import validate_scenario
-from topologies import stealth_link_scenario
+from manetsec.sim import SimParams, validate_scenario
+from topologies import (
+    churn_scenario,
+    line_scenario,
+    random_group_scenario,
+    stealth_family_scenario,
+    stealth_link_scenario,
+    stealth_node_scenario,
+    two_group_scenario,
+)
+
+# The benchmark's recipes, loaded by path as tests/test_golden.py loads them.
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "perfbench_workloads", os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+)
+workloads = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(workloads)
 
 GOOD = """
 [params]
@@ -89,3 +110,47 @@ def test_serialize_parse_roundtrip():
     assert back.params.duration == scenario.params.duration
     assert back.adversaries[0].kind == "mitm_relay"
     assert validate_scenario(back) == []
+
+
+# Every builder without test faults, and the first scenario of each benchmark
+# workload's pool.
+ROUND_TRIP = {
+    "line": lambda: line_scenario(["A", "B", "C"], duration=12),
+    "stealth_link": lambda: stealth_link_scenario(seed=77),
+    "stealth_node": lambda: stealth_node_scenario(seed=3),
+    "stealth_family": lambda: stealth_family_scenario(5, 2, seed=9),
+    "random_group": lambda: random_group_scenario(4)[0],
+    "two_group": lambda: two_group_scenario(4)[0],
+    "churn": lambda: churn_scenario(4),
+    **{f"workload:{name}": lambda w=w: w.make(w.pool[0]) for name, w in workloads.WORKLOADS.items()},
+}
+
+
+@pytest.mark.parametrize("build", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+def test_written_scenario_reads_back_equal(build):
+    scenario = build()
+    assert parse_scenario(scenario_to_text(scenario)) == scenario
+
+
+def test_every_setting_reads_back():
+    params = SimParams(
+        radio_radius=97.25,
+        rreq_lifetime=5,
+        heartbeat_period=7,
+        liveness_deadline=29,
+        freshness_window=11,
+        challenge_bits=40,
+        challenge_rounds=3,
+        strict_chain=True,
+        discovery_timeout=17,
+        trust_initial=0.1 + 0.2,
+        duration=90,
+    )
+    weights = WeightConfig(0.1, 0.2, 0.7, invert_battery_trust=False, mobility_scale=2.5)
+    for value, default in ((params, SimParams()), (weights, WeightConfig())):
+        assert all(getattr(value, f.name) != getattr(default, f.name) for f in fields(value))
+    scenario = line_scenario(["A", "B"], seed=-(2**63), weights=weights, provider_name="real")
+    scenario.params = params
+    text = scenario_to_text(scenario)
+    assert "trust_initial = 0.30000000000000004" in text
+    assert parse_scenario(text) == scenario

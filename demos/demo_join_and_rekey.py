@@ -58,8 +58,11 @@ def main():
             print(f"  event:     t={event.tick:<3} {event.kind} {event.principals} {event.detail}")
     print()
     for who in ("N", "M2"):
+        held = knowledge_set(who, log).sym_keys
         keys = sorted(
-            label for label in knowledge_set(who, log).sym_keys.values() if label.startswith("group_key")
+            ":".join(map(str, label))
+            for _, _, label, value in log.registry.secrets
+            if label[0] == "group_key" and value in held
         )
         print(f"  {who} ended the run holding: {keys}")
     print(

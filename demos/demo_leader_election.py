@@ -45,8 +45,10 @@ def main():
     for event in log.events:
         if event.kind in ("elect", "alert", "rekey"):
             print(f"  t={event.tick:<3} {event.kind:<6} {event.principals:<8} {event.detail}")
-    old = knowledge_set("a", log)
-    lineages = sorted({label.split(":")[1] for label in old.sym_keys.values() if label.startswith("group_key")})
+    old = knowledge_set("a", log).sym_keys
+    lineages = sorted(
+        {label[1] for _, _, label, value in log.registry.secrets if label[0] == "group_key" and value in old}
+    )
     print(f"\n  the crashed leader holds keys only for lineage(s) {lineages};")
     print("  everything after the election is sealed under a lineage it never saw.")
     report = audit(log)

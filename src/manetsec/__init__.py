@@ -1,7 +1,7 @@
 """manetsec: group-based MANET key management and secure on-demand routing,
 with a deterministic simulator and a post-run security auditor."""
 
-from .audit import AuditReport, audit, expectation_met, knowledge_set
+from .audit import AuditReport, audit, knowledge_set
 from .crypto import (
     DeterministicProvider,
     KeyPair,

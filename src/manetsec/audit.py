@@ -8,6 +8,11 @@ checks are then literal: take the departed (or newly joined) node's
 knowledge and brute-force it against every group ciphertext outside its
 membership, expecting zero successful decryptions.
 
+A knowledge set holds key bytes, never names for them.  The registry names
+each secret once, where it was made (see `Ctx.secret`), so backward secrecy
+also asks whether a departed node holds the bytes of a group key minted
+after it left, comparing them with the registry's record of that key.
+
 A sender can legitimately still use a retired key while its own copy of
 the rekey is in flight (multi-hop delivery takes one tick per hop), so a
 ciphertext under an old epoch only counts against backward secrecy if its
@@ -16,9 +21,8 @@ sender had already received newer key material when it spoke.
 An audit reads the log once.  Events hold their principals and detail
 parts as fields, and one pass over them builds the index all ten checks
 read from: deliveries by recipient, the rekey timeline and the membership
-intervals.  Each
-distinct payload is decoded at most once, and each principal's knowledge
-set is closed once and shared by both secrecy checks.
+intervals.  Each distinct payload is decoded at most once, and each
+principal's knowledge set is closed once and shared by both secrecy checks.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class PropertyResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        where = "" if self.passed else " at events " + ",".join(str(i) for i in self.counterexamples[:8])
+        where = " at events " + ",".join(str(i) for i in self.counterexamples[:8]) if self.counterexamples else ""
         return f"{self.name}: {status}{where}"
 
 
@@ -66,12 +70,9 @@ class AuditReport:
 
 @dataclass
 class KnowledgeSet:
-    sym_keys: dict  # key bytes -> label
+    sym_keys: dict  # key bytes -> None, in the order they were learned
     private_key: Optional[bytes]
     opened: set  # digests this principal could open
-
-    def has_key_labelled(self, prefix: str) -> bool:
-        return any(label.startswith(prefix) for label in self.sym_keys.values())
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +105,9 @@ class MembershipChange:
 class _LogIndex:
     """What the property checks read, built in one pass over the log.
 
-    It lives for one `audit()` (or one `knowledge_set()` / `expectation_met()`)
-    call.  Payloads are decoded on first use and each principal's knowledge
-    set is closed on first use; both are then kept for the index's life.
+    It lives for one `audit()` (or one `knowledge_set()`) call.  Payloads
+    are decoded on first use and each principal's knowledge set is closed on
+    first use; both are then kept for the index's life.
     """
 
     def __init__(self, log: EventLog):
@@ -172,6 +173,11 @@ class _LogIndex:
         return [_expectation_met(self, expectation) for expectation in self.registry.expectations]
 
     @cached_property
+    def minted(self) -> dict:
+        """(lineage, epoch) -> the group key the registry says was minted for it."""
+        return {label[1:]: value for _, _, label, value in self.registry.secrets if label[0] == "group_key"}
+
+    @cached_property
     def ciphertexts(self) -> tuple:
         return _collect_ciphertexts(self)
 
@@ -197,13 +203,8 @@ class _LogIndex:
 # Knowledge sets
 # ---------------------------------------------------------------------------
 
-# Sealed-plaintext field -> the label a key read from it is filed under.  A
-# label's {name} placeholders are filled from the same plaintext.
-_KEY_LABELS = {
-    "group_key": "group_key:{lineage}:{epoch}",
-    "member_key": "member_key",
-    "session_key": "session_key",
-}
+# The sealed-plaintext fields that carry a symmetric key.
+_KEY_FIELDS = ("group_key", "member_key", "session_key")
 
 
 def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeSet:
@@ -219,10 +220,10 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
 
     keypair = registry.keypairs.get(principal)
     private = keypair.private if keypair is not None else None
-    sym_keys: dict[bytes, str] = {}
+    sym_keys: dict[bytes, None] = {}
     for entry_tick, owner, label, value in registry.secrets:
-        if owner == principal and entry_tick <= horizon and not label.startswith("member_secret"):
-            sym_keys[value] = label
+        if owner == principal and entry_tick <= horizon and label[0] != "member_secret":
+            sym_keys[value] = None
 
     digests = dict.fromkeys(
         entry.event.digest for entry in index.received.get(principal, []) if entry.event.tick <= horizon
@@ -266,7 +267,7 @@ def _try_open(provider, message, private, sym_keys) -> Optional[bytes]:
 
 
 def _harvest_keys(message, plain, sym_keys) -> None:
-    """File every non-empty key a layout of the message's kind places in the
+    """Add every non-empty key a layout of the message's kind places in the
     plaintext, whatever the other fields hold; an undecodable plaintext
     yields none."""
     try:
@@ -274,14 +275,10 @@ def _harvest_keys(message, plain, sym_keys) -> None:
     except encoding.EncodingError:
         return
     for fields in readings:
-        for name, label in _KEY_LABELS.items():
+        for name in _KEY_FIELDS:
             key = fields.get(name)
             if isinstance(key, bytes) and key:
-                try:
-                    label = label.format_map(fields)
-                except KeyError:
-                    label = name
-                sym_keys.setdefault(key, label)
+                sym_keys.setdefault(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +429,14 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
         knowledge = index.knowledge(node)
         # Holding a group key minted after this departure is itself a leak,
         # unless a later re-admission covers it.
-        for key, label in knowledge.sym_keys.items():
-            if not label.startswith("group_key:"):
-                continue
-            # The epoch is the last field; a crafted lineage may hold colons.
-            lineage, epoch = label[len("group_key:"):].rsplit(":", 1)
-            group = lineage.rsplit("-", 1)[0]
-            for point in timeline.get(group, []):
-                if point.lineage == lineage and point.epoch == int(epoch):
-                    if point.tick >= out_tick and not _was_member_at(intervals, node, point.tick):
-                        failures.append(out_idx)
+        for points in timeline.values():
+            for point in points:
+                if (
+                    point.tick >= out_tick
+                    and not _was_member_at(intervals, node, point.tick)
+                    and index.minted.get((point.lineage, point.epoch)) in knowledge.sym_keys
+                ):
+                    failures.append(out_idx)
         for ct in group_ct:
             if ct.tick < out_tick + KEY_PROPAGATION_TICKS:
                 continue
@@ -582,16 +577,11 @@ def _expectation_met(index: _LogIndex, expectation) -> tuple[bool, list]:
     return (bool(hits) != (expectation.kind in _NEGATED), hits)
 
 
-def expectation_met(log: EventLog, expectation) -> tuple[bool, list]:
-    return _expectation_met(_LogIndex(log), expectation)
-
-
 def _check_detection_outcomes(index: _LogIndex) -> PropertyResult:
-    failures = []
-    for n, (ok, hits) in enumerate(index.outcomes):
-        if not ok:
-            failures.append(hits[0] if hits else n)
-    return PropertyResult("detection_outcomes", not failures, failures)
+    """A missed expectation points at the first event it matched; one that
+    matched none has nothing to point at."""
+    failures = [hits[0] for ok, hits in index.outcomes if not ok and hits]
+    return PropertyResult("detection_outcomes", all(ok for ok, _ in index.outcomes), failures)
 
 
 def _check_epoch_monotonicity(index: _LogIndex) -> PropertyResult:
@@ -644,7 +634,7 @@ def _check_secret_confinement(index: _LogIndex) -> PropertyResult:
     secrets = [
         value
         for _, _, label, value in index.registry.secrets
-        if label.startswith("member_secret") and len(value) >= 8
+        if label[0] == "member_secret" and len(value) >= 8
     ]
     leaking = {
         digest

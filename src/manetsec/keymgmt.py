@@ -240,13 +240,13 @@ class LeaderKeyService:
                 continue
             self.hierarchy.enroll(member_name, public, self.provider)
         h = self.hierarchy
-        ctx.secret(f"member_secret:{h.lineage}", h.member_secret)
-        ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
+        ctx.secret(("member_secret", h.lineage), h.member_secret)
+        ctx.secret(("group_key", h.lineage, h.epoch), h.group_key)
         names = sorted(h.member_publics)
         addressed = [{"member_key": h.member_keys[name], "member_id": h.member_ids[name]} for name in names]
         plains = seal_batch(MessageKind.REKEY, "public", self._keyset_fields(self.directory_rows()), addressed)
         for member_name, plain in zip(names, plains):
-            ctx.secret(f"member_key:{member_name}:{h.lineage}", h.member_keys[member_name])
+            ctx.secret(("member_key", member_name, h.lineage), h.member_keys[member_name])
             self._send_keyset(member_name, h.member_publics[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
             self.trust.setdefault(member_name, 0.5)
@@ -368,7 +368,7 @@ class LeaderKeyService:
         # mid-handshake rekey never reaches (or is readable by) the joiner.
         member_id = self.hierarchy.reserve_member_id()
         member_key = derive_member_key(member_id, self.hierarchy.member_secret, self.provider)
-        ctx.secret(f"member_key:{session.requester}:{self.hierarchy.lineage}", member_key)
+        ctx.secret(("member_key", session.requester, self.hierarchy.lineage), member_key)
         session.pending_id = member_id
         session.pending_key = member_key
         session.pending_public = cert.subject_public
@@ -416,7 +416,7 @@ class LeaderKeyService:
         session.phase = JoinPhase.ADMITTED
         self.heartbeats[session.requester] = ctx.now
         self.trust.setdefault(session.requester, 0.5)
-        ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
+        ctx.secret(("group_key", h.lineage, h.epoch), h.group_key)
         ctx.note("admit", "handshake", about=session.requester)
         ctx.note("rekey", "join", ("lineage", h.lineage), ("epoch", h.epoch))
 
@@ -443,7 +443,7 @@ class LeaderKeyService:
             return
         if "skip_rekey" not in self.faults:
             h.rotate(ctx.rng, self.provider)
-            ctx.secret(f"group_key:{h.lineage}:{h.epoch}", h.group_key)
+            ctx.secret(("group_key", h.lineage, h.epoch), h.group_key)
             inner = seal_plain(
                 MessageKind.REKEY, "public", **self._keyset_fields(self.directory_rows()), member_key=b"", member_id=0
             )
@@ -868,7 +868,7 @@ class SessionService:
             return
         session.t_b = t_b
         session.key = self.provider.generate_symmetric_key(ctx.rng)
-        ctx.secret(f"session_key:{responder}", session.key)
+        ctx.secret(("session_key", responder), session.key)
         session.nonce1 = ctx.rng.getrandbits(64)
         plain = seal_plain(MessageKind.SESSION_3, t_a=t_a, t_b=t_b, nonce=session.nonce1, session_key=session.key)
         sealed = self.provider.pk_encrypt(self.directory[responder], plain, ctx.rng)

@@ -38,7 +38,7 @@ class Ctx:
     provider: object
     outbound: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    secrets: list = field(default_factory=list)  # (label, bytes) for the run registry
+    secrets: list = field(default_factory=list)  # (label tuple, bytes) for the run registry
 
     def emit(self, message: Message, to: str = BROADCAST, channel: str = "radio") -> None:
         self.outbound.append(Envelope(message=message, sender=self.name, to=to, channel=channel))
@@ -49,7 +49,16 @@ class Ctx:
         text = tuple(part if isinstance(part, str) else (part[0], str(part[1])) for part in parts)
         self.notes.append(Note(kind, text, about, message))
 
-    def secret(self, label: str, value) -> None:
+    def secret(self, label: tuple, value) -> None:
+        """Record a secret this node made, for the run registry.  A label is
+        its kind followed by the fields that identify it:
+
+        - ``("group_key", lineage, epoch)``, the epoch an int;
+        - ``("member_key", member, lineage)``;
+        - ``("member_secret", lineage)``;
+        - ``("session_key", peer)``;
+        - ``("ring_key", version)``.
+        """
         if isinstance(value, int):
             value = value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
         self.secrets.append((label, bytes(value)))

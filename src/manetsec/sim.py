@@ -423,7 +423,7 @@ class RunRegistry:
 
     provider_name: str = "test_double"
     keypairs: dict = field(default_factory=dict)
-    secrets: list = field(default_factory=list)  # (tick, owner, label, bytes)
+    secrets: list = field(default_factory=list)  # (tick, owner, label tuple, bytes); see Ctx.secret
     expectations: list = field(default_factory=list)
     adversary_names: list = field(default_factory=list)
     node_names: list = field(default_factory=list)
@@ -967,9 +967,7 @@ class Simulation:
         key = leader_ring_agree(pairs, self.provider)
         for name in leaders:
             self.nodes[name].ring_key = key
-            self.log.registry.secrets.append(
-                (self.now, name, f"ring_key:{self.ring_version}", key)
-            )
+            self.log.registry.secrets.append((self.now, name, ("ring_key", self.ring_version), key))
         self._log("rekey", ",".join(leaders), ("ring", ("version", str(self.ring_version))))
 
     def _attrs(self, candidates: list, trust_table: dict) -> list:

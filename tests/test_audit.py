@@ -1,9 +1,13 @@
 import importlib
 import os
+import random
 
 import pytest
 
-from manetsec.audit import audit, expectation_met, knowledge_set
+from manetsec import encoding
+from manetsec.audit import audit, knowledge_set
+from manetsec.crypto import make_provider
+from manetsec.messages import MessageKind, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
     Action,
@@ -15,7 +19,7 @@ from manetsec.sim import (
     parse_payload_blob,
     run,
 )
-from topologies import churn_scenario, line_scenario, stealth_link_scenario
+from topologies import churn_scenario, held_labels, line_scenario, stealth_link_scenario
 
 PROPERTIES = (
     "backward_secrecy",
@@ -94,8 +98,9 @@ def test_unknown_principal_rejected():
 def test_member_knowledge_contains_current_key_material():
     log = run(line_scenario(["L", "M1", "M2"], duration=20))
     k = knowledge_set("M1", log)
-    assert k.has_key_labelled("group_key:g1-1:1")
-    assert k.has_key_labelled("member_key")
+    # It holds the registry's keys for (g1-1, 1) and for its own membership.
+    assert ("group_key", "g1-1", 1) in held_labels(log, k)
+    assert ("member_key", "M1", "g1-1") in held_labels(log, k)
     assert k.private_key is not None
 
 
@@ -106,7 +111,6 @@ def test_route_and_session_expectations_match_whole_parts():
         SimEvent(1, 0, "verdict", "A", None, "A", "-", ("route_installed", ("dest", "B10"), ("seq", "1"))),
         SimEvent(2, 1, "verdict", "A", None, "A-B", "-", ("session_aborted", "stale_timestamp")),
     ]
-    log = EventLog(events=events, complete=True)
     expected = {
         ("route", ("A", "B10")): True,
         ("route", ("A", "B")): False,
@@ -114,8 +118,9 @@ def test_route_and_session_expectations_match_whole_parts():
         ("session", ("A", "B", "abort")): False,
         ("verdict", ("A", "route_installed:dest=B")): True,
     }
-    for (kind, args), met in expected.items():
-        assert expectation_met(log, Expectation(kind, args))[0] is met, (kind, args)
+    log = EventLog(events=events, complete=True)
+    log.registry.expectations = [Expectation(kind, args) for kind, args in expected]
+    assert audit(log).met == list(expected.values())
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -142,18 +147,17 @@ def test_log_read_back_audits_as_the_run_did(case):
 
 
 def test_expectations_evaluate_against_log():
-    scenario = stealth_link_scenario(seed=4)
-    log = run(scenario)
-    met, _ = expectation_met(log, Expectation("verdict", ("D", "reject:chain_mismatch")))
-    assert met
-    met, _ = expectation_met(log, Expectation("no_verdict", ("D", "accept:")))
-    assert met
-    met, _ = expectation_met(log, Expectation("route", ("S", "D")))
-    assert not met
-    met, _ = expectation_met(log, Expectation("no_route", ("S", "D")))
-    assert met
+    log = run(stealth_link_scenario(seed=4))
+    log.registry.expectations = [
+        Expectation("verdict", ("D", "reject:chain_mismatch")),
+        Expectation("no_verdict", ("D", "accept:")),
+        Expectation("route", ("S", "D")),
+        Expectation("no_route", ("S", "D")),
+    ]
+    assert audit(log).met == [True, True, False, True]
+    log.registry.expectations = [Expectation("wat", ())]
     with pytest.raises(SimulationError):
-        expectation_met(log, Expectation("wat", ()))
+        audit(log)
 
 
 def test_detection_outcomes_uses_scenario_expectations():
@@ -161,6 +165,25 @@ def test_detection_outcomes_uses_scenario_expectations():
     scenario.expectations = [Expectation("verdict", ("D", "accept:"))]  # wrong on purpose
     report = audit(run(scenario))
     assert not report.result("detection_outcomes").passed
+
+
+def test_missed_expectation_points_only_at_matching_events():
+    # A route that never came has no event to point at; a verdict that
+    # should not have happened points at that verdict.
+    scenario = stealth_link_scenario(seed=4)
+    scenario.expectations = [
+        Expectation("route", ("S", "D")),
+        Expectation("no_verdict", ("D", "reject:chain_mismatch")),
+    ]
+    log = run(scenario)
+    verdict = next(
+        i for i, e in enumerate(log.events) if e.kind == "verdict" and e.actor == "D" and e.word == "reject"
+    )
+    report = audit(log)
+    assert report.met == [False, False]
+    assert report.result("detection_outcomes").line() == f"detection_outcomes: FAIL at events {verdict}"
+    log.registry.expectations = scenario.expectations[:1]
+    assert audit(log).result("detection_outcomes").line() == "detection_outcomes: FAIL"
 
 
 def test_report_text_has_one_line_per_property():
@@ -184,8 +207,8 @@ def test_knowledge_is_tick_bounded():
     admit = next(e for e in log.events if e.kind == "admit" and e.detail == "handshake")
     before = knowledge_set("N", log, tick=admit.tick - 5)
     after = knowledge_set("N", log)
-    assert not before.has_key_labelled("group_key")
-    assert after.has_key_labelled("group_key:g1-1:2")
+    assert not [label for label in held_labels(log, before) if label[0] == "group_key"]
+    assert ("group_key", "g1-1", 2) in held_labels(log, after)
 
 
 def test_stale_sender_during_rekey_flight_is_not_a_violation():
@@ -258,25 +281,32 @@ def test_audit_decodes_each_payload_at_most_once(monkeypatch):
     assert 0 < decodes <= payloads
 
 
-def test_undecodable_plaintext_counts_as_opened():
-    # Two crafted deliveries to n3, which leaves at tick 20: a DATA sealed
-    # under a group key n3 holds and a SESSION_1 sealed to its public key,
-    # both carrying a plaintext that is not an encoding at all.
-    import os
-    import random
-
-    from manetsec.crypto import make_provider
-    from manetsec.messages import MessageKind, msg
-    from manetsec.scenariofile import parse_scenario
-    from manetsec.sim import SimEvent
-
-    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "benign_line.scn")
-    with open(path) as handle:
+def _benign_line():
+    """The benign_line fixture's log (n3 leaves at tick 20), its provider and
+    a seeded rng for crafting messages."""
+    with open(os.path.join(FIXTURES, "benign_line.scn")) as handle:
         log = run(parse_scenario(handle.read()))
-    provider = make_provider(log.registry.provider_name)
+    return log, make_provider(log.registry.provider_name), random.Random(7)
+
+
+def _deliver_to_n3(log, provider, messages):
+    """Append a delivery to n3 of each message at the log's last tick."""
+    last = log.events[-1]
+    for n, message in enumerate(messages, start=1):
+        digest = provider.hash(message.encoded).hex()
+        log.payloads[digest] = message.encoded
+        parts = (message.kind.name, "crafted")
+        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", "n3", "", digest, parts))
+
+
+def test_undecodable_plaintext_counts_as_opened():
+    # Two crafted deliveries to n3 after it left: a DATA sealed under a group
+    # key n3 holds and a SESSION_1 sealed to its public key, both carrying a
+    # plaintext that is not an encoding at all.
+    log, provider, rng = _benign_line()
     before = knowledge_set("n3", log)
-    key = next(k for k, label in before.sym_keys.items() if label.startswith("group_key:"))
-    rng = random.Random(7)
+    group_keys = {value for _, _, label, value in log.registry.secrets if label[0] == "group_key"}
+    key = next(k for k in before.sym_keys if k in group_keys)
     crafted = [
         msg(
             MessageKind.DATA, group="g1", lineage="g1-1", epoch=1, route=[], hop=0,
@@ -287,12 +317,7 @@ def test_undecodable_plaintext_counts_as_opened():
             sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, b"\xff\x00", rng),
         ),
     ]
-    last = log.events[-1]
-    for n, message in enumerate(crafted, start=1):
-        digest = provider.hash(message.encoded).hex()
-        log.payloads[digest] = message.encoded
-        parts = (message.kind.name, "crafted")
-        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", "n3", "", digest, parts))
+    _deliver_to_n3(log, provider, crafted)
     report = audit(log)
     assert report.result("backward_secrecy").passed
     after = knowledge_set("n3", log)
@@ -302,32 +327,44 @@ def test_undecodable_plaintext_counts_as_opened():
 
 def test_colon_in_crafted_rekey_lineage_is_audited():
     # A public-mode REKEY sealed to n3 after it left, naming a lineage with a
-    # colon in it: n3 files the key it opens as `group_key:g1:x:2`, and the
-    # auditor must read the epoch from the right instead of dying on it.
-    import os
-    import random
-
-    from manetsec.crypto import make_provider
-    from manetsec.messages import MessageKind, msg, seal_plain
-    from manetsec.scenariofile import parse_scenario
-    from manetsec.sim import SimEvent
-
-    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "benign_line.scn")
-    with open(path) as handle:
-        log = run(parse_scenario(handle.read()))
-    provider = make_provider(log.registry.provider_name)
-    rng = random.Random(7)
+    # colon in it: n3 holds the key it opens, and the auditor must judge it
+    # by its bytes instead of dying on the lineage.
+    log, provider, rng = _benign_line()
+    group_key = rng.randbytes(16)
     plaintext = seal_plain(
-        MessageKind.REKEY, "public", group_key=rng.randbytes(16), epoch=2, lineage="g1:x", rows=[],
+        MessageKind.REKEY, "public", group_key=group_key, epoch=2, lineage="g1:x", rows=[],
         member_key=rng.randbytes(16), member_id=1, leader="n2", leader_public=log.registry.keypairs["n2"].public,
     )
     crafted = msg(
         MessageKind.REKEY, group="g1", lineage="g1:x", epoch=2, mode="public",
         sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, plaintext, rng),
     )
-    digest = provider.hash(crafted.encoded).hex()
-    log.payloads[digest] = crafted.encoded
-    last = log.events[-1]
-    log.events.append(SimEvent(last.tick, last.seq + 1, "deliver", "n2", "n3", "", digest, ("REKEY", "crafted")))
-    assert "group_key:g1:x:2" in knowledge_set("n3", log).sym_keys.values()
+    _deliver_to_n3(log, provider, [crafted])
+    assert group_key in knowledge_set("n3", log).sym_keys
     assert audit(log).result("backward_secrecy").passed
+
+
+@pytest.mark.parametrize("kind", ["REKEY", "MEMBER_SET"])
+def test_ill_typed_key_fields_in_crafted_plaintext_are_audited(kind):
+    # Delivered to n3 after it left: a public-mode REKEY whose plaintext
+    # holds bytes where the epoch goes, or a MEMBER_SET, sealed under a group
+    # key n3 holds, with an int for the lineage and bytes for the epoch.  n3
+    # holds the key either carries; the auditor must not read the lineage or
+    # epoch back out of it, and no key the registry minted was handed over.
+    log, provider, rng = _benign_line()
+    group_key = rng.randbytes(16)
+    if kind == "REKEY":
+        leader_public = log.registry.keypairs["n2"].public
+        plaintext = encoding.encode(group_key, b"x", "g1-1", [], rng.randbytes(16), 1, "n2", leader_public)
+        crafted = msg(
+            MessageKind.REKEY, group="g1", lineage="g1-1", epoch=2, mode="public",
+            sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, plaintext, rng),
+        )
+    else:
+        held = knowledge_set("n3", log).sym_keys
+        key = next(value for _, _, label, value in log.registry.secrets if label[0] == "group_key" and value in held)
+        plaintext = encoding.encode(5, [], group_key, 7, b"x", "g1")
+        crafted = msg(MessageKind.MEMBER_SET, join_id="n3", sealed=provider.sym_encrypt(key, plaintext, rng))
+    _deliver_to_n3(log, provider, [crafted])
+    assert group_key in knowledge_set("n3", log).sym_keys
+    assert audit(log).result("backward_secrecy").line() == "backward_secrecy: PASS"

@@ -299,6 +299,8 @@ def test_strict_chain_flag(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "expect verdict D reject:chain_mismatch: MISSED" in out
+    # The missed verdict matched no event, so the audit names none.
+    assert "detection_outcomes: FAIL\n" in out
 
 
 # Full report text of two fixtures, as `report` printed it before it became

@@ -26,7 +26,6 @@ To print the table for the current code: ``PYTHONPATH=src python tests/test_gold
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -44,17 +43,11 @@ from topologies import (
     stealth_link_scenario,
     stealth_node_scenario,
     two_group_scenario,
+    workloads,
 )
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "scenarios")
-# The benchmark's recipes, loaded by path; registered in sys.modules so that
-# their dataclasses can resolve the module they live in.
-_WORKLOADS = importlib.util.spec_from_file_location(
-    "perfbench_workloads", os.path.join(HERE, "..", "perfbench", "workloads.py")
-)
-workloads = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
-_WORKLOADS.loader.exec_module(workloads)
 with open(os.path.join(HERE, "golden_digests.json")) as fh:
     GOLDEN = json.load(fh)
 

@@ -1,6 +1,3 @@
-import importlib.util
-import os
-import sys
 from dataclasses import fields
 
 import pytest
@@ -16,14 +13,8 @@ from topologies import (
     stealth_link_scenario,
     stealth_node_scenario,
     two_group_scenario,
+    workloads,
 )
-
-# The benchmark's recipes, loaded by path as tests/test_golden.py loads them.
-_WORKLOADS = importlib.util.spec_from_file_location(
-    "perfbench_workloads", os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
-)
-workloads = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
-_WORKLOADS.loader.exec_module(workloads)
 
 GOOD = """
 [params]

@@ -1,9 +1,21 @@
 """Scenario builders shared by the simulator tests and the acceptance suite."""
 
+import importlib.util
 import math
+import os
 import random
+import sys
+from dataclasses import replace
 
 from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams
+
+# The benchmark's recipes, loaded by path; registered in sys.modules so that
+# their dataclasses can resolve the module they live in.
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "perfbench_workloads", os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+)
+workloads = sys.modules[_WORKLOADS.name] = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(workloads)
 
 RADIUS = 110.0
 SPACING = 100.0
@@ -204,54 +216,12 @@ def two_group_scenario(seed, per_group=4):
 
 
 def churn_scenario(seed, faults=frozenset()):
-    """Randomized joins, leaves, and a leader crash with chat in between.
+    """The benchmark's churn recipe (``workloads.churn``) with `faults` set:
+    randomized joins, leaves, and a leader crash with chat in between, for
+    at least ten group-key epochs per run."""
+    return replace(workloads.churn(seed), faults=set(faults))
 
-    Produces at least ten group-key epochs per run (founding, five joins,
-    four founder leaves, one post-crash election).
-    """
-    rng = random.Random(seed)
-    founders = [f"m{i}" for i in range(6)]
-    joiners = [f"j{i}" for i in range(5)]
-    positions = connected_random_positions(rng, len(founders) + len(joiners), box=200.0)
-    batteries = {name: 0.4 + 0.6 * rng.random() for name in founders + joiners}
-    nodes = [
-        NodeSpec(name, [positions[i]], batteries[name])
-        for i, name in enumerate(founders + joiners)
-    ]
-    params = SimParams(
-        radio_radius=RADIUS,
-        rreq_lifetime=8,
-        heartbeat_period=4,
-        liveness_deadline=12,
-    )
-    script = []
-    tick = 4
-    present_founders = list(founders)
-    waiting = list(joiners)
-    speakers = list(founders)
-    plan = ["join", "join", "leave", "join", "leave", "crash", "join", "leave", "join", "leave"]
-    for step in plan:
-        if step == "join" and waiting:
-            node = waiting.pop(0)
-            script.append(Action(tick, "join", (node, "g1")))
-            tick += 24  # multi-hop handshakes take a dozen-plus ticks
-        elif step == "leave" and len(present_founders) > 2:
-            node = present_founders.pop(rng.randrange(len(present_founders)))
-            speakers.remove(node)
-            script.append(Action(tick, "leave", (node,)))
-            tick += 10
-        elif step == "crash":
-            script.append(Action(tick, "crash_leader", ("g1",)))
-            tick += params.liveness_deadline + 12
-        speaker = speakers[rng.randrange(len(speakers))]
-        script.append(Action(tick, "send_data", (speaker, "*", f"chat{tick}")))
-        tick += 4
-    params.duration = tick + 24
-    return Scenario(
-        seed=seed,
-        nodes=nodes,
-        groups=[GroupSpec("g1", 16, founders)],
-        params=params,
-        script=script,
-        faults=set(faults),
-    )
+
+def held_labels(log, knowledge):
+    """The registry labels of the keys a knowledge set holds."""
+    return {label for _, _, label, value in log.registry.secrets if value in knowledge.sym_keys}

@@ -20,16 +20,20 @@ sender had already received newer key material when it spoke.
 
 An audit reads the log once.  Events hold their principals and detail
 parts as fields, and one pass over them builds the index all ten checks
-read from: deliveries by recipient, the rekey timeline and the membership
-intervals.  Each distinct payload is decoded at most once, and each
-principal's knowledge set is closed once and shared by both secrecy checks.
+read from: event positions by kind and deliveries by recipient, the rekey
+timeline and the membership intervals.  The index wraps no event; the
+checks read the log's own events by position.  Each distinct payload is
+decoded at most once, each principal's knowledge set is closed once and
+shared by both secrecy checks, and each distinct (key, ciphertext) trial
+decryption runs once, its outcome shared by every principal that tries it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import encoding
 from .crypto import DecryptionError, make_provider
@@ -80,11 +84,6 @@ class KnowledgeSet:
 # ---------------------------------------------------------------------------
 
 
-class _Entry(NamedTuple):
-    index: int  # position in the log
-    event: SimEvent
-
-
 @dataclass
 class RekeyPoint:
     index: int  # position in the group's rekey order
@@ -105,31 +104,34 @@ class MembershipChange:
 class _LogIndex:
     """What the property checks read, built in one pass over the log.
 
-    It lives for one `audit()` (or one `knowledge_set()`) call.  Payloads
-    are decoded on first use and each principal's knowledge set is closed on
-    first use; both are then kept for the index's life.
+    It lives for one `audit()` (or one `knowledge_set()`) call.  It holds
+    event positions, not events: `by_kind` and `received` index into
+    `events`, the log's own list.  Payloads are decoded on first use and
+    each principal's knowledge set is closed on first use; both are then
+    kept for the index's life, as is the outcome of each symmetric trial
+    decryption (see `sym_open`).
     """
 
     def __init__(self, log: EventLog):
         self.registry = log.registry
         self.payloads = log.payloads
         self.provider = make_provider(log.registry.provider_name)
+        self.events = log.events
         self.horizon = log.events[-1].tick if log.events else 0
-        self.entries = []
-        self.by_kind: dict[str, list] = {}
-        self.received: dict[str, list] = {}  # recipient -> deliveries carrying a payload
+        self.by_kind: dict[str, list] = defaultdict(list)  # kind -> positions
+        self.received: dict[str, list] = defaultdict(list)  # recipient -> positions of deliveries carrying a payload
         self.timeline: dict[str, list] = {}  # group -> rekey points; lineage prefix names the group
         self.changes = []  # membership changes in log order
         self._messages: dict = {}
         self._knowledge: dict = {}
+        self._trials: dict = {}  # sealed -> {key: plaintext, or None when it does not open}
         leaders: dict[str, str] = {}
+        by_kind, received = self.by_kind, self.received
         for i, event in enumerate(log.events):
-            entry = _Entry(i, event)
-            self.entries.append(entry)
             kind = event.kind
-            self.by_kind.setdefault(kind, []).append(entry)
+            by_kind[kind].append(i)
             if kind == "deliver" and event.digest != "-":
-                self.received.setdefault(event.recipient, []).append(entry)
+                received[event.recipient].append(i)
             elif kind == "rekey" and event.word != "ring":
                 lineage, epoch = event.get("lineage"), event.get("epoch")
                 if lineage is not None and epoch is not None:
@@ -148,8 +150,32 @@ class _LogIndex:
                 self.changes.append(MembershipChange(i, event.tick, event.actor, "in"))
         self.intervals = _membership_intervals(self.changes)
 
-    def of_kind(self, kind: str) -> list:
-        return self.by_kind.get(kind, [])
+    def of_kind(self, kind: str):
+        """(position, event) of each event of the kind, in log order."""
+        events = self.events
+        for i in self.by_kind.get(kind, ()):
+            yield i, events[i]
+
+    def sym_open(self, key: bytes, sealed: bytes) -> Optional[bytes]:
+        """The plaintext of `sealed` under `key`, or None when it does not open.
+
+        Both providers decrypt deterministically, so the outcome of a trial
+        is a pure function of the key and the ciphertext: each distinct pair
+        is tried once per audit and every principal holding the key shares
+        the answer.  Each principal still gets a real answer for every key
+        it holds against every ciphertext; only the recomputation is saved.
+        """
+        tried = self._trials.get(sealed)
+        if tried is None:
+            tried = self._trials[sealed] = {}
+        elif key in tried:
+            return tried[key]
+        try:
+            plain = self.provider.sym_decrypt(key, sealed)
+        except DecryptionError:
+            plain = None
+        tried[key] = plain
+        return plain
 
     def message(self, digest: str):
         """The decoded payload, or None when it is missing or malformed."""
@@ -189,13 +215,15 @@ class _LogIndex:
         sealed under the previous group key carries that header epoch plus one.
         """
         out: dict = {}
-        for recipient, entries in self.received.items():
-            for entry in entries:
-                message = self.message(entry.event.digest)
+        events = self.events
+        for recipient, positions in self.received.items():
+            for i in positions:
+                event = events[i]
+                message = self.message(event.digest)
                 if message is None or message.kind != MessageKind.REKEY:
                     continue
                 carried = message["epoch"] + (1 if message["mode"] == "group" else 0)
-                out.setdefault(recipient, []).append((entry.event.tick, message["lineage"], carried))
+                out.setdefault(recipient, []).append((event.tick, message["lineage"], carried))
         return out
 
 
@@ -225,8 +253,9 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
         if owner == principal and entry_tick <= horizon and label[0] != "member_secret":
             sym_keys[value] = None
 
+    events = index.events
     digests = dict.fromkeys(
-        entry.event.digest for entry in index.received.get(principal, []) if entry.event.tick <= horizon
+        events[i].digest for i in index.received.get(principal, ()) if events[i].tick <= horizon
     )
     received = [(d, m) for d in digests if (m := index.message(d)) is not None]
     opened: set[str] = set()
@@ -236,7 +265,7 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
         for digest, message in received:
             if digest in opened:
                 continue
-            plain = _try_open(index.provider, message, private, sym_keys)
+            plain = _try_open(index, message, private, sym_keys)
             if plain is None:
                 continue
             opened.add(digest)
@@ -245,7 +274,7 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
     return KnowledgeSet(sym_keys=sym_keys, private_key=private, opened=opened)
 
 
-def _try_open(provider, message, private, sym_keys) -> Optional[bytes]:
+def _try_open(index: _LogIndex, message, private, sym_keys) -> Optional[bytes]:
     """The plaintext of the message's sealed field, if these keys open it."""
     if "sealed" not in message.fields:
         return None
@@ -255,14 +284,13 @@ def _try_open(provider, message, private, sym_keys) -> Optional[bytes]:
             if private is None:
                 continue
             try:
-                return provider.pk_decrypt(private, sealed)
+                return index.provider.pk_decrypt(private, sealed)
             except DecryptionError:
                 continue
-        for key in list(sym_keys):
-            try:
-                return provider.sym_decrypt(key, sealed)
-            except DecryptionError:
-                continue
+        for key in sym_keys:
+            plain = index.sym_open(key, sealed)
+            if plain is not None:
+                return plain
     return None
 
 
@@ -311,8 +339,7 @@ def _collect_ciphertexts(index: _LogIndex):
     the same bytes and say nothing new)."""
     group_ct, pk_ct = [], []
     seen = set()
-    for entry in index.of_kind("send"):
-        event = entry.event
+    for i, event in index.of_kind("send"):
         if event.digest == "-" or event.digest in seen:
             continue
         seen.add(event.digest)
@@ -325,12 +352,12 @@ def _collect_ciphertexts(index: _LogIndex):
         if group_sealed:
             group_ct.append(
                 GroupCiphertext(
-                    entry.index, event.tick, message["group"], message["lineage"], message["epoch"],
+                    i, event.tick, message["group"], message["lineage"], message["epoch"],
                     message["sealed"], event.actor,
                 )
             )
         elif message.kind == MessageKind.REKEY:
-            pk_ct.append(PkCiphertext(entry.index, event.tick, event.get("to"), message["sealed"]))
+            pk_ct.append(PkCiphertext(i, event.tick, event.get("to"), message["sealed"]))
     return group_ct, pk_ct
 
 
@@ -406,19 +433,15 @@ def audit(log: EventLog) -> AuditReport:
     return AuditReport(results, [met for met, _ in index.outcomes])
 
 
-def _attempt_all(provider, knowledge: KnowledgeSet, sealed: bytes) -> bool:
+def _attempt_all(index: _LogIndex, knowledge: KnowledgeSet, sealed: bytes) -> bool:
     """True if any key in the knowledge set opens the ciphertext."""
     for key in knowledge.sym_keys:
-        try:
-            provider.sym_decrypt(key, sealed)
+        if index.sym_open(key, sealed) is not None:
             return True
-        except DecryptionError:
-            continue
     return False
 
 
 def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
-    provider = index.provider
     group_ct, pk_ct = index.ciphertexts
     timeline, intervals = index.timeline, index.intervals
     failures = []
@@ -446,7 +469,7 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
             # traffic; stale chatter from an outsider is not protected data.
             if not _was_member_at(intervals, ct.sender, ct.tick):
                 continue
-            if _attempt_all(provider, knowledge, ct.sealed):
+            if _attempt_all(index, knowledge, ct.sealed):
                 if not _stale_sender_excused(
                     index.rekeys_received, timeline, ct.sender, ct.group, ct.lineage, ct.epoch, ct.tick
                 ):
@@ -458,9 +481,9 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
                 if _was_member_at(intervals, node, ct.tick):
                     continue
                 try:
-                    provider.pk_decrypt(knowledge.private_key, ct.sealed)
+                    index.provider.pk_decrypt(knowledge.private_key, ct.sealed)
                     failures.append(ct.event_index)
-                except Exception:
+                except DecryptionError:
                     pass
     return PropertyResult("backward_secrecy", not failures, sorted(set(failures)))
 
@@ -469,10 +492,10 @@ def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
     group_ct, _ = index.ciphertexts
     intervals = index.intervals
     failures = []
-    for join in index.of_kind("admit"):
-        if join.event.parts != ("handshake",):
+    for _, join in index.of_kind("admit"):
+        if join.parts != ("handshake",):
             continue
-        node, join_tick = join.event.about, join.event.tick
+        node, join_tick = join.about, join.tick
         knowledge = index.knowledge(node)
         # Epochs inside earlier membership intervals of this node are its
         # own history, not "the past" this property protects.
@@ -487,7 +510,7 @@ def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
             )
             if legitimate:
                 continue
-            if _attempt_all(index.provider, knowledge, ct.sealed):
+            if _attempt_all(index, knowledge, ct.sealed):
                 failures.append(ct.event_index)
     return PropertyResult("forward_secrecy", not failures, sorted(set(failures)))
 
@@ -496,8 +519,7 @@ def _check_mutual_auth(index: _LogIndex) -> PropertyResult:
     zk_ok: set = set()
     cert_ok: set = set()
     failures = []
-    for entry in index.entries:
-        event = entry.event
+    for i, event in enumerate(index.events):
         if event.kind == "verdict":
             if event.parts == ("zk_ok",):
                 zk_ok.add(event.about)
@@ -506,7 +528,7 @@ def _check_mutual_auth(index: _LogIndex) -> PropertyResult:
         elif event.kind == "admit" and event.parts == ("handshake",):
             node = event.about
             if node not in zk_ok or node not in cert_ok:
-                failures.append(entry.index)
+                failures.append(i)
             zk_ok.discard(node)
             cert_ok.discard(node)
     return PropertyResult("mutual_auth", not failures, failures)
@@ -514,12 +536,12 @@ def _check_mutual_auth(index: _LogIndex) -> PropertyResult:
 
 def _check_chain_soundness(index: _LogIndex) -> PropertyResult:
     failures = []
-    for entry in index.of_kind("verdict"):
-        if entry.event.word != "accept" or entry.event.digest == "-":
+    for i, event in index.of_kind("verdict"):
+        if event.word != "accept" or event.digest == "-":
             continue
-        message = index.message(entry.event.digest)
+        message = index.message(event.digest)
         if message is None:
-            failures.append(entry.index)
+            failures.append(i)
             continue
         expect = expected_chain(
             index.provider,
@@ -530,21 +552,20 @@ def _check_chain_soundness(index: _LogIndex) -> PropertyResult:
             message["route"],
         )
         if expect != message["chain"]:
-            failures.append(entry.index)
+            failures.append(i)
     return PropertyResult("chain_soundness", not failures, failures)
 
 
 def _check_duplicate_suppression(index: _LogIndex) -> PropertyResult:
     seen = set()
     failures = []
-    for entry in index.of_kind("verdict"):
-        event = entry.event
+    for i, event in index.of_kind("verdict"):
         source, seq = event.get("source"), event.get("seq")
         if event.word != "rreq_processed" or source is None or seq is None:
             continue
         key = (event.actor, source, seq)
         if key in seen:
-            failures.append(entry.index)
+            failures.append(i)
         seen.add(key)
     return PropertyResult("duplicate_suppression", not failures, failures)
 
@@ -573,7 +594,7 @@ def _expectation_met(index: _LogIndex, expectation) -> tuple[bool, list]:
         where, test = "alert", lambda e: e.about == accused
     else:
         raise SimulationError(f"unknown expectation kind {expectation.kind!r}")
-    hits = [entry.index for entry in index.of_kind(where) if test(entry.event)]
+    hits = [i for i, event in index.of_kind(where) if test(event)]
     return (bool(hits) != (expectation.kind in _NEGATED), hits)
 
 
@@ -595,37 +616,70 @@ def _check_epoch_monotonicity(index: _LogIndex) -> PropertyResult:
     return PropertyResult("epoch_monotonicity", not failures, failures)
 
 
+def _tx(event: SimEvent) -> Optional[str]:
+    """The event's transmission number, or None.  The simulator logs the
+    `tx` pair last, so that part is read first; the pairs are read by name
+    only when a hand-built or parsed log puts another part last."""
+    parts = event.parts
+    last = parts[-1] if parts else ""
+    if isinstance(last, str) or last[0] != "tx":
+        return event.get("tx")
+    return last[1]
+
+
+def _transmission(event: SimEvent) -> tuple:
+    """The event's transmission number (None when it has none) and hop
+    count (1 when it names none).
+
+    The simulator ends a transmission's parts with its `tx` pair, just
+    after its `hops` pair when it has one; a delivery whose only other part
+    is its kind word names no hops.  Those shapes are read by position, any
+    other by name."""
+    parts = event.parts
+    if len(parts) > 1:
+        last = parts[-1]
+        if not isinstance(last, str) and last[0] == "tx":
+            before = parts[-2]
+            if isinstance(before, str):
+                if len(parts) == 2:
+                    return last[1], 1
+            elif before[0] == "hops":
+                return last[1], int(before[1])
+    return event.get("tx"), int(event.get("hops", 1))
+
+
 def _check_causality(index: _LogIndex) -> PropertyResult:
     sends = {}
     failures = []
-    for entry in index.entries:
-        event = entry.event
-        tx = event.get("tx")
-        if tx is None:
-            continue
-        if event.kind == "send":
-            sends[tx] = event.tick
-        elif event.kind in ("deliver", "drop"):
+    for i, event in enumerate(index.events):
+        kind = event.kind
+        if kind == "deliver" or kind == "drop":
+            tx, hops = _transmission(event)
+            if tx is None:
+                continue
             sent = sends.get(tx)
-            hops = int(event.get("hops", 1))
-            if sent is None or (event.kind == "deliver" and event.tick != sent + hops):
-                failures.append(entry.index)
+            if sent is None or (kind == "deliver" and event.tick != sent + hops):
+                failures.append(i)
+        elif kind == "send":
+            tx = _tx(event)
+            if tx is not None:
+                sends[tx] = event.tick
     return PropertyResult("causality", not failures, failures)
 
 
 def _check_conservation(index: _LogIndex) -> PropertyResult:
     outcomes = set()
     failures = []
-    for entry in index.entries:
-        event = entry.event
-        if event.kind not in ("deliver", "drop"):
+    for i, event in enumerate(index.events):
+        kind = event.kind
+        if kind != "deliver" and kind != "drop":
             continue
-        tx = event.get("tx")
+        tx = _tx(event)
         if tx is None:
             continue
         key = (tx, event.recipient or event.principals)
         if key in outcomes:
-            failures.append(entry.index)
+            failures.append(i)
         outcomes.add(key)
     return PropertyResult("conservation", not failures, failures)
 
@@ -641,5 +695,5 @@ def _check_secret_confinement(index: _LogIndex) -> PropertyResult:
         for digest, payload in index.payloads.items()
         if any(secret in payload for secret in secrets)
     }
-    failures = [entry.index for entry in index.entries if entry.event.digest in leaking]
+    failures = [i for i, event in enumerate(index.events) if event.digest in leaking] if leaking else []
     return PropertyResult("secret_confinement", not failures, failures)

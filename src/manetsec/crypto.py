@@ -294,6 +294,9 @@ class RealCryptoProvider:
         ciphertext = bytes(ciphertext)
         if len(ciphertext) < 12 + 16:
             raise MalformedCiphertextError("ciphertext shorter than nonce plus tag")
+        if len(key) != self.sym_key_size:
+            # A key of another length is a wrong key: nothing opens under it.
+            raise CiphertextAuthenticationError(f"key is not {self.sym_key_size} bytes")
         try:
             return self._aead.ChaCha20Poly1305(key).decrypt(
                 ciphertext[:12], ciphertext[12:], b""

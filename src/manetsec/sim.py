@@ -456,6 +456,9 @@ class EventLog:
 # empty; a recipient or a pair's value may be, and an empty about is none.
 _PIECE = re.compile(r"[^>:=]+")
 _OPTIONAL_PIECE = re.compile(r"[^>:=]*")
+# Pairs whose value the auditor reads as a count, written as `str(int)` does.
+_COUNT_PAIRS = ("epoch", "hops")
+_COUNT = re.compile(r"0|[1-9][0-9]*")
 
 
 def _read_principals(text: str) -> tuple:
@@ -475,6 +478,8 @@ def _read_detail(text: str) -> tuple:
         name, equals, value = part.partition("=")
         if not (_PIECE.fullmatch(name) and _OPTIONAL_PIECE.fullmatch(value)):
             raise ValueError(f"detail {text!r} has a part {part!r} that is neither a word nor name=value")
+        if equals and name in _COUNT_PAIRS and not _COUNT.fullmatch(value):
+            raise ValueError(f"detail {text!r} has a part {part!r} whose value is not a decimal count")
         parts.append((name, value) if equals else name)
     return tuple(parts)
 

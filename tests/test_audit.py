@@ -1,12 +1,14 @@
 import importlib
 import os
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from manetsec import encoding
 from manetsec.audit import audit, knowledge_set
-from manetsec.crypto import make_provider
+from manetsec.crypto import DecryptionError, DeterministicProvider, make_provider
 from manetsec.messages import MessageKind, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
@@ -124,8 +126,9 @@ def test_route_and_session_expectations_match_whole_parts():
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+FAULT_CASES = ("plain", "leak_key", "skip_rekey", "forge_admit")
 REAUDITED = [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.endswith(".scn")] + [
-    f"churn:{seed}:{fault}" for seed in range(500, 505) for fault in ("plain", "leak_key", "skip_rekey", "forge_admit")
+    f"churn:{seed}:{fault}" for seed in range(500, 505) for fault in FAULT_CASES
 ]
 
 
@@ -281,11 +284,12 @@ def test_audit_decodes_each_payload_at_most_once(monkeypatch):
     assert 0 < decodes <= payloads
 
 
-def _benign_line():
-    """The benign_line fixture's log (n3 leaves at tick 20), its provider and
-    a seeded rng for crafting messages."""
+def _benign_line(provider_name="test_double"):
+    """The benign_line fixture's log (n3 leaves at tick 20) under the named
+    provider, that provider and a seeded rng for crafting messages."""
     with open(os.path.join(FIXTURES, "benign_line.scn")) as handle:
-        log = run(parse_scenario(handle.read()))
+        scenario = replace(parse_scenario(handle.read()), provider_name=provider_name)
+    log = run(scenario)
     return log, make_provider(log.registry.provider_name), random.Random(7)
 
 
@@ -368,3 +372,105 @@ def test_ill_typed_key_fields_in_crafted_plaintext_are_audited(kind):
     _deliver_to_n3(log, provider, [crafted])
     assert group_key in knowledge_set("n3", log).sym_keys
     assert audit(log).result("backward_secrecy").line() == "backward_secrecy: PASS"
+
+
+@pytest.mark.parametrize("provider_name", ["test_double", "real_crypto"])
+def test_crafted_short_group_key_is_audited(provider_name):
+    # A public-mode REKEY sealed to n3 after it left, carrying a 5-byte group
+    # key: n3 holds it, and every later trial decryption under it is a wrong
+    # key, under either provider, instead of an error that ends the audit.
+    log, provider, rng = _benign_line(provider_name)
+    group_key = rng.randbytes(5)
+    plaintext = seal_plain(
+        MessageKind.REKEY, "public", group_key=group_key, epoch=2, lineage="g1-1", rows=[],
+        member_key=rng.randbytes(32), member_id=1, leader="n2", leader_public=log.registry.keypairs["n2"].public,
+    )
+    crafted = msg(
+        MessageKind.REKEY, group="g1", lineage="g1-1", epoch=2, mode="public",
+        sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, plaintext, rng),
+    )
+    _deliver_to_n3(log, provider, [crafted])
+    assert group_key in knowledge_set("n3", log).sym_keys
+    assert audit(log).passed
+
+
+@pytest.mark.parametrize("case", [f"{seed}:{fault}" for seed in range(500, 505) for fault in FAULT_CASES])
+def test_shared_trial_decryptions_give_each_principal_the_literal_answer(case):
+    # Once both secrecy checks have filled the audit's trial table, each
+    # departed principal's answer for each group ciphertext is the one a
+    # plain loop over its keys gets from the provider, and so is every
+    # plaintext the table holds.
+    audit_module = importlib.import_module("manetsec.audit")
+    seed, fault = case.split(":")
+    index = audit_module._LogIndex(run(churn_scenario(int(seed), set() if fault == "plain" else {fault})))
+    audit_module._check_backward_secrecy(index)
+    audit_module._check_forward_secrecy(index)
+    provider = make_provider(index.registry.provider_name)
+
+    def opens(key, sealed):
+        try:
+            return provider.sym_decrypt(key, sealed)
+        except DecryptionError:
+            return None
+
+    group_ct, _ = index.ciphertexts
+    departed = {change.node for change in index.changes if change.change == "out"}
+    assert departed and group_ct
+    for node in sorted(departed):
+        knowledge = index.knowledge(node)
+        for ct in group_ct:
+            literal = any(opens(key, ct.sealed) is not None for key in knowledge.sym_keys)
+            assert audit_module._attempt_all(index, knowledge, ct.sealed) == literal
+    for sealed, tried in index._trials.items():
+        for key, plain in tried.items():
+            assert plain == opens(key, sealed)
+
+
+def test_audit_tries_each_key_against_each_ciphertext_at_most_once(monkeypatch):
+    log = run(churn_scenario(seed=100))
+    trials = Counter()
+    real_sym_decrypt = DeterministicProvider.sym_decrypt
+
+    def counting_sym_decrypt(self, key, ciphertext):
+        trials[(key, ciphertext)] += 1
+        return real_sym_decrypt(self, key, ciphertext)
+
+    monkeypatch.setattr(DeterministicProvider, "sym_decrypt", counting_sym_decrypt)
+    audit(log)
+    assert trials and max(trials.values()) == 1
+
+
+def _transmission_log(canonical):
+    """A hand-built log of two sends and their outcomes.  Unless
+    `canonical`, the `tx` pair of a send, a delivery and a drop is not the
+    last part and one delivery names its `hops` after its `tx`; canonical,
+    every event ends with its `hops` pair, if any, and then its `tx` pair,
+    as the simulator logs them."""
+    tx1, tx2, tx3 = ("tx", "1"), ("tx", "2"), ("tx", "3")
+    shapes = [
+        (1, "send", "A", None, ("DATA", tx1, ("to", "*"), ("ch", "radio"))),
+        (1, "send", "A", None, ("DATA", ("to", "*"), ("ch", "radio"), tx2)),
+        (2, "deliver", "A", "B", ("DATA", tx1, "late")),  # one hop: on time
+        (2, "deliver", "A", "C", ("DATA", tx1, ("hops", "3"))),  # three hops: early
+        (2, "deliver", "A", "C", ("DATA", ("hops", "1"), tx1)),  # C's second outcome of tx 1
+        (2, "drop", "A", "D", ("dead", tx3, "x")),  # tx 3 was never sent
+        (2, "drop", "A", "B", ("out_of_range", tx2, "x")),
+        (2, "deliver", "A", "B", ("DATA", tx2)),  # B's second outcome of tx 2
+        (3, "deliver", "A", "E", ("DATA", ("hops", "2"), "overheard", tx2)),  # two hops: on time
+    ]
+
+    def rank(part):  # words, then other pairs, then hops, then tx
+        return 0 if isinstance(part, str) else {"hops": 2, "tx": 3}.get(part[0], 1)
+
+    events = [
+        SimEvent(tick, seq, kind, actor, recipient, "", "-", tuple(sorted(parts, key=rank)) if canonical else parts)
+        for seq, (tick, kind, actor, recipient, parts) in enumerate(shapes)
+    ]
+    return EventLog(events=events, complete=True)
+
+
+def test_transmission_pairs_are_read_by_name_wherever_they_stand():
+    scrambled, canonical = audit(_transmission_log(False)), audit(_transmission_log(True))
+    for name, counterexamples in (("causality", [3, 5]), ("conservation", [4, 7])):
+        assert scrambled.result(name).counterexamples == counterexamples
+        assert scrambled.result(name).line() == canonical.result(name).line()

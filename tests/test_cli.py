@@ -284,6 +284,18 @@ def test_report_corrupt_log_exits_two(tmp_path):
     assert main(["report", str(path)]) == 2
 
 
+@pytest.mark.parametrize("name", ["epoch", "hops"])
+def test_report_exits_two_on_a_count_pair_that_is_not_a_number(name, tmp_path, capsys):
+    main(["run", scn("benign_line.scn"), "--out", str(tmp_path)])
+    path = tmp_path / "benign_line.log"
+    text = path.read_text()
+    start = text.index(f":{name}=") + len(name) + 2
+    path.write_text(text[:start] + "x" + text[start:].lstrip("0123456789"))
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 2
+    assert f"{name}=x" in capsys.readouterr().err
+
+
 def test_report_empty_log_ok(tmp_path, capsys):
     path = tmp_path / "empty.log"
     path.write_text("#manetsec-log v1\n#complete\n")

@@ -119,6 +119,8 @@ def test_sym_roundtrip_and_tamper(any_provider, rng):
     assert any_provider.sym_decrypt(key, ct) == b"group traffic"
     with pytest.raises(CiphertextAuthenticationError):
         any_provider.sym_decrypt(wrong, ct)
+    with pytest.raises(CiphertextAuthenticationError):  # a key of another size is a wrong key too
+        any_provider.sym_decrypt(key[:5], ct)
     flipped = bytearray(ct)
     flipped[-1] ^= 0x01
     with pytest.raises(CiphertextAuthenticationError):

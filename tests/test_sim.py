@@ -152,11 +152,17 @@ _PIECE_TEXT = st.text(
 def _event(draw, tick, seq):
     """An event of any shape the grammar allows: principals `actor`,
     `actor>recipient` (the recipient may be empty) or `actor:about`, and a
-    detail of words and `name=value` pairs (the value may be empty)."""
+    detail of words and `name=value` pairs (the value may be empty, but an
+    `epoch` or `hops` value is a decimal count)."""
     shape = draw(st.sampled_from(("actor", "recipient", "about")))
     recipient = draw(_PIECE_TEXT | st.just("")) if shape == "recipient" else None
     about = draw(_PIECE_TEXT) if shape == "about" else ""
-    part = _PIECE_TEXT | st.tuples(_PIECE_TEXT, _PIECE_TEXT | st.just(""))
+    counts = ("epoch", "hops")
+    part = (
+        _PIECE_TEXT
+        | st.tuples(_PIECE_TEXT.filter(lambda name: name not in counts), _PIECE_TEXT | st.just(""))
+        | st.tuples(st.sampled_from(counts), st.integers(min_value=0, max_value=99).map(str))
+    )
     return SimEvent(
         tick,
         seq,
@@ -197,6 +203,13 @@ def test_rendered_events_parse_back_to_themselves(data):
         ("a", "=v", "part '=v' that is neither"),
         ("a", "x:n=v=w", "part 'n=v=w' that is neither"),
         ("a", "x:n>v", "part 'n>v' that is neither"),
+        ("a", "x:epoch=x", "part 'epoch=x' whose value is not a decimal count"),
+        ("a", "x:hops=x", "part 'hops=x' whose value is not a decimal count"),
+        ("a", "x:epoch=", "part 'epoch=' whose value"),
+        ("a", "x:hops=01", "part 'hops=01' whose value"),
+        ("a", "x:epoch=-1", "part 'epoch=-1' whose value"),
+        ("a", "x:hops=+1", "part 'hops=+1' whose value"),
+        ("a", "x:hops=\u0663", "part 'hops=\u0663' whose value"),
     ],
 )
 def test_log_parse_rejects_what_does_not_follow_the_grammar(principals, detail, error):

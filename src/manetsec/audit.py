@@ -695,5 +695,5 @@ def _check_secret_confinement(index: _LogIndex) -> PropertyResult:
         for digest, payload in index.payloads.items()
         if any(secret in payload for secret in secrets)
     }
-    failures = [i for i, event in enumerate(index.events) if event.digest in leaking] if leaking else []
+    failures = [i for i, event in enumerate(index.events) if event.digest in leaking]
     return PropertyResult("secret_confinement", not failures, failures)

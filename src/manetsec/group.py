@@ -20,6 +20,9 @@ Position = tuple[float, float]
 
 _WEIGHT_SUM_TOL = 1e-9
 
+# The trust a leader holds for a member it has not yet observed.
+TRUST_INITIAL = 0.5
+
 TRUST_DELTAS = {
     "forwarded": 0.01,
     "dropped": -0.05,

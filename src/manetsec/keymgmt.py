@@ -28,7 +28,7 @@ from .crypto import (
     zk_setup,
     zk_verify,
 )
-from .group import update_trust
+from .group import TRUST_INITIAL, update_trust
 from .messages import BROADCAST, UNOPENABLE, Message, MessageKind, msg, open_sealed, seal_batch, seal_plain
 from .runtime import Ctx
 
@@ -161,11 +161,27 @@ class JoinPhase(str, Enum):
     REJECTED = "rejected"
 
 
+# The nine-message join: each message kind with the phase its receiver's join
+# must be in and the phase answering it reaches.  A JOIN_REQ opens the join,
+# so it needs no phase; which side answers a kind is that side's
+# `JOIN_HANDLERS`.
+JOIN_STEPS = {
+    MessageKind.JOIN_REQ: (None, JoinPhase.ZK_ANNOUNCED),
+    MessageKind.ZK_PARAMS: (JoinPhase.REQUESTED, JoinPhase.CHALLENGED),
+    MessageKind.ZK_CHALLENGE: (JoinPhase.ZK_ANNOUNCED, JoinPhase.CHALLENGED),
+    MessageKind.ZK_RESPONSE: (JoinPhase.CHALLENGED, JoinPhase.ZK_PROVED),
+    MessageKind.CERT: (JoinPhase.CHALLENGED, JoinPhase.CERT_VERIFIED),
+    MessageKind.ADMIT: (JoinPhase.ZK_PROVED, JoinPhase.CERT_VERIFIED),
+    MessageKind.NONCE: (JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
+    MessageKind.MEMBER_SET: (JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
+}
+
+
 @dataclass
 class LeaderJoinSession:
     requester: str
-    phase: JoinPhase
-    witnesses: list  # ephemeral witnesses, one per round
+    phase: Optional[JoinPhase]
+    witnesses: list = field(default_factory=list)  # ephemeral witnesses, one per round
     pending_id: int = 0
     pending_key: Optional[bytes] = None
     pending_public: bytes = b""
@@ -194,6 +210,7 @@ class LeaderKeyService:
         capacity: int,
         challenge_rounds: int = 1,
         faults: Optional[set] = None,
+        trust_initial: float = TRUST_INITIAL,
     ):
         self.name = name
         self.group_id = group_id
@@ -203,6 +220,7 @@ class LeaderKeyService:
         self.capacity = capacity
         self.challenge_rounds = challenge_rounds
         self.faults = faults or set()
+        self.trust_initial = trust_initial
         p = _draw_prime(rng, PRIME_BITS)
         q = _draw_prime(rng, PRIME_BITS)
         while q == p:
@@ -249,7 +267,7 @@ class LeaderKeyService:
             ctx.secret(("member_key", member_name, h.lineage), h.member_keys[member_name])
             self._send_keyset(member_name, h.member_publics[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
-            self.trust.setdefault(member_name, 0.5)
+            self.trust.setdefault(member_name, self.trust_initial)
         ctx.note("rekey", cause, ("lineage", self.hierarchy.lineage), ("epoch", self.hierarchy.epoch))
 
     # -- rekey messages --------------------------------------------------------
@@ -281,74 +299,70 @@ class LeaderKeyService:
     # -- nine-message join, leader side --------------------------------------
 
     def handle_join(self, message: Message, ctx: Ctx) -> None:
+        """Answer one join message in the order `JOIN_STEPS` sets."""
         kind = message.kind
+        step = self.JOIN_HANDLERS.get(kind)
+        if step is None:
+            return
         if kind == MessageKind.JOIN_REQ:
-            self._join_request(message, ctx)
-        elif kind == MessageKind.ZK_CHALLENGE:
-            self._join_challenge(message, ctx)
-        elif kind == MessageKind.CERT:
-            self._join_cert(message, ctx)
-        elif kind == MessageKind.NONCE:
-            self._join_nonce(message, ctx)
+            session = self._open_join(message["requester"], ctx)
+        else:
+            session = self.join_sessions.get(message["subject" if kind == MessageKind.CERT else "join_id"])
+        # A NONCE is sealed under the pending member key; without one it is dropped unread.
+        if session is None or (kind == MessageKind.NONCE and session.pending_key is None):
+            return
+        required, reached = JOIN_STEPS[kind]
+        if session.phase != required:
+            self._reject(session, "out_of_order", ctx)
+        elif step(self, message, session, ctx):
+            session.phase = reached
 
-    def _reject(self, session: LeaderJoinSession, reason: str, ctx: Ctx) -> None:
+    def _reject(self, session: LeaderJoinSession, reason: str, ctx: Ctx) -> bool:
         session.phase = JoinPhase.REJECTED
         ctx.note("verdict", "join_rejected", reason, about=session.requester)
+        return False
 
-    def _join_request(self, message: Message, ctx: Ctx) -> None:
-        requester = message["requester"]
+    def _open_join(self, requester: str, ctx: Ctx) -> Optional[LeaderJoinSession]:
+        """A new join for `requester`, replacing any earlier one; None when it
+        may not join."""
         if requester in self.hierarchy.members():
             ctx.note("verdict", "join_rejected", "already_member", about=requester)
-            return
+            return None
+        session = self.join_sessions[requester] = LeaderJoinSession(requester, None)
         if len(self.hierarchy.members()) >= self.capacity:
-            session = LeaderJoinSession(requester, JoinPhase.REJECTED, [])
-            self.join_sessions[requester] = session
-            ctx.note("verdict", "join_rejected", "capacity", about=requester)
-            return
+            self._reject(session, "capacity", ctx)
+            return None
+        return session
+
+    def _join_request(self, message: Message, session: LeaderJoinSession, ctx: Ctx) -> bool:
         commitments = []
-        witnesses = []
         for _ in range(self.challenge_rounds):
             commitment, witness = zk_commit(ctx.rng, self.zk_params.modulus)
             commitments.append(commitment)
-            witnesses.append(witness)
-        self.join_sessions[requester] = LeaderJoinSession(
-            requester, JoinPhase.ZK_ANNOUNCED, witnesses
-        )
+            session.witnesses.append(witness)
         ctx.emit(
             msg(
                 MessageKind.ZK_PARAMS,
-                join_id=requester,
+                join_id=session.requester,
                 modulus=self.zk_params.modulus,
                 square=self.zk_params.square,
                 commitments=commitments,
             )
         )
+        return True
 
-    def _join_challenge(self, message: Message, ctx: Ctx) -> None:
-        session = self.join_sessions.get(message["join_id"])
-        if session is None:
-            return
-        if session.phase != JoinPhase.ZK_ANNOUNCED:
-            self._reject(session, "out_of_order", ctx)
-            return
+    def _join_challenge(self, message: Message, session: LeaderJoinSession, ctx: Ctx) -> bool:
         challenges = message["challenges"]
         if len(challenges) != len(session.witnesses):
-            self._reject(session, "bad_challenge_count", ctx)
-            return
+            return self._reject(session, "bad_challenge_count", ctx)
         responses = [
             zk_respond(w, self.zk_secret.secret, c, self.zk_params.modulus)
             for w, c in zip(session.witnesses, challenges)
         ]
-        session.phase = JoinPhase.CHALLENGED
         ctx.emit(msg(MessageKind.ZK_RESPONSE, join_id=session.requester, responses=responses))
+        return True
 
-    def _join_cert(self, message: Message, ctx: Ctx) -> None:
-        session = self.join_sessions.get(message["subject"])
-        if session is None:
-            return
-        if session.phase != JoinPhase.CHALLENGED:
-            self._reject(session, "out_of_order", ctx)
-            return
+    def _join_cert(self, message: Message, session: LeaderJoinSession, ctx: Ctx) -> bool:
         cert = Certificate(
             subject=message["subject"],
             subject_public=message["subject_public"],
@@ -356,13 +370,11 @@ class LeaderKeyService:
         )
         if "forge_admit" not in self.faults:
             if not check_certificate(self.provider, self.authority_public, cert):
-                self._reject(session, "bad_certificate", ctx)
                 self.trust[session.requester] = update_trust(
-                    self.trust.get(session.requester, 0.5), "malformed"
+                    self.trust.get(session.requester, self.trust_initial), "malformed"
                 )
-                alert = self._alert(cert.subject, "bad_certificate")
-                ctx.emit(alert, to=BROADCAST, channel="ring")
-                return
+                ctx.emit(self._alert(cert.subject, "bad_certificate"), to=BROADCAST, channel="ring")
+                return self._reject(session, "bad_certificate", ctx)
             ctx.note("verdict", "cert_ok", about=session.requester)
         # Membership stays pending until the nonce round-trip completes, so a
         # mid-handshake rekey never reaches (or is readable by) the joiner.
@@ -372,25 +384,18 @@ class LeaderKeyService:
         session.pending_id = member_id
         session.pending_key = member_key
         session.pending_public = cert.subject_public
-        session.phase = JoinPhase.CERT_VERIFIED
         plain = seal_plain(
             MessageKind.ADMIT, leader_public=self.keypair.public, member_id=member_id, member_key=member_key
         )
         sealed = self.provider.pk_encrypt(cert.subject_public, plain, ctx.rng)
         ctx.emit(msg(MessageKind.ADMIT, join_id=session.requester, sealed=sealed), to=session.requester)
+        return True
 
-    def _join_nonce(self, message: Message, ctx: Ctx) -> None:
-        session = self.join_sessions.get(message["join_id"])
-        if session is None or session.pending_key is None:
-            return
-        if session.phase != JoinPhase.CERT_VERIFIED:
-            self._reject(session, "out_of_order", ctx)
-            return
+    def _join_nonce(self, message: Message, session: LeaderJoinSession, ctx: Ctx) -> bool:
         try:
             opened = open_sealed(message.kind, self.provider.sym_decrypt(session.pending_key, message["sealed"]))
         except UNOPENABLE:
-            self._reject(session, "bad_nonce_seal", ctx)
-            return
+            return self._reject(session, "bad_nonce_seal", ctx)
         h = self.hierarchy
         h.commit_member(
             session.requester, session.pending_public, session.pending_id, session.pending_key
@@ -413,12 +418,20 @@ class LeaderKeyService:
             MessageKind.REKEY, "group", group_key=h.group_key, epoch=h.epoch, lineage=h.lineage, rows=rows
         )
         self._emit_rekey("group", self.provider.sym_encrypt(old_key, rekey_inner, ctx.rng), ctx)
-        session.phase = JoinPhase.ADMITTED
         self.heartbeats[session.requester] = ctx.now
-        self.trust.setdefault(session.requester, 0.5)
+        self.trust.setdefault(session.requester, self.trust_initial)
         ctx.secret(("group_key", h.lineage, h.epoch), h.group_key)
         ctx.note("admit", "handshake", about=session.requester)
         ctx.note("rekey", "join", ("lineage", h.lineage), ("epoch", h.epoch))
+        return True
+
+    # The join steps a leader answers.
+    JOIN_HANDLERS = {
+        MessageKind.JOIN_REQ: _join_request,
+        MessageKind.ZK_CHALLENGE: _join_challenge,
+        MessageKind.CERT: _join_cert,
+        MessageKind.NONCE: _join_nonce,
+    }
 
     # -- removal and liveness -------------------------------------------------
 
@@ -468,7 +481,7 @@ class LeaderKeyService:
             if now - last > deadline
         ]
         for name in expired:
-            self.trust[name] = update_trust(self.trust.get(name, 0.5), "heartbeat_missed")
+            self.trust[name] = update_trust(self.trust.get(name, self.trust_initial), "heartbeat_missed")
         return expired
 
     # -- lookups and alerts -----------------------------------------------------
@@ -479,14 +492,18 @@ class LeaderKeyService:
         if subject == self.name:
             public = self.keypair.public
         if public is None:
-            ctx.emit(self._alert(subject, "not_a_member"))
-            ctx.note("alert", "not_a_member", about=subject)
+            self.alert_not_member(subject, ctx)
             return
         sig = self.provider.sign(self.keypair.private, encoding.encode("pubkey", subject, public))
         ctx.emit(
             msg(MessageKind.PUBKEY_ANSWER, subject=subject, subject_public=public, leader_sig=sig),
             to=asker,
         )
+
+    def alert_not_member(self, name: str, ctx: Ctx) -> None:
+        """Tell the group that `name` is not a member."""
+        ctx.emit(self._alert(name, "not_a_member"))
+        ctx.note("alert", "not_a_member", about=name)
 
     def _alert(self, accused: str, reason: str) -> Message:
         sig = self.provider.sign(self.keypair.private, encoding.encode("alert", accused, reason))
@@ -565,60 +582,47 @@ class MemberKeyService:
         ctx.emit(msg(MessageKind.JOIN_REQ, requester=self.name), to=leader)
 
     def handle_join(self, message: Message, ctx: Ctx) -> None:
-        if self.join is None:
-            return
-        kind = message.kind
-        if kind == MessageKind.ZK_PARAMS and message["join_id"] == self.name:
-            self._zk_params(message, ctx)
-        elif kind == MessageKind.ZK_RESPONSE and message["join_id"] == self.name:
-            self._zk_response(message, ctx)
-        elif kind == MessageKind.ADMIT and message["join_id"] == self.name:
-            self._admit(message, ctx)
-        elif kind == MessageKind.MEMBER_SET and message["join_id"] == self.name:
-            self._member_set(message, ctx)
-
-    def _abort_join(self, reason: str, ctx: Ctx) -> None:
-        if self.join is not None:
-            self.join.phase = JoinPhase.REJECTED
-        ctx.note("verdict", "join_abort", reason, about=self.name)
-
-    def _zk_params(self, message: Message, ctx: Ctx) -> None:
+        """Answer one message of this node's own join, in the order
+        `JOIN_STEPS` sets."""
+        step = self.JOIN_HANDLERS.get(message.kind)
         join = self.join
-        if join.phase != JoinPhase.REQUESTED:
+        if step is None or join is None or message["join_id"] != self.name:
+            return
+        required, reached = JOIN_STEPS[message.kind]
+        if join.phase != required:
             self._abort_join("out_of_order", ctx)
-            return
+        elif step(self, message, join, ctx):
+            join.phase = reached
+
+    def _abort_join(self, reason: str, ctx: Ctx) -> bool:
+        self.join.phase = JoinPhase.REJECTED
+        ctx.note("verdict", "join_abort", reason, about=self.name)
+        return False
+
+    def _zk_params(self, message: Message, join: NodeJoinState, ctx: Ctx) -> bool:
         if message["modulus"] <= 3:  # too small to commit to (see zk_commit)
-            self._abort_join("bad_zk_params", ctx)
-            return
+            return self._abort_join("bad_zk_params", ctx)
         join.modulus = message["modulus"]
         join.square = message["square"]
         join.commitments = list(message["commitments"])
         if len(join.commitments) != self.challenge_rounds:
-            self._abort_join("bad_commitment_count", ctx)
-            return
+            return self._abort_join("bad_commitment_count", ctx)
         join.challenges = [
             ctx.rng.getrandbits(self.challenge_bits) for _ in join.commitments
         ]
-        join.phase = JoinPhase.CHALLENGED
         ctx.emit(msg(MessageKind.ZK_CHALLENGE, join_id=self.name, challenges=join.challenges))
+        return True
 
-    def _zk_response(self, message: Message, ctx: Ctx) -> None:
-        join = self.join
-        if join.phase != JoinPhase.CHALLENGED:
-            self._abort_join("out_of_order", ctx)
-            return
+    def _zk_response(self, message: Message, join: NodeJoinState, ctx: Ctx) -> bool:
         responses = message["responses"]
         if len(responses) != len(join.commitments):
-            self._abort_join("bad_response_count", ctx)
-            return
+            return self._abort_join("bad_response_count", ctx)
         ok = all(
             zk_verify(x, join.square, c, y, join.modulus)
             for x, c, y in zip(join.commitments, join.challenges, responses)
         )
         if not ok:
-            self._abort_join("leader_unauthenticated", ctx)
-            return
-        join.phase = JoinPhase.ZK_PROVED
+            return self._abort_join("leader_unauthenticated", ctx)
         ctx.note("verdict", "zk_ok", about=self.name)
         cert = self.certificate
         ctx.emit(
@@ -630,50 +634,46 @@ class MemberKeyService:
             ),
             to=join.leader,
         )
+        return True
 
-    def _admit(self, message: Message, ctx: Ctx) -> None:
-        join = self.join
-        if join.phase != JoinPhase.ZK_PROVED:
-            self._abort_join("out_of_order", ctx)
-            return
+    def _admit(self, message: Message, join: NodeJoinState, ctx: Ctx) -> bool:
         try:
             opened = open_sealed(message.kind, self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
         except UNOPENABLE:
-            self._abort_join("bad_admit_seal", ctx)
-            return
+            return self._abort_join("bad_admit_seal", ctx)
         if not self._key_fits(opened["member_key"]):
-            self._abort_join("bad_admit_seal", ctx)
-            return
+            return self._abort_join("bad_admit_seal", ctx)
         self.leader = join.leader
         self.leader_public = opened["leader_public"]
         self.member_id = opened["member_id"]
         self.member_key = opened["member_key"]
         join.nonce = ctx.rng.getrandbits(64)
-        join.phase = JoinPhase.CERT_VERIFIED
         plain = seal_plain(MessageKind.NONCE, nonce=join.nonce)
         sealed = self.provider.sym_encrypt(self.member_key, plain, ctx.rng)
         ctx.emit(msg(MessageKind.NONCE, join_id=self.name, sealed=sealed), to=join.leader)
+        return True
 
-    def _member_set(self, message: Message, ctx: Ctx) -> None:
-        join = self.join
-        if join.phase != JoinPhase.CERT_VERIFIED:
-            self._abort_join("out_of_order", ctx)
-            return
+    def _member_set(self, message: Message, join: NodeJoinState, ctx: Ctx) -> bool:
         try:
             opened = open_sealed(message.kind, self.provider.sym_decrypt(self.member_key, message["sealed"]))
         except UNOPENABLE:
-            self._abort_join("bad_member_set_seal", ctx)
-            return
+            return self._abort_join("bad_member_set_seal", ctx)
         if not self._key_fits(opened["group_key"]):
-            self._abort_join("bad_member_set_seal", ctx)
-            return
+            return self._abort_join("bad_member_set_seal", ctx)
         if opened["nonce"] != join.nonce:
-            self._abort_join("nonce_mismatch", ctx)
-            return
+            return self._abort_join("nonce_mismatch", ctx)
         self.group_id = opened["group"]
         self._store_keyset(opened)
-        join.phase = JoinPhase.ADMITTED
         ctx.note("verdict", "joined", about=self.name)
+        return True
+
+    # The join steps a joining node answers.
+    JOIN_HANDLERS = {
+        MessageKind.ZK_PARAMS: _zk_params,
+        MessageKind.ZK_RESPONSE: _zk_response,
+        MessageKind.ADMIT: _admit,
+        MessageKind.MEMBER_SET: _member_set,
+    }
 
     # -- rekey handling ------------------------------------------------------------
 
@@ -747,8 +747,16 @@ class SessionState:
     phase: SessionPhase = SessionPhase.INITIATED
 
 
-def session1_payload(initiator: str, responder: str, t_a: int) -> bytes:
+def _session1_payload(initiator: str, responder: str, t_a: int) -> bytes:
     return encoding.encode("session1", initiator, responder, t_a)
+
+
+def emit_session1(initiator: str, keypair, provider, peer: str, peer_public: bytes, ctx: Ctx) -> None:
+    """Open a session with `peer`: a SESSION_1 stamped now, signed by
+    `initiator` and sealed to `peer_public`."""
+    sig = provider.sign(keypair.private, _session1_payload(initiator, peer, ctx.now))
+    plain = seal_plain(MessageKind.SESSION_1, initiator=initiator, responder=peer, t_a=ctx.now, sig=sig)
+    ctx.emit(msg(MessageKind.SESSION_1, sealed=provider.pk_encrypt(peer_public, plain, ctx.rng)), to=peer)
 
 
 def _session2_payload(initiator: str, responder: str, t_a: int, t_b: int) -> bytes:
@@ -785,12 +793,8 @@ class SessionService:
         self._send_session1(peer, ctx)
 
     def _send_session1(self, peer: str, ctx: Ctx) -> None:
-        session = self.sessions[(self.name, peer)]
-        session.t_a = ctx.now
-        sig = self.provider.sign(self.keypair.private, session1_payload(self.name, peer, session.t_a))
-        plain = seal_plain(MessageKind.SESSION_1, initiator=self.name, responder=peer, t_a=session.t_a, sig=sig)
-        sealed = self.provider.pk_encrypt(self.directory[peer], plain, ctx.rng)
-        ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
+        self.sessions[(self.name, peer)].t_a = ctx.now
+        emit_session1(self.name, self.keypair, self.provider, peer, self.directory[peer], ctx)
 
     def open_addressed(self, message: Message) -> Optional[dict]:
         """The fields of a message sealed to this node's public key, or None."""
@@ -829,7 +833,7 @@ class SessionService:
     def _verify_and_respond(self, initiator: str, t_a: int, sig_bytes: bytes, ctx: Ctx) -> None:
         session = self.sessions[(initiator, self.name)]
         ok = self.provider.verify(
-            self.directory[initiator], session1_payload(initiator, self.name, t_a), sig_bytes
+            self.directory[initiator], _session1_payload(initiator, self.name, t_a), sig_bytes
         )
         if not ok:
             self._abort(session, "bad_signature", ctx)
@@ -971,29 +975,15 @@ def leader_ring_agree(
 ) -> bytes:
     """Ring key agreement over an ordered leader list.
 
-    Runs the serialized ring exchange in n-1 passes: on each pass every
-    leader raises the value received from its predecessor to its own secret
-    and forwards it.  After the last pass each leader holds the generator
-    raised to everyone else's secrets and one final own-secret step gives
-    all of them the same value; that value never travels, only intermediate
-    powers do.  Returns the derived symmetric key.
+    Each leader in turn raises the value it receives to its own secret and
+    passes it on, so the last one holds the generator raised to every
+    secret; only intermediate powers travel, never that value.  Returns the
+    symmetric key derived from it.
     """
     if not leaders:
         raise ValueError("ring needs at least one leader")
-    secrets = [secret for _, secret in leaders]
-    n = len(secrets)
-    if n == 1:
-        shared = dh_contribute(generator, modulus, secrets[0], generator)
-    else:
-        holding = [generator] * n
-        for _ in range(n - 1):
-            outgoing = [
-                dh_contribute(generator, modulus, s, h) for h, s in zip(holding, secrets)
-            ]
-            holding = [outgoing[(i - 1) % n] for i in range(n)]
-        finals = [dh_contribute(generator, modulus, s, h) for h, s in zip(holding, secrets)]
-        if len(set(finals)) != 1:
-            raise ArithmeticError("ring exchange diverged")
-        shared = finals[0]
+    shared = generator
+    for _, secret in leaders:
+        shared = dh_contribute(generator, modulus, secret, shared)
     digest = provider.hash(encoding.encode("ring-key", shared))
     return digest[: provider.sym_key_size]

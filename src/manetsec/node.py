@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .crypto import DecryptionError
-from .keymgmt import Certificate, LeaderKeyService, MemberKeyService, SessionService, session1_payload
+from .keymgmt import Certificate, LeaderKeyService, MemberKeyService, SessionService, emit_session1
 from .messages import BROADCAST, FIELD_TYPES, UNOPENABLE, Envelope, Message, MessageKind, msg, open_sealed, seal_plain
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .routing import Discovery, Router
@@ -29,6 +29,18 @@ from .runtime import Ctx
 
 if TYPE_CHECKING:
     from .sim import SimParams
+
+
+# Group control broadcasts are cooperatively re-flooded (once per node) so
+# multi-hop groups hear them; re-flooded copies must not re-enter the state
+# machines, so each node handles a given broadcast once.  Discovery traffic
+# has its own per-hop forwarding and dedup rules and is exempt.
+_NO_RELAY = (MessageKind.RREQ, MessageKind.RREP)
+
+
+def refloods(envelope: Envelope) -> bool:
+    """Whether `envelope` is a group broadcast, which every node passes on once."""
+    return envelope.to == BROADCAST and envelope.channel == "radio" and envelope.message.kind not in _NO_RELAY
 
 
 class ProtocolNode:
@@ -58,7 +70,7 @@ class ProtocolNode:
         self.leader_groups: dict[str, str] = {}
         self.alive = True
         self.leader_last_seen: Optional[int] = None
-        self.signals: list = []
+        self.signals: list = []  # (group, lost leader): the group needs an election
         # Cross-group discovery bookkeeping.
         self.relayed: set = set()  # wire bytes of group broadcasts already re-flooded
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
@@ -107,28 +119,18 @@ class ProtocolNode:
 
     # ------------------------------------------------------------------ dispatch
 
-    # Group control broadcasts are cooperatively re-flooded (once per node)
-    # so multi-hop groups hear them; re-flooded copies must not re-enter the
-    # state machines, so each node handles a given broadcast once.  Discovery
-    # traffic has its own per-hop forwarding and dedup rules and is exempt.
-    _NO_RELAY = (MessageKind.RREQ, MessageKind.RREP)
-
     def handle(self, envelope: Envelope, ctx: Ctx) -> None:
         message = envelope.message
         kind = message.kind
-        if (
-            envelope.channel == "radio"
-            and envelope.to == BROADCAST
-            and kind not in self._NO_RELAY
-        ):
+        if refloods(envelope):
             if message.encoded in self.relayed:
                 return
             self.relayed.add(message.encoded)
             ctx.emit(message)
-        if kind in (MessageKind.JOIN_REQ, MessageKind.ZK_CHALLENGE, MessageKind.CERT, MessageKind.NONCE):
+        if kind in LeaderKeyService.JOIN_HANDLERS:
             if self.leader_service is not None:
                 self.leader_service.handle_join(message, ctx)
-        elif kind in (MessageKind.ZK_PARAMS, MessageKind.ZK_RESPONSE, MessageKind.ADMIT, MessageKind.MEMBER_SET):
+        elif kind in MemberKeyService.JOIN_HANDLERS:
             self.member.handle_join(message, ctx)
         elif kind == MessageKind.REKEY:
             self.member.handle_rekey(message, ctx)
@@ -200,9 +202,8 @@ class ProtocolNode:
         if self.leader_service is not None:
             self.leader_service.remove_members([who], "announced_leave", ctx)
         elif who == self.member.leader and self.member.is_member():
-            group = self.member.group_id
             self.leader_last_seen = None
-            self.signals.append(("election", group, who))
+            self.signals.append((self.member.group_id, who))
 
     def _handle_session1(self, message: Message, ctx: Ctx) -> None:
         if self.leader_service is None:
@@ -217,8 +218,7 @@ class ProtocolNode:
             return
         initiator = opened["initiator"]
         if initiator not in self.leader_service.hierarchy.member_publics:
-            ctx.emit(self.leader_service._alert(initiator, "not_a_member"))
-            ctx.note("alert", "not_a_member", about=initiator)
+            self.leader_service.alert_not_member(initiator, ctx)
             return
         self.sessions.answer_session1(opened, self.name, ctx)
 
@@ -254,10 +254,7 @@ class ProtocolNode:
             self.router.start_discovery(dest, self.params.rreq_lifetime, ctx)
             return
         if self.leader_service is not None:
-            self.router.next_seq += 1
-            seq = self.router.next_seq
-            self.pending_composed[dest] = seq
-            self._gateway_request(self.name, dest, seq, ctx)
+            self._gateway_request(self.name, dest, self._composed_seq(dest), ctx)
             return
         leader = self.current_leader_name()
         if leader is None:
@@ -270,10 +267,14 @@ class ProtocolNode:
                 leader, self.params.rreq_lifetime, ctx, purpose="gateway_leg1", final_dest=dest
             )
 
-    def _request_composed(self, dest: str, leader: str, ctx: Ctx) -> None:
+    def _composed_seq(self, dest: str) -> int:
+        """Number a request for a composed route to `dest`, and await its answer."""
         self.router.next_seq += 1
-        seq = self.router.next_seq
-        self.pending_composed[dest] = seq
+        self.pending_composed[dest] = self.router.next_seq
+        return self.router.next_seq
+
+    def _request_composed(self, dest: str, leader: str, ctx: Ctx) -> None:
+        seq = self._composed_seq(dest)
         plain = seal_plain(MessageKind.DATA, tag="route_wanted", requester=self.name, dest=dest, seq=seq)
         self._send_routed(plain, leader, ctx)
 
@@ -290,8 +291,7 @@ class ProtocolNode:
         if entry is None:
             ctx.note("verdict", "send_failed", "no_route", ("dest", dest), about=self.name)
             return
-        to = entry.route[1] if len(entry.route) > 1 else dest
-        if not self._emit_data(plain, entry.route, 1, to, ctx):
+        if not self._emit_data(plain, entry.route, 1, entry.next_hop, ctx):
             ctx.note("verdict", "send_failed", "no_group", about=self.name)
 
     def _emit_data(self, plain: bytes, route: list, hop: int, to: str, ctx: Ctx) -> bool:
@@ -489,40 +489,30 @@ class ProtocolNode:
     def on_tick(self, ctx: Ctx) -> None:
         if not self.alive:
             return
-        period = self.params.heartbeat_period
+        if ctx.now > 0 and ctx.now % self.params.heartbeat_period == 0:
+            self._heartbeat(ctx)
         if self.leader_service is not None:
-            if ctx.now > 0 and ctx.now % period == 0:
-                ctx.emit(
-                    msg(
-                        MessageKind.HEARTBEAT,
-                        who=self.name,
-                        role="leader",
-                        group=self.group_id() or "",
-                        beat=ctx.now,
-                    )
-                )
             expired = self.leader_service.check_liveness(ctx.now, self.params.liveness_deadline)
             if expired:
                 self.leader_service.remove_members(expired, "silent_timeout", ctx)
             self._expire_remote_jobs(ctx)
         elif self.member.is_member():
-            if ctx.now > 0 and ctx.now % period == 0 and self.member.leader:
-                ctx.emit(
-                    msg(
-                        MessageKind.HEARTBEAT,
-                        who=self.name,
-                        role="member",
-                        group=self.group_id() or "",
-                        beat=ctx.now,
-                    ),
-                    to=self.member.leader,
-                )
             if (
                 self.leader_last_seen is not None
                 and ctx.now - self.leader_last_seen > self.params.liveness_deadline
             ):
                 self.leader_last_seen = None
-                self.signals.append(("election", self.member.group_id, self.member.leader))
+                self.signals.append((self.member.group_id, self.member.leader))
+
+    def _heartbeat(self, ctx: Ctx) -> None:
+        """A leader beats to its group, a member to its leader."""
+        if self.leader_service is not None:
+            role, to = "leader", BROADCAST
+        elif self.member.is_member() and self.member.leader:
+            role, to = "member", self.member.leader
+        else:
+            return
+        ctx.emit(msg(MessageKind.HEARTBEAT, who=self.name, role=role, group=self.group_id() or "", beat=ctx.now), to=to)
 
     def _expire_remote_jobs(self, ctx: Ctx) -> None:
         for dest in sorted(self.remote_jobs):
@@ -606,7 +596,7 @@ class AdversaryNode:
         self.provider = provider
         self.rng = rng
         self.behavior = behavior
-        self.args = {**BEHAVIORS[behavior], **args}
+        self.args = args  # every argument its behavior reads, defaults included
         self.publics = publics  # certificate directory: public material only
         self.alive = True
         self.state = AdversaryState()
@@ -704,12 +694,8 @@ class AdversaryNode:
     def begin_rogue_session(self, peer: str, ctx: Ctx) -> None:
         """Initiate a session as a non-member; the leader lookup exposes us."""
         peer_public = self.publics.get(peer)
-        if peer_public is None:
-            return
-        sig = self.provider.sign(self.keypair.private, session1_payload(self.name, peer, ctx.now))
-        plain = seal_plain(MessageKind.SESSION_1, initiator=self.name, responder=peer, t_a=ctx.now, sig=sig)
-        sealed = self.provider.pk_encrypt(peer_public, plain, ctx.rng)
-        ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
+        if peer_public is not None:
+            emit_session1(self.name, self.keypair, self.provider, peer, peer_public, ctx)
 
     def on_tick(self, ctx: Ctx) -> None:
         due = [item for item in self.state.replay_buffer if item[0] <= ctx.now]

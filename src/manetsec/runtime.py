@@ -25,9 +25,12 @@ class Note:
 
     @property
     def detail(self) -> str:
-        from .sim import render_detail
-
         return render_detail(self.parts)
+
+
+def render_detail(parts) -> str:
+    """The `:`-joined text of detail parts, each pair as `name=value`."""
+    return ":".join([part if isinstance(part, str) else "=".join(part) for part in parts])
 
 
 @dataclass

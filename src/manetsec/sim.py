@@ -35,12 +35,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .crypto import PROVIDERS, make_provider
-from .group import NodeAttributes, WeightConfig, elect_leader, mobility
+from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
-from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept
-from .runtime import Ctx
+from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
+from .runtime import Ctx, render_detail
 
 LOG_HEADER = "#manetsec-log v1"
 LOG_FOOTER = "#complete"
@@ -83,6 +83,11 @@ class AdversarySpec:
     placement: tuple  # ("node", name) or ("link", u, v)
     args: dict = field(default_factory=dict)
 
+    @property
+    def settings(self) -> dict:
+        """Its arguments over the defaults of its behavior."""
+        return {**BEHAVIORS[self.kind], **self.args}
+
 
 @dataclass
 class Action:
@@ -108,7 +113,7 @@ class SimParams:
     challenge_rounds: int = 1
     strict_chain: bool = False
     discovery_timeout: int = 30
-    trust_initial: float = 0.5
+    trust_initial: float = TRUST_INITIAL
     duration: Optional[int] = None
 
 
@@ -177,7 +182,7 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
     its behavior's defaults."""
     if adv.kind not in BEHAVIORS:
         return [f"unknown behavior {adv.kind!r}"]
-    args, problems = {**BEHAVIORS[adv.kind], **adv.args}, []
+    args, problems = adv.settings, []
     if adv.kind == "drop_probabilistic":
         if not (_is_finite(args["p"]) and 0.0 <= args["p"] <= 1.0):
             problems.append("drop probability must be within [0, 1]")
@@ -407,11 +412,6 @@ class SimEvent:
         return f"{self.tick}\t{self.seq}\t{self.kind}\t{self.principals}\t{self.digest}\t{render_detail(self.parts)}"
 
 
-def render_detail(parts) -> str:
-    """The `:`-joined text of detail parts, each pair as `name=value`."""
-    return ":".join([part if isinstance(part, str) else "=".join(part) for part in parts])
-
-
 @dataclass
 class RunRegistry:
     """Auditor-side record of the run: provider, principals, key material
@@ -559,11 +559,8 @@ class LinkTap:
     name: str
     spec: AdversarySpec
     rng: random.Random
+    args: dict  # the spec's settings
     outbox: list = field(default_factory=list)  # (due, envelope, recipient)
-    args: dict = field(init=False)  # the spec's arguments over its behavior's defaults
-
-    def __post_init__(self):
-        self.args = {**BEHAVIORS[self.spec.kind], **self.spec.args}
 
     def matches(self, a: str, b: str) -> bool:
         _, u, v = self.spec.placement
@@ -641,7 +638,7 @@ class Simulation:
                     if adv.placement[0] == "node" and adv.placement[1] == name
                 )
                 self.nodes[name] = AdversaryNode(
-                    name, keypairs[name], self.provider, rng_for(f"node:{name}"), spec.kind, spec.args, publics
+                    name, keypairs[name], self.provider, rng_for(f"node:{name}"), spec.kind, spec.settings, publics
                 )
             else:
                 self.nodes[name] = ProtocolNode(
@@ -653,7 +650,7 @@ class Simulation:
                     scenario.params,
                 )
         self.taps = [
-            LinkTap(f"tap{i}", adv, rng_for(f"tap:{i}"))
+            LinkTap(f"tap{i}", adv, rng_for(f"tap:{i}"), adv.settings)
             for i, adv in enumerate(scenario.adversaries)
             if adv.placement[0] == "link"
         ]
@@ -914,12 +911,7 @@ class Simulation:
             elif note.kind == "remove":
                 self.group_map.pop(note.about, None)
         for envelope in ctx.outbound:
-            if (
-                isinstance(node, ProtocolNode)
-                and envelope.channel == "radio"
-                and envelope.to == BROADCAST
-                and envelope.message.kind not in ProtocolNode._NO_RELAY
-            ):
+            if isinstance(node, ProtocolNode) and refloods(envelope):
                 node.relayed.add(envelope.message.encoded)
             self._transmit(envelope)
         if node.signals:
@@ -944,6 +936,7 @@ class Simulation:
             capacity,
             self.params.challenge_rounds,
             faults=set(self.scenario.faults),
+            trust_initial=self.params.trust_initial,
         )
         trust_seed = self.last_trust.get(group_id, {})
         for member, value in trust_seed.items():
@@ -1005,10 +998,15 @@ class Simulation:
         self._make_leader(winner, group_id, [c for c in candidates if c != winner], "election")
         self._ring_rekey()
 
-    def _stash_trust(self, name: str) -> None:
-        node = self.nodes.get(name)
-        if isinstance(node, ProtocolNode) and node.leader_service is not None:
-            self.last_trust[node.leader_service.group_id] = dict(node.leader_service.trust)
+    def _unseat(self, name: str) -> None:
+        """Leader `name` leads no more: its trust table seeds its successor's,
+        and a group it leaves empty is dissolved."""
+        service = self.nodes[name].leader_service
+        group = service.group_id
+        self.last_trust[group] = dict(service.trust)
+        self.leaders[group] = None
+        if group not in self.group_map.values():
+            self._log("alert", group, ("group_dissolved",))
 
     # -- script actions ---------------------------------------------------------------
 
@@ -1019,19 +1017,12 @@ class Simulation:
             if name is None:
                 return
             node = self.nodes[name]
-            lost_group = None
-            if isinstance(node, ProtocolNode) and node.leader_service is not None:
-                self._stash_trust(name)
-                lost_group = node.leader_service.group_id
-                self.leaders[lost_group] = None
             node.alive = False
             self._searches = {}
             self.group_map.pop(name, None)
             self._log("alert", name, ("node_crashed",))
-            if lost_group is not None:
-                remaining = [n for n, g in self.group_map.items() if g == lost_group]
-                if not remaining:
-                    self._log("alert", lost_group, ("group_dissolved",))
+            if isinstance(node, ProtocolNode) and node.leader_service is not None:
+                self._unseat(name)
             return
         actor = args[0]
         node = self.nodes[actor]
@@ -1068,19 +1059,12 @@ class Simulation:
     def _leave(self, ctx: Ctx) -> None:
         """Scripted leave: the node announces it, and a leaving leader's group
         is left leaderless until its members notice."""
-        name = ctx.name
-        node = self.nodes[name]
-        was_leader = node.leader_service is not None
-        group = node.group_id()
+        node = self.nodes[ctx.name]
         node.announce_leave(ctx)
-        if was_leader:
-            self._stash_trust(name)
+        self.group_map.pop(ctx.name, None)
+        if node.leader_service is not None:
+            self._unseat(ctx.name)
             node.leader_service = None
-        self.group_map.pop(name, None)
-        if was_leader and group is not None:
-            self.leaders[group] = None
-            if group not in self.group_map.values():
-                self._log("alert", group, ("group_dissolved",))
 
     # -- main loop --------------------------------------------------------------------
 
@@ -1128,10 +1112,7 @@ class Simulation:
                     continue
                 self._step(name, node.on_tick)
             if self._signals:
-                signaled = {}
-                for signal in self._signals:
-                    if signal[0] == "election":
-                        signaled[signal[1]] = signal[2]
+                signaled = dict(self._signals)  # group -> the leader its members lost
                 self._signals = []
                 for group_id in sorted(signaled):
                     current = self.leaders.get(group_id)

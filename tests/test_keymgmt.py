@@ -7,9 +7,12 @@ from manetsec.crypto import DecryptionError
 from manetsec.keymgmt import (
     Certificate,
     CertificateAuthority,
+    JOIN_STEPS,
     JoinPhase,
+    LeaderJoinSession,
     LeaderKeyService,
     MemberKeyService,
+    NodeJoinState,
     SessionPhase,
     SessionService,
     check_certificate,
@@ -234,6 +237,105 @@ def test_out_of_order_message_rejects_session(world):
         ctx,
     )
     assert world.leader.join_sessions["N"].phase == JoinPhase.REJECTED
+
+
+# The nine-message join as the paper orders it: each kind with the side that
+# answers it, the phase that side's join must be in (None: the request opens
+# a join) and the phase answering it reaches.
+JOIN_ORDER = {
+    MessageKind.JOIN_REQ: ("leader", None, JoinPhase.ZK_ANNOUNCED),
+    MessageKind.ZK_PARAMS: ("member", JoinPhase.REQUESTED, JoinPhase.CHALLENGED),
+    MessageKind.ZK_CHALLENGE: ("leader", JoinPhase.ZK_ANNOUNCED, JoinPhase.CHALLENGED),
+    MessageKind.ZK_RESPONSE: ("member", JoinPhase.CHALLENGED, JoinPhase.ZK_PROVED),
+    MessageKind.CERT: ("leader", JoinPhase.CHALLENGED, JoinPhase.CERT_VERIFIED),
+    MessageKind.ADMIT: ("member", JoinPhase.ZK_PROVED, JoinPhase.CERT_VERIFIED),
+    MessageKind.NONCE: ("leader", JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
+    MessageKind.MEMBER_SET: ("member", JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
+}
+
+
+def test_join_steps_table_is_the_papers_order():
+    assert JOIN_STEPS == {kind: (required, reached) for kind, (_, required, reached) in JOIN_ORDER.items()}
+    for side, service in (("leader", LeaderKeyService), ("member", MemberKeyService)):
+        assert set(service.JOIN_HANDLERS) == {kind for kind, row in JOIN_ORDER.items() if row[0] == side}
+
+
+def _join_sides(world, phase, joiner="N"):
+    """A fresh leader holding N's join, and member `joiner` joining L, both
+    in `phase`; the leader's join has a pending member key."""
+    leader = LeaderKeyService("L", "g1", "g1-1", world.keys["L"], world.provider, world.rng, world.authority.public, 8)
+    leader.join_sessions["N"] = LeaderJoinSession("N", phase, [1], pending_key=b"k" * 16)
+    member = MemberKeyService(joiner, world.keys[joiner], world.certs[joiner], world.provider)
+    member.join = NodeJoinState(leader="L", phase=phase)
+    return leader, member
+
+
+def _answer(service, message, world, name):
+    ctx = make_ctx(name, 1, world.rng, world.provider)
+    service.handle_join(message, ctx)
+    return ctx
+
+
+@pytest.fixture
+def join_messages(world):
+    """One message of each join kind, from an honest join of N."""
+    _, transcript = run_join(world, "N")
+    return {env.message.kind: env.message for env in transcript if env.message.kind in JOIN_ORDER}
+
+
+def test_each_join_kind_answered_by_exactly_one_side(world, join_messages):
+    assert set(join_messages) == set(JOIN_ORDER)
+    for kind, (side, required, _) in JOIN_ORDER.items():
+        for phase in JoinPhase:
+            if phase == required:
+                continue
+            leader, member = _join_sides(world, phase)
+            answers = {
+                "leader": _answer(leader, join_messages[kind], world, "L"),
+                "member": _answer(member, join_messages[kind], world, "N"),
+            }
+            for who, ctx in answers.items():
+                acted = bool(ctx.notes or ctx.outbound)
+                assert acted == (who == side), (kind.name, phase, who)
+
+
+def test_join_kind_in_wrong_phase_rejects_that_join(world, join_messages):
+    for kind, (side, required, _) in JOIN_ORDER.items():
+        if required is None:
+            continue
+        for phase in JoinPhase:
+            if phase == required:
+                continue
+            leader, member = _join_sides(world, phase)
+            if side == "leader":
+                ctx = _answer(leader, join_messages[kind], world, "L")
+                state, verdict = leader.join_sessions["N"], "join_rejected:out_of_order"
+            else:
+                ctx = _answer(member, join_messages[kind], world, "N")
+                state, verdict = member.join, "join_abort:out_of_order"
+            assert [(n.kind, n.detail, n.about) for n in ctx.notes] == [("verdict", verdict, "N")], (kind.name, phase)
+            assert not ctx.outbound
+            assert state.phase == JoinPhase.REJECTED
+
+
+def test_nonce_without_pending_key_leaves_no_verdict(world, join_messages):
+    for phase in JoinPhase:
+        leader, _ = _join_sides(world, phase)
+        leader.join_sessions["N"].pending_key = None
+        ctx = _answer(leader, join_messages[MessageKind.NONCE], world, "L")
+        assert not ctx.notes and not ctx.outbound
+        assert leader.join_sessions["N"].phase == phase
+
+
+def test_member_ignores_another_join_id(world, join_messages):
+    for kind, (side, _, _) in JOIN_ORDER.items():
+        if side != "member":
+            continue
+        for phase in JoinPhase:
+            _, member = _join_sides(world, phase, joiner="M1")
+            ctx = _answer(member, join_messages[kind], world, "M1")
+            assert not ctx.notes and not ctx.outbound
+            assert member.join.phase == phase
 
 
 def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):

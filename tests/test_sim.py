@@ -905,6 +905,18 @@ def test_leader_leave_triggers_election_and_new_lineage():
     assert audit(log).passed
 
 
+def test_leaders_seed_trust_tables_from_trust_initial():
+    scenario = line_scenario(["A", "B", "C"], script=[Action(5, "leave", ("A",))], duration=20)
+    scenario.params.trust_initial = 0.9
+    scenario.nodes[0].battery = 1.0
+    sim = Simulation(scenario)
+    sim.run()
+    founding = sim.last_trust["g1"]  # A's table, kept for its successor when it left
+    assert founding == {"B": 0.9, "C": 0.9}
+    successor = sim.nodes[sim.leaders["g1"]].leader_service
+    assert set(successor.trust.values()) == {0.9}
+
+
 def test_leader_crash_detected_by_beacon_silence():
     scenario = line_scenario(["A", "B", "C"], script=[Action(5, "crash_leader", ("g1",))], duration=80)
     scenario.nodes[0].battery = 1.0

@@ -24,7 +24,6 @@ from .group import (
 from .keymgmt import (
     Certificate,
     CertificateAuthority,
-    KeyHierarchy,
     derive_member_key,
     leader_ring_agree,
 )

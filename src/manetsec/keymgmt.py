@@ -1,15 +1,19 @@
-"""Group key lifecycle: hierarchy, join handshake, sessions, revocation.
+"""Group key lifecycle: leader-held keys, join handshake, sessions, revocation.
 
-The leader of each group owns a :class:`KeyHierarchy`: the group key (with
-its epoch counter and a lineage identifier that changes on every leadership
-change), one derived key per member, and the secret number feeding that
-derivation.  Joining runs a nine-message handshake in which the node first
+The leader of each group alone holds its keys, in its
+:class:`LeaderKeyService`: the group key (with its epoch counter and a
+lineage identifier that changes on every leadership change), the secret
+number each member's derived key comes from, and every member's public key.
+Joining runs a nine-message handshake in which the node first
 authenticates the leader with a quadratic-residue challenge-response and
 the leader then authenticates the node by its certificate; only after both
 succeed is the node admitted and the group rekeyed.  Leaving (voluntary,
 silent, or forced) also rekeys.  Pairs of members agree on session keys
 with a four-message timestamped exchange, asking the leader for public
-keys they do not hold.
+keys they do not hold.  A node believes a leader's alert only under a
+signature it can check: a radio alert against its own group leader's key
+(its own key when it leads), a ring alert against the key the sending
+leader announced; any other alert is ignored.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def check_certificate(provider, authority_public: bytes, cert: Certificate) -> b
 
 
 # ---------------------------------------------------------------------------
-# Key hierarchy
+# Derived member keys
 # ---------------------------------------------------------------------------
 
 
@@ -94,56 +98,6 @@ def derive_member_key(member_id: int, secret: int, provider) -> bytes:
     """Leader-to-member key: hash of the member id and the leader's secret."""
     digest = provider.hash(encoding.encode("member-key", member_id, secret))
     return digest[: provider.sym_key_size]
-
-
-@dataclass
-class KeyHierarchy:
-    group_id: str
-    lineage: str
-    leader: str
-    member_secret: int
-    group_key: bytes
-    epoch: int = 1
-    member_keys: dict = field(default_factory=dict)  # name -> key bytes
-    member_ids: dict = field(default_factory=dict)  # name -> int
-    member_publics: dict = field(default_factory=dict)  # name -> bytes
-    next_member_id: int = 1
-    key_history: dict = field(default_factory=dict)  # (lineage, epoch) -> key
-
-    def __post_init__(self):
-        self.key_history[(self.lineage, self.epoch)] = self.group_key
-
-    def members(self) -> list[str]:
-        """Every member including the leader, sorted."""
-        return sorted(set(self.member_publics) | {self.leader})
-
-    def rotate(self, rng: random.Random, provider) -> bytes:
-        old = self.group_key
-        self.group_key = provider.generate_symmetric_key(rng)
-        self.epoch += 1
-        self.key_history[(self.lineage, self.epoch)] = self.group_key
-        return old
-
-    def reserve_member_id(self) -> int:
-        member_id = self.next_member_id
-        self.next_member_id += 1
-        return member_id
-
-    def enroll(self, name: str, public: bytes, provider) -> tuple[int, bytes]:
-        member_id = self.reserve_member_id()
-        key = derive_member_key(member_id, self.member_secret, provider)
-        self.commit_member(name, public, member_id, key)
-        return member_id, key
-
-    def commit_member(self, name: str, public: bytes, member_id: int, key: bytes) -> None:
-        self.member_ids[name] = member_id
-        self.member_keys[name] = key
-        self.member_publics[name] = public
-
-    def drop(self, name: str) -> None:
-        self.member_keys.pop(name, None)
-        self.member_ids.pop(name, None)
-        self.member_publics.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +136,6 @@ class LeaderJoinSession:
     requester: str
     phase: Optional[JoinPhase]
     witnesses: list = field(default_factory=list)  # ephemeral witnesses, one per round
-    pending_id: int = 0
     pending_key: Optional[bytes] = None
     pending_public: bytes = b""
 
@@ -196,7 +149,8 @@ def _draw_prime(rng: random.Random, bits: int) -> int:
 
 
 class LeaderKeyService:
-    """Leader-side key management: hierarchy, joins, removals, lookups."""
+    """Leader-side key management: the group's keys and members, joins,
+    removals, lookups."""
 
     def __init__(
         self,
@@ -227,22 +181,39 @@ class LeaderKeyService:
             q = _draw_prime(rng, PRIME_BITS)
         secret = rng.randrange(2, p * q)
         self.zk_params, self.zk_secret = zk_setup(p, q, secret)
-        self.hierarchy = KeyHierarchy(
-            group_id=group_id,
-            lineage=lineage,
-            leader=name,
-            member_secret=rng.getrandbits(128),
-            group_key=provider.generate_symmetric_key(rng),
-        )
+        self.lineage = lineage
+        self.member_secret = rng.getrandbits(128)  # every member key is derived from it
+        self.epoch = 0
+        self.key_history: dict[tuple[str, int], bytes] = {}  # (lineage, epoch) -> group key
+        self._next_epoch(rng)
+        self.member_publics: dict[str, bytes] = {}  # every member but the leader
+        self.next_member_id = 1
         self.join_sessions: dict[str, LeaderJoinSession] = {}
         self.heartbeats: dict[str, int] = {}
         self.trust: dict[str, float] = {}
+
+    # -- keys and members -----------------------------------------------------
+
+    def members(self) -> list[str]:
+        """Every member including the leader, sorted."""
+        return sorted(set(self.member_publics) | {self.name})
+
+    def _next_epoch(self, rng: random.Random) -> None:
+        """Move to the next epoch under a fresh group key."""
+        self.epoch += 1
+        self.group_key = self.key_history[(self.lineage, self.epoch)] = self.provider.generate_symmetric_key(rng)
+
+    def _issue_member_key(self) -> tuple[int, bytes]:
+        """Reserve the next member id; returns it with the key derived from it."""
+        member_id = self.next_member_id
+        self.next_member_id += 1
+        return member_id, derive_member_key(member_id, self.member_secret, self.provider)
 
     # -- membership bootstrap / takeover ------------------------------------
 
     def directory_rows(self) -> list:
         """Membership snapshot carried in key messages: (name, public) rows."""
-        rows = [[name, public] for name, public in self.hierarchy.member_publics.items()]
+        rows = [[name, public] for name, public in self.member_publics.items()]
         rows.append([self.name, self.keypair.public])
         return sorted(rows)
 
@@ -250,25 +221,29 @@ class LeaderKeyService:
         """Enroll members directly and push them the full key set.
 
         Used at scenario start and when a newly elected leader rebuilds the
-        hierarchy: every member gets the group key, a fresh derived key and
-        its member id, sealed to its public key.
+        group: every member gets the group key, a fresh derived key and its
+        member id, sealed to its public key, and is noted admitted for
+        `cause`.
         """
+        addressed = {}  # name -> its derived key and member id
         for member_name, public in sorted(members):
             if member_name == self.name:
                 continue
-            self.hierarchy.enroll(member_name, public, self.provider)
-        h = self.hierarchy
-        ctx.secret(("member_secret", h.lineage), h.member_secret)
-        ctx.secret(("group_key", h.lineage, h.epoch), h.group_key)
-        names = sorted(h.member_publics)
-        addressed = [{"member_key": h.member_keys[name], "member_id": h.member_ids[name]} for name in names]
-        plains = seal_batch(MessageKind.REKEY, "public", self._keyset_fields(self.directory_rows()), addressed)
-        for member_name, plain in zip(names, plains):
-            ctx.secret(("member_key", member_name, h.lineage), h.member_keys[member_name])
-            self._send_keyset(member_name, h.member_publics[member_name], plain, ctx)
+            member_id, member_key = self._issue_member_key()
+            self.member_publics[member_name] = public
+            addressed[member_name] = {"member_key": member_key, "member_id": member_id}
+        ctx.secret(("member_secret", self.lineage), self.member_secret)
+        ctx.secret(("group_key", self.lineage, self.epoch), self.group_key)
+        plains = seal_batch(
+            MessageKind.REKEY, "public", self._keyset_fields(self.directory_rows()), list(addressed.values())
+        )
+        for member_name, plain in zip(addressed, plains):
+            ctx.secret(("member_key", member_name, self.lineage), addressed[member_name]["member_key"])
+            self._send_keyset(member_name, self.member_publics[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
             self.trust.setdefault(member_name, self.trust_initial)
-        ctx.note("rekey", cause, ("lineage", self.hierarchy.lineage), ("epoch", self.hierarchy.epoch))
+            ctx.note("admit", cause, about=member_name)
+        ctx.note("rekey", cause, ("lineage", self.lineage), ("epoch", self.epoch))
 
     # -- rekey messages --------------------------------------------------------
 
@@ -277,10 +252,9 @@ class LeaderKeyService:
         group key and membership and the leader's identity.  The rest are
         the addressee's derived key and member id, empty when they do not
         change."""
-        h = self.hierarchy
         return {
-            "group_key": h.group_key, "epoch": h.epoch, "lineage": h.lineage, "rows": rows, "leader": self.name,
-            "leader_public": self.keypair.public,
+            "group_key": self.group_key, "epoch": self.epoch, "lineage": self.lineage, "rows": rows,
+            "leader": self.name, "leader_public": self.keypair.public,
         }
 
     def _send_keyset(self, member_name: str, public: bytes, plain: bytes, ctx: Ctx) -> None:
@@ -289,10 +263,9 @@ class LeaderKeyService:
     def _emit_rekey(self, mode: str, sealed: bytes, ctx: Ctx, to: str = BROADCAST) -> None:
         """Announce the current epoch.  A group-mode REKEY is sealed under the
         previous group key, so its header names that key's epoch."""
-        h = self.hierarchy
-        epoch = h.epoch - 1 if mode == "group" else h.epoch
+        epoch = self.epoch - 1 if mode == "group" else self.epoch
         ctx.emit(
-            msg(MessageKind.REKEY, group=self.group_id, lineage=h.lineage, epoch=epoch, mode=mode, sealed=sealed),
+            msg(MessageKind.REKEY, group=self.group_id, lineage=self.lineage, epoch=epoch, mode=mode, sealed=sealed),
             to=to,
         )
 
@@ -325,11 +298,11 @@ class LeaderKeyService:
     def _open_join(self, requester: str, ctx: Ctx) -> Optional[LeaderJoinSession]:
         """A new join for `requester`, replacing any earlier one; None when it
         may not join."""
-        if requester in self.hierarchy.members():
+        if requester in self.members():
             ctx.note("verdict", "join_rejected", "already_member", about=requester)
             return None
         session = self.join_sessions[requester] = LeaderJoinSession(requester, None)
-        if len(self.hierarchy.members()) >= self.capacity:
+        if len(self.members()) >= self.capacity:
             self._reject(session, "capacity", ctx)
             return None
         return session
@@ -378,10 +351,8 @@ class LeaderKeyService:
             ctx.note("verdict", "cert_ok", about=session.requester)
         # Membership stays pending until the nonce round-trip completes, so a
         # mid-handshake rekey never reaches (or is readable by) the joiner.
-        member_id = self.hierarchy.reserve_member_id()
-        member_key = derive_member_key(member_id, self.hierarchy.member_secret, self.provider)
-        ctx.secret(("member_key", session.requester, self.hierarchy.lineage), member_key)
-        session.pending_id = member_id
+        member_id, member_key = self._issue_member_key()
+        ctx.secret(("member_key", session.requester, self.lineage), member_key)
         session.pending_key = member_key
         session.pending_public = cert.subject_public
         plain = seal_plain(
@@ -396,15 +367,13 @@ class LeaderKeyService:
             opened = open_sealed(message.kind, self.provider.sym_decrypt(session.pending_key, message["sealed"]))
         except UNOPENABLE:
             return self._reject(session, "bad_nonce_seal", ctx)
-        h = self.hierarchy
-        h.commit_member(
-            session.requester, session.pending_public, session.pending_id, session.pending_key
-        )
-        old_key = h.rotate(ctx.rng, self.provider)
+        self.member_publics[session.requester] = session.pending_public
+        old_key = self.group_key
+        self._next_epoch(ctx.rng)
         rows = self.directory_rows()
         inner = seal_plain(
-            MessageKind.MEMBER_SET, nonce=opened["nonce"], rows=rows, group_key=h.group_key, lineage=h.lineage,
-            epoch=h.epoch, group=self.group_id,
+            MessageKind.MEMBER_SET, nonce=opened["nonce"], rows=rows, group_key=self.group_key, lineage=self.lineage,
+            epoch=self.epoch, group=self.group_id,
         )
         ctx.emit(
             msg(
@@ -415,14 +384,14 @@ class LeaderKeyService:
             to=session.requester,
         )
         rekey_inner = seal_plain(
-            MessageKind.REKEY, "group", group_key=h.group_key, epoch=h.epoch, lineage=h.lineage, rows=rows
+            MessageKind.REKEY, "group", group_key=self.group_key, epoch=self.epoch, lineage=self.lineage, rows=rows
         )
         self._emit_rekey("group", self.provider.sym_encrypt(old_key, rekey_inner, ctx.rng), ctx)
         self.heartbeats[session.requester] = ctx.now
         self.trust.setdefault(session.requester, self.trust_initial)
-        ctx.secret(("group_key", h.lineage, h.epoch), h.group_key)
+        ctx.secret(("group_key", self.lineage, self.epoch), self.group_key)
         ctx.note("admit", "handshake", about=session.requester)
-        ctx.note("rekey", "join", ("lineage", h.lineage), ("epoch", h.epoch))
+        ctx.note("rekey", "join", ("lineage", self.lineage), ("epoch", self.epoch))
         return True
 
     # The join steps a leader answers.
@@ -442,36 +411,34 @@ class LeaderKeyService:
         each drop would briefly hand the intermediate epoch to members that
         are being removed in the same sweep.
         """
-        h = self.hierarchy
         departed = {}
         for name in names:
-            if name not in h.member_publics:
+            if name not in self.member_publics:
                 ctx.note("verdict", "remove_unknown_member", about=name)
                 continue
-            departed[name] = h.member_publics[name]
-            h.drop(name)
+            departed[name] = self.member_publics.pop(name)
             self.heartbeats.pop(name, None)
             ctx.note("remove", reason, about=name)
         if not departed:
             return
         if "skip_rekey" not in self.faults:
-            h.rotate(ctx.rng, self.provider)
-            ctx.secret(("group_key", h.lineage, h.epoch), h.group_key)
+            self._next_epoch(ctx.rng)
+            ctx.secret(("group_key", self.lineage, self.epoch), self.group_key)
             inner = seal_plain(
                 MessageKind.REKEY, "public", **self._keyset_fields(self.directory_rows()), member_key=b"", member_id=0
             )
-            recipients = sorted(h.member_publics.items())
+            recipients = sorted(self.member_publics.items())
             if "leak_key" in self.faults:
                 recipients += departed.items()
             for member_name, public in recipients:
                 self._send_keyset(member_name, public, inner, ctx)
-            ctx.note("rekey", "leave", ("lineage", h.lineage), ("epoch", h.epoch))
+            ctx.note("rekey", "leave", ("lineage", self.lineage), ("epoch", self.epoch))
         if reason == "misbehavior":
             for name in departed:
                 ctx.emit(self._alert(name, "misbehavior"), to=BROADCAST, channel="ring")
 
     def record_heartbeat(self, who: str, now: int) -> None:
-        if who in self.hierarchy.member_publics:
+        if who in self.member_publics:
             self.heartbeats[who] = now
 
     def check_liveness(self, now: int, deadline: int) -> list[str]:
@@ -488,7 +455,7 @@ class LeaderKeyService:
 
     def handle_pubkey_query(self, message: Message, asker: str, ctx: Ctx) -> None:
         subject = message["subject"]
-        public = self.hierarchy.member_publics.get(subject)
+        public = self.member_publics.get(subject)
         if subject == self.name:
             public = self.keypair.public
         if public is None:
@@ -948,9 +915,10 @@ class SessionService:
             t_a, sig_bytes = self.pending_respond.pop(subject)
             self._verify_and_respond(subject, t_a, sig_bytes, ctx)
 
-    def handle_alert(self, message: Message, leader_public: Optional[bytes], ctx: Ctx) -> None:
+    def handle_alert(self, message: Message, leader_public: bytes, ctx: Ctx) -> None:
+        """Distrust the accused of an alert signed by `leader_public`."""
         accused = message["accused"]
-        if leader_public is not None and not self.provider.verify(
+        if not self.provider.verify(
             leader_public, encoding.encode("alert", accused, message["reason"]), message["leader_sig"]
         ):
             return

@@ -66,11 +66,9 @@ class ProtocolNode:
         self.leader_service: Optional[LeaderKeyService] = None
         self.ring_key: Optional[bytes] = None
         self.ring_secret: int = 0
-        self.known_leaders: dict[str, bytes] = {}
-        self.leader_groups: dict[str, str] = {}
+        self.known_leaders: dict[str, tuple[str, bytes]] = {}  # leader -> (its group, its public key)
         self.alive = True
         self.leader_last_seen: Optional[int] = None
-        self.signals: list = []  # (group, lost leader): the group needs an election
         # Cross-group discovery bookkeeping.
         self.relayed: set = set()  # wire bytes of group broadcasts already re-flooded
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
@@ -91,28 +89,28 @@ class ProtocolNode:
 
     def group_key_state(self):
         """(key, lineage, epoch) of the current group key, or None."""
-        if self.leader_service is not None:
-            h = self.leader_service.hierarchy
-            return h.group_key, h.lineage, h.epoch
+        service = self.leader_service
+        if service is not None:
+            return service.group_key, service.lineage, service.epoch
         if self.member.is_member():
             return self.member.group_key, self.member.lineage, self.member.epoch
         return None
 
     def lookup_group_key(self, lineage: str, epoch: int) -> Optional[bytes]:
         if self.leader_service is not None:
-            key = self.leader_service.hierarchy.key_history.get((lineage, epoch))
+            key = self.leader_service.key_history.get((lineage, epoch))
             if key is not None:
                 return key
         return self.member.keyring.get((lineage, epoch))
 
     def group_members(self) -> set:
         if self.leader_service is not None:
-            return set(self.leader_service.hierarchy.members())
+            return set(self.leader_service.members())
         return set(self.member.member_view)
 
     def routing_directory(self) -> dict:
         if self.leader_service is not None:
-            directory = dict(self.leader_service.hierarchy.member_publics)
+            directory = dict(self.leader_service.member_publics)
             directory[self.name] = self.keypair.public
             return directory
         return dict(self.member.member_view)
@@ -147,12 +145,9 @@ class ProtocolNode:
             if self.member.leader_public is not None:
                 self.sessions.handle_pubkey_answer(message, self.member.leader_public, ctx)
         elif kind == MessageKind.MALICIOUS_ALERT:
-            verifier = (
-                self.known_leaders.get(envelope.sender)
-                if envelope.channel == "ring"
-                else self.member.leader_public
-            )
-            self.sessions.handle_alert(message, verifier, ctx)
+            verifier = self._alert_verifier(envelope)
+            if verifier is not None:
+                self.sessions.handle_alert(message, verifier, ctx)
         elif kind == MessageKind.SESSION_1:
             self._handle_session1(message, ctx)
         elif kind == MessageKind.SESSION_2:
@@ -176,18 +171,26 @@ class ProtocolNode:
         elif kind == MessageKind.LEADER_ANNOUNCE:
             self._handle_leader_announce(message, ctx)
 
+    def _alert_verifier(self, envelope: Envelope) -> Optional[bytes]:
+        """The key an alert must be signed under: on the ring, its sending
+        leader's; by radio, this node's group leader's, its own when it leads.
+        None when there is no such key."""
+        if envelope.channel == "ring":
+            return self.known_leaders.get(envelope.sender, (None, None))[1]
+        if self.leader_service is not None:
+            return self.keypair.public
+        return self.member.leader_public
+
     def _handle_leader_announce(self, message: Message, ctx: Ctx) -> None:
         leader, group = message["leader"], message["group"]
         if leader == self.name:
             return
         is_new = leader not in self.known_leaders
         # One leader per group: an announcement replaces that group's entry.
-        for other, g in list(self.leader_groups.items()):
-            if g == group and other != leader:
-                self.known_leaders.pop(other, None)
-                del self.leader_groups[other]
-        self.known_leaders[leader] = message["leader_public"]
-        self.leader_groups[leader] = group
+        self.known_leaders = {
+            other: entry for other, entry in self.known_leaders.items() if entry[0] != group or other == leader
+        }
+        self.known_leaders[leader] = (group, message["leader_public"])
         if is_new and self.leader_service is not None:
             self.announce(ctx, to=leader)
 
@@ -203,7 +206,7 @@ class ProtocolNode:
             self.leader_service.remove_members([who], "announced_leave", ctx)
         elif who == self.member.leader and self.member.is_member():
             self.leader_last_seen = None
-            self.signals.append((self.member.group_id, who))
+            ctx.signals.append((self.member.group_id, who))
 
     def _handle_session1(self, message: Message, ctx: Ctx) -> None:
         if self.leader_service is None:
@@ -212,12 +215,12 @@ class ProtocolNode:
         # The leader is its own lookup authority: pre-seed the directory
         # and alert the group directly for non-member initiators.  A
         # SESSION_1 the leader cannot open is dropped silently.
-        self.sessions.directory.update(self.leader_service.hierarchy.member_publics)
+        self.sessions.directory.update(self.leader_service.member_publics)
         opened = self.sessions.open_addressed(message)
         if opened is None:
             return
         initiator = opened["initiator"]
-        if initiator not in self.leader_service.hierarchy.member_publics:
+        if initiator not in self.leader_service.member_publics:
             self.leader_service.alert_not_member(initiator, ctx)
             return
         self.sessions.answer_session1(opened, self.name, ctx)
@@ -243,7 +246,7 @@ class ProtocolNode:
 
     def start_session(self, peer: str, ctx: Ctx) -> None:
         if self.leader_service is not None:
-            self.sessions.directory.update(self.leader_service.hierarchy.member_publics)
+            self.sessions.directory.update(self.leader_service.member_publics)
         self.sessions.initiate(peer, self.current_leader_name() or "", ctx)
 
     def start_route_discovery(self, dest: str, ctx: Ctx) -> None:
@@ -422,7 +425,7 @@ class ProtocolNode:
         requester, dest, seq = inner["requester"], inner["dest"], inner["seq"]
         if kind == MessageKind.GROUP_REQ:
             origin = inner["origin"]
-            if dest in self.leader_service.hierarchy.members() or dest == self.name:
+            if dest in self.leader_service.members():
                 entry = self.router.route_to(dest)
                 if dest == self.name:
                     self._answer_group_req(requester, dest, seq, origin, [self.name], ctx)
@@ -502,7 +505,7 @@ class ProtocolNode:
                 and ctx.now - self.leader_last_seen > self.params.liveness_deadline
             ):
                 self.leader_last_seen = None
-                self.signals.append((self.member.group_id, self.member.leader))
+                ctx.signals.append((self.member.group_id, self.member.leader))
 
     def _heartbeat(self, ctx: Ctx) -> None:
         """A leader beats to its group, a member to its leader."""
@@ -600,7 +603,6 @@ class AdversaryNode:
         self.publics = publics  # certificate directory: public material only
         self.alive = True
         self.state = AdversaryState()
-        self.signals: list = []
 
     def handle(self, envelope: Envelope, ctx: Ctx) -> None:
         message = envelope.message

@@ -1,7 +1,7 @@
 """Execution context handed to protocol step functions.
 
-Handlers are step functions: message in, state mutated, outbound messages
-and log notes collected on the context.  They never touch the event loop
+Handlers are step functions: message in, state mutated, outbound messages,
+log notes and election signals collected on the context.  They never touch the event loop
 directly, so the same handlers run under the simulator or any other
 serialized driver.
 """
@@ -42,6 +42,7 @@ class Ctx:
     outbound: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     secrets: list = field(default_factory=list)  # (label tuple, bytes) for the run registry
+    signals: list = field(default_factory=list)  # (group, lost leader): the group needs an election
 
     def emit(self, message: Message, to: str = BROADCAST, channel: str = "radio") -> None:
         self.outbound.append(Envelope(message=message, sender=self.name, to=to, channel=channel))

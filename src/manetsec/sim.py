@@ -77,6 +77,11 @@ class GroupSpec:
     members: list
 
 
+# The length of each adversary placement: ("node", NAME) or ("link", U, V).
+# A node, or a link either way round, has at most one adversary.
+PLACEMENTS = {"node": 2, "link": 3}
+
+
 @dataclass
 class AdversarySpec:
     kind: str  # a behavior of node.BEHAVIORS
@@ -289,18 +294,29 @@ def validate_scenario(scenario: Scenario) -> list:
         if not 0.0 <= spec.battery <= 1.0:
             problems.append(f"node {spec.name}: battery must be within [0, 1]")
     adversarial = set()
+    tapped = set()  # links with an adversary, each as the set of its two ends
     for i, adv in enumerate(scenario.adversaries):
-        where = adv.placement
-        if where[0] == "node":
+        where = tuple(adv.placement)
+        kind = where[0] if where else None
+        if kind not in PLACEMENTS:
+            problems.append(f"adversary {i}: unknown placement kind {kind!r}")
+        elif len(where) != PLACEMENTS[kind]:
+            problems.append(f"adversary {i}: placement {where!r} is neither ('node', NAME) nor ('link', U, V)")
+        elif kind == "node":
             if where[1] not in names:
                 problems.append(f"adversary {i}: unknown node {where[1]!r}")
+            if where[1] in adversarial:
+                problems.append(f"adversary {i}: node {where[1]} already has an adversary")
             adversarial.add(where[1])
-        elif where[0] == "link":
+        else:
             for end in where[1:]:
                 if end not in names:
                     problems.append(f"adversary {i}: unknown link endpoint {end!r}")
-        else:
-            problems.append(f"adversary {i}: unknown placement kind {where[0]!r}")
+            if where[1] == where[2]:
+                problems.append(f"adversary {i}: link {where[1]}-{where[2]} joins a node to itself")
+            elif frozenset(where[1:]) in tapped:
+                problems.append(f"adversary {i}: link {where[1]}-{where[2]} already has an adversary")
+            tapped.add(frozenset(where[1:]))
         problems += [f"adversary {i}: {problem}" for problem in _adversary_arg_problems(adv)]
     grouped = set()
     group_ids = set()
@@ -613,30 +629,25 @@ class Simulation:
         authority_rng = rng_for("authority")
         self.authority = CertificateAuthority(self.provider, authority_rng)
 
-        adversarial = {
-            adv.placement[1] for adv in scenario.adversaries if adv.placement[0] == "node"
-        }
-        node_specs = {spec.name: spec for spec in scenario.nodes}
+        # name -> the adversary placed at that node; validation allows one.
+        placed = {adv.placement[1]: adv for adv in scenario.adversaries if adv.placement[0] == "node"}
         registry = self.log.registry
         registry.provider_name = scenario.provider_name
         registry.expectations = list(scenario.expectations)
-        registry.node_names = sorted(node_specs)
-        registry.adversary_names = sorted(adversarial)
+        registry.node_names = sorted(self.specs)
+        registry.adversary_names = sorted(placed)
 
         publics = {}
         keypairs = {}
-        for name in sorted(node_specs):
+        for name in registry.node_names:
             keypairs[name] = self.provider.generate_keypair(rng_for(f"key:{name}"))
             publics[name] = keypairs[name].public
         registry.keypairs = keypairs
 
         self.nodes: dict[str, object] = {}  # in sorted name order
-        for name in sorted(node_specs):
-            if name in adversarial:
-                spec = next(
-                    adv for adv in scenario.adversaries
-                    if adv.placement[0] == "node" and adv.placement[1] == name
-                )
+        for name in registry.node_names:
+            spec = placed.get(name)
+            if spec is not None:
                 self.nodes[name] = AdversaryNode(
                     name, keypairs[name], self.provider, rng_for(f"node:{name}"), spec.kind, spec.settings, publics
                 )
@@ -914,9 +925,8 @@ class Simulation:
             if isinstance(node, ProtocolNode) and refloods(envelope):
                 node.relayed.add(envelope.message.encoded)
             self._transmit(envelope)
-        if node.signals:
-            self._signals.extend(node.signals)
-            node.signals = []
+        if ctx.signals:
+            self._signals.extend(ctx.signals)
 
     # -- membership orchestration ---------------------------------------------------
 
@@ -948,9 +958,6 @@ class Simulation:
             (m, self.log.registry.keypairs[m].public) for m in sorted(member_names) if m != name
         ]
         node.leader_service.found_group(members_with_pubs, ctx, cause)
-        for member, _ in members_with_pubs:
-            self._log("admit", name, (cause,), about=member)
-            self.group_map[member] = group_id
         self.group_map[name] = group_id
         self.leaders[group_id] = name
         node.announce(ctx)
@@ -1012,24 +1019,21 @@ class Simulation:
 
     def _action(self, action: Action) -> None:
         op, args = action.op, action.args
-        if op in ("crash", "crash_leader"):
-            name = args[0] if op == "crash" else self.leaders.get(args[0])
-            if name is None:
-                return
-            node = self.nodes[name]
-            node.alive = False
-            self._searches = {}
-            self.group_map.pop(name, None)
-            self._log("alert", name, ("node_crashed",))
-            if isinstance(node, ProtocolNode) and node.leader_service is not None:
-                self._unseat(name)
+        actor = self.leaders.get(args[0]) if op == "crash_leader" else args[0]
+        if actor is None:
             return
-        actor = args[0]
         node = self.nodes[actor]
         if not node.alive:
             self._log("alert", actor, ("action_skipped_dead", op))
             return
-        if op in ("join", "join_via"):
+        if op in ("crash", "crash_leader"):
+            node.alive = False
+            self._searches = {}
+            self.group_map.pop(actor, None)
+            self._log("alert", actor, ("node_crashed",))
+            if isinstance(node, ProtocolNode) and node.leader_service is not None:
+                self._unseat(actor)
+        elif op in ("join", "join_via"):
             leader = self.leaders.get(args[1]) if op == "join" else args[1]
             if leader is None:
                 self._log("alert", actor, ("join_failed", "no_leader", args[1]))
@@ -1106,11 +1110,9 @@ class Simulation:
                 if node is None:
                     continue  # a tap pseudo-principal: logging the delivery is the point
                 self._step(recipient, node.handle, envelope)
-            for name in sorted(self.nodes):
-                node = self.nodes[name]
-                if not node.alive:
-                    continue
-                self._step(name, node.on_tick)
+            for name, node in self.nodes.items():
+                if node.alive:
+                    self._step(name, node.on_tick)
             if self._signals:
                 signaled = dict(self._signals)  # group -> the leader its members lost
                 self._signals = []

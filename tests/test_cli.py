@@ -145,6 +145,9 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         ("[weights]\nmobility_scale = -3\n", "mobility_scale must be finite and positive, not -3.0"),
         ("[weights]\nmobility_scale = nan\n", "mobility_scale must be finite and positive, not nan"),
         ("[params]\nprovider = bogus\n", "unknown crypto provider 'bogus'"),
+        # One adversary per node and per link: a second would never act.
+        ("[adversaries]\nnode X drop_all\nnode X replay delay=2\n", "adversary 1: node X already has an adversary"),
+        ("[adversaries]\nlink A X drop_all\nlink X A drop_all\n", "adversary 1: link X-A already has an adversary"),
         (
             "[params]\nseed = 99999999999999999999\n",
             "seed must be an integer within signed 64 bits, not 99999999999999999999",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec import encoding
-from manetsec.keymgmt import JoinPhase
+from manetsec.keymgmt import JoinPhase, derive_member_key
 from manetsec.messages import _FIELDS, _SEALED, FIELD_TYPES, PK, Envelope, MessageKind, decode_message, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import Simulation, parse_log_text
@@ -63,12 +63,15 @@ def _key_material(sim: Simulation):
         pools["ring"].append(node.ring_key)
         pools["group"] += list(node.member.keyring.values())
         epochs += list(node.member.keyring)
-        if node.leader_service is not None:
-            h = node.leader_service.hierarchy
-            pools["group"] += list(h.key_history.values())
-            pools["member"] += list(h.member_keys.values())
-            epochs += list(h.key_history)
-            pools["pending"] += [s.pending_key for s in node.leader_service.join_sessions.values()]
+        leader = node.leader_service
+        if leader is not None:
+            pools["group"] += list(leader.key_history.values())
+            pools["member"] += [
+                derive_member_key(member_id, leader.member_secret, sim.provider)
+                for member_id in range(1, leader.next_member_id)
+            ]
+            epochs += list(leader.key_history)
+            pools["pending"] += [s.pending_key for s in leader.join_sessions.values()]
     pools = {role: sorted({k for k in keys if k}) for role, keys in pools.items()}
     publics = [pair.public for pair in sim.log.registry.keypairs.values()]
     return pools, sorted(set(epochs)), publics

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manetsec import encoding
-from manetsec.keymgmt import CertificateAuthority, LeaderKeyService
+from manetsec.keymgmt import CertificateAuthority, LeaderKeyService, derive_member_key
 from manetsec.messages import (
     MessageKind,
     decode_message,
@@ -262,14 +262,13 @@ def test_founding_keysets_equal_their_seal_plain(provider):
     leader = LeaderKeyService("L", "g1", "g1-1", keys["L"], provider, rng, authority.public, capacity=8)
     ctx = Ctx("L", 0, rng, provider)
     leader.found_group([(name, keys[name].public) for name in ("c", "a", "b")], ctx, "founding")
-    h = leader.hierarchy
     rekeys = [envelope for envelope in ctx.outbound if envelope.message.kind == MessageKind.REKEY]
     assert [envelope.to for envelope in rekeys] == ["a", "b", "c"]
-    for envelope in rekeys:
-        member = envelope.to
-        assert provider.pk_decrypt(keys[member].private, envelope.message["sealed"]) == seal_plain(
-            MessageKind.REKEY, "public", group_key=h.group_key, epoch=h.epoch, lineage=h.lineage,
-            rows=leader.directory_rows(), member_key=h.member_keys[member], member_id=h.member_ids[member],
+    for member_id, envelope in enumerate(rekeys, start=1):
+        member_key = derive_member_key(member_id, leader.member_secret, provider)
+        assert provider.pk_decrypt(keys[envelope.to].private, envelope.message["sealed"]) == seal_plain(
+            MessageKind.REKEY, "public", group_key=leader.group_key, epoch=leader.epoch, lineage=leader.lineage,
+            rows=leader.directory_rows(), member_key=member_key, member_id=member_id,
             leader="L", leader_public=keys["L"].public,
         )
 

@@ -138,12 +138,12 @@ def run_join(w, joiner_name, tamper=None, max_steps=20):
 
 
 def test_honest_join_admits_and_rekeys(world):
-    before_epoch = world.leader.hierarchy.epoch
+    before_epoch = world.leader.epoch
     member, transcript = run_join(world, "N")
     assert member.join.phase == JoinPhase.ADMITTED
     assert world.leader.join_sessions["N"].phase == JoinPhase.ADMITTED
-    assert "N" in world.leader.hierarchy.members()
-    assert world.leader.hierarchy.epoch == before_epoch + 1
+    assert "N" in world.leader.members()
+    assert world.leader.epoch == before_epoch + 1
     kinds = [env.message.kind for env in transcript]
     assert kinds == [
         MessageKind.JOIN_REQ,
@@ -157,9 +157,10 @@ def test_honest_join_admits_and_rekeys(world):
         MessageKind.REKEY,
     ]
     # The joiner ends up holding the same group key the leader now uses.
-    assert member.group_key == world.leader.hierarchy.group_key
-    assert member.member_key == world.leader.hierarchy.member_keys["N"]
-    assert member.member_id == world.leader.hierarchy.member_ids["N"]
+    assert member.group_key == world.leader.group_key
+    # ... and the member id the leader issued last, with the key derived from it.
+    assert member.member_id == world.leader.next_member_id - 1
+    assert member.member_key == derive_member_key(member.member_id, world.leader.member_secret, world.provider)
 
 
 def test_join_rejected_on_forged_certificate(world):
@@ -174,7 +175,7 @@ def test_join_rejected_on_forged_certificate(world):
 
     member, _ = run_join(world, "N", tamper=tamper)
     assert world.leader.join_sessions["N"].phase == JoinPhase.REJECTED
-    assert "N" not in world.leader.hierarchy.members()
+    assert "N" not in world.leader.members()
 
 
 def test_join_rejected_at_capacity(world):
@@ -346,14 +347,14 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     for env in ctx.outbound:
         if env.to == "M1":
             m1.handle_rekey(env.message, make_ctx("M1", 1, rng, world.provider))
-    assert m1.group_key == world.leader.hierarchy.group_key
+    assert m1.group_key == world.leader.group_key
 
     _, transcript = run_join(world, "N")
     rekey = next(e for e in transcript if e.message.kind == MessageKind.REKEY)
     m1_ctx = make_ctx("M1", 2, rng, world.provider)
     m1.handle_rekey(rekey.message, m1_ctx)
-    assert m1.epoch == world.leader.hierarchy.epoch
-    assert m1.group_key == world.leader.hierarchy.group_key
+    assert m1.epoch == world.leader.epoch
+    assert m1.group_key == world.leader.group_key
 
     outsider = MemberKeyService("M2", world.keys["M2"], world.certs["M2"], world.provider)
     out_ctx = make_ctx("M2", 2, rng, world.provider)
@@ -362,23 +363,36 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     assert any("rekey_undecryptable" in n.detail for n in out_ctx.notes)
 
 
+def test_found_group_notes_each_admit_then_one_rekey(world, rng):
+    ctx = make_ctx("L", 0, rng, world.provider)
+    members = [(name, world.keys[name].public) for name in ("N", "M2", "L", "M1")]
+    world.leader.found_group(members, ctx, "election")
+    notes = [(note.kind, note.detail, note.about) for note in ctx.notes]
+    assert notes == [
+        ("admit", "election", "M1"),
+        ("admit", "election", "M2"),
+        ("admit", "election", "N"),
+        ("rekey", "election:lineage=g1-1:epoch=1", ""),
+    ]
+
+
 def test_remove_member_rotates_and_excludes(world, rng):
     ctx = make_ctx("L", 0, rng, world.provider)
     world.leader.found_group(
         [("M1", world.keys["M1"].public), ("M2", world.keys["M2"].public)], ctx, "founding"
     )
-    epoch_before = world.leader.hierarchy.epoch
+    epoch_before = world.leader.epoch
     ctx2 = make_ctx("L", 5, rng, world.provider)
     world.leader.remove_members(["M2"], "silent_timeout", ctx2)
-    assert "M2" not in world.leader.hierarchy.members()
-    assert world.leader.hierarchy.epoch == epoch_before + 1
+    assert "M2" not in world.leader.members()
+    assert world.leader.epoch == epoch_before + 1
     rekeys = [e for e in ctx2.outbound if e.message.kind == MessageKind.REKEY]
     assert [e.to for e in rekeys] == ["M1"]
     # M1 can open its copy; the removed member cannot.
     sealed = rekeys[0].message["sealed"]
     plain = world.provider.pk_decrypt(world.keys["M1"].private, sealed)
     fields = encoding.decode(plain)
-    assert fields[0] == world.leader.hierarchy.group_key
+    assert fields[0] == world.leader.group_key
     with pytest.raises(DecryptionError):
         world.provider.pk_decrypt(world.keys["M2"].private, sealed)
 

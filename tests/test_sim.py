@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
 from manetsec.node import AdversaryNode
+from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
     EVENT_KINDS,
     PAYLOAD_MAGIC,
@@ -106,6 +107,30 @@ def test_validation_rejects_adversarial_group_member():
     )
     problems = "\n".join(validate_scenario(scenario))
     assert "adversarial node B" in problems
+
+
+@pytest.mark.parametrize(
+    "placements, problem",
+    [
+        ([("link", "A")], "adversary 0: placement ('link', 'A') is neither ('node', NAME) nor ('link', U, V)"),
+        (
+            [("link", "A", "B", "C")],
+            "adversary 0: placement ('link', 'A', 'B', 'C') is neither ('node', NAME) nor ('link', U, V)",
+        ),
+        ([("node",)], "adversary 0: placement ('node',) is neither ('node', NAME) nor ('link', U, V)"),
+        ([()], "adversary 0: unknown placement kind None"),
+        ([("node", "C"), ("node", "C")], "adversary 1: node C already has an adversary"),
+        ([("link", "A", "C"), ("link", "C", "A")], "adversary 1: link C-A already has an adversary"),
+        ([("link", "A", "A")], "adversary 0: link A-A joins a node to itself"),
+    ],
+)
+def test_validation_rejects_malformed_and_doubled_placements(placements, problem):
+    # A malformed placement would crash the run; a second adversary on one
+    # node or link, or one on a link from a node to itself, would never act.
+    adversaries = [AdversarySpec("drop_all", placement) for placement in placements]
+    scenario = line_scenario(["A", "B"], adversaries=adversaries)
+    scenario.nodes.append(NodeSpec("C", [(50.0, 60.0)], 0.5))
+    assert validate_scenario(scenario) == [problem]
 
 
 def test_invalid_scenario_refuses_to_run():
@@ -955,6 +980,23 @@ def test_single_member_group_dissolves():
     assert dissolved
 
 
+def test_crashing_a_dead_former_leader_is_skipped():
+    # A dead node keeps its leader service; crashing it again must not
+    # unseat its live successor.
+    scenario = line_scenario(
+        ["A", "B", "C"],
+        script=[Action(5, "crash", ("A",)), Action(60, "crash", ("A",)), Action(62, "join", ("C", "g1"))],
+        duration=80,
+    )
+    scenario.nodes[0].battery = 1.0
+    sim = Simulation(scenario)
+    log = sim.run()
+    a_alerts = [(e.tick, e.detail) for e in log.events if e.kind == "alert" and e.actor == "A"]
+    assert a_alerts == [(5, "node_crashed"), (60, "action_skipped_dead:crash")]
+    assert not [e for e in log.events if e.detail.startswith("join_failed")]
+    assert sim.leaders == {"g1": "B"}
+
+
 def test_capacity_join_rejected():
     scenario = line_scenario(["A", "B"], script=[Action(3, "join", ("N", "g1"))], duration=25)
     scenario.groups[0].capacity = 2
@@ -1176,3 +1218,21 @@ def test_joiner_aborts_on_degenerate_zk_modulus(modulus):
     assert verdicts(log, "N", "join_abort:bad_zk_params")
     assert not verdicts(log, "N", "zk_ok")
     assert not [e for e in log.events if e.kind == "admit" and e.detail == "handshake"]
+
+
+def test_founding_leader_ignores_a_forged_alert():
+    # X rewrites the leader's genuine not_a_member alert about X to accuse
+    # M; the leader checks it against its own key and M against the
+    # leader's, so only the genuine alert counts and the session confirms.
+    scenario = parse_scenario(
+        "[nodes]\nL 1.0 0,0\nM 0.5 100,0\nX 0.5 50,60\n[groups]\ng1 8 L M\n"
+        "[adversaries]\nnode X modify_field field=accused op=set value=M\n"
+        "[script]\n3 rogue_session X M\n30 session L M\n"
+    )
+    scenario.seed = 0
+    sim = Simulation(scenario)
+    log = sim.run()
+    assert [e.about for e in log.events if e.kind == "alert" and e.word == "not_a_member"] == ["X"]
+    assert not verdicts(log, "L", "session_refused")
+    assert verdicts(log, "L", "session_confirmed") and verdicts(log, "M", "session_confirmed")
+    assert sim.nodes["L"].sessions.distrusted == set() and sim.nodes["M"].sessions.distrusted == {"X"}

@@ -450,12 +450,13 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
             continue
         node, out_tick, out_idx = change.node, change.tick, change.event_index
         knowledge = index.knowledge(node)
-        # Holding a group key minted after this departure is itself a leak,
-        # unless a later re-admission covers it.
+        # Holding a group key minted after this departure, in log order, is
+        # itself a leak, unless a later re-admission covers it.  A key minted
+        # earlier in the departure's own tick was rightly sealed to the node.
         for points in timeline.values():
             for point in points:
                 if (
-                    point.tick >= out_tick
+                    point.event_index > out_idx
                     and not _was_member_at(intervals, node, point.tick)
                     and index.minted.get((point.lineage, point.epoch)) in knowledge.sym_keys
                 ):

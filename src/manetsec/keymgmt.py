@@ -150,7 +150,9 @@ def _draw_prime(rng: random.Random, bits: int) -> int:
 
 class LeaderKeyService:
     """Leader-side key management: the group's keys and members, joins,
-    removals, lookups."""
+    removals, lookups.  A leader is a member of its own group, so the
+    service also answers every read a :class:`MemberKeyService` answers,
+    under the same names."""
 
     def __init__(
         self,
@@ -184,24 +186,30 @@ class LeaderKeyService:
         self.lineage = lineage
         self.member_secret = rng.getrandbits(128)  # every member key is derived from it
         self.epoch = 0
-        self.key_history: dict[tuple[str, int], bytes] = {}  # (lineage, epoch) -> group key
+        self.keyring: dict[tuple[str, int], bytes] = {}  # (lineage, epoch) -> group key
         self._next_epoch(rng)
-        self.member_publics: dict[str, bytes] = {}  # every member but the leader
+        self.member_view: dict[str, bytes] = {name: keypair.public}  # every member, the leader included
         self.next_member_id = 1
         self.join_sessions: dict[str, LeaderJoinSession] = {}
-        self.heartbeats: dict[str, int] = {}
+        self.heartbeats: dict[str, int] = {}  # every member but the leader -> tick last heard from
         self.trust: dict[str, float] = {}
 
-    # -- keys and members -----------------------------------------------------
+    # -- the group view a member also answers ---------------------------------
 
-    def members(self) -> list[str]:
-        """Every member including the leader, sorted."""
-        return sorted(set(self.member_publics) | {self.name})
+    @property
+    def leader(self) -> str:
+        return self.name
+
+    @property
+    def leader_public(self) -> bytes:
+        return self.keypair.public
+
+    # -- keys and members -----------------------------------------------------
 
     def _next_epoch(self, rng: random.Random) -> None:
         """Move to the next epoch under a fresh group key."""
         self.epoch += 1
-        self.group_key = self.key_history[(self.lineage, self.epoch)] = self.provider.generate_symmetric_key(rng)
+        self.group_key = self.keyring[(self.lineage, self.epoch)] = self.provider.generate_symmetric_key(rng)
 
     def _issue_member_key(self) -> tuple[int, bytes]:
         """Reserve the next member id; returns it with the key derived from it."""
@@ -213,9 +221,7 @@ class LeaderKeyService:
 
     def directory_rows(self) -> list:
         """Membership snapshot carried in key messages: (name, public) rows."""
-        rows = [[name, public] for name, public in self.member_publics.items()]
-        rows.append([self.name, self.keypair.public])
-        return sorted(rows)
+        return sorted([name, public] for name, public in self.member_view.items())
 
     def found_group(self, members: list[tuple[str, bytes]], ctx: Ctx, cause: str) -> None:
         """Enroll members directly and push them the full key set.
@@ -230,7 +236,7 @@ class LeaderKeyService:
             if member_name == self.name:
                 continue
             member_id, member_key = self._issue_member_key()
-            self.member_publics[member_name] = public
+            self.member_view[member_name] = public
             addressed[member_name] = {"member_key": member_key, "member_id": member_id}
         ctx.secret(("member_secret", self.lineage), self.member_secret)
         ctx.secret(("group_key", self.lineage, self.epoch), self.group_key)
@@ -239,7 +245,7 @@ class LeaderKeyService:
         )
         for member_name, plain in zip(addressed, plains):
             ctx.secret(("member_key", member_name, self.lineage), addressed[member_name]["member_key"])
-            self._send_keyset(member_name, self.member_publics[member_name], plain, ctx)
+            self._send_keyset(member_name, self.member_view[member_name], plain, ctx)
             self.heartbeats[member_name] = ctx.now
             self.trust.setdefault(member_name, self.trust_initial)
             ctx.note("admit", cause, about=member_name)
@@ -298,11 +304,11 @@ class LeaderKeyService:
     def _open_join(self, requester: str, ctx: Ctx) -> Optional[LeaderJoinSession]:
         """A new join for `requester`, replacing any earlier one; None when it
         may not join."""
-        if requester in self.members():
+        if requester in self.member_view:
             ctx.note("verdict", "join_rejected", "already_member", about=requester)
             return None
         session = self.join_sessions[requester] = LeaderJoinSession(requester, None)
-        if len(self.members()) >= self.capacity:
+        if len(self.member_view) >= self.capacity:
             self._reject(session, "capacity", ctx)
             return None
         return session
@@ -367,7 +373,7 @@ class LeaderKeyService:
             opened = open_sealed(message.kind, self.provider.sym_decrypt(session.pending_key, message["sealed"]))
         except UNOPENABLE:
             return self._reject(session, "bad_nonce_seal", ctx)
-        self.member_publics[session.requester] = session.pending_public
+        self.member_view[session.requester] = session.pending_public
         old_key = self.group_key
         self._next_epoch(ctx.rng)
         rows = self.directory_rows()
@@ -413,11 +419,11 @@ class LeaderKeyService:
         """
         departed = {}
         for name in names:
-            if name not in self.member_publics:
+            if name not in self.heartbeats:
                 ctx.note("verdict", "remove_unknown_member", about=name)
                 continue
-            departed[name] = self.member_publics.pop(name)
-            self.heartbeats.pop(name, None)
+            departed[name] = self.member_view.pop(name)
+            del self.heartbeats[name]
             ctx.note("remove", reason, about=name)
         if not departed:
             return
@@ -427,7 +433,7 @@ class LeaderKeyService:
             inner = seal_plain(
                 MessageKind.REKEY, "public", **self._keyset_fields(self.directory_rows()), member_key=b"", member_id=0
             )
-            recipients = sorted(self.member_publics.items())
+            recipients = [(member_name, self.member_view[member_name]) for member_name in sorted(self.heartbeats)]
             if "leak_key" in self.faults:
                 recipients += departed.items()
             for member_name, public in recipients:
@@ -438,7 +444,7 @@ class LeaderKeyService:
                 ctx.emit(self._alert(name, "misbehavior"), to=BROADCAST, channel="ring")
 
     def record_heartbeat(self, who: str, now: int) -> None:
-        if who in self.member_publics:
+        if who in self.heartbeats:
             self.heartbeats[who] = now
 
     def check_liveness(self, now: int, deadline: int) -> list[str]:
@@ -455,9 +461,7 @@ class LeaderKeyService:
 
     def handle_pubkey_query(self, message: Message, asker: str, ctx: Ctx) -> None:
         subject = message["subject"]
-        public = self.member_publics.get(subject)
-        if subject == self.name:
-            public = self.keypair.public
+        public = self.member_view.get(subject)
         if public is None:
             self.alert_not_member(subject, ctx)
             return
@@ -517,7 +521,6 @@ class MemberKeyService:
         self.epoch: int = 0
         self.keyring: dict[tuple[str, int], bytes] = {}
         self.member_key: Optional[bytes] = None
-        self.member_id: int = 0
         self.leader: Optional[str] = None
         self.leader_public: Optional[bytes] = None
         self.member_view: dict[str, bytes] = {}
@@ -612,7 +615,6 @@ class MemberKeyService:
             return self._abort_join("bad_admit_seal", ctx)
         self.leader = join.leader
         self.leader_public = opened["leader_public"]
-        self.member_id = opened["member_id"]
         self.member_key = opened["member_key"]
         join.nonce = ctx.rng.getrandbits(64)
         plain = seal_plain(MessageKind.NONCE, nonce=join.nonce)
@@ -677,7 +679,6 @@ class MemberKeyService:
             self._store_keyset(opened)
             if member_key:
                 self.member_key = member_key
-                self.member_id = opened["member_id"]
 
     def forget_membership(self) -> None:
         """Local bookkeeping when this node leaves; held keys stay held."""

@@ -2,7 +2,10 @@
 
 A :class:`ProtocolNode` owns the three protocol services (member keyring and
 join handshake, pairwise sessions, router) plus, while it leads a group, a
-:class:`~manetsec.keymgmt.LeaderKeyService`.  ``handle`` dispatches one
+:class:`~manetsec.keymgmt.LeaderKeyService`.  It reads its group through
+one view, ``keys``: its leader service while it leads, its member keyring
+otherwise, which answer the same names, so only a leader's own duties
+branch on its role.  ``handle`` dispatches one
 delivered message; ``on_tick`` emits heartbeats, expires silent members,
 detects a silent leader and times out pending gateway work.  Cross-group
 discovery composes three verified legs: requester to its leader, leader to
@@ -17,7 +20,6 @@ session attempts).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .crypto import DecryptionError
@@ -75,45 +77,26 @@ class ProtocolNode:
         self.gateway_jobs: dict = {}  # (requester, dest, seq) -> {answered, negs, peers}
         self.remote_jobs: dict = {}  # dest -> list of [requester, seq, origin_leader, deadline]
 
-    # ------------------------------------------------------------------ identity
+    # ------------------------------------------------------------------ group view
 
-    def group_id(self) -> Optional[str]:
-        if self.leader_service is not None:
-            return self.leader_service.group_id
-        return self.member.group_id if self.member.is_member() else None
-
-    def current_leader_name(self) -> Optional[str]:
-        if self.leader_service is not None:
-            return self.name
-        return self.member.leader
-
-    def group_key_state(self):
-        """(key, lineage, epoch) of the current group key, or None."""
-        service = self.leader_service
-        if service is not None:
-            return service.group_key, service.lineage, service.epoch
-        if self.member.is_member():
-            return self.member.group_key, self.member.lineage, self.member.epoch
-        return None
+    @property
+    def keys(self) -> LeaderKeyService | MemberKeyService:
+        """This node's view of its group: its leader service while it leads,
+        its member keyring otherwise.  Both answer `group_id`, `group_key`,
+        `lineage`, `epoch`, `keyring`, `leader`, `leader_public` and
+        `member_view` (every member's public key, the leader's included)."""
+        return self.member if self.leader_service is None else self.leader_service
 
     def lookup_group_key(self, lineage: str, epoch: int) -> Optional[bytes]:
-        if self.leader_service is not None:
-            key = self.leader_service.key_history.get((lineage, epoch))
-            if key is not None:
-                return key
-        return self.member.keyring.get((lineage, epoch))
+        return self.keys.keyring.get((lineage, epoch)) or self.member.keyring.get((lineage, epoch))
 
-    def group_members(self) -> set:
-        if self.leader_service is not None:
-            return set(self.leader_service.members())
-        return set(self.member.member_view)
-
-    def routing_directory(self) -> dict:
-        if self.leader_service is not None:
-            directory = dict(self.leader_service.member_publics)
-            directory[self.name] = self.keypair.public
-            return directory
-        return dict(self.member.member_view)
+    def _seed_session_directory(self) -> None:
+        """A leader is its own lookup authority: its session directory holds
+        every other member's key, never its own, so a session it opens with
+        itself still starts with a key query."""
+        self.sessions.directory.update(
+            (name, public) for name, public in self.leader_service.member_view.items() if name != self.name
+        )
 
     # ------------------------------------------------------------------ dispatch
 
@@ -157,10 +140,10 @@ class ProtocolNode:
         elif kind == MessageKind.SESSION_4:
             self.sessions.handle_session4(message, ctx)
         elif kind == MessageKind.RREQ:
-            if self.group_id() is not None:
-                self.router.handle_rreq(message, self.routing_directory(), self.group_members(), ctx)
+            if self.keys.group_id is not None:
+                self.router.handle_rreq(message, self.keys.member_view, ctx)
         elif kind == MessageKind.RREP:
-            done = self.router.handle_rrep(message, self.routing_directory(), ctx)
+            done = self.router.handle_rrep(message, self.keys.member_view, ctx)
             if done is not None:
                 self._discovery_completed(done, ctx)
         elif kind == MessageKind.DATA:
@@ -177,9 +160,7 @@ class ProtocolNode:
         None when there is no such key."""
         if envelope.channel == "ring":
             return self.known_leaders.get(envelope.sender, (None, None))[1]
-        if self.leader_service is not None:
-            return self.keypair.public
-        return self.member.leader_public
+        return self.keys.leader_public
 
     def _handle_leader_announce(self, message: Message, ctx: Ctx) -> None:
         leader, group = message["leader"], message["group"]
@@ -210,17 +191,16 @@ class ProtocolNode:
 
     def _handle_session1(self, message: Message, ctx: Ctx) -> None:
         if self.leader_service is None:
-            self.sessions.handle_session1(message, self.current_leader_name() or "", ctx)
+            self.sessions.handle_session1(message, self.member.leader or "", ctx)
             return
-        # The leader is its own lookup authority: pre-seed the directory
-        # and alert the group directly for non-member initiators.  A
+        # A leader alerts the group directly for non-member initiators.  A
         # SESSION_1 the leader cannot open is dropped silently.
-        self.sessions.directory.update(self.leader_service.member_publics)
+        self._seed_session_directory()
         opened = self.sessions.open_addressed(message)
         if opened is None:
             return
         initiator = opened["initiator"]
-        if initiator not in self.leader_service.member_publics:
+        if initiator not in self.leader_service.member_view:
             self.leader_service.alert_not_member(initiator, ctx)
             return
         self.sessions.answer_session1(opened, self.name, ctx)
@@ -233,7 +213,7 @@ class ProtocolNode:
             msg(
                 MessageKind.LEADER_ANNOUNCE,
                 leader=self.name,
-                group=self.group_id() or "",
+                group=self.keys.group_id or "",
                 leader_public=self.keypair.public,
             ),
             to=to,
@@ -246,20 +226,19 @@ class ProtocolNode:
 
     def start_session(self, peer: str, ctx: Ctx) -> None:
         if self.leader_service is not None:
-            self.sessions.directory.update(self.leader_service.member_publics)
-        self.sessions.initiate(peer, self.current_leader_name() or "", ctx)
+            self._seed_session_directory()
+        self.sessions.initiate(peer, self.keys.leader or "", ctx)
 
     def start_route_discovery(self, dest: str, ctx: Ctx) -> None:
         if dest == self.name:
             return
-        members = self.group_members()
-        if dest in members:
+        if dest in self.keys.member_view:
             self.router.start_discovery(dest, self.params.rreq_lifetime, ctx)
             return
         if self.leader_service is not None:
             self._gateway_request(self.name, dest, self._composed_seq(dest), ctx)
             return
-        leader = self.current_leader_name()
+        leader = self.member.leader
         if leader is None:
             ctx.note("verdict", "no_route", ("dest", dest), "not_in_group", about=self.name)
             return
@@ -300,19 +279,18 @@ class ProtocolNode:
     def _emit_data(self, plain: bytes, route: list, hop: int, to: str, ctx: Ctx) -> bool:
         """Seal `plain` under the current group key and emit it as DATA;
         False when this node holds no group key."""
-        state = self.group_key_state()
-        if state is None:
+        keys = self.keys
+        if keys.group_key is None:
             return False
-        key, lineage, epoch = state
         ctx.emit(
             msg(
                 MessageKind.DATA,
-                group=self.group_id() or "",
-                lineage=lineage,
-                epoch=epoch,
+                group=keys.group_id or "",
+                lineage=keys.lineage,
+                epoch=keys.epoch,
                 route=route,
                 hop=hop,
-                sealed=self.provider.sym_encrypt(key, plain, ctx.rng),
+                sealed=self.provider.sym_encrypt(keys.group_key, plain, ctx.rng),
             ),
             to=to,
         )
@@ -350,7 +328,7 @@ class ProtocolNode:
             self._consume_data(inner, ctx)
             return
         nxt = route[hop + 1]
-        if nxt in self.known_leaders and nxt not in self.group_members() and self.leader_service is not None:
+        if nxt in self.known_leaders and nxt not in self.keys.member_view and self.leader_service is not None:
             if self.ring_key is None:
                 return
             sealed = self.provider.sym_encrypt(self.ring_key, plain, ctx.rng)
@@ -425,7 +403,7 @@ class ProtocolNode:
         requester, dest, seq = inner["requester"], inner["dest"], inner["seq"]
         if kind == MessageKind.GROUP_REQ:
             origin = inner["origin"]
-            if dest in self.leader_service.members():
+            if dest in self.leader_service.member_view:
                 entry = self.router.route_to(dest)
                 if dest == self.name:
                     self._answer_group_req(requester, dest, seq, origin, [self.name], ctx)
@@ -515,7 +493,8 @@ class ProtocolNode:
             role, to = "member", self.member.leader
         else:
             return
-        ctx.emit(msg(MessageKind.HEARTBEAT, who=self.name, role=role, group=self.group_id() or "", beat=ctx.now), to=to)
+        group = self.keys.group_id or ""
+        ctx.emit(msg(MessageKind.HEARTBEAT, who=self.name, role=role, group=group, beat=ctx.now), to=to)
 
     def _expire_remote_jobs(self, ctx: Ctx) -> None:
         for dest in sorted(self.remote_jobs):
@@ -574,16 +553,6 @@ def intercept(kind: str, args: dict, message: Message, rng: random.Random) -> Op
     return message
 
 
-@dataclass
-class AdversaryState:
-    recorded_params: Optional[Message] = None
-    recorded_responses: Optional[Message] = None
-    replay_buffer: list = field(default_factory=list)
-    active_impostor_joins: set = field(default_factory=set)
-    forged_join_leader: Optional[str] = None
-    seen_broadcasts: set = field(default_factory=set)
-
-
 class AdversaryNode:
     """A placed node following one scripted misbehaviour.
 
@@ -602,31 +571,36 @@ class AdversaryNode:
         self.args = args  # every argument its behavior reads, defaults included
         self.publics = publics  # certificate directory: public material only
         self.alive = True
-        self.state = AdversaryState()
+        self.recorded_params: Optional[Message] = None  # the last ZK_PARAMS overheard
+        self.recorded_responses: Optional[Message] = None  # the last ZK_RESPONSE overheard
+        self.replay_buffer: list = []  # (due tick, envelope) to replay
+        self.active_impostor_joins: set = set()  # joiners this impostor answers
+        self.forged_join_leader: Optional[str] = None  # the leader this node's forged join targets
+        self.seen_broadcasts: set = set()  # wire bytes of broadcasts already handled
 
     def handle(self, envelope: Envelope, ctx: Ctx) -> None:
         message = envelope.message
         kind = message.kind
         if envelope.to == BROADCAST:
-            if message.encoded in self.state.seen_broadcasts:
+            if message.encoded in self.seen_broadcasts:
                 return
-            self.state.seen_broadcasts.add(message.encoded)
+            self.seen_broadcasts.add(message.encoded)
         if kind == MessageKind.ZK_PARAMS:
-            self.state.recorded_params = message
+            self.recorded_params = message
         elif kind == MessageKind.ZK_RESPONSE:
-            self.state.recorded_responses = message
-        if self.state.forged_join_leader is not None and kind in (
+            self.recorded_responses = message
+        if self.forged_join_leader is not None and kind in (
             MessageKind.ZK_PARAMS,
             MessageKind.ZK_RESPONSE,
         ):
             if message["join_id"] == self.name:
-                self.continue_forged_join(envelope, ctx)
+                self.continue_forged_join(message, ctx)
                 return
         if self.behavior == "impersonate":
             self._impostor_step(envelope, ctx)
             return
         if self.behavior == "replay":
-            self.state.replay_buffer.append((ctx.now + self.args["delay"], envelope))
+            self.replay_buffer.append((ctx.now + self.args["delay"], envelope))
             return
         if envelope.to != BROADCAST or self.behavior not in _REBROADCASTS:
             return
@@ -640,8 +614,8 @@ class AdversaryNode:
         message = envelope.message
         if message.kind == MessageKind.JOIN_REQ and envelope.to == self.name:
             requester = message["requester"]
-            self.state.active_impostor_joins.add(requester)
-            recorded = self.state.recorded_params
+            self.active_impostor_joins.add(requester)
+            recorded = self.recorded_params
             if self.args["strategy"] == "replay" and recorded is not None:
                 ctx.emit(recorded.replace(join_id=requester))
             else:
@@ -657,9 +631,9 @@ class AdversaryNode:
                 )
         elif message.kind == MessageKind.ZK_CHALLENGE:
             join_id = message["join_id"]
-            if join_id not in self.state.active_impostor_joins:
+            if join_id not in self.active_impostor_joins:
                 return
-            recorded = self.state.recorded_responses
+            recorded = self.recorded_responses
             if self.args["strategy"] == "replay" and recorded is not None:
                 responses = list(recorded["responses"])[: len(message["challenges"])]
             else:
@@ -669,12 +643,13 @@ class AdversaryNode:
     # Scripted active attacks ---------------------------------------------------
 
     def begin_forged_join(self, leader: str, ctx: Ctx) -> None:
-        self.state.forged_join_leader = leader
+        self.forged_join_leader = leader
         ctx.emit(msg(MessageKind.JOIN_REQ, requester=self.name), to=leader)
 
-    def continue_forged_join(self, envelope: Envelope, ctx: Ctx) -> None:
-        message = envelope.message
-        if message.kind == MessageKind.ZK_PARAMS and message["join_id"] == self.name:
+    def continue_forged_join(self, message: Message, ctx: Ctx) -> None:
+        """Answer the next message of this node's forged join: a ZK_PARAMS or
+        a ZK_RESPONSE addressed to it."""
+        if message.kind == MessageKind.ZK_PARAMS:
             ctx.emit(
                 msg(
                     MessageKind.ZK_CHALLENGE,
@@ -682,7 +657,7 @@ class AdversaryNode:
                     challenges=[self.rng.getrandbits(64) for _ in message["commitments"]],
                 )
             )
-        elif message.kind == MessageKind.ZK_RESPONSE and message["join_id"] == self.name:
+        else:
             ctx.emit(
                 msg(
                     MessageKind.CERT,
@@ -690,7 +665,7 @@ class AdversaryNode:
                     subject_public=self.keypair.public,
                     authority_sig=self.rng.randbytes(32),
                 ),
-                to=self.state.forged_join_leader,
+                to=self.forged_join_leader,
             )
 
     def begin_rogue_session(self, peer: str, ctx: Ctx) -> None:
@@ -700,8 +675,8 @@ class AdversaryNode:
             emit_session1(self.name, self.keypair, self.provider, peer, peer_public, ctx)
 
     def on_tick(self, ctx: Ctx) -> None:
-        due = [item for item in self.state.replay_buffer if item[0] <= ctx.now]
-        self.state.replay_buffer = [item for item in self.state.replay_buffer if item[0] > ctx.now]
+        due = [item for item in self.replay_buffer if item[0] <= ctx.now]
+        self.replay_buffer = [item for item in self.replay_buffer if item[0] > ctx.now]
         for _, envelope in due:
             ctx.emit(envelope.message, to=envelope.to, channel=envelope.channel)
 

@@ -194,9 +194,11 @@ class Router:
 
     # -- request handling ------------------------------------------------------
 
-    def handle_rreq(self, message: Message, directory: dict, members: set, ctx: Ctx) -> None:
+    def handle_rreq(self, message: Message, directory: dict, ctx: Ctx) -> None:
+        """Process a request against the group's `directory` (member name ->
+        public key): a request that lists a node outside it is dropped."""
         source, dest, seq = message["source"], message["dest"], message["seq"]
-        if any(node not in members for node in message["route"]):
+        if any(node not in directory for node in message["route"]):
             ctx.note("drop", "foreign_group", ("source", source), ("seq", seq), about=self.name)
             return
         if (source, seq) in self.seen:

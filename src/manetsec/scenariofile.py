@@ -40,7 +40,7 @@ from dataclasses import fields as dc_fields
 from typing import get_args, get_type_hints
 
 from .group import WeightConfig
-from .sim import Action, AdversarySpec, Expectation, GroupSpec, NodeSpec, Scenario, SimParams
+from .sim import PLACEMENTS, Action, AdversarySpec, Expectation, GroupSpec, NodeSpec, Scenario, SimParams
 
 
 class ScenarioParseError(ValueError):
@@ -118,13 +118,13 @@ def _read_action(tokens) -> Action:
 
 
 def _read_adversary(tokens) -> AdversarySpec:
-    ends = {"node": 1, "link": 2}.get(tokens[0])
-    if ends is None:
+    length = PLACEMENTS.get(tokens[0])
+    if length is None:
         raise ValueError("placement must be 'node' or 'link'")
-    if len(tokens) < ends + 2:
+    if len(tokens) < length + 1:
         raise ValueError("expected: node NAME kind [k=v...] | link U V kind [k=v...]")
     args = {}
-    for token in tokens[ends + 2 :]:
+    for token in tokens[length + 1 :]:
         key, _, raw = token.partition("=")
         if not raw:
             raise ValueError(f"expected key=value, got {token!r}")
@@ -136,7 +136,7 @@ def _read_adversary(tokens) -> AdversarySpec:
                 break
             except ValueError:
                 continue
-    return AdversarySpec(kind=tokens[ends + 1], placement=tuple(tokens[: ends + 1]), args=args)
+    return AdversarySpec(kind=tokens[length], placement=tuple(tokens[:length]), args=args)
 
 
 def _write_node(spec: NodeSpec) -> str:

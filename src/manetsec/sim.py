@@ -283,16 +283,22 @@ def validate_scenario(scenario: Scenario) -> list:
         if spec.name in names:
             problems.append(f"duplicate node name {spec.name!r}")
         names.add(spec.name)
-        if not NAME_RE.fullmatch(spec.name):
+        if not (isinstance(spec.name, str) and NAME_RE.fullmatch(spec.name)):
             problems.append(f"node name {spec.name!r} must be alphanumeric/underscore/dot")
         if not spec.trace:
             problems.append(f"node {spec.name}: empty position trace")
-        for x, y in spec.trace:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                problems.append(f"node {spec.name}: non-finite coordinate")
+        for point in spec.trace:
+            # One check per tick of a trace, kept as cheap as unpacking it.
+            try:
+                x, y = point
+                finite = math.isfinite(x) and math.isfinite(y)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                problems.append(f"node {spec.name}: trace point {point!r} is not an (x, y) pair of finite numbers")
                 break
-        if not 0.0 <= spec.battery <= 1.0:
-            problems.append(f"node {spec.name}: battery must be within [0, 1]")
+        if not (_is_finite(spec.battery) and 0.0 <= spec.battery <= 1.0):
+            problems.append(f"node {spec.name}: battery must be a number within [0, 1], not {spec.battery!r}")
     adversarial = set()
     tapped = set()  # links with an adversary, each as the set of its two ends
     for i, adv in enumerate(scenario.adversaries):
@@ -323,9 +329,11 @@ def validate_scenario(scenario: Scenario) -> list:
     for spec in scenario.groups:
         if spec.group_id in group_ids:
             problems.append(f"duplicate group id {spec.group_id!r}")
-        if not NAME_RE.fullmatch(spec.group_id):
+        if not (isinstance(spec.group_id, str) and NAME_RE.fullmatch(spec.group_id)):
             problems.append(f"group id {spec.group_id!r} must be alphanumeric/underscore/dot")
         group_ids.add(spec.group_id)
+        if not spec.members:
+            problems.append(f"group {spec.group_id}: needs at least one member")
         for member in spec.members:
             if member not in names:
                 problems.append(f"group {spec.group_id}: unknown member {member!r}")
@@ -334,7 +342,9 @@ def validate_scenario(scenario: Scenario) -> list:
             if member in adversarial:
                 problems.append(f"group {spec.group_id}: adversarial node {member} cannot be a member")
             grouped.add(member)
-        if spec.capacity < len(spec.members):
+        if not _is_int(spec.capacity):
+            problems.append(f"group {spec.group_id}: capacity must be an integer, not {spec.capacity!r}")
+        elif spec.capacity < len(spec.members):
             problems.append(
                 f"group {spec.group_id}: capacity {spec.capacity} below initial size {len(spec.members)}"
             )

@@ -145,14 +145,14 @@ MUTATION_MENU = (
 )
 
 
-def _journey(provider, keys, directory, members, route, start_index, message):
+def _journey(provider, keys, directory, route, start_index, message):
     """Run a request through the remaining honest hops; True if accepted."""
     for position in range(start_index, len(route)):
         name = route[position]
         router = Router(name, keys[name], provider)
         router.next_seq = message["seq"]  # the source already spent this seq
         ctx = Ctx(name=name, now=0, rng=random.Random(0), provider=provider)
-        router.handle_rreq(message, directory, members, ctx)
+        router.handle_rreq(message, directory, ctx)
         accepted = any(n.detail.startswith("accept:") for n in ctx.notes)
         if accepted:
             return True
@@ -183,13 +183,12 @@ def test_criterion_3_tamper_fuzzing():
         registry = log.registry
         keys = registry.keypairs
         directory = {name: pair.public for name, pair in keys.items()}
-        members = set(directory)
         route, accepted, copies = _harvest_in_flight(log, registry)
         assert copies, "benign run must yield in-flight copies"
         per_stage = max(1, 10_000 // (14 * len(copies)))
         for message, stage in copies:
             # Control: the untouched copy must sail through.
-            if not _journey(provider, keys, directory, members, route, stage, message):
+            if not _journey(provider, keys, directory, route, stage, message):
                 false_rejects += 1
             names = [n for n in route if n not in (message["source"],)]
             for _ in range(per_stage):
@@ -199,7 +198,7 @@ def test_criterion_3_tamper_fuzzing():
                 if mutated.fields == message.fields:
                     continue  # mutation landed on the identity (e.g. same name)
                 total_mutants += 1
-                if _journey(provider, keys, directory, members, route, stage, mutated):
+                if _journey(provider, keys, directory, route, stage, mutated):
                     accepted_mutants.append((seed, stage, field, op))
     assert total_mutants >= 10_000
     assert not accepted_mutants, f"mutants accepted: {accepted_mutants[:5]}"

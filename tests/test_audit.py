@@ -237,6 +237,49 @@ def test_stale_sender_during_rekey_flight_is_not_a_violation():
     assert report.result("backward_secrecy").passed, report.to_text()
 
 
+# Two leaves in one tick of a benign run: leader n7 hears n2's LEAVE first
+# and seals the epoch it mints for it to n9, which is still a member; later
+# in that tick n9's LEAVE, relayed by n2, reaches n7 and n9 is removed.
+SAME_TICK_LEAVES = """
+[params]
+seed = 1
+radio_radius = 90
+
+[nodes]
+n2 0.7 150,40
+n7 0.9 190,70
+n9 0.6 90,30
+
+[groups]
+g1 16 n9 n2 n7
+
+[script]
+4 leave n9
+5 leave n2
+"""
+
+
+@pytest.mark.parametrize("provider_name", ["test_double", "real_crypto"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_key_minted_before_the_removal_in_its_tick_is_no_leak(seed, provider_name):
+    scenario = replace(parse_scenario(SAME_TICK_LEAVES), seed=seed, provider_name=provider_name)
+    report = audit(run(scenario))
+    assert report.to_text() == "".join(f"{p}: PASS\n" for p in PROPERTIES)
+
+
+def test_key_minted_after_the_removal_in_its_tick_is_flagged():
+    # The same run with n9's removal moved ahead of the rekey that minted
+    # epoch 2, in their shared tick: n9 then holds a key minted after it left.
+    log = run(parse_scenario(SAME_TICK_LEAVES))
+    events = log.events
+    removal = next(i for i, e in enumerate(events) if e.kind == "remove" and e.about == "n9")
+    mint = next(i for i, e in enumerate(events) if e.kind == "rekey" and e.get("epoch") == "2")
+    assert mint < removal and events[mint].tick == events[removal].tick
+    events.insert(mint, events.pop(removal))
+    log.events = [replace(event, seq=seq) for seq, event in enumerate(events)]
+    assert audit(log).result("backward_secrecy").line() == f"backward_secrecy: FAIL at events {mint}"
+
+
 def test_stale_sender_after_rekey_arrival_is_a_violation():
     # Same shape, but the leader skipped the rotation: the late chat is
     # sealed under a key the departed node holds and the sender has no

@@ -65,12 +65,12 @@ def _key_material(sim: Simulation):
         epochs += list(node.member.keyring)
         leader = node.leader_service
         if leader is not None:
-            pools["group"] += list(leader.key_history.values())
+            pools["group"] += list(leader.keyring.values())
             pools["member"] += [
                 derive_member_key(member_id, leader.member_secret, sim.provider)
                 for member_id in range(1, leader.next_member_id)
             ]
-            epochs += list(leader.key_history)
+            epochs += list(leader.keyring)
             pools["pending"] += [s.pending_key for s in leader.join_sessions.values()]
     pools = {role: sorted({k for k in keys if k}) for role, keys in pools.items()}
     publics = [pair.public for pair in sim.log.registry.keypairs.values()]
@@ -176,8 +176,8 @@ def test_fixture_holds_every_recipient_role():
     sim = _copy_of_fixture()
     leaders = {name for name in RECIPIENTS if sim.nodes[name].leader_service is not None}
     assert leaders == {"L1", "L2"} and all(sim.nodes[name].ring_key for name in leaders)
-    assert sim.nodes["M1"].member.is_member() and not sim.nodes["N"].group_id()
-    assert sim.nodes["J"].member.join.phase == JoinPhase.CERT_VERIFIED and not sim.nodes["J"].group_id()
+    assert sim.nodes["M1"].member.is_member() and not sim.nodes["N"].keys.group_id
+    assert sim.nodes["J"].member.join.phase == JoinPhase.CERT_VERIFIED and not sim.nodes["J"].keys.group_id
 
 
 @pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.name)

@@ -8,9 +8,10 @@ claims to keep behaviour must reproduce every digest.  The cases cover the
 fixtures, the stealth (also with the chain checked at every hop), family,
 two-group, churn (plain and fault-injected) and random-group builders, a
 leader's session with a node outside its group (a unicast addressed to the
-sender itself), a routed unicast across the leader ring, a discovery of a
-node no group holds, plus every adversary kind placed
-on a link, at a node that bridges a gap and at a bystander node, so
+sender itself), sessions a leader and a member open with themselves, a
+routed unicast across the leader ring, a discovery of a node no group
+holds, plus every adversary kind placed on a link, at a node that bridges
+a gap and at a bystander node, so
 overhearing, taps and out-of-range drops are all exercised; each bridging
 adversary also forges a join and opens rogue sessions.  The replay
 and probabilistic-drop behaviors are pinned again with no arguments, and an
@@ -22,6 +23,11 @@ and one walking every tick, pin radio reach where many nodes share a
 neighbourhood; two 256-node ones pin the scale the founding fan-out and the
 per-source path search were sped up for.
 
+The benchmark's own reference (``perfbench/reference.json``) is checked
+here too, on a slice of each workload's pool: it is the only table that
+pins the audit text of benign runs, so an auditor change that drifts a
+verdict fails the suite and not only the benchmark.
+
 To print the table for the current code: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -32,6 +38,7 @@ import sys
 
 import pytest
 
+from manetsec.audit import audit
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, parse_log_text, run
 from topologies import (
@@ -50,6 +57,8 @@ HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "scenarios")
 with open(os.path.join(HERE, "golden_digests.json")) as fh:
     GOLDEN = json.load(fh)
+with open(os.path.join(HERE, "..", "perfbench", "reference.json")) as fh:
+    BENCHMARK_REFERENCE = json.load(fh)["workloads"]
 
 ADVERSARY_ARGS = {
     "drop_all": {},
@@ -139,6 +148,24 @@ def leader_session_scenario(seed):
     return scenario
 
 
+def self_session_scenario():
+    """The two-group fixture, where leaders a2 and b0 and member a1 each open
+    a session with themselves, a2 both before and after it answers a
+    member's session: a leader's session directory holds every other
+    member's key, never its own."""
+    with open(os.path.join(FIXTURES, "two_groups.scn")) as handle:
+        scenario = parse_scenario(handle.read())
+    scenario.script = [
+        Action(3, "session", ("a2", "a2")),
+        Action(6, "session", ("a0", "a2")),
+        Action(9, "session", ("a2", "a0")),
+        Action(14, "session", ("a2", "a2")),
+        Action(18, "session", ("b0", "b0")),
+        Action(20, "session", ("a1", "a1")),
+    ]
+    return scenario
+
+
 def ring_data_scenario(seed):
     """Two groups; a0 sends b0 a unicast over the composed route, so DATA is
     relayed hop by hop and forwarded across the leader ring."""
@@ -177,6 +204,7 @@ def cases():
         out.append((f"strict_link:{seed}", lambda s=seed: strict(stealth_link_scenario(seed=s))))
         out.append((f"strict_node:{seed}", lambda s=seed: strict(stealth_node_scenario(seed=s))))
     out.append(("unknown_destination", unknown_destination_scenario))
+    out.append(("self_session", self_session_scenario))
     for hops in (2, 3, 4):
         for position in range(hops):
             out.append(
@@ -233,6 +261,23 @@ def test_golden_digest(case_id, build):
     assert digest(log) == GOLDEN[case_id]
     # The log reads back as the very events that were logged.
     assert parse_log_text(log.to_text()).events == log.events
+
+
+BENCHMARK_SLICE = [("churn", seed) for seed in range(500, 510)] + [
+    (name, seed) for name, first in (("grid_static", 700), ("grid_mobile", 900)) for seed in range(first, first + 3)
+]
+
+
+@pytest.mark.parametrize("workload,seed", BENCHMARK_SLICE, ids=[f"{name}:{seed}" for name, seed in BENCHMARK_SLICE])
+def test_benchmark_reference_digests(workload, seed):
+    log = run(workloads.WORKLOADS[workload].make(seed))
+    artifacts = {
+        "log": log.to_text().encode(),
+        "payloads": log.payload_blob(),
+        "audit": audit(log).to_text().encode(),
+    }
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+    assert digests == BENCHMARK_REFERENCE[workload][str(seed)]["digests"]
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def test_honest_join_admits_and_rekeys(world):
     member, transcript = run_join(world, "N")
     assert member.join.phase == JoinPhase.ADMITTED
     assert world.leader.join_sessions["N"].phase == JoinPhase.ADMITTED
-    assert "N" in world.leader.members()
+    assert "N" in world.leader.member_view
     assert world.leader.epoch == before_epoch + 1
     kinds = [env.message.kind for env in transcript]
     assert kinds == [
@@ -158,9 +158,9 @@ def test_honest_join_admits_and_rekeys(world):
     ]
     # The joiner ends up holding the same group key the leader now uses.
     assert member.group_key == world.leader.group_key
-    # ... and the member id the leader issued last, with the key derived from it.
-    assert member.member_id == world.leader.next_member_id - 1
-    assert member.member_key == derive_member_key(member.member_id, world.leader.member_secret, world.provider)
+    # ... and the member key derived from the id the leader issued last.
+    member_id = world.leader.next_member_id - 1
+    assert member.member_key == derive_member_key(member_id, world.leader.member_secret, world.provider)
 
 
 def test_join_rejected_on_forged_certificate(world):
@@ -175,7 +175,7 @@ def test_join_rejected_on_forged_certificate(world):
 
     member, _ = run_join(world, "N", tamper=tamper)
     assert world.leader.join_sessions["N"].phase == JoinPhase.REJECTED
-    assert "N" not in world.leader.members()
+    assert "N" not in world.leader.member_view
 
 
 def test_join_rejected_at_capacity(world):
@@ -384,7 +384,7 @@ def test_remove_member_rotates_and_excludes(world, rng):
     epoch_before = world.leader.epoch
     ctx2 = make_ctx("L", 5, rng, world.provider)
     world.leader.remove_members(["M2"], "silent_timeout", ctx2)
-    assert "M2" not in world.leader.members()
+    assert "M2" not in world.leader.member_view
     assert world.leader.epoch == epoch_before + 1
     rekeys = [e for e in ctx2.outbound if e.message.kind == MessageKind.REKEY]
     assert [e.to for e in rekeys] == ["M1"]

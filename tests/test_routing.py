@@ -41,7 +41,6 @@ class Net:
         authority = CertificateAuthority(self.provider, self.rng)
         self.keys = {n: self.provider.generate_keypair(self.rng) for n in names}
         self.directory = {n: self.keys[n].public for n in names}
-        self.members = set(names)
         self.routers = {n: Router(n, self.keys[n], self.provider) for n in names}
 
     def ctx(self, name, now=0):
@@ -55,7 +54,7 @@ class Net:
     def step(self, name, message, now=0):
         """Feed one request to a router; returns (forwarded message, notes)."""
         ctx = self.ctx(name, now)
-        self.routers[name].handle_rreq(message, self.directory, self.members, ctx)
+        self.routers[name].handle_rreq(message, self.directory, ctx)
         out = next((e.message for e in ctx.outbound if e.message.kind == MessageKind.RREQ), None)
         reply = next((e.message for e in ctx.outbound if e.message.kind == MessageKind.RREP), None)
         return out or reply, ctx.notes
@@ -208,7 +207,8 @@ def test_foreign_route_entries_discarded(net):
     origin = net.originate("S", "D", 8)
     at_a, _ = net.step("A", origin)
     ctx = net.ctx("B")
-    net.routers["B"].handle_rreq(at_a, net.directory, {"B", "D"}, ctx)  # S, A unknown
+    group = {name: net.directory[name] for name in ("B", "D")}  # S, A unknown
+    net.routers["B"].handle_rreq(at_a, group, ctx)
     assert any(n.kind == "drop" and "foreign_group" in n.detail for n in ctx.notes)
 
 

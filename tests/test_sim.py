@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
-from manetsec.node import AdversaryNode
+from manetsec.node import AdversaryNode, ProtocolNode
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
     EVENT_KINDS,
@@ -131,6 +132,60 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
     scenario = line_scenario(["A", "B"], adversaries=adversaries)
     scenario.nodes.append(NodeSpec("C", [(50.0, 60.0)], 0.5))
     assert validate_scenario(scenario) == [problem]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda s: setattr(s.groups[0], "members", []), "group g1: needs at least one member"),
+        (lambda s: setattr(s.groups[0], "group_id", 7), "group id 7 must be alphanumeric/underscore/dot"),
+        (lambda s: setattr(s.groups[0], "capacity", "8"), "group g1: capacity must be an integer, not '8'"),
+        (lambda s: setattr(s.groups[0], "capacity", 2.5), "group g1: capacity must be an integer, not 2.5"),
+        (lambda s: setattr(s.nodes[0], "battery", "x"), "node A: battery must be a number within [0, 1], not 'x'"),
+        (
+            lambda s: (setattr(s.nodes[0], "name", 5), s.groups[0].members.remove("A")),
+            "node name 5 must be alphanumeric/underscore/dot",
+        ),
+        (
+            lambda s: setattr(s.nodes[0], "trace", [(0.0, 0.0, 1.0)]),
+            "node A: trace point (0.0, 0.0, 1.0) is not an (x, y) pair of finite numbers",
+        ),
+        (
+            lambda s: setattr(s.nodes[0], "trace", [(0.0, math.nan)]),
+            "node A: trace point (0.0, nan) is not an (x, y) pair of finite numbers",
+        ),
+    ],
+)
+def test_validation_names_malformed_groups_and_nodes(edit, problem):
+    # Built in code, these either passed and crashed the run (an empty
+    # group, a fractional capacity) or made the validator itself raise.
+    scenario = line_scenario(["A", "B"])
+    edit(scenario)
+    assert validate_scenario(scenario) == [problem]
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+@pytest.mark.parametrize("fixture", sorted(name for name in os.listdir(FIXTURES) if name.endswith(".scn")))
+def test_each_node_reads_its_group_through_one_view(fixture):
+    # A leader's view is its leader service, which holds its own key among
+    # the members'; a live member's view of the roster is its leader's.
+    with open(os.path.join(FIXTURES, fixture)) as handle:
+        sim = Simulation(parse_scenario(handle.read()))
+    sim.run()
+    leaders = {name for name in sim.leaders.values() if name is not None}
+    checked = 0
+    for name, node in sim.nodes.items():
+        if not isinstance(node, ProtocolNode):
+            continue
+        assert (node.keys is node.leader_service) == (name in leaders)
+        if name in leaders:
+            assert node.keys.member_view[name] == node.keypair.public
+        elif node.alive and node.member.is_member():
+            assert node.keys.member_view == sim.nodes[node.keys.leader].keys.member_view
+            checked += 1
+    assert leaders and checked
 
 
 def test_invalid_scenario_refuses_to_run():

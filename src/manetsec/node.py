@@ -9,7 +9,11 @@ branch on its role.  ``handle`` dispatches one
 delivered message; ``on_tick`` emits heartbeats, expires silent members,
 detects a silent leader and times out pending gateway work.  Cross-group
 discovery composes three verified legs: requester to its leader, leader to
-leader over the ring channel, and remote leader to the destination.
+leader over the ring channel, and remote leader to the destination.  Each
+DATA hop is sealed for its next hop, the first included: under the ring
+key, over the ring, from a leader to another group's leader; under the
+group key otherwise.  A group broadcast is logged as delivered, and its
+receivers do not open it.
 
 :class:`AdversaryNode` implements the injectable misbehaviours for nodes
 placed as adversaries: stealth relaying, field mutation, replay, and the
@@ -22,7 +26,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from .crypto import DecryptionError
 from .keymgmt import Certificate, LeaderKeyService, MemberKeyService, SessionService, emit_session1
 from .messages import BROADCAST, FIELD_TYPES, UNOPENABLE, Envelope, Message, MessageKind, msg, open_sealed, seal_plain
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
@@ -74,7 +77,7 @@ class ProtocolNode:
         # Cross-group discovery bookkeeping.
         self.relayed: set = set()  # wire bytes of group broadcasts already re-flooded
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
-        self.gateway_jobs: dict = {}  # (requester, dest, seq) -> {answered, negs, peers}
+        self.gateway_jobs: dict = {}  # (requester, dest, seq) -> peer leaders still awaited
         self.remote_jobs: dict = {}  # dest -> list of [requester, seq, origin_leader, deadline]
 
     # ------------------------------------------------------------------ group view
@@ -277,38 +280,29 @@ class ProtocolNode:
             ctx.note("verdict", "send_failed", "no_group", about=self.name)
 
     def _emit_data(self, plain: bytes, route: list, hop: int, to: str, ctx: Ctx) -> bool:
-        """Seal `plain` under the current group key and emit it as DATA;
-        False when this node holds no group key."""
+        """Seal `plain` for its next hop `to` and emit it as DATA: under the
+        ring key, over the ring, when this node leads and `to` leads another
+        group; under the group view's key otherwise.  False when this node
+        holds no such key."""
         keys = self.keys
-        if keys.group_key is None:
+        if self.leader_service is not None and to in self.known_leaders and to not in keys.member_view:
+            key, group, lineage, epoch, channel = self.ring_key, "ring", "ring", 0, "ring"
+        else:
+            key, group, lineage, epoch, channel = keys.group_key, keys.group_id or "", keys.lineage, keys.epoch, "radio"
+        if key is None:
             return False
-        ctx.emit(
-            msg(
-                MessageKind.DATA,
-                group=keys.group_id or "",
-                lineage=keys.lineage,
-                epoch=keys.epoch,
-                route=route,
-                hop=hop,
-                sealed=self.provider.sym_encrypt(keys.group_key, plain, ctx.rng),
-            ),
-            to=to,
-        )
+        sealed = self.provider.sym_encrypt(key, plain, ctx.rng)
+        data = msg(MessageKind.DATA, group=group, lineage=lineage, epoch=epoch, route=route, hop=hop, sealed=sealed)
+        ctx.emit(data, to=to, channel=channel)
         return True
 
     # ------------------------------------------------------------------ data plane
 
     def _handle_data(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        """Open a routed DATA addressed to this hop, then consume it at the
+        route's end or pass it on.  A group broadcast (an empty route) is
+        not opened."""
         route, hop = message["route"], message["hop"]
-        if not route:
-            key = self.lookup_group_key(message["lineage"], message["epoch"])
-            if key is None:
-                return
-            try:
-                self.provider.sym_decrypt(key, message["sealed"])
-            except DecryptionError:
-                pass
-            return
         if hop >= len(route) or route[hop] != self.name:
             return
         if envelope.channel == "ring":
@@ -326,27 +320,7 @@ class ProtocolNode:
             return
         if inner is not None:
             self._consume_data(inner, ctx)
-            return
-        nxt = route[hop + 1]
-        if nxt in self.known_leaders and nxt not in self.keys.member_view and self.leader_service is not None:
-            if self.ring_key is None:
-                return
-            sealed = self.provider.sym_encrypt(self.ring_key, plain, ctx.rng)
-            ctx.emit(
-                msg(
-                    MessageKind.DATA,
-                    group="ring",
-                    lineage="ring",
-                    epoch=0,
-                    route=route,
-                    hop=hop + 1,
-                    sealed=sealed,
-                ),
-                to=nxt,
-                channel="ring",
-            )
-            return
-        if not self._emit_data(plain, route, hop + 1, nxt, ctx):
+        elif not self._emit_data(plain, route, hop + 1, route[hop + 1], ctx):
             ctx.note("drop", "data_undeliverable", "no_group", about=self.name)
 
     def _consume_data(self, inner: dict, ctx: Ctx) -> None:
@@ -370,8 +344,11 @@ class ProtocolNode:
 
     # ------------------------------------------------------------------ gateway
 
-    def _ring_seal(self, kind: MessageKind, ctx: Ctx, **fields) -> bytes:
-        return self.provider.sym_encrypt(self.ring_key, seal_plain(kind, **fields), ctx.rng)
+    def _ring_send(self, kind: MessageKind, ctx: Ctx, to: str, **fields) -> None:
+        """Seal `fields` under the ring key and send them over the ring as
+        this leader's `kind` message."""
+        sealed = self.provider.sym_encrypt(self.ring_key, seal_plain(kind, **fields), ctx.rng)
+        ctx.emit(msg(kind, from_leader=self.name, sealed=sealed), to=to, channel="ring")
 
     def _gateway_request(self, requester: str, dest: str, seq: int, ctx: Ctx) -> None:
         if self.leader_service is None or self.ring_key is None:
@@ -380,12 +357,11 @@ class ProtocolNode:
         if not peers:
             self._gateway_fail(requester, dest, seq, ctx)
             return
-        self.gateway_jobs[(requester, dest, seq)] = {"answered": False, "negs": 0, "peers": len(peers)}
-        sealed = self._ring_seal(
-            MessageKind.GROUP_REQ, ctx, tag="route_query", requester=requester, dest=dest, seq=seq,
+        self.gateway_jobs[(requester, dest, seq)] = len(peers)
+        self._ring_send(
+            MessageKind.GROUP_REQ, ctx, BROADCAST, tag="route_query", requester=requester, dest=dest, seq=seq,
             origin=self.name,
         )
-        ctx.emit(msg(MessageKind.GROUP_REQ, from_leader=self.name, sealed=sealed), channel="ring")
 
     def _gateway_fail(self, requester: str, dest: str, seq: int, ctx: Ctx) -> None:
         if requester == self.name:
@@ -401,6 +377,7 @@ class ProtocolNode:
             ctx.note("drop", "ring_undecryptable", about=self.name)
             return
         requester, dest, seq = inner["requester"], inner["dest"], inner["seq"]
+        job = (requester, dest, seq)
         if kind == MessageKind.GROUP_REQ:
             origin = inner["origin"]
             if dest in self.leader_service.member_view:
@@ -417,10 +394,8 @@ class ProtocolNode:
             else:
                 self._send_route_missing(requester, dest, seq, origin, ctx)
         elif kind == MessageKind.GROUP_REP:
-            job = self.gateway_jobs.get((requester, dest, seq))
-            if job is None or job["answered"]:
+            if self.gateway_jobs.pop(job, None) is None:
                 return
-            job["answered"] = True
             remote_route = inner["route"]
             if requester == self.name:
                 self.pending_composed.pop(dest, None)
@@ -435,27 +410,25 @@ class ProtocolNode:
             plain = seal_plain(MessageKind.DATA, tag="route_composed", dest=dest, seq=seq, route=composed)
             self._send_routed(plain, requester, ctx)
         elif kind == MessageKind.GROUP_NEG:
-            job = self.gateway_jobs.get((requester, dest, seq))
-            if job is None or job["answered"]:
+            awaited = self.gateway_jobs.pop(job, None)
+            if awaited is None:
                 return
-            job["negs"] += 1
-            if job["negs"] >= job["peers"]:
-                job["answered"] = True
+            if awaited > 1:
+                self.gateway_jobs[job] = awaited - 1
+            else:
                 self._gateway_fail(requester, dest, seq, ctx)
 
     def _answer_group_req(self, requester, dest, seq, origin, route, ctx: Ctx) -> None:
-        sealed = self._ring_seal(
-            MessageKind.GROUP_REP, ctx, tag="route_found", requester=requester, dest=dest, seq=seq,
+        self._ring_send(
+            MessageKind.GROUP_REP, ctx, origin, tag="route_found", requester=requester, dest=dest, seq=seq,
             leader=self.name, route=list(route),
         )
-        ctx.emit(msg(MessageKind.GROUP_REP, from_leader=self.name, sealed=sealed), to=origin, channel="ring")
 
     def _send_route_missing(self, requester, dest, seq, origin, ctx: Ctx) -> None:
-        sealed = self._ring_seal(
-            MessageKind.GROUP_NEG, ctx, tag="route_missing", requester=requester, dest=dest, seq=seq,
+        self._ring_send(
+            MessageKind.GROUP_NEG, ctx, origin, tag="route_missing", requester=requester, dest=dest, seq=seq,
             leader=self.name,
         )
-        ctx.emit(msg(MessageKind.GROUP_NEG, from_leader=self.name, sealed=sealed), to=origin, channel="ring")
 
     def _discovery_completed(self, discovery: Discovery, ctx: Ctx) -> None:
         if discovery.purpose == "gateway_leg1":

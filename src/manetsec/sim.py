@@ -187,7 +187,13 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
     its behavior's defaults."""
     if adv.kind not in BEHAVIORS:
         return [f"unknown behavior {adv.kind!r}"]
-    args, problems = adv.settings, []
+    if not isinstance(adv.args, dict):
+        return [f"arguments must be a dict, not {adv.args!r}"]
+    # A behavior reads the arguments its BEHAVIORS row names; `modify_field`
+    # also reads `field` and `op`, which have no default.
+    reads = {*BEHAVIORS[adv.kind], *(("field", "op") if adv.kind == "modify_field" else ())}
+    problems = [f"{adv.kind} reads no argument {key!r}" for key in adv.args if key not in reads]
+    args = adv.settings
     if adv.kind == "drop_probabilistic":
         if not (_is_finite(args["p"]) and 0.0 <= args["p"] <= 1.0):
             problems.append("drop probability must be within [0, 1]")
@@ -251,6 +257,8 @@ def _argument_problems(what: str, word: str, args: tuple, roles: tuple, names, a
     """What is wrong with the arguments of one script action or expectation
     (`what`, of kind `word`), checked against the `roles` of its row."""
     required = sum(role != OPTIONAL_TEXT for role in roles)
+    if not isinstance(args, (tuple, list)):
+        return [f"{what} {word}: arguments must be a tuple, not {args!r}"]
     if not required <= len(args) <= len(roles):
         count = required if required == len(roles) else f"{required} or {len(roles)}"
         return [f"{what} {word} expects {count} arguments"]
@@ -285,18 +293,21 @@ def validate_scenario(scenario: Scenario) -> list:
         names.add(spec.name)
         if not (isinstance(spec.name, str) and NAME_RE.fullmatch(spec.name)):
             problems.append(f"node name {spec.name!r} must be alphanumeric/underscore/dot")
-        if not spec.trace:
+        if not isinstance(spec.trace, (list, tuple)):
+            problems.append(f"node {spec.name}: position trace must be a list of (x, y) points, not {spec.trace!r}")
+        elif not spec.trace:
             problems.append(f"node {spec.name}: empty position trace")
-        for point in spec.trace:
-            # One check per tick of a trace, kept as cheap as unpacking it.
-            try:
-                x, y = point
-                finite = math.isfinite(x) and math.isfinite(y)
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
-                problems.append(f"node {spec.name}: trace point {point!r} is not an (x, y) pair of finite numbers")
-                break
+        else:
+            for point in spec.trace:
+                # One check per tick of a trace, kept as cheap as unpacking it.
+                try:
+                    x, y = point
+                    finite = math.isfinite(x) and math.isfinite(y)
+                except (TypeError, ValueError):
+                    finite = False
+                if not finite:
+                    problems.append(f"node {spec.name}: trace point {point!r} is not an (x, y) pair of finite numbers")
+                    break
         if not (_is_finite(spec.battery) and 0.0 <= spec.battery <= 1.0):
             problems.append(f"node {spec.name}: battery must be a number within [0, 1], not {spec.battery!r}")
     adversarial = set()
@@ -332,6 +343,9 @@ def validate_scenario(scenario: Scenario) -> list:
         if not (isinstance(spec.group_id, str) and NAME_RE.fullmatch(spec.group_id)):
             problems.append(f"group id {spec.group_id!r} must be alphanumeric/underscore/dot")
         group_ids.add(spec.group_id)
+        if not isinstance(spec.members, (list, tuple)):
+            problems.append(f"group {spec.group_id}: members must be a list of node names, not {spec.members!r}")
+            continue
         if not spec.members:
             problems.append(f"group {spec.group_id}: needs at least one member")
         for member in spec.members:
@@ -356,11 +370,14 @@ def validate_scenario(scenario: Scenario) -> list:
     duration = scenario.params.duration
     last_tick = 0
     for action in scenario.script:
-        if action.tick < last_tick:
-            problems.append(f"script time {action.tick} decreases (after {last_tick})")
-        last_tick = max(last_tick, action.tick)
-        if _is_int(duration) and action.tick > duration:
-            problems.append(f"script time {action.tick} is after the duration {duration}, so it would never run")
+        if not _is_int(action.tick):
+            problems.append(f"script time {action.tick!r} is not an integer")
+        else:
+            if action.tick < last_tick:
+                problems.append(f"script time {action.tick} decreases (after {last_tick})")
+            last_tick = max(last_tick, action.tick)
+            if _is_int(duration) and action.tick > duration:
+                problems.append(f"script time {action.tick} is after the duration {duration}, so it would never run")
         if action.op not in ACTIONS:
             problems.append(f"unknown script action {action.op!r}")
             continue

@@ -152,6 +152,9 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
             "[params]\nseed = 99999999999999999999\n",
             "seed must be an integer within signed 64 bits, not 99999999999999999999",
         ),
+        # A misspelt or stray adversary argument would run as if absent.
+        ("[adversaries]\nlink A B replay dealy=3\n", "adversary 0: replay reads no argument 'dealy'"),
+        ("[adversaries]\nnode X drop_all p=0.5\n", "adversary 0: drop_all reads no argument 'p'"),
     ],
 )
 def test_half_formed_scenario_rejected(tmp_path, capsys, tail, problem):

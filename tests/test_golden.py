@@ -39,8 +39,11 @@ import sys
 import pytest
 
 from manetsec.audit import audit
+from manetsec.node import ProtocolNode
 from manetsec.scenariofile import parse_scenario
-from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, parse_log_text, run
+from manetsec.sim import (
+    Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, Simulation, parse_log_text, run,
+)
 from topologies import (
     RADIUS,
     churn_scenario,
@@ -261,6 +264,23 @@ def test_golden_digest(case_id, build):
     assert digest(log) == GOLDEN[case_id]
     # The log reads back as the very events that were logged.
     assert parse_log_text(log.to_text()).events == log.events
+
+
+GATEWAY_CASES = [f"{name}:{seed}" for name in ("two_group", "ring_data", "leader_session") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("case_id", GATEWAY_CASES + ["unknown_destination"])
+def test_every_gateway_wait_ends(case_id):
+    # A gateway job ends when a GROUP_REP answers it or its last GROUP_NEG
+    # arrives; a remote job or a composed request ends when answered.
+    sim = Simulation(dict(CASES)[case_id]())
+    sim.run()
+    held = {
+        name: (node.gateway_jobs, node.remote_jobs, node.pending_composed)
+        for name, node in sim.nodes.items()
+        if isinstance(node, ProtocolNode) and (node.gateway_jobs or node.remote_jobs or node.pending_composed)
+    }
+    assert held == {}
 
 
 BENCHMARK_SLICE = [("churn", seed) for seed in range(500, 510)] + [

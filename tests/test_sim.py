@@ -154,11 +154,57 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
             lambda s: setattr(s.nodes[0], "trace", [(0.0, math.nan)]),
             "node A: trace point (0.0, nan) is not an (x, y) pair of finite numbers",
         ),
+        (
+            lambda s: setattr(s.nodes[0], "trace", None),
+            "node A: position trace must be a list of (x, y) points, not None",
+        ),
+        (
+            lambda s: setattr(s.groups[0], "members", None),
+            "group g1: members must be a list of node names, not None",
+        ),
+        (lambda s: s.script.append(Action(1, "leave", None)), "action leave: arguments must be a tuple, not None"),
+        (
+            lambda s: s.expectations.append(Expectation("admitted", None)),
+            "expectation admitted: arguments must be a tuple, not None",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("drop_all", ("link", "A", "B"), None)),
+            "adversary 0: arguments must be a dict, not None",
+        ),
+        (lambda s: s.script.append(Action("x", "leave", ("A",))), "script time 'x' is not an integer"),
+        (lambda s: s.script.append(Action(1.5, "leave", ("A",))), "script time 1.5 is not an integer"),
+        (lambda s: s.script.append(Action(True, "leave", ("A",))), "script time True is not an integer"),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("replay", ("link", "A", "B"), {"dealy": 3})),
+            "adversary 0: replay reads no argument 'dealy'",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("drop_all", ("link", "A", "B"), {"p": 0.5})),
+            "adversary 0: drop_all reads no argument 'p'",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("mitm_relay", ("link", "A", "B"), {"delay": 1})),
+            "adversary 0: mitm_relay reads no argument 'delay'",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("impersonate", ("link", "A", "B"), {"p": 0.5})),
+            "adversary 0: impersonate reads no argument 'p'",
+        ),
+        (
+            lambda s: s.adversaries.append(
+                AdversarySpec("modify_field", ("link", "A", "B"), {"field": "seq", "op": "add", "value": 1, "vlaue": 2})
+            ),
+            "adversary 0: modify_field reads no argument 'vlaue'",
+        ),
     ],
 )
 def test_validation_names_malformed_groups_and_nodes(edit, problem):
     # Built in code, these either passed and crashed the run (an empty
-    # group, a fractional capacity) or made the validator itself raise.
+    # group, a fractional capacity), made the validator itself raise (a
+    # None where a list, tuple or dict belongs, a tick that is not a
+    # number), or passed and ran as if a misspelt adversary argument were
+    # not there.  A tick of 1.5 or True does not survive being written out
+    # as a scenario file and read back.
     scenario = line_scenario(["A", "B"])
     edit(scenario)
     assert validate_scenario(scenario) == [problem]
@@ -1071,6 +1117,20 @@ def test_two_group_composed_route():
     log = run(scenario)
     installs = verdicts(log, source, f"route_installed:dest={dest}")
     assert installs and installs[0].detail.endswith(":composed")
+    assert audit(log).passed
+
+
+@pytest.mark.parametrize("provider", ["test_double", "real"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_leader_sends_data_across_the_ring(seed, provider):
+    # Leader a1's own first hop toward b0 is the other group's leader: it
+    # is sealed under the ring key and crosses the ring, as a relayed hop is.
+    scenario, _, _ = two_group_scenario(seed)
+    scenario.provider_name = provider
+    scenario.script = [Action(3, "discover", ("a1", "b0")), Action(30, "send_data", ("a1", "b0", "hi"))]
+    log = run(scenario)
+    assert verdicts(log, "b0", "data_delivered:from=a1")
+    assert not [e for e in log.events if e.kind == "drop" and e.actor == "a1"]
     assert audit(log).passed
 
 

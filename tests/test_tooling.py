@@ -6,6 +6,7 @@ tracer's target table and patches nothing."""
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,17 @@ def test_only_the_schema_decodes():
     src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
     decoders = sorted(path.name for path in src.glob("*.py") if "encoding.decode(" in path.read_text())
     assert decoders == ["messages.py"]
+
+
+def test_one_data_builder():
+    # Every DATA hop, the origin's, a relay's and a group broadcast, is
+    # sealed for its next hop by `ProtocolNode._emit_data` alone.
+    src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
+    sites = [
+        path.name for path in sorted(src.glob("*.py"))
+        for _ in re.finditer(r"\bmsg\(\s*MessageKind\.DATA\b", path.read_text())
+    ]
+    assert sites == ["node.py"]
 
 
 def test_import_loads_no_heavy_dependency():

@@ -143,6 +143,10 @@ class LeaderJoinSession:
 # Bit length of each prime in a leader's identification modulus.
 PRIME_BITS = 32
 
+# Test hooks that make a leader break the protocol, for the auditor to catch:
+# admit an unchecked certificate, skip a removal's rekey, rekey the removed.
+FAULTS = frozenset(("forge_admit", "skip_rekey", "leak_key"))
+
 
 def _draw_prime(rng: random.Random, bits: int) -> int:
     return next_prime(rng.getrandbits(bits) | (1 << (bits - 1)))

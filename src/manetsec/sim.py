@@ -31,12 +31,13 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import fields as dc_fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .crypto import PROVIDERS, make_provider
 from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mobility
-from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
+from .keymgmt import FAULTS, CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
@@ -74,7 +75,7 @@ class NodeSpec:
 class GroupSpec:
     group_id: str
     capacity: int
-    members: list
+    members: list[str]
 
 
 # The length of each adversary placement: ("node", NAME) or ("link", U, V).
@@ -85,7 +86,7 @@ PLACEMENTS = {"node": 2, "link": 3}
 @dataclass
 class AdversarySpec:
     kind: str  # a behavior of node.BEHAVIORS
-    placement: tuple  # ("node", name) or ("link", u, v)
+    placement: tuple[str, ...]  # ("node", name) or ("link", u, v)
     args: dict = field(default_factory=dict)
 
     @property
@@ -98,13 +99,13 @@ class AdversarySpec:
 class Action:
     tick: int
     op: str
-    args: tuple
+    args: tuple[str, ...]
 
 
 @dataclass
 class Expectation:
     kind: str
-    args: tuple
+    args: tuple[str, ...]
 
 
 @dataclass
@@ -125,14 +126,14 @@ class SimParams:
 @dataclass
 class Scenario:
     seed: int
-    nodes: list  # NodeSpec
-    groups: list  # GroupSpec
+    nodes: list[NodeSpec]
+    groups: list[GroupSpec]
     params: SimParams = field(default_factory=SimParams)
     weights: WeightConfig = field(default_factory=WeightConfig)
-    script: list = field(default_factory=list)  # Action
-    adversaries: list = field(default_factory=list)  # AdversarySpec
-    expectations: list = field(default_factory=list)  # Expectation
-    faults: set = field(default_factory=set)  # test hooks: leak_key, skip_rekey, forge_admit
+    script: list[Action] = field(default_factory=list)
+    adversaries: list[AdversarySpec] = field(default_factory=list)
+    expectations: list[Expectation] = field(default_factory=list)
+    faults: set[str] = field(default_factory=set)  # test hooks, of keymgmt.FAULTS
     provider_name: str = "test_double"
 
 
@@ -174,12 +175,90 @@ EXPECTATIONS = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# What a value of each declared type must be, and how a problem names it.
+# A list type and a tuple type each take a list or a tuple, as scenario
+# files and code build them differently.
+_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "a bool"),
+    str: (str, "a string"),
+    list: ((list, tuple), "a list"),
+    tuple: ((list, tuple), "a tuple"),
+    set: ((set, frozenset), "a set"),
+    dict: (dict, "a dict"),
+}
 
 
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _is(value, types) -> bool:
+    """isinstance, except that a bool is of no type but bool."""
+    return isinstance(value, types) and (type(value) is not bool or types is bool)
+
+
+# Each spec class reachable from Scenario -> a (field, ok, report) triple
+# per field, compiled once from its annotations.  ok(value) tells whether a
+# value is of the field's declared type; report(value), for one that is
+# not, lists what is wrong as (path below it, problem) pairs.
+SHAPES: dict[type, tuple] = {}
+
+
+def _shape(kind) -> tuple:
+    """The (ok, report) pair of a value declared of type `kind`."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union and args[1:] == (type(None),):  # Optional[T]
+        inner_ok, report = _shape(args[0])
+        return (lambda value: value is None or inner_ok(value)), report
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        SHAPES[kind] = table = tuple((f.name, *_shape(hints[f.name])) for f in dc_fields(kind))
+        types, what = kind, f"a {kind.__name__}"
+
+        def parts(value):
+            return ((f".{name}", getattr(value, name), ok, report) for name, ok, report in table)
+
+        def ok(value):
+            if not isinstance(value, kind):
+                return False
+            for name, field_ok, _ in table:
+                if not field_ok(getattr(value, name)):
+                    return False
+            return True
+
+    elif args:
+        (types, what), (item_ok, item_report) = _TYPES[origin], _shape(args[0])
+
+        def parts(value):
+            return ((f"[{i}]", item, item_ok, item_report) for i, item in enumerate(value))
+
+        def ok(value):
+            return isinstance(value, types) and all(map(item_ok, value))
+
+    else:
+        (types, what), parts = _TYPES[kind], None
+
+        def ok(value):
+            return _is(value, types)
+
+    def report(value):
+        if not _is(value, types):
+            return [("", f"must be {what}, not {value!r}")]
+        return [
+            (step + path, problem)
+            for step, part, part_ok, part_report in parts(value)
+            if not part_ok(part)
+            for path, problem in part_report(part)
+        ]
+
+    return ok, report
+
+
+_shape(Scenario)  # fills SHAPES
+
+# The least value of each integer parameter, below which the run would
+# divide by it, crash, or run with no radio hop, no liveness or a join that
+# asks for no secret; a freshness window and a duration may be 0.
+_PARAM_LEAST = {name: 1 for name, kind in get_type_hints(SimParams).items() if kind in (int, Optional[int])}
+_PARAM_LEAST.update(freshness_window=0, duration=0)
 
 
 def _adversary_arg_problems(adv: AdversarySpec) -> list:
@@ -187,23 +266,29 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
     its behavior's defaults."""
     if adv.kind not in BEHAVIORS:
         return [f"unknown behavior {adv.kind!r}"]
-    if not isinstance(adv.args, dict):
-        return [f"arguments must be a dict, not {adv.args!r}"]
-    # A behavior reads the arguments its BEHAVIORS row names; `modify_field`
-    # also reads `field` and `op`, which have no default.
-    reads = {*BEHAVIORS[adv.kind], *(("field", "op") if adv.kind == "modify_field" else ())}
+    # A behavior reads the arguments its BEHAVIORS row names, each of the
+    # type of its default (any, for a default of None); `modify_field` also
+    # reads `field` and `op`, strings with no default.
+    reads = {key: type(default) for key, default in BEHAVIORS[adv.kind].items()}
+    if adv.kind == "modify_field":
+        reads.update(field=str, op=str)
     problems = [f"{adv.kind} reads no argument {key!r}" for key in adv.args if key not in reads]
     args = adv.settings
-    if adv.kind == "drop_probabilistic":
-        if not (_is_finite(args["p"]) and 0.0 <= args["p"] <= 1.0):
-            problems.append("drop probability must be within [0, 1]")
-    elif adv.kind == "replay":
-        if not (_is_int(args["delay"]) and args["delay"] >= 0):
-            problems.append(f"replay delay must be a non-negative integer, not {args['delay']!r}")
+    mistyped = [
+        f"{adv.kind} {key} must be {_TYPES[kind][1]}, not {args[key]!r}"
+        for key, kind in reads.items()
+        if key in args and kind in _TYPES and not _is(args[key], _TYPES[kind][0])
+    ]
+    if mistyped:
+        return problems + mistyped
+    if adv.kind == "drop_probabilistic" and not 0.0 <= args["p"] <= 1.0:
+        problems.append("drop probability must be within [0, 1]")
+    elif adv.kind == "replay" and args["delay"] < 0:
+        problems.append(f"replay delay must be a non-negative integer, not {args['delay']!r}")
     elif adv.kind == "impersonate":
         if args["strategy"] not in ("replay", "random"):
             problems.append(f"impersonate strategy must be replay or random, not {args['strategy']!r}")
-        if not (_is_int(args["modulus"]) and args["modulus"] >= 4):
+        if args["modulus"] < 4:
             problems.append(f"impersonate modulus must be an integer of at least 4, not {args['modulus']!r}")
     elif adv.kind == "modify_field":
         for key in ("field", "op"):
@@ -221,44 +306,21 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
             if wire_type not in MUTATION_OPS[op]:
                 problems.append(f"modify_field op {op} does not apply to {fieldname}, whose type is {wire_type}")
             elif op in VALUE_OPS and value is not None:
-                if wire_type == "int" and not _is_int(value):
+                if wire_type == "int" and not _is(value, int):
                     problems.append(f"modify_field value {value!r} for int field {fieldname} is not an integer")
                 elif wire_type == "name" and not NAME_RE.fullmatch(str(value)):
                     problems.append(f"modify_field value {value!r} for name field {fieldname} is not a name")
     return problems
 
 
-def _param_problems(params: SimParams) -> list:
-    """What is wrong with a scenario's `[params]`: values the run would
-    divide by, crash on, or silently run with no radio, no liveness or a
-    join that asks for no secret."""
-    problems = []
-    radius = params.radio_radius
-    if not (_is_finite(radius) and radius > 0):
-        problems.append(f"radio_radius must be finite and positive, not {radius!r}")
-    for name in (
-        "heartbeat_period", "rreq_lifetime", "liveness_deadline", "discovery_timeout", "challenge_bits",
-        "challenge_rounds",
-    ):
-        value = getattr(params, name)
-        if not (_is_int(value) and value >= 1):
-            problems.append(f"{name} must be an integer of at least 1, not {value!r}")
-    if not (_is_int(params.freshness_window) and params.freshness_window >= 0):
-        problems.append(f"freshness_window must be a non-negative integer, not {params.freshness_window!r}")
-    trust = params.trust_initial
-    if not (_is_finite(trust) and 0.0 <= trust <= 1.0):
-        problems.append(f"trust_initial must be within [0, 1], not {trust!r}")
-    if params.duration is not None and not (_is_int(params.duration) and params.duration >= 0):
-        problems.append(f"duration must be a non-negative integer, not {params.duration!r}")
-    return problems
-
-
-def _argument_problems(what: str, word: str, args: tuple, roles: tuple, names, adversarial, groups) -> list:
-    """What is wrong with the arguments of one script action or expectation
-    (`what`, of kind `word`), checked against the `roles` of its row."""
+def _argument_problems(what: str, word: str, args: tuple, table: dict, names, adversarial, groups) -> list:
+    """What is wrong with one script action or expectation (`what`, of kind
+    `word`): a kind its `table` lacks, or arguments that do not fit the
+    roles of its row."""
+    if word not in table:
+        return [f"unknown {what} {word!r}"]
+    roles = table[word]
     required = sum(role != OPTIONAL_TEXT for role in roles)
-    if not isinstance(args, (tuple, list)):
-        return [f"{what} {word}: arguments must be a tuple, not {args!r}"]
     if not required <= len(args) <= len(roles):
         count = required if required == len(roles) else f"{required} or {len(roles)}"
         return [f"{what} {word} expects {count} arguments"]
@@ -279,76 +341,80 @@ def _argument_problems(what: str, word: str, args: tuple, roles: tuple, names, a
 
 
 def validate_scenario(scenario: Scenario) -> list:
-    """Structural and referential checks; returns a list of problems."""
-    problems = []
+    """What is wrong with a scenario, as a list of problems.  Each field is
+    first checked against its declared type (:data:`SHAPES`); a scenario of
+    the wrong shape is reported as that alone, and otherwise the bounds,
+    the name rules and the references are checked."""
+    problems = [
+        f"{name}{path} {problem}"
+        for name, ok, report in SHAPES[Scenario]
+        if not ok(getattr(scenario, name))
+        for path, problem in report(getattr(scenario, name))
+    ]
+    if problems:
+        return problems
     # Simulation.__init__ packs the seed into 8 signed bytes.
-    if not (_is_int(scenario.seed) and -(2**63) <= scenario.seed < 2**63):
+    if not -(2**63) <= scenario.seed < 2**63:
         problems.append(f"seed must be an integer within signed 64 bits, not {scenario.seed!r}")
     if scenario.provider_name not in PROVIDERS:
         problems.append(f"unknown crypto provider {scenario.provider_name!r}")
+    problems += [f"unknown fault {fault!r}" for fault in sorted(scenario.faults - FAULTS)]
     names = set()
     for spec in scenario.nodes:
         if spec.name in names:
             problems.append(f"duplicate node name {spec.name!r}")
         names.add(spec.name)
-        if not (isinstance(spec.name, str) and NAME_RE.fullmatch(spec.name)):
+        if not NAME_RE.fullmatch(spec.name):
             problems.append(f"node name {spec.name!r} must be alphanumeric/underscore/dot")
-        if not isinstance(spec.trace, (list, tuple)):
-            problems.append(f"node {spec.name}: position trace must be a list of (x, y) points, not {spec.trace!r}")
-        elif not spec.trace:
+        if not spec.trace:
             problems.append(f"node {spec.name}: empty position trace")
-        else:
-            for point in spec.trace:
-                # One check per tick of a trace, kept as cheap as unpacking it.
-                try:
-                    x, y = point
-                    finite = math.isfinite(x) and math.isfinite(y)
-                except (TypeError, ValueError):
-                    finite = False
-                if not finite:
-                    problems.append(f"node {spec.name}: trace point {point!r} is not an (x, y) pair of finite numbers")
-                    break
-        if not (_is_finite(spec.battery) and 0.0 <= spec.battery <= 1.0):
-            problems.append(f"node {spec.name}: battery must be a number within [0, 1], not {spec.battery!r}")
-    adversarial = set()
-    tapped = set()  # links with an adversary, each as the set of its two ends
+        for point in spec.trace:
+            # One check per tick of a trace, kept as cheap as unpacking it.
+            try:
+                x, y = point
+                finite = math.isfinite(x) and math.isfinite(y)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                problems.append(f"node {spec.name}: trace point {point!r} is not an (x, y) pair of finite numbers")
+                break
+        if not 0.0 <= spec.battery <= 1.0:
+            problems.append(f"node {spec.name}: battery must be within [0, 1], not {spec.battery!r}")
+    adversarial = set()  # the nodes an adversary is placed on
+    taken = set()  # (placement kind, set of its ends) of each adversary
     for i, adv in enumerate(scenario.adversaries):
-        where = tuple(adv.placement)
-        kind = where[0] if where else None
+        kind, *ends = adv.placement or (None,)
         if kind not in PLACEMENTS:
             problems.append(f"adversary {i}: unknown placement kind {kind!r}")
-        elif len(where) != PLACEMENTS[kind]:
+        elif 1 + len(ends) != PLACEMENTS[kind]:
+            where = tuple(adv.placement)
             problems.append(f"adversary {i}: placement {where!r} is neither ('node', NAME) nor ('link', U, V)")
-        elif kind == "node":
-            if where[1] not in names:
-                problems.append(f"adversary {i}: unknown node {where[1]!r}")
-            if where[1] in adversarial:
-                problems.append(f"adversary {i}: node {where[1]} already has an adversary")
-            adversarial.add(where[1])
         else:
-            for end in where[1:]:
-                if end not in names:
-                    problems.append(f"adversary {i}: unknown link endpoint {end!r}")
-            if where[1] == where[2]:
-                problems.append(f"adversary {i}: link {where[1]}-{where[2]} joins a node to itself")
-            elif frozenset(where[1:]) in tapped:
-                problems.append(f"adversary {i}: link {where[1]}-{where[2]} already has an adversary")
-            tapped.add(frozenset(where[1:]))
+            problems += [f"adversary {i}: unknown node {end!r}" for end in ends if end not in names]
+            if len(set(ends)) < len(ends):
+                problems.append(f"adversary {i}: link {'-'.join(ends)} joins a node to itself")
+            elif (kind, frozenset(ends)) in taken:
+                problems.append(f"adversary {i}: {kind} {'-'.join(ends)} already has an adversary")
+            taken.add((kind, frozenset(ends)))
+            if kind == "node":
+                adversarial.add(ends[0])
         problems += [f"adversary {i}: {problem}" for problem in _adversary_arg_problems(adv)]
     grouped = set()
     group_ids = set()
     for spec in scenario.groups:
         if spec.group_id in group_ids:
             problems.append(f"duplicate group id {spec.group_id!r}")
-        if not (isinstance(spec.group_id, str) and NAME_RE.fullmatch(spec.group_id)):
+        if not NAME_RE.fullmatch(spec.group_id):
             problems.append(f"group id {spec.group_id!r} must be alphanumeric/underscore/dot")
         group_ids.add(spec.group_id)
-        if not isinstance(spec.members, (list, tuple)):
-            problems.append(f"group {spec.group_id}: members must be a list of node names, not {spec.members!r}")
-            continue
         if not spec.members:
             problems.append(f"group {spec.group_id}: needs at least one member")
+        listed = set()
         for member in spec.members:
+            if member in listed:
+                problems.append(f"group {spec.group_id}: lists member {member} twice")
+                continue
+            listed.add(member)
             if member not in names:
                 problems.append(f"group {spec.group_id}: unknown member {member!r}")
             if member in grouped:
@@ -356,9 +422,7 @@ def validate_scenario(scenario: Scenario) -> list:
             if member in adversarial:
                 problems.append(f"group {spec.group_id}: adversarial node {member} cannot be a member")
             grouped.add(member)
-        if not _is_int(spec.capacity):
-            problems.append(f"group {spec.group_id}: capacity must be an integer, not {spec.capacity!r}")
-        elif spec.capacity < len(spec.members):
+        if spec.capacity < len(spec.members):
             problems.append(
                 f"group {spec.group_id}: capacity {spec.capacity} below initial size {len(spec.members)}"
             )
@@ -366,30 +430,27 @@ def validate_scenario(scenario: Scenario) -> list:
         replace(scenario.weights)  # WeightConfig checks itself; this catches one built around that
     except ValueError as exc:
         problems.append(str(exc))
-    problems += _param_problems(scenario.params)
-    duration = scenario.params.duration
-    last_tick = 0
+    params = scenario.params
+    if not 0 < params.radio_radius < math.inf:
+        problems.append(f"radio_radius must be finite and positive, not {params.radio_radius!r}")
+    for name, least in _PARAM_LEAST.items():
+        value = getattr(params, name)
+        if value is not None and value < least:
+            bound = "a non-negative integer" if least == 0 else "an integer of at least 1"
+            problems.append(f"{name} must be {bound}, not {value!r}")
+    if not 0.0 <= params.trust_initial <= 1.0:
+        problems.append(f"trust_initial must be within [0, 1], not {params.trust_initial!r}")
+    duration, last_tick = params.duration, 0
     for action in scenario.script:
-        if not _is_int(action.tick):
-            problems.append(f"script time {action.tick!r} is not an integer")
-        else:
-            if action.tick < last_tick:
-                problems.append(f"script time {action.tick} decreases (after {last_tick})")
-            last_tick = max(last_tick, action.tick)
-            if _is_int(duration) and action.tick > duration:
-                problems.append(f"script time {action.tick} is after the duration {duration}, so it would never run")
-        if action.op not in ACTIONS:
-            problems.append(f"unknown script action {action.op!r}")
-            continue
-        problems += _argument_problems(
-            "action", action.op, action.args, ACTIONS[action.op], names, adversarial, group_ids
-        )
+        if action.tick < last_tick:
+            problems.append(f"script time {action.tick} decreases (after {last_tick})")
+        last_tick = max(last_tick, action.tick)
+        if duration is not None and action.tick > duration:
+            problems.append(f"script time {action.tick} is after the duration {duration}, so it would never run")
+        problems += _argument_problems("action", action.op, action.args, ACTIONS, names, adversarial, group_ids)
     for expect in scenario.expectations:
-        if expect.kind not in EXPECTATIONS:
-            problems.append(f"unknown expectation {expect.kind!r}")
-            continue
         problems += _argument_problems(
-            "expectation", expect.kind, expect.args, EXPECTATIONS[expect.kind], names, adversarial, group_ids
+            "expectation", expect.kind, expect.args, EXPECTATIONS, names, adversarial, group_ids
         )
     return problems
 

@@ -92,11 +92,11 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
             "[adversaries]\nlink A B modify_field field=lifetime op=add value=1.5\n",
             "adversary 0: modify_field value 1.5 for int field lifetime is not an integer",
         ),
-        ("[adversaries]\nnode X drop_probabilistic p=abc\n", "adversary 0: drop probability must be within [0, 1]"),
         (
-            "[adversaries]\nlink A B replay delay=abc\n",
-            "adversary 0: replay delay must be a non-negative integer, not 'abc'",
+            "[adversaries]\nnode X drop_probabilistic p=abc\n",
+            "adversary 0: drop_probabilistic p must be a number, not 'abc'",
         ),
+        ("[adversaries]\nlink A B replay delay=abc\n", "adversary 0: replay delay must be an integer, not 'abc'"),
         (
             "[adversaries]\nnode X impersonate strategy=random modulus=1\n",
             "adversary 0: impersonate modulus must be an integer of at least 4, not 1",

@@ -1,9 +1,11 @@
 import math
 import os
 import re
+from dataclasses import fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
@@ -138,13 +140,13 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
     "edit, problem",
     [
         (lambda s: setattr(s.groups[0], "members", []), "group g1: needs at least one member"),
-        (lambda s: setattr(s.groups[0], "group_id", 7), "group id 7 must be alphanumeric/underscore/dot"),
-        (lambda s: setattr(s.groups[0], "capacity", "8"), "group g1: capacity must be an integer, not '8'"),
-        (lambda s: setattr(s.groups[0], "capacity", 2.5), "group g1: capacity must be an integer, not 2.5"),
-        (lambda s: setattr(s.nodes[0], "battery", "x"), "node A: battery must be a number within [0, 1], not 'x'"),
+        (lambda s: setattr(s.groups[0], "group_id", 7), "groups[0].group_id must be a string, not 7"),
+        (lambda s: setattr(s.groups[0], "capacity", "8"), "groups[0].capacity must be an integer, not '8'"),
+        (lambda s: setattr(s.groups[0], "capacity", 2.5), "groups[0].capacity must be an integer, not 2.5"),
+        (lambda s: setattr(s.nodes[0], "battery", "x"), "nodes[0].battery must be a number, not 'x'"),
         (
             lambda s: (setattr(s.nodes[0], "name", 5), s.groups[0].members.remove("A")),
-            "node name 5 must be alphanumeric/underscore/dot",
+            "nodes[0].name must be a string, not 5",
         ),
         (
             lambda s: setattr(s.nodes[0], "trace", [(0.0, 0.0, 1.0)]),
@@ -156,24 +158,24 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
         ),
         (
             lambda s: setattr(s.nodes[0], "trace", None),
-            "node A: position trace must be a list of (x, y) points, not None",
+            "nodes[0].trace must be a list, not None",
         ),
         (
             lambda s: setattr(s.groups[0], "members", None),
-            "group g1: members must be a list of node names, not None",
+            "groups[0].members must be a list, not None",
         ),
-        (lambda s: s.script.append(Action(1, "leave", None)), "action leave: arguments must be a tuple, not None"),
+        (lambda s: s.script.append(Action(1, "leave", None)), "script[0].args must be a tuple, not None"),
         (
             lambda s: s.expectations.append(Expectation("admitted", None)),
-            "expectation admitted: arguments must be a tuple, not None",
+            "expectations[0].args must be a tuple, not None",
         ),
         (
             lambda s: s.adversaries.append(AdversarySpec("drop_all", ("link", "A", "B"), None)),
-            "adversary 0: arguments must be a dict, not None",
+            "adversaries[0].args must be a dict, not None",
         ),
-        (lambda s: s.script.append(Action("x", "leave", ("A",))), "script time 'x' is not an integer"),
-        (lambda s: s.script.append(Action(1.5, "leave", ("A",))), "script time 1.5 is not an integer"),
-        (lambda s: s.script.append(Action(True, "leave", ("A",))), "script time True is not an integer"),
+        (lambda s: s.script.append(Action("x", "leave", ("A",))), "script[0].tick must be an integer, not 'x'"),
+        (lambda s: s.script.append(Action(1.5, "leave", ("A",))), "script[0].tick must be an integer, not 1.5"),
+        (lambda s: s.script.append(Action(True, "leave", ("A",))), "script[0].tick must be an integer, not True"),
         (
             lambda s: s.adversaries.append(AdversarySpec("replay", ("link", "A", "B"), {"dealy": 3})),
             "adversary 0: replay reads no argument 'dealy'",
@@ -196,18 +198,115 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
             ),
             "adversary 0: modify_field reads no argument 'vlaue'",
         ),
+        *(
+            (lambda s, name=name: setattr(s, name, None), f"{name} must be {what}, not None")
+            for name, what in (
+                ("nodes", "a list"),
+                ("groups", "a list"),
+                ("script", "a list"),
+                ("adversaries", "a list"),
+                ("expectations", "a list"),
+                ("params", "a SimParams"),
+                ("weights", "a WeightConfig"),
+            )
+        ),
+        (lambda s: s.nodes.append(None), "nodes[2] must be a NodeSpec, not None"),
+        (lambda s: setattr(s, "provider_name", ["test"]), "provider_name must be a string, not ['test']"),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("drop_all", None)),
+            "adversaries[0].placement must be a tuple, not None",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("drop_all", ("node", ["A"]))),
+            "adversaries[0].placement[1] must be a string, not ['A']",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec(["drop_all"], ("link", "A", "B"))),
+            "adversaries[0].kind must be a string, not ['drop_all']",
+        ),
+        (lambda s: s.script.append(Action(1, ["leave"], ("A",))), "script[0].op must be a string, not ['leave']"),
+        (lambda s: s.script.append(Action(1, "leave", (["A"],))), "script[0].args[0] must be a string, not ['A']"),
+        (
+            lambda s: s.expectations.append(Expectation(["route"], ("A", "B"))),
+            "expectations[0].kind must be a string, not ['route']",
+        ),
+        (lambda s: s.groups[0].members.append(["B"]), "groups[0].members[2] must be a string, not ['B']"),
+        (
+            lambda s: s.adversaries.append(
+                AdversarySpec("modify_field", ("link", "A", "B"), {"field": "seq", "op": ["add"], "value": 1})
+            ),
+            "adversary 0: modify_field op must be a string, not ['add']",
+        ),
+        # A misspelt fault hook would run with no fault injected, and a
+        # member listed twice is no member of a second group.
+        (lambda s: setattr(s, "faults", {"leak_kye"}), "unknown fault 'leak_kye'"),
+        (lambda s: setattr(s.groups[0], "members", ["A", "A"]), "group g1: lists member A twice"),
     ],
 )
 def test_validation_names_malformed_groups_and_nodes(edit, problem):
     # Built in code, these either passed and crashed the run (an empty
     # group, a fractional capacity), made the validator itself raise (a
-    # None where a list, tuple or dict belongs, a tick that is not a
-    # number), or passed and ran as if a misspelt adversary argument were
-    # not there.  A tick of 1.5 or True does not survive being written out
-    # as a scenario file and read back.
+    # value of the wrong type, such as a None where a list belongs or a
+    # list where a name belongs), or passed and ran as if a misspelt
+    # adversary argument or fault hook were not there.  A tick of 1.5 or
+    # True does not survive being written out as a scenario file and read
+    # back.  A wrong type is named by its path.
     scenario = line_scenario(["A", "B"])
     edit(scenario)
     assert validate_scenario(scenario) == [problem]
+
+
+def _typed_fixture():
+    """A valid scenario with one spec of every kind (an integer stands for
+    a number, as the scenario file reads `p=1`)."""
+    return line_scenario(
+        ["A", "B"],
+        script=[Action(1, "leave", ("A",))],
+        adversaries=[AdversarySpec("drop_probabilistic", ("link", "A", "B"), {"p": 1})],
+        expectations=[Expectation("admitted", ("B",))],
+        faults={"leak_key"},
+    )
+
+
+def _fields_under(spec, path=()):
+    """(path, declared type) of every field reachable from `spec`, entering
+    the first spec of each list of specs."""
+    hints = get_type_hints(type(spec))
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        yield path + (f.name,), hints[f.name]
+        if is_dataclass(value):
+            yield from _fields_under(value, path + (f.name,))
+        elif isinstance(value, list) and value and is_dataclass(value[0]):
+            yield from _fields_under(value[0], path + (f.name, 0))
+
+
+def _fits(value, kind) -> bool:
+    """Whether `value` is itself of the declared type `kind` (an Optional
+    also takes None); a NaN fits no float a scenario can use."""
+    kinds = get_args(kind) if get_origin(kind) is Union else (kind,)
+    return type(value) in kinds and value == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(_fields_under(_typed_fixture()))),
+    st.sampled_from((None, [None], {None: None}, "x", 1.5, True, math.nan)),
+)
+def test_a_field_of_the_wrong_type_is_named_not_raised(site, value):
+    # One field at a time, anywhere in a scenario built in code, takes a
+    # value of another type: the validator names it, and the run refuses.
+    (*route, name), kind = site
+    assume(not _fits(value, kind))
+    scenario = _typed_fixture()
+    assert validate_scenario(scenario) == []
+    holder = scenario
+    for key in route:
+        holder = holder[key] if isinstance(key, int) else getattr(holder, key)
+    object.__setattr__(holder, name, value)  # WeightConfig is frozen
+    assert validate_scenario(scenario)
+    with pytest.raises(SimulationError):
+        Simulation(scenario)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")

@@ -9,6 +9,10 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_type_hints
+
+from manetsec import sim
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -55,3 +59,24 @@ def test_import_loads_no_heavy_dependency():
         [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == ""
+
+
+def _declared(kind):
+    """`kind` and every type inside it: list[NodeSpec] -> list[NodeSpec], NodeSpec."""
+    yield kind
+    for arg in get_args(kind):
+        yield from _declared(arg)
+
+
+def test_every_scenario_field_has_a_shape_check():
+    # validate_scenario checks each field of a scenario against its declared
+    # type through sim.SHAPES; a spec class or a field missing from the
+    # table would go unchecked.
+    reached, todo = set(), [sim.Scenario]
+    while todo:
+        cls = todo.pop()
+        reached.add(cls)
+        todo += [t for kind in get_type_hints(cls).values() for t in _declared(kind) if is_dataclass(t)]
+    assert set(sim.SHAPES) == reached
+    for cls in reached:
+        assert [name for name, *_ in sim.SHAPES[cls]] == [f.name for f in fields(cls)]

@@ -194,7 +194,6 @@ class RealCryptoProvider:
         self._hashes = hashes
         self._invalid_sig = crypto_exceptions.InvalidSignature
         self._invalid_tag = crypto_exceptions.InvalidTag
-        self._verify_cache: dict = {}
 
     def hash(self, data: bytes) -> bytes:
         return hashlib.sha256(bytes(data)).digest()
@@ -229,19 +228,12 @@ class RealCryptoProvider:
     def verify(self, public: bytes, data: bytes, sig: bytes) -> bool:
         if len(public) != 64 or not isinstance(sig, bytes):
             return False
-        cache_key = (public[:32], bytes(data), sig)
-        hit = self._verify_cache.get(cache_key)
-        if hit is not None:
-            return hit
         try:
             pub = self._ed25519.Ed25519PublicKey.from_public_bytes(public[:32])
             pub.verify(sig, bytes(data))
-            ok = True
         except (self._invalid_sig, ValueError):
-            ok = False
-        if len(self._verify_cache) < 200_000:
-            self._verify_cache[cache_key] = ok
-        return ok
+            return False
+        return True
 
     def _hybrid_key(self, shared: bytes, eph_public: bytes) -> bytes:
         hkdf = self._hkdf_cls(

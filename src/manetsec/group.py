@@ -2,19 +2,17 @@
 
 A node's fitness to lead combines three terms: how much it moves, how much
 battery it has left, and how well it has behaved so far.  The election
-picks the candidate with the *smallest* combined weight, so by default the
-battery and trust terms are inverted (1 - value) before weighting: a slow,
-well-charged, well-behaved node scores low and wins.  ``invert_battery_trust``
-can be switched off to weight the raw values instead, and ``mobility_scale``
-divides the mobility term when the caller wants it normalised against a
-reference speed.
+picks the candidate with the *smallest* weight
+``w0*mobility + w1*(1 - battery) + w2*(1 - trust)``: a slow, well-charged,
+well-behaved node scores low and wins.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 Position = tuple[float, float]
 
@@ -73,29 +71,20 @@ class WeightConfig:
     w0: float = 0.4
     w1: float = 0.4
     w2: float = 0.2
-    invert_battery_trust: bool = True
-    mobility_scale: Optional[float] = None
 
     def __post_init__(self):
-        if not all(math.isfinite(w) for w in (self.w0, self.w1, self.w2)):
+        # An int too large for a float is no finite weight either.
+        if not all(abs(w) <= sys.float_info.max for w in (self.w0, self.w1, self.w2)):
             raise ValueError("weight factors must be finite")
         if min(self.w0, self.w1, self.w2) < 0:
             raise ValueError("weight factors must be non-negative")
         if abs(self.w0 + self.w1 + self.w2 - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError("weight factors must satisfy w0 + w1 + w2 = 1")
-        scale = self.mobility_scale
-        if scale is not None and not (math.isfinite(scale) and scale > 0):
-            raise ValueError(f"mobility_scale must be finite and positive, not {scale!r}")
 
 
 def weight(attrs: NodeAttributes, cfg: WeightConfig) -> float:
     """Combined election weight; smaller is better."""
-    m = attrs.mobility_m
-    if cfg.mobility_scale:
-        m = m / cfg.mobility_scale
-    b = 1.0 - attrs.battery_b if cfg.invert_battery_trust else attrs.battery_b
-    t = 1.0 - attrs.trust_t if cfg.invert_battery_trust else attrs.trust_t
-    return cfg.w0 * m + cfg.w1 * b + cfg.w2 * t
+    return cfg.w0 * attrs.mobility_m + cfg.w1 * (1.0 - attrs.battery_b) + cfg.w2 * (1.0 - attrs.trust_t)
 
 
 def elect_leader(candidates: Sequence[NodeAttributes], cfg: WeightConfig) -> str:

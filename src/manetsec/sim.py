@@ -31,6 +31,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 from dataclasses import fields as dc_fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -195,61 +196,53 @@ def _is(value, types) -> bool:
     return isinstance(value, types) and (type(value) is not bool or types is bool)
 
 
-# Each spec class reachable from Scenario -> a (field, ok, report) triple
-# per field, compiled once from its annotations.  ok(value) tells whether a
-# value is of the field's declared type; report(value), for one that is
-# not, lists what is wrong as (path below it, problem) pairs.
+# Each spec class reachable from Scenario -> a (field, check) pair per
+# field, compiled once from its annotations.  check(value) is None when a
+# value is of the field's declared type, and otherwise lists what is wrong
+# as (path below it, problem) pairs.
 SHAPES: dict[type, tuple] = {}
 
 
-def _shape(kind) -> tuple:
-    """The (ok, report) pair of a value declared of type `kind`."""
+def _shape(kind):
+    """The check of a value declared of type `kind`."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union and args[1:] == (type(None),):  # Optional[T]
-        inner_ok, report = _shape(args[0])
-        return (lambda value: value is None or inner_ok(value)), report
+        inner = _shape(args[0])
+        return lambda value: None if value is None else inner(value)
     if is_dataclass(kind):
         hints = get_type_hints(kind)
-        SHAPES[kind] = table = tuple((f.name, *_shape(hints[f.name])) for f in dc_fields(kind))
-        types, what = kind, f"a {kind.__name__}"
+        SHAPES[kind] = table = tuple((f.name, _shape(hints[f.name])) for f in dc_fields(kind))
 
-        def parts(value):
-            return ((f".{name}", getattr(value, name), ok, report) for name, ok, report in table)
-
-        def ok(value):
+        def check(value):
             if not isinstance(value, kind):
-                return False
-            for name, field_ok, _ in table:
-                if not field_ok(getattr(value, name)):
-                    return False
-            return True
+                return [("", f"must be a {kind.__name__}, not {value!r}")]
+            # A value that fits costs one check per part; paths are
+            # formatted only where a part does not fit.
+            for name, field_check in table:
+                if field_check(getattr(value, name)):
+                    return [
+                        (f".{name}{path}", problem)
+                        for name, field_check in table
+                        for path, problem in field_check(getattr(value, name)) or ()
+                    ]
 
-    elif args:
-        (types, what), (item_ok, item_report) = _TYPES[origin], _shape(args[0])
+        return check
+    types, what = _TYPES[origin or kind]
+    if not args:
+        return lambda value: None if _is(value, types) else [("", f"must be {what}, not {value!r}")]
+    item_check = _shape(args[0])
 
-        def parts(value):
-            return ((f"[{i}]", item, item_ok, item_report) for i, item in enumerate(value))
-
-        def ok(value):
-            return isinstance(value, types) and all(map(item_ok, value))
-
-    else:
-        (types, what), parts = _TYPES[kind], None
-
-        def ok(value):
-            return _is(value, types)
-
-    def report(value):
-        if not _is(value, types):
+    def check(value):
+        if not isinstance(value, types):
             return [("", f"must be {what}, not {value!r}")]
-        return [
-            (step + path, problem)
-            for step, part, part_ok, part_report in parts(value)
-            if not part_ok(part)
-            for path, problem in part_report(part)
-        ]
+        if any(map(item_check, value)):
+            return [
+                (f"[{i}]{path}", problem)
+                for i, item in enumerate(value)
+                for path, problem in item_check(item) or ()
+            ]
 
-    return ok, report
+    return check
 
 
 _shape(Scenario)  # fills SHAPES
@@ -347,9 +340,8 @@ def validate_scenario(scenario: Scenario) -> list:
     the name rules and the references are checked."""
     problems = [
         f"{name}{path} {problem}"
-        for name, ok, report in SHAPES[Scenario]
-        if not ok(getattr(scenario, name))
-        for path, problem in report(getattr(scenario, name))
+        for name, check in SHAPES[Scenario]
+        for path, problem in check(getattr(scenario, name)) or ()
     ]
     if problems:
         return problems
@@ -373,7 +365,7 @@ def validate_scenario(scenario: Scenario) -> list:
             try:
                 x, y = point
                 finite = math.isfinite(x) and math.isfinite(y)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # an int too large for a float overflows
                 finite = False
             if not finite:
                 problems.append(f"node {spec.name}: trace point {point!r} is not an (x, y) pair of finite numbers")
@@ -431,7 +423,7 @@ def validate_scenario(scenario: Scenario) -> list:
     except ValueError as exc:
         problems.append(str(exc))
     params = scenario.params
-    if not 0 < params.radio_radius < math.inf:
+    if not 0 < params.radio_radius <= sys.float_info.max:  # an int too large for a float is not finite
         problems.append(f"radio_radius must be finite and positive, not {params.radio_radius!r}")
     for name, least in _PARAM_LEAST.items():
         value = getattr(params, name)

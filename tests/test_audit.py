@@ -9,12 +9,13 @@ import pytest
 from manetsec import encoding
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import DecryptionError, DeterministicProvider, make_provider
-from manetsec.messages import MessageKind, msg, seal_plain
+from manetsec.messages import MessageKind, decode_message, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
     Action,
     EventLog,
     Expectation,
+    NodeSpec,
     SimEvent,
     SimulationError,
     parse_log_text,
@@ -336,14 +337,15 @@ def _benign_line(provider_name="test_double"):
     return log, make_provider(log.registry.provider_name), random.Random(7)
 
 
-def _deliver_to_n3(log, provider, messages):
-    """Append a delivery to n3 of each message at the log's last tick."""
+def _deliver(log, provider, messages, recipient="n3"):
+    """Append a delivery to n3 (or `recipient`) of each message at the log's
+    last tick."""
     last = log.events[-1]
     for n, message in enumerate(messages, start=1):
         digest = provider.hash(message.encoded).hex()
         log.payloads[digest] = message.encoded
         parts = (message.kind.name, "crafted")
-        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", "n3", "", digest, parts))
+        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", recipient, "", digest, parts))
 
 
 def test_undecodable_plaintext_counts_as_opened():
@@ -364,7 +366,7 @@ def test_undecodable_plaintext_counts_as_opened():
             sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, b"\xff\x00", rng),
         ),
     ]
-    _deliver_to_n3(log, provider, crafted)
+    _deliver(log, provider, crafted)
     report = audit(log)
     assert report.result("backward_secrecy").passed
     after = knowledge_set("n3", log)
@@ -386,7 +388,7 @@ def test_colon_in_crafted_rekey_lineage_is_audited():
         MessageKind.REKEY, group="g1", lineage="g1:x", epoch=2, mode="public",
         sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, plaintext, rng),
     )
-    _deliver_to_n3(log, provider, [crafted])
+    _deliver(log, provider, [crafted])
     assert group_key in knowledge_set("n3", log).sym_keys
     assert audit(log).result("backward_secrecy").passed
 
@@ -412,7 +414,7 @@ def test_ill_typed_key_fields_in_crafted_plaintext_are_audited(kind):
         key = next(value for _, _, label, value in log.registry.secrets if label[0] == "group_key" and value in held)
         plaintext = encoding.encode(5, [], group_key, 7, b"x", "g1")
         crafted = msg(MessageKind.MEMBER_SET, join_id="n3", sealed=provider.sym_encrypt(key, plaintext, rng))
-    _deliver_to_n3(log, provider, [crafted])
+    _deliver(log, provider, [crafted])
     assert group_key in knowledge_set("n3", log).sym_keys
     assert audit(log).result("backward_secrecy").line() == "backward_secrecy: PASS"
 
@@ -432,7 +434,7 @@ def test_crafted_short_group_key_is_audited(provider_name):
         MessageKind.REKEY, group="g1", lineage="g1-1", epoch=2, mode="public",
         sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, plaintext, rng),
     )
-    _deliver_to_n3(log, provider, [crafted])
+    _deliver(log, provider, [crafted])
     assert group_key in knowledge_set("n3", log).sym_keys
     assert audit(log).passed
 
@@ -517,3 +519,98 @@ def test_transmission_pairs_are_read_by_name_wherever_they_stand():
     for name, counterexamples in (("causality", [3, 5]), ("conservation", [4, 7])):
         assert scrambled.result(name).counterexamples == counterexamples
         assert scrambled.result(name).line() == canonical.result(name).line()
+
+
+def _append(log, event, provider=None, message=None):
+    """Append a copy of `event` at the log's last tick, carrying `message`
+    as its payload when one is given; return its index."""
+    last = log.events[-1]
+    if message is not None:
+        event = replace(event, digest=provider.hash(message.encoded).hex())
+        log.payloads[event.digest] = message.encoded
+    log.events.append(replace(event, tick=last.tick, seq=last.seq + 1))
+    return len(log.events) - 1
+
+
+def _first(log, kind, word):
+    return next(e for e in log.events if e.kind == kind and e.word == word)
+
+
+def _joiner_holds_the_key_before_its_admission():
+    # N joins g1 at tick 10; handed the epoch-1 key, it opens L's chat at
+    # tick 1 (event 7) and the join's rekey sealed under that key (event 57).
+    scenario = line_scenario(
+        ["L", "M1"], seed=21, script=[Action(1, "send_data", ("L", "*", "early")), Action(3, "join", ("N", "g1"))]
+    )
+    scenario.nodes.append(NodeSpec("N", [(50.0, 40.0)], 0.5))
+    log = run(scenario)
+    provider, rng, keypairs = make_provider(log.registry.provider_name), random.Random(7), log.registry.keypairs
+    old_key = next(value for _, _, label, value in log.registry.secrets if label == ("group_key", "g1-1", 1))
+    plaintext = seal_plain(
+        MessageKind.REKEY, "public", group_key=old_key, epoch=1, lineage="g1-1", rows=[],
+        member_key=rng.randbytes(16), member_id=1, leader="L", leader_public=keypairs["L"].public,
+    )
+    gift = msg(
+        MessageKind.REKEY, group="g1", lineage="g1-1", epoch=1, mode="public",
+        sealed=provider.pk_encrypt(keypairs["N"].public, plaintext, rng),
+    )
+    _deliver(log, provider, [gift], recipient="N")
+    return log, "forward_secrecy", [7, 57]
+
+
+def _accepted_request_without_payload():
+    log, _, _ = _benign_line()
+    accepted = _first(log, "verdict", "accept")
+    return log, "chain_soundness", [_append(log, replace(accepted, digest="00" * 32))]
+
+
+def _accepted_request_with_a_forged_chain():
+    log, provider, _ = _benign_line()
+    accepted = _first(log, "verdict", "accept")
+    request = decode_message(log.payloads[accepted.digest])
+    forged = request.replace(chain=bytes(b ^ 0xFF for b in request["chain"]))
+    return log, "chain_soundness", [_append(log, accepted, provider, forged)]
+
+
+def _request_processed_twice():
+    log, _, _ = _benign_line()
+    return log, "duplicate_suppression", [_append(log, _first(log, "verdict", "rreq_processed"))]
+
+
+def _epoch_restated():
+    log, _, _ = _benign_line()
+    last_rekey = [e for e in log.events if e.kind == "rekey" and e.word != "ring"][-1]
+    return log, "epoch_monotonicity", [_append(log, last_rekey)]
+
+
+def _rekey_to_another_opens_for_the_departed():
+    # After n3 left, n0 sends n1 a public-mode rekey that n3's own private
+    # key opens.
+    log, provider, rng = _benign_line()
+    crafted = msg(
+        MessageKind.REKEY, group="g1", lineage="g1-1", epoch=2, mode="public",
+        sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, b"for n1", rng),
+    )
+    send = SimEvent(0, 0, "send", "n0", None, "", "-", ("REKEY", ("to", "n1")))
+    return log, "backward_secrecy", [_append(log, send, provider, crafted)]
+
+
+@pytest.mark.parametrize(
+    "breach",
+    [
+        _joiner_holds_the_key_before_its_admission,
+        _accepted_request_without_payload,
+        _accepted_request_with_a_forged_chain,
+        _request_processed_twice,
+        _epoch_restated,
+        _rekey_to_another_opens_for_the_departed,
+    ],
+    ids=lambda breach: breach.__name__.lstrip("_"),
+)
+def test_hand_built_breach_fails_its_property_alone(breach):
+    # Each log passes every property before the hand-built events are added;
+    # after, the one property fails at them and every other still passes.
+    log, name, counterexamples = breach()
+    report = audit(log)
+    assert report.result(name).counterexamples == counterexamples
+    assert [r.name for r in report.results if not r.passed] == [name]

@@ -142,8 +142,8 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         ("[adversaries]\nlink A B replay delay=1 delay=2\n", "line 10: adversary argument delay given twice"),
         ("[weights]\nw0 = nan\nw1 = 0.8\n", "weight factors must be finite"),
         ("[weights]\nw0 = inf\n", "weight factors must be finite"),
-        ("[weights]\nmobility_scale = -3\n", "mobility_scale must be finite and positive, not -3.0"),
-        ("[weights]\nmobility_scale = nan\n", "mobility_scale must be finite and positive, not nan"),
+        ("[weights]\nmobility_scale = 2.5\n", "line 10: unknown key 'mobility_scale' in [weights]"),
+        ("[weights]\ninvert_battery_trust = false\n", "line 10: unknown key 'invert_battery_trust' in [weights]"),
         ("[params]\nprovider = bogus\n", "unknown crypto provider 'bogus'"),
         # One adversary per node and per link: a second would never act.
         ("[adversaries]\nnode X drop_all\nnode X replay delay=2\n", "adversary 1: node X already has an adversary"),

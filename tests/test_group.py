@@ -87,24 +87,19 @@ def test_weight_hand_value_with_orientation_transform():
     assert weight(attrs, cfg) == pytest.approx(1.17)
 
 
-def test_weight_raw_mode():
-    cfg = WeightConfig(0.5, 0.3, 0.2, invert_battery_trust=False)
-    attrs = NodeAttributes("n", mobility_m=2.0, battery_b=0.5, trust_t=0.9)
-    assert weight(attrs, cfg) == pytest.approx(0.5 * 2 + 0.3 * 0.5 + 0.2 * 0.9)
-
-
-def test_weight_mobility_scale():
-    cfg = WeightConfig(1.0, 0.0, 0.0, mobility_scale=4.0)
-    attrs = NodeAttributes("n", mobility_m=2.0, battery_b=1.0, trust_t=1.0)
-    assert weight(attrs, cfg) == pytest.approx(0.5)
-
-
 def test_weight_config_must_sum_to_one():
     with pytest.raises(ValueError):
         WeightConfig(0.5, 0.3, 0.3)
     with pytest.raises(ValueError):
         WeightConfig(-0.2, 0.6, 0.6)
     WeightConfig(0.5, 0.3, 0.2 + 1e-12)  # within tolerance
+
+
+@pytest.mark.parametrize("w0", [math.nan, math.inf, 10**400])
+def test_weight_config_must_be_finite(w0):
+    # An int too large for a float is named as a ValueError, not an OverflowError.
+    with pytest.raises(ValueError, match="weight factors must be finite"):
+        WeightConfig(w0, 0.0, 0.0)
 
 
 def test_weight_monotone_in_mobility():

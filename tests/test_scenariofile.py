@@ -1,9 +1,11 @@
+import pathlib
+import re
 from dataclasses import fields
 
 import pytest
 
 from manetsec.group import WeightConfig
-from manetsec.scenariofile import ScenarioParseError, parse_scenario, scenario_to_text
+from manetsec.scenariofile import _SETTINGS, ScenarioParseError, parse_scenario, scenario_to_text
 from manetsec.sim import SimParams, validate_scenario
 from topologies import (
     churn_scenario,
@@ -137,7 +139,7 @@ def test_every_setting_reads_back():
         trust_initial=0.1 + 0.2,
         duration=90,
     )
-    weights = WeightConfig(0.1, 0.2, 0.7, invert_battery_trust=False, mobility_scale=2.5)
+    weights = WeightConfig(0.1, 0.2, 0.7)
     for value, default in ((params, SimParams()), (weights, WeightConfig())):
         assert all(getattr(value, f.name) != getattr(default, f.name) for f in fields(value))
     scenario = line_scenario(["A", "B"], seed=-(2**63), weights=weights, provider_name="real")
@@ -145,3 +147,12 @@ def test_every_setting_reads_back():
     text = scenario_to_text(scenario)
     assert "trust_initial = 0.30000000000000004" in text
     assert parse_scenario(text) == scenario
+
+
+@pytest.mark.parametrize("section", ["params", "weights"])
+def test_readme_lists_every_settings_key(section):
+    # The README's scenario-file block names each key of the two settings
+    # sections, in order; a field added or removed must change it too.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    listed = re.search(rf"^\[{section}\] +keys: (.*?)(?=^\[)", readme, re.M | re.S).group(1)
+    assert re.findall(r"\w+", re.sub(r"\(.*?\)", "", listed)) == list(_SETTINGS[section])

@@ -98,8 +98,6 @@ def test_validation_rejects_bad_weights():
     object.__setattr__(scenario.weights, "w0", 0.5)
     object.__setattr__(scenario.weights, "w1", 0.3)
     object.__setattr__(scenario.weights, "w2", 0.3)
-    object.__setattr__(scenario.weights, "invert_battery_trust", True)
-    object.__setattr__(scenario.weights, "mobility_scale", None)
     problems = "\n".join(validate_scenario(scenario))
     assert "w0 + w1 + w2 = 1" in problems
 
@@ -238,6 +236,50 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
         # member listed twice is no member of a second group.
         (lambda s: setattr(s, "faults", {"leak_kye"}), "unknown fault 'leak_kye'"),
         (lambda s: setattr(s.groups[0], "members", ["A", "A"]), "group g1: lists member A twice"),
+        # A number too large for a float would overflow in the run, or in
+        # the validator itself.
+        (
+            lambda s: setattr(s.nodes[0], "trace", [(10**400, 0.0)]),
+            f"node A: trace point {(10**400, 0.0)!r} is not an (x, y) pair of finite numbers",
+        ),
+        (lambda s: object.__setattr__(s.weights, "w0", 10**400), "weight factors must be finite"),
+        (
+            lambda s: setattr(s.params, "radio_radius", 10**400),
+            f"radio_radius must be finite and positive, not {10**400!r}",
+        ),
+        # Each problem below has a check of its own that no other test reaches.
+        (lambda s: setattr(s.nodes[0], "trace", []), "node A: empty position trace"),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("jam", ("link", "A", "B"))),
+            "adversary 0: unknown behavior 'jam'",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("drop_probabilistic", ("link", "A", "B"), {"p": 1.5})),
+            "adversary 0: drop probability must be within [0, 1]",
+        ),
+        (
+            lambda s: s.adversaries.append(AdversarySpec("replay", ("link", "A", "B"), {"delay": -1})),
+            "adversary 0: replay delay must be a non-negative integer, not -1",
+        ),
+        (lambda s: s.script.append(Action(1, "dance", ("A",))), "unknown action 'dance'"),
+        (lambda s: s.expectations.append(Expectation("routed", ("A", "B"))), "unknown expectation 'routed'"),
+        (
+            lambda s: (
+                s.nodes.append(NodeSpec("C", [(50.0, 60.0)], 0.5)),
+                s.adversaries.append(AdversarySpec("drop_all", ("node", "C"))),
+                s.script.append(Action(1, "leave", ("C",))),
+            ),
+            "action leave: 'C' is adversarial, not a protocol node",
+        ),
+        (
+            lambda s: s.script.append(Action(1, "forged_join", ("A", "g1"))),
+            "action forged_join: 'A' is not an adversarial node",
+        ),
+        (
+            lambda s: (s.nodes.append(NodeSpec("C", [(50.0, 60.0)], 0.5)), s.groups.append(GroupSpec("g1", 4, ["C"]))),
+            "duplicate group id 'g1'",
+        ),
+        (lambda s: s.groups.append(GroupSpec("g2", 4, ["A"])), "node A appears in more than one group"),
     ],
 )
 def test_validation_names_malformed_groups_and_nodes(edit, problem):

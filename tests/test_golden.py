@@ -23,12 +23,17 @@ and one walking every tick, pin radio reach where many nodes share a
 neighbourhood; two 256-node ones pin the scale the founding fan-out and the
 per-source path search were sped up for.
 
-The benchmark's own reference (``perfbench/reference.json``) is checked
-here too, on a slice of each workload's pool: it is the only table that
-pins the audit text of benign runs, so an auditor change that drifts a
-verdict fails the suite and not only the benchmark.
+Each case's audit text is pinned too, in ``golden_audit_digests.json``:
+sixteen of the cases FAIL some property, so the table holds failing
+verdicts and their counterexamples as well as passing ones, and an auditor
+change that drifts any of them fails the suite.  The benchmark's own
+reference (``perfbench/reference.json``) is checked here as well, on a
+slice of each workload's pool, so the audit text of the benchmarked runs
+is pinned in the suite and not only in the benchmark.
 
-To print the table for the current code: ``PYTHONPATH=src python tests/test_golden.py``.
+To print the log table for the current code:
+``PYTHONPATH=src python tests/test_golden.py``; to print the audit table:
+``PYTHONPATH=src python tests/test_golden.py audit``.
 """
 
 import hashlib
@@ -60,6 +65,8 @@ HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "scenarios")
 with open(os.path.join(HERE, "golden_digests.json")) as fh:
     GOLDEN = json.load(fh)
+with open(os.path.join(HERE, "golden_audit_digests.json")) as fh:
+    GOLDEN_AUDIT = json.load(fh)
 with open(os.path.join(HERE, "..", "perfbench", "reference.json")) as fh:
     BENCHMARK_REFERENCE = json.load(fh)["workloads"]
 
@@ -251,11 +258,15 @@ def digest(log) -> str:
     return hashlib.sha256(log.to_text().encode() + log.payload_blob()).hexdigest()
 
 
+def audit_digest(log) -> str:
+    return hashlib.sha256(audit(log).to_text().encode()).hexdigest()
+
+
 CASES = cases()
 
 
 def test_table_names_every_case():
-    assert sorted(GOLDEN) == sorted(case_id for case_id, _ in CASES)
+    assert sorted(GOLDEN) == sorted(GOLDEN_AUDIT) == sorted(case_id for case_id, _ in CASES)
 
 
 @pytest.mark.parametrize("case_id,build", CASES, ids=[case_id for case_id, _ in CASES])
@@ -264,6 +275,7 @@ def test_golden_digest(case_id, build):
     assert digest(log) == GOLDEN[case_id]
     # The log reads back as the very events that were logged.
     assert parse_log_text(log.to_text()).events == log.events
+    assert audit_digest(log) == GOLDEN_AUDIT[case_id]
 
 
 GATEWAY_CASES = [f"{name}:{seed}" for name in ("two_group", "ring_data", "leader_session") for seed in (1, 2, 3)]
@@ -301,5 +313,6 @@ def test_benchmark_reference_digests(workload, seed):
 
 
 if __name__ == "__main__":
-    json.dump({case_id: digest(run(build())) for case_id, build in CASES}, sys.stdout, indent=1, sort_keys=True)
+    pin = audit_digest if sys.argv[1:] == ["audit"] else digest
+    json.dump({case_id: pin(run(build())) for case_id, build in CASES}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

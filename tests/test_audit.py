@@ -126,6 +126,31 @@ def test_route_and_session_expectations_match_whole_parts():
     assert audit(log).met == list(expected.values())
 
 
+def test_admission_and_alert_expectations_match_their_subject():
+    # Only a handshake admits in the sense of `admitted`: P's founding
+    # admission is no join.  An alert matches the node it accuses.
+    events = [
+        SimEvent(1, 0, "admit", "L", None, "N", "-", ("handshake",)),
+        SimEvent(1, 1, "admit", "L", None, "P", "-", ("founding",)),
+        SimEvent(2, 2, "alert", "L", None, "M", "-", ("not_a_member",)),
+    ]
+    expected = {
+        ("admitted", ("N",)): True,
+        ("admitted", ("P",)): False,
+        ("not_admitted", ("N",)): False,
+        ("not_admitted", ("P",)): True,
+        ("alerted", ("M",)): True,
+        ("alerted", ("N",)): False,
+    }
+    log = EventLog(events=events, complete=True)
+    log.registry.node_names = ["L", "M", "N", "P"]
+    log.registry.expectations = [Expectation(kind, args) for kind, args in expected]
+    report = audit(log)
+    assert report.met == list(expected.values())
+    # Of the three missed, only `not_admitted N` matched an event.
+    assert report.result("detection_outcomes").line() == "detection_outcomes: FAIL at events 0"
+
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 FAULT_CASES = ("plain", "leak_key", "skip_rekey", "forge_admit")
 REAUDITED = [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.endswith(".scn")] + [
@@ -521,6 +546,30 @@ def test_transmission_pairs_are_read_by_name_wherever_they_stand():
         assert scrambled.result(name).line() == canonical.result(name).line()
 
 
+def test_causality_judges_each_outcome_against_its_latest_earlier_send():
+    # tx 1 is delivered, then sent: the delivery precedes its send.  tx 2 is
+    # dropped before it is sent.  tx 3 is sent at ticks 1 and 3; each
+    # delivery is due `hops` ticks after the latest send logged before it.
+    shapes = [
+        (2, "deliver", "A", "B", ("DATA", ("tx", "1"))),
+        (2, "send", "A", None, ("DATA", ("to", "*"), ("ch", "radio"), ("tx", "1"))),
+        (2, "drop", "A", "C", ("dead", ("tx", "2"))),
+        (2, "send", "A", None, ("DATA", ("to", "C"), ("ch", "radio"), ("tx", "2"))),
+        (1, "send", "A", None, ("DATA", ("to", "*"), ("ch", "radio"), ("tx", "3"))),
+        (2, "deliver", "A", "B", ("DATA", ("tx", "3"))),  # on time after the tick-1 send
+        (3, "send", "A", None, ("DATA", ("to", "*"), ("ch", "radio"), ("tx", "3"))),
+        (4, "deliver", "A", "C", ("DATA", ("tx", "3"))),  # on time after the tick-3 send
+        (4, "deliver", "A", "D", ("DATA", ("hops", "3"), ("tx", "3"))),  # due at 6, not 4
+    ]
+    events = [
+        SimEvent(tick, seq, kind, actor, recipient, "", "-", parts)
+        for seq, (tick, kind, actor, recipient, parts) in enumerate(shapes)
+    ]
+    report = audit(EventLog(events=events, complete=True))
+    assert report.result("causality").counterexamples == [0, 2, 8]
+    assert report.result("conservation").passed
+
+
 def _append(log, event, provider=None, message=None):
     """Append a copy of `event` at the log's last tick, carrying `message`
     as its payload when one is given; return its index."""
@@ -595,6 +644,19 @@ def _rekey_to_another_opens_for_the_departed():
     return log, "backward_secrecy", [_append(log, send, provider, crafted)]
 
 
+def _member_speaks_under_a_key_it_has_replaced():
+    # n1 received epoch 2 at tick 24; at the last tick it still chats under
+    # epoch 1, which the departed n3 holds.  No rekey in flight excuses it.
+    log, provider, rng = _benign_line()
+    old_key = next(value for _, _, label, value in log.registry.secrets if label == ("group_key", "g1-1", 1))
+    stale = msg(
+        MessageKind.DATA, group="g1", lineage="g1-1", epoch=1, route=[], hop=0,
+        sealed=provider.sym_encrypt(old_key, b"stale chat", rng),
+    )
+    send = SimEvent(0, 0, "send", "n1", None, "", "-", ("DATA", ("to", "*")))
+    return log, "backward_secrecy", [_append(log, send, provider, stale)]
+
+
 @pytest.mark.parametrize(
     "breach",
     [
@@ -604,6 +666,7 @@ def _rekey_to_another_opens_for_the_departed():
         _request_processed_twice,
         _epoch_restated,
         _rekey_to_another_opens_for_the_departed,
+        _member_speaks_under_a_key_it_has_replaced,
     ],
     ids=lambda breach: breach.__name__.lstrip("_"),
 )

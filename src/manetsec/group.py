@@ -29,6 +29,11 @@ TRUST_DELTAS = {
 }
 
 
+def _finite(value) -> bool:
+    """True for a finite number; an int too large for a float is not one."""
+    return abs(value) <= sys.float_info.max
+
+
 def mobility(trace: Sequence[Position]) -> float:
     """Mean per-step displacement along a position trace.
 
@@ -38,7 +43,7 @@ def mobility(trace: Sequence[Position]) -> float:
     if len(trace) == 0:
         raise ValueError("trace must contain at least one sample")
     for x, y in trace:
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (_finite(x) and _finite(y)):
             raise ValueError("trace coordinates must be finite")
     if len(trace) == 1:
         return 0.0
@@ -60,7 +65,7 @@ class NodeAttributes:
 
     def __post_init__(self):
         for name in ("mobility_m", "battery_b", "trust_t"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "battery_b", min(1.0, max(0.0, self.battery_b)))
         object.__setattr__(self, "trust_t", min(1.0, max(0.0, self.trust_t)))
@@ -73,8 +78,7 @@ class WeightConfig:
     w2: float = 0.2
 
     def __post_init__(self):
-        # An int too large for a float is no finite weight either.
-        if not all(abs(w) <= sys.float_info.max for w in (self.w0, self.w1, self.w2)):
+        if not all(map(_finite, (self.w0, self.w1, self.w2))):
             raise ValueError("weight factors must be finite")
         if min(self.w0, self.w1, self.w2) < 0:
             raise ValueError("weight factors must be non-negative")

@@ -41,6 +41,23 @@ def test_mobility_rejects_bad_traces():
         mobility([(0.0, float("inf")), (1.0, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "point", [(math.nan, 0.0), (0.0, -math.inf), (10**400, 0.0), (0.0, -(10**400))], ids=["nan", "inf", "big", "-big"]
+)
+def test_mobility_names_a_coordinate_that_is_not_finite(point):
+    # An int too large for a float is named as a ValueError, not an OverflowError.
+    with pytest.raises(ValueError, match="trace coordinates must be finite"):
+        mobility([(1.0, 1.0), point])
+
+
+@pytest.mark.parametrize("field", ["mobility_m", "battery_b", "trust_t"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400, -(10**400)], ids=["nan", "inf", "big", "-big"])
+def test_node_attributes_must_be_finite(field, value):
+    values = {"mobility_m": 0.5, "battery_b": 0.5, "trust_t": 0.5, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        NodeAttributes("n", **values)
+
+
 _coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 _traces = st.lists(st.tuples(_coords, _coords), min_size=2, max_size=10)
 

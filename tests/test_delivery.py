@@ -265,3 +265,28 @@ def test_member_adopts_no_key_of_the_wrong_size(forged):
     if forged != "member_set":
         sim._step(name, node.send_data, "*", "still keyed")
         assert sim.log.events[-1].kind == "send" and sim.log.events[-1].detail.startswith("DATA:to=*:")
+
+
+@pytest.mark.parametrize(
+    "case,reason",
+    [("last_hop", "no_key"), ("last_hop", "auth"), ("relay", "no_key"), ("relay", "auth")],
+    ids=lambda value: value,
+)
+def test_undecryptable_data_is_dropped_and_neither_consumed_nor_relayed(case, reason):
+    # A chat routed to M1, as its destination or as a relay on to N, under
+    # an epoch M1 does not hold or under its own key with a failing tag.
+    sim = _copy_of_fixture()
+    node, rng = sim.nodes["M1"], random.Random(5)
+    (lineage, epoch), key = next(iter(node.member.keyring.items()))
+    plain = seal_plain(MessageKind.DATA, "chat", tag="chat", source="L1", text="hello")
+    sealed = sim.provider.sym_encrypt(key, plain, rng)
+    if reason == "no_key":
+        lineage, epoch = "g1-7", 7
+    else:
+        sealed = sealed[:-1] + bytes([sealed[-1] ^ 1])
+    route = ["L1", "M1"] + (["N"] if case == "relay" else [])
+    data = msg(MessageKind.DATA, group="g1", lineage=lineage, epoch=epoch, route=route, hop=1, sealed=sealed)
+    held, logged = dict(node.member.keyring), len(sim.log.events)
+    sim._step("M1", node.handle, Envelope(data, "L1", "M1"))
+    assert [(e.kind, e.detail) for e in sim.log.events[logged:]] == [("drop", f"data_undecryptable:{reason}")]
+    assert node.member.keyring == held

@@ -19,7 +19,7 @@ from manetsec.keymgmt import (
     derive_member_key,
     leader_ring_agree,
 )
-from manetsec.messages import MessageKind, seal_plain
+from manetsec.messages import MessageKind, msg, open_sealed, seal_plain
 from manetsec.runtime import Ctx
 
 
@@ -36,6 +36,7 @@ def world(provider):
         pass
 
     w = World()
+    w.notes = []
     w.provider = provider
     w.rng = rng
     w.authority = authority
@@ -97,7 +98,8 @@ def test_certificate_roundtrip(provider, rng):
 
 
 def run_join(w, joiner_name, tamper=None, max_steps=20):
-    """Ferry messages between leader and joiner; returns all envelopes."""
+    """Ferry messages between leader and joiner; returns all envelopes.
+    The notes both sides leave are gathered, in order, in `w.notes`."""
     member = MemberKeyService(
         joiner_name, w.keys[joiner_name], w.certs[joiner_name], w.provider
     )
@@ -129,6 +131,7 @@ def run_join(w, joiner_name, tamper=None, max_steps=20):
                 member.handle_join(env.message, ctx)
             else:
                 continue
+            w.notes.extend(ctx.notes)
             deliver(ctx.outbound)
 
     ctx = make_ctx(joiner_name, 0, w.rng, w.provider)
@@ -219,6 +222,86 @@ def test_join_aborts_on_member_key_of_wrong_size(world):
     assert member.join.phase == JoinPhase.REJECTED
     assert member.member_key is None
     assert MessageKind.NONCE not in [env.message.kind for env in transcript]
+
+
+def _replace(env, **fields):
+    return env.__class__(message=env.message.replace(**fields), sender=env.sender, to=env.to, channel=env.channel)
+
+
+def _flip(sealed):
+    """`sealed` with its last byte changed: it fails authentication."""
+    return sealed[:-1] + bytes([sealed[-1] ^ 1])
+
+
+def _wrong_nonce(world, env):
+    """The MEMBER_SET resealed under the pending member key with a nonce one
+    off from the one the joiner sent."""
+    key = world.leader.join_sessions["N"].pending_key
+    opened = open_sealed(env.message.kind, world.provider.sym_decrypt(key, env.message["sealed"]))
+    plain = seal_plain(MessageKind.MEMBER_SET, **dict(opened, nonce=opened["nonce"] + 1))
+    return _replace(env, sealed=world.provider.sym_encrypt(key, plain, world.rng))
+
+
+# (kind tampered with, the tampering, the side that refuses it, its verdict)
+TAMPERED_JOINS = {
+    "commitment_count": (
+        MessageKind.ZK_PARAMS, lambda w, env: _replace(env, commitments=env.message["commitments"][:-1]),
+        "member", "join_abort:bad_commitment_count",
+    ),
+    "challenge_count": (
+        MessageKind.ZK_CHALLENGE, lambda w, env: _replace(env, challenges=env.message["challenges"][:-1]),
+        "leader", "join_rejected:bad_challenge_count",
+    ),
+    "response_count": (
+        MessageKind.ZK_RESPONSE, lambda w, env: _replace(env, responses=env.message["responses"][:-1]),
+        "member", "join_abort:bad_response_count",
+    ),
+    "admit_seal": (
+        MessageKind.ADMIT, lambda w, env: _replace(env, sealed=_flip(env.message["sealed"])),
+        "member", "join_abort:bad_admit_seal",
+    ),
+    "nonce_seal": (
+        MessageKind.NONCE, lambda w, env: _replace(env, sealed=_flip(env.message["sealed"])),
+        "leader", "join_rejected:bad_nonce_seal",
+    ),
+    "member_set_seal": (
+        MessageKind.MEMBER_SET, lambda w, env: _replace(env, sealed=_flip(env.message["sealed"])),
+        "member", "join_abort:bad_member_set_seal",
+    ),
+    "nonce_mismatch": (MessageKind.MEMBER_SET, _wrong_nonce, "member", "join_abort:nonce_mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_JOINS))
+def test_tampered_join_step_is_refused_and_adopts_nothing(world, case):
+    kind, tampering, side, verdict = TAMPERED_JOINS[case]
+    epoch, leader_key = world.leader.epoch, world.leader.group_key
+
+    def tamper(env):
+        return tampering(world, env) if env.message.kind == kind else None
+
+    member, transcript = run_join(world, "N", tamper=tamper)
+    notes = [(n.kind, n.detail, n.about) for n in world.notes]
+    assert notes[-1] == ("verdict", verdict, "N")
+    kinds = [env.message.kind for env in transcript]
+    # Nothing answers the refused step; a MEMBER_SET's REKEY to the group
+    # goes out with it.
+    assert [k for k in kinds if k != MessageKind.REKEY][-1] == kind
+    refusing = world.leader.join_sessions["N"] if side == "leader" else member.join
+    assert refusing.phase == JoinPhase.REJECTED
+    # The joiner holds no group key.  The leader adds it to its view, under
+    # a new epoch, only once the nonce round trip completes, which a refused
+    # MEMBER_SET follows.
+    assert member.group_key is None and member.group_id is None and member.lineage is None
+    if case in ("member_set_seal", "nonce_mismatch"):
+        assert "N" in world.leader.member_view and world.leader.epoch == epoch + 1
+    else:
+        assert "N" not in world.leader.member_view
+        assert (world.leader.epoch, world.leader.group_key) == (epoch, leader_key)
+    # The joiner takes its member key and leader from an ADMIT it opened,
+    # and only then sends its NONCE.
+    opened_admit = MessageKind.NONCE in kinds
+    assert (member.member_key is not None, member.leader is not None) == (opened_admit, opened_admit)
 
 
 def test_out_of_order_message_rejects_session(world):
@@ -361,6 +444,31 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     outsider.handle_rekey(rekey.message, out_ctx)
     assert outsider.group_key is None
     assert any("rekey_undecryptable" in n.detail for n in out_ctx.notes)
+
+
+@pytest.mark.parametrize("mode", ["group", "public"])
+def test_unopenable_rekey_is_refused_and_adopts_nothing(world, rng, mode):
+    # M1 holds epoch 1.  A group-mode rekey under that epoch that fails
+    # authentication, or the founding rekey sealed to M2, is refused.
+    ctx = make_ctx("L", 0, rng, world.provider)
+    world.leader.found_group([("M1", world.keys["M1"].public), ("M2", world.keys["M2"].public)], ctx, "founding")
+    m1 = MemberKeyService("M1", world.keys["M1"], world.certs["M1"], world.provider)
+    m1.handle_rekey(next(env for env in ctx.outbound if env.to == "M1").message, make_ctx("M1", 1, rng, world.provider))
+    if mode == "group":
+        plain = seal_plain(
+            MessageKind.REKEY, "group", group_key=world.provider.generate_symmetric_key(rng), epoch=2,
+            lineage="g1-1", rows=[],
+        )
+        sealed = _flip(world.provider.sym_encrypt(m1.group_key, plain, rng))
+        rekey, verdict = msg(MessageKind.REKEY, group="g1", lineage="g1-1", epoch=1, mode="group", sealed=sealed), "auth"
+    else:
+        rekey, verdict = next(env for env in ctx.outbound if env.to == "M2").message, "not_addressee"
+    held = (m1.group_id, m1.lineage, m1.epoch, dict(m1.keyring), m1.member_key, m1.leader, m1.leader_public)
+    m1_ctx = make_ctx("M1", 2, rng, world.provider)
+    m1.handle_rekey(rekey, m1_ctx)
+    assert [(n.kind, n.detail, n.about) for n in m1_ctx.notes] == [("verdict", f"rekey_undecryptable:{verdict}", "M1")]
+    assert (m1.group_id, m1.lineage, m1.epoch, dict(m1.keyring), m1.member_key, m1.leader, m1.leader_public) == held
+    assert m1.group_key == world.leader.group_key
 
 
 def test_found_group_notes_each_admit_then_one_rekey(world, rng):

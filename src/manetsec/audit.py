@@ -19,13 +19,18 @@ ciphertext under an old epoch only counts against backward secrecy if its
 sender had already received newer key material when it spoke.
 
 An audit reads the log once.  Events hold their principals and detail
-parts as fields, and one pass over them builds the index all ten checks
-read from: event positions by kind and deliveries by recipient, the rekey
-timeline and the membership intervals.  The index wraps no event; the
-checks read the log's own events by position.  Each distinct payload is
-decoded at most once, each principal's knowledge set is closed once and
-shared by both secrecy checks, and each distinct (key, ciphertext) trial
-decryption runs once, its outcome shared by every principal that tries it.
+parts as fields, and one pass over them gathers every fact the ten checks
+share: event positions by kind and deliveries by recipient; the rekey
+points in log order, by group and by key; the membership changes and
+intervals; the handshake steps (`zk_ok` and `cert_ok` verdicts and
+handshake admissions) in log order; and each delivery or drop of a
+numbered transmission with the tick of that transmission's latest send so
+far.  No property walks the log again: each judges lists the pass already
+holds, and secret confinement reads the events only when some payload
+leaks.  Each distinct payload is decoded at most once, each principal's
+knowledge set is closed once and shared by both secrecy checks, and each
+distinct (key, ciphertext) trial decryption runs once, its outcome shared
+by every principal that tries it.
 """
 
 from __future__ import annotations
@@ -86,7 +91,6 @@ class KnowledgeSet:
 
 @dataclass
 class RekeyPoint:
-    index: int  # position in the group's rekey order
     event_index: int
     tick: int
     lineage: str
@@ -101,15 +105,38 @@ class MembershipChange:
     change: str  # "in" | "out"
 
 
+def _transmission(event: SimEvent) -> tuple:
+    """The event's transmission number (None when it has none) and hop
+    count (1 when it names none).
+
+    The simulator ends a transmission's parts with its `tx` pair, just
+    after its `hops` pair when it has one; a delivery or drop whose only
+    other part is a word names no hops.  Those parts are read by position,
+    any other by name."""
+    parts = event.parts
+    last = parts[-1] if parts else ""
+    if isinstance(last, str) or last[0] != "tx":
+        return event.get("tx"), int(event.get("hops", 1))
+    if len(parts) > 1:
+        before = parts[-2]
+        if isinstance(before, str):
+            if len(parts) == 2:
+                return last[1], 1
+        elif before[0] == "hops":
+            return last[1], int(before[1])
+    return last[1], int(event.get("hops", 1))
+
+
 class _LogIndex:
     """What the property checks read, built in one pass over the log.
 
     It lives for one `audit()` (or one `knowledge_set()`) call.  It holds
-    event positions, not events: `by_kind` and `received` index into
-    `events`, the log's own list.  Payloads are decoded on first use and
-    each principal's knowledge set is closed on first use; both are then
-    kept for the index's life, as is the outcome of each symmetric trial
-    decryption (see `sym_open`).
+    event positions, not events: `by_kind`, `received` and the gathered
+    records index into `events`, the log's own list.  Each send, delivery
+    and drop is read once, here, through `_transmission`.  Payloads are
+    decoded on first use and each principal's knowledge set is closed on
+    first use; both are then kept for the index's life, as is the outcome
+    of each symmetric trial decryption (see `sym_open`).
     """
 
     def __init__(self, log: EventLog):
@@ -120,27 +147,54 @@ class _LogIndex:
         self.horizon = log.events[-1].tick if log.events else 0
         self.by_kind: dict[str, list] = defaultdict(list)  # kind -> positions
         self.received: dict[str, list] = defaultdict(list)  # recipient -> positions of deliveries carrying a payload
-        self.timeline: dict[str, list] = {}  # group -> rekey points; lineage prefix names the group
+        self.rekeys = []  # rekey points in log order
+        self.rekey_counts: dict[str, int] = {}  # group -> its rekeys; a lineage's prefix names its group
+        self.key_positions: dict = {}  # (group, lineage, epoch) -> its first position in the group's rekey order
         self.changes = []  # membership changes in log order
+        self.handshakes = []  # (position, "zk_ok" | "cert_ok" | "handshake", node) in log order
+        # (position, (tx, recipient), tick of the tx's latest send so far or
+        # None, the send tick the outcome implies) of each delivery or drop
+        # of a numbered transmission.  A delivery implies a send `hops` ticks
+        # before it; a drop only needs a send before it, so it implies that one.
+        self.transmissions = []
         self._messages: dict = {}
         self._knowledge: dict = {}
         self._trials: dict = {}  # sealed -> {key: plaintext, or None when it does not open}
         leaders: dict[str, str] = {}
-        by_kind, received = self.by_kind, self.received
+        latest: dict[str, int] = {}  # tx -> tick of its latest send so far
+        by_kind, received, transmissions = self.by_kind, self.received, self.transmissions
         for i, event in enumerate(log.events):
             kind = event.kind
             by_kind[kind].append(i)
-            if kind == "deliver" and event.digest != "-":
-                received[event.recipient].append(i)
+            if kind == "send":
+                tx = _transmission(event)[0]
+                if tx is not None:
+                    latest[tx] = event.tick
+            elif kind == "deliver" or kind == "drop":
+                if kind == "deliver" and event.digest != "-":
+                    received[event.recipient].append(i)
+                tx, hops = _transmission(event)
+                if tx is not None:
+                    sent = latest.get(tx)
+                    implied = event.tick - hops if kind == "deliver" else sent
+                    transmissions.append((i, (tx, event.recipient or event.principals), sent, implied))
+            elif kind == "verdict":
+                if event.parts == ("zk_ok",) or event.parts == ("cert_ok",):
+                    self.handshakes.append((i, event.parts[0], event.about))
             elif kind == "rekey" and event.word != "ring":
                 lineage, epoch = event.get("lineage"), event.get("epoch")
                 if lineage is not None and epoch is not None:
-                    points = self.timeline.setdefault(lineage.rsplit("-", 1)[0], [])
-                    points.append(RekeyPoint(len(points), i, event.tick, lineage, int(epoch)))
+                    group, epoch = lineage.rsplit("-", 1)[0], int(epoch)
+                    count = self.rekey_counts.get(group, 0)
+                    self.key_positions.setdefault((group, lineage, epoch), count)
+                    self.rekey_counts[group] = count + 1
+                    self.rekeys.append(RekeyPoint(i, event.tick, lineage, epoch))
             elif kind in ("admit", "remove"):
                 self.changes.append(
                     MembershipChange(i, event.tick, event.about, "in" if kind == "admit" else "out")
                 )
+                if kind == "admit" and event.parts == ("handshake",):
+                    self.handshakes.append((i, "handshake", event.about))
             elif kind == "elect":
                 group = event.get("group")
                 previous = leaders.get(group)
@@ -310,7 +364,7 @@ def _harvest_keys(message, plain, sym_keys) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Ciphertexts and timelines
+# Ciphertexts and membership
 # ---------------------------------------------------------------------------
 
 
@@ -361,28 +415,20 @@ def _collect_ciphertexts(index: _LogIndex):
     return group_ct, pk_ct
 
 
-def _key_position(timeline: dict, group: str, lineage: str, epoch: int) -> Optional[int]:
-    for point in timeline.get(group, []):
-        if point.lineage == lineage and point.epoch == epoch:
-            return point.index
-    return None
-
-
-def _stale_sender_excused(
-    deliveries: dict, timeline: dict, sender: str, group: str, lineage: str, epoch: int, tick: int
-) -> bool:
-    """True when speaking under (lineage, epoch) at `tick` was honest
-    staleness: a newer key had been minted, but the sender's copy of that
-    rekey had not reached it yet.  If no newer key exists at all, the
-    missing rotation is precisely the violation and nothing is excused."""
-    position = _key_position(timeline, group, lineage, epoch)
-    points = timeline.get(group, [])
-    if position is None or position >= len(points) - 1:
+def _stale_sender_excused(index: _LogIndex, ct: GroupCiphertext) -> bool:
+    """True when the ciphertext's sender spoke under its (lineage, epoch)
+    at its tick in honest staleness: a newer key had been minted, but the
+    sender's copy of that rekey had not reached it yet.  If no newer key
+    exists at all, the missing rotation is precisely the violation and
+    nothing is excused."""
+    positions = index.key_positions
+    position = positions.get((ct.group, ct.lineage, ct.epoch))
+    if position is None or position >= index.rekey_counts[ct.group] - 1:
         return False
-    for deliver_tick, got_lineage, got_epoch in deliveries.get(sender, []):
-        if deliver_tick + 1 > tick:
+    for deliver_tick, got_lineage, got_epoch in index.rekeys_received.get(ct.sender, []):
+        if deliver_tick + 1 > ct.tick:
             continue
-        got_position = _key_position(timeline, group, got_lineage, got_epoch)
+        got_position = positions.get((ct.group, got_lineage, got_epoch))
         if got_position is not None and got_position > position:
             return False  # it already held newer material and spoke old anyway
     return True
@@ -402,8 +448,9 @@ def _membership_intervals(changes: list) -> dict:
     return intervals
 
 
-def _was_member_at(intervals: dict, node: str, tick: int) -> bool:
-    for start, end in intervals.get(node, []):
+def _was_member_at(spans: list, tick: int) -> bool:
+    """Whether one of a node's membership spans covers `tick`."""
+    for start, end in spans:
         if start <= tick and (end is None or tick < end):
             return True
     return False
@@ -443,43 +490,40 @@ def _attempt_all(index: _LogIndex, knowledge: KnowledgeSet, sealed: bytes) -> bo
 
 def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
     group_ct, pk_ct = index.ciphertexts
-    timeline, intervals = index.timeline, index.intervals
+    intervals = index.intervals
     failures = []
     for change in index.changes:
         if change.change != "out":
             continue
         node, out_tick, out_idx = change.node, change.tick, change.event_index
         knowledge = index.knowledge(node)
+        spans = intervals.get(node, [])
         # Holding a group key minted after this departure, in log order, is
         # itself a leak, unless a later re-admission covers it.  A key minted
         # earlier in the departure's own tick was rightly sealed to the node.
-        for points in timeline.values():
-            for point in points:
-                if (
-                    point.event_index > out_idx
-                    and not _was_member_at(intervals, node, point.tick)
-                    and index.minted.get((point.lineage, point.epoch)) in knowledge.sym_keys
-                ):
-                    failures.append(out_idx)
+        for point in index.rekeys:
+            if (
+                point.event_index > out_idx
+                and not _was_member_at(spans, point.tick)
+                and index.minted.get((point.lineage, point.epoch)) in knowledge.sym_keys
+            ):
+                failures.append(out_idx)
         for ct in group_ct:
             if ct.tick < out_tick + KEY_PROPAGATION_TICKS:
                 continue
-            if _was_member_at(intervals, node, ct.tick):
+            if _was_member_at(spans, ct.tick):
                 continue
             # Only traffic a then-current member originated counts as group
             # traffic; stale chatter from an outsider is not protected data.
-            if not _was_member_at(intervals, ct.sender, ct.tick):
+            if not _was_member_at(intervals.get(ct.sender, []), ct.tick):
                 continue
-            if _attempt_all(index, knowledge, ct.sealed):
-                if not _stale_sender_excused(
-                    index.rekeys_received, timeline, ct.sender, ct.group, ct.lineage, ct.epoch, ct.tick
-                ):
-                    failures.append(ct.event_index)
+            if _attempt_all(index, knowledge, ct.sealed) and not _stale_sender_excused(index, ct):
+                failures.append(ct.event_index)
         if knowledge.private_key is not None:
             for ct in pk_ct:
                 if ct.tick < out_tick + KEY_PROPAGATION_TICKS or ct.recipient == node:
                     continue
-                if _was_member_at(intervals, node, ct.tick):
+                if _was_member_at(spans, ct.tick):
                     continue
                 try:
                     index.provider.pk_decrypt(knowledge.private_key, ct.sealed)
@@ -493,10 +537,10 @@ def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
     group_ct, _ = index.ciphertexts
     intervals = index.intervals
     failures = []
-    for _, join in index.of_kind("admit"):
-        if join.parts != ("handshake",):
+    for i, step, node in index.handshakes:
+        if step != "handshake":
             continue
-        node, join_tick = join.about, join.tick
+        join_tick = index.events[i].tick
         knowledge = index.knowledge(node)
         # Epochs inside earlier membership intervals of this node are its
         # own history, not "the past" this property protects.
@@ -504,12 +548,9 @@ def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
         for ct in group_ct:
             if ct.tick > join_tick:
                 continue
-            if not _was_member_at(intervals, ct.sender, ct.tick):
+            if not _was_member_at(intervals.get(ct.sender, []), ct.tick):
                 continue
-            legitimate = any(
-                start <= ct.tick and (end is None or ct.tick < end) for start, end in spans
-            )
-            if legitimate:
+            if _was_member_at(spans, ct.tick):
                 continue
             if _attempt_all(index, knowledge, ct.sealed):
                 failures.append(ct.event_index)
@@ -517,17 +558,17 @@ def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
 
 
 def _check_mutual_auth(index: _LogIndex) -> PropertyResult:
+    """Each handshake admission needs a `zk_ok` and a `cert_ok` for its node
+    since that node's previous one."""
     zk_ok: set = set()
     cert_ok: set = set()
     failures = []
-    for i, event in enumerate(index.events):
-        if event.kind == "verdict":
-            if event.parts == ("zk_ok",):
-                zk_ok.add(event.about)
-            elif event.parts == ("cert_ok",):
-                cert_ok.add(event.about)
-        elif event.kind == "admit" and event.parts == ("handshake",):
-            node = event.about
+    for i, step, node in index.handshakes:
+        if step == "zk_ok":
+            zk_ok.add(node)
+        elif step == "cert_ok":
+            cert_ok.add(node)
+        else:
             if node not in zk_ok or node not in cert_ok:
                 failures.append(i)
             zk_ok.discard(node)
@@ -609,76 +650,25 @@ def _check_detection_outcomes(index: _LogIndex) -> PropertyResult:
 def _check_epoch_monotonicity(index: _LogIndex) -> PropertyResult:
     failures = []
     last: dict[str, int] = {}
-    points = sorted((p for ps in index.timeline.values() for p in ps), key=lambda p: p.event_index)
-    for point in points:
+    for point in index.rekeys:
         if point.lineage in last and point.epoch <= last[point.lineage]:
             failures.append(point.event_index)
         last[point.lineage] = point.epoch
     return PropertyResult("epoch_monotonicity", not failures, failures)
 
 
-def _tx(event: SimEvent) -> Optional[str]:
-    """The event's transmission number, or None.  The simulator logs the
-    `tx` pair last, so that part is read first; the pairs are read by name
-    only when a hand-built or parsed log puts another part last."""
-    parts = event.parts
-    last = parts[-1] if parts else ""
-    if isinstance(last, str) or last[0] != "tx":
-        return event.get("tx")
-    return last[1]
-
-
-def _transmission(event: SimEvent) -> tuple:
-    """The event's transmission number (None when it has none) and hop
-    count (1 when it names none).
-
-    The simulator ends a transmission's parts with its `tx` pair, just
-    after its `hops` pair when it has one; a delivery whose only other part
-    is its kind word names no hops.  Those shapes are read by position, any
-    other by name."""
-    parts = event.parts
-    if len(parts) > 1:
-        last = parts[-1]
-        if not isinstance(last, str) and last[0] == "tx":
-            before = parts[-2]
-            if isinstance(before, str):
-                if len(parts) == 2:
-                    return last[1], 1
-            elif before[0] == "hops":
-                return last[1], int(before[1])
-    return event.get("tx"), int(event.get("hops", 1))
-
-
 def _check_causality(index: _LogIndex) -> PropertyResult:
-    sends = {}
-    failures = []
-    for i, event in enumerate(index.events):
-        kind = event.kind
-        if kind == "deliver" or kind == "drop":
-            tx, hops = _transmission(event)
-            if tx is None:
-                continue
-            sent = sends.get(tx)
-            if sent is None or (kind == "deliver" and event.tick != sent + hops):
-                failures.append(i)
-        elif kind == "send":
-            tx = _tx(event)
-            if tx is not None:
-                sends[tx] = event.tick
+    """Each delivery or drop follows a send of its transmission; a delivery
+    arrives `hops` ticks after the latest such send."""
+    failures = [i for i, _, sent, implied in index.transmissions if sent is None or implied != sent]
     return PropertyResult("causality", not failures, failures)
 
 
 def _check_conservation(index: _LogIndex) -> PropertyResult:
+    """No recipient has two outcomes of one transmission."""
     outcomes = set()
     failures = []
-    for i, event in enumerate(index.events):
-        kind = event.kind
-        if kind != "deliver" and kind != "drop":
-            continue
-        tx = _tx(event)
-        if tx is None:
-            continue
-        key = (tx, event.recipient or event.principals)
+    for i, key, _, _ in index.transmissions:
         if key in outcomes:
             failures.append(i)
         outcomes.add(key)
@@ -686,6 +676,8 @@ def _check_conservation(index: _LogIndex) -> PropertyResult:
 
 
 def _check_secret_confinement(index: _LogIndex) -> PropertyResult:
+    """No payload holds a member secret.  The events are walked, for the
+    positions that carry one, only when some payload does."""
     secrets = [
         value
         for _, _, label, value in index.registry.secrets
@@ -696,5 +688,5 @@ def _check_secret_confinement(index: _LogIndex) -> PropertyResult:
         for digest, payload in index.payloads.items()
         if any(secret in payload for secret in secrets)
     }
-    failures = [i for i, event in enumerate(index.events) if event.digest in leaking]
+    failures = [i for i, event in enumerate(index.events) if event.digest in leaking] if leaking else []
     return PropertyResult("secret_confinement", not failures, failures)

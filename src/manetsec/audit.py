@@ -145,7 +145,9 @@ class _LogIndex:
         self.provider = make_provider(log.registry.provider_name)
         self.events = log.events
         self.horizon = log.events[-1].tick if log.events else 0
-        self.by_kind: dict[str, list] = defaultdict(list)  # kind -> positions
+        # kind -> positions, for every kind but deliveries and drops, which
+        # `received` and `transmissions` hold
+        self.by_kind: dict[str, list] = defaultdict(list)
         self.received: dict[str, list] = defaultdict(list)  # recipient -> positions of deliveries carrying a payload
         self.rekeys = []  # rekey points in log order
         self.rekey_counts: dict[str, int] = {}  # group -> its rekeys; a lineage's prefix names its group
@@ -165,12 +167,7 @@ class _LogIndex:
         by_kind, received, transmissions = self.by_kind, self.received, self.transmissions
         for i, event in enumerate(log.events):
             kind = event.kind
-            by_kind[kind].append(i)
-            if kind == "send":
-                tx = _transmission(event)[0]
-                if tx is not None:
-                    latest[tx] = event.tick
-            elif kind == "deliver" or kind == "drop":
+            if kind == "deliver" or kind == "drop":
                 if kind == "deliver" and event.digest != "-":
                     received[event.recipient].append(i)
                 tx, hops = _transmission(event)
@@ -178,6 +175,12 @@ class _LogIndex:
                     sent = latest.get(tx)
                     implied = event.tick - hops if kind == "deliver" else sent
                     transmissions.append((i, (tx, event.recipient or event.principals), sent, implied))
+                continue
+            by_kind[kind].append(i)
+            if kind == "send":
+                tx = _transmission(event)[0]
+                if tx is not None:
+                    latest[tx] = event.tick
             elif kind == "verdict":
                 if event.parts == ("zk_ok",) or event.parts == ("cert_ok",):
                     self.handshakes.append((i, event.parts[0], event.about))

@@ -300,8 +300,7 @@ def test_tampered_join_step_is_refused_and_adopts_nothing(world, case):
         assert (world.leader.epoch, world.leader.group_key) == (epoch, leader_key)
     # The joiner takes its member key and leader from an ADMIT it opened,
     # and only then sends its NONCE.
-    opened_admit = MessageKind.NONCE in kinds
-    assert (member.member_key is not None, member.leader is not None) == (opened_admit, opened_admit)
+    assert (member.member_key is None) == (member.leader is None) == (MessageKind.NONCE not in kinds)
 
 
 def test_out_of_order_message_rejects_session(world):

@@ -720,6 +720,101 @@ def test_leader_alert_for_unknown_peer(sessions):
     assert "ghost" in sessions.b.distrusted
 
 
+def _run_until(sessions, kind, now=10):
+    """A opens a session with B at tick `now` and the exchange runs, one
+    delivery round a tick, until a message of `kind` is sent; returns that
+    envelope, undelivered, with the tick it was sent at."""
+    ctx = sessions.ctx("A", now)
+    sessions.a.initiate("B", "L", ctx)
+    batch = ctx.outbound
+    while not any(env.message.kind == kind for env in batch):
+        assert batch, f"the exchange ended before a {kind.name}"
+        now += 1
+        batch = sessions.pump(batch, now)
+    return next(env for env in batch if env.message.kind == kind), now
+
+
+def _session_notes(ctx):
+    return [(n.kind, n.detail, n.about) for n in ctx.notes]
+
+
+def test_session_with_distrusted_peer_is_refused(sessions):
+    sessions.a.distrusted.add("B")
+    ctx = sessions.ctx("A", 10)
+    sessions.a.initiate("B", "L", ctx)
+    assert _session_notes(ctx) == [("verdict", "session_refused:distrusted", "A-B")]
+    assert not ctx.outbound and ("A", "B") not in sessions.a.sessions
+
+
+def test_session1_from_distrusted_initiator_aborts(sessions):
+    sessions.b.distrusted.add("A")
+    session1, now = _run_until(sessions, MessageKind.SESSION_1)
+    ctx = sessions.ctx("B", now + 1)
+    sessions.b.handle_session1(session1.message, "L", ctx)
+    assert _session_notes(ctx) == [("verdict", "session_aborted:distrusted_peer", "A-B")]
+    assert not ctx.outbound  # no key lookup, no SESSION_2
+
+
+def test_session1_under_wrong_signature_aborts(sessions):
+    # B holds L's key under A's name, so A's signature does not check.
+    sessions.a.directory["B"] = sessions.keys["B"].public
+    sessions.b.directory["A"] = sessions.keys["L"].public
+    session1, now = _run_until(sessions, MessageKind.SESSION_1)
+    ctx = sessions.ctx("B", now + 1)
+    sessions.b.handle_session1(session1.message, "L", ctx)
+    assert _session_notes(ctx) == [("verdict", "session_aborted:bad_signature", "A-B")]
+    assert not ctx.outbound
+
+
+def test_session2_for_earlier_initiation_aborts(sessions):
+    # A opens again before B answers its first SESSION_1, so B's answer
+    # echoes a timestamp A no longer holds.
+    sessions.a.directory["B"] = sessions.keys["B"].public
+    sessions.b.directory["A"] = sessions.keys["A"].public
+    first, now = _run_until(sessions, MessageKind.SESSION_1)
+    again = sessions.ctx("A", now + 5)
+    sessions.a.initiate("B", "L", again)
+    [session2] = sessions.pump([first], now + 6)
+    ctx = sessions.ctx("A", now + 7)
+    sessions.a.handle_session2(session2.message, ctx)
+    assert _session_notes(ctx) == [("verdict", "session_aborted:timestamp_mismatch", "A-B")]
+    assert not ctx.outbound
+    # The aborted session takes no answer, not even the one to its own
+    # timestamp.
+    [session2] = sessions.pump(again.outbound, now + 8)
+    late = sessions.ctx("A", now + 9)
+    sessions.a.handle_session2(session2.message, late)
+    assert not late.notes and not late.outbound
+
+
+def test_session2_past_freshness_window_aborts(sessions):
+    session2, sent = _run_until(sessions, MessageKind.SESSION_2)  # stamped t_b = sent
+    ctx = sessions.ctx("A", sent + 51)
+    sessions.a.handle_session2(session2.message, ctx)
+    assert _session_notes(ctx) == [("verdict", "session_aborted:stale_timestamp", "A-B")]
+    assert not ctx.outbound
+
+
+def test_session2_under_wrong_signature_aborts(sessions):
+    session2, now = _run_until(sessions, MessageKind.SESSION_2)
+    sessions.a.directory["B"] = sessions.keys["L"].public
+    ctx = sessions.ctx("A", now + 1)
+    sessions.a.handle_session2(session2.message, ctx)
+    assert _session_notes(ctx) == [("verdict", "session_aborted:bad_signature", "A-B")]
+    assert not ctx.outbound
+
+
+def test_session4_that_does_not_open_aborts(sessions):
+    session4, now = _run_until(sessions, MessageKind.SESSION_4)
+    ctx = sessions.ctx("A", now + 1)
+    sessions.a.handle_session4(session4.message.replace(sealed=_flip(session4.message["sealed"])), ctx)
+    assert _session_notes(ctx) == [("verdict", "session_aborted:bad_confirmation_seal", "A-B")]
+    # The aborted session takes no confirmation, not even the real one.
+    late = sessions.ctx("A", now + 2)
+    sessions.a.handle_session4(session4.message, late)
+    assert not late.notes
+
+
 # ---------------------------------------------------------------------------
 # Leader-ring agreement
 # ---------------------------------------------------------------------------

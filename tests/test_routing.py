@@ -394,6 +394,7 @@ def test_single_field_mutations_rejected(net):
         ("seq", "add", 1),
         ("source", "set", "B"),
         ("dest", "set", "A"),
+        ("chain", "flip", None),
         ("chain", "flipbit", None),
         ("sigs", "drop_last", None),
         ("route", "swap", None),

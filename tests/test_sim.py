@@ -1288,6 +1288,41 @@ def test_unknown_destination_gets_negative_reply():
     assert verdicts(log, source, "no_route:dest=zz")
 
 
+def test_negative_reply_waits_for_every_other_leader():
+    # Three groups; zz is in none.  a0's query goes to both other leaders,
+    # and only the second GROUP_NEG fails the job.
+    scenario, source, _ = two_group_scenario(seed=4)
+    third = [NodeSpec(f"c{i}", [(640.0 + 90.0 * (i % 2), 40.0 + 90.0 * (i // 2))], 0.6 + 0.1 * i) for i in range(4)]
+    scenario.nodes += third + [NodeSpec("zz", [(900.0, 900.0)], 0.5)]
+    scenario.groups.append(GroupSpec("g3", 8, [spec.name for spec in third]))
+    scenario.script = [Action(3, "discover", (source, "zz"))]
+    sim = Simulation(scenario)
+    log = sim.run()
+    negatives = [i for i, e in enumerate(log.events) if e.kind == "deliver" and e.detail.startswith("GROUP_NEG:")]
+    assert [log.events[i].principals for i in negatives] == ["b0>a0", "c3>a0"]
+    [failed] = [e for e in verdicts(log, source, "no_route:")]
+    assert failed.detail == "no_route:dest=zz:seq=1" and failed.seq > log.events[negatives[-1]].seq
+    assert sim.nodes[source].gateway_jobs == {}
+    assert audit(log).passed
+
+
+def test_remote_leader_times_out_its_member_discovery():
+    # b0 crashes before a0 asks for it.  b2 still lists b0, so it runs a
+    # leg-3 discovery for it, which finds no route; at its deadline b2
+    # answers GROUP_NEG and a0 gives up.
+    scenario, _, _ = two_group_scenario(seed=1)
+    scenario.params.duration = 120
+    scenario.script = [Action(2, "crash", ("b0",)), Action(5, "discover", ("a0", "b0"))]
+    sim = Simulation(scenario)
+    log = sim.run()
+    started = verdicts(log, "b2", "discovery_started:dest=b0")
+    negatives = [e for e in log.events if e.kind == "send" and e.detail.startswith("GROUP_NEG:")]
+    assert [(e.tick, e.actor) for e in negatives] == [(started[0].tick + scenario.params.discovery_timeout, "b2")]
+    assert [(e.tick, e.detail) for e in verdicts(log, "a0", "no_route:")] == [(41, "no_route:dest=b0:seq=2")]
+    assert sim.nodes["b2"].remote_jobs == {} and sim.nodes["a0"].gateway_jobs == {}
+    assert audit(log).passed
+
+
 def test_cross_group_rreq_discarded_by_foreign_member():
     # Push the two clusters close enough that broadcasts leak across.
     scenario, source, dest = two_group_scenario(seed=5)

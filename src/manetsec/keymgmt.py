@@ -4,13 +4,16 @@ The leader of each group alone holds its keys, in its
 :class:`LeaderKeyService`: the group key (with its epoch counter and a
 lineage identifier that changes on every leadership change), the secret
 number each member's derived key comes from, and every member's public key.
-Joining runs a nine-message handshake in which the node first
-authenticates the leader with a quadratic-residue challenge-response and
-the leader then authenticates the node by its certificate; only after both
-succeed is the node admitted and the group rekeyed.  Leaving (voluntary,
-silent, or forced) also rekeys.  Pairs of members agree on session keys
-with a four-message timestamped exchange, asking the leader for public
-keys they do not hold.  A node believes a leader's alert only under a
+Joining runs a nine-message handshake (`JOIN_ORDER`) in which the node
+first authenticates the leader with a quadratic-residue challenge-response
+and the leader then authenticates the node by its certificate; only after
+both succeed is the node admitted and the group rekeyed.  Leaving
+(voluntary, silent, or forced) also rekeys.  Pairs of members agree on
+session keys with a four-message timestamped exchange, asking the leader
+for public keys they do not hold.  Each end of a join or a session holds
+the one message kind it takes next, its `expects`: a join message of
+another kind rejects that join, and a session message of another kind
+goes unanswered.  A node believes a leader's alert only under a
 signature it can check: a radio alert against its own group leader's key
 (its own key when it leads), a ring alert against the key the sending
 leader announced; any other alert is ignored.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from . import encoding
@@ -105,36 +107,21 @@ def derive_member_key(member_id: int, secret: int, provider) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-class JoinPhase(str, Enum):
-    REQUESTED = "requested"
-    ZK_ANNOUNCED = "zk_announced"
-    CHALLENGED = "challenged"
-    ZK_PROVED = "zk_proved"
-    CERT_VERIFIED = "cert_verified"
-    ADMITTED = "admitted"
-    REJECTED = "rejected"
-
-
-# The nine-message join: each message kind with the phase its receiver's join
-# must be in and the phase answering it reaches.  A JOIN_REQ opens the join,
-# so it needs no phase; which side answers a kind is that side's
-# `JOIN_HANDLERS`.
-JOIN_STEPS = {
-    MessageKind.JOIN_REQ: (None, JoinPhase.ZK_ANNOUNCED),
-    MessageKind.ZK_PARAMS: (JoinPhase.REQUESTED, JoinPhase.CHALLENGED),
-    MessageKind.ZK_CHALLENGE: (JoinPhase.ZK_ANNOUNCED, JoinPhase.CHALLENGED),
-    MessageKind.ZK_RESPONSE: (JoinPhase.CHALLENGED, JoinPhase.ZK_PROVED),
-    MessageKind.CERT: (JoinPhase.CHALLENGED, JoinPhase.CERT_VERIFIED),
-    MessageKind.ADMIT: (JoinPhase.ZK_PROVED, JoinPhase.CERT_VERIFIED),
-    MessageKind.NONCE: (JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
-    MessageKind.MEMBER_SET: (JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
-}
+# The join's first eight messages in wire order; the ninth is the REKEY.  The
+# leader answers the even positions and the joiner the odd ones, so a side
+# that has answered one kind expects the kind two places on, and nothing
+# after its last.
+JOIN_ORDER = (
+    MessageKind.JOIN_REQ, MessageKind.ZK_PARAMS, MessageKind.ZK_CHALLENGE, MessageKind.ZK_RESPONSE,
+    MessageKind.CERT, MessageKind.ADMIT, MessageKind.NONCE, MessageKind.MEMBER_SET,
+)
+_EXPECTS_AFTER = dict(zip(JOIN_ORDER, JOIN_ORDER[2:]))
 
 
 @dataclass
 class LeaderJoinSession:
     requester: str
-    phase: Optional[JoinPhase]
+    expects: Optional[MessageKind] = MessageKind.JOIN_REQ  # None once admitted or rejected
     witnesses: list = field(default_factory=list)  # ephemeral witnesses, one per round
     pending_key: Optional[bytes] = None
     pending_public: bytes = b""
@@ -282,7 +269,7 @@ class LeaderKeyService:
     # -- nine-message join, leader side --------------------------------------
 
     def handle_join(self, message: Message, ctx: Ctx) -> None:
-        """Answer one join message in the order `JOIN_STEPS` sets."""
+        """Answer one join message in the order `JOIN_ORDER` sets."""
         kind = message.kind
         step = self.JOIN_HANDLERS.get(kind)
         if step is None:
@@ -294,14 +281,13 @@ class LeaderKeyService:
         # A NONCE is sealed under the pending member key; without one it is dropped unread.
         if session is None or (kind == MessageKind.NONCE and session.pending_key is None):
             return
-        required, reached = JOIN_STEPS[kind]
-        if session.phase != required:
+        if kind != session.expects:
             self._reject(session, "out_of_order", ctx)
         elif step(self, message, session, ctx):
-            session.phase = reached
+            session.expects = _EXPECTS_AFTER.get(kind)
 
     def _reject(self, session: LeaderJoinSession, reason: str, ctx: Ctx) -> bool:
-        session.phase = JoinPhase.REJECTED
+        session.expects = None
         ctx.note("verdict", "join_rejected", reason, about=session.requester)
         return False
 
@@ -311,7 +297,7 @@ class LeaderKeyService:
         if requester in self.member_view:
             ctx.note("verdict", "join_rejected", "already_member", about=requester)
             return None
-        session = self.join_sessions[requester] = LeaderJoinSession(requester, None)
+        session = self.join_sessions[requester] = LeaderJoinSession(requester)
         if len(self.member_view) >= self.capacity:
             self._reject(session, "capacity", ctx)
             return None
@@ -493,7 +479,7 @@ class LeaderKeyService:
 @dataclass
 class NodeJoinState:
     leader: str
-    phase: JoinPhase = JoinPhase.REQUESTED
+    expects: Optional[MessageKind] = MessageKind.ZK_PARAMS  # None once admitted or aborted
     modulus: int = 0
     square: int = 0
     commitments: list = field(default_factory=list)
@@ -557,19 +543,18 @@ class MemberKeyService:
 
     def handle_join(self, message: Message, ctx: Ctx) -> None:
         """Answer one message of this node's own join, in the order
-        `JOIN_STEPS` sets."""
+        `JOIN_ORDER` sets."""
         step = self.JOIN_HANDLERS.get(message.kind)
         join = self.join
         if step is None or join is None or message["join_id"] != self.name:
             return
-        required, reached = JOIN_STEPS[message.kind]
-        if join.phase != required:
+        if message.kind != join.expects:
             self._abort_join("out_of_order", ctx)
         elif step(self, message, join, ctx):
-            join.phase = reached
+            join.expects = _EXPECTS_AFTER.get(message.kind)
 
     def _abort_join(self, reason: str, ctx: Ctx) -> bool:
-        self.join.phase = JoinPhase.REJECTED
+        self.join.expects = None
         ctx.note("verdict", "join_abort", reason, about=self.name)
         return False
 
@@ -700,14 +685,6 @@ class MemberKeyService:
 # ---------------------------------------------------------------------------
 
 
-class SessionPhase(str, Enum):
-    INITIATED = "initiated"
-    RESPONDED = "responded"
-    KEYED = "keyed"
-    CONFIRMED = "confirmed"
-    ABORTED = "aborted"
-
-
 @dataclass
 class SessionState:
     initiator: str
@@ -716,7 +693,7 @@ class SessionState:
     t_b: int = 0
     nonce1: int = 0
     key: Optional[bytes] = None
-    phase: SessionPhase = SessionPhase.INITIATED
+    expects: Optional[MessageKind] = MessageKind.SESSION_2  # None once confirmed or aborted
 
 
 def _session1_payload(initiator: str, responder: str, t_a: int) -> bytes:
@@ -750,7 +727,7 @@ class SessionService:
         self.pending_respond: dict[str, tuple] = {}
 
     def _abort(self, session: SessionState, reason: str, ctx: Ctx) -> None:
-        session.phase = SessionPhase.ABORTED
+        session.expects = None
         ctx.note("verdict", "session_aborted", reason, about=f"{session.initiator}-{session.responder}")
 
     def initiate(self, peer: str, leader: str, ctx: Ctx) -> None:
@@ -817,7 +794,7 @@ class SessionService:
             MessageKind.SESSION_2, initiator=initiator, responder=self.name, t_a=t_a, t_b=session.t_b, sig=sig
         )
         sealed = self.provider.pk_encrypt(self.directory[initiator], plain, ctx.rng)
-        session.phase = SessionPhase.RESPONDED
+        session.expects = MessageKind.SESSION_3
         ctx.emit(msg(MessageKind.SESSION_2, sealed=sealed), to=initiator)
 
     def handle_session2(self, message: Message, ctx: Ctx) -> None:
@@ -829,7 +806,7 @@ class SessionService:
         if initiator != self.name:
             return
         session = self.sessions.get((self.name, responder))
-        if session is None or session.phase != SessionPhase.INITIATED:
+        if session is None or session.expects != MessageKind.SESSION_2:
             return
         if t_a != session.t_a:
             self._abort(session, "timestamp_mismatch", ctx)
@@ -848,7 +825,7 @@ class SessionService:
         session.nonce1 = ctx.rng.getrandbits(64)
         plain = seal_plain(MessageKind.SESSION_3, t_a=t_a, t_b=t_b, nonce=session.nonce1, session_key=session.key)
         sealed = self.provider.pk_encrypt(self.directory[responder], plain, ctx.rng)
-        session.phase = SessionPhase.KEYED
+        session.expects = MessageKind.SESSION_4
         ctx.emit(msg(MessageKind.SESSION_3, sealed=sealed), to=responder)
 
     def handle_session3(self, message: Message, ctx: Ctx) -> None:
@@ -858,11 +835,7 @@ class SessionService:
         t_a = opened["t_a"]
         session = None
         for candidate in self.sessions.values():
-            if (
-                candidate.responder == self.name
-                and candidate.phase == SessionPhase.RESPONDED
-                and candidate.t_a == t_a
-            ):
+            if candidate.responder == self.name and candidate.expects == MessageKind.SESSION_3 and candidate.t_a == t_a:
                 session = candidate
                 break
         if session is None:
@@ -876,7 +849,7 @@ class SessionService:
         nonce2 = ctx.rng.getrandbits(64)
         plain = seal_plain(MessageKind.SESSION_4, nonce=session.nonce1, nonce2=nonce2)
         sealed = self.provider.sym_encrypt(session.key, plain, ctx.rng)
-        session.phase = SessionPhase.CONFIRMED
+        session.expects = None
         ctx.note("verdict", "session_confirmed", about=f"{session.initiator}-{session.responder}")
         ctx.emit(
             msg(
@@ -892,7 +865,7 @@ class SessionService:
         if message["initiator"] != self.name:
             return
         session = self.sessions.get((self.name, message["responder"]))
-        if session is None or session.phase != SessionPhase.KEYED:
+        if session is None or session.expects != MessageKind.SESSION_4:
             return
         try:
             opened = open_sealed(message.kind, self.provider.sym_decrypt(session.key, message["sealed"]))
@@ -902,7 +875,7 @@ class SessionService:
         if opened["nonce"] != session.nonce1:
             self._abort(session, "nonce_mismatch", ctx)
             return
-        session.phase = SessionPhase.CONFIRMED
+        session.expects = None
         ctx.note("verdict", "session_confirmed", about=f"{session.initiator}-{session.responder}")
 
     def handle_pubkey_answer(self, message: Message, leader_public: bytes, ctx: Ctx) -> None:
@@ -931,7 +904,7 @@ class SessionService:
         self.pending_initiate.pop(accused, None)
         self.pending_respond.pop(accused, None)
         for key, session in list(self.sessions.items()):
-            if accused in key and session.phase not in (SessionPhase.CONFIRMED, SessionPhase.ABORTED):
+            if accused in key and session.expects is not None:
                 self._abort(session, "leader_alert", ctx)
 
 

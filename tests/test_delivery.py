@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec import encoding
-from manetsec.keymgmt import JoinPhase, derive_member_key
+from manetsec.keymgmt import derive_member_key
 from manetsec.messages import _FIELDS, _SEALED, FIELD_TYPES, PK, Envelope, MessageKind, decode_message, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import Simulation, parse_log_text
@@ -177,7 +177,7 @@ def test_fixture_holds_every_recipient_role():
     leaders = {name for name in RECIPIENTS if sim.nodes[name].leader_service is not None}
     assert leaders == {"L1", "L2"} and all(sim.nodes[name].ring_key for name in leaders)
     assert sim.nodes["M1"].member.is_member() and not sim.nodes["N"].keys.group_id
-    assert sim.nodes["J"].member.join.phase == JoinPhase.CERT_VERIFIED and not sim.nodes["J"].keys.group_id
+    assert sim.nodes["J"].member.join.expects == MessageKind.MEMBER_SET and not sim.nodes["J"].keys.group_id
 
 
 @pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.name)

@@ -7,13 +7,11 @@ from manetsec.crypto import DecryptionError
 from manetsec.keymgmt import (
     Certificate,
     CertificateAuthority,
-    JOIN_STEPS,
-    JoinPhase,
+    JOIN_ORDER,
     LeaderJoinSession,
     LeaderKeyService,
     MemberKeyService,
     NodeJoinState,
-    SessionPhase,
     SessionService,
     check_certificate,
     derive_member_key,
@@ -143,8 +141,8 @@ def run_join(w, joiner_name, tamper=None, max_steps=20):
 def test_honest_join_admits_and_rekeys(world):
     before_epoch = world.leader.epoch
     member, transcript = run_join(world, "N")
-    assert member.join.phase == JoinPhase.ADMITTED
-    assert world.leader.join_sessions["N"].phase == JoinPhase.ADMITTED
+    assert member.join.expects is None and member.is_member()
+    assert world.leader.join_sessions["N"].expects is None
     assert "N" in world.leader.member_view
     assert world.leader.epoch == before_epoch + 1
     kinds = [env.message.kind for env in transcript]
@@ -177,14 +175,16 @@ def test_join_rejected_on_forged_certificate(world):
             )
 
     member, _ = run_join(world, "N", tamper=tamper)
-    assert world.leader.join_sessions["N"].phase == JoinPhase.REJECTED
+    assert world.leader.join_sessions["N"].expects is None
+    assert ("verdict", "join_rejected:bad_certificate", "N") in [(n.kind, n.detail, n.about) for n in world.notes]
     assert "N" not in world.leader.member_view
 
 
 def test_join_rejected_at_capacity(world):
     world.leader.capacity = 1  # leader alone fills the group
     member, transcript = run_join(world, "N")
-    assert world.leader.join_sessions["N"].phase == JoinPhase.REJECTED
+    assert world.leader.join_sessions["N"].expects is None
+    assert [(n.kind, n.detail, n.about) for n in world.notes] == [("verdict", "join_rejected:capacity", "N")]
     assert len(transcript) == 1  # nothing after the request
 
 
@@ -200,7 +200,8 @@ def test_join_aborts_when_response_invalid(world):
             )
 
     member, transcript = run_join(world, "N", tamper=tamper)
-    assert member.join.phase == JoinPhase.REJECTED
+    assert member.join.expects is None
+    assert (world.notes[-1].detail, world.notes[-1].about) == ("join_abort:leader_unauthenticated", "N")
     kinds = [env.message.kind for env in transcript]
     assert MessageKind.CERT not in kinds  # node never reveals its certificate
 
@@ -219,7 +220,8 @@ def test_join_aborts_on_member_key_of_wrong_size(world):
             )
 
     member, transcript = run_join(world, "N", tamper=tamper)
-    assert member.join.phase == JoinPhase.REJECTED
+    assert member.join.expects is None
+    assert (world.notes[-1].detail, world.notes[-1].about) == ("join_abort:bad_admit_seal", "N")
     assert member.member_key is None
     assert MessageKind.NONCE not in [env.message.kind for env in transcript]
 
@@ -288,7 +290,7 @@ def test_tampered_join_step_is_refused_and_adopts_nothing(world, case):
     # goes out with it.
     assert [k for k in kinds if k != MessageKind.REKEY][-1] == kind
     refusing = world.leader.join_sessions["N"] if side == "leader" else member.join
-    assert refusing.phase == JoinPhase.REJECTED
+    assert refusing.expects is None
     # The joiner holds no group key.  The leader adds it to its view, under
     # a new epoch, only once the nonce round trip completes, which a refused
     # MEMBER_SET follows.
@@ -319,37 +321,44 @@ def test_out_of_order_message_rejects_session(world):
         ),
         ctx,
     )
-    assert world.leader.join_sessions["N"].phase == JoinPhase.REJECTED
+    assert world.leader.join_sessions["N"].expects is None
+    assert (ctx.notes[-1].detail, ctx.notes[-1].about) == ("join_rejected:out_of_order", "N")
 
 
-# The nine-message join as the paper orders it: each kind with the side that
-# answers it, the phase that side's join must be in (None: the request opens
-# a join) and the phase answering it reaches.
-JOIN_ORDER = {
-    MessageKind.JOIN_REQ: ("leader", None, JoinPhase.ZK_ANNOUNCED),
-    MessageKind.ZK_PARAMS: ("member", JoinPhase.REQUESTED, JoinPhase.CHALLENGED),
-    MessageKind.ZK_CHALLENGE: ("leader", JoinPhase.ZK_ANNOUNCED, JoinPhase.CHALLENGED),
-    MessageKind.ZK_RESPONSE: ("member", JoinPhase.CHALLENGED, JoinPhase.ZK_PROVED),
-    MessageKind.CERT: ("leader", JoinPhase.CHALLENGED, JoinPhase.CERT_VERIFIED),
-    MessageKind.ADMIT: ("member", JoinPhase.ZK_PROVED, JoinPhase.CERT_VERIFIED),
-    MessageKind.NONCE: ("leader", JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
-    MessageKind.MEMBER_SET: ("member", JoinPhase.CERT_VERIFIED, JoinPhase.ADMITTED),
+# The join's first eight messages as the paper orders them, each with the
+# side that answers it.
+JOIN_SIDES = {
+    MessageKind.JOIN_REQ: "leader",
+    MessageKind.ZK_PARAMS: "member",
+    MessageKind.ZK_CHALLENGE: "leader",
+    MessageKind.ZK_RESPONSE: "member",
+    MessageKind.CERT: "leader",
+    MessageKind.ADMIT: "member",
+    MessageKind.NONCE: "leader",
+    MessageKind.MEMBER_SET: "member",
 }
 
+# What a join end may expect: a join kind, or nothing once the join ended.
+EXPECTABLE = (None, *JOIN_ORDER)
 
-def test_join_steps_table_is_the_papers_order():
-    assert JOIN_STEPS == {kind: (required, reached) for kind, (_, required, reached) in JOIN_ORDER.items()}
+
+def test_join_sides_take_turns_in_join_order():
+    assert JOIN_ORDER == tuple(JOIN_SIDES)
+    # The leader answers the even positions and the joiner the odd ones,
+    # so between them every join kind is answered exactly once.
+    assert tuple(LeaderKeyService.JOIN_HANDLERS) == JOIN_ORDER[0::2]
+    assert tuple(MemberKeyService.JOIN_HANDLERS) == JOIN_ORDER[1::2]
     for side, service in (("leader", LeaderKeyService), ("member", MemberKeyService)):
-        assert set(service.JOIN_HANDLERS) == {kind for kind, row in JOIN_ORDER.items() if row[0] == side}
+        assert set(service.JOIN_HANDLERS) == {kind for kind, who in JOIN_SIDES.items() if who == side}
 
 
-def _join_sides(world, phase, joiner="N"):
+def _join_sides(world, expects, joiner="N"):
     """A fresh leader holding N's join, and member `joiner` joining L, both
-    in `phase`; the leader's join has a pending member key."""
+    expecting `expects`; the leader's join has a pending member key."""
     leader = LeaderKeyService("L", "g1", "g1-1", world.keys["L"], world.provider, world.rng, world.authority.public, 8)
-    leader.join_sessions["N"] = LeaderJoinSession("N", phase, [1], pending_key=b"k" * 16)
+    leader.join_sessions["N"] = LeaderJoinSession("N", expects, [1], pending_key=b"k" * 16)
     member = MemberKeyService(joiner, world.keys[joiner], world.certs[joiner], world.provider)
-    member.join = NodeJoinState(leader="L", phase=phase)
+    member.join = NodeJoinState(leader="L", expects=expects)
     return leader, member
 
 
@@ -363,62 +372,64 @@ def _answer(service, message, world, name):
 def join_messages(world):
     """One message of each join kind, from an honest join of N."""
     _, transcript = run_join(world, "N")
-    return {env.message.kind: env.message for env in transcript if env.message.kind in JOIN_ORDER}
+    return {env.message.kind: env.message for env in transcript if env.message.kind in JOIN_SIDES}
 
 
 def test_each_join_kind_answered_by_exactly_one_side(world, join_messages):
-    assert set(join_messages) == set(JOIN_ORDER)
-    for kind, (side, required, _) in JOIN_ORDER.items():
-        for phase in JoinPhase:
-            if phase == required:
+    assert set(join_messages) == set(JOIN_SIDES)
+    for kind, side in JOIN_SIDES.items():
+        for expects in EXPECTABLE:
+            if expects == kind:
                 continue
-            leader, member = _join_sides(world, phase)
+            leader, member = _join_sides(world, expects)
             answers = {
                 "leader": _answer(leader, join_messages[kind], world, "L"),
                 "member": _answer(member, join_messages[kind], world, "N"),
             }
             for who, ctx in answers.items():
                 acted = bool(ctx.notes or ctx.outbound)
-                assert acted == (who == side), (kind.name, phase, who)
+                assert acted == (who == side), (kind.name, expects, who)
 
 
 def test_join_kind_in_wrong_phase_rejects_that_join(world, join_messages):
-    for kind, (side, required, _) in JOIN_ORDER.items():
-        if required is None:
+    # A JOIN_REQ opens a new join whatever the old one expects.
+    for kind, side in JOIN_SIDES.items():
+        if kind == MessageKind.JOIN_REQ:
             continue
-        for phase in JoinPhase:
-            if phase == required:
+        for expects in EXPECTABLE:
+            if expects == kind:
                 continue
-            leader, member = _join_sides(world, phase)
+            leader, member = _join_sides(world, expects)
             if side == "leader":
                 ctx = _answer(leader, join_messages[kind], world, "L")
                 state, verdict = leader.join_sessions["N"], "join_rejected:out_of_order"
             else:
                 ctx = _answer(member, join_messages[kind], world, "N")
                 state, verdict = member.join, "join_abort:out_of_order"
-            assert [(n.kind, n.detail, n.about) for n in ctx.notes] == [("verdict", verdict, "N")], (kind.name, phase)
+            notes = [(n.kind, n.detail, n.about) for n in ctx.notes]
+            assert notes == [("verdict", verdict, "N")], (kind.name, expects)
             assert not ctx.outbound
-            assert state.phase == JoinPhase.REJECTED
+            assert state.expects is None
 
 
 def test_nonce_without_pending_key_leaves_no_verdict(world, join_messages):
-    for phase in JoinPhase:
-        leader, _ = _join_sides(world, phase)
+    for expects in EXPECTABLE:
+        leader, _ = _join_sides(world, expects)
         leader.join_sessions["N"].pending_key = None
         ctx = _answer(leader, join_messages[MessageKind.NONCE], world, "L")
         assert not ctx.notes and not ctx.outbound
-        assert leader.join_sessions["N"].phase == phase
+        assert leader.join_sessions["N"].expects == expects
 
 
 def test_member_ignores_another_join_id(world, join_messages):
-    for kind, (side, _, _) in JOIN_ORDER.items():
+    for kind, side in JOIN_SIDES.items():
         if side != "member":
             continue
-        for phase in JoinPhase:
-            _, member = _join_sides(world, phase, joiner="M1")
+        for expects in EXPECTABLE:
+            _, member = _join_sides(world, expects, joiner="M1")
             ctx = _answer(member, join_messages[kind], world, "M1")
             assert not ctx.notes and not ctx.outbound
-            assert member.join.phase == phase
+            assert member.join.expects == expects
 
 
 def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
@@ -553,6 +564,7 @@ class SessionWorld:
             [("A", self.keys["A"].public), ("B", self.keys["B"].public)], ctx, "founding"
         )
         self.leader_public = self.keys["L"].public
+        self.notes = []  # (kind, detail, about) of every note `pump` gathers
 
     def ctx(self, name, now):
         return make_ctx(name, now, self.rng, self.provider)
@@ -576,6 +588,7 @@ class SessionWorld:
                 self.b.handle_session3(env.message, ctx)
             elif kind == MessageKind.SESSION_4:
                 self.a.handle_session4(env.message, ctx)
+            self.notes += [(n.kind, n.detail, n.about) for n in ctx.notes]
             produced.extend(ctx.outbound)
         return produced
 
@@ -597,8 +610,8 @@ def test_session_confirms_with_leader_lookup(sessions):
         batch = sessions.pump(batch, now)
     sa = sessions.a.sessions[("A", "B")]
     sb = sessions.b.sessions[("A", "B")]
-    assert sa.phase == SessionPhase.CONFIRMED
-    assert sb.phase == SessionPhase.CONFIRMED
+    assert (sa.expects, sb.expects) == (None, None)
+    assert sessions.notes == [("verdict", "session_confirmed", "A-B")] * 2
     assert sa.key == sb.key
     # Both sides resolved the peer key through the leader, not a priori.
     assert "B" in sessions.a.directory and "A" in sessions.b.directory
@@ -613,7 +626,8 @@ def test_session_stale_timestamp_aborts(sessions):
     assert batch and batch[0].message.kind == MessageKind.SESSION_1
     late = sessions.pump(batch, 100)  # delivered past the freshness window
     sb = sessions.b.sessions[("A", "B")]
-    assert sb.phase == SessionPhase.ABORTED
+    assert sb.expects is None
+    assert sessions.notes[-1] == ("verdict", "session_aborted:stale_timestamp", "A-B")
     assert not late or all(e.message.kind != MessageKind.SESSION_2 for e in late)
 
 
@@ -632,7 +646,8 @@ def test_session_replayed_key_message_aborts(sessions):
                 captured_s3 = env
         batch = sessions.pump(batch, now)
     assert captured_s3 is not None
-    assert sessions.b.sessions[("A", "B")].phase == SessionPhase.CONFIRMED
+    assert sessions.b.sessions[("A", "B")].expects is None
+    assert sessions.notes == [("verdict", "session_confirmed", "A-B")] * 2
     # A fresh exchange starts with the same initiation timestamp; replaying
     # the old key message matches on it but carries the old response
     # timestamp, which is the discriminator.
@@ -641,11 +656,10 @@ def test_session_replayed_key_message_aborts(sessions):
     sessions.a.initiate("B", "L", ctx2)
     batch = ctx2.outbound  # SESSION_1 directly; keys are cached now
     batch = sessions.pump(batch, 40)  # B responds with t_b = 40
-    assert sessions.b.sessions[("A", "B")].phase == SessionPhase.RESPONDED
+    assert sessions.b.sessions[("A", "B")].expects == MessageKind.SESSION_3
     replay_ctx = sessions.ctx("B", 41)
     sessions.b.handle_session3(captured_s3.message, replay_ctx)
-    sb = sessions.b.sessions[("A", "B")]
-    assert sb.phase == SessionPhase.ABORTED
+    assert sessions.b.sessions[("A", "B")].expects is None
     assert any("timestamp_mismatch" in n.detail for n in replay_ctx.notes)
 
 
@@ -689,7 +703,8 @@ def test_session_nonce_echo_mismatch_aborts(sessions):
         if stop is not None:
             ctx4 = sessions.ctx("A", now + 1)
             sessions.a.handle_session4(stop, ctx4)
-            assert sessions.a.sessions[("A", "B")].phase == SessionPhase.ABORTED
+            assert sessions.a.sessions[("A", "B")].expects is None
+            assert [n.detail for n in ctx4.notes] == ["session_aborted:nonce_mismatch"]
             return
         now += 1
         batch = sessions.pump(batch, now)
@@ -716,7 +731,8 @@ def test_leader_alert_for_unknown_peer(sessions):
     assert alerts and alerts[0].message["accused"] == "ghost"
     alert_ctx = sessions.ctx("B", 13)
     sessions.b.handle_alert(alerts[0].message, sessions.leader_public, alert_ctx)
-    assert sessions.b.sessions[("ghost", "B")].phase == SessionPhase.ABORTED
+    assert sessions.b.sessions[("ghost", "B")].expects is None
+    assert [(n.detail, n.about) for n in alert_ctx.notes] == [("session_aborted:leader_alert", "ghost-B")]
     assert "ghost" in sessions.b.distrusted
 
 

@@ -106,8 +106,9 @@ class MembershipChange:
 
 
 def _transmission(event: SimEvent) -> tuple:
-    """The event's transmission number (None when it has none) and hop
-    count (1 when it names none).
+    """The event's transmission number (None when it has none) and, for a
+    delivery or drop, its hop count (1 when it names none).  A send's hop
+    count is None: no check reads it.
 
     The simulator ends a transmission's parts with its `tx` pair, just
     after its `hops` pair when it has one; a delivery or drop whose only
@@ -115,16 +116,18 @@ def _transmission(event: SimEvent) -> tuple:
     any other by name."""
     parts = event.parts
     last = parts[-1] if parts else ""
-    if isinstance(last, str) or last[0] != "tx":
-        return event.get("tx"), int(event.get("hops", 1))
-    if len(parts) > 1:
+    in_place = not isinstance(last, str) and last[0] == "tx"
+    tx = last[1] if in_place else event.get("tx")
+    if event.kind == "send":
+        return tx, None
+    if in_place and len(parts) > 1:
         before = parts[-2]
         if isinstance(before, str):
             if len(parts) == 2:
-                return last[1], 1
+                return tx, 1
         elif before[0] == "hops":
-            return last[1], int(before[1])
-    return last[1], int(event.get("hops", 1))
+            return tx, int(before[1])
+    return tx, int(event.get("hops", 1))
 
 
 class _LogIndex:
@@ -133,7 +136,8 @@ class _LogIndex:
     It lives for one `audit()` (or one `knowledge_set()`) call.  It holds
     event positions, not events: `by_kind`, `received` and the gathered
     records index into `events`, the log's own list.  Each send, delivery
-    and drop is read once, here, through `_transmission`.  Payloads are
+    and drop is read once, here, through `_transmission`, and causality
+    and conservation are judged as it is read.  Payloads are
     decoded on first use and each principal's knowledge set is closed on
     first use; both are then kept for the index's life, as is the outcome
     of each symmetric trial decryption (see `sym_open`).
@@ -145,8 +149,7 @@ class _LogIndex:
         self.provider = make_provider(log.registry.provider_name)
         self.events = log.events
         self.horizon = log.events[-1].tick if log.events else 0
-        # kind -> positions, for every kind but deliveries and drops, which
-        # `received` and `transmissions` hold
+        # kind -> positions, for every kind but deliveries and drops
         self.by_kind: dict[str, list] = defaultdict(list)
         self.received: dict[str, list] = defaultdict(list)  # recipient -> positions of deliveries carrying a payload
         self.rekeys = []  # rekey points in log order
@@ -154,17 +157,18 @@ class _LogIndex:
         self.key_positions: dict = {}  # (group, lineage, epoch) -> its first position in the group's rekey order
         self.changes = []  # membership changes in log order
         self.handshakes = []  # (position, "zk_ok" | "cert_ok" | "handshake", node) in log order
-        # (position, (tx, recipient), tick of the tx's latest send so far or
-        # None, the send tick the outcome implies) of each delivery or drop
-        # of a numbered transmission.  A delivery implies a send `hops` ticks
-        # before it; a drop only needs a send before it, so it implies that one.
-        self.transmissions = []
+        # Positions of the deliveries and drops of numbered transmissions
+        # that follow no send of theirs or arrive off time, and of each
+        # second outcome for one recipient.
+        self.causality_failures = []
+        self.conservation_failures = []
         self._messages: dict = {}
         self._knowledge: dict = {}
         self._trials: dict = {}  # sealed -> {key: plaintext, or None when it does not open}
         leaders: dict[str, str] = {}
         latest: dict[str, int] = {}  # tx -> tick of its latest send so far
-        by_kind, received, transmissions = self.by_kind, self.received, self.transmissions
+        outcomes: dict[tuple, None] = {}  # (tx, recipient) of each outcome so far
+        by_kind, received = self.by_kind, self.received
         for i, event in enumerate(log.events):
             kind = event.kind
             if kind == "deliver" or kind == "drop":
@@ -172,9 +176,15 @@ class _LogIndex:
                     received[event.recipient].append(i)
                 tx, hops = _transmission(event)
                 if tx is not None:
+                    # A delivery is due `hops` ticks after the latest send of
+                    # its transmission; a drop needs only some earlier send.
                     sent = latest.get(tx)
-                    implied = event.tick - hops if kind == "deliver" else sent
-                    transmissions.append((i, (tx, event.recipient or event.principals), sent, implied))
+                    if sent is None or (kind == "deliver" and event.tick - hops != sent):
+                        self.causality_failures.append(i)
+                    key = (tx, event.recipient or event.principals)
+                    if key in outcomes:
+                        self.conservation_failures.append(i)
+                    outcomes[key] = None
                 continue
             by_kind[kind].append(i)
             if kind == "send":
@@ -663,18 +673,13 @@ def _check_epoch_monotonicity(index: _LogIndex) -> PropertyResult:
 def _check_causality(index: _LogIndex) -> PropertyResult:
     """Each delivery or drop follows a send of its transmission; a delivery
     arrives `hops` ticks after the latest such send."""
-    failures = [i for i, _, sent, implied in index.transmissions if sent is None or implied != sent]
+    failures = index.causality_failures
     return PropertyResult("causality", not failures, failures)
 
 
 def _check_conservation(index: _LogIndex) -> PropertyResult:
     """No recipient has two outcomes of one transmission."""
-    outcomes = set()
-    failures = []
-    for i, key, _, _ in index.transmissions:
-        if key in outcomes:
-            failures.append(i)
-        outcomes.add(key)
+    failures = index.conservation_failures
     return PropertyResult("conservation", not failures, failures)
 
 

@@ -157,9 +157,9 @@ class _LogIndex:
         self.key_positions: dict = {}  # (group, lineage, epoch) -> its first position in the group's rekey order
         self.changes = []  # membership changes in log order
         self.handshakes = []  # (position, "zk_ok" | "cert_ok" | "handshake", node) in log order
-        # Positions of the deliveries and drops of numbered transmissions
-        # that follow no send of theirs or arrive off time, and of each
-        # second outcome for one recipient.
+        # Positions of the deliveries and drops that follow no send of their
+        # transmission or arrive off time (causality), and that repeat a
+        # recipient's outcome of one transmission (conservation).
         self.causality_failures = []
         self.conservation_failures = []
         self._messages: dict = {}
@@ -167,7 +167,9 @@ class _LogIndex:
         self._trials: dict = {}  # sealed -> {key: plaintext, or None when it does not open}
         leaders: dict[str, str] = {}
         latest: dict[str, int] = {}  # tx -> tick of its latest send so far
-        outcomes: dict[tuple, None] = {}  # (tx, recipient) of each outcome so far
+        # (tx, recipient) of each outcome so far; a dict, because a set of
+        # as many keys grows its table fourfold and takes more memory.
+        outcomes: dict[tuple, None] = {}
         by_kind, received = self.by_kind, self.received
         for i, event in enumerate(log.events):
             kind = event.kind

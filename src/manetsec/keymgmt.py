@@ -438,11 +438,7 @@ class LeaderKeyService:
             self.heartbeats[who] = now
 
     def check_liveness(self, now: int, deadline: int) -> list[str]:
-        expired = [
-            name
-            for name, last in sorted(self.heartbeats.items())
-            if now - last > deadline
-        ]
+        expired = sorted(name for name, last in self.heartbeats.items() if now - last > deadline)
         for name in expired:
             self.trust[name] = update_trust(self.trust.get(name, self.trust_initial), "heartbeat_missed")
         return expired

@@ -4,6 +4,13 @@ Handlers are step functions: message in, state mutated, outbound messages,
 log notes and election signals collected on the context.  They never touch the event loop
 directly, so the same handlers run under the simulator or any other
 serialized driver.
+
+The simulator keeps one context per node for the whole run and sets its
+`now` before each step.  After a step it flushes the context -- logs the
+notes, sends the envelopes, records the secrets, passes on the signals --
+and the flush empties every list it consumes; a step that left all four
+empty is not flushed.  So a handler must not keep the context, or any of
+its lists, after its step returns.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ def render_detail(parts) -> str:
     return ":".join([part if isinstance(part, str) else "=".join(part) for part in parts])
 
 
-@dataclass
+@dataclass(slots=True)
 class Ctx:
     name: str
     now: int

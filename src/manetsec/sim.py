@@ -39,7 +39,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from .crypto import PROVIDERS, make_provider
 from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import FAULTS, CertificateAuthority, LeaderKeyService, leader_ring_agree
-from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope
+from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
 from .runtime import Ctx, render_detail
@@ -50,6 +50,9 @@ PAYLOAD_MAGIC = b"MSPAY1\n"
 EVENT_KINDS = frozenset(
     ("send", "deliver", "drop", "verdict", "rekey", "admit", "remove", "elect", "alert")
 )
+# Each message kind's name, for send and deliver events: a table lookup
+# costs a fraction of a read of the Enum's `name` property.
+_KIND_NAMES = {kind: kind.name for kind in MessageKind}
 
 
 class SimulationError(Exception):
@@ -677,6 +680,7 @@ class Simulation:
         self.params = scenario.params
         self.provider = make_provider(scenario.provider_name)
         self.now = 0
+        self._ran = False
         self._event_seq = 0
         self._tx = 0
         self.log = EventLog()
@@ -746,6 +750,8 @@ class Simulation:
             if adv.placement[0] == "link"
         ]
         registry.adversary_names.extend(tap.name for tap in self.taps)
+        # One step context per node for the run; see runtime.py.
+        self.contexts = {name: Ctx(name, 0, node.rng, self.provider) for name, node in self.nodes.items()}
         # Nodes that never relay, all adversaries but stealth relays: no node
         # changes its behaviour during a run.
         self._no_relay = frozenset(
@@ -878,7 +884,8 @@ class Simulation:
         tx = ("tx", str(self._tx))
         self._tx += 1
         message = envelope.message
-        self._log("send", sender, (message.kind.name, ("to", to), ("ch", envelope.channel), tx), message.encoded)
+        parts = (_KIND_NAMES[message.kind], ("to", to), ("ch", envelope.channel), tx)
+        self._log("send", sender, parts, message.encoded)
         return tx
 
     def _transmit(self, envelope: Envelope) -> None:
@@ -979,17 +986,21 @@ class Simulation:
 
     # -- context plumbing ----------------------------------------------------------
 
-    def _ctx(self, name: str) -> Ctx:
-        return Ctx(name, self.now, self.nodes[name].rng, self.provider)
-
     def _step(self, name: str, act, *args) -> None:
         """One step of node `name`: `act(*args, ctx)`, then log and send what
         it noted and emitted."""
-        ctx = self._ctx(name)
+        ctx = self.contexts[name]
+        ctx.now = self.now
         act(*args, ctx)
-        self._flush(name, ctx)
+        self._flush_pending(name, ctx)
+
+    def _flush_pending(self, name: str, ctx: Ctx) -> None:
+        """Flush a step's context unless the step left it empty."""
+        if ctx.outbound or ctx.notes or ctx.secrets or ctx.signals:
+            self._flush(name, ctx)
 
     def _flush(self, name: str, ctx: Ctx) -> None:
+        """Log and send what a step noted and emitted, and empty its context."""
         node = self.nodes[name]
         for label, value in ctx.secrets:
             self.log.registry.secrets.append((self.now, name, label, value))
@@ -1005,8 +1016,11 @@ class Simulation:
             if isinstance(node, ProtocolNode) and refloods(envelope):
                 node.relayed.add(envelope.message.encoded)
             self._transmit(envelope)
-        if ctx.signals:
-            self._signals.extend(ctx.signals)
+        self._signals.extend(ctx.signals)
+        ctx.secrets.clear()
+        ctx.notes.clear()
+        ctx.outbound.clear()
+        ctx.signals.clear()
 
     # -- membership orchestration ---------------------------------------------------
 
@@ -1033,7 +1047,8 @@ class Simulation:
             node.leader_service.trust[member] = value
         node.ring_secret = node.rng.getrandbits(192)
         node.leader_last_seen = None
-        ctx = self._ctx(name)
+        ctx = self.contexts[name]
+        ctx.now = self.now
         members_with_pubs = [
             (m, self.log.registry.keypairs[m].public) for m in sorted(member_names) if m != name
         ]
@@ -1041,7 +1056,7 @@ class Simulation:
         self.group_map[name] = group_id
         self.leaders[group_id] = name
         node.announce(ctx)
-        self._flush(name, ctx)
+        self._flush_pending(name, ctx)
 
     def _ring_rekey(self) -> None:
         leaders = sorted(name for name in self.leaders.values() if name is not None)
@@ -1167,12 +1182,19 @@ class Simulation:
         self._ring_rekey()
 
     def run(self) -> EventLog:
+        """Run the scenario once and return its log.  A second call raises:
+        the first left the nodes, the queue and the log in their final state."""
+        if self._ran:
+            raise SimulationError("this Simulation has already run; build a new one to run its scenario again")
+        self._ran = True
         script = sorted(self.scenario.script, key=lambda a: a.tick)
         last_tick = max((a.tick for a in script), default=0)
         duration = self.params.duration if self.params.duration is not None else last_tick + 40
         self.now = 0
         self._setup()
         pending = list(script)
+        nodes, contexts, flush_pending = self.nodes, self.contexts, self._flush_pending
+        stepping = [(name, node, contexts[name]) for name, node in nodes.items()]
         for tick in range(duration + 1):
             self.now = tick
             if 0 < tick <= self._last_move:
@@ -1181,18 +1203,23 @@ class Simulation:
                 self._action(pending.pop(0))
             self._drain_taps()
             for envelope, recipient, via, parts in self.queue.pop(tick, []):
-                node = self.nodes.get(recipient)
+                node = nodes.get(recipient)
                 if node is not None and not node.alive:
                     self._log("drop", via, ("dead",) + parts, recipient=recipient)
                     continue
                 message = envelope.message
-                self._log("deliver", via, (message.kind.name,) + parts, message.encoded, recipient=recipient)
+                self._log("deliver", via, (_KIND_NAMES[message.kind],) + parts, message.encoded, recipient=recipient)
                 if node is None:
                     continue  # a tap pseudo-principal: logging the delivery is the point
-                self._step(recipient, node.handle, envelope)
-            for name, node in self.nodes.items():
+                ctx = contexts[recipient]
+                ctx.now = tick
+                node.handle(envelope, ctx)
+                flush_pending(recipient, ctx)
+            for name, node, ctx in stepping:
                 if node.alive:
-                    self._step(name, node.on_tick)
+                    ctx.now = tick
+                    node.on_tick(ctx)
+                    flush_pending(name, ctx)
             if self._signals:
                 signaled = dict(self._signals)  # group -> the leader its members lost
                 self._signals = []

@@ -4,6 +4,7 @@ import pytest
 
 from manetsec import encoding
 from manetsec.crypto import DecryptionError
+from manetsec.group import update_trust
 from manetsec.keymgmt import (
     Certificate,
     CertificateAuthority,
@@ -539,6 +540,21 @@ def test_liveness_bookkeeping(world, rng):
     # 31 ticks of silence does.
     assert world.leader.check_liveness(131, 30) == ["M1"]
     assert world.leader.check_liveness(130, 30) == []
+
+
+def test_liveness_sweep_returns_the_expired_in_name_order(world, rng):
+    leader = world.leader
+    extra = {name: world.provider.generate_keypair(rng).public for name in ("A", "Z")}
+    members = [("M1", world.keys["M1"].public), ("M2", world.keys["M2"].public), *extra.items()]
+    leader.found_group(members, make_ctx("L", 0, rng, world.provider), "founding")
+    for name, tick in (("Z", 5), ("M1", 40), ("A", 4), ("M2", 3)):
+        leader.record_heartbeat(name, tick)
+    before = dict(leader.trust)
+    assert leader.check_liveness(40, 30) == ["A", "M2", "Z"]
+    for name in ("A", "M2", "Z"):
+        assert leader.trust[name] == update_trust(before.get(name, leader.trust_initial), "heartbeat_missed")
+    assert leader.trust.get("M1") == before.get("M1")
+    assert leader.heartbeats["M1"] == 40
 
 
 # ---------------------------------------------------------------------------

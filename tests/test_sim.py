@@ -1532,3 +1532,141 @@ def test_founding_leader_ignores_a_forged_alert():
     assert not verdicts(log, "L", "session_refused")
     assert verdicts(log, "L", "session_confirmed") and verdicts(log, "M", "session_confirmed")
     assert sim.nodes["L"].sessions.distrusted == set() and sim.nodes["M"].sessions.distrusted == {"X"}
+
+
+# ---------------------------------------------------------------------------
+# Step contexts
+# ---------------------------------------------------------------------------
+
+
+def test_a_simulation_runs_once():
+    # A second run would set the groups up again over the first run's state
+    # and append a second run, from tick 0, to the same log.
+    sim = Simulation(churn_scenario(500))
+    text = sim.run().to_text()
+    with pytest.raises(SimulationError, match="already run"):
+        sim.run()
+    assert sim.log.to_text() == text
+    assert parse_log_text(text).events == sim.log.events
+
+
+# The replay lockout: M replays the founding REKEY sealed to C while C rejoins.
+REPLAY_LOCKOUT = """
+[params]
+seed = 3
+radio_radius = 110
+duration = 80
+
+[nodes]
+A 1.0 0,0
+B 0.5 100,0
+C 0.5 200,0
+M 0.5 50,20
+
+[groups]
+g1 8 A B C
+
+[script]
+5 leave C
+20 join C g1
+
+[adversaries]
+node M replay delay=32
+"""
+
+
+CONTRACT_RUNS = (
+    *sorted(name for name in os.listdir(FIXTURES) if name.endswith(".scn")),
+    *(f"churn{seed}" for seed in range(500, 505)),
+    "replay_lockout",
+)
+
+
+def _contract_scenario(name):
+    if name.endswith(".scn"):
+        with open(os.path.join(FIXTURES, name)) as handle:
+            return parse_scenario(handle.read())
+    if name.startswith("churn"):
+        return churn_scenario(int(name.removeprefix("churn")))
+    return parse_scenario(REPLAY_LOCKOUT)
+
+
+def _is_empty(ctx) -> bool:
+    return not (ctx.outbound or ctx.notes or ctx.secrets or ctx.signals)
+
+
+@pytest.mark.parametrize("name", CONTRACT_RUNS)
+def test_each_node_steps_in_one_context_that_starts_empty(monkeypatch, name):
+    import manetsec.sim as sim_module
+    from manetsec.keymgmt import LeaderKeyService
+    from manetsec.runtime import Ctx
+
+    built = []
+
+    class CountedCtx(Ctx):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    holder = []  # the simulation under test, once built
+    starts = []  # (node, tick) of each step checked
+
+    def check(owner, inputs):
+        sim = holder[0]
+        (ctx,) = [value for value in inputs if isinstance(value, Ctx)]
+        assert ctx is sim.contexts[owner] and ctx.name == owner
+        assert _is_empty(ctx), (owner, sim.now)
+        assert ctx.now == sim.now
+        starts.append((owner, ctx.now))
+
+    def watched(original):
+        def step(self, *args):
+            check(self.name, args)
+            return original(self, *args)
+
+        return step
+
+    for cls in (ProtocolNode, AdversaryNode):
+        for method in ("handle", "on_tick"):
+            monkeypatch.setattr(cls, method, watched(getattr(cls, method)))
+    monkeypatch.setattr(LeaderKeyService, "found_group", watched(LeaderKeyService.found_group))
+    original_step = Simulation._step
+
+    def step(self, owner, act, *args):
+        def checked(*inputs):
+            check(owner, inputs)
+            return act(*inputs)
+
+        return original_step(self, owner, checked, *args)
+
+    monkeypatch.setattr(Simulation, "_step", step)
+    monkeypatch.setattr(sim_module, "Ctx", CountedCtx)
+    sim = Simulation(_contract_scenario(name))
+    holder.append(sim)
+    sim.run()
+    assert sorted(ctx.name for ctx in built) == sorted(sim.nodes)
+    assert {id(ctx) for ctx in built} == {id(ctx) for ctx in sim.contexts.values()}
+    assert len({tick for _, tick in starts}) > 1 and {owner for owner, _ in starts} == set(sim.nodes)
+    assert all(_is_empty(ctx) for ctx in built)
+    if name == "replay_lockout":
+        assert verdicts(sim.log, "C", "join_abort:bad_member_set_seal")
+
+
+def test_empty_steps_are_not_flushed(monkeypatch):
+    import hashlib
+
+    flushed = []
+    original_flush = Simulation._flush
+
+    def flush(self, owner, ctx):
+        assert not _is_empty(ctx)
+        flushed.append(owner)
+        return original_flush(self, owner, ctx)
+
+    monkeypatch.setattr(Simulation, "_flush", flush)
+    digest = hashlib.sha256()
+    for seed in range(500, 505):
+        digest.update(repr(run(churn_scenario(seed)).registry.secrets).encode())
+    assert flushed
+    # The secrets, entry for entry and in order, as every step was flushed.
+    assert digest.hexdigest() == "82fdb7d6d04cacdcb67b5fd10e61e008c60ee90d1145adefa8b9675fda505402"

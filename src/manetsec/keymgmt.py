@@ -102,6 +102,12 @@ def derive_member_key(member_id: int, secret: int, provider) -> bytes:
     return digest[: provider.sym_key_size]
 
 
+def key_fits(provider, key: bytes) -> bool:
+    """Whether `key` is a symmetric key `provider` can seal under; neither a
+    member nor a session end adopts a key of another size."""
+    return len(key) == provider.sym_key_size
+
+
 # ---------------------------------------------------------------------------
 # Join handshake
 # ---------------------------------------------------------------------------
@@ -520,11 +526,6 @@ class MemberKeyService:
     def is_member(self) -> bool:
         return self.group_key is not None
 
-    def _key_fits(self, key: bytes) -> bool:
-        """Whether `key` is a symmetric key this provider can use; a member
-        adopts no key of another size."""
-        return len(key) == self.provider.sym_key_size
-
     def _store_keyset(self, opened: dict) -> None:
         """Adopt an opened keyset: its group key, lineage, epoch and rows."""
         self.lineage, self.epoch = opened["lineage"], opened["epoch"]
@@ -596,7 +597,7 @@ class MemberKeyService:
             opened = open_sealed(message.kind, self.provider.pk_decrypt(self.keypair.private, message["sealed"]))
         except UNOPENABLE:
             return self._abort_join("bad_admit_seal", ctx)
-        if not self._key_fits(opened["member_key"]):
+        if not key_fits(self.provider, opened["member_key"]):
             return self._abort_join("bad_admit_seal", ctx)
         self.leader = join.leader
         self.leader_public = opened["leader_public"]
@@ -612,7 +613,7 @@ class MemberKeyService:
             opened = open_sealed(message.kind, self.provider.sym_decrypt(self.member_key, message["sealed"]))
         except UNOPENABLE:
             return self._abort_join("bad_member_set_seal", ctx)
-        if not self._key_fits(opened["group_key"]):
+        if not key_fits(self.provider, opened["group_key"]):
             return self._abort_join("bad_member_set_seal", ctx)
         if opened["nonce"] != join.nonce:
             return self._abort_join("nonce_mismatch", ctx)
@@ -643,7 +644,7 @@ class MemberKeyService:
             except UNOPENABLE:
                 ctx.note("verdict", "rekey_undecryptable", "auth", about=self.name)
                 return
-            if not self._key_fits(opened["group_key"]):
+            if not key_fits(self.provider, opened["group_key"]):
                 ctx.note("verdict", "rekey_undecryptable", "bad_key", about=self.name)
                 return
             self._store_keyset(opened)
@@ -655,7 +656,9 @@ class MemberKeyService:
                 ctx.note("verdict", "rekey_undecryptable", "not_addressee", about=self.name)
                 return
             member_key = opened["member_key"]
-            if not self._key_fits(opened["group_key"]) or (member_key and not self._key_fits(member_key)):
+            if not key_fits(self.provider, opened["group_key"]) or (
+                member_key and not key_fits(self.provider, member_key)
+            ):
                 ctx.note("verdict", "rekey_undecryptable", "bad_key", about=self.name)
                 return
             self.leader = opened["leader"]
@@ -825,8 +828,9 @@ class SessionService:
         ctx.emit(msg(MessageKind.SESSION_3, sealed=sealed), to=responder)
 
     def handle_session3(self, message: Message, ctx: Ctx) -> None:
+        # A SESSION_3 with a key this end cannot use is dropped as unopenable.
         opened = self.open_addressed(message)
-        if opened is None:
+        if opened is None or not key_fits(self.provider, opened["session_key"]):
             return
         t_a = opened["t_a"]
         session = None

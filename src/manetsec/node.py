@@ -441,8 +441,6 @@ class ProtocolNode:
     # ------------------------------------------------------------------ clock
 
     def on_tick(self, ctx: Ctx) -> None:
-        if not self.alive:
-            return
         if ctx.now > 0 and ctx.now % self.params.heartbeat_period == 0:
             self._heartbeat(ctx)
         if self.leader_service is not None:

@@ -158,7 +158,7 @@ class Discovery:
     dest: str
     seq: int
     lifetime: int
-    purpose: str = "direct"  # "direct" or "gateway" (leg toward the leader)
+    purpose: str = "direct"  # "direct", "gateway_leg1" (member to its leader) or "gateway_leg3" (leader to member)
     final_dest: str = ""
 
 

@@ -14,15 +14,17 @@ the shortest live radio path to its addressee at one tick per hop, with
 link adversaries intercepting on whichever hop they own -- the key
 management design takes deliverability of addressed control traffic for
 granted, so the simulator provides it rather than making every protocol
-reimplement relaying.  Adversarially placed nodes within range of a
+reimplement relaying.  Taps and adversarial relays on the path see what
+reaches them, when it does.  Adversarially placed nodes within range of a
 transmitter overhear addressed traffic.  Leaders additionally share an
 out-of-band "ring" channel for leader-to-leader traffic.
 
 Adversaries come in two shapes: a *node* adversary is a placed radio
 participant (it hears and transmits like any node, following its scripted
-misbehaviour), and a *link* adversary owns one directed pair of nodes and
-intercepts whatever crosses it.  Everything an adversary receives is in
-the log, which is how the auditor bounds what it could have learned.
+misbehaviour), and a *link* adversary owns the link between two nodes and
+intercepts whatever crosses it either way.  Everything an adversary
+receives is in the log, which is how the auditor bounds what it could have
+learned.
 """
 
 from __future__ import annotations
@@ -656,14 +658,11 @@ def parse_payload_blob(blob: bytes) -> dict:
 @dataclass
 class LinkTap:
     name: str
-    spec: AdversarySpec
+    kind: str  # a behavior of node.BEHAVIORS
+    ends: frozenset  # the two nodes of its link
+    settings: dict  # its arguments over its behavior's defaults
     rng: random.Random
-    args: dict  # the spec's settings
     outbox: list = field(default_factory=list)  # (due, envelope, recipient)
-
-    def matches(self, a: str, b: str) -> bool:
-        _, u, v = self.spec.placement
-        return {a, b} == {u, v}
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +744,7 @@ class Simulation:
                     scenario.params,
                 )
         self.taps = [
-            LinkTap(f"tap{i}", adv, rng_for(f"tap:{i}"), adv.settings)
+            LinkTap(f"tap{i}", adv.kind, frozenset(adv.placement[1:]), adv.settings, rng_for(f"tap:{i}"))
             for i, adv in enumerate(scenario.adversaries)
             if adv.placement[0] == "link"
         ]
@@ -833,8 +832,10 @@ class Simulation:
         return row
 
     def _tap_for(self, a: str, b: str) -> Optional[LinkTap]:
+        """The tap on the link `a`-`b`, either way; a leader's unicast to
+        itself crosses the hop `(a, a)`, which is no tap's link."""
         for tap in self.taps:
-            if tap.matches(a, b):
+            if tap.ends == {a, b}:
                 return tap
         return None
 
@@ -853,8 +854,6 @@ class Simulation:
         if target == source or target in self._neighbours(source):
             return [source, target]
         nodes, no_relay = self.nodes, self._no_relay
-        if not nodes[target].alive:
-            return None
         search = self._searches.get(target)
         if search is None:
             search = self._searches[target] = [{target: 0}, [target], 0]
@@ -917,62 +916,56 @@ class Simulation:
                 self._schedule(self.now + 1, envelope, name, envelope.sender, ("overheard", tx))
 
     def _unicast(self, envelope: Envelope, tx: tuple) -> None:
+        """Walk an addressed message along its path once, a tick a hop.  A
+        hop's tap acts on what reaches it (what an intercepting tap passes on
+        arrives a tick later), then an adversarial relay at its far end
+        overhears what arrives.  Nothing is scheduled past an eaten message."""
         target = envelope.to
         node = self.nodes.get(target)
-        path = None
-        if node is not None and node.alive:
-            path = self._radio_path(envelope.sender, target)
+        alive = node is not None and node.alive
+        path = self._radio_path(envelope.sender, target) if alive else None
         if path is None:
-            reason = "out_of_range" if (node is not None and node.alive) else "dead"
-            self._log("drop", envelope.sender, (reason, tx), recipient=target)
+            self._log("drop", envelope.sender, ("out_of_range" if alive else "dead", tx), recipient=target)
             self._overhear(envelope, tx)
             return
-        hops = len(path) - 1
-        message = envelope.message
-        extra = 0
-        skip = {target}  # the addressee, and adversarial relays that hear it in transit
-        for i, relay in enumerate(path[1:-1], start=1):
-            if isinstance(self.nodes.get(relay), AdversaryNode):
-                skip.add(relay)
-                self._schedule(
-                    self.now + i, envelope, relay, path[i - 1], ("overheard", ("hops", str(i)), tx)
-                )
-        self._overhear(envelope, tx, skip)
-        for i in range(hops):
-            u, v = path[i], path[i + 1]
-            tap = self._tap_for(u, v)
-            if tap is None:
-                continue
-            arrive = self.now + i + 1 + extra
-            link_hops = arrive - self.now
-            tapped = Envelope(message=message, sender=envelope.sender, to=target, channel="radio")
-            if tap.spec.kind == "replay":
-                self._schedule(arrive, tapped, tap.name, u, ("overheard", ("hops", str(link_hops)), tx))
-                tap.outbox.append((arrive + tap.args["delay"], tapped, target))
-                continue
-            self._schedule(arrive, tapped, tap.name, u, ("intercepted", ("hops", str(link_hops)), tx))
-            message = intercept(tap.spec.kind, tap.args, message, tap.rng)
-            if message is None:
-                return
-            extra += 1
-        delivered = Envelope(message=message, sender=envelope.sender, to=target, channel="radio")
-        self._schedule(
-            self.now + hops + extra, delivered, target, envelope.sender, (("hops", str(hops + extra)), tx)
-        )
+        nodes, taps = self.nodes, self.taps
+        carried = envelope
+        arrive = now = self.now
+        for u, v in zip(path, path[1:]):
+            arrive += 1
+            tap = self._tap_for(u, v) if taps else None
+            if tap is not None:
+                if tap.kind == "replay":
+                    self._schedule(arrive, carried, tap.name, u, ("overheard", ("hops", str(arrive - now)), tx))
+                    tap.outbox.append((arrive + tap.settings["delay"], carried, target))
+                else:
+                    self._schedule(arrive, carried, tap.name, u, ("intercepted", ("hops", str(arrive - now)), tx))
+                    passed = intercept(tap.kind, tap.settings, carried.message, tap.rng)
+                    if passed is None:
+                        carried = None
+                        break
+                    carried = replace(carried, message=passed)
+                    arrive += 1
+            if v != target and isinstance(nodes[v], AdversaryNode):
+                self._schedule(arrive, carried, v, u, ("overheard", ("hops", str(arrive - now)), tx))
+        # Each node on the path is reached by the walk, not by overhearing.
+        self._overhear(envelope, tx, path)
+        if carried is not None:
+            self._schedule(arrive, carried, target, envelope.sender, (("hops", str(arrive - now)), tx))
 
     def _dispatch_radio(self, envelope: Envelope, recipient: str, tx: tuple) -> None:
         tap = self._tap_for(envelope.sender, recipient)
         if tap is None:
             self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
             return
-        if tap.spec.kind == "replay":
+        if tap.kind == "replay":
             # A passive tap: traffic flows normally, a copy is re-emitted later.
             self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
             self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("overheard", tx))
-            tap.outbox.append((self.now + 1 + tap.args["delay"], envelope, recipient))
+            tap.outbox.append((self.now + 1 + tap.settings["delay"], envelope, recipient))
             return
         self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("intercepted", tx))
-        passed = intercept(tap.spec.kind, tap.args, envelope.message, tap.rng)
+        passed = intercept(tap.kind, tap.settings, envelope.message, tap.rng)
         if passed is not None:
             tap.outbox.append((self.now + 1, replace(envelope, message=passed), recipient))
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from manetsec import encoding
-from manetsec.crypto import DecryptionError
+from manetsec.crypto import DecryptionError, make_provider
 from manetsec.group import update_trust
 from manetsec.keymgmt import (
     Certificate,
@@ -843,6 +843,28 @@ def test_session4_that_does_not_open_aborts(sessions):
     late = sessions.ctx("A", now + 2)
     sessions.a.handle_session4(session4.message, late)
     assert not late.notes
+
+
+@pytest.mark.parametrize("provider_name", ["test", "real"])
+def test_session3_with_a_key_of_the_wrong_size_is_dropped(provider_name):
+    # A SESSION_3 sealed to B with B's pending timestamps, both readable
+    # from when the exchange's messages were sent, but a 5-byte session key.
+    # Under real crypto sealing SESSION_4 under it would raise; adopting it
+    # at all would leave the genuine SESSION_3 without an exchange.
+    sessions = SessionWorld(make_provider(provider_name))
+    session3, now = _run_until(sessions, MessageKind.SESSION_3)
+    pending = sessions.b.sessions[("A", "B")]
+    plain = seal_plain(MessageKind.SESSION_3, t_a=pending.t_a, t_b=pending.t_b, nonce=1, session_key=b"\x05" * 5)
+    sealed = sessions.provider.pk_encrypt(sessions.keys["B"].public, plain, sessions.rng)
+    ctx = sessions.ctx("B", now + 1)
+    sessions.b.handle_session3(msg(MessageKind.SESSION_3, sealed=sealed), ctx)
+    assert not ctx.notes and not ctx.outbound
+    assert (pending.expects, pending.key) == (MessageKind.SESSION_3, None)
+    session4 = sessions.pump([session3], now + 1)
+    assert not sessions.pump(session4, now + 2)
+    assert (sessions.a.sessions[("A", "B")].expects, pending.expects) == (None, None)
+    assert sessions.notes == [("verdict", "session_confirmed", "A-B")] * 2
+    assert pending.key == sessions.a.sessions[("A", "B")].key
 
 
 # ---------------------------------------------------------------------------

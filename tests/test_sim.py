@@ -1244,6 +1244,26 @@ def test_crashing_a_dead_former_leader_is_skipped():
     assert sim.leaders == {"g1": "B"}
 
 
+def test_actions_on_a_leaderless_group():
+    # Once the leader has crashed, and until its members elect another,
+    # the group has no leader: crashing it again does nothing, and a join
+    # to it fails at once.
+    scenario = line_scenario(
+        ["A", "B", "C"],
+        script=[Action(5, "crash_leader", ("g1",)), Action(6, "crash_leader", ("g1",)), Action(7, "join", ("N", "g1"))],
+        duration=20,
+    )
+    scenario.nodes[0].battery = 1.0
+    scenario.nodes.append(NodeSpec("N", [(50.0, 40.0)], 0.5))
+    sim = Simulation(scenario)
+    log = sim.run()
+    assert not [e for e in log.events if e.tick == 6]
+    at_7 = [(e.kind, e.principals, e.digest, e.detail) for e in log.events if e.tick == 7]
+    assert at_7 == [("alert", "N", "-", "join_failed:no_leader:g1")]
+    assert sim.leaders == {"g1": None}
+    assert audit(log).passed
+
+
 def test_capacity_join_rejected():
     scenario = line_scenario(["A", "B"], script=[Action(3, "join", ("N", "g1"))], duration=25)
     scenario.groups[0].capacity = 2
@@ -1277,6 +1297,32 @@ def test_leader_sends_data_across_the_ring(seed, provider):
     log = run(scenario)
     assert verdicts(log, "b0", "data_delivered:from=a1")
     assert not [e for e in log.events if e.kind == "drop" and e.actor == "a1"]
+    assert audit(log).passed
+
+
+def test_gateway_legs_already_routed_are_not_discovered_again():
+    # a0 already has a route to its leader a1, and b2 one to b0: a0 asks a1
+    # for a composed route at once, and b2 answers from its route table.
+    from manetsec.messages import MessageKind, decode_message, open_sealed
+
+    scenario, _, _ = two_group_scenario(seed=3)
+    scenario.script = [
+        Action(3, "discover", ("a0", "a1")),
+        Action(12, "discover", ("b2", "b0")),
+        Action(25, "discover", ("a0", "b0")),
+    ]
+    scenario.params.duration = 70
+    sim = Simulation(scenario)
+    log = sim.run()
+    assert {sim.leaders["g1"], sim.leaders["g2"]} == {"a1", "b2"}
+    later = [e for e in log.events if e.tick >= 25]
+    [wanted] = [e for e in later if e.kind == "send" and e.actor == "a0" and e.tick == 25]
+    message = decode_message(log.payloads[wanted.digest])
+    plain = sim.provider.sym_decrypt(sim.nodes["a0"].keys.group_key, message["sealed"])
+    assert open_sealed(MessageKind.DATA, plain)["tag"] == "route_wanted"
+    assert not [e for e in later if e.kind == "send" and e.detail.startswith("RREQ:")]
+    assert [e.tick for e in later if e.kind == "send" and e.detail.startswith("GROUP_REP:to=a1:")] == [28]
+    assert [e.tick for e in verdicts(log, "a0", "route_installed:dest=b0:seq=2:composed")] == [31]
     assert audit(log).passed
 
 
@@ -1395,6 +1441,68 @@ def test_adversary_apply_semantics(rng):
 
     exhausted = request.replace(lifetime=0)
     assert intercept("mitm_relay", {}, exhausted, r) is None
+
+
+def _tapped_relay_scenario(tap):
+    """S-A-X-B-D, X a stealth relay, with one `tap` (kind, args) on S-A, or
+    none.  S leads and unicasts founding REKEYs to B (tx 1) and D (tx 2)
+    across X."""
+    nodes = [NodeSpec("S", [(0.0, 0.0)], 1.0)]
+    nodes += [NodeSpec(name, [(x, 0.0)], 0.5) for name, x in (("A", 100.0), ("X", 200.0), ("B", 300.0), ("D", 400.0))]
+    adversaries = [AdversarySpec("mitm_relay", ("node", "X"))]
+    if tap is not None:
+        adversaries.append(AdversarySpec(tap[0], ("link", "S", "A"), tap[1]))
+    return Scenario(
+        seed=1,
+        nodes=nodes,
+        groups=[GroupSpec("g1", 8, ["S", "A", "B", "D"])],
+        params=SimParams(radio_radius=110.0, duration=30),
+        adversaries=adversaries,
+    )
+
+
+# What X and the addressees receive of the founding REKEYs to B and D:
+# (tick, principals, detail, digest prefix).
+_UNTAPPED_COPIES = [
+    (2, "A>X", "REKEY:overheard:hops=2:tx=1", "c8107d6c"),
+    (2, "A>X", "REKEY:overheard:hops=2:tx=2", "cc1e7c48"),
+    (3, "S>B", "REKEY:hops=3:tx=1", "c8107d6c"),
+    (4, "S>D", "REKEY:hops=4:tx=2", "cc1e7c48"),
+]
+
+
+@pytest.mark.parametrize(
+    "tap,copies",
+    [
+        (None, _UNTAPPED_COPIES),
+        (("replay", {"delay": 3}), _UNTAPPED_COPIES),
+        (("drop_all", {}), []),
+        (
+            ("modify_field", {"field": "epoch", "op": "add", "value": 1}),
+            [
+                (3, "A>X", "REKEY:overheard:hops=3:tx=1", "8f1d156d"),
+                (3, "A>X", "REKEY:overheard:hops=3:tx=2", "729da9f6"),
+                (4, "S>B", "REKEY:hops=4:tx=1", "8f1d156d"),
+                (5, "S>D", "REKEY:hops=5:tx=2", "729da9f6"),
+            ],
+        ),
+    ],
+    ids=["untapped", "replay", "drop_all", "modify_field"],
+)
+def test_relay_past_a_tap_hears_what_crossed_it(tap, copies):
+    # A unicast walks its path once: X hears what the tap on S-A let
+    # through, when it reaches X, and nothing of what the tap ate.
+    log = run(_tapped_relay_scenario(tap))
+    sends = [(e.detail, e.digest[:8]) for e in log.events if e.kind == "send" and e.tick == 0 and e.actor == "S"]
+    assert ("REKEY:to=B:ch=radio:tx=1", "c8107d6c") in sends and ("REKEY:to=D:ch=radio:tx=2", "cc1e7c48") in sends
+    received = [
+        (e.tick, e.principals, e.detail, e.digest[:8])
+        for e in log.events
+        if e.kind == "deliver" and e.recipient in ("X", "B", "D") and e.get("tx") in ("1", "2")
+    ]
+    assert received == copies
+    report = audit(log)
+    assert report.passed and "causality" in [result.name for result in report.results]
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@ leader announced; any other alert is ignored.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import encoding
 from .crypto import (
+    FixedBasePowers,
     dh_contribute,
     next_prime,
     zk_commit,
@@ -53,6 +55,7 @@ RING_MODULUS = int(
     16,
 )
 RING_GENERATOR = 2
+RING_SECRET_BITS = 192  # width of each leader's ring secret
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +916,13 @@ class SessionService:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _ring_powers() -> FixedBasePowers:
+    """The ring generator's power table, built the first time a ring is
+    agreed rather than at import, so runs that agree none never pay for it."""
+    return FixedBasePowers(RING_GENERATOR, RING_MODULUS, RING_SECRET_BITS)
+
+
 def leader_ring_agree(
     leaders: list[tuple[str, int]],
     provider,
@@ -924,12 +934,18 @@ def leader_ring_agree(
     Each leader in turn raises the value it receives to its own secret and
     passes it on, so the last one holds the generator raised to every
     secret; only intermediate powers travel, never that value.  Returns the
-    symmetric key derived from it.
+    symmetric key derived from it.  Over the ring's own group the first
+    step, the generator raised to the first secret, reads the generator's
+    power table.
     """
     if not leaders:
         raise ValueError("ring needs at least one leader")
-    shared = generator
-    for _, secret in leaders:
+    (_, first), *rest = leaders
+    if (generator, modulus) == (RING_GENERATOR, RING_MODULUS):
+        shared = _ring_powers().power(first)
+    else:
+        shared = dh_contribute(generator, modulus, first, generator)
+    for _, secret in rest:
         shared = dh_contribute(generator, modulus, secret, shared)
     digest = provider.hash(encoding.encode("ring-key", shared))
     return digest[: provider.sym_key_size]

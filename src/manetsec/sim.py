@@ -40,7 +40,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .crypto import PROVIDERS, make_provider
 from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mobility
-from .keymgmt import FAULTS, CertificateAuthority, LeaderKeyService, leader_ring_agree
+from .keymgmt import FAULTS, RING_SECRET_BITS, CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
@@ -954,7 +954,7 @@ class Simulation:
             self._schedule(arrive, carried, target, envelope.sender, (("hops", str(arrive - now)), tx))
 
     def _dispatch_radio(self, envelope: Envelope, recipient: str, tx: tuple) -> None:
-        tap = self._tap_for(envelope.sender, recipient)
+        tap = self._tap_for(envelope.sender, recipient) if self.taps else None
         if tap is None:
             self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
             return
@@ -1038,7 +1038,7 @@ class Simulation:
         trust_seed = self.last_trust.get(group_id, {})
         for member, value in trust_seed.items():
             node.leader_service.trust[member] = value
-        node.ring_secret = node.rng.getrandbits(192)
+        node.ring_secret = node.rng.getrandbits(RING_SECRET_BITS)
         node.leader_last_seen = None
         ctx = self.contexts[name]
         ctx.now = self.now

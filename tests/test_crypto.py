@@ -2,13 +2,14 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from manetsec import crypto
+from manetsec import crypto, keymgmt
 from manetsec.crypto import (
     CiphertextAuthenticationError,
     DecryptionError,
     DeterministicProvider,
+    FixedBasePowers,
     MalformedCiphertextError,
     RealCryptoProvider,
     dh_contribute,
@@ -342,3 +343,64 @@ def test_dh_three_party_equal_secrets():
     g, p, s = 5, 23, 6
     via_ring = dh_contribute(g, p, s, dh_contribute(g, p, s, dh_contribute(g, p, s, g)))
     assert via_ring == pow(g, s * s * s, p)
+
+
+# ---------------------------------------------------------------------------
+# The ring generator's fixed-base table
+# ---------------------------------------------------------------------------
+
+G, P = keymgmt.RING_GENERATOR, keymgmt.RING_MODULUS
+
+
+def _exponents(max_bits):
+    """Exponents of every width from 0 to `max_bits` bits, each width alike."""
+    return st.integers(0, max_bits).flatmap(lambda bits: st.integers(0, (1 << bits) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exponents(260))
+@example(0)
+@example(1)
+@example(2**192 - 1)
+@example(2**192)
+def test_ring_table_equals_pow(exponent):
+    # Past the table's 192 bits the answer comes from the pow fallback.
+    assert keymgmt._ring_powers().power(exponent) == pow(G, exponent, P)
+
+
+def test_ring_table_is_built_once_and_sized_from_the_secret_width():
+    table = keymgmt._ring_powers()
+    assert keymgmt._ring_powers() is table
+    assert (table.generator, table.modulus, table.bits) == (G, P, keymgmt.RING_SECRET_BITS)
+    assert len(table.rows) == keymgmt.RING_SECRET_BITS // FixedBasePowers.WINDOW == 48
+    assert {len(row) for row in table.rows} == {16}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponents(24))
+def test_small_table_equals_pow_with_bits_off_the_window(exponent):
+    # 10 bits is not a whole number of 4-bit windows: the top row is part used.
+    table = FixedBasePowers(5, 1019, 10)
+    assert len(table.rows) == 3
+    assert table.power(exponent) == pow(5, exponent, 1019)
+
+
+def test_table_fallback_keeps_pow_for_negative_exponents():
+    # pow gives the inverse; the table must not read a negative exponent.
+    assert FixedBasePowers(5, 23, 8).power(-1) == pow(5, -1, 23) == 14
+
+
+def test_dh_checks_still_raise_for_the_table():
+    # The first step of a ring reads the table; it is still dh_contribute's
+    # step, so a generator the step would reject builds no table.
+    for generator, modulus in ((1, 23), (0, 23), (23, 23), (30, 23)):
+        with pytest.raises(ValueError):
+            FixedBasePowers(generator, modulus, 8)
+        with pytest.raises(ValueError):
+            dh_contribute(generator, modulus, 6, generator)
+    with pytest.raises(ValueError, match="degenerate"):
+        dh_contribute(G, P, 6, 1)
+    with pytest.raises(ValueError, match="degenerate"):
+        dh_contribute(G, P, 6, 0)
+    with pytest.raises(ValueError, match="generator"):
+        dh_contribute(P, P, 6, 5)

@@ -31,6 +31,11 @@ reference (``perfbench/reference.json``) is checked here as well, on a
 slice of each workload's pool, so the audit text of the benchmarked runs
 is pinned in the suite and not only in the benchmark.
 
+No log shows a ring key, so a wrong one would pass every digest of a
+single-group run; the ring keys of churn seeds 500-519 and of every
+multi-group case are checked against the leaders' chain raised with
+builtin ``pow`` alone.
+
 To print the log table for the current code:
 ``PYTHONPATH=src python tests/test_golden.py``; to print the audit table:
 ``PYTHONPATH=src python tests/test_golden.py audit``.
@@ -43,7 +48,10 @@ import sys
 
 import pytest
 
+from manetsec import encoding, sim as sim_module
 from manetsec.audit import audit
+from manetsec.crypto import make_provider
+from manetsec.keymgmt import RING_GENERATOR, RING_MODULUS, leader_ring_agree
 from manetsec.node import ProtocolNode
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
@@ -293,6 +301,35 @@ def test_every_gateway_wait_ends(case_id):
         if isinstance(node, ProtocolNode) and (node.gateway_jobs or node.remote_jobs or node.pending_composed)
     }
     assert held == {}
+
+
+RING_CASES = [(f"churn:{seed}", lambda s=seed: churn_scenario(s)) for seed in range(500, 520)] + [
+    (case_id, build) for case_id, build in CASES if len(build().groups) > 1
+]
+
+
+@pytest.mark.parametrize("case_id,build", RING_CASES, ids=[case_id for case_id, _ in RING_CASES])
+def test_ring_keys_equal_a_chain_of_builtin_pow(case_id, build, monkeypatch):
+    chains = []  # the leaders and secrets of each ring version, in order
+
+    def recorded(leaders, provider):
+        chains.append(list(leaders))
+        return leader_ring_agree(leaders, provider)
+
+    monkeypatch.setattr(sim_module, "leader_ring_agree", recorded)
+    log = run(build())
+    provider = make_provider(log.registry.provider_name)
+    rekeys = [event for event in log.events if event.kind == "rekey" and event.word == "ring"]
+    assert [event.actor.split(",") for event in rekeys] == [[name for name, _ in chain] for chain in chains]
+    keys = [(label[1], owner, key) for _, owner, label, key in log.registry.secrets if label[0] == "ring_key"]
+    assert sorted((version, owner) for version, owner, _ in keys) == [
+        (version, name) for version, chain in enumerate(chains, 1) for name, _ in chain
+    ]
+    for version, _, key in keys:
+        shared = RING_GENERATOR
+        for _, secret in chains[version - 1]:
+            shared = pow(shared, secret, RING_MODULUS)
+        assert key == provider.hash(encoding.encode("ring-key", shared))[: provider.sym_key_size]
 
 
 BENCHMARK_SLICE = [("churn", seed) for seed in range(500, 510)] + [

@@ -13,10 +13,8 @@ Two providers implement the same surface:
   for runs where actual cryptographic strength matters.
 
 The quadratic-residue identification arithmetic (``zk_*``), the primality
-test behind it (``is_prime``, ``next_prime``), the ring key-agreement step
-(``dh_contribute``) and :class:`FixedBasePowers`, the table that a ring's
-first step, from the fixed generator, is read from, are
-provider-independent integer math and live here.
+test behind it (``is_prime``, ``next_prime``) and the ring key-agreement step
+(``dh_contribute``) are provider-independent integer math and live here.
 """
 
 from __future__ import annotations
@@ -420,57 +418,14 @@ def zk_verify(commitment: int, square: int, challenge: int, response: int, modul
     return pow(response, 2, modulus) == (commitment * pow(square, challenge, modulus)) % modulus
 
 
-def _check_dh_step(generator: int, modulus: int, accumulated: int) -> None:
-    if accumulated in (0, 1):
-        raise ValueError("degenerate accumulated value")
-    if not 1 < generator < modulus:
-        raise ValueError("generator must lie strictly between 1 and the modulus")
-
-
 def dh_contribute(generator: int, modulus: int, own_secret: int, accumulated: int) -> int:
     """One ring key-agreement step: raise the accumulated value to own secret.
 
     ``accumulated`` starts life as the generator; values 0 and 1 are
     degenerate (they would collapse the whole exchange) and are rejected.
     """
-    _check_dh_step(generator, modulus, accumulated)
+    if accumulated in (0, 1):
+        raise ValueError("degenerate accumulated value")
+    if not 1 < generator < modulus:
+        raise ValueError("generator must lie strictly between 1 and the modulus")
     return pow(accumulated, own_secret, modulus)
-
-
-class FixedBasePowers:
-    """The first ring step, ``dh_contribute(generator, modulus, s, generator)``,
-    read from a table of the generator's powers (Brickell, Gordon, McCurley
-    and Wilson, EUROCRYPT 1992).
-
-    Row ``i`` holds ``generator ** (d << (WINDOW * i)) % modulus`` for every
-    digit ``d`` of one window, so an exponent of up to `bits` bits costs one
-    modular product per nonzero digit and no squaring.  A wider (or
-    negative) exponent falls back to ``pow``.  The step's checks run once,
-    when the table is built, since its generator and modulus never change.
-    """
-
-    WINDOW = 4
-
-    def __init__(self, generator: int, modulus: int, bits: int) -> None:
-        _check_dh_step(generator, modulus, generator)
-        self.generator, self.modulus, self.bits = generator, modulus, bits
-        self.rows = []
-        base = generator
-        for _ in range(-(-bits // self.WINDOW)):
-            row = [1, base]
-            for _ in range(2, 1 << self.WINDOW):
-                row.append(row[-1] * base % modulus)
-            self.rows.append(row)
-            base = row[-1] * base % modulus
-
-    def power(self, exponent: int) -> int:
-        """``generator ** exponent % modulus``."""
-        if exponent >> self.bits:
-            return pow(self.generator, exponent, self.modulus)
-        modulus, mask = self.modulus, (1 << self.WINDOW) - 1
-        result = 1
-        for row in self.rows:
-            if exponent & mask:
-                result = result * row[exponent & mask] % modulus
-            exponent >>= self.WINDOW
-        return result

@@ -16,7 +16,10 @@ another kind rejects that join, and a session message of another kind
 goes unanswered.  A node believes a leader's alert only under a
 signature it can check: a radio alert against its own group leader's key
 (its own key when it leads), a ring alert against the key the sending
-leader announced; any other alert is ignored.
+leader announced; any other alert is ignored.  The leaders of all groups
+share a ring key for traffic between groups: each leader draws its own
+ring secret when its service is built, and `leader_ring_agree` raises the
+RFC 3526 group's generator to every current leader's secret in turn.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Optional
 
 from . import encoding
 from .crypto import (
-    FixedBasePowers,
     dh_contribute,
     next_prime,
     zk_commit,
@@ -56,6 +58,38 @@ RING_MODULUS = int(
 )
 RING_GENERATOR = 2
 RING_SECRET_BITS = 192  # width of each leader's ring secret
+RING_WINDOW = 4  # secret bits per row of the generator's power table
+
+
+@functools.cache
+def _ring_powers() -> list[list[int]]:
+    """The ring generator's power table (Brickell, Gordon, McCurley and
+    Wilson, EUROCRYPT 1992): row ``i`` holds
+    ``RING_GENERATOR ** (d << (RING_WINDOW * i)) % RING_MODULUS`` for every
+    digit ``d`` of one window.  Built the first time a ring is agreed rather
+    than at import, so runs that agree none never pay for it."""
+    rows, base = [], RING_GENERATOR
+    for _ in range(-(-RING_SECRET_BITS // RING_WINDOW)):
+        row = [1, base]
+        for _ in range(2, 1 << RING_WINDOW):
+            row.append(row[-1] * base % RING_MODULUS)
+        rows.append(row)
+        base = row[-1] * base % RING_MODULUS
+    return rows
+
+
+def _ring_power(secret: int) -> int:
+    """``RING_GENERATOR ** secret % RING_MODULUS`` read from the table: one
+    modular product per nonzero digit and no squaring."""
+    if not 0 <= secret < 1 << RING_SECRET_BITS:
+        raise ValueError("ring secret out of range")
+    modulus, mask = RING_MODULUS, (1 << RING_WINDOW) - 1
+    result = 1
+    for row in _ring_powers():
+        if secret & mask:
+            result = result * row[secret & mask] % modulus
+        secret >>= RING_WINDOW
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +222,7 @@ class LeaderKeyService:
         self.epoch = 0
         self.keyring: dict[tuple[str, int], bytes] = {}  # (lineage, epoch) -> group key
         self._next_epoch(rng)
+        self.ring_secret = rng.getrandbits(RING_SECRET_BITS)  # its exponent in the leader ring's key
         self.member_view: dict[str, bytes] = {name: keypair.public}  # every member, the leader included
         self.next_member_id = 1
         self.join_sessions: dict[str, LeaderJoinSession] = {}
@@ -916,36 +951,21 @@ class SessionService:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _ring_powers() -> FixedBasePowers:
-    """The ring generator's power table, built the first time a ring is
-    agreed rather than at import, so runs that agree none never pay for it."""
-    return FixedBasePowers(RING_GENERATOR, RING_MODULUS, RING_SECRET_BITS)
+def leader_ring_agree(leaders: list[tuple[str, int]], provider) -> bytes:
+    """Ring key agreement over an ordered leader list of (name, ring secret).
 
-
-def leader_ring_agree(
-    leaders: list[tuple[str, int]],
-    provider,
-    generator: int = RING_GENERATOR,
-    modulus: int = RING_MODULUS,
-) -> bytes:
-    """Ring key agreement over an ordered leader list.
-
-    Each leader in turn raises the value it receives to its own secret and
-    passes it on, so the last one holds the generator raised to every
-    secret; only intermediate powers travel, never that value.  Returns the
-    symmetric key derived from it.  Over the ring's own group the first
-    step, the generator raised to the first secret, reads the generator's
-    power table.
+    The chain of the leaders' Diffie-Hellman steps (GDH.2's upflow):
+    starting from the generator, each leader in turn raises the value to
+    its own secret, so the last step yields the generator raised to every
+    secret.  The simulator computes the whole chain in one call; the first
+    step reads the generator's power table.  Returns the symmetric key
+    derived from the result.
     """
     if not leaders:
         raise ValueError("ring needs at least one leader")
     (_, first), *rest = leaders
-    if (generator, modulus) == (RING_GENERATOR, RING_MODULUS):
-        shared = _ring_powers().power(first)
-    else:
-        shared = dh_contribute(generator, modulus, first, generator)
+    shared = _ring_power(first)
     for _, secret in rest:
-        shared = dh_contribute(generator, modulus, secret, shared)
+        shared = dh_contribute(RING_GENERATOR, RING_MODULUS, secret, shared)
     digest = provider.hash(encoding.encode("ring-key", shared))
     return digest[: provider.sym_key_size]

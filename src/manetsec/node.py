@@ -70,7 +70,6 @@ class ProtocolNode:
         self.router = Router(name, keypair, provider, strict_chain=params.strict_chain)
         self.leader_service: Optional[LeaderKeyService] = None
         self.ring_key: Optional[bytes] = None
-        self.ring_secret: int = 0
         self.known_leaders: dict[str, tuple[str, bytes]] = {}  # leader -> (its group, its public key)
         self.alive = True
         self.leader_last_seen: Optional[int] = None

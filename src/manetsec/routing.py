@@ -180,7 +180,7 @@ class Router:
 
     def start_discovery(
         self, dest: str, lifetime: int, ctx: Ctx, purpose: str = "direct", final_dest: str = ""
-    ) -> int:
+    ) -> None:
         self.next_seq += 1
         seq = self.next_seq
         message = make_rreq(self.provider, self.keypair, self.name, dest, seq, lifetime)
@@ -190,7 +190,6 @@ class Router:
         self.seen.add((self.name, seq))
         ctx.emit(message)
         ctx.note("verdict", "discovery_started", ("dest", dest), ("seq", seq), about=self.name)
-        return seq
 
     # -- request handling ------------------------------------------------------
 
@@ -306,14 +305,12 @@ class Router:
         ctx.note("verdict", "route_installed", ("dest", dest), ("seq", seq), about=self.name)
         return discovery
 
-    def install(self, dest: str, route: list, seq: int) -> Optional[RouteEntry]:
+    def install(self, dest: str, route: list, seq: int) -> None:
         entry = self.table.get(dest)
         if entry is not None and seq < entry.seq:
-            return None
+            return
         next_hop = route[1] if len(route) > 1 else dest
-        new_entry = RouteEntry(dest=dest, next_hop=next_hop, route=list(route), seq=seq)
-        self.table[dest] = new_entry
-        return new_entry
+        self.table[dest] = RouteEntry(dest=dest, next_hop=next_hop, route=list(route), seq=seq)
 
     def route_to(self, dest: str) -> Optional[RouteEntry]:
         return self.table.get(dest)

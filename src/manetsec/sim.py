@@ -40,7 +40,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .crypto import PROVIDERS, make_provider
 from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mobility
-from .keymgmt import FAULTS, RING_SECRET_BITS, CertificateAuthority, LeaderKeyService, leader_ring_agree
+from .keymgmt import FAULTS, CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
@@ -1038,7 +1038,6 @@ class Simulation:
         trust_seed = self.last_trust.get(group_id, {})
         for member, value in trust_seed.items():
             node.leader_service.trust[member] = value
-        node.ring_secret = node.rng.getrandbits(RING_SECRET_BITS)
         node.leader_last_seen = None
         ctx = self.contexts[name]
         ctx.now = self.now
@@ -1056,7 +1055,7 @@ class Simulation:
         if not leaders:
             return
         self.ring_version += 1
-        pairs = [(name, self.nodes[name].ring_secret) for name in leaders]
+        pairs = [(name, self.nodes[name].leader_service.ring_secret) for name in leaders]
         key = leader_ring_agree(pairs, self.provider)
         for name in leaders:
             self.nodes[name].ring_key = key

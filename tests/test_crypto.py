@@ -9,7 +9,6 @@ from manetsec.crypto import (
     CiphertextAuthenticationError,
     DecryptionError,
     DeterministicProvider,
-    FixedBasePowers,
     MalformedCiphertextError,
     RealCryptoProvider,
     dh_contribute,
@@ -358,44 +357,34 @@ def _exponents(max_bits):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_exponents(260))
+@given(_exponents(keymgmt.RING_SECRET_BITS))
 @example(0)
 @example(1)
 @example(2**192 - 1)
-@example(2**192)
 def test_ring_table_equals_pow(exponent):
-    # Past the table's 192 bits the answer comes from the pow fallback.
-    assert keymgmt._ring_powers().power(exponent) == pow(G, exponent, P)
+    assert keymgmt._ring_power(exponent) == pow(G, exponent, P)
+
+
+@pytest.mark.parametrize("secret", [2**192, -1])
+def test_ring_table_rejects_a_secret_out_of_range(secret):
+    # No leader draws one; a negative secret would read the wrong digits.
+    with pytest.raises(ValueError, match="ring secret"):
+        keymgmt._ring_power(secret)
 
 
 def test_ring_table_is_built_once_and_sized_from_the_secret_width():
     table = keymgmt._ring_powers()
     assert keymgmt._ring_powers() is table
-    assert (table.generator, table.modulus, table.bits) == (G, P, keymgmt.RING_SECRET_BITS)
-    assert len(table.rows) == keymgmt.RING_SECRET_BITS // FixedBasePowers.WINDOW == 48
-    assert {len(row) for row in table.rows} == {16}
-
-
-@settings(max_examples=200, deadline=None)
-@given(_exponents(24))
-def test_small_table_equals_pow_with_bits_off_the_window(exponent):
-    # 10 bits is not a whole number of 4-bit windows: the top row is part used.
-    table = FixedBasePowers(5, 1019, 10)
-    assert len(table.rows) == 3
-    assert table.power(exponent) == pow(5, exponent, 1019)
-
-
-def test_table_fallback_keeps_pow_for_negative_exponents():
-    # pow gives the inverse; the table must not read a negative exponent.
-    assert FixedBasePowers(5, 23, 8).power(-1) == pow(5, -1, 23) == 14
+    assert len(table) == keymgmt.RING_SECRET_BITS // keymgmt.RING_WINDOW == 48
+    assert {len(row) for row in table} == {16}
 
 
 def test_dh_checks_still_raise_for_the_table():
-    # The first step of a ring reads the table; it is still dh_contribute's
-    # step, so a generator the step would reject builds no table.
+    # The table runs no check: its generator and modulus are the ring's
+    # constants, which dh_contribute's checks accept.  Every later step is
+    # dh_contribute's, and its checks still reject a bad value.
+    assert dh_contribute(G, P, 6, G) == keymgmt._ring_power(6)
     for generator, modulus in ((1, 23), (0, 23), (23, 23), (30, 23)):
-        with pytest.raises(ValueError):
-            FixedBasePowers(generator, modulus, 8)
         with pytest.raises(ValueError):
             dh_contribute(generator, modulus, 6, generator)
     with pytest.raises(ValueError, match="degenerate"):

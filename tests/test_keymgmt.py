@@ -13,7 +13,12 @@ from manetsec.keymgmt import (
     LeaderKeyService,
     MemberKeyService,
     NodeJoinState,
+    PRIME_BITS,
+    RING_GENERATOR,
+    RING_MODULUS,
+    RING_SECRET_BITS,
     SessionService,
+    _draw_prime,
     check_certificate,
     derive_member_key,
     leader_ring_agree,
@@ -872,34 +877,55 @@ def test_session3_with_a_key_of_the_wrong_size_is_dropped(provider_name):
 # ---------------------------------------------------------------------------
 
 
+def _ring_key(shared, provider):
+    return provider.hash(encoding.encode("ring-key", shared))[: provider.sym_key_size]
+
+
 def test_ring_two_leaders_matches_direct_exponentiation(provider):
-    key = leader_ring_agree([("L1", 6), ("L2", 15)], provider, generator=5, modulus=23)
-    # Independent oracle: both orders of direct exponentiation give 2.
-    shared = pow(pow(5, 6, 23), 15, 23)
-    assert shared == pow(pow(5, 15, 23), 6, 23) == 2
-    expected = provider.hash(encoding.encode("ring-key", shared))[: provider.sym_key_size]
-    assert key == expected
+    key = leader_ring_agree([("L1", 6), ("L2", 15)], provider)
+    # Independent oracle: both orders of direct exponentiation agree.
+    shared = pow(pow(RING_GENERATOR, 6, RING_MODULUS), 15, RING_MODULUS)
+    assert shared == pow(pow(RING_GENERATOR, 15, RING_MODULUS), 6, RING_MODULUS) == 2**90
+    assert key == _ring_key(shared, provider)
 
 
 def test_ring_single_leader_degenerate(provider):
-    key = leader_ring_agree([("L1", 6)], provider, generator=5, modulus=23)
-    expected = provider.hash(encoding.encode("ring-key", pow(5, 6, 23)))[:32]
-    assert key == expected
+    key = leader_ring_agree([("L1", 6)], provider)
+    assert key == _ring_key(pow(RING_GENERATOR, 6, RING_MODULUS), provider)
 
 
 def test_ring_order_of_members_does_not_change_key(provider):
-    a = leader_ring_agree([("L1", 6), ("L2", 15), ("L3", 11)], provider, 2, 1019)
-    b = leader_ring_agree([("L3", 11), ("L1", 6), ("L2", 15)], provider, 2, 1019)
+    a = leader_ring_agree([("L1", 6), ("L2", 15), ("L3", 11)], provider)
+    b = leader_ring_agree([("L3", 11), ("L1", 6), ("L2", 15)], provider)
     assert a == b  # product of secrets is order-free
-    # Oracle: three equal contributions nest to one exponent product.
-    shared = pow(2, 6 * 15 * 11, 1019)
-    assert a == provider.hash(encoding.encode("ring-key", shared))[:32]
+    # Oracle: three contributions nest to one exponent product.
+    shared = pow(pow(pow(RING_GENERATOR, 6, RING_MODULUS), 15, RING_MODULUS), 11, RING_MODULUS)
+    assert shared == pow(RING_GENERATOR, 6 * 15 * 11, RING_MODULUS)
+    assert a == _ring_key(shared, provider)
 
 
 def test_ring_key_changes_after_replacement(provider, rng):
-    before = leader_ring_agree([("L1", 6), ("L2", 15)], provider, 5, 23)
-    after = leader_ring_agree([("L1", 6), ("L3", 11)], provider, 5, 23)
+    before = leader_ring_agree([("L1", 6), ("L2", 15)], provider)
+    after = leader_ring_agree([("L1", 6), ("L3", 11)], provider)
     assert before != after
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_leader_draws_its_ring_secret_last(world, seed):
+    # The simulator's streams are those of a leader drawn its ring secret
+    # just after its service was built: the constructor's last draw.
+    leader = LeaderKeyService(
+        "L", "g1", "g1-1", world.keys["L"], world.provider, random.Random(seed), world.authority.public, 8
+    )
+    stream = random.Random(seed)
+    p = _draw_prime(stream, PRIME_BITS)
+    q = _draw_prime(stream, PRIME_BITS)
+    while q == p:
+        q = _draw_prime(stream, PRIME_BITS)
+    stream.randrange(2, p * q)  # the identification secret
+    stream.getrandbits(128)  # the member secret
+    world.provider.generate_symmetric_key(stream)  # the first group key
+    assert leader.ring_secret == stream.getrandbits(RING_SECRET_BITS)
 
 
 def test_ring_empty_rejected(provider):

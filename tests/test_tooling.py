@@ -46,6 +46,17 @@ def test_one_data_builder():
     assert sites == ["node.py"]
 
 
+def test_only_keymgmt_knows_the_ring_secret():
+    # Each leader draws its own ring secret in its LeaderKeyService; no
+    # other module sizes, draws or writes one.
+    src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
+    sites = {
+        path.name for path in sorted(src.glob("*.py"))
+        if re.search(r"\bRING_SECRET_BITS\b|\bring_secret\s*(:[^=\n]*)?=[^=]", path.read_text())
+    }
+    assert sites == {"keymgmt.py"}
+
+
 def test_import_loads_no_heavy_dependency():
     # The identification primes come from crypto.is_prime, and the real
     # provider imports `cryptography` only when constructed, so importing

@@ -46,8 +46,6 @@ from .messages import PK, MessageKind, decode_message, sealed_readings, seals
 from .routing import expected_chain
 from .sim import EventLog, SimEvent, SimulationError
 
-KEY_PROPAGATION_TICKS = 2
-
 
 @dataclass
 class PropertyResult:
@@ -510,7 +508,7 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
     for change in index.changes:
         if change.change != "out":
             continue
-        node, out_tick, out_idx = change.node, change.tick, change.event_index
+        node, out_idx = change.node, change.event_index
         knowledge = index.knowledge(node)
         spans = intervals.get(node, [])
         # Holding a group key minted after this departure, in log order, is
@@ -524,8 +522,6 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
             ):
                 failures.append(out_idx)
         for ct in group_ct:
-            if ct.tick < out_tick + KEY_PROPAGATION_TICKS:
-                continue
             if _was_member_at(spans, ct.tick):
                 continue
             # Only traffic a then-current member originated counts as group
@@ -536,9 +532,7 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
                 failures.append(ct.event_index)
         if knowledge.private_key is not None:
             for ct in pk_ct:
-                if ct.tick < out_tick + KEY_PROPAGATION_TICKS or ct.recipient == node:
-                    continue
-                if _was_member_at(spans, ct.tick):
+                if ct.recipient == node or _was_member_at(spans, ct.tick):
                     continue
                 try:
                     index.provider.pk_decrypt(knowledge.private_key, ct.sealed)

@@ -680,7 +680,6 @@ class Simulation:
         self.provider = make_provider(scenario.provider_name)
         self.now = 0
         self._ran = False
-        self._event_seq = 0
         self._tx = 0
         self.log = EventLog()
         self.queue: dict[int, list] = {}
@@ -778,8 +777,8 @@ class Simulation:
                 digest = self.provider.hash(payload).hex()
                 self._digests[payload] = digest
                 self.log.payloads.setdefault(digest, payload)
-        self.log.events.append(SimEvent(self.now, self._event_seq, kind, str(actor), recipient, about, digest, parts))
-        self._event_seq += 1
+        events = self.log.events
+        events.append(SimEvent(self.now, len(events), kind, str(actor), recipient, about, digest, parts))
 
     def _schedule(self, tick: int, envelope: Envelope, recipient: str, via: str, parts: tuple) -> None:
         """Queue a delivery; `parts` end the detail its deliver or drop logs."""

@@ -1,4 +1,3 @@
-import importlib
 import os
 import random
 from collections import Counter
@@ -6,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import manetsec.audit as audit_module
 from manetsec import encoding
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import DecryptionError, DeterministicProvider, make_provider
@@ -336,8 +336,6 @@ def test_fault_counterexamples_are_pinned(seed, fault):
 
 
 def test_audit_decodes_each_payload_at_most_once(monkeypatch):
-    # The package re-exports the audit() function under the module's name.
-    audit_module = importlib.import_module("manetsec.audit")
     log = run(churn_scenario(seed=100))
     decodes = 0
     real_decode = audit_module.decode_message
@@ -470,7 +468,6 @@ def test_shared_trial_decryptions_give_each_principal_the_literal_answer(case):
     # departed principal's answer for each group ciphertext is the one a
     # plain loop over its keys gets from the provider, and so is every
     # plaintext the table holds.
-    audit_module = importlib.import_module("manetsec.audit")
     seed, fault = case.split(":")
     index = audit_module._LogIndex(run(churn_scenario(int(seed), set() if fault == "plain" else {fault})))
     audit_module._check_backward_secrecy(index)
@@ -644,17 +641,40 @@ def _rekey_to_another_opens_for_the_departed():
     return log, "backward_secrecy", [_append(log, send, provider, crafted)]
 
 
-def _member_speaks_under_a_key_it_has_replaced():
-    # n1 received epoch 2 at tick 24; at the last tick it still chats under
-    # epoch 1, which the departed n3 holds.  No rekey in flight excuses it.
-    log, provider, rng = _benign_line()
+def _stale_chat(log, provider, rng):
+    """A group DATA that n1 sends under epoch 1, which n3 holds."""
     old_key = next(value for _, _, label, value in log.registry.secrets if label == ("group_key", "g1-1", 1))
     stale = msg(
         MessageKind.DATA, group="g1", lineage="g1-1", epoch=1, route=[], hop=0,
         sealed=provider.sym_encrypt(old_key, b"stale chat", rng),
     )
-    send = SimEvent(0, 0, "send", "n1", None, "", "-", ("DATA", ("to", "*")))
+    return stale, SimEvent(0, 0, "send", "n1", None, "", "-", ("DATA", ("to", "*")))
+
+
+def _member_speaks_under_a_key_it_has_replaced():
+    # n1 received epoch 2 at tick 24; at the last tick it still chats under
+    # epoch 1, which the departed n3 holds.  No rekey in flight excuses it.
+    log, provider, rng = _benign_line()
+    stale, send = _stale_chat(log, provider, rng)
     return log, "backward_secrecy", [_append(log, send, provider, stale)]
+
+
+def _member_speaks_under_a_key_it_has_replaced_just_after_a_removal():
+    # n5's join takes g1 to epoch 2, which reaches n1 at tick 13; n3 is
+    # removed at tick 23.  At tick 24 n1 chats under epoch 1: what is in
+    # flight to it then is epoch 3, so it already held newer material.
+    with open(os.path.join(FIXTURES, "benign_line.scn")) as handle:
+        text = handle.read()
+    text = text.replace("n4 0.5 400,0\n", "n4 0.5 400,0\nn5 0.5 50,40\n")
+    log = run(parse_scenario(text.replace("2 discover n0 n4\n", "2 discover n0 n4\n5 join n5 g1\n")))
+    provider = make_provider(log.registry.provider_name)
+    stale, send = _stale_chat(log, provider, random.Random(7))
+    digest = provider.hash(stale.encoded).hex()
+    log.payloads[digest] = stale.encoded
+    at = next(i for i, event in enumerate(log.events) if event.tick > 24)
+    log.events.insert(at, replace(send, tick=24, digest=digest))
+    log.events = [replace(event, seq=i) for i, event in enumerate(log.events)]
+    return log, "backward_secrecy", [at]
 
 
 @pytest.mark.parametrize(
@@ -667,6 +687,7 @@ def _member_speaks_under_a_key_it_has_replaced():
         _epoch_restated,
         _rekey_to_another_opens_for_the_departed,
         _member_speaks_under_a_key_it_has_replaced,
+        _member_speaks_under_a_key_it_has_replaced_just_after_a_removal,
     ],
     ids=lambda breach: breach.__name__.lstrip("_"),
 )

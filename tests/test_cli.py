@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import manetsec.audit as audit_module
 from manetsec.cli import main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -182,7 +183,6 @@ def test_run_detected_attack_is_expected_outcome(tmp_path):
 
 def test_run_indexes_the_log_once(tmp_path, monkeypatch, capsys):
     # The audit's index also answers the MET/MISSED lines.
-    audit_module = importlib.import_module("manetsec.audit")
     built = []
 
     class CountedIndex(audit_module._LogIndex):

@@ -12,6 +12,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
+import manetsec
 from manetsec import sim
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
@@ -55,6 +56,15 @@ def test_only_keymgmt_knows_the_ring_secret():
         if re.search(r"\bRING_SECRET_BITS\b|\bring_secret\s*(:[^=\n]*)?=[^=]", path.read_text())
     }
     assert sites == {"keymgmt.py"}
+
+
+def test_each_module_name_on_the_package_is_that_module():
+    # `manetsec.audit` is the auditor module, not a function re-exported
+    # under its name.
+    src = pathlib.Path(manetsec.__file__).parent
+    for name in sorted(path.stem for path in src.glob("[!_]*.py")):
+        if hasattr(manetsec, name):
+            assert getattr(manetsec, name) is sys.modules[f"manetsec.{name}"], name
 
 
 def test_import_loads_no_heavy_dependency():

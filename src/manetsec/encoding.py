@@ -17,6 +17,13 @@ with the following tags and body rules:
 ``encode(*values)`` concatenates the field encodings of its arguments with
 no outer framing; ``decode(data)`` reverses that, returning a list.  The
 encoding is injective: distinct value tuples never produce the same bytes.
+
+A *table* is a SEQ whose first field is itself a SEQ; on the wire only a
+directory of ``[member name, public key]`` rows has that shape.  A founding
+leader seals one directory into every member's plaintext, so ``decode``
+decodes a table of flat rows once per distinct encoding and keeps the
+result in a small memo; every reader gets its own lists, and a body that
+fails to decode raises as any other and is never kept.
 """
 
 from __future__ import annotations
@@ -37,6 +44,12 @@ class EncodingError(ValueError):
 
 
 _HEADER = struct.Struct(">BI")  # tag, body length
+
+# Decoded tables of flat rows by their body bytes, oldest dropped first.
+# Each directory a run founds is read by every member it is sealed to and
+# again by the auditor; an 11-node churn run founds up to 11 of them.
+_TABLE_MEMO_SIZE = 16
+_tables: dict = {}
 
 
 def _encode_one(value: Value) -> bytes:
@@ -88,7 +101,10 @@ def _decode_body(data: bytes, start: int, end: int) -> list:
             except UnicodeDecodeError as exc:
                 raise EncodingError("string body is not UTF-8") from exc
         elif tag == _TAG_SEQ:
-            append(_decode_body(data, body_start, pos))
+            if length and data[body_start] == _TAG_SEQ:
+                append(_decode_table(data[body_start:pos]))
+            else:
+                append(_decode_body(data, body_start, pos))
         elif tag == _TAG_INT:
             if length == 0 or (length > 1 and data[body_start] == 0):
                 raise EncodingError("non-minimal integer encoding")
@@ -96,6 +112,20 @@ def _decode_body(data: bytes, start: int, end: int) -> list:
         else:
             raise EncodingError(f"unknown field tag 0x{tag:02x}")
     return items
+
+
+def _decode_table(body: bytes) -> list:
+    """The items of a table body, with each row a new list.  A table of
+    flat rows (lists holding no list) is decoded once per distinct body."""
+    rows = _tables.get(body)
+    if rows is None:
+        rows = _decode_body(body, 0, len(body))
+        if not all(isinstance(row, list) and not any(isinstance(item, list) for item in row) for row in rows):
+            return rows
+        if len(_tables) >= _TABLE_MEMO_SIZE:
+            del _tables[next(iter(_tables))]
+        _tables[body] = rows
+    return [row[:] for row in rows]
 
 
 def decode(data: bytes) -> list:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from manetsec import encoding
 from manetsec.audit import audit
 from manetsec.crypto import (
     DeterministicProvider,
@@ -281,6 +282,7 @@ def test_criterion_5_secrecy_audit_over_churn():
             if not result.passed:
                 violations.append((seed, name, result.counterexamples[:3]))
         assert report.passed, f"seed {seed}: {report.to_text()}"
+        assert len(encoding._tables) <= encoding._TABLE_MEMO_SIZE, f"seed {seed}: decoded tables build up"
     assert not violations
 
     flagged = {}

@@ -89,25 +89,82 @@ def test_injective_property(a, b):
 _nested = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
 
 
+# A table: a sequence of flat rows, the shape of a directory.
+_table = st.lists(st.lists(_scalars, max_size=3), min_size=1, max_size=4)
+
+
 @st.composite
 def _damaged(draw):
-    """The encoding of random values, cut short at any point or with any
-    one byte changed."""
-    data = encoding.encode(*draw(st.lists(_nested, max_size=4)))
+    """The encoding of random values, tables among them, cut short at any
+    point or with any one byte changed."""
+    data = encoding.encode(*draw(st.lists(st.one_of(_nested, _table), max_size=4)))
     if not data or draw(st.booleans()):
         return data[: draw(st.integers(min_value=0, max_value=max(0, len(data) - 1)))]
     i = draw(st.integers(min_value=0, max_value=len(data) - 1))
     return data[:i] + bytes([data[i] ^ draw(st.integers(min_value=1, max_value=255))]) + data[i + 1 :]
 
 
+def _decode_or_error(data):
+    try:
+        return encoding.decode(data)
+    except encoding.EncodingError as exc:
+        return exc
+
+
 @given(_damaged())
 def test_damaged_data_rejected_or_reencodes_exactly(data):
     # The encoding is canonical: whatever decodes re-encodes to the same bytes.
-    try:
-        values = encoding.decode(data)
-    except encoding.EncodingError:
+    # A second decode gives the same outcome: a failed table is never kept.
+    first, second = _decode_or_error(data), _decode_or_error(data)
+    if isinstance(first, encoding.EncodingError):
+        assert isinstance(second, encoding.EncodingError) and str(second) == str(first)
         return
-    assert encoding.encode(*values) == data
+    assert second == first
+    assert encoding.encode(*first) == data
+
+
+@pytest.mark.parametrize("good_first", [True, False])
+def test_damaged_table_with_a_good_prefix_rejected_in_either_order(good_first):
+    # Each damaged table body shares its first bytes with the good one.
+    rows = [["a", b"pa"], ["bb", b"pb"]]
+    body = encoding.encode(*rows)
+    at = body.rindex(b"bb")
+    good = encoding.encode(b"k", rows)
+    for bad_body in (body[:-1], body[:at] + b"\xff" + body[at + 1 :]):  # cut short; a name not UTF-8
+        bad = encoding.encode(b"k") + bytes([0x04]) + len(bad_body).to_bytes(4, "big") + bad_body
+        encoding._tables.clear()
+        for data in [good, bad] if good_first else [bad, good]:
+            if data is good:
+                assert encoding.decode(data) == [b"k", rows]
+            else:
+                with pytest.raises(encoding.EncodingError):
+                    encoding.decode(data)
+
+
+def test_table_decodes_share_no_list():
+    shared = {**SHARED, "rows": [["a", b"pa"], ["b", b"pb"], ["c", b"pc"]]}
+    [plain] = seal_batch(MessageKind.REKEY, "public", shared, [{"member_key": b"m", "member_id": 1}])
+    first, second = encoding.decode(plain), encoding.decode(plain)
+    assert first == second
+    assert not {id(item) for item in _lists(first)} & {id(item) for item in _lists(second)}
+    first[3][0][0] = "z"
+    first[3].append(["d", b"pd"])
+    assert encoding.decode(plain) == second
+
+
+def _lists(value):
+    if isinstance(value, list):
+        yield value
+        for item in value:
+            yield from _lists(item)
+
+
+def test_table_memo_stays_bounded():
+    for i in range(2 * encoding._TABLE_MEMO_SIZE):
+        rows = [[f"m{i}", bytes([i])], ["z", b"k"]]
+        assert encoding.decode(encoding.encode(rows)) == [rows]
+        assert len(encoding._tables) <= encoding._TABLE_MEMO_SIZE
+    assert len(encoding._tables) == encoding._TABLE_MEMO_SIZE
 
 
 @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])

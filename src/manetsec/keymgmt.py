@@ -173,10 +173,6 @@ class LeaderJoinSession:
 # Bit length of each prime in a leader's identification modulus.
 PRIME_BITS = 32
 
-# Test hooks that make a leader break the protocol, for the auditor to catch:
-# admit an unchecked certificate, skip a removal's rekey, rekey the removed.
-FAULTS = frozenset(("forge_admit", "skip_rekey", "leak_key"))
-
 
 def _draw_prime(rng: random.Random, bits: int) -> int:
     return next_prime(rng.getrandbits(bits) | (1 << (bits - 1)))
@@ -199,7 +195,6 @@ class LeaderKeyService:
         authority_public: bytes,
         capacity: int,
         challenge_rounds: int = 1,
-        faults: Optional[set] = None,
         trust_initial: float = TRUST_INITIAL,
     ):
         self.name = name
@@ -209,7 +204,6 @@ class LeaderKeyService:
         self.authority_public = authority_public
         self.capacity = capacity
         self.challenge_rounds = challenge_rounds
-        self.faults = faults or set()
         self.trust_initial = trust_initial
         p = _draw_prime(rng, PRIME_BITS)
         q = _draw_prime(rng, PRIME_BITS)
@@ -381,14 +375,8 @@ class LeaderKeyService:
             subject_public=message["subject_public"],
             authority_sig=message["authority_sig"],
         )
-        if "forge_admit" not in self.faults:
-            if not check_certificate(self.provider, self.authority_public, cert):
-                self.trust[session.requester] = update_trust(
-                    self.trust.get(session.requester, self.trust_initial), "malformed"
-                )
-                ctx.emit(self._alert(cert.subject, "bad_certificate"), to=BROADCAST, channel="ring")
-                return self._reject(session, "bad_certificate", ctx)
-            ctx.note("verdict", "cert_ok", about=session.requester)
+        if not self._check_certificate(cert, session, ctx):
+            return False
         # Membership stays pending until the nonce round-trip completes, so a
         # mid-handshake rekey never reaches (or is readable by) the joiner.
         member_id, member_key = self._issue_member_key()
@@ -400,6 +388,19 @@ class LeaderKeyService:
         )
         sealed = self.provider.pk_encrypt(cert.subject_public, plain, ctx.rng)
         ctx.emit(msg(MessageKind.ADMIT, join_id=session.requester, sealed=sealed), to=session.requester)
+        return True
+
+    def _check_certificate(self, cert: Certificate, session: LeaderJoinSession, ctx: Ctx) -> bool:
+        """Whether the joiner's certificate is the authority's; a forged one
+        lowers the joiner's trust, is alerted to the leader ring and rejects
+        the join."""
+        if not check_certificate(self.provider, self.authority_public, cert):
+            self.trust[session.requester] = update_trust(
+                self.trust.get(session.requester, self.trust_initial), "malformed"
+            )
+            ctx.emit(self._alert(cert.subject, "bad_certificate"), to=BROADCAST, channel="ring")
+            return self._reject(session, "bad_certificate", ctx)
+        ctx.note("verdict", "cert_ok", about=session.requester)
         return True
 
     def _join_nonce(self, message: Message, session: LeaderJoinSession, ctx: Ctx) -> bool:
@@ -461,21 +462,22 @@ class LeaderKeyService:
             ctx.note("remove", reason, about=name)
         if not departed:
             return
-        if "skip_rekey" not in self.faults:
-            self._next_epoch(ctx.rng)
-            ctx.secret(("group_key", self.lineage, self.epoch), self.group_key)
-            inner = seal_plain(
-                MessageKind.REKEY, "public", **self._keyset_fields(self.directory_rows()), member_key=b"", member_id=0
-            )
-            recipients = [(member_name, self.member_view[member_name]) for member_name in sorted(self.heartbeats)]
-            if "leak_key" in self.faults:
-                recipients += departed.items()
-            for member_name, public in recipients:
-                self._send_keyset(member_name, public, inner, ctx)
-            ctx.note("rekey", "leave", ("lineage", self.lineage), ("epoch", self.epoch))
+        self._rekey_removal(ctx)
         if reason == "misbehavior":
             for name in departed:
                 ctx.emit(self._alert(name, "misbehavior"), to=BROADCAST, channel="ring")
+
+    def _rekey_removal(self, ctx: Ctx) -> None:
+        """Rotate the group key after a removal: the new epoch's key goes to
+        each remaining member alone."""
+        self._next_epoch(ctx.rng)
+        ctx.secret(("group_key", self.lineage, self.epoch), self.group_key)
+        inner = seal_plain(
+            MessageKind.REKEY, "public", **self._keyset_fields(self.directory_rows()), member_key=b"", member_id=0
+        )
+        for member_name in sorted(self.heartbeats):
+            self._send_keyset(member_name, self.member_view[member_name], inner, ctx)
+        ctx.note("rekey", "leave", ("lineage", self.lineage), ("epoch", self.epoch))
 
     def record_heartbeat(self, who: str, now: int) -> None:
         if who in self.heartbeats:

@@ -18,8 +18,7 @@ Five hold lists, one spec per line, each line in exactly one form:
 An adversary argument may be given once.  Each section is declared once
 below, and the reader and the writer both follow that declaration: the
 writer gives each setting that differs from its default and every float
-by `repr`, so reading back what it wrote gives an equal scenario (the test
-hook `faults` is not written).
+by `repr`, so reading back what it wrote gives an equal scenario.
 
 Example:
 
@@ -220,8 +219,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def scenario_to_text(scenario: Scenario) -> str:
-    """Serialize; parse_scenario reads the text back to an equal scenario,
-    but for the test hook `faults`, which is not written."""
+    """Serialize; parse_scenario reads the text back to an equal scenario."""
     out = []
     for section, keys in _SETTINGS.items():
         out.append(f"[{section}]")

@@ -40,7 +40,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .crypto import PROVIDERS, make_provider
 from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mobility
-from .keymgmt import FAULTS, CertificateAuthority, LeaderKeyService, leader_ring_agree
+from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
@@ -139,7 +139,6 @@ class Scenario:
     script: list[Action] = field(default_factory=list)
     adversaries: list[AdversarySpec] = field(default_factory=list)
     expectations: list[Expectation] = field(default_factory=list)
-    faults: set[str] = field(default_factory=set)  # test hooks, of keymgmt.FAULTS
     provider_name: str = "test_double"
 
 
@@ -191,7 +190,6 @@ _TYPES = {
     str: (str, "a string"),
     list: ((list, tuple), "a list"),
     tuple: ((list, tuple), "a tuple"),
-    set: ((set, frozenset), "a set"),
     dict: (dict, "a dict"),
 }
 
@@ -355,7 +353,6 @@ def validate_scenario(scenario: Scenario) -> list:
         problems.append(f"seed must be an integer within signed 64 bits, not {scenario.seed!r}")
     if scenario.provider_name not in PROVIDERS:
         problems.append(f"unknown crypto provider {scenario.provider_name!r}")
-    problems += [f"unknown fault {fault!r}" for fault in sorted(scenario.faults - FAULTS)]
     names = set()
     for spec in scenario.nodes:
         if spec.name in names:
@@ -1031,7 +1028,6 @@ class Simulation:
             self.authority.public,
             capacity,
             self.params.challenge_rounds,
-            faults=set(self.scenario.faults),
             trust_initial=self.params.trust_initial,
         )
         trust_seed = self.last_trust.get(group_id, {})

@@ -32,6 +32,7 @@ from topologies import (
     hop_distance,
     line_scenario,
     random_group_scenario,
+    run_led_by,
     stealth_family_scenario,
     stealth_link_scenario,
     two_group_scenario,
@@ -291,7 +292,7 @@ def test_criterion_5_secrecy_audit_over_churn():
         ("skip_rekey", "backward_secrecy"),
         ("forge_admit", "mutual_auth"),
     ):
-        result = audit(run(churn_scenario(500, faults={fault}))).result(prop)
+        result = audit(run_led_by(fault, churn_scenario(500))).result(prop)
         assert not result.passed, f"fault {fault} not flagged"
         assert result.counterexamples, f"fault {fault} flagged without a counter-example"
         flagged[fault] = result.counterexamples[0]

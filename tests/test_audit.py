@@ -22,7 +22,7 @@ from manetsec.sim import (
     parse_payload_blob,
     run,
 )
-from topologies import churn_scenario, held_labels, line_scenario, stealth_link_scenario
+from topologies import LEADERS, churn_scenario, held_labels, line_scenario, run_led_by, stealth_link_scenario
 
 PROPERTIES = (
     "backward_secrecy",
@@ -56,14 +56,14 @@ def test_clean_churn_run_passes_everything():
 
 
 def test_leaked_key_flagged_with_counterexample():
-    report = audit(run(churn_scenario(seed=100, faults={"leak_key"})))
+    report = audit(run_led_by("leak_key", churn_scenario(seed=100)))
     result = report.result("backward_secrecy")
     assert not result.passed
     assert result.counterexamples
 
 
 def test_skipped_rekey_flagged():
-    report = audit(run(churn_scenario(seed=100, faults={"skip_rekey"})))
+    report = audit(run_led_by("skip_rekey", churn_scenario(seed=100)))
     assert not report.result("backward_secrecy").passed
 
 
@@ -73,12 +73,11 @@ def test_forged_admit_flagged():
         seed=9,
         script=[Action(3, "join", ("N", "g1"))],
         duration=30,
-        faults={"forge_admit"},
     )
     from manetsec.sim import NodeSpec
 
     scenario.nodes.append(NodeSpec("N", [(50.0, 40.0)], 0.5))
-    log = run(scenario)
+    log = run_led_by("forge_admit", scenario)
     assert [e for e in log.events if e.kind == "admit" and e.detail == "handshake"]
     report = audit(log)
     result = report.result("mutual_auth")
@@ -152,9 +151,8 @@ def test_admission_and_alert_expectations_match_their_subject():
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-FAULT_CASES = ("plain", "leak_key", "skip_rekey", "forge_admit")
 REAUDITED = [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.endswith(".scn")] + [
-    f"churn:{seed}:{fault}" for seed in range(500, 505) for fault in FAULT_CASES
+    f"churn:{seed}:{fault}" for seed in range(500, 505) for fault in LEADERS
 ]
 
 
@@ -168,7 +166,7 @@ def test_log_read_back_audits_as_the_run_did(case):
             log = run(parse_scenario(handle.read()))
     else:
         seed, fault = name.split(":")
-        log = run(churn_scenario(int(seed), frozenset() if fault == "plain" else frozenset({fault})))
+        log = run_led_by(fault, churn_scenario(int(seed)))
     parsed = parse_log_text(log.to_text())
     parsed.payloads, parsed.registry = parse_payload_blob(log.payload_blob()), log.registry
     assert parsed.events == log.events
@@ -238,6 +236,29 @@ def test_knowledge_is_tick_bounded():
     after = knowledge_set("N", log)
     assert not [label for label in held_labels(log, before) if label[0] == "group_key"]
     assert ("group_key", "g1-1", 2) in held_labels(log, after)
+
+
+def test_a_rejoiner_reads_its_own_history_but_not_what_it_missed():
+    # C leaves and joins again.  It still holds epoch 1's key, so it reads
+    # the chat sent while it was a member, which is its own history and not
+    # the past forward secrecy protects; the chat sent while it was away,
+    # under epoch 2, stays closed to it.
+    scenario = line_scenario(
+        ["L", "A", "C"],
+        seed=5,
+        script=[
+            Action(3, "send_data", ("A", "*", "before")),
+            Action(6, "leave", ("C",)),
+            Action(12, "send_data", ("A", "*", "between")),
+            Action(20, "join", ("C", "g1")),
+        ],
+        duration=60,
+    )
+    log = run(scenario)
+    held = held_labels(log, knowledge_set("C", log))
+    assert ("group_key", "g1-1", 1) in held and ("group_key", "g1-1", 2) not in held
+    report = audit(log)
+    assert report.passed, report.to_text()
 
 
 def test_stale_sender_during_rekey_flight_is_not_a_violation():
@@ -320,10 +341,9 @@ def test_stale_sender_after_rekey_arrival_is_a_violation():
             Action(35, "send_data", ("b", "*", "still old key")),
         ],
         duration=60,
-        faults={"skip_rekey"},
     )
     scenario.nodes[0].battery = 1.0
-    log = run(scenario)
+    log = run_led_by("skip_rekey", scenario)
     assert not audit(log).result("backward_secrecy").passed
 
 
@@ -332,7 +352,7 @@ def test_fault_counterexamples_are_pinned(seed, fault):
     failing = PINNED_FAILURES[(seed, fault)]
     name = failing.split(":", 1)[0]
     expected = "".join((failing if p == name else f"{p}: PASS") + "\n" for p in PROPERTIES)
-    assert audit(run(churn_scenario(seed, faults={fault}))).to_text() == expected
+    assert audit(run_led_by(fault, churn_scenario(seed))).to_text() == expected
 
 
 def test_audit_decodes_each_payload_at_most_once(monkeypatch):
@@ -462,14 +482,14 @@ def test_crafted_short_group_key_is_audited(provider_name):
     assert audit(log).passed
 
 
-@pytest.mark.parametrize("case", [f"{seed}:{fault}" for seed in range(500, 505) for fault in FAULT_CASES])
+@pytest.mark.parametrize("case", [f"{seed}:{fault}" for seed in range(500, 505) for fault in LEADERS])
 def test_shared_trial_decryptions_give_each_principal_the_literal_answer(case):
     # Once both secrecy checks have filled the audit's trial table, each
     # departed principal's answer for each group ciphertext is the one a
     # plain loop over its keys gets from the provider, and so is every
     # plaintext the table holds.
     seed, fault = case.split(":")
-    index = audit_module._LogIndex(run(churn_scenario(int(seed), set() if fault == "plain" else {fault})))
+    index = audit_module._LogIndex(run_led_by(fault, churn_scenario(int(seed))))
     audit_module._check_backward_secrecy(index)
     audit_module._check_forward_secrecy(index)
     provider = make_provider(index.registry.provider_name)

@@ -145,6 +145,13 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         ("[weights]\nw0 = inf\n", "weight factors must be finite"),
         ("[weights]\nmobility_scale = 2.5\n", "line 10: unknown key 'mobility_scale' in [weights]"),
         ("[weights]\ninvert_battery_trust = false\n", "line 10: unknown key 'invert_battery_trust' in [weights]"),
+        ("[params]\nstrict_chain = maybe\n", "line 10: bad value for strict_chain: 'maybe'"),
+        ("[params]\nduration\n", "line 10: expected key = value"),
+        ("[groups]\ng2 4\n", "line 10: expected: group_id capacity member..."),
+        ("5\n", "line 9: expected: tick action args..."),
+        ("[adversaries]\nedge A B drop_all\n", "line 10: placement must be 'node' or 'link'"),
+        ("[adversaries]\nlink A B\n", "line 10: expected: node NAME kind [k=v...] | link U V kind [k=v...]"),
+        ("[adversaries]\nnode X replay delay\n", "line 10: expected key=value, got 'delay'"),
         ("[params]\nprovider = bogus\n", "unknown crypto provider 'bogus'"),
         # One adversary per node and per link: a second would never act.
         ("[adversaries]\nnode X drop_all\nnode X replay delay=2\n", "adversary 1: node X already has an adversary"),

@@ -64,6 +64,12 @@ def test_parse_good_file():
     assert scenario.expectations[0].kind == "route"
 
 
+def test_false_reads_back_false():
+    # `false` is the default, so a writer never gives it; a reader still
+    # takes it, as it takes `true`.
+    assert parse_scenario(GOOD.replace("strict_chain = true", "strict_chain = false")).params.strict_chain is False
+
+
 def test_parse_reports_line_numbers():
     bad = "[nodes]\nS 1.0 0,0\nbroken line here\n[params]\nseed = x\nmystery = 3\n"
     with pytest.raises(ScenarioParseError) as exc:
@@ -105,8 +111,7 @@ def test_serialize_parse_roundtrip():
     assert validate_scenario(back) == []
 
 
-# Every builder without test faults, and the first scenario of each benchmark
-# workload's pool.
+# Every builder, and the first scenario of each benchmark workload's pool.
 ROUND_TRIP = {
     "line": lambda: line_scenario(["A", "B", "C"], duration=12),
     "stealth_link": lambda: stealth_link_scenario(seed=77),

@@ -232,9 +232,7 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
             ),
             "adversary 0: modify_field op must be a string, not ['add']",
         ),
-        # A misspelt fault hook would run with no fault injected, and a
-        # member listed twice is no member of a second group.
-        (lambda s: setattr(s, "faults", {"leak_kye"}), "unknown fault 'leak_kye'"),
+        # A member listed twice is no member of a second group.
         (lambda s: setattr(s.groups[0], "members", ["A", "A"]), "group g1: lists member A twice"),
         # A number too large for a float would overflow in the run, or in
         # the validator itself.
@@ -287,8 +285,7 @@ def test_validation_names_malformed_groups_and_nodes(edit, problem):
     # group, a fractional capacity), made the validator itself raise (a
     # value of the wrong type, such as a None where a list belongs or a
     # list where a name belongs), or passed and ran as if a misspelt
-    # adversary argument or fault hook were not there.  A wrong type is
-    # named by its path.
+    # adversary argument were not there.  A wrong type is named by its path.
     scenario = line_scenario(["A", "B"])
     edit(scenario)
     assert validate_scenario(scenario) == [problem]
@@ -311,7 +308,6 @@ def _typed_fixture():
         script=[Action(1, "leave", ("A",))],
         adversaries=[AdversarySpec("drop_probabilistic", ("link", "A", "B"), {"p": 1})],
         expectations=[Expectation("admitted", ("B",))],
-        faults={"leak_key"},
     )
 
 
@@ -505,6 +501,11 @@ def test_log_parse_rejects_garbage():
         parse_log_text("#manetsec-log v1\nbroken line\n#complete\n")
 
 
+def test_log_parse_rejects_a_tick_that_is_not_a_number():
+    with pytest.raises(SimulationError, match="^line 2: bad tick/sequence$"):
+        parse_log_text("#manetsec-log v1\nx\t0\talert\tA\t-\tnode_crashed\n#complete\n")
+
+
 def test_log_parse_rejects_unknown_kind():
     with pytest.raises(SimulationError, match="line 2: unknown event kind 'bogus'"):
         parse_log_text("#manetsec-log v1\n0\t0\tbogus\tA\t-\tx\n#complete\n")
@@ -526,6 +527,11 @@ def test_log_parse_rejects_tick_going_back():
 def _sidecar():
     log = run(line_scenario(["A", "B", "C"], script=[Action(2, "discover", ("A", "C"))], duration=15))
     return log.payload_blob()
+
+
+def test_payload_blob_rejects_a_file_without_its_magic():
+    with pytest.raises(SimulationError, match=r"^not a payload sidecar \(bad magic\)$"):
+        parse_payload_blob(_sidecar()[len(PAYLOAD_MAGIC) :])
 
 
 def test_payload_blob_rejects_truncated_body():
@@ -1350,6 +1356,31 @@ def test_negative_reply_waits_for_every_other_leader():
     assert failed.detail == "no_route:dest=zz:seq=1" and failed.seq > log.events[negatives[-1]].seq
     assert sim.nodes[source].gateway_jobs == {}
     assert audit(log).passed
+
+
+def _outsider_scenario():
+    """A lone group, L and A, and a node Z in no group: L looks for Z, and
+    Z chats to a group it does not have."""
+    scenario = line_scenario(
+        ["L", "A"],
+        seed=5,
+        script=[Action(3, "discover", ("L", "Z")), Action(4, "send_data", ("Z", "*"))],
+        duration=20,
+    )
+    scenario.nodes.append(NodeSpec("Z", [(50.0, 30.0)], 0.5))
+    return scenario
+
+
+def test_a_lone_leader_fails_a_discovery_at_once():
+    # No other leader shares the ring, so L's gateway has no one to ask and
+    # fails the job in the tick it opens.
+    log = run(_outsider_scenario())
+    assert [(e.tick, e.detail) for e in verdicts(log, "L", "no_route:")] == [(3, "no_route:dest=Z:seq=1")]
+
+
+def test_a_node_in_no_group_cannot_chat_to_its_group():
+    log = run(_outsider_scenario())
+    assert [(e.tick, e.detail) for e in verdicts(log, "Z")] == [(4, "send_failed:no_group")]
 
 
 def test_remote_leader_times_out_its_member_discovery():

@@ -101,3 +101,11 @@ def test_every_scenario_field_has_a_shape_check():
     assert set(sim.SHAPES) == reached
     for cls in reached:
         assert [name for name, *_ in sim.SHAPES[cls]] == [f.name for f in fields(cls)]
+
+
+def test_the_program_holds_no_fault_hook():
+    # A leader that breaks the protocol is a subclass the tests hold
+    # (``topologies.LEADERS``), not a mode a scenario can switch on.
+    src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
+    hook = re.compile(r"\b(faults|FAULTS|leak_key|skip_rekey|forge_admit)\b")
+    assert [path.name for path in sorted(src.glob("*.py")) if hook.search(path.read_text())] == []

@@ -5,8 +5,11 @@ import math
 import os
 import random
 import sys
-from dataclasses import replace
+from unittest import mock
 
+from manetsec import sim
+from manetsec.keymgmt import LeaderKeyService
+from manetsec.messages import MessageKind, seal_plain
 from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams
 
 # The benchmark's recipes, loaded by path; registered in sys.modules so that
@@ -215,11 +218,60 @@ def two_group_scenario(seed, per_group=4):
     )
 
 
-def churn_scenario(seed, faults=frozenset()):
-    """The benchmark's churn recipe (``workloads.churn``) with `faults` set:
-    randomized joins, leaves, and a leader crash with chat in between, for
-    at least ten group-key epochs per run."""
-    return replace(workloads.churn(seed), faults=set(faults))
+def churn_scenario(seed):
+    """The benchmark's churn recipe (``workloads.churn``): randomized joins,
+    leaves, and a leader crash with chat in between, for at least ten
+    group-key epochs per run."""
+    return workloads.churn(seed)
+
+
+# Leaders that break the protocol, for the auditor to catch.
+
+
+class ForgeAdmitLeader(LeaderKeyService):
+    """Admits a joiner without checking its certificate."""
+
+    def _check_certificate(self, cert, session, ctx):
+        return True
+
+
+class SkipRekeyLeader(LeaderKeyService):
+    """Keeps the group key when members are removed."""
+
+    def _rekey_removal(self, ctx):
+        pass
+
+
+class LeakKeyLeader(LeaderKeyService):
+    """Sends a removal's new group key to the removed members as well, after
+    the remaining ones, in the order they were named."""
+
+    def remove_members(self, names, reason, ctx):
+        self.departed = {name: self.member_view[name] for name in names if name in self.heartbeats}
+        super().remove_members(names, reason, ctx)
+
+    def _rekey_removal(self, ctx):
+        super()._rekey_removal(ctx)
+        inner = seal_plain(
+            MessageKind.REKEY, "public", **self._keyset_fields(self.directory_rows()), member_key=b"", member_id=0
+        )
+        for name, public in self.departed.items():
+            self._send_keyset(name, public, inner, ctx)
+
+
+# Each leader a run can have, by the fault it commits ("plain" for none).
+LEADERS = {
+    "plain": LeaderKeyService,
+    "leak_key": LeakKeyLeader,
+    "skip_rekey": SkipRekeyLeader,
+    "forge_admit": ForgeAdmitLeader,
+}
+
+
+def run_led_by(fault, scenario):
+    """The log of `scenario` run with every leader one of `LEADERS[fault]`."""
+    with mock.patch.object(sim, "LeaderKeyService", LEADERS[fault]):
+        return sim.run(scenario)
 
 
 def held_labels(log, knowledge):

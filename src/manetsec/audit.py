@@ -27,10 +27,14 @@ handshake admissions) in log order; and each delivery or drop of a
 numbered transmission with the tick of that transmission's latest send so
 far.  No property walks the log again: each judges lists the pass already
 holds, and secret confinement reads the events only when some payload
-leaks.  Each distinct payload is decoded at most once, each principal's
-knowledge set is closed once and shared by both secrecy checks, and each
-distinct (key, ciphertext) trial decryption runs once, its outcome shared
-by every principal that tries it.
+leaks.  A payload's first octet is its kind tag, and the audit reads that
+tag before anything else: it decodes a payload only when its kind carries
+a sealed field (`messages.SEALED_KINDS`), or when it is the request behind
+an accepted route, and each such payload at most once.  Every other kind
+holds nothing a principal could open, so skipping it changes no outcome.
+Each principal's knowledge set is closed once and shared by both secrecy
+checks, and each distinct (key, ciphertext) trial decryption runs once, its
+outcome shared by every principal that tries it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Optional
 
 from . import encoding
 from .crypto import DecryptionError, make_provider
-from .messages import PK, MessageKind, decode_message, sealed_readings, seals
+from .messages import PK, SEALED_KINDS, MessageKind, decode_message, sealed_readings, seals
 from .routing import expected_chain
 from .sim import EventLog, SimEvent, SimulationError
 
@@ -135,10 +139,12 @@ class _LogIndex:
     event positions, not events: `by_kind`, `received` and the gathered
     records index into `events`, the log's own list.  Each send, delivery
     and drop is read once, here, through `_transmission`, and causality
-    and conservation are judged as it is read.  Payloads are
-    decoded on first use and each principal's knowledge set is closed on
-    first use; both are then kept for the index's life, as is the outcome
-    of each symmetric trial decryption (see `sym_open`).
+    and conservation are judged as it is read.  Payloads are read by kind
+    tag first (see `sealed_message`): only a kind that carries a sealed
+    field, or a request a property asks for by digest, is decoded, on first
+    use.  Decoded payloads and each principal's knowledge set (closed on
+    first use) are then kept for the index's life, as is the outcome of
+    each symmetric trial decryption (see `sym_open`).
     """
 
     def __init__(self, log: EventLog):
@@ -245,14 +251,29 @@ class _LogIndex:
         return plain
 
     def message(self, digest: str):
-        """The decoded payload, or None when it is missing or malformed."""
+        """The decoded payload, or None when it is missing or malformed.
+
+        The audit's one decoder, and each digest is decoded at most once.
+        Readers that look only for something to open go through
+        `sealed_message`; chain soundness calls this for the request
+        behind each accepted route, whatever its kind."""
         if digest not in self._messages:
             payload = self.payloads.get(digest)
             try:
                 self._messages[digest] = None if payload is None else decode_message(payload)
-            except Exception:
+            except encoding.EncodingError:
                 self._messages[digest] = None
         return self._messages[digest]
+
+    def sealed_message(self, digest: str):
+        """The decoded payload when its kind tag names a kind that carries a
+        sealed field, else None without decoding it: a payload of another
+        kind, an unknown tag and an empty or missing payload hold nothing
+        to open."""
+        payload = self.payloads.get(digest)
+        if not payload or payload[0] not in SEALED_KINDS:
+            return None
+        return self.message(digest)
 
     def knowledge(self, principal: str) -> KnowledgeSet:
         """The principal's knowledge at the end of the log."""
@@ -286,7 +307,7 @@ class _LogIndex:
         for recipient, positions in self.received.items():
             for i in positions:
                 event = events[i]
-                message = self.message(event.digest)
+                message = self.sealed_message(event.digest)
                 if message is None or message.kind != MessageKind.REKEY:
                     continue
                 carried = message["epoch"] + (1 if message["mode"] == "group" else 0)
@@ -324,7 +345,7 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
     digests = dict.fromkeys(
         events[i].digest for i in index.received.get(principal, ()) if events[i].tick <= horizon
     )
-    received = [(d, m) for d in digests if (m := index.message(d)) is not None]
+    received = [(d, m) for d in digests if (m := index.sealed_message(d)) is not None]
     opened: set[str] = set()
     progress = True
     while progress:
@@ -343,8 +364,6 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
 
 def _try_open(index: _LogIndex, message, private, sym_keys) -> Optional[bytes]:
     """The plaintext of the message's sealed field, if these keys open it."""
-    if "sealed" not in message.fields:
-        return None
     sealed = message["sealed"]
     for seal in seals(message.kind, message.fields.get("mode")):
         if seal == PK:
@@ -407,10 +426,10 @@ def _collect_ciphertexts(index: _LogIndex):
     group_ct, pk_ct = [], []
     seen = set()
     for i, event in index.of_kind("send"):
-        if event.digest == "-" or event.digest in seen:
+        if event.digest in seen:
             continue
         seen.add(event.digest)
-        message = index.message(event.digest)
+        message = index.sealed_message(event.digest)
         if message is None:
             continue
         group_sealed = (message.kind == MessageKind.DATA and message["group"] != "ring") or (

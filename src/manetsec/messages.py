@@ -9,6 +9,12 @@ header or in a sealed plaintext, has one wire type (``FIELD_TYPES``); a
 :func:`open_sealed` checks a plaintext the same way.  Radio metadata (who
 transmitted to whom, and when) is not part of the payload bytes -- the
 event log records it separately.
+
+Because the kind tag comes first, a reader can tell a payload's kind without
+decoding it.  ``SEALED_KINDS`` names the kinds that carry a ``sealed`` field;
+the auditor reads a payload's tag first and decodes only those kinds (and
+the request behind each accepted route), since no other kind holds anything
+a principal could open.
 """
 
 from __future__ import annotations
@@ -254,6 +260,12 @@ def msg(kind: MessageKind, **fields) -> Message:
 def encode_message(message: Message) -> bytes:
     values = [message.fields[name] for name in _FIELDS[message.kind]]
     return bytes([int(message.kind)]) + encoding.encode(*values)
+
+
+# The kinds whose header holds a `sealed` field.  A tag octet compares equal
+# to its kind, so a payload whose first octet is not among them carries
+# nothing to open, and a reader can tell so without decoding it.
+SEALED_KINDS = frozenset(kind for kind, names in _FIELDS.items() if "sealed" in names)
 
 
 def decode_message(data: bytes) -> Message:

@@ -9,7 +9,7 @@ import manetsec.audit as audit_module
 from manetsec import encoding
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import DecryptionError, DeterministicProvider, make_provider
-from manetsec.messages import MessageKind, decode_message, msg, seal_plain
+from manetsec.messages import SEALED_KINDS, MessageKind, decode_message, msg, seal_plain, sealed_readings
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
     Action,
@@ -355,20 +355,124 @@ def test_fault_counterexamples_are_pinned(seed, fault):
     assert audit(run_led_by(fault, churn_scenario(seed))).to_text() == expected
 
 
+def _fixture_log(name):
+    with open(os.path.join(FIXTURES, name)) as handle:
+        return run(parse_scenario(handle.read()))
+
+
 def test_audit_decodes_each_payload_at_most_once(monkeypatch):
-    log = run(churn_scenario(seed=100))
-    decodes = 0
+    # A payload of a kind without a sealed field holds nothing to open, so
+    # the audit leaves it undecoded unless it is the request behind an
+    # `accept` verdict, which chain soundness reads.
+    decodes = Counter()  # payload -> decodes
     real_decode = audit_module.decode_message
 
     def counting_decode(data):
-        nonlocal decodes
-        decodes += 1
+        decodes[data] += 1
         return real_decode(data)
 
     monkeypatch.setattr(audit_module, "decode_message", counting_decode)
-    audit(log)
-    payloads = len(log.payloads)
-    assert 0 < decodes <= payloads
+    for log in (run(churn_scenario(seed=100)), _fixture_log("stealth_mitm.scn"), _fixture_log("benign_line.scn")):
+        decodes.clear()
+        audit(log)
+        accepted = {
+            log.payloads[event.digest]
+            for event in log.events
+            if event.kind == "verdict" and event.word == "accept" and event.digest != "-"
+        }
+        assert decodes and max(decodes.values()) == 1
+        unsealed = Counter(
+            MessageKind(data[0]).name for data in decodes if data[0] not in SEALED_KINDS and data not in accepted
+        )
+        assert not unsealed, unsealed
+
+
+def _brute_force_knowledge(principal, log):
+    """The principal's knowledge with no shortcut: every received payload is
+    decoded, every sealed field tried under its private key and every
+    symmetric key it holds, until nothing new opens."""
+    registry, horizon = log.registry, log.events[-1].tick
+    provider = make_provider(registry.provider_name)
+    keypair = registry.keypairs.get(principal)
+    private = keypair.private if keypair is not None else None
+    sym_keys = dict.fromkeys(
+        value
+        for tick, owner, label, value in registry.secrets
+        if owner == principal and tick <= horizon and label[0] != "member_secret"
+    )
+    received = {}
+    for event in log.events:
+        if event.kind == "deliver" and event.recipient == principal and event.digest != "-":
+            try:
+                received.setdefault(event.digest, decode_message(log.payloads[event.digest]))
+            except encoding.EncodingError:
+                pass
+
+    def open_with_any(sealed):
+        if private is not None:
+            try:
+                return provider.pk_decrypt(private, sealed)
+            except DecryptionError:
+                pass
+        for key in sym_keys:
+            try:
+                return provider.sym_decrypt(key, sealed)
+            except DecryptionError:
+                pass
+        return None
+
+    opened, progress = set(), True
+    while progress:
+        progress = False
+        for digest, message in received.items():
+            if digest in opened or "sealed" not in message.fields:
+                continue
+            plain = open_with_any(message["sealed"])
+            if plain is None:
+                continue
+            opened.add(digest)
+            progress = True
+            try:
+                readings = sealed_readings(message.kind, plain)
+            except encoding.EncodingError:
+                continue
+            for fields in readings:
+                for name in ("group_key", "member_key", "session_key"):
+                    if isinstance(fields.get(name), bytes) and fields[name]:
+                        sym_keys.setdefault(fields[name], None)
+    return list(sym_keys), opened
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.endswith(".scn")]
+    + [f"churn:{seed}" for seed in range(500, 505)],
+)
+def test_knowledge_equals_a_closure_that_decodes_everything(case):
+    what, name = case.split(":")
+    log = run(churn_scenario(int(name))) if what == "churn" else _fixture_log(name)
+    for principal in sorted(log.registry.node_names) + sorted(log.registry.adversary_names):
+        knowledge = knowledge_set(principal, log)
+        assert (list(knowledge.sym_keys), knowledge.opened) == _brute_force_knowledge(principal, log), principal
+
+
+def test_payloads_that_do_not_decode_leave_the_audit_unchanged():
+    # A HEARTBEAT-tagged payload that does not decode, an unknown tag and an
+    # empty payload, all delivered to the departed n3, are skipped on their
+    # first octet; the audit reads as it does without them.
+    log, provider, _ = _benign_line()
+    clean, _, _ = _benign_line()
+    before = knowledge_set("n3", log)
+    _deliver_payloads(
+        log,
+        provider,
+        [("HEARTBEAT", bytes([MessageKind.HEARTBEAT]) + encoding.encode("n2")[:4]),
+         ("UNKNOWN", b"\xee" + encoding.encode("n2")),
+         ("EMPTY", b"")],
+    )
+    assert audit(log).to_text() == audit(clean).to_text()
+    after = knowledge_set("n3", log)
+    assert (after.sym_keys, after.opened) == (before.sym_keys, before.opened)
 
 
 def _benign_line(provider_name="test_double"):
@@ -383,12 +487,17 @@ def _benign_line(provider_name="test_double"):
 def _deliver(log, provider, messages, recipient="n3"):
     """Append a delivery to n3 (or `recipient`) of each message at the log's
     last tick."""
+    _deliver_payloads(log, provider, [(message.kind.name, message.encoded) for message in messages], recipient)
+
+
+def _deliver_payloads(log, provider, payloads, recipient="n3"):
+    """Append a delivery to n3 (or `recipient`) of each (kind word, payload
+    bytes) pair at the log's last tick."""
     last = log.events[-1]
-    for n, message in enumerate(messages, start=1):
-        digest = provider.hash(message.encoded).hex()
-        log.payloads[digest] = message.encoded
-        parts = (message.kind.name, "crafted")
-        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", recipient, "", digest, parts))
+    for n, (word, payload) in enumerate(payloads, start=1):
+        digest = provider.hash(payload).hex()
+        log.payloads[digest] = payload
+        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", recipient, "", digest, (word, "crafted")))
 
 
 def test_undecodable_plaintext_counts_as_opened():

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from manetsec import encoding
 from manetsec.keymgmt import CertificateAuthority, LeaderKeyService, derive_member_key
 from manetsec.messages import (
+    _FIELDS,
+    FIELD_TYPES,
     MessageKind,
     decode_message,
     encode_message,
@@ -93,15 +95,19 @@ _nested = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4), max_
 _table = st.lists(st.lists(_scalars, max_size=3), min_size=1, max_size=4)
 
 
-@st.composite
-def _damaged(draw):
-    """The encoding of random values, tables among them, cut short at any
-    point or with any one byte changed."""
-    data = encoding.encode(*draw(st.lists(st.one_of(_nested, _table), max_size=4)))
+def _damage(draw, data: bytes) -> bytes:
+    """`data` cut short at any point or with any one byte changed."""
     if not data or draw(st.booleans()):
         return data[: draw(st.integers(min_value=0, max_value=max(0, len(data) - 1)))]
     i = draw(st.integers(min_value=0, max_value=len(data) - 1))
     return data[:i] + bytes([data[i] ^ draw(st.integers(min_value=1, max_value=255))]) + data[i + 1 :]
+
+
+@st.composite
+def _damaged(draw):
+    """The encoding of random values, tables among them, cut short at any
+    point or with any one byte changed."""
+    return _damage(draw, encoding.encode(*draw(st.lists(st.one_of(_nested, _table), max_size=4))))
 
 
 def _decode_or_error(data):
@@ -121,6 +127,42 @@ def test_damaged_data_rejected_or_reencodes_exactly(data):
         return
     assert second == first
     assert encoding.encode(*first) == data
+
+
+_name = st.text(alphabet="ab_.1", min_size=1, max_size=4)
+_WIRE = {
+    "int": st.integers(min_value=0, max_value=2**70),
+    "str": st.text(max_size=6),
+    "name": _name,
+    "bytes": st.binary(max_size=8),
+    "list[int]": st.lists(st.integers(min_value=0, max_value=2**70), max_size=3),
+    "list[name]": st.lists(_name, max_size=3),
+    "list[bytes]": st.lists(st.binary(max_size=8), max_size=3),
+    "rows": st.lists(st.tuples(st.text(max_size=4), st.binary(max_size=4)).map(list), min_size=1, max_size=3),
+}
+
+
+@st.composite
+def _damaged_message(draw):
+    """A kind tag followed by a damaged body: the body of a well-typed
+    message of that kind, or of random values, damaged by `_damage`."""
+    kind = draw(st.sampled_from(MessageKind))
+    if draw(st.booleans()):
+        message = msg(kind, **{name: draw(_WIRE[FIELD_TYPES[name]]) for name in _FIELDS[kind]})
+        return bytes([kind]) + _damage(draw, message.encoded[1:])
+    return bytes([kind]) + draw(_damaged())
+
+
+@given(_damaged_message())
+def test_damaged_message_rejected_or_reencodes_exactly(data):
+    # A damaged payload decodes to a message of its tag's kind that encodes
+    # back to the same bytes, or raises EncodingError; nothing else escapes.
+    try:
+        message = decode_message(data)
+    except encoding.EncodingError:
+        return
+    assert message.kind == data[0]
+    assert encode_message(message) == data
 
 
 @pytest.mark.parametrize("good_first", [True, False])

@@ -3,6 +3,7 @@ program (``perfbench/tracing.py``).  Renaming one of them would break only
 ``--trace 1``; this test makes it fail the suite as well.  It reads the
 tracer's target table and patches nothing."""
 
+import ast
 import importlib.util
 import os
 import pathlib
@@ -13,7 +14,7 @@ from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import manetsec
-from manetsec import sim
+from manetsec import messages, sim
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -34,6 +35,30 @@ def test_only_the_schema_decodes():
     src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
     decoders = sorted(path.name for path in src.glob("*.py") if "encoding.decode(" in path.read_text())
     assert decoders == ["messages.py"]
+
+
+def test_the_audit_decodes_in_one_place():
+    # The audit reads a payload's kind tag before decoding it; every decode
+    # goes through `_LogIndex.message`, so no reader decodes behind that.
+    tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "manetsec" / "audit.py").read_text())
+    sites = []
+    for top in tree.body:
+        owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "decode_message" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)
+                ):
+                    sites.append(owner + getattr(node, "name", "<module>"))
+    assert sites == ["_LogIndex.message"]
+
+
+def test_sealed_kinds_are_the_kinds_with_a_sealed_layout():
+    # The audit skips a payload by its tag when its kind is not in
+    # SEALED_KINDS; every kind that can be sealed must be in it.
+    assert messages.SEALED_KINDS == {kind for kind, _ in messages._SEALED}
+    for kind in messages.MessageKind:
+        assert (messages.seals(kind) == ()) == (kind not in messages.SEALED_KINDS), kind.name
 
 
 def test_one_data_builder():

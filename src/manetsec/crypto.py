@@ -78,11 +78,24 @@ class DeterministicProvider:
     are in their legitimate knowledge set, so the behavioural contracts the
     simulator relies on (verification, tamper detection, wrong-key failure)
     all hold.  Do not use outside simulation.
+
+    Each instance derives a public key's signature MAC key once and keeps it
+    for every later signature and verification under that key; `sign` and
+    `verify` still MAC their full data.
     """
 
     name = "test_double"
     digest_size = 32
     sym_key_size = 32
+
+    def __init__(self):
+        self._mac_keys: dict[bytes, bytes] = {}  # public key -> its signature MAC key
+
+    def _mac_key(self, public: bytes) -> bytes:
+        mac_key = self._mac_keys.get(public)
+        if mac_key is None:
+            mac_key = self._mac_keys[public] = _b2(public, key=b"manetsec.sig")
+        return mac_key
 
     def hash(self, data: bytes) -> bytes:
         return _b2(bytes(data))
@@ -97,14 +110,12 @@ class DeterministicProvider:
         return _b2(private, key=b"manetsec.pub")
 
     def sign(self, private: bytes, data: bytes) -> bytes:
-        mac_key = _b2(self._public_of(private), key=b"manetsec.sig")
-        return _b2(bytes(data), key=mac_key)
+        return _b2(bytes(data), key=self._mac_key(self._public_of(private)))
 
     def verify(self, public: bytes, data: bytes, sig: bytes) -> bool:
         if len(public) != 32 or not isinstance(sig, bytes):
             return False
-        mac_key = _b2(public, key=b"manetsec.sig")
-        return hmac.compare_digest(_b2(bytes(data), key=mac_key), sig)
+        return hmac.compare_digest(_b2(bytes(data), key=self._mac_key(bytes(public))), sig)
 
     def pk_encrypt(self, public: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         if len(public) != 32:

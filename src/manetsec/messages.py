@@ -250,7 +250,14 @@ class Message:
         return encode_message(self)
 
     def replace(self, **changes) -> "Message":
-        return Message(self.kind, {**self.fields, **changes})
+        """This message with some fields changed; the fields it keeps passed
+        their checks when it was built, so only the changed ones are checked."""
+        checks = _HEADER_CHECKS[self.kind]
+        _check(self.kind.name, tuple(check for check in checks if check[0] in changes), changes)
+        replaced = object.__new__(Message)
+        object.__setattr__(replaced, "kind", self.kind)
+        object.__setattr__(replaced, "fields", MappingProxyType({**self.fields, **changes}))
+        return replaced
 
 
 def msg(kind: MessageKind, **fields) -> Message:

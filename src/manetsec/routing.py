@@ -118,12 +118,12 @@ def verify_route_signatures(provider, message: Message, directory: dict) -> bool
     route, sigs = message["route"], message["sigs"]
     if len(route) != len(sigs) or not route:
         return False
+    # The encoding concatenates its fields, so each signer's payload is this
+    # prefix followed by the signer's own field: its rreq_signed_payload.
+    prefix = encoding.encode("rreq", message["source"], message["dest"], message["seq"])
     for node, sig_bytes in zip(route, sigs):
         public = directory.get(node)
-        if public is None:
-            return False
-        payload = rreq_signed_payload(message["source"], message["dest"], message["seq"], node)
-        if not provider.verify(public, payload, sig_bytes):
+        if public is None or not provider.verify(public, prefix + encoding.encode(node), sig_bytes):
             return False
     return True
 

@@ -781,6 +781,10 @@ class Simulation:
         """Queue a delivery; `parts` end the detail its deliver or drop logs."""
         self.queue.setdefault(tick, []).append((envelope, recipient, via, parts))
 
+    def _schedule_many(self, tick: int, envelope: Envelope, recipients, via: str, parts: tuple) -> None:
+        """Queue a delivery to each of `recipients`, all sharing `parts`."""
+        self.queue.setdefault(tick, []).extend((envelope, recipient, via, parts) for recipient in recipients)
+
     # -- radio ------------------------------------------------------------------
 
     def _index_cells(self) -> None:
@@ -791,11 +795,13 @@ class Simulation:
         nodes within the radius never land two cells apart, and that keeps
         `x / side` finite however small the radius."""
         where = {}
+        extent = 0.0
+        specs, now = self.specs, self.now
         for name in self.nodes:
-            trace = self.specs[name].trace
-            where[name] = trace[min(self.now, len(trace) - 1)]
+            trace = specs[name].trace
+            x, y = where[name] = trace[min(now, len(trace) - 1)]
+            extent = max(extent, abs(x), abs(y))
         radius = self.params.radio_radius
-        extent = max((max(abs(x), abs(y)) for x, y in where.values()), default=0.0)
         side = radius + (radius + extent) * 1e-9
         cells: dict[tuple, list] = {}
         for name, (x, y) in where.items():
@@ -817,13 +823,14 @@ class Simulation:
                 self._index_cells()
             x, y = self._where[name]
             column, line = math.floor(x / self._side), math.floor(y / self._side)
-            near = [
-                v
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-                for v in self._cells.get((column + dx, line + dy), ())
-            ]
-            row = sorted(v for v in near if v != name and self._in_range(name, v))
+            cells, in_range = self._cells, self._in_range
+            row = []
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    for v in cells.get((column + dx, line + dy), ()):
+                        if v != name and in_range(name, v):
+                            row.append(v)
+            row.sort()
             self._reach[name] = row
         return row
 
@@ -869,7 +876,10 @@ class Simulation:
             return None
         path = [source]
         for nearer in range(count - 1, 0, -1):
-            path.append(next(v for v in self._neighbours(path[-1]) if hops.get(v) == nearer and v not in no_relay))
+            for v in self._neighbours(path[-1]):
+                if hops.get(v) == nearer and v not in no_relay:
+                    break
+            path.append(v)
         path.append(target)
         return path
 
@@ -897,9 +907,15 @@ class Simulation:
                 self._schedule(self.now + 1, envelope, target, envelope.sender, (tx,))
             return
         if envelope.to == BROADCAST:
-            for name in self._neighbours(envelope.sender):
-                if self.nodes[name].alive:
-                    self._dispatch_radio(envelope, name, tx)
+            sender = envelope.sender
+            if self.taps:
+                for name in self._neighbours(sender):
+                    if self.nodes[name].alive:
+                        self._dispatch_radio(envelope, name, tx)
+                return
+            nodes = self.nodes
+            hearers = [name for name in self._neighbours(sender) if nodes[name].alive]
+            self._schedule_many(self.now + 1, envelope, hearers, sender, (tx,))
             return
         self._unicast(envelope, tx)
 
@@ -1180,7 +1196,7 @@ class Simulation:
         self.now = 0
         self._setup()
         pending = list(script)
-        nodes, contexts, flush_pending = self.nodes, self.contexts, self._flush_pending
+        nodes, contexts, log, flush_pending = self.nodes, self.contexts, self._log, self._flush_pending
         stepping = [(name, node, contexts[name]) for name, node in nodes.items()]
         for tick in range(duration + 1):
             self.now = tick
@@ -1192,10 +1208,10 @@ class Simulation:
             for envelope, recipient, via, parts in self.queue.pop(tick, []):
                 node = nodes.get(recipient)
                 if node is not None and not node.alive:
-                    self._log("drop", via, ("dead",) + parts, recipient=recipient)
+                    log("drop", via, ("dead",) + parts, None, recipient)
                     continue
                 message = envelope.message
-                self._log("deliver", via, (_KIND_NAMES[message.kind],) + parts, message.encoded, recipient=recipient)
+                log("deliver", via, (_KIND_NAMES[message.kind],) + parts, message.encoded, recipient)
                 if node is None:
                     continue  # a tap pseudo-principal: logging the delivery is the point
                 ctx = contexts[recipient]

@@ -139,6 +139,80 @@ def test_deterministic_provider_reproducible():
     assert a.sym_encrypt(ka, b"m", ra) == b.sym_encrypt(kb, b"m", rb)
 
 
+# (private key, public key, [(data, signature)]), computed before the
+# provider kept each public key's MAC key.
+SIGNATURE_VECTORS = [
+    (
+        "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+        "5db36a84f49b524a5abaeec0b479007e8abce5b19eedcc3bf30e6d3092f06f9a",
+        [
+            ("", "0862c3571934d2b6287cda55de1bb78ecca5e7a6838b00c765199fe13334b002"),
+            ("6d", "d2d394303ef1fabf8e5dbf2fb7f9e677a890b917b5fc1a29c3a3adb340099f5d"),
+            (
+                "020000000472726571020000000153020000000144010000000101020000000141",
+                "36f1e721dde4c63346ae015cce5201f6594103de0b500f39b9a47c6372c10a7b",
+            ),
+        ],
+    ),
+    (
+        "a5" * 32,
+        "92ec918a170a0cf80d115ee586d3ce65157b64e46d801a966422cd160d355006",
+        [
+            ("", "7794e53140e149db00bce9893650a927be8bcdb77304b5ace780181e96bc2c14"),
+            ("6d", "e569aaaee5b6510ad9a4e1e03d9b5df52619225816f5ba89e7f3b45cd846f9e1"),
+            (
+                "020000000472726571020000000153020000000144010000000101020000000141",
+                "89959aaa334de1faf2618987cafadd4f295dded557863a4f4f85afd61afa60db",
+            ),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("verify_first", [False, True])
+def test_deterministic_signatures_match_pinned_vectors(verify_first):
+    # Both orders: the MAC key a public key gets is the same whether a
+    # verification or a signature derives it first.
+    provider = DeterministicProvider()
+    for private, public, pairs in SIGNATURE_VECTORS:
+        private, public = bytes.fromhex(private), bytes.fromhex(public)
+        for data, sig in pairs:
+            data, sig = bytes.fromhex(data), bytes.fromhex(sig)
+            if verify_first:
+                assert provider.verify(public, data, sig)
+            assert provider.sign(private, data) == sig
+            assert provider.sign(private, bytearray(data)) == sig
+            assert provider.verify(public, data, sig)
+            assert not provider.verify(public, data + b"x", sig)
+            assert not provider.verify(public, data, sig[:-1] + bytes([sig[-1] ^ 1]))
+    # Each key's signatures verify under it alone.
+    (_, _, [(_, sig), *_]), (_, other, _) = SIGNATURE_VECTORS
+    assert not provider.verify(bytes.fromhex(other), b"", bytes.fromhex(sig))
+
+
+def test_deterministic_memo_keeps_malformed_inputs_failing():
+    provider = DeterministicProvider()
+    private, public, [(data, sig), *_] = SIGNATURE_VECTORS[0]
+    private, public, data, sig = (bytes.fromhex(v) for v in (private, public, data, sig))
+    assert provider.verify(public, data, sig)  # the key's MAC key is now kept
+    assert not provider.verify(public[:31], data, sig)
+    for bad in (None, "text", 7, [sig], bytearray(sig)):
+        assert not provider.verify(public, data, bad)
+    for private_bad in (private[:31], private + b"\x00", b""):
+        with pytest.raises(crypto.MalformedKeyError):
+            provider.sign(private_bad, data)
+    assert provider.sign(private, data) == sig
+
+
+def test_deterministic_providers_share_no_memo():
+    a, b = crypto.make_provider("test_double"), crypto.make_provider("test_double")
+    private, public, [(data, sig), *_] = SIGNATURE_VECTORS[0]
+    assert a.sign(bytes.fromhex(private), bytes.fromhex(data)) == bytes.fromhex(sig)
+    assert a._mac_keys and not b._mac_keys
+    assert b.verify(bytes.fromhex(public), bytes.fromhex(data), bytes.fromhex(sig))
+    assert a._mac_keys == b._mac_keys and a._mac_keys is not b._mac_keys
+
+
 @given(st.binary(max_size=200))
 @settings(max_examples=30, deadline=None)
 def test_sym_roundtrip_property(plaintext):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsec import encoding
+from manetsec import encoding, messages
 from manetsec.keymgmt import CertificateAuthority, LeaderKeyService, derive_member_key
 from manetsec.messages import (
     _FIELDS,
@@ -247,6 +247,43 @@ def test_message_replace_has_its_own_encoding():
     assert later.encoded == encode_message(later) != before
 
 
+# Per wire type: a valid value, another valid value, and values it refuses.
+REPLACE_VALUES = {
+    "int": (3, 5, ["3", True, False, -1, 1.5, None]),
+    "str": ("x", "y", [b"x", 1, None, ["x"]]),
+    "name": ("a", "b_1", ["", "a:b", "g1-1", b"a", 1, ["a"]]),
+    "bytes": (b"x", b"yy", ["x", bytearray(b"x"), 1, [b"x"], None]),
+    "list[int]": ([1, 2], [3], [[True], [-1], ["1"], 5, (1, None)]),
+    "list[name]": (["a", "b"], ["c"], [["a:b"], "ab", [1], [b"a"]]),
+    "list[bytes]": ([b"x"], [b"y", b"z"], [["x"], b"x", [bytearray(b"x")], [None]]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FIELDS), ids=lambda kind: kind.name)
+def test_message_replace_checks_what_it_changes(kind):
+    fields = {name: REPLACE_VALUES[FIELD_TYPES[name]][0] for name in _FIELDS[kind]}
+    message = msg(kind, **fields)
+    before = message.encoded
+    for name in _FIELDS[kind]:
+        _, other, refused = REPLACE_VALUES[FIELD_TYPES[name]]
+        later = message.replace(**{name: other})
+        expect = msg(kind, **{**fields, name: other})
+        assert later == expect and dict(later.fields) == dict(expect.fields)
+        assert later.encoded == expect.encoded != before
+        with pytest.raises(TypeError):
+            later.fields[name] = other
+        for value in refused:
+            with pytest.raises(encoding.EncodingError, match=f"{kind.name} field '{name}' is not"):
+                message.replace(**{name: value})
+        with pytest.raises(encoding.EncodingError, match="unknown=\\['unknown'\\]"):
+            message.replace(**{name: other, "unknown": 1})
+    for name in sorted(set(FIELD_TYPES) - set(_FIELDS[kind])):  # a field of other kinds
+        with pytest.raises(encoding.EncodingError, match="fields do not match"):
+            message.replace(**{name: fields[_FIELDS[kind][0]]})
+    assert message.replace() == message
+    assert dict(message.fields) == fields and message.encoded is before == msg(kind, **fields).encoded
+
+
 def test_unassigned_message_tags_rejected():
     # 0x1A is past the last kind the protocol builds (GROUP_NEG, 0x19).
     assert max(MessageKind) == MessageKind.GROUP_NEG
@@ -406,3 +443,58 @@ def test_batch_rejects_ill_typed_or_misnamed_fields(shared, item):
     good = {"member_key": b"m", "member_id": 1}
     with pytest.raises(encoding.EncodingError):
         seal_batch(MessageKind.REKEY, "public", shared, [good, item])
+
+
+# ---------------------------------------------------------------------------
+# Opening one directory sealed to many members
+# ---------------------------------------------------------------------------
+
+
+def _member_plaintexts(rows, count):
+    """Public-mode REKEY plaintexts that share `rows`, one per member."""
+    return [
+        encoding.encode(b"k" * 32, 2, "g1-1", rows, bytes([i]) * 32, i, "L", b"pl") for i in range(1, count + 1)
+    ]
+
+
+@pytest.mark.parametrize("damaged_row", [["b", "pb"], ["b"], ["b", b"pb", b"x"], [b"b", b"pb"], ["b", [b"pb"]]])
+def test_damaged_directory_rejected_for_every_copy(damaged_row):
+    good = [["a", b"pa"], ["b", b"pb"], ["c", b"pc"]]
+    damaged = [good[0], damaged_row, good[2]]
+    for order in ([good, damaged], [damaged, good]):
+        for rows in order:
+            for plain in _member_plaintexts(rows, 4):
+                if rows is good:
+                    assert open_sealed(MessageKind.REKEY, plain, "public")["rows"] == good
+                else:
+                    with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
+                        open_sealed(MessageKind.REKEY, plain, "public")
+    # The same damaged rows under the group mode's layout, at another offset.
+    with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
+        open_sealed(MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", damaged), "group")
+
+
+@pytest.mark.parametrize("rows", [[["a", b"pa"], ["b", b"pb"]], []], ids=["two_rows", "empty"])
+def test_directory_body_under_another_tag_rejected(rows):
+    """A field that carries a good directory's body under a BYTES or STR tag
+    fails the rows check, also after the directory itself has opened."""
+    assert open_sealed(MessageKind.REKEY, _member_plaintexts(rows, 1)[0], "public")["rows"] == rows
+    body = encoding.encode(*rows)
+    for impostor in (body, body.decode("utf-8")):
+        for plain in _member_plaintexts(impostor, 2):
+            with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
+                open_sealed(MessageKind.REKEY, plain, "public")
+        with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
+            open_sealed(MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", impostor), "group")
+
+
+def test_opened_directories_share_no_list():
+    rows = [["a", b"pa"], ["b", b"pb"], ["c", b"pc"]]
+    plains = _member_plaintexts(rows, 3)
+    first, second = (open_sealed(MessageKind.REKEY, plain, "public")["rows"] for plain in plains[:2])
+    assert not {id(item) for item in _lists(first)} & {id(item) for item in _lists(second)}
+    first[0][0] = "z"
+    first[1].append(b"x")
+    first.append(["d", b"pd"])
+    assert second == rows
+    assert [open_sealed(MessageKind.REKEY, plain, "public")["rows"] for plain in plains] == [rows] * 3

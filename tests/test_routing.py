@@ -3,7 +3,7 @@ import random
 import pytest
 
 from manetsec import encoding
-from manetsec.crypto import DeterministicProvider
+from manetsec.crypto import DeterministicProvider, RealCryptoProvider
 from manetsec.keymgmt import CertificateAuthority
 from manetsec.messages import MessageKind
 from manetsec.node import mutate_message
@@ -17,6 +17,7 @@ from manetsec.routing import (
     make_rrep,
     make_rreq,
     rrep_signature_ok,
+    rreq_signed_payload,
     verify_route_signatures,
 )
 from manetsec.runtime import Ctx
@@ -35,8 +36,8 @@ def nested_hash_oracle(provider, source, dest, seq, origin_budget, forwarders):
 class Net:
     """A handful of routers sharing one directory, messages moved by hand."""
 
-    def __init__(self, names, seed=4):
-        self.provider = DeterministicProvider()
+    def __init__(self, names, seed=4, provider=DeterministicProvider):
+        self.provider = provider()
         self.rng = random.Random(seed)
         authority = CertificateAuthority(self.provider, self.rng)
         self.keys = {n: self.provider.generate_keypair(self.rng) for n in names}
@@ -411,3 +412,52 @@ def test_single_field_mutations_rejected(net):
             assert any(
                 n.detail.startswith("reject:") or n.kind == "drop" for n in notes
             ), f"mutation {field}/{op} not rejected at destination"
+
+
+def reference_route_signatures(provider, message, directory):
+    """verify_route_signatures as specified: each signer's payload built
+    in full by rreq_signed_payload."""
+    route, sigs = message["route"], message["sigs"]
+    if len(route) != len(sigs) or not route:
+        return False
+    return all(
+        node in directory
+        and provider.verify(
+            directory[node], rreq_signed_payload(message["source"], message["dest"], message["seq"], node), sig
+        )
+        for node, sig in zip(route, sigs)
+    )
+
+
+@pytest.mark.parametrize("provider", [DeterministicProvider, RealCryptoProvider], ids=["double", "real"])
+def test_route_signatures_agree_with_the_full_payload_reference(provider):
+    net = Net(["S", "A", "B", "C", "D", "X"], provider=provider)
+    request = net.originate("S", "D", 8)
+    for name in ("A", "B", "C"):
+        request, _ = net.step(name, request)
+    route, sigs = request["route"], request["sigs"]
+    assert route == ["S", "A", "B", "C"]
+    # X's signature over the same discovery, and S's over another one.
+    foreign = [
+        net.provider.sign(net.keys["X"].private, rreq_signed_payload("S", "D", 1, "X")),
+        net.provider.sign(net.keys["S"].private, rreq_signed_payload("S", "D", 2, "S")),
+    ]
+    cases = [(request, net.directory, True)]
+    for i, name in enumerate(route):
+        flipped = sigs[i][:-1] + bytes([sigs[i][-1] ^ 0x01])
+        swapped = list(sigs)
+        swapped[i], swapped[i - 1] = swapped[i - 1], swapped[i]
+        variants = [
+            sigs[:i] + [flipped] + sigs[i + 1 :],
+            swapped,
+            sigs[:i] + sigs[i + 1 :],  # missing
+            sigs[:i] + [b""] + sigs[i + 1 :],
+        ] + [sigs[:i] + [sig] + sigs[i + 1 :] for sig in foreign]
+        cases += [(request.replace(sigs=variant), net.directory, False) for variant in variants]
+        outsider = {n: key for n, key in net.directory.items() if n != name}
+        cases.append((request, outsider, False))
+    cases.append((request.replace(route=route[:-1] + ["X"]), net.directory, False))
+    cases.append((request.replace(route=[], sigs=[]), net.directory, False))
+    for message, directory, valid in cases:
+        assert reference_route_signatures(net.provider, message, directory) == valid
+        assert verify_route_signatures(net.provider, message, directory) == valid

@@ -83,6 +83,18 @@ def test_only_keymgmt_knows_the_ring_secret():
     assert sites == {"keymgmt.py"}
 
 
+def test_only_in_range_measures_distance():
+    # Every distance test of the simulator goes through Simulation._in_range,
+    # so the benchmark's `sim.in_range.calls` counts them all: no other line
+    # of sim.py names math.hypot, under any alias.
+    path = pathlib.Path(sim.__file__)
+    text = path.read_text()
+    [cls] = [node for node in ast.parse(text).body if isinstance(node, ast.ClassDef) and node.name == "Simulation"]
+    [method] = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "_in_range"]
+    lines = [number for number, line in enumerate(text.splitlines(), start=1) if "hypot" in line]
+    assert lines and all(method.lineno <= number <= method.end_lineno for number in lines), lines
+
+
 def test_each_module_name_on_the_package_is_that_module():
     # `manetsec.audit` is the auditor module, not a function re-exported
     # under its name.

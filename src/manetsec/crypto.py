@@ -82,14 +82,24 @@ class DeterministicProvider:
     Each instance derives a public key's signature MAC key once and keeps it
     for every later signature and verification under that key; `sign` and
     `verify` still MAC their full data.
+
+    Each instance also holds the plaintext of every seal it makes (a held
+    seal), keyed by the seal's key, nonce and tag, until that instance first
+    opens the seal under the same key: the open still checks the length and
+    the tag, then hands back the held plaintext instead of deriving the
+    keystream again, and drops it.  A wrong key, a damaged ciphertext or
+    another instance finds nothing held and fails or decrypts as before.  At
+    most `HELD_SEALS` seals are held; a new seal drops the oldest.
     """
 
     name = "test_double"
     digest_size = 32
     sym_key_size = 32
+    HELD_SEALS = 4096
 
     def __init__(self):
         self._mac_keys: dict[bytes, bytes] = {}  # public key -> its signature MAC key
+        self._held: dict[tuple, bytes] = {}  # (key, nonce, tag) -> plaintext, oldest first
 
     def _mac_key(self, public: bytes) -> bytes:
         mac_key = self._mac_keys.get(public)
@@ -156,6 +166,10 @@ class DeterministicProvider:
         nonce = rng.randbytes(_NONCE_LEN)
         body = _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
         tag = _b2(nonce + body, key=_b2(key, key=b"manetsec.tag"), size=_MAC_LEN)
+        held = self._held
+        if len(held) >= self.HELD_SEALS:
+            del held[next(iter(held))]
+        held[bytes(key), nonce, tag] = plaintext
         return nonce + body + tag
 
     def _open(self, key: bytes, ciphertext: bytes) -> bytes:
@@ -167,6 +181,11 @@ class DeterministicProvider:
         expect = _b2(nonce + body, key=_b2(key, key=b"manetsec.tag"), size=_MAC_LEN)
         if not hmac.compare_digest(tag, expect):
             raise CiphertextAuthenticationError("ciphertext failed authentication")
+        # The tag binds the body to this key and nonce, so a held seal with
+        # both and this tag has this body.
+        plaintext = self._held.pop((bytes(key), nonce, tag), None)
+        if plaintext is not None:
+            return plaintext
         return _xor(body, self._keystream(key, nonce, len(body)))
 
 

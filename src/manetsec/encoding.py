@@ -23,7 +23,10 @@ directory of ``[member name, public key]`` rows has that shape.  A founding
 leader seals one directory into every member's plaintext, so ``decode``
 decodes a table of flat rows once per distinct encoding and keeps the
 result in a small memo; every reader gets its own lists, and a body that
-fails to decode raises as any other and is never kept.
+fails to decode raises as any other and is never kept.  Beside it,
+``passes_once`` runs a reader's check on a decoded field once per distinct
+whole field (tag, length and body): the message layer type-checks each
+directory's rows once per encoding, not once per member.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ _HEADER = struct.Struct(">BI")  # tag, body length
 # again by the auditor; an 11-node churn run founds up to 11 of them.
 _TABLE_MEMO_SIZE = 16
 _tables: dict = {}
+
+# (check, whole field) for each field that passed a reader's check in
+# `passes_once`, oldest dropped first.  A founding directory comes back in
+# every member's plaintext, so its rows field recurs once per member.
+_PASSED_MEMO_SIZE = 16
+_passed: dict = {}
 
 
 def _encode_one(value: Value) -> bytes:
@@ -133,3 +142,22 @@ def decode(data: bytes) -> list:
     `data` may be any bytes-like object."""
     data = bytes(data)
     return _decode_body(data, 0, len(data))
+
+
+def passes_once(data: bytes, index: int, value, check) -> bool:
+    """Whether `value`, the decoded `index`-th field of `data` (a
+    concatenation `decode` has read), passes `check`.  The check runs once
+    per distinct whole field, tag and length included; a field that fails
+    is never kept."""
+    pos = 0
+    for _ in range(index):
+        pos += 5 + _HEADER.unpack_from(data, pos)[1]
+    key = (check, data[pos : pos + 5 + _HEADER.unpack_from(data, pos)[1]])
+    if key in _passed:
+        return True
+    if not check(value):
+        return False
+    if len(_passed) >= _PASSED_MEMO_SIZE:
+        del _passed[next(iter(_passed))]
+    _passed[key] = None
+    return True

@@ -6,7 +6,8 @@ parts travel as a single ``sealed`` octet field whose plaintext is itself a
 canonical encoding, laid out as ``_SEALED`` lists.  Every field name, in a
 header or in a sealed plaintext, has one wire type (``FIELD_TYPES``); a
 ``Message`` checks its fields against it when it is built, and
-:func:`open_sealed` checks a plaintext the same way.  Radio metadata (who
+:func:`open_sealed` checks a plaintext the same way (a directory's rows once
+per distinct encoding, not once per member).  Radio metadata (who
 transmitted to whom, and when) is not part of the payload bytes -- the
 event log records it separately.
 
@@ -223,7 +224,11 @@ def _check(what: str, checks: tuple, fields) -> None:
         if name not in fields:
             raise encoding.EncodingError(f"{what} lacks field {name!r}")
         if not check(fields[name]):
-            raise encoding.EncodingError(f"{what} field {name!r} is not {FIELD_TYPES[name]}")
+            raise _mistyped(what, name)
+
+
+def _mistyped(what: str, name: str) -> encoding.EncodingError:
+    return encoding.EncodingError(f"{what} field {name!r} is not {FIELD_TYPES[name]}")
 
 
 BROADCAST = "*"
@@ -341,14 +346,18 @@ def seal_batch(kind: MessageKind, mode: Optional[str], shared: dict, items: list
 def open_sealed(kind: MessageKind, plaintext: bytes, mode: Optional[str] = None) -> dict:
     """The named fields of a `kind` message's sealed plaintext (a REKEY's
     layout follows its `mode` header).  Raises EncodingError unless the
-    plaintext decodes and fits its layout, name for name and type for type."""
+    plaintext decodes and fits its layout, name for name and type for type.
+    A directory's rows are type-checked once per distinct encoding of the
+    whole `rows` field (`encoding.passes_once`), not once per member it is
+    sealed to; each reader still gets its own lists."""
     values = encoding.decode(plaintext)
     key = _layout_key(kind, mode, values[0] if values else None)
     if key is None or len(values) != len(_SEALED[key].names):
         raise encoding.EncodingError(f"plaintext does not fit any sealed {kind.name} layout")
-    fields = dict(zip(_SEALED[key].names, values))
-    _check(f"sealed {kind.name}", _SEALED_CHECKS[key], fields)
-    return fields
+    for index, (value, (name, check)) in enumerate(zip(values, _SEALED_CHECKS[key])):
+        if not (encoding.passes_once(plaintext, index, value, check) if name == "rows" else check(value)):
+            raise _mistyped(f"sealed {kind.name}", name)
+    return dict(zip(_SEALED[key].names, values))
 
 
 def seals(kind: MessageKind, mode: Optional[str] = None) -> tuple:

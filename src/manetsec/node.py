@@ -350,10 +350,8 @@ class ProtocolNode:
         ctx.emit(msg(kind, from_leader=self.name, sealed=sealed), to=to, channel="ring")
 
     def _gateway_request(self, requester: str, dest: str, seq: int, ctx: Ctx) -> None:
-        if self.leader_service is None or self.ring_key is None:
-            return
         peers = sorted(set(self.known_leaders) - {self.name})
-        if not peers:
+        if self.ring_key is None or not peers:
             self._gateway_fail(requester, dest, seq, ctx)
             return
         self.gateway_jobs[(requester, dest, seq)] = len(peers)

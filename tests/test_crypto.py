@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from manetsec import crypto, keymgmt
+from manetsec import crypto, encoding, keymgmt
 from manetsec.crypto import (
     CiphertextAuthenticationError,
     DecryptionError,
@@ -240,6 +240,118 @@ def test_keystream_equals_its_per_block_definition(length, key_size):
     stream = DeterministicProvider()._keystream(key, nonce, length)
     assert stream == b"".join(blocks)[:length]
     assert stream == DeterministicProvider()._keystream(key[:64], nonce, length)
+
+
+# ---------------------------------------------------------------------------
+# Held seals: the sealing instance opens its own seal at the cost of its tag
+# ---------------------------------------------------------------------------
+
+# A 64-member directory as a founding leader seals it, about 4 KB.
+DIRECTORY = encoding.encode([[f"n{i}", bytes([i]) * 32] for i in range(64)])
+
+
+def _seal(provider, mode, plaintext, seed=1):
+    """A `mode` seal of `plaintext`, with the key that opens it and a wrong one."""
+    rng = random.Random(seed)
+    if mode == "sym":
+        key = provider.generate_symmetric_key(rng)
+        return provider.sym_encrypt(key, plaintext, rng), key, bytes(32)
+    pair = provider.generate_keypair(rng)
+    return provider.pk_encrypt(pair.public, plaintext, rng), pair.private, provider.generate_keypair(rng).private
+
+
+def _open(provider, mode, key, ciphertext):
+    """The plaintext, or the class of the DecryptionError raised."""
+    try:
+        if mode == "sym":
+            return provider.sym_decrypt(key, ciphertext)
+        return provider.pk_decrypt(key, ciphertext)
+    except DecryptionError as exc:
+        return type(exc)
+
+
+def _count_keystreams(provider) -> list:
+    """A list that gains an entry for each keystream `provider` derives."""
+    calls = []
+    derive = provider._keystream
+    provider._keystream = lambda *args: calls.append(args) or derive(*args)
+    return calls
+
+
+def _damaged(ciphertext, mode) -> dict:
+    """Each damage the tag must catch, by name.  A public-key seal leads
+    with the 16-octet ephemeral value ahead of its nonce."""
+    start = 16 if mode == "pk" else 0
+
+    def flip(at):
+        return ciphertext[:at] + bytes([ciphertext[at] ^ 1]) + ciphertext[at + 1 :]
+
+    damaged = {
+        "nonce": flip(start),
+        "tag": flip(len(ciphertext) - 1),
+        "truncated": ciphertext[:-1],
+        "shorter_than_nonce_and_tag": ciphertext[: start + 31],
+    }
+    if len(ciphertext) > start + 32:
+        damaged["body"] = flip(start + 16)
+    if mode == "pk":
+        damaged["ephemeral"] = flip(0)
+    return damaged
+
+
+@given(mode=st.sampled_from(["sym", "pk"]), plaintext=st.binary(max_size=300))
+@example(mode="sym", plaintext=DIRECTORY)
+@example(mode="pk", plaintext=DIRECTORY)
+@settings(max_examples=60, deadline=None)
+def test_held_seal_opens_as_a_fresh_instance_does(mode, plaintext):
+    sealer = DeterministicProvider()
+    ciphertext, key, _ = _seal(sealer, mode, plaintext)
+    calls = _count_keystreams(sealer)
+    fresh = _open(DeterministicProvider(), mode, key, ciphertext)
+    assert fresh == plaintext
+    assert _open(sealer, mode, key, ciphertext) == fresh
+    assert not calls and not sealer._held
+    # A second open is computed, and gives the same plaintext.
+    assert _open(sealer, mode, key, ciphertext) == fresh
+    assert len(calls) == 1
+
+
+@given(mode=st.sampled_from(["sym", "pk"]), plaintext=st.binary(max_size=300))
+@example(mode="sym", plaintext=DIRECTORY)
+@example(mode="pk", plaintext=DIRECTORY)
+@settings(max_examples=40, deadline=None)
+def test_held_seal_fails_damage_and_wrong_keys_as_a_fresh_instance_does(mode, plaintext):
+    sealer = DeterministicProvider()
+    ciphertext, key, wrong = _seal(sealer, mode, plaintext)
+    attempts = [(key, damaged) for damaged in _damaged(ciphertext, mode).values()] + [(wrong, ciphertext)]
+    expected = [_open(DeterministicProvider(), mode, *attempt) for attempt in attempts]
+    assert all(isinstance(outcome, type) for outcome in expected) and MalformedCiphertextError in expected
+    # Before the held seal's first open: every attempt fails, and none drops it.
+    assert [_open(sealer, mode, *attempt) for attempt in attempts] == expected
+    calls = _count_keystreams(sealer)
+    assert _open(sealer, mode, key, ciphertext) == plaintext and not calls
+    # After it: the same failures.
+    assert [_open(sealer, mode, *attempt) for attempt in attempts] == expected
+
+
+def test_deterministic_providers_share_no_held_seal():
+    a, b = crypto.make_provider("test_double"), crypto.make_provider("test_double")
+    ciphertext, key, _ = _seal(a, "sym", DIRECTORY)
+    assert a._held and not b._held
+    calls = _count_keystreams(b)
+    assert b.sym_decrypt(key, ciphertext) == DIRECTORY and len(calls) == 1
+    assert len(a._held) == 1
+
+
+def test_held_seals_are_bounded_and_the_oldest_goes_first():
+    provider = DeterministicProvider()
+    provider.HELD_SEALS = 3
+    rng, key = random.Random(2), bytes(range(32))
+    sealed = [provider.sym_encrypt(key, bytes([i]) * 40, rng) for i in range(4)]
+    assert len(provider._held) == 3
+    calls = _count_keystreams(provider)
+    assert [provider.sym_decrypt(key, ct) for ct in sealed] == [bytes([i]) * 40 for i in range(4)]
+    assert len(calls) == 1 and calls[0][1] == sealed[0][:16]  # only the dropped seal is derived again
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,39 @@ def test_found_group_notes_each_admit_then_one_rekey(world, rng):
     ]
 
 
+def test_founding_a_grid_derives_one_keystream_per_member_and_checks_its_rows_once(monkeypatch):
+    # A 16x16 static grid founds one group of 256: the leader seals the
+    # directory to each of the other 255, and nothing else is sealed.  The
+    # sealing provider hands each addressee the plaintext it sealed, and the
+    # directory's rows are type-checked once, not once per member.
+    from manetsec import crypto, messages
+    from manetsec.sim import Simulation
+    from topologies import workloads
+
+    keystreams, rows_checked = [], []
+    derive = crypto.DeterministicProvider._keystream
+    monkeypatch.setattr(
+        crypto.DeterministicProvider, "_keystream", lambda self, *args: keystreams.append(args) or derive(self, *args)
+    )
+
+    def counted(check):
+        return lambda value: rows_checked.append(len(value)) or check(value)
+
+    monkeypatch.setattr(
+        messages, "_SEALED_CHECKS",
+        {key: tuple((name, counted(check) if name == "rows" else check) for name, check in checks)
+         for key, checks in messages._SEALED_CHECKS.items()},
+    )
+    sim = Simulation(workloads.grid_static(1, side=16))
+    sim.run()
+    [leader] = {node.keys.leader for node in sim.nodes.values()}
+    members = [node for name, node in sim.nodes.items() if name != leader]
+    assert len(members) == 255
+    assert all(node.keys.group_key == sim.nodes[leader].keys.group_key for node in members)
+    assert len(keystreams) == len(members)
+    assert rows_checked == [256, 256]  # as the leader builds the plaintexts, and at the first open
+
+
 def test_remove_member_rotates_and_excludes(world, rng):
     ctx = make_ctx("L", 0, rng, world.provider)
     world.leader.found_group(

@@ -1358,6 +1358,44 @@ def test_negative_reply_waits_for_every_other_leader():
     assert audit(log).passed
 
 
+def _leader_without_ring_key():
+    """Two founded groups a tick after their announcements, with g1's leader
+    a1 holding no ring key, and a context for one of its steps."""
+    import random
+
+    from manetsec.runtime import Ctx
+
+    scenario, _, _ = two_group_scenario(seed=3)
+    scenario.script, scenario.params.duration = [], 5
+    sim = Simulation(scenario)
+    sim.run()
+    leader = sim.nodes["a1"]
+    assert leader.leader_service is not None and set(leader.known_leaders) == {"b2"}
+    leader.ring_key = None
+    return sim, leader, Ctx("a1", 6, random.Random(1), sim.provider)
+
+
+def test_leader_without_ring_key_fails_its_own_gateway_request():
+    _, leader, ctx = _leader_without_ring_key()
+    leader.start_route_discovery("b0", ctx)
+    assert [(note.kind, note.detail) for note in ctx.notes] == [("verdict", "no_route:dest=b0:seq=1")]
+    assert not ctx.outbound and leader.gateway_jobs == {} and leader.pending_composed == {}
+
+
+def test_leader_without_ring_key_tells_the_requester_its_route_failed():
+    from manetsec.messages import MessageKind, open_sealed, seal_plain
+
+    sim, leader, ctx = _leader_without_ring_key()
+    leader.router.install("a0", ["a1", "a0"], 1)
+    wanted = seal_plain(MessageKind.DATA, tag="route_wanted", requester="a0", dest="b0", seq=4)
+    leader._consume_data(open_sealed(MessageKind.DATA, wanted), ctx)
+    assert not ctx.notes and leader.gateway_jobs == {}
+    [envelope] = ctx.outbound
+    assert (envelope.message.kind, envelope.to, envelope.channel) == (MessageKind.DATA, "a0", "radio")
+    plain = sim.provider.sym_decrypt(leader.keys.group_key, envelope.message["sealed"])
+    assert open_sealed(MessageKind.DATA, plain) == {"tag": "route_failed", "dest": "b0", "seq": 4}
+
+
 def _outsider_scenario():
     """A lone group, L and A, and a node Z in no group: L looks for Z, and
     Z chats to a group it does not have."""

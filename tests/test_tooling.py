@@ -146,3 +146,36 @@ def test_the_program_holds_no_fault_hook():
     src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
     hook = re.compile(r"\b(faults|FAULTS|leak_key|skip_rekey|forge_admit)\b")
     assert [path.name for path in sorted(src.glob("*.py")) if hook.search(path.read_text())] == []
+
+
+def test_the_audit_opens_with_a_provider_of_its_own(monkeypatch):
+    # The auditor attempts every decryption itself.  The simulator's provider
+    # holds the plaintext of each seal it made until its first open, so the
+    # audit must never open with it: it makes its own, from the registry.
+    from manetsec import audit as audit_module
+    from topologies import line_scenario
+
+    tree = ast.parse(pathlib.Path(audit_module.__file__).read_text())
+    made = [
+        node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        for target in node.targets if getattr(target, "attr", getattr(target, "id", "")) == "provider"
+    ]
+    assert [ast.unparse(value) for value in made] == ["make_provider(log.registry.provider_name)"]
+
+    script = [sim.Action(4, "leave", ("C",)), sim.Action(8, "send_data", ("A", "*", "hi"))]
+    scenario = line_scenario(["A", "B", "C"], script=script, duration=14)
+    run = sim.Simulation(scenario)
+    log = run.run()
+    assert run.provider._held  # the group broadcast is never opened
+    first = []
+    knowledge_set = audit_module.knowledge_set
+
+    def spy(principal, index, tick=None):
+        if not first:
+            first.append((index.provider, dict(index.provider._held)))
+        return knowledge_set(principal, index, tick)
+
+    monkeypatch.setattr(audit_module, "knowledge_set", spy)
+    audit_module.audit(log)
+    [(provider, held)] = first
+    assert provider is not run.provider and type(provider) is type(run.provider) and held == {}

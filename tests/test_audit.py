@@ -696,6 +696,37 @@ def test_causality_judges_each_outcome_against_its_latest_earlier_send():
     assert report.result("conservation").passed
 
 
+def _sent(tx):
+    return (1, "send", "A", None, ("DATA", ("to", "*"), ("ch", "radio"), ("tx", tx)))
+
+
+def _outcome(kind, recipient, tx):
+    return (2, kind, "A", recipient, ("DATA" if kind == "deliver" else "dead", ("tx", tx)))
+
+
+@pytest.mark.parametrize(
+    "shapes,counterexamples",
+    [
+        ([_sent("1"), _outcome("deliver", "B", "1"), _outcome("deliver", "B", "1")], [2]),
+        ([_sent("1"), _sent("2"), _outcome("deliver", "B", "1"), _outcome("deliver", "B", "2")], []),
+        ([_sent("1"), _outcome("deliver", "B", "1"), _outcome("deliver", "C", "1")], []),
+        ([_sent("1"), _outcome("drop", "B", "1"), _outcome("deliver", "B", "1")], [2]),
+    ],
+    ids=[
+        "one_recipient_twice", "one_recipient_two_transmissions", "one_transmission_two_recipients", "drop_then_deliver"
+    ],
+)
+def test_conservation_allows_one_outcome_per_recipient_of_each_transmission(shapes, counterexamples):
+    events = [
+        SimEvent(tick, seq, kind, actor, recipient, "", "-", parts)
+        for seq, (tick, kind, actor, recipient, parts) in enumerate(shapes)
+    ]
+    report = audit(EventLog(events=events, complete=True))
+    assert report.result("conservation").counterexamples == counterexamples
+    assert report.result("conservation").passed == (not counterexamples)
+    assert report.result("causality").passed
+
+
 def _append(log, event, provider=None, message=None):
     """Append a copy of `event` at the log's last tick, carrying `message`
     as its payload when one is given; return its index."""

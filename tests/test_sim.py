@@ -524,6 +524,19 @@ def test_log_parse_rejects_tick_going_back():
         parse_log_text(text)
 
 
+@pytest.mark.parametrize(
+    "tick,error",
+    [("4", "tick 4 is before tick 5"), ("x", "bad tick/sequence"), ("05", "does not render back to itself")],
+)
+def test_log_parse_rejects_a_bad_tick_on_a_line_that_repeats_earlier_fields(tick, error):
+    # Line 4 has the principals and the detail of lines 2 and 3, read
+    # already; its tick is still checked.
+    rest = "\tdrop\tA>B\t-\tdead:hops=2:tx=7"
+    text = f"#manetsec-log v1\n5\t0{rest}\n5\t1{rest}\n{tick}\t2{rest}\n#complete\n"
+    with pytest.raises(SimulationError, match=f"^line 4: {error}$"):
+        parse_log_text(text)
+
+
 def _sidecar():
     log = run(line_scenario(["A", "B", "C"], script=[Action(2, "discover", ("A", "C"))], duration=15))
     return log.payload_blob()
@@ -1572,6 +1585,128 @@ def test_relay_past_a_tap_hears_what_crossed_it(tap, copies):
     assert received == copies
     report = audit(log)
     assert report.passed and "causality" in [result.name for result in report.results]
+
+
+# ---------------------------------------------------------------------------
+# Queued transmission hops: the exact lines each shape of hop logs
+# ---------------------------------------------------------------------------
+
+
+def _lines_of(log, txs, since=0):
+    """The log lines, from tick `since` on, of the transmissions numbered
+    `txs`."""
+    return [e.line() for e in log.events if e.tick >= since and e.get("tx") in txs]
+
+
+def test_broadcast_hearer_that_crashes_in_flight_is_dropped_in_its_turn():
+    # B chats at tick 5 on the line A-B-C.  C crashes at tick 6, before the
+    # broadcast arrives: A's delivery is handled first (A re-floods it),
+    # then C's copy is dropped as dead.
+    log = run(
+        line_scenario(
+            ["A", "B", "C"], script=[Action(5, "send_data", ("B", "*", "hi")), Action(6, "crash", ("C",))], duration=8
+        )
+    )
+    data = "aa75068bc4f4f8cf4ae4e12756f719e679d0df027d9bd03aeb3bc82723bc4fe9"
+    assert [e.line() for e in log.events if e.tick == 6] == [
+        "6\t12\talert\tC\t-\tnode_crashed",
+        f"6\t13\tdeliver\tB>A\t{data}\tDATA:tx=4",
+        f"6\t14\tsend\tA\t{data}\tDATA:to=*:ch=radio:tx=5",
+        "6\t15\tdrop\tB>C\t-\tdead:tx=4",
+    ]
+    assert _lines_of(log, ("4",)) == [
+        f"5\t11\tsend\tB\t{data}\tDATA:to=*:ch=radio:tx=4",
+        f"6\t13\tdeliver\tB>A\t{data}\tDATA:tx=4",
+        "6\t15\tdrop\tB>C\t-\tdead:tx=4",
+    ]
+
+
+def test_multi_hop_unicast_to_an_addressee_that_crashes_in_flight_is_dropped_on_arrival():
+    # On the line L-A-B-C, B and C beat to their leader L at tick 10, two
+    # and three hops away; L crashes at tick 11, and each beat is dropped
+    # when it would have arrived, naming its hops.
+    log = run(line_scenario(["L", "A", "B", "C"], script=[Action(11, "crash", ("L",))], duration=16))
+    beat_b = "c944d088d8d946bfc756f52a4a6732303f05dc277898430a50822e667dee287e"
+    beat_c = "b0169c7392c504c6fcba339b2ccb1242cdf75e9a12889cee23b6775f0a0fa417"
+    assert _lines_of(log, ("6", "7")) == [
+        f"10\t15\tsend\tB\t{beat_b}\tHEARTBEAT:to=L:ch=radio:tx=6",
+        f"10\t16\tsend\tC\t{beat_c}\tHEARTBEAT:to=L:ch=radio:tx=7",
+        "12\t22\tdrop\tB>L\t-\tdead:hops=2:tx=6",
+        "13\t25\tdrop\tC>L\t-\tdead:hops=3:tx=7",
+    ]
+
+
+def test_ring_broadcast_reaches_peer_leaders_in_sorted_order():
+    # Three one-pair groups far apart, founded g1, g2, g3 under leaders z0,
+    # m0, b0.  z0 expels z1 and alerts the ring: the peers get the alert in
+    # name order, b0 before m0, not in group order.
+    nodes = []
+    for i, (leader, member) in enumerate((("z0", "z1"), ("m0", "m1"), ("b0", "b1"))):
+        nodes += [NodeSpec(leader, [(1000.0 * i, 0.0)], 1.0), NodeSpec(member, [(1000.0 * i + 50.0, 0.0)], 0.3)]
+    groups = [GroupSpec(f"g{i}", 4, [nodes[2 * i - 2].name, nodes[2 * i - 1].name]) for i in (1, 2, 3)]
+    log = run(
+        Scenario(
+            seed=1,
+            nodes=nodes,
+            groups=groups,
+            params=SimParams(radio_radius=110.0, duration=8),
+            script=[Action(5, "expel", ("z0", "z1"))],
+        )
+    )
+    assert [e.principals for e in log.events if e.kind == "elect"] == ["z0", "m0", "b0"]
+    alert = "b9a54c164995c9b4c8529e17dbc314e92c9fdfeef672201b6448e6aef69ccaca"
+    assert _lines_of(log, ("15",)) == [
+        f"5\t45\tsend\tz0\t{alert}\tMALICIOUS_ALERT:to=*:ch=ring:tx=15",
+        f"6\t46\tdeliver\tz0>b0\t{alert}\tMALICIOUS_ALERT:tx=15",
+        f"6\t47\tdeliver\tz0>m0\t{alert}\tMALICIOUS_ALERT:tx=15",
+    ]
+
+
+_CHAT = "a71ae707b51f28151f7e39b661c0100bce5f53926aa0bc48dd7a78a98bf8c347"
+_CHAT_EDITED = "d691a1f0d3376f7833bd8bbc8cc2181331c4b4793c38bb5b21adc13ecf806803"
+
+
+@pytest.mark.parametrize(
+    "tap,txs,lines",
+    [
+        (
+            ("replay", {"delay": 2}),
+            ("6", "9", "10"),
+            [
+                f"5\t17\tsend\tA\t{_CHAT}\tDATA:to=*:ch=radio:tx=6",
+                f"6\t18\tdeliver\tA>B\t{_CHAT}\tDATA:tx=6",
+                f"6\t20\tdeliver\tA>tap0\t{_CHAT}\tDATA:overheard:tx=6",
+                f"8\t25\tsend\ttap0\t{_CHAT}\tDATA:to=B:ch=radio:tx=9",
+                f"9\t27\tsend\ttap0\t{_CHAT}\tDATA:to=A:ch=radio:tx=10",
+                f"9\t28\tdeliver\ttap0>B\t{_CHAT}\tDATA:tx=9",
+            ],
+        ),
+        (
+            ("modify_field", {"field": "group", "op": "set", "value": "gx"}),
+            ("4", "5", "7"),
+            [
+                f"5\t13\tsend\tA\t{_CHAT}\tDATA:to=*:ch=radio:tx=4",
+                f"6\t14\tsend\ttap0\t{_CHAT_EDITED}\tDATA:to=B:ch=radio:tx=5",
+                f"6\t15\tdeliver\tA>tap0\t{_CHAT}\tDATA:intercepted:tx=4",
+                f"7\t16\tdeliver\ttap0>B\t{_CHAT_EDITED}\tDATA:tx=5",
+                f"8\t18\tsend\ttap0\t{_CHAT_EDITED}\tDATA:to=A:ch=radio:tx=7",
+                f"9\t22\tdeliver\ttap0>A\t{_CHAT_EDITED}\tDATA:tx=7",
+            ],
+        ),
+    ],
+    ids=["replay", "modify_field"],
+)
+def test_broadcast_across_a_link_tap(tap, txs, lines):
+    # A chats at tick 5 on the line A-B-C with a tap on A-B: a replaying
+    # tap lets B hear it and re-sends a copy later, an editing one takes it
+    # and passes on its edit a tick later.
+    scenario = line_scenario(
+        ["A", "B", "C"],
+        script=[Action(5, "send_data", ("A", "*", "hi"))],
+        adversaries=[AdversarySpec(tap[0], ("link", "A", "B"), tap[1])],
+        duration=9,
+    )
+    assert _lines_of(run(scenario), txs, since=5) == lines
 
 
 # ---------------------------------------------------------------------------

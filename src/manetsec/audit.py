@@ -171,9 +171,11 @@ class _LogIndex:
         self._trials: dict = {}  # sealed -> {key: plaintext, or None when it does not open}
         leaders: dict[str, str] = {}
         latest: dict[str, int] = {}  # tx -> tick of its latest send so far
-        # (tx, recipient) of each outcome so far; a dict, because a set of
-        # as many keys grows its table fourfold and takes more memory.
-        outcomes: dict[tuple, None] = {}
+        # tx -> {recipient: None} of each outcome so far: a table per
+        # transmission, where a (tx, recipient) key per outcome would leave
+        # the garbage collector one tuple to track per delivery and drop (a
+        # dict holding only strings is not tracked).
+        outcomes: dict[str, dict] = {}
         by_kind, received = self.by_kind, self.received
         for i, event in enumerate(log.events):
             kind = event.kind
@@ -187,10 +189,14 @@ class _LogIndex:
                     sent = latest.get(tx)
                     if sent is None or (kind == "deliver" and event.tick - hops != sent):
                         self.causality_failures.append(i)
-                    key = (tx, event.recipient or event.principals)
-                    if key in outcomes:
+                    recipient = event.recipient or event.principals
+                    heard = outcomes.get(tx)
+                    if heard is None:
+                        outcomes[tx] = {recipient: None}
+                    elif recipient in heard:
                         self.conservation_failures.append(i)
-                    outcomes[key] = None
+                    else:
+                        heard[recipient] = None
                 continue
             by_kind[kind].append(i)
             if kind == "send":

@@ -29,6 +29,7 @@ learned.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -585,7 +586,8 @@ def _read_detail(text: str) -> tuple:
 def parse_log_text(text: str) -> EventLog:
     """Read a log back into the events that were logged.  A line that does
     not follow the grammar of :class:`SimEvent`, or does not render back to
-    itself, is rejected with its line number."""
+    itself, is rejected with its line number.  Each distinct principals or
+    detail field is read once per call; every line is still rendered back."""
     lines = text.splitlines()
     if not lines or lines[0] != LOG_HEADER:
         raise SimulationError("not an event log (bad header)")
@@ -594,6 +596,7 @@ def parse_log_text(text: str) -> EventLog:
     if body and body[-1] == LOG_FOOTER:
         log.complete = True
         body = body[:-1]
+    read_principals, read_detail = functools.cache(_read_principals), functools.cache(_read_detail)
     for i, line in enumerate(body, start=2):
         fields = line.split("\t")
         if len(fields) != 6:
@@ -605,7 +608,7 @@ def parse_log_text(text: str) -> EventLog:
         if fields[2] not in EVENT_KINDS:
             raise SimulationError(f"line {i}: unknown event kind {fields[2]!r}")
         try:
-            event = SimEvent(tick, seq, fields[2], *_read_principals(fields[3]), fields[4], _read_detail(fields[5]))
+            event = SimEvent(tick, seq, fields[2], *read_principals(fields[3]), fields[4], read_detail(fields[5]))
         except ValueError as exc:
             raise SimulationError(f"line {i}: {exc}") from None
         if event.line() != line:
@@ -777,13 +780,12 @@ class Simulation:
         events = self.log.events
         events.append(SimEvent(self.now, len(events), kind, str(actor), recipient, about, digest, parts))
 
-    def _schedule(self, tick: int, envelope: Envelope, recipient: str, via: str, parts: tuple) -> None:
-        """Queue a delivery; `parts` end the detail its deliver or drop logs."""
-        self.queue.setdefault(tick, []).append((envelope, recipient, via, parts))
-
-    def _schedule_many(self, tick: int, envelope: Envelope, recipients, via: str, parts: tuple) -> None:
-        """Queue a delivery to each of `recipients`, all sharing `parts`."""
-        self.queue.setdefault(tick, []).extend((envelope, recipient, via, parts) for recipient in recipients)
+    def _schedule(self, tick: int, envelope: Envelope, recipients, via: str, parts: tuple) -> None:
+        """Queue one transmission hop from `via` to each of `recipients`, in
+        their order, as one entry.  `parts` end the detail its deliveries and
+        drops log; a delivery's whole detail is built here, once per hop."""
+        detail = (_KIND_NAMES[envelope.message.kind],) + parts
+        self.queue.setdefault(tick, []).append((envelope, via, detail, recipients))
 
     # -- radio ------------------------------------------------------------------
 
@@ -902,20 +904,17 @@ class Simulation:
                     if leader is not None and leader != envelope.sender
                 )
             else:
-                targets = [envelope.to]
-            for target in targets:
-                self._schedule(self.now + 1, envelope, target, envelope.sender, (tx,))
+                targets = (envelope.to,)
+            self._schedule(self.now + 1, envelope, targets, envelope.sender, (tx,))
             return
         if envelope.to == BROADCAST:
-            sender = envelope.sender
-            if self.taps:
-                for name in self._neighbours(sender):
-                    if self.nodes[name].alive:
-                        self._dispatch_radio(envelope, name, tx)
-                return
             nodes = self.nodes
-            hearers = [name for name in self._neighbours(sender) if nodes[name].alive]
-            self._schedule_many(self.now + 1, envelope, hearers, sender, (tx,))
+            hearers = [name for name in self._neighbours(envelope.sender) if nodes[name].alive]
+            if self.taps:
+                for name in hearers:
+                    self._dispatch_radio(envelope, name, tx)
+            else:
+                self._schedule(self.now + 1, envelope, hearers, envelope.sender, (tx,))
             return
         self._unicast(envelope, tx)
 
@@ -925,7 +924,7 @@ class Simulation:
         for name in self._neighbours(envelope.sender):
             node = self.nodes[name]
             if isinstance(node, AdversaryNode) and node.alive and name not in skip:
-                self._schedule(self.now + 1, envelope, name, envelope.sender, ("overheard", tx))
+                self._schedule(self.now + 1, envelope, (name,), envelope.sender, ("overheard", tx))
 
     def _unicast(self, envelope: Envelope, tx: tuple) -> None:
         """Walk an addressed message along its path once, a tick a hop.  A
@@ -948,10 +947,10 @@ class Simulation:
             tap = self._tap_for(u, v) if taps else None
             if tap is not None:
                 if tap.kind == "replay":
-                    self._schedule(arrive, carried, tap.name, u, ("overheard", ("hops", str(arrive - now)), tx))
+                    self._schedule(arrive, carried, (tap.name,), u, ("overheard", ("hops", str(arrive - now)), tx))
                     tap.outbox.append((arrive + tap.settings["delay"], carried, target))
                 else:
-                    self._schedule(arrive, carried, tap.name, u, ("intercepted", ("hops", str(arrive - now)), tx))
+                    self._schedule(arrive, carried, (tap.name,), u, ("intercepted", ("hops", str(arrive - now)), tx))
                     passed = intercept(tap.kind, tap.settings, carried.message, tap.rng)
                     if passed is None:
                         carried = None
@@ -959,24 +958,24 @@ class Simulation:
                     carried = replace(carried, message=passed)
                     arrive += 1
             if v != target and isinstance(nodes[v], AdversaryNode):
-                self._schedule(arrive, carried, v, u, ("overheard", ("hops", str(arrive - now)), tx))
+                self._schedule(arrive, carried, (v,), u, ("overheard", ("hops", str(arrive - now)), tx))
         # Each node on the path is reached by the walk, not by overhearing.
         self._overhear(envelope, tx, path)
         if carried is not None:
-            self._schedule(arrive, carried, target, envelope.sender, (("hops", str(arrive - now)), tx))
+            self._schedule(arrive, carried, (target,), envelope.sender, (("hops", str(arrive - now)), tx))
 
     def _dispatch_radio(self, envelope: Envelope, recipient: str, tx: tuple) -> None:
         tap = self._tap_for(envelope.sender, recipient) if self.taps else None
         if tap is None:
-            self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
+            self._schedule(self.now + 1, envelope, (recipient,), envelope.sender, (tx,))
             return
         if tap.kind == "replay":
             # A passive tap: traffic flows normally, a copy is re-emitted later.
-            self._schedule(self.now + 1, envelope, recipient, envelope.sender, (tx,))
-            self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("overheard", tx))
+            self._schedule(self.now + 1, envelope, (recipient,), envelope.sender, (tx,))
+            self._schedule(self.now + 1, envelope, (tap.name,), envelope.sender, ("overheard", tx))
             tap.outbox.append((self.now + 1 + tap.settings["delay"], envelope, recipient))
             return
-        self._schedule(self.now + 1, envelope, tap.name, envelope.sender, ("intercepted", tx))
+        self._schedule(self.now + 1, envelope, (tap.name,), envelope.sender, ("intercepted", tx))
         passed = intercept(tap.kind, tap.settings, envelope.message, tap.rng)
         if passed is not None:
             tap.outbox.append((self.now + 1, replace(envelope, message=passed), recipient))
@@ -987,7 +986,7 @@ class Simulation:
             tap.outbox = [item for item in tap.outbox if item[0] > self.now]
             for _, envelope, recipient in due:
                 tx = self._send(envelope, tap.name, recipient)
-                self._schedule(self.now + 1, envelope, recipient, tap.name, (tx,))
+                self._schedule(self.now + 1, envelope, (recipient,), tap.name, (tx,))
 
     # -- context plumbing ----------------------------------------------------------
 
@@ -1205,19 +1204,20 @@ class Simulation:
             while pending and pending[0].tick <= tick:
                 self._action(pending.pop(0))
             self._drain_taps()
-            for envelope, recipient, via, parts in self.queue.pop(tick, []):
-                node = nodes.get(recipient)
-                if node is not None and not node.alive:
-                    log("drop", via, ("dead",) + parts, None, recipient)
-                    continue
-                message = envelope.message
-                log("deliver", via, (_KIND_NAMES[message.kind],) + parts, message.encoded, recipient)
-                if node is None:
-                    continue  # a tap pseudo-principal: logging the delivery is the point
-                ctx = contexts[recipient]
-                ctx.now = tick
-                node.handle(envelope, ctx)
-                flush_pending(recipient, ctx)
+            for envelope, via, detail, recipients in self.queue.pop(tick, ()):
+                encoded = envelope.message.encoded
+                for recipient in recipients:
+                    node = nodes.get(recipient)
+                    if node is not None and not node.alive:
+                        log("drop", via, ("dead",) + detail[1:], None, recipient)
+                        continue
+                    log("deliver", via, detail, encoded, recipient)
+                    if node is None:
+                        continue  # a tap pseudo-principal: logging the delivery is the point
+                    ctx = contexts[recipient]
+                    ctx.now = tick
+                    node.handle(envelope, ctx)
+                    flush_pending(recipient, ctx)
             for name, node, ctx in stepping:
                 if node.alive:
                     ctx.now = tick

@@ -95,6 +95,29 @@ def test_only_in_range_measures_distance():
     assert lines and all(method.lineno <= number <= method.end_lineno for number in lines), lines
 
 
+def test_only_schedule_writes_the_queue():
+    # Each transmission hop is queued as one entry by Simulation._schedule;
+    # apart from it, only __init__ (the empty queue) and run (the pop of
+    # each tick's entries) touch `self.queue`, so no second scheduling path
+    # can build entries of another shape.
+    [cls] = [
+        node for node in ast.parse(pathlib.Path(sim.__file__).read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "Simulation"
+    ]
+    uses = []
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef):
+            for parent in ast.walk(method):
+                for child in ast.iter_child_nodes(parent):
+                    if isinstance(child, ast.Attribute) and ast.unparse(child) == "self.queue":
+                        uses.append((method.name, ast.unparse(parent)))
+    assert [use for use in uses if use[0] != "_schedule"] == [
+        ("__init__", "self.queue: dict[int, list] = {}"),
+        ("run", "self.queue.pop"),
+    ]
+    assert [use for use in uses if use[0] == "_schedule"]
+
+
 def test_each_module_name_on_the_package_is_that_module():
     # `manetsec.audit` is the auditor module, not a function re-exported
     # under its name.

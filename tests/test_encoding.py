@@ -498,3 +498,111 @@ def test_opened_directories_share_no_list():
     first.append(["d", b"pd"])
     assert second == rows
     assert [open_sealed(MessageKind.REKEY, plain, "public")["rows"] for plain in plains] == [rows] * 3
+
+
+# ---------------------------------------------------------------------------
+# The wire bytes of every kind, against the grammar in encoding's docstring
+# ---------------------------------------------------------------------------
+
+
+def _field(tag: int, body: bytes) -> bytes:
+    return bytes([tag]) + len(body).to_bytes(4, "big") + body
+
+
+def _reference(value) -> bytes:
+    """One field as `encoding`'s docstring lays it out: tag, four-octet
+    big-endian length, body."""
+    if isinstance(value, (list, tuple)):
+        return _field(0x04, b"".join(_reference(item) for item in value))
+    if isinstance(value, str):
+        return _field(0x02, value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return _field(0x03, value)
+    body = b""
+    while value:
+        body, value = bytes([value & 0xFF]) + body, value >> 8
+    return _field(0x01, body or b"\x00")
+
+
+_WIDE_WIRE = {
+    **_WIRE,
+    "int": st.one_of(st.sampled_from([0, 1, 255, 256, 2**32 - 1, 2**32]), st.integers(min_value=0, max_value=2**300)),
+    "str": st.text(max_size=12),
+    "bytes": st.binary(max_size=300),
+}
+
+
+@st.composite
+def _any_message_fields(draw):
+    kind = draw(st.sampled_from(MessageKind))
+    return kind, {name: draw(_WIDE_WIRE[FIELD_TYPES[name]]) for name in _FIELDS[kind]}
+
+
+@given(_any_message_fields())
+def test_every_kind_encodes_by_the_grammar_and_decodes_back(drawn):
+    kind, fields = drawn
+    message = msg(kind, **fields)
+    expected = bytes([kind]) + b"".join(_reference(fields[name]) for name in _FIELDS[kind])
+    assert encode_message(message) == expected
+    assert message.encoded == expected
+    back = decode_message(expected)
+    assert back.kind == kind and dict(back.fields) == fields
+
+
+@pytest.mark.parametrize(
+    "fields, text",
+    [
+        ({"who": "a", "role": "member", "group": "g1"}, "HEARTBEAT fields do not match (missing=['beat'], unknown=[])"),
+        (
+            {"who": "a", "role": "member", "group": "g1", "beat": 1, "extra": 2},
+            "HEARTBEAT fields do not match (missing=[], unknown=['extra'])",
+        ),
+        ({"who": "a", "role": "member", "group": "g1", "bet": 1}, "HEARTBEAT lacks field 'beat'"),
+        ({"who": "a", "role": "member", "group": "g1", "beat": "1"}, "HEARTBEAT field 'beat' is not int"),
+        ({"who": "a", "role": "member", "group": "g1", "beat": True}, "HEARTBEAT field 'beat' is not int"),
+        ({"who": "a:b", "role": "member", "group": "g1", "beat": 1}, "HEARTBEAT field 'who' is not name"),
+        ({"who": "a", "role": b"member", "group": "g1", "beat": 1}, "HEARTBEAT field 'role' is not str"),
+    ],
+)
+def test_msg_names_what_is_wrong_with_its_fields(fields, text):
+    with pytest.raises(encoding.EncodingError) as raised:
+        msg(MessageKind.HEARTBEAT, **fields)
+    assert str(raised.value) == text
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "booleans are not part of the wire format"),
+        (-1, "negative integers are not part of the wire format"),
+        (1.5, "cannot encode value of type float"),
+        (None, "cannot encode value of type NoneType"),
+        ([b"x", [False]], "booleans are not part of the wire format"),
+    ],
+)
+def test_encode_names_what_it_refuses(value, text):
+    with pytest.raises(encoding.EncodingError) as raised:
+        encoding.encode(value)
+    assert str(raised.value) == text
+
+
+class _Name(str):
+    pass
+
+
+class _Blob(bytes):
+    pass
+
+
+def test_subclasses_and_bytes_likes_encode_to_the_same_bytes():
+    assert encoding.encode(_Name("ab")) == b"\x02\x00\x00\x00\x02ab"
+    assert encoding.encode(_Blob(b"ab")) == b"\x03\x00\x00\x00\x02ab"
+    assert encoding.encode(bytearray(b"ab")) == b"\x03\x00\x00\x00\x02ab"
+    assert encoding.encode(memoryview(b"ab")) == b"\x03\x00\x00\x00\x02ab"
+    assert encoding.encode([_Name("a"), memoryview(b"")]) == b"\x04\x00\x00\x00\x0b\x02\x00\x00\x00\x01a\x03\x00\x00\x00\x00"
+    assert encoding.encode(MessageKind.LEAVE) == b"\x01\x00\x00\x00\x01\x16"
+    leave = msg(MessageKind.LEAVE, who=_Name("a"))
+    assert leave.encoded == b"\x16\x02\x00\x00\x00\x01a" == msg(MessageKind.LEAVE, who="a").encoded
+    cert = msg(MessageKind.CERT, subject=_Name("a"), subject_public=_Blob(b"k"), authority_sig=b"s")
+    assert cert.encoded == msg(MessageKind.CERT, subject="a", subject_public=b"k", authority_sig=b"s").encoded
+    assert cert.encoded == b"\x05\x02\x00\x00\x00\x01a\x03\x00\x00\x00\x01k\x03\x00\x00\x00\x01s"

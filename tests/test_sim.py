@@ -1982,3 +1982,31 @@ def test_empty_steps_are_not_flushed(monkeypatch):
     assert flushed
     # The secrets, entry for entry and in order, as every step was flushed.
     assert digest.hexdigest() == "82fdb7d6d04cacdcb67b5fd10e61e008c60ee90d1145adefa8b9675fda505402"
+
+
+def test_a_placed_adversary_overhears_a_unicast_from_a_sender_in_its_range():
+    # E sits 100 from the leader L and 141 from the member M (radius 110):
+    # it overhears L's founding REKEY to M, a tick after it is sent and
+    # before M's own copy, and hears L's beats; M's unicast beats to L
+    # never reach it, nor does its re-flood of L's beat.
+    nodes = [NodeSpec("L", [(0.0, 0.0)], 1.0), NodeSpec("M", [(100.0, 0.0)], 0.5), NodeSpec("E", [(0.0, 100.0)], 0.5)]
+    log = run(
+        Scenario(
+            seed=1,
+            nodes=nodes,
+            groups=[GroupSpec("g1", 4, ["L", "M"])],
+            params=SimParams(radio_radius=110.0, duration=12),
+            adversaries=[AdversarySpec("drop_all", ("node", "E"))],
+        )
+    )
+    rekey = "b00b10a3bd9be9c2e70c44480474dfb8c12d3c9a86c9dae2a315bad0114166e2"
+    beat_l = "14698fddd3d1c74183e233ca91bb922b38f76ff8c033cc5395a8ccab129be0c5"
+    beat_m = "1a78b4adbcf5ea6a61007ff9519ecc419863d8124b8f21d1838a9b5c03aa8459"
+    assert [e.line() for e in log.events if e.get("tx") == "0" or e.recipient == "E" or (e.kind, e.actor) == ("send", "M")] == [
+        f"0\t3\tsend\tL\t{rekey}\tREKEY:to=M:ch=radio:tx=0",
+        f"1\t7\tdeliver\tL>E\t{rekey}\tREKEY:overheard:tx=0",
+        f"1\t8\tdeliver\tL>M\t{rekey}\tREKEY:hops=1:tx=0",
+        f"10\t10\tsend\tM\t{beat_m}\tHEARTBEAT:to=L:ch=radio:tx=4",
+        f"11\t11\tdeliver\tL>E\t{beat_l}\tHEARTBEAT:tx=3",
+        f"11\t13\tsend\tM\t{beat_l}\tHEARTBEAT:to=*:ch=radio:tx=5",
+    ]

@@ -17,6 +17,12 @@ with the following tags and body rules:
 ``encode(*values)`` concatenates the field encodings of its arguments with
 no outer framing; ``decode(data)`` reverses that, returning a list.  The
 encoding is injective: distinct value tuples never produce the same bytes.
+Each value is encoded by the encoder of its exact type (``encode_int``,
+``encode_str``, ``encode_bytes``, ``encode_seq``); a subclass, a
+``bytearray`` or ``memoryview``, or a value outside the format (a bool, a
+negative int, any other type) goes through an ``isinstance`` chain that
+gives the same bytes or the same error.  The message layer calls the
+per-type encoders directly for fields whose type it has checked.
 
 A *table* is a SEQ whose first field is itself a SEQ; on the wire only a
 directory of ``[member name, public key]`` rows has that shape.  A founding
@@ -47,6 +53,8 @@ class EncodingError(ValueError):
 
 
 _HEADER = struct.Struct(">BI")  # tag, body length
+_pack = _HEADER.pack
+_MAX_BODY = 0xFFFFFFFF
 
 # Decoded tables of flat rows by their body bytes, oldest dropped first.
 # Each directory a run founds is read by every member it is sealed to and
@@ -61,26 +69,61 @@ _PASSED_MEMO_SIZE = 16
 _passed: dict = {}
 
 
-def _encode_one(value: Value) -> bytes:
-    if isinstance(value, bytes):
-        tag, body = _TAG_BYTES, value
-    elif isinstance(value, str):
-        tag, body = _TAG_STR, value.encode("utf-8")
-    elif isinstance(value, bool):
-        raise EncodingError("booleans are not part of the wire format")
-    elif isinstance(value, int):
-        if value < 0:
-            raise EncodingError("negative integers are not part of the wire format")
-        tag, body = _TAG_INT, value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
-    elif isinstance(value, (list, tuple)):
-        tag, body = _TAG_SEQ, b"".join(map(_encode_one, value))
-    elif isinstance(value, (bytearray, memoryview)):
-        tag, body = _TAG_BYTES, bytes(value)
-    else:
-        raise EncodingError(f"cannot encode value of type {type(value).__name__}")
-    if len(body) > 0xFFFFFFFF:
+def encode_int(value: int) -> bytes:
+    """The field of an int, which must not be negative."""
+    if value < 0:
+        raise EncodingError("negative integers are not part of the wire format")
+    body = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
+    if len(body) > _MAX_BODY:
         raise EncodingError("field body exceeds 4-octet length range")
-    return _HEADER.pack(tag, len(body)) + body
+    return _pack(_TAG_INT, len(body)) + body
+
+
+def encode_str(value: str) -> bytes:
+    """The field of a string."""
+    body = value.encode()
+    if len(body) > _MAX_BODY:
+        raise EncodingError("field body exceeds 4-octet length range")
+    return _pack(_TAG_STR, len(body)) + body
+
+
+def encode_bytes(value: bytes) -> bytes:
+    """The field of a bytes object (a bytes subclass gives the same octets)."""
+    if len(value) > _MAX_BODY:
+        raise EncodingError("field body exceeds 4-octet length range")
+    return _pack(_TAG_BYTES, len(value)) + value
+
+
+def encode_seq(value) -> bytes:
+    """The field of a list or tuple of values."""
+    body = b"".join(map(_encode_one, value))
+    if len(body) > _MAX_BODY:
+        raise EncodingError("field body exceeds 4-octet length range")
+    return _pack(_TAG_SEQ, len(body)) + body
+
+
+# Encoder by exact type; `_encode_one` reads subclasses, bytes-likes and
+# what it refuses through `isinstance`.
+_BY_TYPE = {bytes: encode_bytes, str: encode_str, int: encode_int, list: encode_seq, tuple: encode_seq}
+
+
+def _encode_one(value: Value) -> bytes:
+    encoder = _BY_TYPE.get(type(value))
+    if encoder is not None:
+        return encoder(value)
+    if isinstance(value, bytes):
+        return encode_bytes(value)
+    if isinstance(value, str):
+        return encode_str(value)
+    if isinstance(value, bool):
+        raise EncodingError("booleans are not part of the wire format")
+    if isinstance(value, int):
+        return encode_int(value)
+    if isinstance(value, (list, tuple)):
+        return encode_seq(value)
+    if isinstance(value, (bytearray, memoryview)):
+        return encode_bytes(bytes(value))
+    raise EncodingError(f"cannot encode value of type {type(value).__name__}")
 
 
 def encode(*values: Value) -> bytes:

@@ -5,9 +5,14 @@ kind's payload fields, in the fixed order listed in ``_FIELDS``.  Encrypted
 parts travel as a single ``sealed`` octet field whose plaintext is itself a
 canonical encoding, laid out as ``_SEALED`` lists.  Every field name, in a
 header or in a sealed plaintext, has one wire type (``FIELD_TYPES``); a
-``Message`` checks its fields against it when it is built, and
-:func:`open_sealed` checks a plaintext the same way (a directory's rows once
-per distinct encoding, not once per member).  Radio metadata (who
+``Message`` checks its fields against it once, when :func:`msg` or
+:func:`decode_message` builds it, and :func:`open_sealed` checks a plaintext
+the same way (a directory's rows once per distinct encoding, not once per
+member).  Because every field passed its check, :func:`encode_message`
+follows a plan per kind: each field goes straight to its wire type's
+encoder in :mod:`~manetsec.encoding` (int, str or name, bytes; a list goes
+through the general encoder), which yields exactly ``encoding.encode`` of
+the values.  Radio metadata (who
 transmitted to whom, and when) is not part of the payload bytes -- the
 event log records it separately.
 
@@ -23,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 from itertools import groupby
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -234,6 +238,17 @@ def _mistyped(what: str, name: str) -> encoding.EncodingError:
 BROADCAST = "*"
 
 
+class _Encoded:
+    """``Message.encoded``: a message's wire bytes, encoded on first read and
+    stored on the message, where every later read finds them first."""
+
+    def __get__(self, message, owner=None):
+        if message is None:
+            return self
+        encoded = message.__dict__["encoded"] = encode_message(message)
+        return encoded
+
+
 @dataclass(frozen=True)
 class Message:
     """An immutable payload: its fields are a read-only mapping, checked
@@ -250,28 +265,55 @@ class Message:
     def __getitem__(self, name: str):
         return self.fields[name]
 
-    @cached_property
-    def encoded(self) -> bytes:
-        return encode_message(self)
+    encoded = _Encoded()
 
     def replace(self, **changes) -> "Message":
         """This message with some fields changed; the fields it keeps passed
         their checks when it was built, so only the changed ones are checked."""
         checks = _HEADER_CHECKS[self.kind]
         _check(self.kind.name, tuple(check for check in checks if check[0] in changes), changes)
-        replaced = object.__new__(Message)
-        object.__setattr__(replaced, "kind", self.kind)
-        object.__setattr__(replaced, "fields", MappingProxyType({**self.fields, **changes}))
-        return replaced
+        return _holding(self.kind, {**self.fields, **changes})
+
+
+def _holding(kind: MessageKind, fields: dict) -> Message:
+    """A message over `fields`, a dict that passed its checks and that no
+    one else holds, so it is wrapped as it is."""
+    message = object.__new__(Message)
+    attributes = message.__dict__
+    attributes["kind"] = kind
+    attributes["fields"] = MappingProxyType(fields)
+    return message
 
 
 def msg(kind: MessageKind, **fields) -> Message:
-    return Message(kind, fields)
+    """A `kind` message of `fields`, checked once; the keyword dict is the
+    message's own."""
+    _check(kind.name, _HEADER_CHECKS[kind], fields)
+    return _holding(kind, fields)
+
+
+# Wire type -> the encoder of a value that passed that type's check.
+_ENCODERS = {
+    "int": encoding.encode_int,
+    "str": encoding.encode_str,
+    "name": encoding.encode_str,
+    "bytes": encoding.encode_bytes,
+}
+
+# Kind -> (its tag octet, (field name, encoder) in wire order).  Lists go
+# through the sequence encoder, which reads each item by its type.
+_PLANS = {
+    kind: (bytes([kind]), tuple((name, _ENCODERS.get(FIELD_TYPES[name], encoding.encode_seq)) for name in names))
+    for kind, names in _FIELDS.items()
+}
 
 
 def encode_message(message: Message) -> bytes:
-    values = [message.fields[name] for name in _FIELDS[message.kind]]
-    return bytes([int(message.kind)]) + encoding.encode(*values)
+    """The kind tag, then each field by its wire type's encoder: every value
+    passed its type's check when the message was built."""
+    tag, plan = _PLANS[message.kind]
+    fields = message.fields
+    return tag + b"".join([encode(fields[name]) for name, encode in plan])
 
 
 # The kinds whose header holds a `sealed` field.  A tag octet compares equal
@@ -293,7 +335,7 @@ def decode_message(data: bytes) -> Message:
         raise encoding.EncodingError(
             f"{kind.name} expects {len(names)} fields, got {len(values)}"
         )
-    return Message(kind, dict(zip(names, values)))
+    return msg(kind, **dict(zip(names, values)))
 
 
 def _layout_key(kind: MessageKind, mode, tag) -> Optional[tuple]:

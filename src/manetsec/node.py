@@ -13,7 +13,9 @@ leader over the ring channel, and remote leader to the destination.  Each
 DATA hop is sealed for its next hop, the first included: under the ring
 key, over the ring, from a leader to another group's leader; under the
 group key otherwise.  A group broadcast is logged as delivered, and its
-receivers do not open it.
+receivers do not open it.  ``handle`` sees each group broadcast once: it
+records the first copy in ``relayed`` and re-floods it, and the simulator
+logs each later copy as delivered without handing it over.
 
 :class:`AdversaryNode` implements the injectable misbehaviours for nodes
 placed as adversaries: stealth relaying, field mutation, replay, and the
@@ -38,8 +40,9 @@ if TYPE_CHECKING:
 
 # Group control broadcasts are cooperatively re-flooded (once per node) so
 # multi-hop groups hear them; re-flooded copies must not re-enter the state
-# machines, so each node handles a given broadcast once.  Discovery traffic
-# has its own per-hop forwarding and dedup rules and is exempt.
+# machines, so the simulator hands a protocol node each broadcast once (see
+# `relayed`).  Discovery traffic has its own per-hop forwarding and dedup
+# rules and is exempt.
 _NO_RELAY = (MessageKind.RREQ, MessageKind.RREP)
 
 
@@ -74,7 +77,10 @@ class ProtocolNode:
         self.alive = True
         self.leader_last_seen: Optional[int] = None
         # Cross-group discovery bookkeeping.
-        self.relayed: set = set()  # wire bytes of group broadcasts already re-flooded
+        # Wire bytes of the group broadcasts this node has handled and
+        # re-flooded.  The simulator logs a later copy as delivered and does
+        # not hand it to `handle`.
+        self.relayed: set = set()
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
         self.gateway_jobs: dict = {}  # (requester, dest, seq) -> peer leaders still awaited
         self.remote_jobs: dict = {}  # dest -> list of [requester, seq, origin_leader, deadline]
@@ -105,9 +111,7 @@ class ProtocolNode:
     def handle(self, envelope: Envelope, ctx: Ctx) -> None:
         message = envelope.message
         kind = message.kind
-        if refloods(envelope):
-            if message.encoded in self.relayed:
-                return
+        if refloods(envelope):  # the first copy: the simulator hands a node no other
             self.relayed.add(message.encoded)
             ctx.emit(message)
         if kind in LeaderKeyService.JOIN_HANDLERS:

@@ -756,6 +756,8 @@ class Simulation:
             name for name, node in self.nodes.items()
             if isinstance(node, AdversaryNode) and node.behavior != STEALTH_RELAY
         )
+        # Whether any node is placed as an adversary, so anything overhears.
+        self._eavesdroppers = any(isinstance(node, AdversaryNode) for node in self.nodes.values())
 
     # -- logging helpers -------------------------------------------------------
 
@@ -921,6 +923,8 @@ class Simulation:
     def _overhear(self, envelope: Envelope, tx: tuple, skip=()) -> None:
         """Live adversarial nodes in range of the transmitter, except those in
         `skip`, overhear an addressed message."""
+        if not self._eavesdroppers:
+            return
         for name in self._neighbours(envelope.sender):
             node = self.nodes[name]
             if isinstance(node, AdversaryNode) and node.alive and name not in skip:
@@ -1206,6 +1210,7 @@ class Simulation:
             self._drain_taps()
             for envelope, via, detail, recipients in self.queue.pop(tick, ()):
                 encoded = envelope.message.encoded
+                reflooded = refloods(envelope)
                 for recipient in recipients:
                     node = nodes.get(recipient)
                     if node is not None and not node.alive:
@@ -1214,6 +1219,8 @@ class Simulation:
                     log("deliver", via, detail, encoded, recipient)
                     if node is None:
                         continue  # a tap pseudo-principal: logging the delivery is the point
+                    if reflooded and isinstance(node, ProtocolNode) and encoded in node.relayed:
+                        continue  # a protocol node is handed each group broadcast once
                     ctx = contexts[recipient]
                     ctx.now = tick
                     node.handle(envelope, ctx)

@@ -949,6 +949,28 @@ def test_each_message_encoded_once(monkeypatch):
     assert {m.encoded for m in encoded} == set(log.payloads.values())
 
 
+def test_a_node_is_handed_each_group_broadcast_once(monkeypatch):
+    # Every member re-floods each group broadcast once, so most copies a
+    # node hears are ones it has already relayed: they are logged as
+    # delivered and never reach its handler, and the log does not move.
+    from manetsec.node import refloods
+
+    expected = run(churn_scenario(500)).to_text()
+    original = ProtocolNode.handle
+    calls, repeats = [], []
+
+    def handle(self, envelope, ctx):
+        calls.append(self.name)
+        if refloods(envelope) and envelope.message.encoded in self.relayed:
+            repeats.append((ctx.now, self.name, envelope.message.kind.name))
+        return original(self, envelope, ctx)
+
+    monkeypatch.setattr(ProtocolNode, "handle", handle)
+    log = run(churn_scenario(500))
+    assert calls and repeats == []
+    assert log.to_text() == expected
+
+
 def test_each_payload_hashed_once(monkeypatch):
     from manetsec.crypto import DeterministicProvider
     from manetsec.sim import Simulation

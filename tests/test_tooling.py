@@ -118,6 +118,33 @@ def test_only_schedule_writes_the_queue():
     assert [use for use in uses if use[0] == "_schedule"]
 
 
+def test_one_place_discards_a_relayed_broadcast():
+    # A copy of a group broadcast a node has already relayed is discarded by
+    # Simulation.run alone: no other code tests membership in `relayed`,
+    # and ProtocolNode.handle only adds the first copy to it.
+    tests = []
+    for path in sorted(pathlib.Path(manetsec.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+                    if any(isinstance(c, ast.Attribute) and c.attr == "relayed" for c in node.comparators):
+                        tests.append((path.name, scope.name, ast.unparse(node)))
+    assert tests == [("sim.py", "run", "encoded in node.relayed")]
+    [cls] = [
+        node for node in ast.parse(pathlib.Path(sim.__file__).with_name("node.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "ProtocolNode"
+    ]
+    [handle] = [method for method in cls.body if isinstance(method, ast.FunctionDef) and method.name == "handle"]
+    reads = [
+        ast.unparse(parent) for parent in ast.walk(handle) for child in ast.iter_child_nodes(parent)
+        if isinstance(child, ast.Attribute) and child.attr == "relayed"
+    ]
+    assert reads == ["self.relayed.add"]
+
+
 def test_each_module_name_on_the_package_is_that_module():
     # `manetsec.audit` is the auditor module, not a function re-exported
     # under its name.

@@ -76,11 +76,11 @@ class ProtocolNode:
         self.known_leaders: dict[str, tuple[str, bytes]] = {}  # leader -> (its group, its public key)
         self.alive = True
         self.leader_last_seen: Optional[int] = None
-        # Cross-group discovery bookkeeping.
         # Wire bytes of the group broadcasts this node has handled and
         # re-flooded.  The simulator logs a later copy as delivered and does
         # not hand it to `handle`.
         self.relayed: set = set()
+        # Cross-group discovery bookkeeping.
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
         self.gateway_jobs: dict = {}  # (requester, dest, seq) -> peer leaders still awaited
         self.remote_jobs: dict = {}  # dest -> list of [requester, seq, origin_leader, deadline]

@@ -727,6 +727,65 @@ def test_conservation_allows_one_outcome_per_recipient_of_each_transmission(shap
     assert report.result("causality").passed
 
 
+def _first_hop_of_three(rows):
+    """Positions of the first three deliveries that share a tick and a
+    detail text: three recipients of one hop."""
+    hops = {}
+    for i, row in enumerate(rows):
+        if row[2] == "deliver":
+            positions = hops.setdefault((row[0], row[5]), [])
+            positions.append(i)
+            if len(positions) == 3:
+                return positions
+    raise AssertionError("no hop reaches three recipients")
+
+
+def _repeat_in_place(rows):
+    first, _, _ = _first_hop_of_three(rows)
+    rows.insert(first + 1, list(rows[first]))
+
+
+def _repeat_a_tick_later(rows):
+    first, _, _ = _first_hop_of_three(rows)
+    tick = int(rows[first][0])
+    later = next(i for i, row in enumerate(rows) if int(row[0]) > tick)
+    rows.insert(later, [str(tick + 1), *rows[first][1:]])
+
+
+def _resend_between(rows):
+    first, second, _ = _first_hop_of_three(rows)
+    tx = rows[first][5].rsplit(":tx=", 1)[1]
+    send = next(row for row in reversed(rows[:first]) if row[2] == "send" and row[5].endswith(f":tx={tx}"))
+    rows.insert(second, [rows[first][0], *send[1:]])
+
+
+@pytest.mark.parametrize(
+    "edit,causality,conservation",
+    [
+        (_repeat_in_place, [], [36]),
+        (_repeat_a_tick_later, [48], [48]),
+        (_resend_between, [38, 40, 42, 43, 45, 47], []),
+    ],
+    ids=["repeat_in_place", "repeat_a_tick_later", "resend_between"],
+)
+def test_outcomes_sharing_one_detail_text_are_judged_one_by_one(edit, causality, conservation):
+    # `parse_log_text` hands every line with the same detail text one shared
+    # parts tuple, so each edit below puts such lines where their verdicts
+    # differ: a delivery repeated at its own tick, the same line a tick
+    # later, and the transmission's send copied between two of its
+    # deliveries, which makes every later one of them early.
+    log = run(churn_scenario(500))
+    header, *lines, footer = log.to_text().splitlines()
+    rows = [line.split("\t") for line in lines]
+    edit(rows)
+    lines = ["\t".join([row[0], str(seq), *row[2:]]) for seq, row in enumerate(rows)]
+    parsed = parse_log_text("\n".join([header, *lines, footer]) + "\n")
+    parsed.payloads, parsed.registry = log.payloads, log.registry
+    report = audit(parsed)
+    assert report.result("causality").counterexamples == causality
+    assert report.result("conservation").counterexamples == conservation
+
+
 def _append(log, event, provider=None, message=None):
     """Append a copy of `event` at the log's last tick, carrying `message`
     as its payload when one is given; return its index."""

@@ -20,18 +20,20 @@ sender had already received newer key material when it spoke.
 
 An audit reads the log once.  Events hold their principals and detail
 parts as fields, and one pass over them gathers every fact the ten checks
-share: event positions by kind and deliveries by recipient; the rekey
-points in log order, by group and by key; the membership changes and
-intervals; the handshake steps (`zk_ok` and `cert_ok` verdicts and
+share: event positions by kind and sealed deliveries by recipient; the
+rekey points in log order, by group and by key; the membership changes
+and intervals; the handshake steps (`zk_ok` and `cert_ok` verdicts and
 handshake admissions) in log order; and each delivery or drop of a
 numbered transmission with the tick of that transmission's latest send so
-far.  No property walks the log again: each judges lists the pass already
-holds, and secret confinement reads the events only when some payload
-leaks.  A payload's first octet is its kind tag, and the audit reads that
-tag before anything else: it decodes a payload only when its kind carries
-a sealed field (`messages.SEALED_KINDS`), or when it is the request behind
-an accepted route, and each such payload at most once.  Every other kind
-holds nothing a principal could open, so skipping it changes no outcome.
+far, read once per hop.  No property walks the log again: each judges
+lists the pass already holds, and secret confinement reads the events only
+when some payload leaks.  A payload's first octet is its kind tag, and the
+audit reads that tag before anything else: it indexes a delivery by
+recipient, and decodes a payload, only when its kind carries a sealed
+field (`messages.SEALED_KINDS`), or decodes it when it is the request
+behind an accepted route, and each such payload at most once.  Every other
+kind holds nothing a principal could open, so skipping it changes no
+outcome.
 Each principal's knowledge set is closed once and shared by both secrecy
 checks, and each distinct (key, ciphertext) trial decryption runs once, its
 outcome shared by every principal that tries it.
@@ -132,19 +134,31 @@ def _transmission(event: SimEvent) -> tuple:
     return tx, int(event.get("hops", 1))
 
 
+def _sealed_kind(payload: Optional[bytes]) -> bool:
+    """Whether the payload's first octet, its kind tag, names a kind that
+    carries a sealed field: a payload of another kind, an unknown tag and
+    an empty or missing payload hold nothing a principal could open."""
+    return bool(payload) and payload[0] in SEALED_KINDS
+
+
 class _LogIndex:
     """What the property checks read, built in one pass over the log.
 
     It lives for one `audit()` (or one `knowledge_set()`) call.  It holds
     event positions, not events: `by_kind`, `received` and the gathered
-    records index into `events`, the log's own list.  Each send, delivery
-    and drop is read once, here, through `_transmission`, and causality
-    and conservation are judged as it is read.  Payloads are read by kind
-    tag first (see `sealed_message`): only a kind that carries a sealed
-    field, or a request a property asks for by digest, is decoded, on first
-    use.  Decoded payloads and each principal's knowledge set (closed on
-    first use) are then kept for the index's life, as is the outcome of
-    each symmetric trial decryption (see `sym_open`).
+    records index into `events`, the log's own list.  Each send and each
+    hop is read once, here, through `_transmission`: consecutive
+    deliveries or drops that share one parts tuple (by identity), tick and
+    kind share that read, its causality verdict and its outcome table,
+    until a send of the transmission comes between them; conservation is
+    judged per recipient, as each is read.  Payloads are read by kind tag
+    first (see `sealed_message`): `received` keeps only the deliveries of
+    a kind that carries a sealed field, the tag tested once per distinct
+    digest, and only such a kind, or a request a property asks for by
+    digest, is decoded, on first use.  Decoded payloads and each
+    principal's knowledge set (closed on first use) are then kept for the
+    index's life, as is the outcome of each symmetric trial decryption (see
+    `sym_open`).
     """
 
     def __init__(self, log: EventLog):
@@ -155,7 +169,9 @@ class _LogIndex:
         self.horizon = log.events[-1].tick if log.events else 0
         # kind -> positions, for every kind but deliveries and drops
         self.by_kind: dict[str, list] = defaultdict(list)
-        self.received: dict[str, list] = defaultdict(list)  # recipient -> positions of deliveries carrying a payload
+        # recipient -> positions of its deliveries of a sealed kind (the only
+        # ones a principal could open; see `sealed_message`)
+        self.received: dict[str, list] = defaultdict(list)
         self.rekeys = []  # rekey points in log order
         self.rekey_counts: dict[str, int] = {}  # group -> its rekeys; a lineage's prefix names its group
         self.key_positions: dict = {}  # (group, lineage, epoch) -> its first position in the group's rekey order
@@ -176,33 +192,53 @@ class _LogIndex:
         # the garbage collector one tuple to track per delivery and drop (a
         # dict holding only strings is not tracked).
         outcomes: dict[str, dict] = {}
+        payloads = log.payloads
+        sealed = {"-": False}  # digest -> `_sealed_kind` of its payload ("-" names none)
+        # The hop last read: the outcomes of one queued hop share one parts
+        # tuple, so an outcome with the same parts (by identity), tick and
+        # kind shares its transmission, causality verdict and outcome table.
+        # A send of its transmission moves `latest` and so ends the hop.
+        hop_parts = hop_tick = hop_kind = hop_tx = hop_late = hop_heard = None
         by_kind, received = self.by_kind, self.received
+        causality_failures, conservation_failures = self.causality_failures, self.conservation_failures
         for i, event in enumerate(log.events):
             kind = event.kind
             if kind == "deliver" or kind == "drop":
-                if kind == "deliver" and event.digest != "-":
-                    received[event.recipient].append(i)
-                tx, hops = _transmission(event)
-                if tx is not None:
-                    # A delivery is due `hops` ticks after the latest send of
-                    # its transmission; a drop needs only some earlier send.
-                    sent = latest.get(tx)
-                    if sent is None or (kind == "deliver" and event.tick - hops != sent):
-                        self.causality_failures.append(i)
+                if kind == "deliver":
+                    digest = event.digest
+                    opens = sealed.get(digest)
+                    if opens is None:
+                        opens = sealed[digest] = _sealed_kind(payloads.get(digest))
+                    if opens:
+                        received[event.recipient].append(i)
+                parts, tick = event.parts, event.tick
+                if parts is not hop_parts or tick != hop_tick or kind != hop_kind:
+                    hop_parts, hop_tick, hop_kind = parts, tick, kind
+                    hop_tx, hops = _transmission(event)
+                    if hop_tx is not None:
+                        # A delivery is due `hops` ticks after the latest send
+                        # of its transmission; a drop needs only some earlier send.
+                        sent = latest.get(hop_tx)
+                        hop_late = sent is None or (kind == "deliver" and tick - hops != sent)
+                        hop_heard = outcomes.get(hop_tx)
+                        if hop_heard is None:
+                            hop_heard = outcomes[hop_tx] = {}
+                if hop_tx is not None:
+                    if hop_late:
+                        causality_failures.append(i)
                     recipient = event.recipient or event.principals
-                    heard = outcomes.get(tx)
-                    if heard is None:
-                        outcomes[tx] = {recipient: None}
-                    elif recipient in heard:
-                        self.conservation_failures.append(i)
+                    if recipient in hop_heard:
+                        conservation_failures.append(i)
                     else:
-                        heard[recipient] = None
+                        hop_heard[recipient] = None
                 continue
             by_kind[kind].append(i)
             if kind == "send":
                 tx = _transmission(event)[0]
                 if tx is not None:
                     latest[tx] = event.tick
+                    if tx == hop_tx:
+                        hop_parts = None
             elif kind == "verdict":
                 if event.parts == ("zk_ok",) or event.parts == ("cert_ok",):
                     self.handshakes.append((i, event.parts[0], event.about))
@@ -273,13 +309,8 @@ class _LogIndex:
 
     def sealed_message(self, digest: str):
         """The decoded payload when its kind tag names a kind that carries a
-        sealed field, else None without decoding it: a payload of another
-        kind, an unknown tag and an empty or missing payload hold nothing
-        to open."""
-        payload = self.payloads.get(digest)
-        if not payload or payload[0] not in SEALED_KINDS:
-            return None
-        return self.message(digest)
+        sealed field (`_sealed_kind`), else None without decoding it."""
+        return self.message(digest) if _sealed_kind(self.payloads.get(digest)) else None
 
     def knowledge(self, principal: str) -> KnowledgeSet:
         """The principal's knowledge at the end of the log."""

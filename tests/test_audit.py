@@ -156,17 +156,35 @@ REAUDITED = [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.
 ]
 
 
+def _reaudited_log(case):
+    what, name = case.split(":", 1)
+    if what == "fixture":
+        with open(os.path.join(FIXTURES, name)) as handle:
+            return run(parse_scenario(handle.read()))
+    seed, fault = name.split(":")
+    return run_led_by(fault, churn_scenario(int(seed)))
+
+
+def _read_back(log, edit=None):
+    """The log written as text, its lines passed to `edit` as lists of
+    fields when one is given and renumbered, and read back through
+    `parse_log_text` with the run's payloads and registry.  The reader hands
+    every line with the same detail text one shared parts tuple."""
+    header, *lines, footer = log.to_text().splitlines()
+    if edit is not None:
+        rows = [line.split("\t") for line in lines]
+        edit(rows)
+        lines = ["\t".join([row[0], str(seq), *row[2:]]) for seq, row in enumerate(rows)]
+    parsed = parse_log_text("\n".join([header, *lines, footer]) + "\n")
+    parsed.payloads, parsed.registry = log.payloads, log.registry
+    return parsed
+
+
 @pytest.mark.parametrize("case", REAUDITED)
 def test_log_read_back_audits_as_the_run_did(case):
     # The written log and sidecar, read back and given the run's registry,
     # hand the auditor exactly what the simulator gave it.
-    what, name = case.split(":", 1)
-    if what == "fixture":
-        with open(os.path.join(FIXTURES, name)) as handle:
-            log = run(parse_scenario(handle.read()))
-    else:
-        seed, fault = name.split(":")
-        log = run_led_by(fault, churn_scenario(int(seed)))
+    log = _reaudited_log(case)
     parsed = parse_log_text(log.to_text())
     parsed.payloads, parsed.registry = parse_payload_blob(log.payload_blob()), log.registry
     assert parsed.events == log.events
@@ -454,6 +472,60 @@ def test_knowledge_equals_a_closure_that_decodes_everything(case):
     for principal in sorted(log.registry.node_names) + sorted(log.registry.adversary_names):
         knowledge = knowledge_set(principal, log)
         assert (list(knowledge.sym_keys), knowledge.opened) == _brute_force_knowledge(principal, log), principal
+
+
+def _plain_outcome_failures(log):
+    """Causality and conservation counterexamples read event by event, with
+    no shortcut: each delivery or drop is judged against the latest earlier
+    send of its transmission and that transmission's outcomes so far."""
+    latest, heard, causality, conservation = {}, set(), [], []
+    for i, event in enumerate(log.events):
+        tx = event.get("tx")
+        if tx is None:
+            continue
+        if event.kind == "send":
+            latest[tx] = event.tick
+        elif event.kind in ("deliver", "drop"):
+            sent = latest.get(tx)
+            if sent is None or (event.kind == "deliver" and event.tick - int(event.get("hops", 1)) != sent):
+                causality.append(i)
+            key = (tx, event.recipient or event.principals)
+            if key in heard:
+                conservation.append(i)
+            heard.add(key)
+    return causality, conservation
+
+
+def _resend_and_repeat(rows):
+    """Drop every third send, copy every seventh send after the line that
+    follows it and repeat every fifth delivery or drop in place."""
+    edited = []
+    for i, row in enumerate(rows):
+        if row[2] == "send" and i % 3 == 0:
+            continue
+        edited.append(row)
+        if row[2] in ("deliver", "drop") and i % 5 == 0:
+            edited.append(list(row))
+        if i and rows[i - 1][2] == "send" and (i - 1) % 7 == 0:
+            edited.append([row[0], *rows[i - 1][1:]])
+    rows[:] = edited
+
+
+@pytest.mark.parametrize("case", REAUDITED)
+def test_the_index_equals_a_plain_reader_of_every_event(case):
+    # The index reads a hop's outcomes once and keeps only the deliveries a
+    # principal could open; on the run's log, its read-back and an edited
+    # read-back full of early, orphaned and repeated outcomes, it finds
+    # what a reader of every event finds.
+    log = _reaudited_log(case)
+    index = audit_module._LogIndex(log)
+    for principal in sorted(log.registry.node_names) + sorted(log.registry.adversary_names):
+        knowledge = index.knowledge(principal)
+        assert (list(knowledge.sym_keys), knowledge.opened) == _brute_force_knowledge(principal, log), principal
+    for read in (log, _read_back(log), _read_back(log, _resend_and_repeat)):
+        index = audit_module._LogIndex(read)
+        assert (index.causality_failures, index.conservation_failures) == _plain_outcome_failures(read)
+    assert index.causality_failures and index.conservation_failures
 
 
 def test_payloads_that_do_not_decode_leave_the_audit_unchanged():
@@ -745,11 +817,16 @@ def _repeat_in_place(rows):
     rows.insert(first + 1, list(rows[first]))
 
 
-def _repeat_a_tick_later(rows):
+def _repeat_a_tick_later(rows, kinds=("deliver",)):
+    """Copy the hop's first delivery to the next tick, once as each kind."""
     first, _, _ = _first_hop_of_three(rows)
-    tick = int(rows[first][0])
-    later = next(i for i, row in enumerate(rows) if int(row[0]) > tick)
-    rows.insert(later, [str(tick + 1), *rows[first][1:]])
+    hop = rows[first]
+    later = next(i for i, row in enumerate(rows) if int(row[0]) > int(hop[0]))
+    rows[later:later] = [[str(int(hop[0]) + 1), hop[1], kind, *hop[3:]] for kind in kinds]
+
+
+def _repeat_a_tick_later_and_as_a_drop(rows):
+    _repeat_a_tick_later(rows, ("deliver", "drop"))
 
 
 def _resend_between(rows):
@@ -764,24 +841,19 @@ def _resend_between(rows):
     [
         (_repeat_in_place, [], [36]),
         (_repeat_a_tick_later, [48], [48]),
+        (_repeat_a_tick_later_and_as_a_drop, [48], [48, 49]),
         (_resend_between, [38, 40, 42, 43, 45, 47], []),
     ],
-    ids=["repeat_in_place", "repeat_a_tick_later", "resend_between"],
+    ids=["repeat_in_place", "repeat_a_tick_later", "repeat_a_tick_later_and_as_a_drop", "resend_between"],
 )
 def test_outcomes_sharing_one_detail_text_are_judged_one_by_one(edit, causality, conservation):
     # `parse_log_text` hands every line with the same detail text one shared
     # parts tuple, so each edit below puts such lines where their verdicts
     # differ: a delivery repeated at its own tick, the same line a tick
-    # later, and the transmission's send copied between two of its
-    # deliveries, which makes every later one of them early.
-    log = run(churn_scenario(500))
-    header, *lines, footer = log.to_text().splitlines()
-    rows = [line.split("\t") for line in lines]
-    edit(rows)
-    lines = ["\t".join([row[0], str(seq), *row[2:]]) for seq, row in enumerate(rows)]
-    parsed = parse_log_text("\n".join([header, *lines, footer]) + "\n")
-    parsed.payloads, parsed.registry = log.payloads, log.registry
-    report = audit(parsed)
+    # later (late as a delivery, not as a drop), and the transmission's
+    # send copied between two of its deliveries, which makes every later
+    # one of them early.
+    report = audit(_read_back(run(churn_scenario(500)), edit))
     assert report.result("causality").counterexamples == causality
     assert report.result("conservation").counterexamples == conservation
 

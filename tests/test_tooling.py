@@ -37,20 +37,31 @@ def test_only_the_schema_decodes():
     assert decoders == ["messages.py"]
 
 
-def test_the_audit_decodes_in_one_place():
-    # The audit reads a payload's kind tag before decoding it; every decode
-    # goes through `_LogIndex.message`, so no reader decodes behind that.
+def _audit_call_sites(name):
+    """The function or method of `audit.py` around each call to `name`."""
     tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "manetsec" / "audit.py").read_text())
     sites = []
     for top in tree.body:
         owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
         for node in top.body if isinstance(top, ast.ClassDef) else [top]:
             for call in ast.walk(node):
-                if isinstance(call, ast.Call) and "decode_message" in (
-                    getattr(call.func, "id", None), getattr(call.func, "attr", None)
-                ):
+                if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
                     sites.append(owner + getattr(node, "name", "<module>"))
-    assert sites == ["_LogIndex.message"]
+    return sites
+
+
+def test_the_audit_decodes_in_one_place():
+    # The audit reads a payload's kind tag before decoding it; every decode
+    # goes through `_LogIndex.message`, so no reader decodes behind that.
+    assert _audit_call_sites("decode_message") == ["_LogIndex.message"]
+
+
+def test_the_audit_reads_transmissions_in_one_pass():
+    # A transmission's `tx` and `hops` parts are read once, by one reader,
+    # in the index's one pass over the log; no property reads them again.
+    assert set(_audit_call_sites("_transmission")) == {"_LogIndex.__init__"}
+    src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
+    assert [path.name for path in sorted(src.glob("*.py")) if "_transmission(" in path.read_text()] == ["audit.py"]
 
 
 def test_sealed_kinds_are_the_kinds_with_a_sealed_layout():

@@ -7,7 +7,13 @@ one view, ``keys``: its leader service while it leads, its member keyring
 otherwise, which answer the same names, so only a leader's own duties
 branch on its role.  ``handle`` dispatches one
 delivered message; ``on_tick`` emits heartbeats, expires silent members,
-detects a silent leader and times out pending gateway work.  Cross-group
+detects a silent leader and times out pending gateway work.  The simulator
+steps a node only when it has work due: after each step it asks
+``next_due`` for the earliest later tick at which ``on_tick`` could act,
+and a handler that gives the node a role or an earlier deadline lowers that
+wakeup through ``wake_by``.  Waking early is safe, since each duty of
+``on_tick`` keeps its own due test and an early call does nothing; a node
+in no group is never stepped.  Cross-group
 discovery composes three verified legs: requester to its leader, leader to
 leader over the ring channel, and remote leader to the destination.  Each
 DATA hop is sealed for its next hop, the first included: under the ring
@@ -44,6 +50,10 @@ if TYPE_CHECKING:
 # `relayed`).  Discovery traffic has its own per-hop forwarding and dedup
 # rules and is exempt.
 _NO_RELAY = (MessageKind.RREQ, MessageKind.RREP)
+
+
+def _unclocked(tick) -> None:
+    """The `wake_by` of a node outside a simulation: nothing steps it."""
 
 
 def refloods(envelope: Envelope) -> bool:
@@ -84,6 +94,9 @@ class ProtocolNode:
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
         self.gateway_jobs: dict = {}  # (requester, dest, seq) -> peer leaders still awaited
         self.remote_jobs: dict = {}  # dest -> list of [requester, seq, origin_leader, deadline]
+        # Set by the simulator: wake_by(tick) makes sure `on_tick` runs again
+        # no later than `tick` (None: no sooner than already filed).
+        self.wake_by = _unclocked
 
     # ------------------------------------------------------------------ group view
 
@@ -117,12 +130,15 @@ class ProtocolNode:
         if kind in LeaderKeyService.JOIN_HANDLERS:
             if self.leader_service is not None:
                 self.leader_service.handle_join(message, ctx)
+                self._rearm(ctx)  # an admission adds a member's deadline
         elif kind in MemberKeyService.JOIN_HANDLERS:
             self.member.handle_join(message, ctx)
+            self._rearm(ctx)
         elif kind == MessageKind.REKEY:
             self.member.handle_rekey(message, ctx)
             if message["mode"] == "public" and self.member.leader == envelope.sender:
                 self.leader_last_seen = ctx.now
+            self._rearm(ctx)
         elif kind == MessageKind.HEARTBEAT:
             self._handle_heartbeat(message, ctx)
         elif kind == MessageKind.LEAVE:
@@ -185,6 +201,8 @@ class ProtocolNode:
         if self.leader_service is not None and message["role"] == "member":
             self.leader_service.record_heartbeat(message["who"], ctx.now)
         elif message["role"] == "leader" and message["who"] == self.member.leader:
+            if self.leader_last_seen is None:  # a later beat only pushes the expiry back
+                self.wake_by(ctx.now + self.params.liveness_deadline + 1)
             self.leader_last_seen = ctx.now
 
     def _handle_leave(self, message: Message, ctx: Ctx) -> None:
@@ -390,6 +408,7 @@ class ProtocolNode:
                 else:
                     jobs = self.remote_jobs.setdefault(dest, [])
                     jobs.append([requester, seq, origin, ctx.now + self.params.discovery_timeout])
+                    self.wake_by(jobs[-1][3])
                     if len(jobs) == 1:
                         self.router.start_discovery(dest, self.params.rreq_lifetime, ctx, purpose="gateway_leg3")
             else:
@@ -441,7 +460,43 @@ class ProtocolNode:
 
     # ------------------------------------------------------------------ clock
 
+    def next_due(self, now: int) -> Optional[int]:
+        """The earliest tick after `now` at which `on_tick` could act, or None
+        while it could act at no tick.  A leader is due at its next beat, at
+        its earliest member expiry and at its earliest remote-job deadline
+        (every tick once a job is past its deadline, since the job then ends
+        when its route goes); a member at its next beat, when it has a
+        leader, and at its leader's expiry."""
+        params = self.params
+        period = params.heartbeat_period
+        beat = (max(now, 0) // period + 1) * period  # beats fall on positive multiples of the period
+        leader = self.leader_service
+        if leader is not None:
+            due = beat
+            if leader.heartbeats:
+                due = min(due, min(leader.heartbeats.values()) + params.liveness_deadline + 1)
+            for jobs in self.remote_jobs.values():
+                due = min(due, min(job[3] for job in jobs))
+        elif self.member.is_member():
+            due = beat if self.member.leader else None
+            if self.leader_last_seen is not None:
+                expiry = self.leader_last_seen + params.liveness_deadline + 1
+                due = expiry if due is None else min(due, expiry)
+            if due is None:
+                return None
+        else:
+            return None
+        return max(due, now + 1)
+
+    def _rearm(self, ctx: Ctx) -> None:
+        """After a handler that may have given this node a role or an earlier
+        deadline: wake it by its next due tick, this one included, since a
+        delivery comes before the tick's steps."""
+        self.wake_by(self.next_due(ctx.now - 1))
+
     def on_tick(self, ctx: Ctx) -> None:
+        """Do whatever is due at `ctx.now`; each duty tests that it is, so a
+        call at a tick `next_due` skipped does nothing."""
         if ctx.now > 0 and ctx.now % self.params.heartbeat_period == 0:
             self._heartbeat(ctx)
         if self.leader_service is not None:
@@ -549,6 +604,7 @@ class AdversaryNode:
         self.active_impostor_joins: set = set()  # joiners this impostor answers
         self.forged_join_leader: Optional[str] = None  # the leader this node's forged join targets
         self.seen_broadcasts: set = set()  # wire bytes of broadcasts already handled
+        self.wake_by = _unclocked  # set by the simulator, as for a ProtocolNode
 
     def handle(self, envelope: Envelope, ctx: Ctx) -> None:
         message = envelope.message
@@ -573,6 +629,7 @@ class AdversaryNode:
             return
         if self.behavior == "replay":
             self.replay_buffer.append((ctx.now + self.args["delay"], envelope))
+            self.wake_by(self.replay_buffer[-1][0])
             return
         if envelope.to != BROADCAST or self.behavior not in _REBROADCASTS:
             return
@@ -645,6 +702,13 @@ class AdversaryNode:
         peer_public = self.publics.get(peer)
         if peer_public is not None:
             emit_session1(self.name, self.keypair, self.provider, peer, peer_public, ctx)
+
+    def next_due(self, now: int) -> Optional[int]:
+        """The earliest tick after `now` at which a replay falls due, or None
+        with nothing to replay."""
+        if not self.replay_buffer:
+            return None
+        return max(now + 1, min(due for due, _ in self.replay_buffer))
 
     def on_tick(self, ctx: Ctx) -> None:
         due = [item for item in self.replay_buffer if item[0] <= ctx.now]

@@ -670,6 +670,32 @@ class LinkTap:
 # ---------------------------------------------------------------------------
 
 
+class _Clock:
+    """When each node is next stepped: one wakeup per node, by its position
+    in the simulation's node order, filed in a bucket per tick (a calendar
+    queue in its simplest form).  A lowered wakeup leaves its old entry
+    behind in a later bucket, which the run loop skips; a node with nothing
+    due has no wakeup (`at` holds infinity)."""
+
+    __slots__ = ("at", "buckets", "floor")
+
+    def __init__(self, count: int):
+        self.at: list = [math.inf] * count
+        self.buckets: dict[int, list] = {}  # tick -> positions filed for it
+        self.floor = 0  # the first tick whose nodes have not been stepped yet
+
+    def lower(self, index: int, tick: Optional[int]) -> None:
+        """Wake node `index` no later than `tick` (None: nothing sooner).
+        A tick whose nodes have been stepped is past, so the wakeup goes to
+        the next one."""
+        if tick is None:
+            return
+        tick = max(tick, self.floor)
+        if tick < self.at[index]:
+            self.at[index] = tick
+            self.buckets.setdefault(tick, []).append(index)
+
+
 class Simulation:
     def __init__(self, scenario: Scenario):
         problems = validate_scenario(scenario)
@@ -996,11 +1022,18 @@ class Simulation:
 
     def _step(self, name: str, act, *args) -> None:
         """One step of node `name`: `act(*args, ctx)`, then log and send what
-        it noted and emitted."""
+        it noted and emitted, and wake the node by its next due tick."""
         ctx = self.contexts[name]
         ctx.now = self.now
         act(*args, ctx)
         self._flush_pending(name, ctx)
+        self._rearm(name)
+
+    def _rearm(self, name: str) -> None:
+        """Wake node `name` by its next due tick, this one included when its
+        nodes are still to be stepped."""
+        node = self.nodes[name]
+        node.wake_by(node.next_due(self.now - 1))
 
     def _flush_pending(self, name: str, ctx: Ctx) -> None:
         """Flush a step's context unless the step left it empty."""
@@ -1063,6 +1096,7 @@ class Simulation:
         self.leaders[group_id] = name
         node.announce(ctx)
         self._flush_pending(name, ctx)
+        self._rearm(name)
 
     def _ring_rekey(self) -> None:
         leaders = sorted(name for name in self.leaders.values() if name is not None)
@@ -1197,10 +1231,14 @@ class Simulation:
         last_tick = max((a.tick for a in script), default=0)
         duration = self.params.duration if self.params.duration is not None else last_tick + 40
         self.now = 0
+        clock = _Clock(len(self.nodes))
+        for index, node in enumerate(self.nodes.values()):
+            node.wake_by = functools.partial(clock.lower, index)
         self._setup()
         pending = list(script)
         nodes, contexts, log, flush_pending = self.nodes, self.contexts, self._log, self._flush_pending
         stepping = [(name, node, contexts[name]) for name, node in nodes.items()]
+        wake_at, wakeups = clock.at, clock.buckets
         for tick in range(duration + 1):
             self.now = tick
             if 0 < tick <= self._last_move:
@@ -1225,11 +1263,27 @@ class Simulation:
                     ctx.now = tick
                     node.handle(envelope, ctx)
                     flush_pending(recipient, ctx)
-            for name, node, ctx in stepping:
-                if node.alive:
-                    ctx.now = tick
-                    node.on_tick(ctx)
-                    flush_pending(name, ctx)
+            # The wake loop: step each live node due this tick, in node
+            # order, and file its next wakeup.  An entry whose wakeup has
+            # moved since it was filed, or a repeat of one, is skipped.
+            due = wakeups.pop(tick, None)
+            clock.floor = tick + 1
+            if due:
+                due.sort()
+                for index in due:
+                    if wake_at[index] != tick:
+                        continue
+                    name, node, ctx = stepping[index]
+                    if node.alive:
+                        ctx.now = tick
+                        node.on_tick(ctx)
+                        flush_pending(name, ctx)
+                        after = node.next_due(tick)
+                        if after is None:
+                            wake_at[index] = math.inf
+                        else:
+                            wake_at[index] = after
+                            wakeups.setdefault(after, []).append(index)
             if self._signals:
                 signaled = dict(self._signals)  # group -> the leader its members lost
                 self._signals = []

@@ -156,6 +156,28 @@ def test_one_place_discards_a_relayed_broadcast():
     assert reads == ["self.relayed.add"]
 
 
+def test_only_the_wake_loop_steps_a_node():
+    # A node's `on_tick` runs only when the next-event clock says it is due:
+    # the one use of the name in the program is a call in Simulation.run,
+    # inside the loop over the tick's wakeups.
+    uses = []
+    for path in sorted(pathlib.Path(manetsec.__file__).parent.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, ast.FunctionDef):
+                uses += [
+                    (path.name, scope.name, scope, node) for node in ast.walk(scope)
+                    if isinstance(node, ast.Attribute) and node.attr == "on_tick"
+                ]
+    assert [(name, function) for name, function, _, _ in uses] == [("sim.py", "run")]
+    [(_, _, run, attribute)] = uses
+    assert any(isinstance(node, ast.Call) and node.func is attribute for node in ast.walk(run))
+    loops = [
+        ast.unparse(loop.iter) for loop in ast.walk(run)
+        if isinstance(loop, ast.For) and any(node is attribute for node in ast.walk(loop))
+    ]
+    assert loops == ["range(duration + 1)", "due"]
+
+
 def test_each_module_name_on_the_package_is_that_module():
     # `manetsec.audit` is the auditor module, not a function re-exported
     # under its name.

@@ -19,9 +19,9 @@ leader over the ring channel, and remote leader to the destination.  Each
 DATA hop is sealed for its next hop, the first included: under the ring
 key, over the ring, from a leader to another group's leader; under the
 group key otherwise.  A group broadcast is logged as delivered, and its
-receivers do not open it.  ``handle`` sees each group broadcast once: it
-records the first copy in ``relayed`` and re-floods it, and the simulator
-logs each later copy as delivered without handing it over.
+receivers do not open it.  ``handle`` sees each group broadcast once and
+re-floods it: the simulator records every group broadcast a node sends,
+and logs each later copy as delivered without handing it over.
 
 :class:`AdversaryNode` implements the injectable misbehaviours for nodes
 placed as adversaries: stealth relaying, field mutation, replay, and the
@@ -47,8 +47,8 @@ if TYPE_CHECKING:
 # Group control broadcasts are cooperatively re-flooded (once per node) so
 # multi-hop groups hear them; re-flooded copies must not re-enter the state
 # machines, so the simulator hands a protocol node each broadcast once (see
-# `relayed`).  Discovery traffic has its own per-hop forwarding and dedup
-# rules and is exempt.
+# its relay record, `Simulation.relayed`).  Discovery traffic has its own
+# per-hop forwarding and dedup rules and is exempt.
 _NO_RELAY = (MessageKind.RREQ, MessageKind.RREP)
 
 
@@ -84,12 +84,7 @@ class ProtocolNode:
         self.leader_service: Optional[LeaderKeyService] = None
         self.ring_key: Optional[bytes] = None
         self.known_leaders: dict[str, tuple[str, bytes]] = {}  # leader -> (its group, its public key)
-        self.alive = True
         self.leader_last_seen: Optional[int] = None
-        # Wire bytes of the group broadcasts this node has handled and
-        # re-flooded.  The simulator logs a later copy as delivered and does
-        # not hand it to `handle`.
-        self.relayed: set = set()
         # Cross-group discovery bookkeeping.
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
         self.gateway_jobs: dict = {}  # (requester, dest, seq) -> peer leaders still awaited
@@ -125,7 +120,6 @@ class ProtocolNode:
         message = envelope.message
         kind = message.kind
         if refloods(envelope):  # the first copy: the simulator hands a node no other
-            self.relayed.add(message.encoded)
             ctx.emit(message)
         if kind in LeaderKeyService.JOIN_HANDLERS:
             if self.leader_service is not None:
@@ -597,7 +591,6 @@ class AdversaryNode:
         self.behavior = behavior
         self.args = args  # every argument its behavior reads, defaults included
         self.publics = publics  # certificate directory: public material only
-        self.alive = True
         self.recorded_params: Optional[Message] = None  # the last ZK_PARAMS overheard
         self.recorded_responses: Optional[Message] = None  # the last ZK_RESPONSE overheard
         self.replay_buffer: list = []  # (due tick, envelope) to replay

@@ -30,10 +30,6 @@ class Note:
     about: str = ""
     message: Message = None  # attach the message a verdict refers to
 
-    @property
-    def detail(self) -> str:
-        return render_detail(self.parts)
-
 
 def render_detail(parts) -> str:
     """The `:`-joined text of detail parts, each pair as `name=value`."""

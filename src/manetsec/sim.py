@@ -697,6 +697,11 @@ class _Clock:
 
 
 class Simulation:
+    # CPython 3.11 keeps an instance's attributes in a compact shared-key
+    # layout only while it has at most 29; a 30th turns them into a plain
+    # dict, and every `self.` read then costs more (about 3 % of churn's
+    # run time).  So state that only `run` reads stays local to it.
+
     def __init__(self, scenario: Scenario):
         problems = validate_scenario(scenario)
         if problems:
@@ -716,10 +721,7 @@ class Simulation:
         self.last_trust: dict[str, dict] = {}
         self.ring_version = 0
         self._signals: list = []
-        # name -> _neighbours row.  Positions change only on ticks 1 ..
-        # _last_move, so rows built on the last of those stay valid after it.
-        self._reach: dict[str, list] = {}
-        self._last_move = max((len(spec.trace) for spec in scenario.nodes), default=1) - 1
+        self._reach: dict[str, list] = {}  # name -> _neighbours row; see run
         self._where: dict[str, tuple] = {}  # name -> position on the tick _cells was built
         self._cells: Optional[dict] = None  # (column, row) -> names in that cell
         self._side = 0.0
@@ -776,14 +778,16 @@ class Simulation:
         registry.adversary_names.extend(tap.name for tap in self.taps)
         # One step context per node for the run; see runtime.py.
         self.contexts = {name: Ctx(name, 0, node.rng, self.provider) for name, node in self.nodes.items()}
-        # Nodes that never relay, all adversaries but stealth relays: no node
-        # changes its behaviour during a run.
-        self._no_relay = frozenset(
-            name for name, node in self.nodes.items()
-            if isinstance(node, AdversaryNode) and node.behavior != STEALTH_RELAY
-        )
-        # Whether any node is placed as an adversary, so anything overhears.
-        self._eavesdroppers = any(isinstance(node, AdversaryNode) for node in self.nodes.values())
+        # The nodes placed as adversaries, and of those the ones that never
+        # relay, all but stealth relays: no node changes its behaviour
+        # during a run.
+        self.adversaries = frozenset(placed)
+        self._no_relay = frozenset(name for name in self.adversaries if placed[name].kind != STEALTH_RELAY)
+        self.crashed: set = set()  # the nodes that have crashed
+        # Each protocol node's relay record, which only `_flush` writes: the
+        # wire bytes of every group broadcast it has sent, its own or a
+        # re-flood.  The run loop hands the node no later copy.
+        self.relayed = {name: set() for name in self.nodes if name not in self.adversaries}
 
     # -- logging helpers -------------------------------------------------------
 
@@ -844,9 +848,9 @@ class Simulation:
         return math.hypot(ax - bx, ay - by) <= self.params.radio_radius
 
     def _neighbours(self, name: str) -> list:
-        """Sorted names within radio range of `name` this tick, dead or alive:
-        positions change only between ticks, liveness at any time, so callers
-        check liveness themselves."""
+        """Sorted names within radio range of `name` this tick, crashed or
+        not: positions change only between ticks, crashes at any time, so
+        callers check `crashed` themselves."""
         row = self._reach.get(name)
         if row is None:
             if self._cells is None:
@@ -873,20 +877,21 @@ class Simulation:
         return None
 
     def _radio_path(self, source: str, target: str) -> Optional[list]:
-        """Shortest live radio path; relays are honest nodes or stealth relays.
-        Of several, it is the one whose names, read from `source`, sort first.
+        """Shortest radio path avoiding `crashed`; relays are honest nodes or
+        stealth relays.  Of several, it is the one whose names, read from
+        `source`, sort first.
 
         One breadth-first search per addressee serves every sender that
         addresses it while reach and liveness hold: rooted at `target`, it
         counts hops in FIFO order until `source` has a count, and the next
-        call resumes it there.  A live node that cannot relay gets a count but
-        is never expanded; the root always is.  The path then walks from
+        call resumes it there.  A node that cannot relay gets a count but is
+        never expanded; the root always is.  The path then walks from
         `source`, taking at each hop the first name in the sorted row that is
-        one hop nearer and is the addressee or can relay.  Only live nodes
-        send, so `source` gets a count whenever a path exists."""
+        one hop nearer and is the addressee or can relay.  No crashed node
+        sends, so `source` gets a count whenever a path exists."""
         if target == source or target in self._neighbours(source):
             return [source, target]
-        nodes, no_relay = self.nodes, self._no_relay
+        crashed, no_relay = self.crashed, self._no_relay
         search = self._searches.get(target)
         if search is None:
             search = self._searches[target] = [{target: 0}, [target], 0]
@@ -896,7 +901,7 @@ class Simulation:
             head += 1
             count = hops[u] + 1
             for v in self._neighbours(u):
-                if v not in hops and nodes[v].alive:
+                if v not in hops and v not in crashed:
                     hops[v] = count
                     if v not in no_relay:
                         queue.append(v)
@@ -936,8 +941,8 @@ class Simulation:
             self._schedule(self.now + 1, envelope, targets, envelope.sender, (tx,))
             return
         if envelope.to == BROADCAST:
-            nodes = self.nodes
-            hearers = [name for name in self._neighbours(envelope.sender) if nodes[name].alive]
+            crashed = self.crashed
+            hearers = [name for name in self._neighbours(envelope.sender) if name not in crashed]
             if self.taps:
                 for name in hearers:
                     self._dispatch_radio(envelope, name, tx)
@@ -947,47 +952,37 @@ class Simulation:
         self._unicast(envelope, tx)
 
     def _overhear(self, envelope: Envelope, tx: tuple, skip=()) -> None:
-        """Live adversarial nodes in range of the transmitter, except those in
-        `skip`, overhear an addressed message."""
-        if not self._eavesdroppers:
+        """Placed adversaries in range of the transmitter, except those in
+        `skip` and those that have crashed, overhear an addressed message."""
+        if not self.adversaries:
             return
         for name in self._neighbours(envelope.sender):
-            node = self.nodes[name]
-            if isinstance(node, AdversaryNode) and node.alive and name not in skip:
+            if name in self.adversaries and name not in self.crashed and name not in skip:
                 self._schedule(self.now + 1, envelope, (name,), envelope.sender, ("overheard", tx))
 
     def _unicast(self, envelope: Envelope, tx: tuple) -> None:
         """Walk an addressed message along its path once, a tick a hop.  A
-        hop's tap acts on what reaches it (what an intercepting tap passes on
-        arrives a tick later), then an adversarial relay at its far end
-        overhears what arrives.  Nothing is scheduled past an eaten message."""
+        hop's tap acts on what reaches it (`_tap`), then a placed adversary
+        relaying at its far end overhears what arrives.  Nothing is
+        scheduled past an eaten message."""
         target = envelope.to
-        node = self.nodes.get(target)
-        alive = node is not None and node.alive
+        alive = target in self.nodes and target not in self.crashed
         path = self._radio_path(envelope.sender, target) if alive else None
         if path is None:
             self._log("drop", envelope.sender, ("out_of_range" if alive else "dead", tx), recipient=target)
             self._overhear(envelope, tx)
             return
-        nodes, taps = self.nodes, self.taps
+        adversaries, taps = self.adversaries, self.taps
         carried = envelope
         arrive = now = self.now
         for u, v in zip(path, path[1:]):
             arrive += 1
             tap = self._tap_for(u, v) if taps else None
             if tap is not None:
-                if tap.kind == "replay":
-                    self._schedule(arrive, carried, (tap.name,), u, ("overheard", ("hops", str(arrive - now)), tx))
-                    tap.outbox.append((arrive + tap.settings["delay"], carried, target))
-                else:
-                    self._schedule(arrive, carried, (tap.name,), u, ("intercepted", ("hops", str(arrive - now)), tx))
-                    passed = intercept(tap.kind, tap.settings, carried.message, tap.rng)
-                    if passed is None:
-                        carried = None
-                        break
-                    carried = replace(carried, message=passed)
-                    arrive += 1
-            if v != target and isinstance(nodes[v], AdversaryNode):
+                carried, arrive = self._tap(tap, carried, u, arrive, (("hops", str(arrive - now)), tx), target)
+                if carried is None:
+                    break
+            if v != target and v in adversaries:
                 self._schedule(arrive, carried, (v,), u, ("overheard", ("hops", str(arrive - now)), tx))
         # Each node on the path is reached by the walk, not by overhearing.
         self._overhear(envelope, tx, path)
@@ -995,20 +990,32 @@ class Simulation:
             self._schedule(arrive, carried, (target,), envelope.sender, (("hops", str(arrive - now)), tx))
 
     def _dispatch_radio(self, envelope: Envelope, recipient: str, tx: tuple) -> None:
-        tap = self._tap_for(envelope.sender, recipient) if self.taps else None
-        if tap is None:
-            self._schedule(self.now + 1, envelope, (recipient,), envelope.sender, (tx,))
-            return
+        """One copy of a broadcast to `recipient`, past their link's tap if
+        any (`_tap`): what a replay tap lets flow is queued ahead of the tap's
+        copy, and what another tap passes on it sends itself next tick."""
+        sender, arrive = envelope.sender, self.now + 1
+        tap = self._tap_for(sender, recipient)
+        if tap is None or tap.kind == "replay":
+            self._schedule(arrive, envelope, (recipient,), sender, (tx,))
+        if tap is not None:
+            passed, at = self._tap(tap, envelope, sender, arrive, (tx,), recipient)
+            if passed is not None and at > arrive:
+                tap.outbox.append((arrive, passed, recipient))
+
+    def _tap(self, tap: LinkTap, envelope: Envelope, via: str, arrive: int, parts: tuple, recipient: str) -> tuple:
+        """What `tap` does to `envelope`, reaching it from `via` at tick
+        `arrive` on its way to `recipient`; `parts` end its copy's detail.  A
+        replay tap logs an `overheard` copy, files a replay for `recipient`
+        and lets the envelope flow on; any other logs an `intercepted` copy
+        and passes on what `intercept` leaves a tick later.  Returns what
+        goes on (None when eaten) and the tick it goes on."""
         if tap.kind == "replay":
-            # A passive tap: traffic flows normally, a copy is re-emitted later.
-            self._schedule(self.now + 1, envelope, (recipient,), envelope.sender, (tx,))
-            self._schedule(self.now + 1, envelope, (tap.name,), envelope.sender, ("overheard", tx))
-            tap.outbox.append((self.now + 1 + tap.settings["delay"], envelope, recipient))
-            return
-        self._schedule(self.now + 1, envelope, (tap.name,), envelope.sender, ("intercepted", tx))
+            self._schedule(arrive, envelope, (tap.name,), via, ("overheard",) + parts)
+            tap.outbox.append((arrive + tap.settings["delay"], envelope, recipient))
+            return envelope, arrive
+        self._schedule(arrive, envelope, (tap.name,), via, ("intercepted",) + parts)
         passed = intercept(tap.kind, tap.settings, envelope.message, tap.rng)
-        if passed is not None:
-            tap.outbox.append((self.now + 1, replace(envelope, message=passed), recipient))
+        return (None if passed is None else replace(envelope, message=passed)), arrive + 1
 
     def _drain_taps(self) -> None:
         for tap in self.taps:
@@ -1022,16 +1029,12 @@ class Simulation:
 
     def _step(self, name: str, act, *args) -> None:
         """One step of node `name`: `act(*args, ctx)`, then log and send what
-        it noted and emitted, and wake the node by its next due tick."""
+        it noted and emitted, and wake the node by its next due tick, this
+        one included when its nodes are still to be stepped."""
         ctx = self.contexts[name]
         ctx.now = self.now
         act(*args, ctx)
         self._flush_pending(name, ctx)
-        self._rearm(name)
-
-    def _rearm(self, name: str) -> None:
-        """Wake node `name` by its next due tick, this one included when its
-        nodes are still to be stepped."""
         node = self.nodes[name]
         node.wake_by(node.next_due(self.now - 1))
 
@@ -1042,20 +1045,20 @@ class Simulation:
 
     def _flush(self, name: str, ctx: Ctx) -> None:
         """Log and send what a step noted and emitted, and empty its context."""
-        node = self.nodes[name]
+        node, protocol = self.nodes[name], name not in self.adversaries
         for label, value in ctx.secrets:
             self.log.registry.secrets.append((self.now, name, label, value))
         for note in ctx.notes:
             payload = None if note.message is None else note.message.encoded
             self._log(note.kind, name, note.parts, payload, about=note.about)
             if note.kind == "admit":
-                if isinstance(node, ProtocolNode) and node.leader_service is not None:
+                if protocol and node.leader_service is not None:
                     self.group_map[note.about] = node.leader_service.group_id
             elif note.kind == "remove":
                 self.group_map.pop(note.about, None)
         for envelope in ctx.outbound:
-            if isinstance(node, ProtocolNode) and refloods(envelope):
-                node.relayed.add(envelope.message.encoded)
+            if protocol and refloods(envelope):
+                self.relayed[name].add(envelope.message.encoded)
             self._transmit(envelope)
         self._signals.extend(ctx.signals)
         ctx.secrets.clear()
@@ -1086,17 +1089,18 @@ class Simulation:
         for member, value in trust_seed.items():
             node.leader_service.trust[member] = value
         node.leader_last_seen = None
-        ctx = self.contexts[name]
-        ctx.now = self.now
         members_with_pubs = [
             (m, self.log.registry.keypairs[m].public) for m in sorted(member_names) if m != name
         ]
-        node.leader_service.found_group(members_with_pubs, ctx, cause)
         self.group_map[name] = group_id
         self.leaders[group_id] = name
+        self._step(name, self._found, members_with_pubs, cause)
+
+    def _found(self, members: list, cause: str, ctx: Ctx) -> None:
+        """A new leader founds its group with `members` and announces itself."""
+        node = self.nodes[ctx.name]
+        node.leader_service.found_group(members, ctx, cause)
         node.announce(ctx)
-        self._flush_pending(name, ctx)
-        self._rearm(name)
 
     def _ring_rekey(self) -> None:
         leaders = sorted(name for name in self.leaders.values() if name is not None)
@@ -1128,7 +1132,7 @@ class Simulation:
         candidates = [
             name
             for name, group in sorted(self.group_map.items())
-            if group == group_id and name != departed and self.nodes[name].alive
+            if group == group_id and name != departed and name not in self.crashed
         ]
         if not candidates:
             self._log("alert", group_id, ("group_dissolved",))
@@ -1157,16 +1161,16 @@ class Simulation:
         actor = self.leaders.get(args[0]) if op == "crash_leader" else args[0]
         if actor is None:
             return
-        node = self.nodes[actor]
-        if not node.alive:
+        if actor in self.crashed:
             self._log("alert", actor, ("action_skipped_dead", op))
             return
+        node = self.nodes[actor]
         if op in ("crash", "crash_leader"):
-            node.alive = False
+            self.crashed.add(actor)
             self._searches = {}
             self.group_map.pop(actor, None)
             self._log("alert", actor, ("node_crashed",))
-            if isinstance(node, ProtocolNode) and node.leader_service is not None:
+            if actor not in self.adversaries and node.leader_service is not None:
                 self._unseat(actor)
         elif op in ("join", "join_via"):
             leader = self.leaders.get(args[1]) if op == "join" else args[1]
@@ -1237,11 +1241,15 @@ class Simulation:
         self._setup()
         pending = list(script)
         nodes, contexts, log, flush_pending = self.nodes, self.contexts, self._log, self._flush_pending
+        crashed, relayed = self.crashed, self.relayed
         stepping = [(name, node, contexts[name]) for name, node in nodes.items()]
         wake_at, wakeups = clock.at, clock.buckets
+        # Positions change only on ticks 1 .. last_move, so reach rows built
+        # on the last of those stay valid after it.
+        last_move = max((len(spec.trace) for spec in self.scenario.nodes), default=1) - 1
         for tick in range(duration + 1):
             self.now = tick
-            if 0 < tick <= self._last_move:
+            if 0 < tick <= last_move:
                 self._reach, self._cells, self._searches = {}, None, {}
             while pending and pending[0].tick <= tick:
                 self._action(pending.pop(0))
@@ -1250,14 +1258,14 @@ class Simulation:
                 encoded = envelope.message.encoded
                 reflooded = refloods(envelope)
                 for recipient in recipients:
-                    node = nodes.get(recipient)
-                    if node is not None and not node.alive:
+                    if recipient in crashed:
                         log("drop", via, ("dead",) + detail[1:], None, recipient)
                         continue
                     log("deliver", via, detail, encoded, recipient)
+                    node = nodes.get(recipient)
                     if node is None:
                         continue  # a tap pseudo-principal: logging the delivery is the point
-                    if reflooded and isinstance(node, ProtocolNode) and encoded in node.relayed:
+                    if reflooded and encoded in relayed.get(recipient, ()):
                         continue  # a protocol node is handed each group broadcast once
                     ctx = contexts[recipient]
                     ctx.now = tick
@@ -1274,22 +1282,18 @@ class Simulation:
                     if wake_at[index] != tick:
                         continue
                     name, node, ctx = stepping[index]
-                    if node.alive:
+                    if name not in crashed:
                         ctx.now = tick
                         node.on_tick(ctx)
                         flush_pending(name, ctx)
-                        after = node.next_due(tick)
-                        if after is None:
-                            wake_at[index] = math.inf
-                        else:
-                            wake_at[index] = after
-                            wakeups.setdefault(after, []).append(index)
+                        wake_at[index] = math.inf
+                        clock.lower(index, node.next_due(tick))
             if self._signals:
                 signaled = dict(self._signals)  # group -> the leader its members lost
                 self._signals = []
                 for group_id in sorted(signaled):
                     current = self.leaders.get(group_id)
-                    if current is not None and self.nodes[current].alive:
+                    if current is not None and current not in crashed:
                         continue  # already re-elected
                     self._election(group_id, signaled[group_id])
         self.log.complete = True

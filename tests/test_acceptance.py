@@ -21,7 +21,7 @@ from manetsec.group import NodeAttributes, WeightConfig, elect_leader, weight
 from manetsec.messages import MessageKind, decode_message
 from manetsec.node import mutate_message
 from manetsec.routing import Router
-from manetsec.runtime import Ctx
+from manetsec.runtime import Ctx, render_detail
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import Action, AdversarySpec, run
 from topologies import (
@@ -155,7 +155,7 @@ def _journey(provider, keys, directory, route, start_index, message):
         router.next_seq = message["seq"]  # the source already spent this seq
         ctx = Ctx(name=name, now=0, rng=random.Random(0), provider=provider)
         router.handle_rreq(message, directory, ctx)
-        accepted = any(n.detail.startswith("accept:") for n in ctx.notes)
+        accepted = any(render_detail(n.parts).startswith("accept:") for n in ctx.notes)
         if accepted:
             return True
         forwarded = next(

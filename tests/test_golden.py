@@ -294,6 +294,24 @@ def test_golden_digest(case_id, build):
     assert audit_digest(log) == GOLDEN_AUDIT[case_id]
 
 
+# The fixtures, three churn cases, and every adversary kind on a link and
+# at a node.
+CROSS_RUN_CASES = (
+    [case for case in CASES if case[0].startswith("fixture:")]
+    + [case for case in CASES if case[0].startswith("churn:")][:3]
+    + [case for case in CASES if case[0].startswith("adversary:")]
+)
+
+
+def test_runs_in_one_process_keep_their_digests_in_either_order():
+    # Crash, adversary and relay state lives on each Simulation, not on
+    # anything shared: a slice of the cases run forward and then in reverse
+    # in one process keeps every pinned digest both times.
+    for order in (CROSS_RUN_CASES, CROSS_RUN_CASES[::-1]):
+        moved = [case_id for case_id, build in order if digest(run_case(case_id, build)) != GOLDEN[case_id]]
+        assert moved == []
+
+
 GATEWAY_CASES = [f"{name}:{seed}" for name in ("two_group", "ring_data", "leader_session") for seed in (1, 2, 3)]
 
 

@@ -24,7 +24,7 @@ from manetsec.keymgmt import (
     leader_ring_agree,
 )
 from manetsec.messages import MessageKind, msg, open_sealed, seal_plain
-from manetsec.runtime import Ctx
+from manetsec.runtime import Ctx, render_detail
 
 
 def make_ctx(name, now, rng, provider):
@@ -182,7 +182,8 @@ def test_join_rejected_on_forged_certificate(world):
 
     member, _ = run_join(world, "N", tamper=tamper)
     assert world.leader.join_sessions["N"].expects is None
-    assert ("verdict", "join_rejected:bad_certificate", "N") in [(n.kind, n.detail, n.about) for n in world.notes]
+    notes = [(n.kind, render_detail(n.parts), n.about) for n in world.notes]
+    assert ("verdict", "join_rejected:bad_certificate", "N") in notes
     assert "N" not in world.leader.member_view
 
 
@@ -190,7 +191,8 @@ def test_join_rejected_at_capacity(world):
     world.leader.capacity = 1  # leader alone fills the group
     member, transcript = run_join(world, "N")
     assert world.leader.join_sessions["N"].expects is None
-    assert [(n.kind, n.detail, n.about) for n in world.notes] == [("verdict", "join_rejected:capacity", "N")]
+    notes = [(n.kind, render_detail(n.parts), n.about) for n in world.notes]
+    assert notes == [("verdict", "join_rejected:capacity", "N")]
     assert len(transcript) == 1  # nothing after the request
 
 
@@ -207,7 +209,7 @@ def test_join_aborts_when_response_invalid(world):
 
     member, transcript = run_join(world, "N", tamper=tamper)
     assert member.join.expects is None
-    assert (world.notes[-1].detail, world.notes[-1].about) == ("join_abort:leader_unauthenticated", "N")
+    assert (render_detail(world.notes[-1].parts), world.notes[-1].about) == ("join_abort:leader_unauthenticated", "N")
     kinds = [env.message.kind for env in transcript]
     assert MessageKind.CERT not in kinds  # node never reveals its certificate
 
@@ -227,7 +229,7 @@ def test_join_aborts_on_member_key_of_wrong_size(world):
 
     member, transcript = run_join(world, "N", tamper=tamper)
     assert member.join.expects is None
-    assert (world.notes[-1].detail, world.notes[-1].about) == ("join_abort:bad_admit_seal", "N")
+    assert (render_detail(world.notes[-1].parts), world.notes[-1].about) == ("join_abort:bad_admit_seal", "N")
     assert member.member_key is None
     assert MessageKind.NONCE not in [env.message.kind for env in transcript]
 
@@ -289,7 +291,7 @@ def test_tampered_join_step_is_refused_and_adopts_nothing(world, case):
         return tampering(world, env) if env.message.kind == kind else None
 
     member, transcript = run_join(world, "N", tamper=tamper)
-    notes = [(n.kind, n.detail, n.about) for n in world.notes]
+    notes = [(n.kind, render_detail(n.parts), n.about) for n in world.notes]
     assert notes[-1] == ("verdict", verdict, "N")
     kinds = [env.message.kind for env in transcript]
     # Nothing answers the refused step; a MEMBER_SET's REKEY to the group
@@ -328,7 +330,7 @@ def test_out_of_order_message_rejects_session(world):
         ctx,
     )
     assert world.leader.join_sessions["N"].expects is None
-    assert (ctx.notes[-1].detail, ctx.notes[-1].about) == ("join_rejected:out_of_order", "N")
+    assert (render_detail(ctx.notes[-1].parts), ctx.notes[-1].about) == ("join_rejected:out_of_order", "N")
 
 
 # The join's first eight messages as the paper orders them, each with the
@@ -410,7 +412,7 @@ def test_join_kind_in_wrong_phase_rejects_that_join(world, join_messages):
             else:
                 ctx = _answer(member, join_messages[kind], world, "N")
                 state, verdict = member.join, "join_abort:out_of_order"
-            notes = [(n.kind, n.detail, n.about) for n in ctx.notes]
+            notes = [(n.kind, render_detail(n.parts), n.about) for n in ctx.notes]
             assert notes == [("verdict", verdict, "N")], (kind.name, expects)
             assert not ctx.outbound
             assert state.expects is None
@@ -457,7 +459,7 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     out_ctx = make_ctx("M2", 2, rng, world.provider)
     outsider.handle_rekey(rekey.message, out_ctx)
     assert outsider.group_key is None
-    assert any("rekey_undecryptable" in n.detail for n in out_ctx.notes)
+    assert any("rekey_undecryptable" in render_detail(n.parts) for n in out_ctx.notes)
 
 
 @pytest.mark.parametrize("mode", ["group", "public"])
@@ -480,7 +482,8 @@ def test_unopenable_rekey_is_refused_and_adopts_nothing(world, rng, mode):
     held = (m1.group_id, m1.lineage, m1.epoch, dict(m1.keyring), m1.member_key, m1.leader, m1.leader_public)
     m1_ctx = make_ctx("M1", 2, rng, world.provider)
     m1.handle_rekey(rekey, m1_ctx)
-    assert [(n.kind, n.detail, n.about) for n in m1_ctx.notes] == [("verdict", f"rekey_undecryptable:{verdict}", "M1")]
+    notes = [(n.kind, render_detail(n.parts), n.about) for n in m1_ctx.notes]
+    assert notes == [("verdict", f"rekey_undecryptable:{verdict}", "M1")]
     assert (m1.group_id, m1.lineage, m1.epoch, dict(m1.keyring), m1.member_key, m1.leader, m1.leader_public) == held
     assert m1.group_key == world.leader.group_key
 
@@ -489,7 +492,7 @@ def test_found_group_notes_each_admit_then_one_rekey(world, rng):
     ctx = make_ctx("L", 0, rng, world.provider)
     members = [(name, world.keys[name].public) for name in ("N", "M2", "L", "M1")]
     world.leader.found_group(members, ctx, "election")
-    notes = [(note.kind, note.detail, note.about) for note in ctx.notes]
+    notes = [(note.kind, render_detail(note.parts), note.about) for note in ctx.notes]
     assert notes == [
         ("admit", "election", "M1"),
         ("admit", "election", "M2"),
@@ -555,7 +558,7 @@ def test_remove_member_rotates_and_excludes(world, rng):
 def test_remove_unknown_member_warns(world, rng):
     ctx = make_ctx("L", 0, rng, world.provider)
     world.leader.remove_members(["ghost"], "silent_timeout", ctx)
-    assert any("remove_unknown_member" in n.detail for n in ctx.notes)
+    assert any("remove_unknown_member" in render_detail(n.parts) for n in ctx.notes)
     assert not ctx.outbound
 
 
@@ -640,7 +643,7 @@ class SessionWorld:
                 self.b.handle_session3(env.message, ctx)
             elif kind == MessageKind.SESSION_4:
                 self.a.handle_session4(env.message, ctx)
-            self.notes += [(n.kind, n.detail, n.about) for n in ctx.notes]
+            self.notes += [(n.kind, render_detail(n.parts), n.about) for n in ctx.notes]
             produced.extend(ctx.outbound)
         return produced
 
@@ -712,7 +715,7 @@ def test_session_replayed_key_message_aborts(sessions):
     replay_ctx = sessions.ctx("B", 41)
     sessions.b.handle_session3(captured_s3.message, replay_ctx)
     assert sessions.b.sessions[("A", "B")].expects is None
-    assert any("timestamp_mismatch" in n.detail for n in replay_ctx.notes)
+    assert any("timestamp_mismatch" in render_detail(n.parts) for n in replay_ctx.notes)
 
 
 def test_session_unmatched_key_message_ignored(sessions):
@@ -732,7 +735,7 @@ def test_session_unmatched_key_message_ignored(sessions):
         batch = sessions.pump(batch, now)
     replay_ctx = sessions.ctx("B", 30)
     sessions.b.handle_session3(captured_s3.message, replay_ctx)
-    assert any("no_matching_exchange" in n.detail for n in replay_ctx.notes)
+    assert any("no_matching_exchange" in render_detail(n.parts) for n in replay_ctx.notes)
 
 
 def test_session_nonce_echo_mismatch_aborts(sessions):
@@ -756,7 +759,7 @@ def test_session_nonce_echo_mismatch_aborts(sessions):
             ctx4 = sessions.ctx("A", now + 1)
             sessions.a.handle_session4(stop, ctx4)
             assert sessions.a.sessions[("A", "B")].expects is None
-            assert [n.detail for n in ctx4.notes] == ["session_aborted:nonce_mismatch"]
+            assert [render_detail(n.parts) for n in ctx4.notes] == ["session_aborted:nonce_mismatch"]
             return
         now += 1
         batch = sessions.pump(batch, now)
@@ -784,7 +787,7 @@ def test_leader_alert_for_unknown_peer(sessions):
     alert_ctx = sessions.ctx("B", 13)
     sessions.b.handle_alert(alerts[0].message, sessions.leader_public, alert_ctx)
     assert sessions.b.sessions[("ghost", "B")].expects is None
-    assert [(n.detail, n.about) for n in alert_ctx.notes] == [("session_aborted:leader_alert", "ghost-B")]
+    assert [(render_detail(n.parts), n.about) for n in alert_ctx.notes] == [("session_aborted:leader_alert", "ghost-B")]
     assert "ghost" in sessions.b.distrusted
 
 
@@ -803,7 +806,7 @@ def _run_until(sessions, kind, now=10):
 
 
 def _session_notes(ctx):
-    return [(n.kind, n.detail, n.about) for n in ctx.notes]
+    return [(n.kind, render_detail(n.parts), n.about) for n in ctx.notes]
 
 
 def test_session_with_distrusted_peer_is_refused(sessions):

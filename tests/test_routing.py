@@ -20,7 +20,7 @@ from manetsec.routing import (
     rreq_signed_payload,
     verify_route_signatures,
 )
-from manetsec.runtime import Ctx
+from manetsec.runtime import Ctx, render_detail
 
 
 def nested_hash_oracle(provider, source, dest, seq, origin_budget, forwarders):
@@ -105,7 +105,7 @@ def test_honest_two_intermediate_trace(net):
     assert at_b["lifetime"] == 6
     assert at_b["chain"] == nested_hash_oracle(net.provider, "S", "D", 1, 8, ["A", "B"])
     reply, notes = net.step("D", at_b)
-    assert any(n.detail.startswith("accept:") for n in notes)
+    assert any(render_detail(n.parts).startswith("accept:") for n in notes)
     assert reply is not None and reply.kind == MessageKind.RREP
     assert reply["route"] == ["S", "A", "B", "D"]
     assert len(reply["sigs"]) == 4
@@ -135,7 +135,7 @@ def test_stealth_budget_burn_detected_at_destination(net):
     assert at_b["chain"] == chain_extend(net.provider, at_a["chain"], "B", 5)
     reply, notes = net.step("D", at_b)
     assert reply is None
-    reasons = [n.detail for n in notes if n.detail.startswith("reject:")]
+    reasons = [render_detail(n.parts) for n in notes if render_detail(n.parts).startswith("reject:")]
     assert reasons and reasons[0].startswith("reject:chain_mismatch")
     # The shifted reconstruction D performed differs from the carried chain
     # exactly because its innermost term now uses origin budget 7, not 8.
@@ -151,7 +151,7 @@ def test_transparent_repeater_is_not_detected(net):
     repeated = at_a.replace()  # byte-identical relay
     at_b, _ = net.step("B", repeated)
     reply, notes = net.step("D", at_b)
-    assert any(n.detail.startswith("accept:") for n in notes)
+    assert any(render_detail(n.parts).startswith("accept:") for n in notes)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_forward_discards_duplicates_silently(net):
     assert first is not None
     second, notes = net.step("A", origin)
     assert second is None
-    assert any(n.kind == "drop" and n.detail.startswith("duplicate") for n in notes)
+    assert any(n.kind == "drop" and render_detail(n.parts).startswith("duplicate") for n in notes)
 
 
 def test_forward_discards_loops(net):
@@ -174,7 +174,7 @@ def test_forward_discards_loops(net):
     looped = at_a.replace(seq=2)  # dodge the duplicate check
     out, notes = net.step("A", looped)
     assert out is None
-    assert any(n.detail.startswith("loop") for n in notes)
+    assert any(render_detail(n.parts).startswith("loop") for n in notes)
 
 
 def test_forward_requires_remaining_budget(net):
@@ -183,7 +183,7 @@ def test_forward_requires_remaining_budget(net):
     assert at_a["lifetime"] == 0
     out, notes = net.step("B", at_a)
     assert out is None
-    assert any("lifetime_exhausted" in n.detail for n in notes)
+    assert any("lifetime_exhausted" in render_detail(n.parts) for n in notes)
 
 
 def test_destination_accepts_at_zero_budget(net):
@@ -192,7 +192,7 @@ def test_destination_accepts_at_zero_budget(net):
     at_b, _ = net.step("B", at_a)
     assert at_b["lifetime"] == 0
     reply, notes = net.step("D", at_b)
-    assert any(n.detail.startswith("accept:") for n in notes)
+    assert any(render_detail(n.parts).startswith("accept:") for n in notes)
 
 
 def test_forward_discards_stripped_signature(net):
@@ -201,7 +201,7 @@ def test_forward_discards_stripped_signature(net):
     stripped = at_a.replace(sigs=at_a["sigs"][:-1])
     out, notes = net.step("B", stripped)
     assert out is None
-    assert any("bad_signature" in n.detail for n in notes)
+    assert any("bad_signature" in render_detail(n.parts) for n in notes)
 
 
 def test_foreign_route_entries_discarded(net):
@@ -210,7 +210,7 @@ def test_foreign_route_entries_discarded(net):
     ctx = net.ctx("B")
     group = {name: net.directory[name] for name in ("B", "D")}  # S, A unknown
     net.routers["B"].handle_rreq(at_a, group, ctx)
-    assert any(n.kind == "drop" and "foreign_group" in n.detail for n in ctx.notes)
+    assert any(n.kind == "drop" and "foreign_group" in render_detail(n.parts) for n in ctx.notes)
 
 
 def test_strict_chain_mode_detects_at_first_honest_hop(net):
@@ -220,7 +220,7 @@ def test_strict_chain_mode_detects_at_first_honest_hop(net):
     relayed = at_a.replace(lifetime=at_a["lifetime"] - 1)
     out, notes = net.step("B", relayed)
     assert out is None
-    assert any("chain_mismatch" in n.detail for n in notes)
+    assert any("chain_mismatch" in render_detail(n.parts) for n in notes)
 
 
 def test_stale_seq_rejected_at_destination(net):
@@ -238,7 +238,7 @@ def test_stale_seq_rejected_at_destination(net):
     net.routers["D"].seen.discard(("S", 1))  # force past the dedup to hit the seq check
     reply, notes = net.step("D", stale)
     assert reply is None
-    assert any("stale_seq" in n.detail for n in notes)
+    assert any("stale_seq" in render_detail(n.parts) for n in notes)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def test_reply_travels_reverse_path_and_installs(net):
     assert at_a == reply
     _, notes, done = net.reply_step("S", at_a)
     assert done is not None
-    assert any("route_installed" in n.detail for n in notes)
+    assert any("route_installed" in render_detail(n.parts) for n in notes)
     entry = net.routers["S"].route_to("D")
     assert entry.route == ["S", "A", "B", "D"]
     assert entry.next_hop == "A"
@@ -280,7 +280,7 @@ def test_reply_rejected_off_path(net):
     reply, _ = other.step("D", at_b)
     out, notes, _ = other.reply_step("E", reply)
     assert out is None
-    assert any("rrep_off_path" in n.detail for n in notes)
+    assert any("rrep_off_path" in render_detail(n.parts) for n in notes)
 
 
 def test_reply_route_tampering_detected(net):
@@ -288,7 +288,7 @@ def test_reply_route_tampering_detected(net):
     swapped = reply.replace(route=["S", "B", "A", "D"])
     out, notes, _ = net.reply_step("B", swapped)
     assert out is None
-    assert any("bad_signature" in n.detail for n in notes)
+    assert any("bad_signature" in render_detail(n.parts) for n in notes)
 
 
 def test_reply_chain_mismatch_rejected_at_source(net):
@@ -300,7 +300,7 @@ def test_reply_chain_mismatch_rejected_at_source(net):
     assert done is None
     # The destination signature covers the chain, so either check may fire
     # first; both are rejections.
-    assert any("rrep_reject" in n.detail for n in notes)
+    assert any("rrep_reject" in render_detail(n.parts) for n in notes)
 
 
 def test_reply_forwarder_signature_flip_rejected_at_source(net):
@@ -316,7 +316,7 @@ def test_reply_forwarder_signature_flip_rejected_at_source(net):
     assert at_a == bad
     _, notes, done = net.reply_step("S", at_a)
     assert done is None
-    assert [n.detail for n in notes] == ["rrep_reject:bad_signature:dest=D:seq=1"]
+    assert [render_detail(n.parts) for n in notes] == ["rrep_reject:bad_signature:dest=D:seq=1"]
     assert net.routers["S"].route_to("D") is None
 
 
@@ -326,7 +326,7 @@ def test_reply_without_signatures_discarded_on_path(net):
     assert not rrep_signature_ok(net.provider, bare, net.directory)
     out, notes, _ = net.reply_step("B", bare)
     assert out is None
-    assert [n.detail for n in notes] == ["rrep_discard:bad_signature:source=S:seq=1"]
+    assert [render_detail(n.parts) for n in notes] == ["rrep_discard:bad_signature:source=S:seq=1"]
 
 
 def test_reply_path_longer_than_budget_rejected_at_source(net):
@@ -337,7 +337,7 @@ def test_reply_path_longer_than_budget_rejected_at_source(net):
     long = forged.replace(route=["S", "A", "B", "A", "B", "D"])
     _, notes, done = net.reply_step("S", long)
     assert done is None
-    assert [n.detail for n in notes] == ["rrep_reject:chain_mismatch:dest=D:seq=1"]
+    assert [render_detail(n.parts) for n in notes] == ["rrep_reject:chain_mismatch:dest=D:seq=1"]
 
 
 def test_request_with_empty_route_rejected_at_destination(net):
@@ -346,7 +346,7 @@ def test_request_with_empty_route_rejected_at_destination(net):
     assert expected_chain(net.provider, "S", "D", 1, 0, []) is None
     reply, notes = net.step("D", empty)
     assert reply is None
-    assert any(n.detail.startswith("reject:chain_mismatch") for n in notes)
+    assert any(render_detail(n.parts).startswith("reject:chain_mismatch") for n in notes)
 
 
 def test_replayed_reply_with_old_seq_rejected(net):
@@ -357,7 +357,7 @@ def test_replayed_reply_with_old_seq_rejected(net):
     assert done is not None
     _, notes, done = net.reply_step("S", reply1)
     assert done is None
-    assert any("stale_seq" in n.detail for n in notes)
+    assert any("stale_seq" in render_detail(n.parts) for n in notes)
 
 
 def test_no_reply_for_rejected_request(net):
@@ -410,7 +410,7 @@ def test_single_field_mutations_rejected(net):
             reply, notes = fresh.step("D", forwarded)
             assert reply is None, f"mutation {field}/{op} slipped through"
             assert any(
-                n.detail.startswith("reject:") or n.kind == "drop" for n in notes
+                render_detail(n.parts).startswith("reject:") or n.kind == "drop" for n in notes
             ), f"mutation {field}/{op} not rejected at destination"
 
 

@@ -129,31 +129,71 @@ def test_only_schedule_writes_the_queue():
     assert [use for use in uses if use[0] == "_schedule"]
 
 
+def _simulation_methods(tree):
+    """Each method of the Simulation class in sim.py's parsed `tree`, by name."""
+    [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Simulation"]
+    return {method.name: method for method in cls.body if isinstance(method, ast.FunctionDef)}
+
+
 def test_one_place_discards_a_relayed_broadcast():
-    # A copy of a group broadcast a node has already relayed is discarded by
-    # Simulation.run alone: no other code tests membership in `relayed`,
-    # and ProtocolNode.handle only adds the first copy to it.
-    tests = []
+    # Each protocol node's relay record lives on the simulator: only
+    # Simulation._flush adds to it, and only Simulation.run tests membership
+    # in it, to discard a copy of a group broadcast the node has already
+    # sent.  The node classes hold neither a relay record nor a liveness flag.
+    mutators = {"add", "clear", "discard", "pop", "popitem", "remove", "setdefault", "update"}
+    writes, tests = [], []
     for path in sorted(pathlib.Path(manetsec.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for scope in ast.walk(tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(scope, ast.FunctionDef):
                 continue
             for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in mutators:
+                    if "relayed" in ast.unparse(node.func.value):
+                        writes.append((path.name, scope.name, ast.unparse(node)))
                 if isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
-                    if any(isinstance(c, ast.Attribute) and c.attr == "relayed" for c in node.comparators):
+                    if any("relayed" in ast.unparse(c) for c in node.comparators):
                         tests.append((path.name, scope.name, ast.unparse(node)))
-    assert tests == [("sim.py", "run", "encoded in node.relayed")]
-    [cls] = [
-        node for node in ast.parse(pathlib.Path(sim.__file__).with_name("node.py").read_text()).body
-        if isinstance(node, ast.ClassDef) and node.name == "ProtocolNode"
+    assert writes == [("sim.py", "_flush", "self.relayed[name].add(envelope.message.encoded)")]
+    assert tests == [("sim.py", "run", "encoded in relayed.get(recipient, ())")]
+    uses = {
+        name for name, method in _simulation_methods(ast.parse(pathlib.Path(sim.__file__).read_text())).items()
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == "relayed"
+    }
+    assert uses == {"__init__", "_flush", "run"}
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+        for node in ast.walk(ast.parse(pathlib.Path(sim.__file__).with_name("node.py").read_text()))
+    }
+    assert not named & {"relayed", "alive"}
+
+
+def test_only_the_simulation_setup_tells_node_classes_apart():
+    # Which nodes are placed adversaries is stated once, as a set of names
+    # built in Simulation.__init__; nowhere else does sim.py test a node's
+    # class.
+    tree = ast.parse(pathlib.Path(sim.__file__).read_text())
+    allowed = {id(node) for node in ast.walk(_simulation_methods(tree)["__init__"])}
+    tests = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2
+        and {"ProtocolNode", "AdversaryNode"} & {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+        and id(node) not in allowed
     ]
-    [handle] = [method for method in cls.body if isinstance(method, ast.FunctionDef) and method.name == "handle"]
-    reads = [
-        ast.unparse(parent) for parent in ast.walk(handle) for child in ast.iter_child_nodes(parent)
-        if isinstance(child, ast.Attribute) and child.attr == "relayed"
-    ]
-    assert reads == ["self.relayed.add"]
+    assert tests == []
+
+
+def test_one_method_decides_what_a_tap_does():
+    # Both the unicast walk and a broadcast's tapped hop hand a crossing
+    # message to Simulation._tap, the one caller of `intercept` in sim.py.
+    calls = {
+        name: {ast.unparse(node.func) for node in ast.walk(method) if isinstance(node, ast.Call)}
+        for name, method in _simulation_methods(ast.parse(pathlib.Path(sim.__file__).read_text())).items()
+    }
+    assert [name for name, called in calls.items() if "intercept" in called] == ["_tap"]
+    assert sorted(name for name, called in calls.items() if "self._tap" in called) == ["_dispatch_radio", "_unicast"]
+    text = pathlib.Path(sim.__file__).read_text()
+    assert len(re.findall(r"\bintercept\(", text)) == 1
 
 
 def test_only_the_wake_loop_steps_a_node():

@@ -989,3 +989,54 @@ def test_hand_built_breach_fails_its_property_alone(breach):
     report = audit(log)
     assert report.result(name).counterexamples == counterexamples
     assert [r.name for r in report.results if not r.passed] == [name]
+
+
+@pytest.mark.parametrize("case", REAUDITED)
+def test_knowledge_sets_closed_on_one_index_equal_those_closed_alone(case):
+    # An audit closes every principal's knowledge set on one index, sharing
+    # what that index has read; in whatever order the sets are closed, each
+    # must be the one a fresh index of its own gives.
+    log = _reaudited_log(case)
+    principals = sorted(log.registry.node_names) + sorted(log.registry.adversary_names)
+
+    def read(knowledge):
+        return list(knowledge.sym_keys), knowledge.opened, knowledge.private_key
+
+    alone = {principal: read(audit_module._LogIndex(log).knowledge(principal)) for principal in principals}
+    for order in (principals, principals[::-1]):
+        shared = audit_module._LogIndex(log)
+        assert {principal: read(shared.knowledge(principal)) for principal in order} == alone
+    assert any(opened for _, opened, _ in alone.values())
+
+
+def _confinement_log(payloads, secrets):
+    """A hand-built log that sends and then delivers each payload, in order,
+    with the payloads in that order in the sidecar and each secret in the
+    registry as a member secret."""
+    log, provider = EventLog(complete=True), DeterministicProvider()
+    for n, payload in enumerate(payloads):
+        digest = provider.hash(payload).hex()
+        log.payloads[digest] = payload
+        tx = ("tx", str(n + 1))
+        log.events.append(SimEvent(2 * n, 2 * n, "send", "A", None, "", digest, ("DATA", ("to", "B"), tx)))
+        log.events.append(SimEvent(2 * n + 1, 2 * n + 1, "deliver", "A", "B", "", digest, ("DATA", tx)))
+    log.registry.node_names = ["A", "B"]
+    log.registry.secrets = [(0, "A", ("member_secret", f"g{n}-1"), secret) for n, secret in enumerate(secrets)]
+    return log
+
+
+def test_a_member_secret_split_across_neighbouring_payloads_is_confined():
+    secret = bytes(range(1, 17))
+    log = _confinement_log([b"\x01head" + secret[:9], secret[9:] + b"tail", b"\x01" + secret[:-1]], [secret])
+    assert list(log.payloads.values())[0].endswith(secret[:9])  # the halves sit next to each other
+    assert audit(log).result("secret_confinement").line() == "secret_confinement: PASS"
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_member_secret_at_either_end_of_a_payload_is_flagged_at_each_carrier(where):
+    secret, other = bytes(range(1, 17)), bytes(range(40, 56))
+    leaking = secret + b"tail" if where == "first" else b"\x01head" + secret
+    log = _confinement_log([b"\x01clean", leaking, b"\x01clean too", leaking], [other, secret])
+    # The second and the fourth payload are one payload under one digest.
+    assert len(log.payloads) == 3
+    assert audit(log).result("secret_confinement").line() == "secret_confinement: FAIL at events 2,3,6,7"

@@ -354,6 +354,41 @@ def test_held_seals_are_bounded_and_the_oldest_goes_first():
     assert len(calls) == 1 and calls[0][1] == sealed[0][:16]  # only the dropped seal is derived again
 
 
+@given(
+    mode=st.sampled_from(["sym", "pk"]),
+    plaintext=st.binary(max_size=300),
+    seed=st.integers(0, 2**16),
+    key=st.binary(max_size=80),
+)
+@example(mode="sym", plaintext=DIRECTORY, seed=0, key=bytes(80))
+@settings(max_examples=60, deadline=None)
+def test_a_provider_with_warm_caches_answers_as_a_fresh_one(mode, plaintext, seed, key):
+    # The warm instance has sealed, opened and failed to open under every
+    # key in play, so whatever it keeps per key is filled in; each open still
+    # gives a fresh instance's plaintext or failure class.  A drawn symmetric
+    # key may be of any length, 64 octets and more included.
+    warm = DeterministicProvider()
+    ciphertext, right, wrong = _seal(warm, mode, plaintext, seed)
+    if mode == "sym":
+        if key:
+            ciphertext, right = warm.sym_encrypt(key, plaintext, random.Random(seed)), key
+        wrong = bytes([right[0] ^ 1]) + right[1:]  # one octet off
+    flipped = ciphertext[:-1] + bytes([ciphertext[-1] ^ 1])
+    attempts = [(right, ciphertext), (wrong, ciphertext), (right, flipped), (right, ciphertext[:-1])]
+    for attempt in attempts * 2:
+        _open(warm, mode, *attempt)
+    expected = [_open(DeterministicProvider(), mode, *attempt) for attempt in attempts]
+    assert expected[0] == plaintext and all(isinstance(outcome, type) for outcome in expected[1:])
+    assert [_open(warm, mode, *attempt) for attempt in attempts] == expected
+    # A seal made by either instance opens in the other.
+    rng = random.Random(seed + 1)
+    for sealer, opener in ((warm, DeterministicProvider()), (DeterministicProvider(), warm)):
+        if mode == "sym":
+            sealed = sealer.sym_encrypt(right, plaintext, rng)
+        else:
+            sealed = sealer.pk_encrypt(sealer._public_of(right), plaintext, rng)
+        assert _open(opener, mode, right, sealed) == plaintext
+
 # ---------------------------------------------------------------------------
 # Primality
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def test_validate_unknown_actor(tmp_path, capsys):
     assert "unknown node 'Z'" in capsys.readouterr().err
 
 
+
+def test_validate_names_a_node_that_clashes_with_a_link_tap(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[nodes]\nA 1.0 0,0\nB 0.9 100,0\ntap0 0.5 200,0\n[groups]\ng1 4 A B tap0\n"
+                   "[adversaries]\nlink A B drop_all\n")
+    assert main(["validate", str(bad)]) == 2
+    assert "adversary 0: its link tap is named 'tap0', like a node" in capsys.readouterr().err
+
 HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 A B\n"
 
 

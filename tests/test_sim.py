@@ -135,6 +135,24 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
     assert validate_scenario(scenario) == [problem]
 
 
+
+@pytest.mark.parametrize(
+    "placements, names, problems",
+    [
+        ([("link", "A", "B")], ["A", "B", "tap0"], ["adversary 0: its link tap is named 'tap0', like a node"]),
+        ([("node", "C"), ("link", "A", "B")], ["A", "B", "tap1"], ["adversary 1: its link tap is named 'tap1', like a node"]),
+        # A node adversary makes no tap, so its position names none.
+        ([("node", "C"), ("link", "A", "B")], ["A", "B", "tap0"], []),
+    ],
+)
+def test_validation_rejects_a_node_named_like_a_link_tap(placements, names, problems):
+    # The link adversary at position i of the scenario's adversaries is the
+    # pseudo-principal `tap{i}`; a node of that name would be handed the
+    # tap's copies and be both an honest node and a tap to the audit.
+    scenario = line_scenario(names, adversaries=[AdversarySpec("drop_all", where) for where in placements])
+    scenario.nodes.append(NodeSpec("C", [(50.0, 60.0)], 0.5))
+    assert validate_scenario(scenario) == problems
+
 @pytest.mark.parametrize(
     "edit, problem",
     [

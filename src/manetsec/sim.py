@@ -337,6 +337,12 @@ def _argument_problems(what: str, word: str, args: tuple, table: dict, names, ad
     return problems
 
 
+def _tap_name(position: int) -> str:
+    """The pseudo-principal that runs the link adversary at `position` in a
+    scenario's adversaries; `validate_scenario` keeps it from naming a node."""
+    return f"tap{position}"
+
+
 def validate_scenario(scenario: Scenario) -> list:
     """What is wrong with a scenario, as a list of problems.  Each field is
     first checked against its declared type (:data:`SHAPES`); a scenario of
@@ -393,6 +399,8 @@ def validate_scenario(scenario: Scenario) -> list:
             taken.add((kind, frozenset(ends)))
             if kind == "node":
                 adversarial.add(ends[0])
+            elif _tap_name(i) in names:
+                problems.append(f"adversary {i}: its link tap is named {_tap_name(i)!r}, like a node")
         problems += [f"adversary {i}: {problem}" for problem in _adversary_arg_problems(adv)]
     grouped = set()
     group_ids = set()
@@ -771,7 +779,7 @@ class Simulation:
                     scenario.params,
                 )
         self.taps = [
-            LinkTap(f"tap{i}", adv.kind, frozenset(adv.placement[1:]), adv.settings, rng_for(f"tap:{i}"))
+            LinkTap(_tap_name(i), adv.kind, frozenset(adv.placement[1:]), adv.settings, rng_for(f"tap:{i}"))
             for i, adv in enumerate(scenario.adversaries)
             if adv.placement[0] == "link"
         ]

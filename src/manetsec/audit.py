@@ -36,7 +36,14 @@ kind holds nothing a principal could open, so skipping it changes no
 outcome.
 Each principal's knowledge set is closed once and shared by both secrecy
 checks, and each distinct (key, ciphertext) trial decryption runs once, its
-outcome shared by every principal that tries it.
+outcome shared by every principal that tries it; so does each distinct
+(private key, ciphertext) trial.  An opened plaintext is read for the keys
+it carries once per audit, however many principals open it, and a closure
+tries a message that did not open again only under the keys learned since.
+Secret confinement searches for each member secret once per run of payloads
+joined end to end (about a megabyte, never the whole sidecar at once) and
+tests a run's payloads one by one only where the secret is found, so a
+secret split across two payloads is in neither.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 from . import encoding
@@ -141,6 +149,9 @@ def _sealed_kind(payload: Optional[bytes]) -> bool:
     return bool(payload) and payload[0] in SEALED_KINDS
 
 
+_UNTRIED = object()  # a trial decryption `_LogIndex` has not made yet
+
+
 class _LogIndex:
     """What the property checks read, built in one pass over the log.
 
@@ -157,8 +168,9 @@ class _LogIndex:
     digest, and only such a kind, or a request a property asks for by
     digest, is decoded, on first use.  Decoded payloads and each
     principal's knowledge set (closed on first use) are then kept for the
-    index's life, as is the outcome of each symmetric trial decryption (see
-    `sym_open`).
+    index's life, as are the outcome of each trial decryption (see
+    `sym_open` and `pk_open`) and the keys each opened plaintext carries
+    (see `keys_in`): what principals share is worked out once.
     """
 
     def __init__(self, log: EventLog):
@@ -185,6 +197,8 @@ class _LogIndex:
         self._messages: dict = {}
         self._knowledge: dict = {}
         self._trials: dict = {}  # sealed -> {key: plaintext, or None when it does not open}
+        self._pk_trials: dict = {}  # (private key, sealed) -> plaintext, or None when it does not open
+        self._keys: dict = {}  # (kind, opened plaintext) -> the keys it carries (see `keys_in`)
         leaders: dict[str, str] = {}
         latest: dict[str, int] = {}  # tx -> tick of its latest send so far
         # tx -> {recipient: None} of each outcome so far: a table per
@@ -234,7 +248,9 @@ class _LogIndex:
                 continue
             by_kind[kind].append(i)
             if kind == "send":
-                tx = _transmission(event)[0]
+                # The simulator ends a send's parts with its `tx` pair.
+                last = event.parts[-1] if event.parts else ""
+                tx = last[1] if not isinstance(last, str) and last[0] == "tx" else _transmission(event)[0]
                 if tx is not None:
                     latest[tx] = event.tick
                     if tx == hop_tx:
@@ -271,8 +287,9 @@ class _LogIndex:
         for i in self.by_kind.get(kind, ()):
             yield i, events[i]
 
-    def sym_open(self, key: bytes, sealed: bytes) -> Optional[bytes]:
-        """The plaintext of `sealed` under `key`, or None when it does not open.
+    def sym_open(self, keys, sealed: bytes) -> Optional[bytes]:
+        """The plaintext of `sealed` under the first of `keys` that opens
+        it, or None when none does.
 
         Both providers decrypt deterministically, so the outcome of a trial
         is a pure function of the key and the ciphertext: each distinct pair
@@ -283,14 +300,42 @@ class _LogIndex:
         tried = self._trials.get(sealed)
         if tried is None:
             tried = self._trials[sealed] = {}
-        elif key in tried:
-            return tried[key]
-        try:
-            plain = self.provider.sym_decrypt(key, sealed)
-        except DecryptionError:
-            plain = None
-        tried[key] = plain
+        for key in keys:
+            plain = tried.get(key, _UNTRIED)
+            if plain is _UNTRIED:
+                try:
+                    plain = self.provider.sym_decrypt(key, sealed)
+                except DecryptionError:
+                    plain = None
+                tried[key] = plain
+            if plain is not None:
+                return plain
+        return None
+
+    def pk_open(self, private: bytes, sealed: bytes) -> Optional[bytes]:
+        """The plaintext of `sealed` under the private key, or None when it
+        does not open; like `sym_open`, each distinct pair is tried once per
+        audit, by a principal's closure or by backward secrecy."""
+        trial = (private, sealed)
+        plain = self._pk_trials.get(trial, _UNTRIED)
+        if plain is _UNTRIED:
+            try:
+                plain = self.provider.pk_decrypt(private, sealed)
+            except DecryptionError:
+                plain = None
+            self._pk_trials[trial] = plain
         return plain
+
+    def keys_in(self, kind: MessageKind, plain: bytes) -> tuple:
+        """Every non-empty key a layout of `kind` places in the opened
+        plaintext, in the order a reader meets them, whatever the other
+        fields hold; an undecodable plaintext carries none.  Each distinct
+        (kind, plaintext) is read once per audit, however many principals
+        open it."""
+        keys = self._keys.get((kind, plain))
+        if keys is None:
+            keys = self._keys[kind, plain] = _harvest_keys(kind, plain)
+        return keys
 
     def message(self, digest: str):
         """The decoded payload, or None when it is missing or malformed.
@@ -382,7 +427,11 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
     digests = dict.fromkeys(
         events[i].digest for i in index.received.get(principal, ()) if events[i].tick <= horizon
     )
-    received = [(d, m) for d in digests if (m := index.sealed_message(d)) is not None]
+    # Only deliveries of a kind that carries a sealed field are indexed.
+    received = [(d, m) for d in digests if (m := index.message(d)) is not None]
+    # digest -> how many of `sym_keys` (a prefix, as keys are only ever
+    # added) are known not to open it, so a later pass tries only the rest
+    tried = dict.fromkeys(digests, 0)
     opened: set[str] = set()
     progress = True
     while progress:
@@ -390,46 +439,42 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
         for digest, message in received:
             if digest in opened:
                 continue
-            plain = _try_open(index, message, private, sym_keys)
+            plain = _try_open(index, message, private, islice(sym_keys, tried[digest], None))
             if plain is None:
+                tried[digest] = len(sym_keys)
                 continue
             opened.add(digest)
             progress = True
-            _harvest_keys(message, plain, sym_keys)
+            for key in index.keys_in(message.kind, plain):
+                sym_keys.setdefault(key, None)
     return KnowledgeSet(sym_keys=sym_keys, private_key=private, opened=opened)
 
 
 def _try_open(index: _LogIndex, message, private, sym_keys) -> Optional[bytes]:
-    """The plaintext of the message's sealed field, if these keys open it."""
+    """The plaintext of the message's sealed field, if the private key or
+    one of the symmetric keys (an iterable read at most once) opens it."""
     sealed = message["sealed"]
     for seal in seals(message.kind, message.fields.get("mode")):
-        if seal == PK:
-            if private is None:
-                continue
-            try:
-                return index.provider.pk_decrypt(private, sealed)
-            except DecryptionError:
-                continue
-        for key in sym_keys:
-            plain = index.sym_open(key, sealed)
-            if plain is not None:
-                return plain
+        if seal != PK:
+            plain = index.sym_open(sym_keys, sealed)
+        elif private is not None:
+            plain = index.pk_open(private, sealed)
+        else:
+            continue
+        if plain is not None:
+            return plain
     return None
 
 
-def _harvest_keys(message, plain, sym_keys) -> None:
-    """Add every non-empty key a layout of the message's kind places in the
-    plaintext, whatever the other fields hold; an undecodable plaintext
-    yields none."""
+def _harvest_keys(kind: MessageKind, plain: bytes) -> tuple:
+    """Each non-empty key a layout of `kind` places in the plaintext, once,
+    in the order its readings hold them; see `_LogIndex.keys_in`."""
     try:
-        readings = sealed_readings(message.kind, plain)
+        readings = sealed_readings(kind, plain)
     except encoding.EncodingError:
-        return
-    for fields in readings:
-        for name in _KEY_FIELDS:
-            key = fields.get(name)
-            if isinstance(key, bytes) and key:
-                sym_keys.setdefault(key, None)
+        return ()
+    keys = (fields.get(name) for fields in readings for name in _KEY_FIELDS)
+    return tuple(dict.fromkeys(key for key in keys if isinstance(key, bytes) and key))
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +596,7 @@ def audit(log: EventLog) -> AuditReport:
 
 def _attempt_all(index: _LogIndex, knowledge: KnowledgeSet, sealed: bytes) -> bool:
     """True if any key in the knowledge set opens the ciphertext."""
-    for key in knowledge.sym_keys:
-        if index.sym_open(key, sealed) is not None:
-            return True
-    return False
+    return index.sym_open(knowledge.sym_keys, sealed) is not None
 
 
 def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
@@ -590,11 +632,8 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
             for ct in pk_ct:
                 if ct.recipient == node or _was_member_at(spans, ct.tick):
                     continue
-                try:
-                    index.provider.pk_decrypt(knowledge.private_key, ct.sealed)
+                if index.pk_open(knowledge.private_key, ct.sealed) is not None:
                     failures.append(ct.event_index)
-                except DecryptionError:
-                    pass
     return PropertyResult("backward_secrecy", not failures, sorted(set(failures)))
 
 
@@ -735,18 +774,41 @@ def _check_conservation(index: _LogIndex) -> PropertyResult:
     return PropertyResult("conservation", not failures, failures)
 
 
+# Secret confinement joins payloads into runs of at least this many bytes
+# and searches each run once per secret, so the sidecar is never copied whole.
+_SEARCH_RUN = 1 << 20
+
+
+def _payload_runs(payloads: dict):
+    """The (digest, payload) items in sidecar order, in consecutive runs of
+    at least `_SEARCH_RUN` bytes (the last may be shorter)."""
+    run, size = [], 0
+    for item in payloads.items():
+        run.append(item)
+        size += len(item[1])
+        if size >= _SEARCH_RUN:
+            yield run
+            run, size = [], 0
+    if run:
+        yield run
+
+
 def _check_secret_confinement(index: _LogIndex) -> PropertyResult:
-    """No payload holds a member secret.  The events are walked, for the
-    positions that carry one, only when some payload does."""
+    """No payload holds a member secret.  Each secret is searched for once
+    per run of payloads joined end to end, and only a run where it is found
+    has its payloads tested one by one: a secret that straddles two payloads
+    is in neither.  The events are walked, for the positions that carry a
+    leaking payload, only when some payload leaks."""
     secrets = [
         value
         for _, _, label, value in index.registry.secrets
         if label[0] == "member_secret" and len(value) >= 8
     ]
-    leaking = {
-        digest
-        for digest, payload in index.payloads.items()
-        if any(secret in payload for secret in secrets)
-    }
+    leaking = set()
+    for run in _payload_runs(index.payloads) if secrets else ():
+        joined = b"".join(payload for _, payload in run)
+        for secret in secrets:
+            if secret in joined:
+                leaking.update(digest for digest, payload in run if secret in payload)
     failures = [i for i, event in enumerate(index.events) if event.digest in leaking] if leaking else []
     return PropertyResult("secret_confinement", not failures, failures)

@@ -81,7 +81,10 @@ class DeterministicProvider:
 
     Each instance derives a public key's signature MAC key once and keeps it
     for every later signature and verification under that key; `sign` and
-    `verify` still MAC their full data.
+    `verify` still MAC their full data.  In the same way it derives each
+    symmetric key's tag key once (a public-key seal's content key counts),
+    on its first seal or open under that key, so an open under a wrong key
+    costs one keyed hash, over the nonce and body.
 
     Each instance also holds the plaintext of every seal it makes (a held
     seal), keyed by the seal's key, nonce and tag, until that instance first
@@ -100,12 +103,20 @@ class DeterministicProvider:
     def __init__(self):
         self._mac_keys: dict[bytes, bytes] = {}  # public key -> its signature MAC key
         self._held: dict[tuple, bytes] = {}  # (key, nonce, tag) -> plaintext, oldest first
+        self._tag_keys: dict[bytes, bytes] = {}  # symmetric key -> its tag MAC key
 
     def _mac_key(self, public: bytes) -> bytes:
         mac_key = self._mac_keys.get(public)
         if mac_key is None:
             mac_key = self._mac_keys[public] = _b2(public, key=b"manetsec.sig")
         return mac_key
+
+    def _tag_key(self, key: bytes) -> bytes:
+        key = bytes(key)
+        tag_key = self._tag_keys.get(key)
+        if tag_key is None:
+            tag_key = self._tag_keys[key] = _b2(key, key=b"manetsec.tag")
+        return tag_key
 
     def hash(self, data: bytes) -> bytes:
         return _b2(bytes(data))
@@ -164,28 +175,27 @@ class DeterministicProvider:
 
     def _seal(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         nonce = rng.randbytes(_NONCE_LEN)
-        body = _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
-        tag = _b2(nonce + body, key=_b2(key, key=b"manetsec.tag"), size=_MAC_LEN)
+        sealed = nonce + _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
+        tag = _b2(sealed, key=self._tag_key(key), size=_MAC_LEN)
         held = self._held
         if len(held) >= self.HELD_SEALS:
             del held[next(iter(held))]
         held[bytes(key), nonce, tag] = plaintext
-        return nonce + body + tag
+        return sealed + tag
 
     def _open(self, key: bytes, ciphertext: bytes) -> bytes:
         if len(ciphertext) < _NONCE_LEN + _MAC_LEN:
             raise MalformedCiphertextError("ciphertext shorter than nonce plus tag")
-        nonce = ciphertext[:_NONCE_LEN]
-        body = ciphertext[_NONCE_LEN:-_MAC_LEN]
         tag = ciphertext[-_MAC_LEN:]
-        expect = _b2(nonce + body, key=_b2(key, key=b"manetsec.tag"), size=_MAC_LEN)
-        if not hmac.compare_digest(tag, expect):
+        if not hmac.compare_digest(tag, _b2(ciphertext[:-_MAC_LEN], key=self._tag_key(key), size=_MAC_LEN)):
             raise CiphertextAuthenticationError("ciphertext failed authentication")
         # The tag binds the body to this key and nonce, so a held seal with
         # both and this tag has this body.
+        nonce = ciphertext[:_NONCE_LEN]
         plaintext = self._held.pop((bytes(key), nonce, tag), None)
         if plaintext is not None:
             return plaintext
+        body = ciphertext[_NONCE_LEN:-_MAC_LEN]
         return _xor(body, self._keystream(key, nonce, len(body)))
 
 

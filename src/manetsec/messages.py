@@ -215,6 +215,11 @@ def _checks(names: tuple) -> tuple:
 
 _HEADER_CHECKS = {kind: _checks(names) for kind, names in _FIELDS.items()}
 _SEALED_CHECKS = {key: _checks(layout.names) for key, layout in _SEALED.items()}
+# Each kind's sealed layouts' field names, and the seals they use, in table order.
+_KIND_NAMES = {kind: tuple(layout.names for (k, _), layout in _SEALED.items() if k == kind) for kind, _ in _SEALED}
+_KIND_SEALS = {
+    kind: tuple(dict.fromkeys(layout.seal for (k, _), layout in _SEALED.items() if k == kind)) for kind, _ in _SEALED
+}
 
 
 def _check(what: str, checks: tuple, fields) -> None:
@@ -409,7 +414,7 @@ def seals(kind: MessageKind, mode: Optional[str] = None) -> tuple:
     named = _SEALED.get((kind, mode)) if kind == MessageKind.REKEY else None
     if named is not None:
         return (named.seal,)
-    return tuple(dict.fromkeys(layout.seal for (k, _), layout in _SEALED.items() if k == kind))
+    return _KIND_SEALS.get(kind, ())
 
 
 def sealed_readings(kind: MessageKind, plaintext: bytes) -> list:
@@ -417,7 +422,7 @@ def sealed_readings(kind: MessageKind, plaintext: bytes) -> list:
     layout of `kind`, pairing names with values by position, whatever their
     types.  Raises EncodingError when the plaintext does not decode."""
     values = encoding.decode(plaintext)
-    return [dict(zip(layout.names, values)) for (k, _), layout in _SEALED.items() if k == kind]
+    return [dict(zip(names, values)) for names in _KIND_NAMES.get(kind, ())]
 
 
 @dataclass

@@ -598,6 +598,37 @@ def test_undecodable_plaintext_counts_as_opened():
     assert after.sym_keys == before.sym_keys
 
 
+def test_a_closure_opens_what_arrived_before_its_key():
+    # Delivered to the departed n3 in this order: a chat under a key k2, a
+    # MEMBER_SET under a key k1 that carries k2, and a REKEY sealed to n3
+    # that carries k1.  Each pass of the closure opens one more of them, the
+    # chat last, under a key learned after it was first tried.
+    log, provider, rng = _benign_line()
+    k1, k2 = rng.randbytes(32), rng.randbytes(32)
+    chat = msg(
+        MessageKind.DATA, group="g1", lineage="g1-1", epoch=9, route=[], hop=0,
+        sealed=provider.sym_encrypt(k2, seal_plain(MessageKind.DATA, tag="chat", source="n0", text="late"), rng),
+    )
+    member_set = msg(
+        MessageKind.MEMBER_SET, join_id="n3", sealed=provider.sym_encrypt(
+            k1, seal_plain(MessageKind.MEMBER_SET, nonce=1, rows=[], group_key=k2, lineage="g1-1", epoch=9, group="g1"),
+            rng,
+        ),
+    )
+    rekey = msg(
+        MessageKind.REKEY, group="g1", lineage="g1-1", epoch=8, mode="public",
+        sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, seal_plain(
+            MessageKind.REKEY, "public", group_key=k1, epoch=8, lineage="g1-1", rows=[], member_key=rng.randbytes(32),
+            member_id=1, leader="n0", leader_public=log.registry.keypairs["n0"].public,
+        ), rng),
+    )
+    before = knowledge_set("n3", log)
+    _deliver(log, provider, [chat, member_set, rekey])
+    after = knowledge_set("n3", log)
+    assert after.opened == before.opened | {provider.hash(m.encoded).hex() for m in (chat, member_set, rekey)}
+    assert list(after.sym_keys)[len(before.sym_keys):][:1] == [k1] and k2 in after.sym_keys
+    assert (list(after.sym_keys), after.opened) == _brute_force_knowledge("n3", log)
+
 def test_colon_in_crafted_rekey_lineage_is_audited():
     # A public-mode REKEY sealed to n3 after it left, naming a lineage with a
     # colon in it: n3 holds the key it opens, and the auditor must judge it

@@ -372,7 +372,7 @@ def test_a_provider_with_warm_caches_answers_as_a_fresh_one(mode, plaintext, see
     if mode == "sym":
         if key:
             ciphertext, right = warm.sym_encrypt(key, plaintext, random.Random(seed)), key
-        wrong = bytes([right[0] ^ 1]) + right[1:]  # one octet off
+        wrong = right[:-1] + bytes([right[-1] ^ 1])  # one octet off, past the 64th of a long key
     flipped = ciphertext[:-1] + bytes([ciphertext[-1] ^ 1])
     attempts = [(right, ciphertext), (wrong, ciphertext), (right, flipped), (right, ciphertext[:-1])]
     for attempt in attempts * 2:

@@ -13,6 +13,8 @@ import sys
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
+import pytest
+
 import manetsec
 from manetsec import messages, sim
 
@@ -302,3 +304,54 @@ def test_the_audit_opens_with_a_provider_of_its_own(monkeypatch):
     audit_module.audit(log)
     [(provider, held)] = first
     assert provider is not run.provider and type(provider) is type(run.provider) and held == {}
+
+
+# The calls that change a dict, list or set in place.
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem", "remove", "discard", "clear"}
+
+
+def _module_containers(tree) -> set:
+    """The module-level names of `tree` bound to a dict, list or set."""
+    kinds = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        value = getattr(node, "value", None)
+        made = isinstance(value, kinds) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "list", "set", "defaultdict")
+        )
+        names.update(target.id for target in targets if made and isinstance(target, ast.Name))
+    return names
+
+
+def _writes(function, names) -> list:
+    """Each statement or call in `function` that writes one of `names`."""
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Global):
+            found += [ast.unparse(node) for name in node.names if name in names]
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else (
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        )
+        for target in targets:
+            if isinstance(target, ast.Subscript) and getattr(target.value, "id", None) in names:
+                found.append(ast.unparse(node))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+            if getattr(node.func.value, "id", None) in names:
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", ["audit.py", "crypto.py"])
+def test_no_function_writes_a_module_level_container(module):
+    # The audit's and the test provider's memos live on an object that
+    # lasts one audit or one run (the log index, a provider instance), so
+    # they die with it; none is kept on the module between runs.
+    tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "manetsec" / module).read_text())
+    containers = _module_containers(tree)
+    assert containers  # `_NEGATED` in audit.py, `PROVIDERS` in crypto.py
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert [write for function in functions for write in _writes(function, containers)] == []
+    # Nor does a decorator keep a cache on the module.
+    decorators = [ast.unparse(d) for f in functions for d in getattr(f, "decorator_list", ())]
+    assert not [d for d in decorators if re.search(r"\b(lru_)?cache\b", d)], decorators

@@ -36,10 +36,9 @@ kind holds nothing a principal could open, so skipping it changes no
 outcome.
 Each principal's knowledge set is closed once and shared by both secrecy
 checks, and each distinct (key, ciphertext) trial decryption runs once, its
-outcome shared by every principal that tries it; so does each distinct
-(private key, ciphertext) trial.  An opened plaintext is read for the keys
-it carries once per audit, however many principals open it, and a closure
-tries a message that did not open again only under the keys learned since.
+outcome shared by every principal that tries it.  An opened plaintext is
+read for the keys it carries once per audit, however many principals open
+it.
 Secret confinement searches for each member secret once per run of payloads
 joined end to end (about a megabyte, never the whole sidecar at once) and
 tests a run's payloads one by one only where the secret is found, so a
@@ -51,7 +50,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Optional
 
 from . import encoding
@@ -149,7 +147,7 @@ def _sealed_kind(payload: Optional[bytes]) -> bool:
     return bool(payload) and payload[0] in SEALED_KINDS
 
 
-_UNTRIED = object()  # a trial decryption `_LogIndex` has not made yet
+_UNTRIED = object()  # a trial decryption `_LogIndex.sym_open` has not made yet
 
 
 class _LogIndex:
@@ -168,9 +166,9 @@ class _LogIndex:
     digest, and only such a kind, or a request a property asks for by
     digest, is decoded, on first use.  Decoded payloads and each
     principal's knowledge set (closed on first use) are then kept for the
-    index's life, as are the outcome of each trial decryption (see
-    `sym_open` and `pk_open`) and the keys each opened plaintext carries
-    (see `keys_in`): what principals share is worked out once.
+    index's life, as are the outcome of each symmetric trial decryption
+    (see `sym_open`) and the keys each opened plaintext carries (see
+    `keys_in`): what principals share is worked out once.
     """
 
     def __init__(self, log: EventLog):
@@ -197,7 +195,6 @@ class _LogIndex:
         self._messages: dict = {}
         self._knowledge: dict = {}
         self._trials: dict = {}  # sealed -> {key: plaintext, or None when it does not open}
-        self._pk_trials: dict = {}  # (private key, sealed) -> plaintext, or None when it does not open
         self._keys: dict = {}  # (kind, opened plaintext) -> the keys it carries (see `keys_in`)
         leaders: dict[str, str] = {}
         latest: dict[str, int] = {}  # tx -> tick of its latest send so far
@@ -312,20 +309,6 @@ class _LogIndex:
                 return plain
         return None
 
-    def pk_open(self, private: bytes, sealed: bytes) -> Optional[bytes]:
-        """The plaintext of `sealed` under the private key, or None when it
-        does not open; like `sym_open`, each distinct pair is tried once per
-        audit, by a principal's closure or by backward secrecy."""
-        trial = (private, sealed)
-        plain = self._pk_trials.get(trial, _UNTRIED)
-        if plain is _UNTRIED:
-            try:
-                plain = self.provider.pk_decrypt(private, sealed)
-            except DecryptionError:
-                plain = None
-            self._pk_trials[trial] = plain
-        return plain
-
     def keys_in(self, kind: MessageKind, plain: bytes) -> tuple:
         """Every non-empty key a layout of `kind` places in the opened
         plaintext, in the order a reader meets them, whatever the other
@@ -429,9 +412,6 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
     )
     # Only deliveries of a kind that carries a sealed field are indexed.
     received = [(d, m) for d in digests if (m := index.message(d)) is not None]
-    # digest -> how many of `sym_keys` (a prefix, as keys are only ever
-    # added) are known not to open it, so a later pass tries only the rest
-    tried = dict.fromkeys(digests, 0)
     opened: set[str] = set()
     progress = True
     while progress:
@@ -439,9 +419,8 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
         for digest, message in received:
             if digest in opened:
                 continue
-            plain = _try_open(index, message, private, islice(sym_keys, tried[digest], None))
+            plain = _try_open(index, message, private, sym_keys)
             if plain is None:
-                tried[digest] = len(sym_keys)
                 continue
             opened.add(digest)
             progress = True
@@ -451,16 +430,17 @@ def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeS
 
 
 def _try_open(index: _LogIndex, message, private, sym_keys) -> Optional[bytes]:
-    """The plaintext of the message's sealed field, if the private key or
-    one of the symmetric keys (an iterable read at most once) opens it."""
+    """The plaintext of the message's sealed field, if these keys open it."""
     sealed = message["sealed"]
     for seal in seals(message.kind, message.fields.get("mode")):
-        if seal != PK:
-            plain = index.sym_open(sym_keys, sealed)
-        elif private is not None:
-            plain = index.pk_open(private, sealed)
-        else:
-            continue
+        if seal == PK:
+            if private is None:
+                continue
+            try:
+                return index.provider.pk_decrypt(private, sealed)
+            except DecryptionError:
+                continue
+        plain = index.sym_open(sym_keys, sealed)
         if plain is not None:
             return plain
     return None
@@ -632,8 +612,11 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
             for ct in pk_ct:
                 if ct.recipient == node or _was_member_at(spans, ct.tick):
                     continue
-                if index.pk_open(knowledge.private_key, ct.sealed) is not None:
+                try:
+                    index.provider.pk_decrypt(knowledge.private_key, ct.sealed)
                     failures.append(ct.event_index)
+                except DecryptionError:
+                    pass
     return PropertyResult("backward_secrecy", not failures, sorted(set(failures)))
 
 

@@ -175,13 +175,13 @@ class DeterministicProvider:
 
     def _seal(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         nonce = rng.randbytes(_NONCE_LEN)
-        sealed = nonce + _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
-        tag = _b2(sealed, key=self._tag_key(key), size=_MAC_LEN)
+        body = _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
+        tag = _b2(nonce + body, key=self._tag_key(key), size=_MAC_LEN)
         held = self._held
         if len(held) >= self.HELD_SEALS:
             del held[next(iter(held))]
         held[bytes(key), nonce, tag] = plaintext
-        return sealed + tag
+        return nonce + body + tag
 
     def _open(self, key: bytes, ciphertext: bytes) -> bytes:
         if len(ciphertext) < _NONCE_LEN + _MAC_LEN:

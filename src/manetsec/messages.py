@@ -215,11 +215,9 @@ def _checks(names: tuple) -> tuple:
 
 _HEADER_CHECKS = {kind: _checks(names) for kind, names in _FIELDS.items()}
 _SEALED_CHECKS = {key: _checks(layout.names) for key, layout in _SEALED.items()}
-# Each kind's sealed layouts' field names, and the seals they use, in table order.
-_KIND_NAMES = {kind: tuple(layout.names for (k, _), layout in _SEALED.items() if k == kind) for kind, _ in _SEALED}
-_KIND_SEALS = {
-    kind: tuple(dict.fromkeys(layout.seal for (k, _), layout in _SEALED.items() if k == kind)) for kind, _ in _SEALED
-}
+# Each kind's sealed layouts in table order, and the seals they use.
+_KIND_LAYOUTS = {kind: tuple(layout for (k, _), layout in _SEALED.items() if k == kind) for kind, _ in _SEALED}
+_KIND_SEALS = {kind: tuple(dict.fromkeys(layout.seal for layout in layouts)) for kind, layouts in _KIND_LAYOUTS.items()}
 
 
 def _check(what: str, checks: tuple, fields) -> None:
@@ -422,7 +420,7 @@ def sealed_readings(kind: MessageKind, plaintext: bytes) -> list:
     layout of `kind`, pairing names with values by position, whatever their
     types.  Raises EncodingError when the plaintext does not decode."""
     values = encoding.decode(plaintext)
-    return [dict(zip(names, values)) for names in _KIND_NAMES.get(kind, ())]
+    return [dict(zip(layout.names, values)) for layout in _KIND_LAYOUTS.get(kind, ())]
 
 
 @dataclass

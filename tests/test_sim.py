@@ -140,7 +140,11 @@ def test_validation_rejects_malformed_and_doubled_placements(placements, problem
     "placements, names, problems",
     [
         ([("link", "A", "B")], ["A", "B", "tap0"], ["adversary 0: its link tap is named 'tap0', like a node"]),
-        ([("node", "C"), ("link", "A", "B")], ["A", "B", "tap1"], ["adversary 1: its link tap is named 'tap1', like a node"]),
+        (
+            [("node", "C"), ("link", "A", "B")],
+            ["A", "B", "tap1"],
+            ["adversary 1: its link tap is named 'tap1', like a node"],
+        ),
         # A node adversary makes no tap, so its position names none.
         ([("node", "C"), ("link", "A", "B")], ["A", "B", "tap0"], []),
     ],

@@ -307,7 +307,9 @@ def test_the_audit_opens_with_a_provider_of_its_own(monkeypatch):
 
 
 # The calls that change a dict, list or set in place.
-_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem", "remove", "discard", "clear"}
+_MUTATORS = {
+    "append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem", "remove", "discard", "clear"
+}
 
 
 def _module_containers(tree) -> set:
@@ -315,7 +317,9 @@ def _module_containers(tree) -> set:
     kinds = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
     names = set()
     for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         value = getattr(node, "value", None)
         made = isinstance(value, kinds) or (
             isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "list", "set", "defaultdict")
@@ -350,7 +354,8 @@ def test_no_function_writes_a_module_level_container(module):
     tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "manetsec" / module).read_text())
     containers = _module_containers(tree)
     assert containers  # `_NEGATED` in audit.py, `PROVIDERS` in crypto.py
-    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    functions = [node for node in ast.walk(tree) if isinstance(node, kinds)]
     assert [write for function in functions for write in _writes(function, containers)] == []
     # Nor does a decorator keep a cache on the module.
     decorators = [ast.unparse(d) for f in functions for d in getattr(f, "decorator_list", ())]

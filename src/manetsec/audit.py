@@ -317,7 +317,12 @@ class _LogIndex:
         open it."""
         keys = self._keys.get((kind, plain))
         if keys is None:
-            keys = self._keys[kind, plain] = _harvest_keys(kind, plain)
+            try:
+                readings = sealed_readings(kind, plain, self.provider.directories)
+            except encoding.EncodingError:
+                readings = []
+            found = (fields.get(name) for fields in readings for name in _KEY_FIELDS)
+            keys = self._keys[kind, plain] = tuple(dict.fromkeys(k for k in found if isinstance(k, bytes) and k))
         return keys
 
     def message(self, digest: str):
@@ -444,17 +449,6 @@ def _try_open(index: _LogIndex, message, private, sym_keys) -> Optional[bytes]:
         if plain is not None:
             return plain
     return None
-
-
-def _harvest_keys(kind: MessageKind, plain: bytes) -> tuple:
-    """Each non-empty key a layout of `kind` places in the plaintext, once,
-    in the order its readings hold them; see `_LogIndex.keys_in`."""
-    try:
-        readings = sealed_readings(kind, plain)
-    except encoding.EncodingError:
-        return ()
-    keys = (fields.get(name) for fields in readings for name in _KEY_FIELDS)
-    return tuple(dict.fromkeys(key for key in keys if isinstance(key, bytes) and key))
 
 
 # ---------------------------------------------------------------------------

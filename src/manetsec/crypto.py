@@ -12,6 +12,9 @@ Two providers implement the same surface:
   hybrid public-key encryption and ChaCha20-Poly1305 symmetric encryption,
   for runs where actual cryptographic strength matters.
 
+A run shares one provider with every node and an audit makes its own, so each
+instance carries the message layer's directory memo (``directories``) too.
+
 The quadratic-residue identification arithmetic (``zk_*``), the primality
 test behind it (``is_prime``, ``next_prime``) and the ring key-agreement step
 (``dh_contribute``) are provider-independent integer math and live here.
@@ -104,6 +107,7 @@ class DeterministicProvider:
         self._mac_keys: dict[bytes, bytes] = {}  # public key -> its signature MAC key
         self._held: dict[tuple, bytes] = {}  # (key, nonce, tag) -> plaintext, oldest first
         self._tag_keys: dict[bytes, bytes] = {}  # symmetric key -> its tag MAC key
+        self.directories: dict = {}  # the message layer's directory memo; see messages._read
 
     def _mac_key(self, public: bytes) -> bytes:
         mac_key = self._mac_keys.get(public)
@@ -233,6 +237,7 @@ class RealCryptoProvider:
         self._hashes = hashes
         self._invalid_sig = crypto_exceptions.InvalidSignature
         self._invalid_tag = crypto_exceptions.InvalidTag
+        self.directories: dict = {}  # the message layer's directory memo; see messages._read
 
     def hash(self, data: bytes) -> bytes:
         return hashlib.sha256(bytes(data)).digest()

@@ -24,15 +24,8 @@ negative int, any other type) goes through an ``isinstance`` chain that
 gives the same bytes or the same error.  The message layer calls the
 per-type encoders directly for fields whose type it has checked.
 
-A *table* is a SEQ whose first field is itself a SEQ; on the wire only a
-directory of ``[member name, public key]`` rows has that shape.  A founding
-leader seals one directory into every member's plaintext, so ``decode``
-decodes a table of flat rows once per distinct encoding and keeps the
-result in a small memo; every reader gets its own lists, and a body that
-fails to decode raises as any other and is never kept.  Beside it,
-``passes_once`` runs a reader's check on a decoded field once per distinct
-whole field (tag, length and body): the message layer type-checks each
-directory's rows once per encoding, not once per member.
+``field_span(data, index)`` bounds one whole field from its headers alone;
+fields are self-delimiting, so the pieces of a cut decode as the whole does.
 """
 
 from __future__ import annotations
@@ -55,18 +48,6 @@ class EncodingError(ValueError):
 _HEADER = struct.Struct(">BI")  # tag, body length
 _pack = _HEADER.pack
 _MAX_BODY = 0xFFFFFFFF
-
-# Decoded tables of flat rows by their body bytes, oldest dropped first.
-# Each directory a run founds is read by every member it is sealed to and
-# again by the auditor; an 11-node churn run founds up to 11 of them.
-_TABLE_MEMO_SIZE = 16
-_tables: dict = {}
-
-# (check, whole field) for each field that passed a reader's check in
-# `passes_once`, oldest dropped first.  A founding directory comes back in
-# every member's plaintext, so its rows field recurs once per member.
-_PASSED_MEMO_SIZE = 16
-_passed: dict = {}
 
 
 def encode_int(value: int) -> bytes:
@@ -153,10 +134,7 @@ def _decode_body(data: bytes, start: int, end: int) -> list:
             except UnicodeDecodeError as exc:
                 raise EncodingError("string body is not UTF-8") from exc
         elif tag == _TAG_SEQ:
-            if length and data[body_start] == _TAG_SEQ:
-                append(_decode_table(data[body_start:pos]))
-            else:
-                append(_decode_body(data, body_start, pos))
+            append(_decode_body(data, body_start, pos))
         elif tag == _TAG_INT:
             if length == 0 or (length > 1 and data[body_start] == 0):
                 raise EncodingError("non-minimal integer encoding")
@@ -166,20 +144,6 @@ def _decode_body(data: bytes, start: int, end: int) -> list:
     return items
 
 
-def _decode_table(body: bytes) -> list:
-    """The items of a table body, with each row a new list.  A table of
-    flat rows (lists holding no list) is decoded once per distinct body."""
-    rows = _tables.get(body)
-    if rows is None:
-        rows = _decode_body(body, 0, len(body))
-        if not all(isinstance(row, list) and not any(isinstance(item, list) for item in row) for row in rows):
-            return rows
-        if len(_tables) >= _TABLE_MEMO_SIZE:
-            del _tables[next(iter(_tables))]
-        _tables[body] = rows
-    return [row[:] for row in rows]
-
-
 def decode(data: bytes) -> list:
     """Decode a concatenation of tagged fields back into a list of values;
     `data` may be any bytes-like object."""
@@ -187,20 +151,18 @@ def decode(data: bytes) -> list:
     return _decode_body(data, 0, len(data))
 
 
-def passes_once(data: bytes, index: int, value, check) -> bool:
-    """Whether `value`, the decoded `index`-th field of `data` (a
-    concatenation `decode` has read), passes `check`.  The check runs once
-    per distinct whole field, tag and length included; a field that fails
-    is never kept."""
-    pos = 0
-    for _ in range(index):
-        pos += 5 + _HEADER.unpack_from(data, pos)[1]
-    key = (check, data[pos : pos + 5 + _HEADER.unpack_from(data, pos)[1]])
-    if key in _passed:
-        return True
-    if not check(value):
-        return False
-    if len(_passed) >= _PASSED_MEMO_SIZE:
-        del _passed[next(iter(_passed))]
-    _passed[key] = None
-    return True
+def field_span(data: bytes, index: int):
+    """(start, end) of the `index`-th whole field (tag, length and body) of
+    `data`, a concatenation of fields, or None when `data` ends before that
+    field begins.  Only headers are read, so no body is checked; a header
+    cut short or a body that runs past the end raises EncodingError."""
+    start = end = 0
+    for _ in range(index + 1):
+        if end == len(data):
+            return None
+        if end + 5 > len(data):
+            raise EncodingError("truncated field header")
+        start, end = end, end + 5 + _HEADER.unpack_from(data, end)[1]
+        if end > len(data):
+            raise EncodingError("field body runs past end of data")
+    return start, end

@@ -650,7 +650,8 @@ class MemberKeyService:
 
     def _member_set(self, message: Message, join: NodeJoinState, ctx: Ctx) -> bool:
         try:
-            opened = open_sealed(message.kind, self.provider.sym_decrypt(self.member_key, message["sealed"]))
+            plain = self.provider.sym_decrypt(self.member_key, message["sealed"])
+            opened = open_sealed(message.kind, plain, directories=self.provider.directories)
         except UNOPENABLE:
             return self._abort_join("bad_member_set_seal", ctx)
         if not key_fits(self.provider, opened["group_key"]):
@@ -680,7 +681,8 @@ class MemberKeyService:
                 ctx.note("verdict", "rekey_undecryptable", "unknown_epoch", about=self.name)
                 return
             try:
-                opened = open_sealed(message.kind, self.provider.sym_decrypt(old, message["sealed"]), mode)
+                plain = self.provider.sym_decrypt(old, message["sealed"])
+                opened = open_sealed(message.kind, plain, mode, self.provider.directories)
             except UNOPENABLE:
                 ctx.note("verdict", "rekey_undecryptable", "auth", about=self.name)
                 return
@@ -691,7 +693,7 @@ class MemberKeyService:
         elif mode == "public":
             try:
                 plain = self.provider.pk_decrypt(self.keypair.private, message["sealed"])
-                opened = open_sealed(message.kind, plain, mode)
+                opened = open_sealed(message.kind, plain, mode, self.provider.directories)
             except UNOPENABLE:
                 ctx.note("verdict", "rekey_undecryptable", "not_addressee", about=self.name)
                 return

@@ -7,14 +7,17 @@ canonical encoding, laid out as ``_SEALED`` lists.  Every field name, in a
 header or in a sealed plaintext, has one wire type (``FIELD_TYPES``); a
 ``Message`` checks its fields against it once, when :func:`msg` or
 :func:`decode_message` builds it, and :func:`open_sealed` checks a plaintext
-the same way (a directory's rows once per distinct encoding, not once per
-member).  Because every field passed its check, :func:`encode_message`
-follows a plan per kind: each field goes straight to its wire type's
-encoder in :mod:`~manetsec.encoding` (int, str or name, bytes; a list goes
-through the general encoder), which yields exactly ``encoding.encode`` of
-the values.  Radio metadata (who
-transmitted to whom, and when) is not part of the payload bytes -- the
-event log records it separately.
+the same way.  Because every field passed its check, :func:`encode_message`
+and :func:`seal_batch` send each field straight to its wire type's encoder
+in :mod:`~manetsec.encoding` (int, str or name, bytes; a list goes through
+the general encoder), which yields exactly ``encoding.encode`` of the
+values.  Radio metadata (who transmitted to whom, and when) is not part of
+the payload bytes -- the event log records it separately.
+
+A founding seals one directory (the ``rows`` field) into every member's
+plaintext, so :func:`open_sealed` and :func:`sealed_readings` read it
+through a memo keyed by the whole field that the caller owns: a run's
+provider's ``directories``, or the audit's own, so none outlives its run.
 
 Because the kind tag comes first, a reader can tell a payload's kind without
 decoding it.  ``SEALED_KINDS`` names the kinds that carry a ``sealed`` field;
@@ -28,7 +31,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import groupby
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -215,9 +217,11 @@ def _checks(names: tuple) -> tuple:
 
 _HEADER_CHECKS = {kind: _checks(names) for kind, names in _FIELDS.items()}
 _SEALED_CHECKS = {key: _checks(layout.names) for key, layout in _SEALED.items()}
-# Each kind's sealed layouts in table order, and the seals they use.
-_KIND_LAYOUTS = {kind: tuple(layout for (k, _), layout in _SEALED.items() if k == kind) for kind, _ in _SEALED}
-_KIND_SEALS = {kind: tuple(dict.fromkeys(layout.seal for layout in layouts)) for kind, layouts in _KIND_LAYOUTS.items()}
+# Each kind's sealed layout keys in table order, and the seals they use.
+_KIND_KEYS = {kind: tuple(key for key in _SEALED if key[0] == kind) for kind, _ in _SEALED}
+_KIND_SEALS = {kind: tuple(dict.fromkeys(_SEALED[key].seal for key in keys)) for kind, keys in _KIND_KEYS.items()}
+# Layout key -> the position of its directory, for each layout with `rows`.
+_ROWS_AT = {key: layout.names.index("rows") for key, layout in _SEALED.items() if "rows" in layout.names}
 
 
 def _check(what: str, checks: tuple, fields) -> None:
@@ -302,12 +306,13 @@ _ENCODERS = {
     "name": encoding.encode_str,
     "bytes": encoding.encode_bytes,
 }
+# Field name -> the encoder of its checked values.  Lists go through the
+# sequence encoder, which reads each item by its type.
+_ENCODER_OF = {name: _ENCODERS.get(wire_type, encoding.encode_seq) for name, wire_type in FIELD_TYPES.items()}
 
-# Kind -> (its tag octet, (field name, encoder) in wire order).  Lists go
-# through the sequence encoder, which reads each item by its type.
+# Kind -> (its tag octet, (field name, encoder) in wire order).
 _PLANS = {
-    kind: (bytes([kind]), tuple((name, _ENCODERS.get(FIELD_TYPES[name], encoding.encode_seq)) for name in names))
-    for kind, names in _FIELDS.items()
+    kind: (bytes([kind]), tuple((name, _ENCODER_OF[name]) for name in names)) for kind, names in _FIELDS.items()
 }
 
 
@@ -361,9 +366,8 @@ def seal_batch(kind: MessageKind, mode: Optional[str], shared: dict, items: list
     """The plaintexts of `kind` messages of one layout (chosen as by
     :func:`seal_plain`, from `mode` or the shared `tag`) that hold the fields
     in `shared` and, per item, that item's fields.  Shared fields are checked
-    and encoded once, each unbroken run of them as one piece; an item's
-    plaintext joins those pieces and the encodings of its own runs in layout
-    order, which is exactly its `seal_plain` (the encoding is a plain
+    and encoded once; an item's plaintext joins the field encodings in
+    layout order, which is exactly its `seal_plain` (the encoding is a plain
     concatenation of per-field encodings)."""
     key = _layout_key(kind, mode, shared.get("tag"))
     if key is None:
@@ -372,35 +376,61 @@ def seal_batch(kind: MessageKind, mode: Optional[str], shared: dict, items: list
     checks = _SEALED_CHECKS[key]
     _check(what, tuple(check for check in checks if check[0] in shared), shared)
     own = tuple(check for check in checks if check[0] not in shared)
-    pieces = []  # per run of the layout: its encoding if shared, else its names
-    for is_shared, run in groupby(_SEALED[key].names, key=shared.__contains__):
-        names = tuple(run)
-        pieces.append(encoding.encode(*(shared[name] for name in names)) if is_shared else names)
+    encoded = {name: _ENCODER_OF[name](value) for name, value in shared.items()}
+    names = _SEALED[key].names
     plains = []
     for item in items:
         _check(what, own, item)
-        plains.append(
-            b"".join(
-                piece if isinstance(piece, bytes) else encoding.encode(*(item[n] for n in piece))
-                for piece in pieces
-            )
-        )
+        plains.append(b"".join([encoded[n] if n in encoded else _ENCODER_OF[n](item[n]) for n in names]))
     return plains
 
 
-def open_sealed(kind: MessageKind, plaintext: bytes, mode: Optional[str] = None) -> dict:
+def _read(key, plaintext: bytes, directories: Optional[dict]) -> tuple:
+    """What `encoding.decode(plaintext)` returns or raises, and whether the
+    rows of layout `key` pass its check (True for a layout without rows).
+    The rows come from `directories`, a memo of rows that passed keyed by
+    their whole field (tag, length and body), so only a field not in it is
+    decoded and checked; the rest is decoded in one call.  Each call gets
+    its own lists."""
+    at = _ROWS_AT.get(key)
+    if at is None:
+        return encoding.decode(plaintext), True
+    try:
+        span = encoding.field_span(plaintext, at)
+        if span is None:  # too few fields to hold rows, so no layout fits
+            return encoding.decode(plaintext), False
+        start, end = span
+        field = plaintext[start:end]
+        rows = directories.get(field) if directories else None
+        passed = rows is not None
+        if not passed:
+            [rows] = encoding.decode(field)
+            passed = _SEALED_CHECKS[key][at][1](rows)
+            if passed and directories is not None:
+                directories[field] = rows
+        values = encoding.decode(plaintext[:start] + plaintext[end:])
+    except encoding.EncodingError:
+        encoding.decode(plaintext)  # raise the error a whole decode meets first
+        raise
+    values.insert(at, [row[:] for row in rows] if passed else rows)
+    return values, passed
+
+
+def open_sealed(
+    kind: MessageKind, plaintext: bytes, mode: Optional[str] = None, directories: Optional[dict] = None
+) -> dict:
     """The named fields of a `kind` message's sealed plaintext (a REKEY's
     layout follows its `mode` header).  Raises EncodingError unless the
     plaintext decodes and fits its layout, name for name and type for type.
-    A directory's rows are type-checked once per distinct encoding of the
-    whole `rows` field (`encoding.passes_once`), not once per member it is
-    sealed to; each reader still gets its own lists."""
-    values = encoding.decode(plaintext)
+    Rows are read through `directories` (see `_read`), so a run's memo
+    checks each directory once, not once per member it is sealed to."""
+    # A layout that carries a directory is named by kind and mode, never by a tag field.
+    values, rows_pass = _read(_layout_key(kind, mode, None), plaintext, directories)
     key = _layout_key(kind, mode, values[0] if values else None)
     if key is None or len(values) != len(_SEALED[key].names):
         raise encoding.EncodingError(f"plaintext does not fit any sealed {kind.name} layout")
-    for index, (value, (name, check)) in enumerate(zip(values, _SEALED_CHECKS[key])):
-        if not (encoding.passes_once(plaintext, index, value, check) if name == "rows" else check(value)):
+    for value, (name, check) in zip(values, _SEALED_CHECKS[key]):
+        if not (rows_pass if name == "rows" else check(value)):
             raise _mistyped(f"sealed {kind.name}", name)
     return dict(zip(_SEALED[key].names, values))
 
@@ -415,12 +445,14 @@ def seals(kind: MessageKind, mode: Optional[str] = None) -> tuple:
     return _KIND_SEALS.get(kind, ())
 
 
-def sealed_readings(kind: MessageKind, plaintext: bytes) -> list:
+def sealed_readings(kind: MessageKind, plaintext: bytes, directories: Optional[dict] = None) -> list:
     """Each way a decrypted plaintext can be read by name: one mapping per
     layout of `kind`, pairing names with values by position, whatever their
-    types.  Raises EncodingError when the plaintext does not decode."""
-    values = encoding.decode(plaintext)
-    return [dict(zip(layout.names, values)) for layout in _KIND_LAYOUTS.get(kind, ())]
+    types.  Raises EncodingError when the plaintext does not decode.  Rows
+    are read as by :func:`open_sealed`, through `directories`."""
+    keys = _KIND_KEYS.get(kind, ())
+    values, _ = _read(keys[0] if keys else None, plaintext, directories)
+    return [dict(zip(_SEALED[key].names, values)) for key in keys]
 
 
 @dataclass

@@ -41,7 +41,6 @@ class Ctx:
     name: str
     now: int
     rng: random.Random
-    provider: object
     outbound: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     secrets: list = field(default_factory=list)  # (label tuple, bytes) for the run registry

@@ -264,7 +264,7 @@ def _assert_due(node, now, deadlines, expected):
     assert due == expected
     assert due > now and all(due <= max(deadline, now + 1) for deadline in deadlines)
     for tick in range(now + 1, due):
-        ctx = Ctx(node.name, tick, node.rng, node.provider)
+        ctx = Ctx(node.name, tick, node.rng)
         node.on_tick(ctx)
         assert _is_empty(ctx), tick
 
@@ -276,7 +276,7 @@ def test_a_leader_is_due_at_its_next_beat_or_its_earliest_member_expiry():
     short = _leader(members={"m1": 20, "m2": 23}, heartbeat_period=10, liveness_deadline=4)
     _assert_due(short, 21, [30, 25, 28], 25)
     # On its due tick the expired member goes.
-    ctx = Ctx("L", 25, short.rng, short.provider)
+    ctx = Ctx("L", 25, short.rng)
     short.on_tick(ctx)
     assert [(note.kind, note.about) for note in ctx.notes][:1] == [("remove", "m1")]
 
@@ -286,7 +286,7 @@ def test_a_member_is_due_at_its_next_beat_or_its_leader_expiry():
     _assert_due(member, 12, [20], 20)  # no leader heard yet: only its beat
     member.leader_last_seen = 13
     _assert_due(member, 13, [20, 17], 17)
-    ctx = Ctx("m", 17, member.rng, member.provider)
+    ctx = Ctx("m", 17, member.rng)
     member.on_tick(ctx)
     assert ctx.signals == [(None, "L")] and member.leader_last_seen is None
     # A member that knows no leader never beats; only a heard one can expire.
@@ -303,7 +303,7 @@ def test_a_remote_job_past_its_deadline_with_a_route_is_due_each_tick():
     _assert_due(leader, 10, [20, 12, 17], 12)
     leader.router.install("d", ["L", "d"], 1)
     _assert_due(leader, 12, [20, 17], 13)
-    ctx = Ctx("L", 13, leader.rng, leader.provider)
+    ctx = Ctx("L", 13, leader.rng)
     leader.on_tick(ctx)
     assert _is_empty(ctx) and [job[3] for jobs in leader.remote_jobs.values() for job in jobs] == [12, 17]
     _assert_due(leader, 13, [20, 17], 14)
@@ -314,7 +314,7 @@ def test_a_node_with_no_role_is_never_due():
     node.leader_last_seen = 3  # heard a leader once, then left its group
     assert node.next_due(0) is None and node.next_due(-1) is None
     for tick in range(0, 60):
-        ctx = Ctx("n", tick, node.rng, node.provider)
+        ctx = Ctx("n", tick, node.rng)
         node.on_tick(ctx)
         assert _is_empty(ctx), tick
 
@@ -327,7 +327,7 @@ def test_an_adversary_is_due_at_its_earliest_replay():
     heard = Envelope(message=msg(MessageKind.LEAVE, who="a"), sender="a", to="*", channel="radio")
     adversary.replay_buffer = [(30, heard), (22, heard)]
     _assert_due(adversary, 20, [22, 30], 22)
-    ctx = Ctx("x", 22, rng, provider)
+    ctx = Ctx("x", 22, rng)
     adversary.on_tick(ctx)
     assert len(ctx.outbound) == 1 and [due for due, _ in adversary.replay_buffer] == [30]
     _assert_due(adversary, 22, [30], 30)
@@ -345,6 +345,6 @@ def test_a_handler_that_adds_a_deadline_lowers_the_wakeup():
     plain = seal_plain(MessageKind.GROUP_REQ, tag="route_query", requester="r", dest="d", seq=1, origin="o")
     sealed = leader.provider.sym_encrypt(leader.ring_key, plain, random.Random(0))
     request = msg(MessageKind.GROUP_REQ, from_leader="o", sealed=sealed)
-    ctx = Ctx("L", 21, leader.rng, leader.provider)
+    ctx = Ctx("L", 21, leader.rng)
     leader.handle(Envelope(message=request, sender="o", to="*", channel="ring"), ctx)
     assert woken == [24] and leader.next_due(21) == 24

@@ -15,6 +15,7 @@ from manetsec.messages import (
     open_sealed,
     seal_batch,
     seal_plain,
+    sealed_readings,
 )
 from manetsec.runtime import Ctx
 
@@ -119,8 +120,8 @@ def _decode_or_error(data):
 
 @given(_damaged())
 def test_damaged_data_rejected_or_reencodes_exactly(data):
-    # The encoding is canonical: whatever decodes re-encodes to the same bytes.
-    # A second decode gives the same outcome: a failed table is never kept.
+    # The encoding is canonical: whatever decodes re-encodes to the same bytes,
+    # and a second decode gives the same outcome.
     first, second = _decode_or_error(data), _decode_or_error(data)
     if isinstance(first, encoding.EncodingError):
         assert isinstance(second, encoding.EncodingError) and str(second) == str(first)
@@ -167,20 +168,26 @@ def test_damaged_message_rejected_or_reencodes_exactly(data):
 
 @pytest.mark.parametrize("good_first", [True, False])
 def test_damaged_table_with_a_good_prefix_rejected_in_either_order(good_first):
-    # Each damaged table body shares its first bytes with the good one.
+    # Each damaged directory body shares its first bytes with the good one,
+    # and one memo serves every read, as over a run.
     rows = [["a", b"pa"], ["bb", b"pb"]]
     body = encoding.encode(*rows)
     at = body.rindex(b"bb")
-    good = encoding.encode(b"k", rows)
+    head = encoding.encode(b"k", 2, "g1-1")
+    good = head + encoding.encode(rows)
     for bad_body in (body[:-1], body[:at] + b"\xff" + body[at + 1 :]):  # cut short; a name not UTF-8
-        bad = encoding.encode(b"k") + bytes([0x04]) + len(bad_body).to_bytes(4, "big") + bad_body
-        encoding._tables.clear()
+        bad = head + bytes([0x04]) + len(bad_body).to_bytes(4, "big") + bad_body
+        directories = {}
         for data in [good, bad] if good_first else [bad, good]:
             if data is good:
-                assert encoding.decode(data) == [b"k", rows]
+                assert open_sealed(MessageKind.REKEY, data, "group", directories)["rows"] == rows
+                assert sealed_readings(MessageKind.REKEY, data, directories)[0]["rows"] == rows
             else:
                 with pytest.raises(encoding.EncodingError):
-                    encoding.decode(data)
+                    open_sealed(MessageKind.REKEY, data, "group", directories)
+                with pytest.raises(encoding.EncodingError):
+                    sealed_readings(MessageKind.REKEY, data, directories)
+        assert list(directories.values()) == [rows]  # only the good directory is kept
 
 
 def test_table_decodes_share_no_list():
@@ -201,12 +208,25 @@ def _lists(value):
             yield from _lists(item)
 
 
-def test_table_memo_stays_bounded():
-    for i in range(2 * encoding._TABLE_MEMO_SIZE):
-        rows = [[f"m{i}", bytes([i])], ["z", b"k"]]
-        assert encoding.decode(encoding.encode(rows)) == [rows]
-        assert len(encoding._tables) <= encoding._TABLE_MEMO_SIZE
-    assert len(encoding._tables) == encoding._TABLE_MEMO_SIZE
+@given(st.lists(_values, max_size=5), st.integers(min_value=0, max_value=6))
+def test_field_span_bounds_one_whole_field(values, index):
+    data = encoding.encode(*values)
+    span = encoding.field_span(data, index)
+    if index >= len(values):
+        assert span is None
+        return
+    start, end = span
+    assert (start, end) == (len(encoding.encode(*values[:index])), len(encoding.encode(*values[: index + 1])))
+    assert encoding.decode(data[start:end]) == encoding.decode(data)[index : index + 1]
+
+
+@pytest.mark.parametrize(
+    "data, text",
+    [(b"\x03\x00\x00\x00\x01ab", "truncated field header"), (b"\x03\x00\x00\x00\x02a", "runs past end")],
+)
+def test_field_span_rejects_a_cut_header_or_body(data, text):
+    with pytest.raises(encoding.EncodingError, match=text):
+        encoding.field_span(data, 1)
 
 
 @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
@@ -396,7 +416,7 @@ def test_founding_keysets_equal_their_seal_plain(provider):
     authority = CertificateAuthority(provider, rng)
     keys = {name: provider.generate_keypair(rng) for name in ("L", "a", "b", "c")}
     leader = LeaderKeyService("L", "g1", "g1-1", keys["L"], provider, rng, authority.public, capacity=8)
-    ctx = Ctx("L", 0, rng, provider)
+    ctx = Ctx("L", 0, rng)
     leader.found_group([(name, keys[name].public) for name in ("c", "a", "b")], ctx, "founding")
     rekeys = [envelope for envelope in ctx.outbound if envelope.message.kind == MessageKind.REKEY]
     assert [envelope.to for envelope in rekeys] == ["a", "b", "c"]
@@ -462,42 +482,135 @@ def test_damaged_directory_rejected_for_every_copy(damaged_row):
     good = [["a", b"pa"], ["b", b"pb"], ["c", b"pc"]]
     damaged = [good[0], damaged_row, good[2]]
     for order in ([good, damaged], [damaged, good]):
+        directories = {}  # one memo for every copy, as over a run
         for rows in order:
             for plain in _member_plaintexts(rows, 4):
                 if rows is good:
-                    assert open_sealed(MessageKind.REKEY, plain, "public")["rows"] == good
+                    assert open_sealed(MessageKind.REKEY, plain, "public", directories)["rows"] == good
                 else:
                     with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
-                        open_sealed(MessageKind.REKEY, plain, "public")
-    # The same damaged rows under the group mode's layout, at another offset.
-    with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
-        open_sealed(MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", damaged), "group")
+                        open_sealed(MessageKind.REKEY, plain, "public", directories)
+        # The same damaged rows under the group mode's layout, at another offset.
+        with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
+            open_sealed(MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", damaged), "group", directories)
 
 
 @pytest.mark.parametrize("rows", [[["a", b"pa"], ["b", b"pb"]], []], ids=["two_rows", "empty"])
 def test_directory_body_under_another_tag_rejected(rows):
     """A field that carries a good directory's body under a BYTES or STR tag
     fails the rows check, also after the directory itself has opened."""
-    assert open_sealed(MessageKind.REKEY, _member_plaintexts(rows, 1)[0], "public")["rows"] == rows
+    directories = {}
+    assert open_sealed(MessageKind.REKEY, _member_plaintexts(rows, 1)[0], "public", directories)["rows"] == rows
     body = encoding.encode(*rows)
     for impostor in (body, body.decode("utf-8")):
         for plain in _member_plaintexts(impostor, 2):
             with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
-                open_sealed(MessageKind.REKEY, plain, "public")
+                open_sealed(MessageKind.REKEY, plain, "public", directories)
         with pytest.raises(encoding.EncodingError, match="'rows' is not rows"):
-            open_sealed(MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", impostor), "group")
+            open_sealed(MessageKind.REKEY, encoding.encode(b"k", 2, "g1-1", impostor), "group", directories)
 
 
 def test_opened_directories_share_no_list():
     rows = [["a", b"pa"], ["b", b"pb"], ["c", b"pc"]]
     plains = _member_plaintexts(rows, 3)
-    first, second = (open_sealed(MessageKind.REKEY, plain, "public")["rows"] for plain in plains[:2])
+    directories = {}
+    first, second = (open_sealed(MessageKind.REKEY, plain, "public", directories)["rows"] for plain in plains[:2])
     assert not {id(item) for item in _lists(first)} & {id(item) for item in _lists(second)}
     first[0][0] = "z"
     first[1].append(b"x")
     first.append(["d", b"pd"])
     assert second == rows
-    assert [open_sealed(MessageKind.REKEY, plain, "public")["rows"] for plain in plains] == [rows] * 3
+    assert [open_sealed(MessageKind.REKEY, plain, "public", directories)["rows"] for plain in plains] == [rows] * 3
+    [read] = directories.values()
+    assert not {id(item) for item in _lists(read)} & {id(item) for got in (first, second) for item in _lists(got)}
+
+
+# The layouts that carry a directory, and a memo-free reader of each: decode
+# the whole plaintext, then check every field by its wire type.
+_FOUNDING = [(MessageKind.REKEY, "group"), (MessageKind.REKEY, "public"), (MessageKind.MEMBER_SET, None)]
+
+
+def _reference_open(kind, plaintext, mode):
+    values = encoding.decode(plaintext)
+    names = messages._SEALED[(kind, mode)].names
+    if len(values) != len(names):
+        raise encoding.EncodingError(f"plaintext does not fit any sealed {kind.name} layout")
+    for name, value in zip(names, values):
+        if not messages._TYPE_CHECKS[FIELD_TYPES[name]](value):
+            raise encoding.EncodingError(f"sealed {kind.name} field {name!r} is not {FIELD_TYPES[name]}")
+    return dict(zip(names, values))
+
+
+def _reference_readings(kind, plaintext):
+    values = encoding.decode(plaintext)
+    return [dict(zip(messages._SEALED[(k, m)].names, values)) for k, m in _FOUNDING if k == kind]
+
+
+@st.composite
+def _damaged_founding(draw):
+    """(kind, mode, the intact plaintext of a founding layout, a damaged one):
+    its rows body under a BYTES or STR tag, rows of another shape, or
+    neither, then maybe cut short or with one byte changed, once or twice
+    (two faults, before and inside the rows, say, must raise the first)."""
+    kind, mode = draw(st.sampled_from(_FOUNDING))
+    names = messages._SEALED[(kind, mode)].names
+    fields = [encoding.encode(draw(_WIRE[FIELD_TYPES[name]])) for name in names]
+    intact = b"".join(fields)
+    at = names.index("rows")
+    damage = draw(st.sampled_from(["none", "bytes_tag", "str_tag", "shape"]))
+    if damage == "shape":
+        fields[at] = encoding.encode(draw(st.one_of(_nested, _table)))
+    elif damage != "none":
+        fields[at] = bytes([0x03 if damage == "bytes_tag" else 0x02]) + fields[at][1:]
+    damaged = b"".join(fields)
+    for _ in range(draw(st.integers(min_value=0 if damage != "none" else 1, max_value=2))):
+        damaged = _damage(draw, damaged)
+    return kind, mode, intact, damaged
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except encoding.EncodingError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "plaintext",
+    [
+        # The group key's tag unknown and a directory name not UTF-8: the
+        # key's error comes first, though the rows are read before the rest.
+        b"\x09"
+        + encoding.encode(b"k", 2, "g1-1")[1:]
+        + encoding.encode([["\u00e9", b"p"]]).replace(b"\xc3", b"\xff"),
+        # The rows fine and the lineage not UTF-8.
+        encoding.encode(b"k", 2, "\u00e9").replace(b"\xc3", b"\xff") + encoding.encode([["a", b"p"]]),
+    ],
+    ids=["key_tag_and_rows", "lineage"],
+)
+def test_a_plaintext_with_two_faults_raises_the_first(plaintext):
+    expected = _outcome(_reference_open, MessageKind.REKEY, plaintext, "group")
+    assert expected[0] is encoding.EncodingError
+    directories = {}
+    for _ in range(2):
+        assert _outcome(open_sealed, MessageKind.REKEY, plaintext, "group", directories) == expected
+    directories[encoding.encode([["a", b"p"]])] = [["a", b"p"]]  # as after an intact copy
+    assert _outcome(open_sealed, MessageKind.REKEY, plaintext, "group", directories) == expected
+
+
+@given(_damaged_founding(), st.booleans())
+def test_directory_reader_matches_a_memo_free_reference(case, damaged_first):
+    # Cold and warm, and with the damaged plaintext read before or after the
+    # intact one: the same fields as the reference, or the same error.
+    kind, mode, intact, damaged = case
+    directories = {}
+    for plaintext in [damaged, intact] * 2 if damaged_first else [intact, damaged] * 2:
+        assert _outcome(open_sealed, kind, plaintext, mode, directories) == _outcome(
+            _reference_open, kind, plaintext, mode
+        )
+        assert _outcome(sealed_readings, kind, plaintext, directories) == _outcome(
+            _reference_readings, kind, plaintext
+        )
 
 
 # ---------------------------------------------------------------------------

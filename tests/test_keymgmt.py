@@ -27,8 +27,8 @@ from manetsec.messages import MessageKind, msg, open_sealed, seal_plain
 from manetsec.runtime import Ctx, render_detail
 
 
-def make_ctx(name, now, rng, provider):
-    return Ctx(name=name, now=now, rng=rng, provider=provider)
+def make_ctx(name, now, rng):
+    return Ctx(name=name, now=now, rng=rng)
 
 
 @pytest.fixture
@@ -116,7 +116,7 @@ def run_join(w, joiner_name, tamper=None, max_steps=20):
             if tamper is not None:
                 env = tamper(env) or env
             transcript.append(env)
-            ctx = make_ctx("?", now[0], w.rng, w.provider)
+            ctx = make_ctx("?", now[0], w.rng)
             if env.message.kind in (
                 MessageKind.JOIN_REQ,
                 MessageKind.ZK_CHALLENGE,
@@ -138,7 +138,7 @@ def run_join(w, joiner_name, tamper=None, max_steps=20):
             w.notes.extend(ctx.notes)
             deliver(ctx.outbound)
 
-    ctx = make_ctx(joiner_name, 0, w.rng, w.provider)
+    ctx = make_ctx(joiner_name, 0, w.rng)
     member.begin_join("L", ctx)
     deliver(ctx.outbound)
     return member, transcript
@@ -314,7 +314,7 @@ def test_tampered_join_step_is_refused_and_adopts_nothing(world, case):
 
 
 def test_out_of_order_message_rejects_session(world):
-    ctx = make_ctx("L", 0, world.rng, world.provider)
+    ctx = make_ctx("L", 0, world.rng)
     from manetsec.messages import msg
 
     world.leader.handle_join(msg(MessageKind.JOIN_REQ, requester="N"), ctx)
@@ -369,7 +369,7 @@ def _join_sides(world, expects, joiner="N"):
 
 
 def _answer(service, message, world, name):
-    ctx = make_ctx(name, 1, world.rng, world.provider)
+    ctx = make_ctx(name, 1, world.rng)
     service.handle_join(message, ctx)
     return ctx
 
@@ -440,23 +440,23 @@ def test_member_ignores_another_join_id(world, join_messages):
 
 def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     # Founding member M1 follows the epoch chain; an outsider cannot.
-    ctx = make_ctx("L", 0, rng, world.provider)
+    ctx = make_ctx("L", 0, rng)
     world.leader.found_group([("M1", world.keys["M1"].public)], ctx, "founding")
     m1 = MemberKeyService("M1", world.keys["M1"], world.certs["M1"], world.provider)
     for env in ctx.outbound:
         if env.to == "M1":
-            m1.handle_rekey(env.message, make_ctx("M1", 1, rng, world.provider))
+            m1.handle_rekey(env.message, make_ctx("M1", 1, rng))
     assert m1.group_key == world.leader.group_key
 
     _, transcript = run_join(world, "N")
     rekey = next(e for e in transcript if e.message.kind == MessageKind.REKEY)
-    m1_ctx = make_ctx("M1", 2, rng, world.provider)
+    m1_ctx = make_ctx("M1", 2, rng)
     m1.handle_rekey(rekey.message, m1_ctx)
     assert m1.epoch == world.leader.epoch
     assert m1.group_key == world.leader.group_key
 
     outsider = MemberKeyService("M2", world.keys["M2"], world.certs["M2"], world.provider)
-    out_ctx = make_ctx("M2", 2, rng, world.provider)
+    out_ctx = make_ctx("M2", 2, rng)
     outsider.handle_rekey(rekey.message, out_ctx)
     assert outsider.group_key is None
     assert any("rekey_undecryptable" in render_detail(n.parts) for n in out_ctx.notes)
@@ -466,10 +466,10 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
 def test_unopenable_rekey_is_refused_and_adopts_nothing(world, rng, mode):
     # M1 holds epoch 1.  A group-mode rekey under that epoch that fails
     # authentication, or the founding rekey sealed to M2, is refused.
-    ctx = make_ctx("L", 0, rng, world.provider)
+    ctx = make_ctx("L", 0, rng)
     world.leader.found_group([("M1", world.keys["M1"].public), ("M2", world.keys["M2"].public)], ctx, "founding")
     m1 = MemberKeyService("M1", world.keys["M1"], world.certs["M1"], world.provider)
-    m1.handle_rekey(next(env for env in ctx.outbound if env.to == "M1").message, make_ctx("M1", 1, rng, world.provider))
+    m1.handle_rekey(next(env for env in ctx.outbound if env.to == "M1").message, make_ctx("M1", 1, rng))
     if mode == "group":
         plain = seal_plain(
             MessageKind.REKEY, "group", group_key=world.provider.generate_symmetric_key(rng), epoch=2,
@@ -480,7 +480,7 @@ def test_unopenable_rekey_is_refused_and_adopts_nothing(world, rng, mode):
     else:
         rekey, verdict = next(env for env in ctx.outbound if env.to == "M2").message, "not_addressee"
     held = (m1.group_id, m1.lineage, m1.epoch, dict(m1.keyring), m1.member_key, m1.leader, m1.leader_public)
-    m1_ctx = make_ctx("M1", 2, rng, world.provider)
+    m1_ctx = make_ctx("M1", 2, rng)
     m1.handle_rekey(rekey, m1_ctx)
     notes = [(n.kind, render_detail(n.parts), n.about) for n in m1_ctx.notes]
     assert notes == [("verdict", f"rekey_undecryptable:{verdict}", "M1")]
@@ -489,7 +489,7 @@ def test_unopenable_rekey_is_refused_and_adopts_nothing(world, rng, mode):
 
 
 def test_found_group_notes_each_admit_then_one_rekey(world, rng):
-    ctx = make_ctx("L", 0, rng, world.provider)
+    ctx = make_ctx("L", 0, rng)
     members = [(name, world.keys[name].public) for name in ("N", "M2", "L", "M1")]
     world.leader.found_group(members, ctx, "election")
     notes = [(note.kind, render_detail(note.parts), note.about) for note in ctx.notes]
@@ -535,12 +535,12 @@ def test_founding_a_grid_derives_one_keystream_per_member_and_checks_its_rows_on
 
 
 def test_remove_member_rotates_and_excludes(world, rng):
-    ctx = make_ctx("L", 0, rng, world.provider)
+    ctx = make_ctx("L", 0, rng)
     world.leader.found_group(
         [("M1", world.keys["M1"].public), ("M2", world.keys["M2"].public)], ctx, "founding"
     )
     epoch_before = world.leader.epoch
-    ctx2 = make_ctx("L", 5, rng, world.provider)
+    ctx2 = make_ctx("L", 5, rng)
     world.leader.remove_members(["M2"], "silent_timeout", ctx2)
     assert "M2" not in world.leader.member_view
     assert world.leader.epoch == epoch_before + 1
@@ -556,23 +556,23 @@ def test_remove_member_rotates_and_excludes(world, rng):
 
 
 def test_remove_unknown_member_warns(world, rng):
-    ctx = make_ctx("L", 0, rng, world.provider)
+    ctx = make_ctx("L", 0, rng)
     world.leader.remove_members(["ghost"], "silent_timeout", ctx)
     assert any("remove_unknown_member" in render_detail(n.parts) for n in ctx.notes)
     assert not ctx.outbound
 
 
 def test_misbehavior_removal_alerts_ring(world, rng):
-    ctx = make_ctx("L", 0, rng, world.provider)
+    ctx = make_ctx("L", 0, rng)
     world.leader.found_group([("M1", world.keys["M1"].public)], ctx, "founding")
-    ctx2 = make_ctx("L", 5, rng, world.provider)
+    ctx2 = make_ctx("L", 5, rng)
     world.leader.remove_members(["M1"], "misbehavior", ctx2)
     alerts = [e for e in ctx2.outbound if e.message.kind == MessageKind.MALICIOUS_ALERT]
     assert len(alerts) == 1 and alerts[0].channel == "ring"
 
 
 def test_liveness_bookkeeping(world, rng):
-    ctx = make_ctx("L", 0, rng, world.provider)
+    ctx = make_ctx("L", 0, rng)
     world.leader.found_group([("M1", world.keys["M1"].public)], ctx, "founding")
     # Heartbeats every 10 ticks against a deadline of 30 never expire.
     for t in range(10, 101, 10):
@@ -587,7 +587,7 @@ def test_liveness_sweep_returns_the_expired_in_name_order(world, rng):
     leader = world.leader
     extra = {name: world.provider.generate_keypair(rng).public for name in ("A", "Z")}
     members = [("M1", world.keys["M1"].public), ("M2", world.keys["M2"].public), *extra.items()]
-    leader.found_group(members, make_ctx("L", 0, rng, world.provider), "founding")
+    leader.found_group(members, make_ctx("L", 0, rng), "founding")
     for name, tick in (("Z", 5), ("M1", 40), ("A", 4), ("M2", 3)):
         leader.record_heartbeat(name, tick)
     before = dict(leader.trust)
@@ -614,7 +614,7 @@ class SessionWorld:
         self.leader = LeaderKeyService(
             "L", "g1", "g1-1", self.keys["L"], provider, self.rng, self.authority.public, 8
         )
-        ctx = make_ctx("L", 0, self.rng, provider)
+        ctx = make_ctx("L", 0, self.rng)
         self.leader.found_group(
             [("A", self.keys["A"].public), ("B", self.keys["B"].public)], ctx, "founding"
         )
@@ -622,7 +622,7 @@ class SessionWorld:
         self.notes = []  # (kind, detail, about) of every note `pump` gathers
 
     def ctx(self, name, now):
-        return make_ctx(name, now, self.rng, self.provider)
+        return make_ctx(name, now, self.rng)
 
     def pump(self, envelopes, now):
         """One delivery round; returns the next outbound batch."""

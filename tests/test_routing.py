@@ -45,7 +45,7 @@ class Net:
         self.routers = {n: Router(n, self.keys[n], self.provider) for n in names}
 
     def ctx(self, name, now=0):
-        return Ctx(name=name, now=now, rng=self.rng, provider=self.provider)
+        return Ctx(name=name, now=now, rng=self.rng)
 
     def originate(self, source, dest, lifetime, now=0):
         ctx = self.ctx(source, now)

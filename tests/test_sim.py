@@ -399,11 +399,14 @@ def test_each_node_reads_its_group_through_one_view(fixture):
     assert leaders and checked
 
 
-def test_a_simulation_keeps_at_most_29_attributes():
-    # See the note on Simulation: a 30th attribute slows every read of one.
+def test_a_simulation_has_no_instance_dict():
+    # See the note on Simulation: its attributes live in slots, so every one
+    # that `__init__` or `run` sets is declared there, and none turns the
+    # instance into a plain dict.
     sim = Simulation(churn_scenario(500))
     sim.run()
-    assert len(vars(sim)) <= 29
+    assert not hasattr(sim, "__dict__")
+    assert all(hasattr(sim, name) for name in Simulation.__slots__)
 
 
 def test_invalid_scenario_refuses_to_run():
@@ -1439,7 +1442,7 @@ def _leader_without_ring_key():
     leader = sim.nodes["a1"]
     assert leader.leader_service is not None and set(leader.known_leaders) == {"b2"}
     leader.ring_key = None
-    return sim, leader, Ctx("a1", 6, random.Random(1), sim.provider)
+    return sim, leader, Ctx("a1", 6, random.Random(1))
 
 
 def test_leader_without_ring_key_fails_its_own_gateway_request():

@@ -346,17 +346,69 @@ def _writes(function, names) -> list:
     return found
 
 
-@pytest.mark.parametrize("module", ["audit.py", "crypto.py"])
+@pytest.mark.parametrize("module", ["audit.py", "crypto.py", "encoding.py", "messages.py"])
 def test_no_function_writes_a_module_level_container(module):
-    # The audit's and the test provider's memos live on an object that
-    # lasts one audit or one run (the log index, a provider instance), so
-    # they die with it; none is kept on the module between runs.
+    # The audit's, the providers' and the message layer's memos live on an
+    # object that lasts one audit or one run (the log index, a provider
+    # instance), so they die with it; none is kept on the module between runs.
     tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "manetsec" / module).read_text())
     containers = _module_containers(tree)
-    assert containers  # `_NEGATED` in audit.py, `PROVIDERS` in crypto.py
+    assert containers  # e.g. `_NEGATED`, `PROVIDERS`, `_BY_TYPE`, `FIELD_TYPES`
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     functions = [node for node in ast.walk(tree) if isinstance(node, kinds)]
     assert [write for function in functions for write in _writes(function, containers)] == []
     # Nor does a decorator keep a cache on the module.
     decorators = [ast.unparse(d) for f in functions for d in getattr(f, "decorator_list", ())]
     assert not [d for d in decorators if re.search(r"\b(lru_)?cache\b", d)], decorators
+
+
+def _lists(value):
+    if isinstance(value, list):
+        yield value
+        for item in value:
+            yield from _lists(item)
+
+
+def test_a_run_and_its_audit_share_no_directory(monkeypatch):
+    # Each provider holds its own directory memo, so the audit reads every
+    # directory itself, into lists of its own, whatever the run has read.
+    from manetsec import audit as audit_module
+    from manetsec.crypto import make_provider
+    from topologies import churn_scenario
+
+    run = sim.Simulation(churn_scenario(500))
+    log = run.run()
+    made = []
+    monkeypatch.setattr(audit_module, "make_provider", lambda name: made.append(make_provider(name)) or made[-1])
+    assert audit_module.audit(log).passed
+    [provider] = made
+    ran, audited = run.provider.directories, provider.directories
+    assert ran is not audited
+    shared = ran.keys() & audited.keys()
+    assert shared
+    for field in shared:
+        assert ran[field] == audited[field]
+        assert not {id(item) for item in _lists(ran[field])} & {id(item) for item in _lists(audited[field])}
+
+
+def test_a_finished_runs_directories_die_with_its_simulation():
+    # A dict cannot be weakly referenced, but a subclass can: it stands in
+    # for the run's memo, and once the Simulation is gone nothing keeps it.
+    import gc
+    import weakref
+
+    from manetsec.audit import audit
+    from topologies import churn_scenario
+
+    class Memo(dict):
+        pass
+
+    run = sim.Simulation(churn_scenario(500))
+    run.provider.directories = Memo()
+    memo = weakref.ref(run.provider.directories)
+    log = run.run()
+    assert memo()  # the run read its directories through it
+    del run
+    gc.collect()
+    assert memo() is None
+    assert audit(log).passed  # the log alone is still whole

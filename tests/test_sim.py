@@ -94,6 +94,15 @@ def test_validation_accepts_smallest_join_and_liveness_params():
     assert validate_scenario(scenario) == []
 
 
+def test_validation_rejects_a_liveness_deadline_shorter_than_the_heartbeat_period():
+    # A leader would drop every member before its first beat could arrive.
+    scenario = line_scenario(["A", "B"])
+    scenario.params.heartbeat_period, scenario.params.liveness_deadline = 30, 3
+    assert validate_scenario(scenario) == ["liveness_deadline 3 is shorter than the heartbeat_period 30"]
+    scenario.params.liveness_deadline = 30
+    assert validate_scenario(scenario) == []
+
+
 def test_validation_rejects_bad_weights():
     scenario = line_scenario(["A", "B"], weights=WeightConfig.__new__(WeightConfig))
     object.__setattr__(scenario.weights, "w0", 0.5)

@@ -441,6 +441,10 @@ def validate_scenario(scenario: Scenario) -> list:
         if value is not None and value < least:
             bound = "a non-negative integer" if least == 0 else "an integer of at least 1"
             problems.append(f"{name} must be {bound}, not {value!r}")
+    # A shorter deadline drops every member before its first beat can arrive.
+    deadline, period = params.liveness_deadline, params.heartbeat_period
+    if deadline < period:
+        problems.append(f"liveness_deadline {deadline} is shorter than the heartbeat_period {period}")
     if not 0.0 <= params.trust_initial <= 1.0:
         problems.append(f"trust_initial must be within [0, 1], not {params.trust_initial!r}")
     duration, last_tick = params.duration, 0

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import corpus
 from manetsec.audit import audit
 from manetsec.crypto import (
     DeterministicProvider,
@@ -21,33 +22,23 @@ from manetsec.messages import MessageKind, decode_message
 from manetsec.node import mutate_message
 from manetsec.routing import Router
 from manetsec.runtime import Ctx, render_detail
-from manetsec.scenariofile import parse_scenario
 from manetsec.sim import Action, AdversarySpec, run
 from topologies import (
     RADIUS,
-    churn_scenario,
     connected_random_positions,
     diameter,
     hop_distance,
     line_scenario,
     random_group_scenario,
-    run_led_by,
     stealth_family_scenario,
     stealth_link_scenario,
     two_group_scenario,
+    verdicts,
 )
 
 
 def announce(number, text):
     print(f"\nACCEPTANCE {number}: PASS - {text}")
-
-
-def verdict_events(log, node, prefix):
-    out = []
-    for e in log.events:
-        if e.kind == "verdict" and e.principals.split(":", 1)[0] == node and e.detail.startswith(prefix):
-            out.append(e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +49,14 @@ def verdict_events(log, node, prefix):
 def test_criterion_1_worked_stealth_example():
     started = time.monotonic()
     attacked = run(stealth_link_scenario(seed=7, lifetime=8))
-    rejects = verdict_events(attacked, "D", "reject:chain_mismatch")
+    rejects = verdicts(attacked, "D", "reject:chain_mismatch")
     assert len(rejects) == 1, "destination must discard the relayed request"
-    assert not verdict_events(attacked, "D", "accept:")
-    assert not verdict_events(attacked, "S", "route_installed")
+    assert not verdicts(attacked, "D", "accept:")
+    assert not verdicts(attacked, "S", "route_installed")
 
     clean = run(stealth_link_scenario(seed=7, lifetime=8, with_adversary=False))
-    assert verdict_events(clean, "D", "accept:")
-    installs = verdict_events(clean, "S", "route_installed:dest=D")
+    assert verdicts(clean, "D", "accept:")
+    installs = verdicts(clean, "S", "route_installed:dest=D")
     assert installs, "without the relay the route must install"
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"worked example took {elapsed:.3f}s (budget 1s)"
@@ -86,8 +77,8 @@ def test_criterion_2_stealth_family_full_detection():
                 seed = 1000 + lifetime * 100 + hops * 10 + position
                 log = run(stealth_family_scenario(hops, position, seed, lifetime))
                 variants += 1
-                rejects = verdict_events(log, "D", "reject:chain_mismatch")
-                accepts = verdict_events(log, "D", "accept:")
+                rejects = verdicts(log, "D", "reject:chain_mismatch")
+                accepts = verdicts(log, "D", "accept:")
                 assert not accepts, f"hops={hops} pos={position} L={lifetime}: false accept"
                 assert rejects, f"hops={hops} pos={position} L={lifetime}: not detected"
                 detected += 1
@@ -273,10 +264,10 @@ def test_criterion_4_identification_scheme():
 def test_criterion_5_secrecy_audit_over_churn():
     violations = []
     for seed in range(500, 600):
-        log = run(churn_scenario(seed))
+        log = corpus.log(f"churn:{seed}:plain")
         epochs = [e for e in log.events if e.kind == "rekey" and not e.detail.startswith("ring")]
         assert len(epochs) >= 10, f"seed {seed}: only {len(epochs)} epochs"
-        report = audit(log)
+        report = corpus.audit(f"churn:{seed}:plain")
         for name in ("forward_secrecy", "backward_secrecy"):
             result = report.result(name)
             if not result.passed:
@@ -290,7 +281,7 @@ def test_criterion_5_secrecy_audit_over_churn():
         ("skip_rekey", "backward_secrecy"),
         ("forge_admit", "mutual_auth"),
     ):
-        result = audit(run_led_by(fault, churn_scenario(500))).result(prop)
+        result = corpus.audit(f"churn:500:{fault}").result(prop)
         assert not result.passed, f"fault {fault} not flagged"
         assert result.counterexamples, f"fault {fault} flagged without a counter-example"
         flagged[fault] = result.counterexamples[0]
@@ -318,8 +309,8 @@ def test_criterion_6_benign_completeness():
     for seed in range(700, 800):
         scenario, source, dest, span = random_group_scenario(seed)
         assert scenario.params.rreq_lifetime >= span  # budget covers the diameter path
-        log = run(scenario)
-        installs = verdict_events(log, source, f"route_installed:dest={dest}")
+        log = corpus.log(f"random_group:{seed}")
+        installs = verdicts(log, source, f"route_installed:dest={dest}")
         assert installs, f"seed {seed}: discovery failed ({len(scenario.nodes)} nodes, span {span})"
         accept = next(
             e for e in log.events if e.kind == "verdict" and e.detail.startswith("accept:")
@@ -327,7 +318,7 @@ def test_criterion_6_benign_completeness():
         accepted = decode_message(log.payloads[accept.digest])
         route = accepted["route"] + [accepted["dest"]]
         assert len(route) == len(set(route)), f"seed {seed}: loop in route {route}"
-        report = audit(log)
+        report = corpus.audit(f"random_group:{seed}")
         assert report.result("duplicate_suppression").passed
         assert report.passed, f"seed {seed}: {report.to_text()}"
         successes += 1
@@ -349,7 +340,7 @@ def test_criterion_7_intergroup_composition():
             if spec.name.startswith("b"):
                 spec.trace = [(spec.trace[0][0] - 140.0, spec.trace[0][1])]
         log = run(scenario)
-        installs = verdict_events(log, source, f"route_installed:dest={dest}")
+        installs = verdicts(log, source, f"route_installed:dest={dest}")
         assert installs, f"seed {seed}: no composed route"
         assert installs[0].detail.endswith(":composed")
         composed += 1
@@ -406,14 +397,9 @@ def test_criterion_8_election_oracle():
 
 
 def test_criterion_9_byte_identical_reruns():
-    import os
-
-    fixtures = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-    sources = [
-        parse_scenario(open(os.path.join(fixtures, "benign_line.scn")).read()),
-        parse_scenario(open(os.path.join(fixtures, "stealth_mitm.scn")).read()),
-        parse_scenario(open(os.path.join(fixtures, "two_groups.scn")).read()),
-    ]
+    # Two fresh runs of each scenario are the point, so none comes from the
+    # corpus.
+    sources = [corpus.fixture(name) for name in ("benign_line.scn", "stealth_mitm.scn", "two_groups.scn")]
     for scenario in sources:
         first = run(scenario)
         second = run(scenario)
@@ -438,7 +424,7 @@ def test_criterion_10_replay_suppression():
             duration=30,
         )
     )
-    assert len(verdict_events(log, "D", "accept:")) == 1
+    assert len(verdicts(log, "D", "accept:")) == 1
     assert [e for e in log.events if e.kind == "drop" and e.detail.startswith("duplicate")]
     assert audit(log).result("duplicate_suppression").passed
 
@@ -453,10 +439,10 @@ def test_criterion_10_replay_suppression():
             duration=40,
         )
     )
-    installs = verdict_events(log, "S", "route_installed:dest=D")
+    installs = verdicts(log, "S", "route_installed:dest=D")
     assert len(installs) == 2, "both live discoveries install, the replay must not"
     assert any(":seq=2" in e.detail for e in installs)
-    assert verdict_events(log, "S", "rrep_reject:stale_seq")
+    assert verdicts(log, "S", "rrep_reject:stale_seq")
 
     # (c) Replayed session opener beyond the freshness window.
     scenario = line_scenario(

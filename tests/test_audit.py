@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import corpus
 import manetsec.audit as audit_module
 from manetsec import encoding
 from manetsec.audit import audit, knowledge_set
@@ -22,7 +23,7 @@ from manetsec.sim import (
     parse_payload_blob,
     run,
 )
-from topologies import LEADERS, churn_scenario, held_labels, line_scenario, run_led_by, stealth_link_scenario
+from topologies import LEADERS, held_labels, line_scenario, run_led_by, stealth_link_scenario
 
 PROPERTIES = (
     "backward_secrecy",
@@ -51,19 +52,19 @@ PINNED_FAILURES = {
 
 
 def test_clean_churn_run_passes_everything():
-    report = audit(run(churn_scenario(seed=100)))
+    report = corpus.audit("churn:100:plain")
     assert report.passed, report.to_text()
 
 
 def test_leaked_key_flagged_with_counterexample():
-    report = audit(run_led_by("leak_key", churn_scenario(seed=100)))
+    report = corpus.audit("churn:100:leak_key")
     result = report.result("backward_secrecy")
     assert not result.passed
     assert result.counterexamples
 
 
 def test_skipped_rekey_flagged():
-    report = audit(run_led_by("skip_rekey", churn_scenario(seed=100)))
+    report = corpus.audit("churn:100:skip_rekey")
     assert not report.result("backward_secrecy").passed
 
 
@@ -85,14 +86,14 @@ def test_forged_admit_flagged():
 
 
 def test_truncated_log_rejected():
-    log = run(stealth_link_scenario(seed=2))
+    log = corpus.log("stealth_link:2")
     log.complete = False
     with pytest.raises(SimulationError):
         audit(log)
 
 
 def test_unknown_principal_rejected():
-    log = run(stealth_link_scenario(seed=2))
+    log = corpus.log("stealth_link:2")
     with pytest.raises(SimulationError):
         knowledge_set("nobody", log)
 
@@ -150,19 +151,8 @@ def test_admission_and_alert_expectations_match_their_subject():
     assert report.result("detection_outcomes").line() == "detection_outcomes: FAIL at events 0"
 
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-REAUDITED = [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.endswith(".scn")] + [
-    f"churn:{seed}:{fault}" for seed in range(500, 505) for fault in LEADERS
-]
-
-
-def _reaudited_log(case):
-    what, name = case.split(":", 1)
-    if what == "fixture":
-        with open(os.path.join(FIXTURES, name)) as handle:
-            return run(parse_scenario(handle.read()))
-    seed, fault = name.split(":")
-    return run_led_by(fault, churn_scenario(int(seed)))
+CHURN_BY_FAULT = [f"churn:{seed}:{fault}" for seed in range(500, 505) for fault in LEADERS]
+REAUDITED = corpus.FIXTURES + CHURN_BY_FAULT
 
 
 def _read_back(log, edit=None):
@@ -184,7 +174,7 @@ def _read_back(log, edit=None):
 def test_log_read_back_audits_as_the_run_did(case):
     # The written log and sidecar, read back and given the run's registry,
     # hand the auditor exactly what the simulator gave it.
-    log = _reaudited_log(case)
+    log = corpus.log(case)
     parsed = parse_log_text(log.to_text())
     parsed.payloads, parsed.registry = parse_payload_blob(log.payload_blob()), log.registry
     assert parsed.events == log.events
@@ -370,12 +360,7 @@ def test_fault_counterexamples_are_pinned(seed, fault):
     failing = PINNED_FAILURES[(seed, fault)]
     name = failing.split(":", 1)[0]
     expected = "".join((failing if p == name else f"{p}: PASS") + "\n" for p in PROPERTIES)
-    assert audit(run_led_by(fault, churn_scenario(seed))).to_text() == expected
-
-
-def _fixture_log(name):
-    with open(os.path.join(FIXTURES, name)) as handle:
-        return run(parse_scenario(handle.read()))
+    assert corpus.audit(f"churn:{seed}:{fault}").to_text() == expected
 
 
 def test_audit_decodes_each_payload_at_most_once(monkeypatch):
@@ -390,7 +375,7 @@ def test_audit_decodes_each_payload_at_most_once(monkeypatch):
         return real_decode(data)
 
     monkeypatch.setattr(audit_module, "decode_message", counting_decode)
-    for log in (run(churn_scenario(seed=100)), _fixture_log("stealth_mitm.scn"), _fixture_log("benign_line.scn")):
+    for log in map(corpus.log, ("churn:100:plain", "fixture:stealth_mitm.scn", "fixture:benign_line.scn")):
         decodes.clear()
         audit(log)
         accepted = {
@@ -463,12 +448,11 @@ def _brute_force_knowledge(principal, log):
 
 @pytest.mark.parametrize(
     "case",
-    [f"fixture:{name}" for name in sorted(os.listdir(FIXTURES)) if name.endswith(".scn")]
-    + [f"churn:{seed}" for seed in range(500, 505)],
+    corpus.FIXTURES + [f"churn:{seed}:plain" for seed in range(500, 505)],
+    ids=lambda case: case.removesuffix(":plain"),
 )
 def test_knowledge_equals_a_closure_that_decodes_everything(case):
-    what, name = case.split(":")
-    log = run(churn_scenario(int(name))) if what == "churn" else _fixture_log(name)
+    log = corpus.log(case)
     for principal in sorted(log.registry.node_names) + sorted(log.registry.adversary_names):
         knowledge = knowledge_set(principal, log)
         assert (list(knowledge.sym_keys), knowledge.opened) == _brute_force_knowledge(principal, log), principal
@@ -517,7 +501,7 @@ def test_the_index_equals_a_plain_reader_of_every_event(case):
     # principal could open; on the run's log, its read-back and an edited
     # read-back full of early, orphaned and repeated outcomes, it finds
     # what a reader of every event finds.
-    log = _reaudited_log(case)
+    log = corpus.log(case)
     index = audit_module._LogIndex(log)
     for principal in sorted(log.registry.node_names) + sorted(log.registry.adversary_names):
         knowledge = index.knowledge(principal)
@@ -550,9 +534,9 @@ def test_payloads_that_do_not_decode_leave_the_audit_unchanged():
 def _benign_line(provider_name="test_double"):
     """The benign_line fixture's log (n3 leaves at tick 20) under the named
     provider, that provider and a seeded rng for crafting messages."""
-    with open(os.path.join(FIXTURES, "benign_line.scn")) as handle:
-        scenario = replace(parse_scenario(handle.read()), provider_name=provider_name)
-    log = run(scenario)
+    # No corpus case runs the fixture under another provider.
+    scenario = replace(corpus.fixture("benign_line.scn"), provider_name=provider_name)
+    log = corpus.log("fixture:benign_line.scn") if provider_name == "test_double" else run(scenario)
     return log, make_provider(log.registry.provider_name), random.Random(7)
 
 
@@ -694,14 +678,13 @@ def test_crafted_short_group_key_is_audited(provider_name):
     assert audit(log).passed
 
 
-@pytest.mark.parametrize("case", [f"{seed}:{fault}" for seed in range(500, 505) for fault in LEADERS])
+@pytest.mark.parametrize("case", CHURN_BY_FAULT, ids=lambda case: case.removeprefix("churn:"))
 def test_shared_trial_decryptions_give_each_principal_the_literal_answer(case):
     # Once both secrecy checks have filled the audit's trial table, each
     # departed principal's answer for each group ciphertext is the one a
     # plain loop over its keys gets from the provider, and so is every
     # plaintext the table holds.
-    seed, fault = case.split(":")
-    index = audit_module._LogIndex(run_led_by(fault, churn_scenario(int(seed))))
+    index = audit_module._LogIndex(corpus.log(case))
     audit_module._check_backward_secrecy(index)
     audit_module._check_forward_secrecy(index)
     provider = make_provider(index.registry.provider_name)
@@ -726,7 +709,7 @@ def test_shared_trial_decryptions_give_each_principal_the_literal_answer(case):
 
 
 def test_audit_tries_each_key_against_each_ciphertext_at_most_once(monkeypatch):
-    log = run(churn_scenario(seed=100))
+    log = corpus.log("churn:100:plain")
     trials = Counter()
     real_sym_decrypt = DeterministicProvider.sym_decrypt
 
@@ -884,7 +867,7 @@ def test_outcomes_sharing_one_detail_text_are_judged_one_by_one(edit, causality,
     # later (late as a delivery, not as a drop), and the transmission's
     # send copied between two of its deliveries, which makes every later
     # one of them early.
-    report = audit(_read_back(run(churn_scenario(500)), edit))
+    report = audit(_read_back(corpus.log("churn:500:plain"), edit))
     assert report.result("causality").counterexamples == causality
     assert report.result("conservation").counterexamples == conservation
 
@@ -985,7 +968,7 @@ def _member_speaks_under_a_key_it_has_replaced_just_after_a_removal():
     # n5's join takes g1 to epoch 2, which reaches n1 at tick 13; n3 is
     # removed at tick 23.  At tick 24 n1 chats under epoch 1: what is in
     # flight to it then is epoch 3, so it already held newer material.
-    with open(os.path.join(FIXTURES, "benign_line.scn")) as handle:
+    with open(os.path.join(corpus.SCENARIOS, "benign_line.scn")) as handle:
         text = handle.read()
     text = text.replace("n4 0.5 400,0\n", "n4 0.5 400,0\nn5 0.5 50,40\n")
     log = run(parse_scenario(text.replace("2 discover n0 n4\n", "2 discover n0 n4\n5 join n5 g1\n")))
@@ -1027,7 +1010,7 @@ def test_knowledge_sets_closed_on_one_index_equal_those_closed_alone(case):
     # An audit closes every principal's knowledge set on one index, sharing
     # what that index has read; in whatever order the sets are closed, each
     # must be the one a fresh index of its own gives.
-    log = _reaudited_log(case)
+    log = corpus.log(case)
     principals = sorted(log.registry.node_names) + sorted(log.registry.adversary_names)
 
     def read(knowledge):

@@ -1,3 +1,6 @@
+"""The command line.  Each `run` reads its scenario file and simulates it
+itself, so no run here comes from the corpus."""
+
 import importlib
 import os
 

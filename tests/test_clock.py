@@ -9,19 +9,18 @@ and call `on_tick` at the ticks it skips.
 """
 
 import random
-from unittest import mock
 
 import pytest
 
-from manetsec import sim
+import corpus
+from corpus import GOLDEN, digest
 from manetsec.crypto import make_provider
 from manetsec.keymgmt import CertificateAuthority, LeaderKeyService
 from manetsec.messages import Envelope, MessageKind, msg, seal_plain
 from manetsec.node import AdversaryNode, ProtocolNode
 from manetsec.runtime import Ctx
-from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, Simulation
-from test_golden import CASES, GOLDEN, adversary_line_scenario, digest, run_case
-from topologies import churn_scenario, line_scenario, two_group_scenario, workloads
+from manetsec.sim import SimParams, Simulation
+from topologies import workloads
 
 
 class EveryTick(Simulation):
@@ -50,123 +49,48 @@ def _assert_same_artifacts(clocked, stepped) -> None:
         pytest.fail("the payload sidecars differ")
 
 
-def _assert_same_run(build) -> None:
-    _assert_same_artifacts(Simulation(build()).run(), EveryTick(build()).run())
+def _assert_same_run(case_id) -> None:
+    # The stepped side is the point of the test, so it is a fresh run.
+    _assert_same_artifacts(corpus.log(case_id), corpus.fresh(case_id, EveryTick))
 
 
 # -- differential: the clock against stepping every node every tick ------------
 
 
-@pytest.mark.parametrize("case_id,build", CASES, ids=[case_id for case_id, _ in CASES])
-def test_golden_case_runs_the_same_stepped_every_tick(case_id, build):
+@pytest.mark.parametrize("case_id", corpus.PINNED)
+def test_golden_case_runs_the_same_stepped_every_tick(case_id):
     # `test_golden_digest` pins each clocked run to its digest in GOLDEN.
-    with mock.patch.object(sim, "Simulation", EveryTick):
-        assert digest(run_case(case_id, build)) == GOLDEN[case_id]
+    assert digest(corpus.fresh(case_id, EveryTick)) == GOLDEN[case_id]
 
 
-@pytest.mark.parametrize("seed", range(500, 600))
-def test_churn_runs_the_same_stepped_every_tick(seed):
-    _assert_same_run(lambda: churn_scenario(seed))
+@pytest.mark.parametrize(
+    "case_id", [f"churn:{seed}:plain" for seed in range(500, 600)], ids=lambda case_id: case_id.split(":")[1]
+)
+def test_churn_runs_the_same_stepped_every_tick(case_id):
+    _assert_same_run(case_id)
 
 
-PLANNED = [(name, seed) for name, workload in sorted(workloads.WORKLOADS.items()) for seed in workload.plan(1, 20)[:3]]
+PLANNED = [
+    f"{name}:{seed}:plain"
+    for name, workload in sorted(workloads.WORKLOADS.items())
+    for seed in workload.plan(1, 20)[:3]
+]
 
 
-@pytest.mark.parametrize("workload,seed", PLANNED, ids=[f"{name}:{seed}" for name, seed in PLANNED])
-def test_planned_workload_runs_the_same_stepped_every_tick(workload, seed):
-    _assert_same_run(lambda: workloads.WORKLOADS[workload].make(seed))
+@pytest.mark.parametrize("case_id", PLANNED, ids=lambda case_id: case_id.removesuffix(":plain"))
+def test_planned_workload_runs_the_same_stepped_every_tick(case_id):
+    _assert_same_run(case_id)
 
 
-def _short_liveness():
-    """A line L-A-B-C (g1) whose liveness deadline (3) is far shorter than
-    the heartbeat period (30), so every expiry falls between two beats: L
-    drops its founding members at tick 4, J, in no group, joins by
-    handshake and is dropped in turn, the members notice L's silence after
-    each of its beats, and after L crashes the next one finds no one to
-    elect."""
-    script = [Action(4, "join", ("J", "g1")), Action(32, "crash_leader", ("g1",))]
-    scenario = line_scenario(["L", "A", "B", "C"], seed=11, script=script, duration=70)
-    scenario.params.heartbeat_period, scenario.params.liveness_deadline = 30, 3
-    scenario.nodes.append(NodeSpec("J", [(150.0, 60.0)], 0.5))
-    return scenario
+EDGES = [
+    "late_joiner", "late_member_set", "leader_crash", "replay_later", "replay_now",
+    "short_discovery", "short_liveness", "short_liveness_election",
+]
 
 
-def _short_liveness_election():
-    """The line L-A-B-C with a liveness deadline (3) shorter than the
-    heartbeat period (20): L crashes at tick 2, its members elect a
-    successor as soon as they notice, and the successor drops them before
-    its first beat."""
-    scenario = line_scenario(["L", "A", "B", "C"], seed=11, script=[Action(2, "crash_leader", ("g1",))], duration=50)
-    scenario.params.heartbeat_period, scenario.params.liveness_deadline = 20, 3
-    return scenario
-
-
-def _short_discovery():
-    """Two groups with a discovery timeout (3) far shorter than the
-    heartbeat period (20): b0 crashes, a0 asks for it, and g2's leader,
-    which still lists b0, searches for it in vain and answers route_missing
-    at its deadline, before its next beat."""
-    scenario, _, _ = two_group_scenario(seed=1)
-    scenario.params.duration, scenario.params.discovery_timeout, scenario.params.heartbeat_period = 50, 3, 20
-    scenario.script = [Action(2, "crash", ("b0",)), Action(5, "discover", ("a0", "b0"))]
-    return scenario
-
-
-def _late_joiner():
-    """A line L-M (g1) and N, in no group, which joins by script."""
-    scenario = line_scenario(["L", "M"], seed=7, script=[Action(6, "join", ("N", "g1"))], duration=60)
-    scenario.nodes.append(NodeSpec("N", [(50.0, 50.0)], 0.5))
-    return scenario
-
-
-def _late_member_set():
-    """L leads P and Q (g1); J, in range of P and Q only, joins.  A relaying
-    tap on the link P-J delays everything on the path L-P-J by a tick, so
-    the admission's group REKEY, re-flooded by Q, reaches J before the
-    MEMBER_SET that makes J a member."""
-    nodes = [
-        NodeSpec("L", [(0.0, 0.0)], 0.9),
-        NodeSpec("P", [(80.0, -50.0)], 0.6),
-        NodeSpec("Q", [(80.0, 50.0)], 0.6),
-        NodeSpec("J", [(160.0, 0.0)], 0.5),
-    ]
-    return Scenario(
-        seed=9,
-        nodes=nodes,
-        groups=[GroupSpec("g1", 8, ["L", "P", "Q"])],
-        params=SimParams(radio_radius=110.0, duration=60),
-        script=[Action(3, "join", ("J", "g1"))],
-        adversaries=[AdversarySpec("mitm_relay", ("link", "P", "J"))],
-    )
-
-
-def _leader_crash():
-    """A line A-B-C-D (g1) whose leader crashes; its members notice its
-    silence at different ticks and elect a successor."""
-    return line_scenario(["A", "B", "C", "D"], seed=5, script=[Action(6, "crash_leader", ("g1",))], duration=90)
-
-
-def _replayer(delay):
-    """The bridging replay adversary of the golden cases, replaying each
-    message it hears `delay` ticks later (0: in the tick it hears it)."""
-    return adversary_line_scenario("replay", "bridge", {"delay": delay})
-
-
-EDGES = {
-    "short_liveness": _short_liveness,
-    "short_liveness_election": _short_liveness_election,
-    "short_discovery": _short_discovery,
-    "late_joiner": _late_joiner,
-    "late_member_set": _late_member_set,
-    "leader_crash": _leader_crash,
-    "replay_now": lambda: _replayer(0),
-    "replay_later": lambda: _replayer(3),
-}
-
-
-@pytest.mark.parametrize("edge", sorted(EDGES))
+@pytest.mark.parametrize("edge", EDGES)
 def test_edge_scenario_runs_the_same_stepped_every_tick(edge):
-    _assert_same_run(EDGES[edge])
+    _assert_same_run(edge)
 
 
 def _lines(log, kind, detail_prefix=""):
@@ -176,7 +100,7 @@ def _lines(log, kind, detail_prefix=""):
 def test_edge_scenarios_reach_their_edges():
     # Each edge scenario does what it is there for, so the differential
     # test above exercises that edge.
-    logs = {name: sim.run(build()) for name, build in EDGES.items()}
+    logs = {name: corpus.log(name) for name in EDGES}
     for name, joiner in (("short_liveness", "J"), ("late_joiner", "N"), ("late_member_set", "J")):
         assert [e.about for e in _lines(logs[name], "verdict", "joined")] == [joiner], name
     to_j = [e for e in logs["late_member_set"].events if e.kind == "deliver" and e.recipient == "J"]
@@ -200,15 +124,11 @@ def test_edge_scenarios_reach_their_edges():
 # Stepping every live node every tick made 2,646 calls on churn seed 500
 # (417 of them left something in the step context) and 3,776 on grid_static
 # seed 700 (319 did).
-COUNTED = {
-    "churn:500": (lambda: churn_scenario(500), 425),
-    "grid_static:700": (lambda: workloads.grid_static(700), 319),
-}
+COUNTED = {"churn:500:plain": 425, "grid_static:700:plain": 319}
 
 
-@pytest.mark.parametrize("case_id", sorted(COUNTED))
+@pytest.mark.parametrize("case_id", sorted(COUNTED), ids=lambda case_id: case_id.removesuffix(":plain"))
 def test_on_tick_call_counts(case_id, monkeypatch):
-    build, expected = COUNTED[case_id]
     calls = []
     for cls in (ProtocolNode, AdversaryNode):
 
@@ -217,8 +137,8 @@ def test_on_tick_call_counts(case_id, monkeypatch):
             return original(self, ctx)
 
         monkeypatch.setattr(cls, "on_tick", counted)
-    Simulation(build()).run()
-    assert len(calls) == expected
+    corpus.fresh(case_id)  # counted as it runs, so a fresh run
+    assert len(calls) == COUNTED[case_id]
 
 
 # -- next_due on hand-built nodes -------------------------------------------------

@@ -505,7 +505,8 @@ def test_founding_a_grid_derives_one_keystream_per_member_and_checks_its_rows_on
     # A 16x16 static grid founds one group of 256: the leader seals the
     # directory to each of the other 255, and nothing else is sealed.  The
     # sealing provider hands each addressee the plaintext it sealed, and the
-    # directory's rows are type-checked once, not once per member.
+    # directory's rows are type-checked once, not once per member.  Counted
+    # as the run makes them, so the run is a fresh one.
     from manetsec import crypto, messages
     from manetsec.sim import Simulation
     from topologies import workloads

@@ -1,5 +1,4 @@
 import math
-import os
 import re
 from dataclasses import fields, is_dataclass
 from typing import Union, get_args, get_origin, get_type_hints
@@ -7,6 +6,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import corpus
 from manetsec.audit import audit, knowledge_set
 from manetsec.group import WeightConfig
 from manetsec.node import AdversaryNode, ProtocolNode
@@ -38,20 +38,8 @@ from topologies import (
     stealth_link_scenario,
     stealth_node_scenario,
     two_group_scenario,
+    verdicts,
 )
-
-
-def verdicts(log, node=None, prefix=""):
-    out = []
-    for e in log.events:
-        if e.kind != "verdict":
-            continue
-        principal = e.principals.split(":", 1)[0]
-        if node is not None and principal != node:
-            continue
-        if e.detail.startswith(prefix):
-            out.append(e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +78,7 @@ def test_validation_accepts_smallest_join_and_liveness_params():
     scenario = line_scenario(["A", "B"])
     params = scenario.params
     params.challenge_bits = params.challenge_rounds = params.liveness_deadline = params.discovery_timeout = 1
+    params.heartbeat_period = 1
     params.freshness_window = 0
     assert validate_scenario(scenario) == []
 
@@ -384,15 +373,12 @@ def test_a_field_of_the_wrong_type_is_named_not_raised(site, value):
         Simulation(scenario)
 
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-
-
-@pytest.mark.parametrize("fixture", sorted(name for name in os.listdir(FIXTURES) if name.endswith(".scn")))
+@pytest.mark.parametrize("fixture", corpus.FIXTURES, ids=lambda case_id: case_id.removeprefix("fixture:"))
 def test_each_node_reads_its_group_through_one_view(fixture):
     # A leader's view is its leader service, which holds its own key among
     # the members'; a live member's view of the roster is its leader's.
-    with open(os.path.join(FIXTURES, fixture)) as handle:
-        sim = Simulation(parse_scenario(handle.read()))
+    # The views are the nodes' own state, so this reads a fresh Simulation.
+    sim = Simulation(corpus.CASES[fixture].build())
     sim.run()
     leaders = {name for name in sim.leaders.values() if name is not None}
     checked = 0
@@ -411,7 +397,7 @@ def test_each_node_reads_its_group_through_one_view(fixture):
 def test_a_simulation_has_no_instance_dict():
     # See the note on Simulation: its attributes live in slots, so every one
     # that `__init__` or `run` sets is declared there, and none turns the
-    # instance into a plain dict.
+    # instance into a plain dict.  It reads the Simulation, so it runs one.
     sim = Simulation(churn_scenario(500))
     sim.run()
     assert not hasattr(sim, "__dict__")
@@ -437,8 +423,7 @@ def test_identical_seeds_identical_logs():
 
 
 def test_different_seeds_different_payloads():
-    a = run(stealth_link_scenario(seed=1))
-    b = run(stealth_link_scenario(seed=2))
+    a, b = corpus.log("stealth_link:1"), corpus.log("stealth_link:2")
     assert a.to_text() != b.to_text() or a.payload_blob() != b.payload_blob()
 
 
@@ -963,9 +948,7 @@ def test_leader_unicast_to_itself_is_delivered():
     # A leader opening a session with a node outside its group asks its
     # leader, itself, for the peer's key: a zero-hop unicast that arrives
     # next tick like any one-hop message.
-    scenario, _, dest = two_group_scenario(seed=1)
-    scenario.script.append(Action(20, "session", ("a1", dest)))
-    log = run(scenario)
+    log = corpus.log("leader_session:1")
     assert ("a1", "group=g1:cause=founding") in [(e.principals, e.detail) for e in log.events if e.kind == "elect"]
     query = next(e for e in log.events if e.kind == "send" and e.detail.startswith("PUBKEY_QUERY:to=a1:"))
     tx = query.detail.rsplit("tx=", 1)[1]
@@ -985,7 +968,7 @@ def test_each_message_encoded_once(monkeypatch):
         return original(message)
 
     monkeypatch.setattr(messages, "encode_message", counting)
-    log = run(churn_scenario(500))
+    log = run(churn_scenario(500))  # counted as it runs, so a fresh run
     assert len({id(m) for m in encoded}) == len(encoded)
     # Every encoding is a logged payload and every payload came from one.
     assert {m.encoded for m in encoded} == set(log.payloads.values())
@@ -995,9 +978,10 @@ def test_a_node_is_handed_each_group_broadcast_once(monkeypatch):
     # Every member re-floods each group broadcast once, so most copies a
     # node hears are ones it has already relayed: they are logged as
     # delivered and never reach its handler, and the log does not move.
+    # The handler is watched as the run makes it, so that run is a fresh one.
     from manetsec.node import refloods
 
-    expected = run(churn_scenario(500)).to_text()
+    expected = corpus.log("churn:500:plain").to_text()
     original = ProtocolNode.handle
     calls, repeats = [], []
     sim = Simulation(churn_scenario(500))
@@ -1036,7 +1020,7 @@ def test_each_payload_hashed_once(monkeypatch):
 
     monkeypatch.setattr(Simulation, "_log", log_step)
     monkeypatch.setattr(DeterministicProvider, "hash", counting)
-    log = run(churn_scenario(500))
+    log = run(churn_scenario(500))  # counted as it runs, so a fresh run
     assert len(hashed) == len(log.payloads)
     assert set(hashed) == set(log.payloads.values())
 
@@ -1364,11 +1348,9 @@ def test_capacity_join_rejected():
 
 
 def test_two_group_composed_route():
-    scenario, source, dest = two_group_scenario(seed=3)
-    log = run(scenario)
-    installs = verdicts(log, source, f"route_installed:dest={dest}")
+    installs = verdicts(corpus.log("two_group:3"), "a0", "route_installed:dest=b0")
     assert installs and installs[0].detail.endswith(":composed")
-    assert audit(log).passed
+    assert corpus.audit("two_group:3").passed
 
 
 @pytest.mark.parametrize("provider", ["test_double", "real"])
@@ -1412,11 +1394,7 @@ def test_gateway_legs_already_routed_are_not_discovered_again():
 
 
 def test_unknown_destination_gets_negative_reply():
-    scenario, source, _ = two_group_scenario(seed=4)
-    scenario.nodes.append(NodeSpec("zz", [(900.0, 900.0)], 0.5))
-    scenario.script = [Action(3, "discover", (source, "zz"))]
-    log = run(scenario)
-    assert verdicts(log, source, "no_route:dest=zz")
+    assert verdicts(corpus.log("unknown_destination"), "a0", "no_route:dest=zz")
 
 
 def test_negative_reply_waits_for_every_other_leader():
@@ -1919,7 +1897,8 @@ def test_founding_leader_ignores_a_forged_alert():
 
 def test_a_simulation_runs_once():
     # A second run would set the groups up again over the first run's state
-    # and append a second run, from tick 0, to the same log.
+    # and append a second run, from tick 0, to the same log.  The point is
+    # the Simulation's own second run, so it makes its own first one.
     sim = Simulation(churn_scenario(500))
     text = sim.run().to_text()
     with pytest.raises(SimulationError, match="already run"):
@@ -1928,53 +1907,18 @@ def test_a_simulation_runs_once():
     assert parse_log_text(text).events == sim.log.events
 
 
-# The replay lockout: M replays the founding REKEY sealed to C while C rejoins.
-REPLAY_LOCKOUT = """
-[params]
-seed = 3
-radio_radius = 110
-duration = 80
-
-[nodes]
-A 1.0 0,0
-B 0.5 100,0
-C 0.5 200,0
-M 0.5 50,20
-
-[groups]
-g1 8 A B C
-
-[script]
-5 leave C
-20 join C g1
-
-[adversaries]
-node M replay delay=32
-"""
-
-
-CONTRACT_RUNS = (
-    *sorted(name for name in os.listdir(FIXTURES) if name.endswith(".scn")),
-    *(f"churn{seed}" for seed in range(500, 505)),
-    "replay_lockout",
-)
-
-
-def _contract_scenario(name):
-    if name.endswith(".scn"):
-        with open(os.path.join(FIXTURES, name)) as handle:
-            return parse_scenario(handle.read())
-    if name.startswith("churn"):
-        return churn_scenario(int(name.removeprefix("churn")))
-    return parse_scenario(REPLAY_LOCKOUT)
+CONTRACT_RUNS = [*corpus.FIXTURES, *(f"churn:{seed}:plain" for seed in range(500, 505)), "replay_lockout"]
 
 
 def _is_empty(ctx) -> bool:
     return not (ctx.outbound or ctx.notes or ctx.secrets or ctx.signals)
 
 
-@pytest.mark.parametrize("name", CONTRACT_RUNS)
+@pytest.mark.parametrize(
+    "name", CONTRACT_RUNS, ids=lambda case_id: case_id.removeprefix("fixture:").removesuffix(":plain").replace(":", "")
+)
 def test_each_node_steps_in_one_context_that_starts_empty(monkeypatch, name):
+    # Every step is checked as the run makes it, so the run is a fresh one.
     import manetsec.sim as sim_module
     from manetsec.keymgmt import LeaderKeyService
     from manetsec.runtime import Ctx
@@ -2019,7 +1963,7 @@ def test_each_node_steps_in_one_context_that_starts_empty(monkeypatch, name):
 
     monkeypatch.setattr(Simulation, "_step", step)
     monkeypatch.setattr(sim_module, "Ctx", CountedCtx)
-    sim = Simulation(_contract_scenario(name))
+    sim = Simulation(corpus.CASES[name].build())
     holder.append(sim)
     sim.run()
     assert sorted(ctx.name for ctx in built) == sorted(sim.nodes)
@@ -2042,7 +1986,7 @@ def test_empty_steps_are_not_flushed(monkeypatch):
         return original_flush(self, owner, ctx)
 
     monkeypatch.setattr(Simulation, "_flush", flush)
-    digest = hashlib.sha256()
+    digest = hashlib.sha256()  # of runs watched as they flush, so fresh ones
     for seed in range(500, 505):
         digest.update(repr(run(churn_scenario(seed)).registry.secrets).encode())
     assert flushed

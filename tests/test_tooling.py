@@ -265,6 +265,25 @@ def test_every_scenario_field_has_a_shape_check():
         assert [name for name, *_ in sim.SHAPES[cls]] == [f.name for f in fields(cls)]
 
 
+def test_a_run_is_named_in_one_place():
+    # Test modules share runs through `tests/corpus.py`, so a new case is
+    # added there alone: no test module imports another, and only the
+    # corpus lists the scenario files.
+    import corpus
+
+    listing = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+        assert not [name for name in imported if name.startswith("test_")], path.name
+        named = os.path.basename(corpus.SCENARIOS) in [node.value for node in nodes if isinstance(node, ast.Constant)]
+        calls = {getattr(n.func, "attr", getattr(n.func, "id", None)) for n in nodes if isinstance(n, ast.Call)}
+        if named and calls & {"listdir", "scandir", "glob", "iglob", "iterdir", "walk"}:
+            listing.append(path.name)
+    assert listing == ["corpus.py"]
+
+
 def test_the_program_holds_no_fault_hook():
     # A leader that breaks the protocol is a subclass the tests hold
     # (``topologies.LEADERS``), not a mode a scenario can switch on.
@@ -372,6 +391,7 @@ def _lists(value):
 def test_a_run_and_its_audit_share_no_directory(monkeypatch):
     # Each provider holds its own directory memo, so the audit reads every
     # directory itself, into lists of its own, whatever the run has read.
+    # The run's provider is read, so the run is a fresh one.
     from manetsec import audit as audit_module
     from manetsec.crypto import make_provider
     from topologies import churn_scenario
@@ -394,6 +414,7 @@ def test_a_run_and_its_audit_share_no_directory(monkeypatch):
 def test_a_finished_runs_directories_die_with_its_simulation():
     # A dict cannot be weakly referenced, but a subclass can: it stands in
     # for the run's memo, and once the Simulation is gone nothing keeps it.
+    # The memo is set before the run, so the run is a fresh one.
     import gc
     import weakref
 

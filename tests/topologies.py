@@ -24,6 +24,19 @@ RADIUS = 110.0
 SPACING = 100.0
 
 
+def placed(*rows):
+    """A node standing still at (x, y) for each (name, x, y, battery)."""
+    return [NodeSpec(name, [(x, y)], battery) for name, x, y, battery in rows]
+
+
+def verdicts(log, node=None, prefix=""):
+    """The verdicts `node` (any node, when None) logs whose detail starts with `prefix`."""
+    return [
+        e for e in log.events
+        if e.kind == "verdict" and node in (None, e.principals.split(":", 1)[0]) and e.detail.startswith(prefix)
+    ]
+
+
 def line_nodes(names, spacing=SPACING, battery=None):
     battery = battery or {}
     return [
@@ -62,13 +75,10 @@ def stealth_link_scenario(seed=1, lifetime=8, with_adversary=True, extra_script=
 
 def stealth_node_scenario(seed=1, lifetime=8):
     """Same attack with a physically placed relay bridging an A-B gap."""
-    nodes = [
-        NodeSpec("S", [(0.0, 0.0)], 0.6),
-        NodeSpec("A", [(100.0, 0.0)], 0.9),
-        NodeSpec("X", [(175.0, 0.0)], 0.5),
-        NodeSpec("B", [(250.0, 0.0)], 0.7),
-        NodeSpec("D", [(350.0, 0.0)], 0.6),
-    ]
+    nodes = placed(
+        ("S", 0.0, 0.0, 0.6), ("A", 100.0, 0.0, 0.9), ("X", 175.0, 0.0, 0.5), ("B", 250.0, 0.0, 0.7),
+        ("D", 350.0, 0.0, 0.6),
+    )
     params = SimParams(radio_radius=RADIUS, rreq_lifetime=lifetime, duration=20)
     return Scenario(
         seed=seed,
@@ -218,11 +228,9 @@ def two_group_scenario(seed, per_group=4):
     )
 
 
-def churn_scenario(seed):
-    """The benchmark's churn recipe (``workloads.churn``): randomized joins,
-    leaves, and a leader crash with chat in between, for at least ten
-    group-key epochs per run."""
-    return workloads.churn(seed)
+# The benchmark's churn recipe: randomized joins, leaves, and a leader crash
+# with chat in between, for at least ten group-key epochs per run.
+churn_scenario = workloads.churn
 
 
 # Leaders that break the protocol, for the auditor to catch.
@@ -268,10 +276,11 @@ LEADERS = {
 }
 
 
-def run_led_by(fault, scenario):
-    """The log of `scenario` run with every leader one of `LEADERS[fault]`."""
+def run_led_by(fault, scenario, simulation=sim.Simulation):
+    """The log of `scenario` run by `simulation` with every leader one of
+    `LEADERS[fault]`."""
     with mock.patch.object(sim, "LeaderKeyService", LEADERS[fault]):
-        return sim.run(scenario)
+        return simulation(scenario).run()
 
 
 def held_labels(log, knowledge):

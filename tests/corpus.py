@@ -1,14 +1,11 @@
 """Every named run of the suite, each simulated at most once per session.
 
-``CASES`` maps a case id to a zero-argument scenario builder and the fault
-its leaders commit (``topologies.LEADERS``).  A list of runs in a test module
-is a selection of these ids, so a case is added here and nowhere else.
-
-``log(case_id)`` simulates a case when first asked and hands each caller its
-own copy: new events, payload dict and registry lists, so no test changes
-what another sees.  ``audit(case_id)`` shares the case's audit report the
-same way.  A test whose point is a fresh run (a determinism check, the clock
-differential's stepped side, or one that patches the simulator or reads a
+``CASES`` maps a case id to a scenario builder and the fault its leaders
+commit; a list of runs in a test module is a selection of these ids, so a
+case is added here alone.  ``log`` and ``audit`` hand each caller its own
+copy of a case's log and audit report, so no test changes what another sees.
+A test whose point is a fresh run (a determinism check, the clock
+differential's stepped side, one that patches the simulator or reads a
 ``Simulation``'s internals) makes its own and says why.
 """
 
@@ -36,8 +33,6 @@ with open(os.path.join(os.path.dirname(__file__), "golden_digests.json")) as fh:
 
 Case = namedtuple("Case", "build fault")  # a zero-argument scenario builder, a key of LEADERS
 
-
-# -- the golden cases' builders ---------------------------------------------------
 
 ADVERSARY_ARGS = {
     "drop_all": {}, "drop_probabilistic": {"p": 0.5}, "modify_field": {"field": "seq", "op": "add", "value": 1},
@@ -141,9 +136,6 @@ def strict(scenario):
     return scenario
 
 
-# -- the clock's edge scenarios -------------------------------------------------------
-
-
 def short_liveness():
     """A line L-A-B-C (g1) beating every 10 ticks with a liveness deadline of
     13, so every expiry falls between two beats: J, in no group, joins by
@@ -219,8 +211,6 @@ def replay_lockout():
     )
 
 
-# -- the table ------------------------------------------------------------------------
-
 CASES = {}
 
 
@@ -229,13 +219,11 @@ def _add(case_id, build, fault="plain"):
     CASES[case_id] = Case(build, fault)
 
 
-# The golden cases (PINNED): the fixtures; the stealth (also with the chain
-# checked at every hop), family, two-group, churn and random-group builders;
-# a leader's session outside its group, sessions with oneself, a unicast
-# across the leader ring, a discovery of a node no group holds; each
-# adversary on a link, at a bridging node (also forging a join and rogue
-# sessions) and at a bystander; every behavior default read; and 121- and
-# 256-node grids, static and walking.
+# The golden cases (PINNED): the fixtures; the stealth (also strict), family,
+# two-group, churn and random-group builders; sessions across groups and with
+# oneself, a unicast across the leader ring, a discovery of a node in no group;
+# each adversary on a link, bridging and as a bystander; every behavior
+# default; and 121- and 256-node grids, static and walking.
 FIXTURES = [f"fixture:{name}" for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".scn")]
 for case_id in FIXTURES:
     _add(case_id, partial(fixture, case_id.removeprefix("fixture:")))
@@ -291,11 +279,9 @@ _add("replay_later", partial(adversary_line_scenario, "replay", "bridge", {"dela
 _add("replay_lockout", replay_lockout)
 
 
-# -- the runs ---------------------------------------------------------------------------
-
-SIMULATED = Counter()  # case id -> the runs `log` has made of it
-_LOGS, _AUDITS = {}, {}
-_EVENT_FIELDS = attrgetter(*(f.name for f in fields(SimEvent)))
+SIMULATED = Counter()  # case id -> the runs the corpus has made of it
+_RUNS = {}  # case id -> what `_keep` keeps of its run
+_FIELDS = [attrgetter(f.name) for f in fields(SimEvent)]
 
 
 def digest(log) -> str:
@@ -309,22 +295,37 @@ def fresh(case_id, simulation=Simulation):
     return run_led_by(case.fault, case.build(), simulation)
 
 
-def log(case_id) -> EventLog:
-    """The case's log, simulated once per session; each call gets a copy."""
-    if case_id not in _LOGS:
-        _LOGS[case_id] = fresh(case_id)
-        SIMULATED[case_id] += 1
-    kept = _LOGS[case_id]
-    registry = kept.registry
+def _rest(log) -> EventLog:
+    """A copy of the log's payloads, registry and completeness, with no events."""
+    registry = log.registry
     registry = replace(registry, **{f.name: copy.copy(getattr(registry, f.name)) for f in fields(registry)})
-    events = [SimEvent(*_EVENT_FIELDS(event)) for event in kept.events]
-    return EventLog(events, dict(kept.payloads), registry, kept.complete)
+    return EventLog([], dict(log.payloads), registry, log.complete)
+
+
+def _keep(case_id) -> EventLog:
+    """Simulate and audit the case, keep its report and a copy of its log,
+    and return the log.  The copy's events are kept as one tuple per field,
+    which, unlike an object per event, the cycle collector need not walk."""
+    run = fresh(case_id)
+    _RUNS[case_id] = tuple(tuple(map(field, run.events)) for field in _FIELDS), _rest(run), audit_log(run)
+    SIMULATED[case_id] += 1
+    return run
+
+
+def log(case_id) -> EventLog:
+    """The case's log, simulated once per session; each call gets its own."""
+    if case_id not in _RUNS:
+        return _keep(case_id)
+    columns, kept, _ = _RUNS[case_id]
+    copied = _rest(kept)
+    copied.events = [SimEvent(*row) for row in zip(*columns)]
+    return copied
 
 
 def audit(case_id) -> AuditReport:
     """The audit of the case's log, made once per session; each call gets a copy."""
-    if case_id not in _AUDITS:
-        _AUDITS[case_id] = audit_log(log(case_id))
-    kept = _AUDITS[case_id]
-    results = [replace(result, counterexamples=list(result.counterexamples)) for result in kept.results]
-    return AuditReport(results, list(kept.met))
+    if case_id not in _RUNS:
+        _keep(case_id)
+    report = _RUNS[case_id][2]
+    results = [replace(result, counterexamples=list(result.counterexamples)) for result in report.results]
+    return AuditReport(results, list(report.met))

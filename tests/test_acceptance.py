@@ -6,8 +6,6 @@ an ordinary pytest failure for that criterion.
 import random
 import time
 
-import pytest
-
 import corpus
 from manetsec.audit import audit
 from manetsec.crypto import (

@@ -63,18 +63,12 @@ def test_golden_case_runs_the_same_stepped_every_tick(case_id):
     assert digest(corpus.fresh(case_id, EveryTick)) == GOLDEN[case_id]
 
 
-@pytest.mark.parametrize(
-    "case_id", [f"churn:{seed}:plain" for seed in range(500, 600)], ids=lambda case_id: case_id.split(":")[1]
-)
+@pytest.mark.parametrize("case_id", [f"churn:{seed}:plain" for seed in range(500, 600)], ids=lambda c: c.split(":")[1])
 def test_churn_runs_the_same_stepped_every_tick(case_id):
     _assert_same_run(case_id)
 
 
-PLANNED = [
-    f"{name}:{seed}:plain"
-    for name, workload in sorted(workloads.WORKLOADS.items())
-    for seed in workload.plan(1, 20)[:3]
-]
+PLANNED = [f"{name}:{seed}:plain" for name, w in sorted(workloads.WORKLOADS.items()) for seed in w.plan(1, 20)[:3]]
 
 
 @pytest.mark.parametrize("case_id", PLANNED, ids=lambda case_id: case_id.removesuffix(":plain"))

@@ -119,9 +119,8 @@ def test_every_gateway_wait_ends(case_id):
     assert held == {}
 
 
-RING_CASES = [f"churn:{seed}:plain" for seed in range(500, 520)] + [
-    case_id for case_id in corpus.PINNED if len(corpus.CASES[case_id].build().groups) > 1
-]
+RING_CASES = [f"churn:{seed}:plain" for seed in range(500, 520)]
+RING_CASES += [case_id for case_id in corpus.PINNED if len(corpus.CASES[case_id].build().groups) > 1]
 
 
 @pytest.mark.parametrize("case_id", RING_CASES, ids=lambda case_id: case_id.removesuffix(":plain"))

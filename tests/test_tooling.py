@@ -15,6 +15,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
+import corpus
 import manetsec
 from manetsec import messages, sim
 
@@ -269,8 +270,6 @@ def test_a_run_is_named_in_one_place():
     # Test modules share runs through `tests/corpus.py`, so a new case is
     # added there alone: no test module imports another, and only the
     # corpus lists the scenario files.
-    import corpus
-
     listing = []
     for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text())))

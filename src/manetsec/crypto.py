@@ -364,16 +364,23 @@ def make_provider(name: str):
 # Miller-Rabin with the first twelve primes as bases has no strong
 # pseudoprime below psi_12 (OEIS A014233; Sorenson & Webster 2015), so below
 # that bound the test is exact.  The often-quoted 3.317e24 is psi_13, which
-# needs base 41 as well.
+# needs base 41 as well.  Below 4,759,123,141 = 48,781 * 97,561 the three
+# bases 2, 7 and 61 are exact already (Jaeschke, Math. Comp. 1993), which
+# covers every draw of a leader's 32-bit identification primes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318_665_857_834_031_151_167_461
+_MR_SMALL_BASES = (2, 7, 61)
+_MR_SMALL_LIMIT = 4_759_123_141
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for ``n`` below psi_12.
 
-    Raises ``ValueError`` at or above the bound, where the fixed bases no
-    longer make the test exact.
+    Trial division by the twelve bases, then Miller-Rabin with the bases
+    2, 7 and 61 below 4,759,123,141 and with all twelve from there to
+    psi_12.  A base that is 0 mod ``n`` proves nothing and is skipped
+    (61 is prime but is its own witness).  Raises ``ValueError`` at or
+    above psi_12, where the fixed bases no longer make the test exact.
     """
     if n < 2:
         return False
@@ -386,7 +393,9 @@ def is_prime(n: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for base in _MR_BASES:
+    for base in _MR_SMALL_BASES if n < _MR_SMALL_LIMIT else _MR_BASES:
+        if base % n == 0:
+            continue
         x = pow(base, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -455,7 +455,7 @@ def sealed_readings(kind: MessageKind, plaintext: bytes, directories: Optional[d
     return [dict(zip(_SEALED[key].names, values)) for key in keys]
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """A message in flight: payload plus radio metadata."""
 

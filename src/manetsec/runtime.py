@@ -47,7 +47,7 @@ class Ctx:
     signals: list = field(default_factory=list)  # (group, lost leader): the group needs an election
 
     def emit(self, message: Message, to: str = BROADCAST, channel: str = "radio") -> None:
-        self.outbound.append(Envelope(message=message, sender=self.name, to=to, channel=channel))
+        self.outbound.append(Envelope(message, self.name, to, channel))
 
     def note(self, kind: str, *parts, about: str = "", message: Message = None) -> None:
         """Note an event whose detail is `parts`, each a word or a (name,

@@ -56,6 +56,8 @@ EVENT_KINDS = frozenset(
 # Each message kind's name, for send and deliver events: a table lookup
 # costs a fraction of a read of the Enum's `name` property.
 _KIND_NAMES = {kind: kind.name for kind in MessageKind}
+# The `ch` part of a send, one shared pair per channel.
+_CHANNEL_PARTS = {channel: ("ch", channel) for channel in ("radio", "ring")}
 
 
 class SimulationError(Exception):
@@ -815,17 +817,22 @@ class Simulation:
         recipient: Optional[str] = None,
         about: str = "",
     ) -> None:
-        """Log one event.  Its `parts` are text already; `str` makes the
-        actor text too (an election signalled for no group logs `None`)."""
-        digest = "-"
-        if payload is not None:
-            digest = self._digests.get(payload)
-            if digest is None:
-                digest = self.provider.hash(payload).hex()
-                self._digests[payload] = digest
-                self.log.payloads.setdefault(digest, payload)
+        """Log one event other than a send or a delivery, which `_send` and
+        the run loop append themselves.  Its `parts` are text already; `str`
+        makes the actor text too (an election signalled for no group logs
+        `None`)."""
+        digest = "-" if payload is None else self._digest(payload)
         events = self.log.events
         events.append(SimEvent(self.now, len(events), kind, str(actor), recipient, about, digest, parts))
+
+    def _digest(self, payload: bytes) -> str:
+        """The hex digest that names a logged payload; the first time a
+        payload is logged, it is hashed and kept for the sidecar."""
+        digest = self._digests.get(payload)
+        if digest is None:
+            digest = self._digests[payload] = self.provider.hash(payload).hex()
+            self.log.payloads.setdefault(digest, payload)
+        return digest
 
     def _schedule(self, tick: int, envelope: Envelope, recipients, via: str, parts: tuple) -> None:
         """Queue one transmission hop from `via` to each of `recipients`, in
@@ -939,8 +946,9 @@ class Simulation:
         tx = ("tx", str(self._tx))
         self._tx += 1
         message = envelope.message
-        parts = (_KIND_NAMES[message.kind], ("to", to), ("ch", envelope.channel), tx)
-        self._log("send", sender, parts, message.encoded)
+        parts = (_KIND_NAMES[message.kind], ("to", to), _CHANNEL_PARTS[envelope.channel], tx)
+        events = self.log.events
+        events.append(SimEvent(self.now, len(events), "send", sender, None, "", self._digest(message.encoded), parts))
         return tx
 
     def _transmit(self, envelope: Envelope) -> None:
@@ -1059,27 +1067,33 @@ class Simulation:
             self._flush(name, ctx)
 
     def _flush(self, name: str, ctx: Ctx) -> None:
-        """Log and send what a step noted and emitted, and empty its context."""
-        node, protocol = self.nodes[name], name not in self.adversaries
-        for label, value in ctx.secrets:
-            self.log.registry.secrets.append((self.now, name, label, value))
-        for note in ctx.notes:
-            payload = None if note.message is None else note.message.encoded
-            self._log(note.kind, name, note.parts, payload, about=note.about)
-            if note.kind == "admit":
-                if protocol and node.leader_service is not None:
-                    self.group_map[note.about] = node.leader_service.group_id
-            elif note.kind == "remove":
-                self.group_map.pop(note.about, None)
-        for envelope in ctx.outbound:
-            if protocol and refloods(envelope):
-                self.relayed[name].add(envelope.message.encoded)
-            self._transmit(envelope)
-        self._signals.extend(ctx.signals)
-        ctx.secrets.clear()
-        ctx.notes.clear()
-        ctx.outbound.clear()
-        ctx.signals.clear()
+        """Log and send what a step noted and emitted, and empty its context.
+        Each list is read only when the step filled it: most steps only emit."""
+        if ctx.secrets:
+            for label, value in ctx.secrets:
+                self.log.registry.secrets.append((self.now, name, label, value))
+            ctx.secrets.clear()
+        if ctx.notes:
+            node = self.nodes[name]
+            for note in ctx.notes:
+                payload = None if note.message is None else note.message.encoded
+                self._log(note.kind, name, note.parts, payload, about=note.about)
+                if note.kind == "admit":
+                    if name not in self.adversaries and node.leader_service is not None:
+                        self.group_map[note.about] = node.leader_service.group_id
+                elif note.kind == "remove":
+                    self.group_map.pop(note.about, None)
+            ctx.notes.clear()
+        if ctx.outbound:
+            relayed = self.relayed.get(name)  # None for a placed adversary
+            for envelope in ctx.outbound:
+                if relayed is not None and refloods(envelope):
+                    relayed.add(envelope.message.encoded)
+                self._transmit(envelope)
+            ctx.outbound.clear()
+        if ctx.signals:
+            self._signals.extend(ctx.signals)
+            ctx.signals.clear()
 
     # -- membership orchestration ---------------------------------------------------
 
@@ -1256,7 +1270,7 @@ class Simulation:
         self._setup()
         pending = list(script)
         nodes, contexts, log, flush_pending = self.nodes, self.contexts, self._log, self._flush_pending
-        crashed, relayed = self.crashed, self.relayed
+        crashed, relayed, events, digests = self.crashed, self.relayed, self.log.events, self._digests
         stepping = [(name, node, contexts[name]) for name, node in nodes.items()]
         wake_at, wakeups = clock.at, clock.buckets
         # Positions change only on ticks 1 .. last_move, so reach rows built
@@ -1271,17 +1285,21 @@ class Simulation:
             self._drain_taps()
             for envelope, via, detail, recipients in self.queue.pop(tick, ()):
                 encoded = envelope.message.encoded
+                # Its send logged it, unless a tap changed it on the way.
+                digest = digests.get(encoded)
                 reflooded = refloods(envelope)
                 for recipient in recipients:
                     if recipient in crashed:
                         log("drop", via, ("dead",) + detail[1:], None, recipient)
                         continue
-                    log("deliver", via, detail, encoded, recipient)
+                    if digest is None:
+                        digest = self._digest(encoded)
+                    events.append(SimEvent(tick, len(events), "deliver", via, recipient, "", digest, detail))
+                    if reflooded and encoded in relayed.get(recipient, ()):
+                        continue  # a protocol node is handed each group broadcast once
                     node = nodes.get(recipient)
                     if node is None:
                         continue  # a tap pseudo-principal: logging the delivery is the point
-                    if reflooded and encoded in relayed.get(recipient, ()):
-                        continue  # a protocol node is handed each group broadcast once
                     ctx = contexts[recipient]
                     ctx.now = tick
                     node.handle(envelope, ctx)

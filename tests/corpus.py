@@ -277,6 +277,9 @@ for build in (short_liveness, short_liveness_election, short_discovery, late_joi
 _add("replay_now", partial(adversary_line_scenario, "replay", "bridge", {"delay": 0}))
 _add("replay_later", partial(adversary_line_scenario, "replay", "bridge", {"delay": 3}))
 _add("replay_lockout", replay_lockout)
+# A tap that changes a unicast REKEY's header on the link A-B, so the
+# addressee is delivered bytes that no send logged.
+_add("modify_unicast", partial(adversary_line_scenario, "modify_field", "link", {"field": "epoch", "op": "add", "value": 1}))
 
 
 SIMULATED = Counter()  # case id -> the runs the corpus has made of it

@@ -411,11 +411,39 @@ def test_is_prime_agrees_with_sieve_below_200000():
     assert [next_prime(n) for n in range(-3, 12)] == [2, 2, 2, 2, 2, 3, 5, 5, 7, 7, 11, 11, 11, 11, 13]
 
 
+# The least strong pseudoprime to bases 2, 7 and 61 (Jaeschke 1993), where
+# is_prime moves from those three bases to all twelve.
+JAESCHKE = 4_759_123_141
+
+
+def _strong_probable_prime(n, base):
+    """Whether odd `n` passes the Miller-Rabin round to `base`."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_at_the_small_base_boundary():
+    assert JAESCHKE == 48_781 * 97_561
+    assert all(_strong_probable_prime(JAESCHKE, base) for base in (2, 7, 61))
+    assert not is_prime(JAESCHKE)
+    # Each small base is 0 mod itself, which proves nothing and is skipped.
+    assert all(is_prime(base) for base in (2, 7, 61))
+
+
 def test_next_prime_matches_sympy_on_drawn_values():
-    # Shaped like keymgmt._draw_prime's draws, then wider than 64 bits.
+    # Shaped like keymgmt._draw_prime's draws, then across the small-base
+    # boundary, one bit wider, and wider than 64 bits.
     rng = random.Random(20)
     for _ in range(20_000):
         value = rng.getrandbits(32) | (1 << 31)
+        assert next_prime(value) == sympy.nextprime(value)
+    for value in range(JAESCHKE - 2_000, JAESCHKE + 2_000, 7):
+        assert next_prime(value) == sympy.nextprime(value)
+    for _ in range(2_000):
+        value = rng.getrandbits(33) | (1 << 32)
         assert next_prime(value) == sympy.nextprime(value)
     for _ in range(2_000):
         value = rng.getrandbits(70)
@@ -577,11 +605,21 @@ def _exponents(max_bits):
     return st.integers(0, max_bits).flatmap(lambda bits: st.integers(0, (1 << bits) - 1))
 
 
+def _one_digit_per_window():
+    """A ring secret whose every window holds a nonzero digit, the digits
+    running through the window's values; the top window, which may be
+    narrower, holds 1."""
+    window, rows = keymgmt.RING_WINDOW, -(-keymgmt.RING_SECRET_BITS // keymgmt.RING_WINDOW)
+    digits = [1 + i % ((1 << window) - 1) for i in range(rows - 1)] + [1]
+    return sum(digit << (window * i) for i, digit in enumerate(digits))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_exponents(keymgmt.RING_SECRET_BITS))
 @example(0)
 @example(1)
 @example(2**192 - 1)
+@example(_one_digit_per_window())
 def test_ring_table_equals_pow(exponent):
     assert keymgmt._ring_power(exponent) == pow(G, exponent, P)
 
@@ -596,8 +634,8 @@ def test_ring_table_rejects_a_secret_out_of_range(secret):
 def test_ring_table_is_built_once_and_sized_from_the_secret_width():
     table = keymgmt._ring_powers()
     assert keymgmt._ring_powers() is table
-    assert len(table) == keymgmt.RING_SECRET_BITS // keymgmt.RING_WINDOW == 48
-    assert {len(row) for row in table} == {16}
+    assert len(table) == -(-keymgmt.RING_SECRET_BITS // keymgmt.RING_WINDOW) == 39
+    assert {len(row) for row in table} == {32}
 
 
 def test_dh_checks_still_raise_for_the_table():

@@ -8,7 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import corpus
 from manetsec.audit import audit, knowledge_set
+from manetsec.crypto import make_provider
 from manetsec.group import WeightConfig
+from manetsec.messages import Envelope, MessageKind, msg
 from manetsec.node import AdversaryNode, ProtocolNode
 from manetsec.runtime import render_detail
 from manetsec.scenariofile import parse_scenario
@@ -402,6 +404,13 @@ def test_a_simulation_has_no_instance_dict():
     sim.run()
     assert not hasattr(sim, "__dict__")
     assert all(hasattr(sim, name) for name in Simulation.__slots__)
+
+
+def test_envelopes_and_events_have_no_instance_dict():
+    # Both are made once per transmission or event, so each is slotted.
+    envelope = Envelope(msg(MessageKind.LEAVE, who="a"), "a")
+    event = SimEvent(0, 0, "send", "a", None, "", "-", ("LEAVE",))
+    assert not hasattr(envelope, "__dict__") and not hasattr(event, "__dict__")
 
 
 def test_invalid_scenario_refuses_to_run():
@@ -1003,26 +1012,47 @@ def test_each_payload_hashed_once(monkeypatch):
     from manetsec.crypto import DeterministicProvider
     from manetsec.sim import Simulation
 
-    logging, hashed = [], []
-    original_log, original_hash = Simulation._log, DeterministicProvider.hash
+    digesting, hashed = [], []
+    original_digest, original_hash = Simulation._digest, DeterministicProvider.hash
 
-    def log_step(self, *args, **kwargs):
-        logging.append(True)
+    def digest_step(self, payload):
+        digesting.append(True)
         try:
-            return original_log(self, *args, **kwargs)
+            return original_digest(self, payload)
         finally:
-            logging.pop()
+            digesting.pop()
 
     def counting(self, data):
-        if logging:
+        if digesting:
             hashed.append(data)
         return original_hash(self, data)
 
-    monkeypatch.setattr(Simulation, "_log", log_step)
+    monkeypatch.setattr(Simulation, "_digest", digest_step)
     monkeypatch.setattr(DeterministicProvider, "hash", counting)
     log = run(churn_scenario(500))  # counted as it runs, so a fresh run
     assert len(hashed) == len(log.payloads)
     assert set(hashed) == set(log.payloads.values())
+
+
+SIDECAR_CASES = [case_id for case_id in corpus.PINNED if case_id.split(":")[0] in ("adversary", "active", "defaults")]
+
+
+@pytest.mark.parametrize("case_id", SIDECAR_CASES + ["modify_unicast"])
+def test_every_delivered_digest_names_a_payload_that_hashes_to_it(case_id):
+    # A delivery or drop names its payload by digest, and the sidecar holds
+    # the bytes: a send logged them first, or, where a tap changed them on a
+    # unicast's way, the delivery itself.
+    log = corpus.log(case_id)
+    hash_ = make_provider(log.registry.provider_name).hash
+    for event in log.events:
+        if event.kind in ("deliver", "drop") and event.digest != "-":
+            assert hash_(log.payloads[event.digest]).hex() == event.digest, event.line()
+
+
+def test_a_tap_that_changes_a_unicast_delivers_bytes_no_send_logged():
+    log = corpus.log("modify_unicast")
+    sent = {event.digest for event in log.events if event.kind == "send"}
+    assert any(event.kind == "deliver" and event.digest not in sent for event in log.events)
 
 
 def test_leader_opens_each_session1_once(monkeypatch):

@@ -156,7 +156,7 @@ def test_one_place_discards_a_relayed_broadcast():
                 if isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
                     if any("relayed" in ast.unparse(c) for c in node.comparators):
                         tests.append((path.name, scope.name, ast.unparse(node)))
-    assert writes == [("sim.py", "_flush", "self.relayed[name].add(envelope.message.encoded)")]
+    assert writes == [("sim.py", "_flush", "relayed.add(envelope.message.encoded)")]
     assert tests == [("sim.py", "run", "encoded in relayed.get(recipient, ())")]
     uses = {
         name for name, method in _simulation_methods(ast.parse(pathlib.Path(sim.__file__).read_text())).items()

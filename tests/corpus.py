@@ -223,7 +223,8 @@ def _add(case_id, build, fault="plain"):
 # two-group, churn and random-group builders; sessions across groups and with
 # oneself, a unicast across the leader ring, a discovery of a node in no group;
 # each adversary on a link, bridging and as a bystander; every behavior
-# default; and 121- and 256-node grids, static and walking.
+# default; a tap that changes a unicast; and 121- and 256-node grids, static
+# and walking.
 FIXTURES = [f"fixture:{name}" for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".scn")]
 for case_id in FIXTURES:
     _add(case_id, partial(fixture, case_id.removeprefix("fixture:")))
@@ -256,6 +257,9 @@ for kind in ("replay", "drop_probabilistic"):
 impostors = [("plain", {}, False), ("plain_overheard", {}, True), ("random_overheard", {"strategy": "random"}, True)]
 for label, args, overheard in impostors:
     _add(f"defaults:impersonate:{label}", partial(impostor_scenario, args, overheard))
+# A tap that changes a unicast REKEY's header on the link A-B, so the
+# addressee is delivered bytes that no send logged.
+_add("modify_unicast", partial(adversary_line_scenario, "modify_field", "link", {"field": "epoch", "op": "add", "value": 1}))
 for recipe in (workloads.grid_static, workloads.grid_mobile):
     for side in (11, 16):
         _add(f"{recipe.__name__}:{side}x{side}:1", partial(recipe, 1, side=side))
@@ -277,9 +281,6 @@ for build in (short_liveness, short_liveness_election, short_discovery, late_joi
 _add("replay_now", partial(adversary_line_scenario, "replay", "bridge", {"delay": 0}))
 _add("replay_later", partial(adversary_line_scenario, "replay", "bridge", {"delay": 3}))
 _add("replay_lockout", replay_lockout)
-# A tap that changes a unicast REKEY's header on the link A-B, so the
-# addressee is delivered bytes that no send logged.
-_add("modify_unicast", partial(adversary_line_scenario, "modify_field", "link", {"field": "epoch", "op": "add", "value": 1}))
 
 
 SIMULATED = Counter()  # case id -> the runs the corpus has made of it

@@ -775,12 +775,17 @@ class SessionService:
         session.expects = None
         ctx.note("verdict", "session_aborted", reason, about=f"{session.initiator}-{session.responder}")
 
-    def initiate(self, peer: str, leader: str, ctx: Ctx) -> None:
+    def initiate(self, peer: str, leader: Optional[str], ctx: Ctx) -> None:
+        """Open a session with `peer`, first asking `leader` for its key if
+        need be; with no leader to ask, the session is aborted."""
         if peer in self.distrusted:
             ctx.note("verdict", "session_refused", "distrusted", about=f"{self.name}-{peer}")
             return
-        self.sessions[(self.name, peer)] = SessionState(initiator=self.name, responder=peer)
+        session = self.sessions[(self.name, peer)] = SessionState(initiator=self.name, responder=peer)
         if peer not in self.directory:
+            if leader is None:
+                self._abort(session, "no_leader", ctx)
+                return
             self.pending_initiate[peer] = None
             ctx.emit(msg(MessageKind.PUBKEY_QUERY, subject=peer), to=leader)
             return
@@ -797,16 +802,17 @@ class SessionService:
         except UNOPENABLE:
             return None
 
-    def handle_session1(self, message: Message, leader: str, ctx: Ctx) -> None:
+    def handle_session1(self, message: Message, leader: Optional[str], ctx: Ctx) -> None:
         opened = self.open_addressed(message)
         if opened is None:
             ctx.note("verdict", "session_drop", "not_addressee", about=self.name)
             return
         self.answer_session1(opened, leader, ctx)
 
-    def answer_session1(self, opened: dict, leader: str, ctx: Ctx) -> None:
+    def answer_session1(self, opened: dict, leader: Optional[str], ctx: Ctx) -> None:
         """Act on an opened SESSION_1: check it, then sign a reply or ask
-        `leader` for the initiator's public key."""
+        `leader` for the initiator's public key; with no leader to ask, the
+        session is aborted."""
         initiator, t_a, sig_bytes = opened["initiator"], opened["t_a"], opened["sig"]
         if opened["responder"] != self.name:
             return
@@ -819,6 +825,9 @@ class SessionService:
             self._abort(session, "distrusted_peer", ctx)
             return
         if initiator not in self.directory:
+            if leader is None:
+                self._abort(session, "no_leader", ctx)
+                return
             self.pending_respond[initiator] = (t_a, sig_bytes)
             ctx.emit(msg(MessageKind.PUBKEY_QUERY, subject=initiator), to=leader)
             return

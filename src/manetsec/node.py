@@ -209,7 +209,7 @@ class ProtocolNode:
 
     def _handle_session1(self, message: Message, ctx: Ctx) -> None:
         if self.leader_service is None:
-            self.sessions.handle_session1(message, self.member.leader or "", ctx)
+            self.sessions.handle_session1(message, self.member.leader, ctx)
             return
         # A leader alerts the group directly for non-member initiators.  A
         # SESSION_1 the leader cannot open is dropped silently.
@@ -245,7 +245,7 @@ class ProtocolNode:
     def start_session(self, peer: str, ctx: Ctx) -> None:
         if self.leader_service is not None:
             self._seed_session_directory()
-        self.sessions.initiate(peer, self.keys.leader or "", ctx)
+        self.sessions.initiate(peer, self.keys.leader, ctx)
 
     def start_route_discovery(self, dest: str, ctx: Ctx) -> None:
         if dest == self.name:
@@ -546,9 +546,10 @@ BEHAVIORS = {
     "drop_all": {},
     "drop_probabilistic": {"p": 1.0},
 }
-# The one behavior that keeps transport alive: a stealth relay forwards
-# whatever it carries to stay invisible, so addressed traffic may be routed
-# through it; the other behaviours do not cooperate with transport.
+# The stealth relay forwards whatever it carries to stay invisible.  Every
+# placed node relays addressed traffic on its path alike, passing on what
+# `intercept` leaves of it; a dropper there goes unnoticed, since no node
+# yet watches what its next hop passes on.
 STEALTH_RELAY = "mitm_relay"
 # The node adversaries that pass on broadcasts they hear: a stealth relay
 # all of them, a mutator those it changed.  The others keep them, and draw
@@ -580,7 +581,9 @@ class AdversaryNode:
     It overhears whatever reaches its position (the engine logs those
     deliveries, which is how the auditor knows what it learned) but holds
     no certificate, so every active behaviour is caught by the protocol's
-    checks; the stealth relay is caught by the chain reconstruction.
+    checks; the stealth relay is caught by the chain reconstruction.  On a
+    unicast's path it relays what `intercept` leaves of what it carries, so
+    a dropper there eats the message, and no node detects that yet.
     """
 
     def __init__(self, name: str, keypair, provider, rng: random.Random, behavior: str, args: dict, publics: dict):

@@ -10,14 +10,15 @@ Radio model: a broadcast reaches every live node within the configured
 radius of the transmitter, whatever group it belongs to (group scoping is
 the protocol's job, and the discard of foreign-group requests has to be
 observable).  An addressed message rides a transport underlay: it follows
-the shortest live radio path to its addressee at one tick per hop, with
-link adversaries intercepting on whichever hop they own -- the key
-management design takes deliverability of addressed control traffic for
-granted, so the simulator provides it rather than making every protocol
-reimplement relaying.  Taps and adversarial relays on the path see what
-reaches them, when it does.  Adversarially placed nodes within range of a
-transmitter overhear addressed traffic.  Leaders additionally share an
-out-of-band "ring" channel for leader-to-leader traffic.
+the shortest live radio path to its addressee at one tick per hop -- the
+key management design takes deliverability of addressed control traffic
+for granted, so the simulator provides it rather than making every
+protocol reimplement relaying.  Relays are chosen by position and liveness
+alone, so a placed adversary may lie on the path; it and the link
+adversaries on the path see what reaches them, when it does, and pass on
+what their behaviour leaves of it.  Adversarially placed nodes within
+range of a transmitter overhear addressed traffic.  Leaders additionally
+share an out-of-band "ring" channel for leader-to-leader traffic.
 
 Adversaries come in two shapes: a *node* adversary is a placed radio
 participant (it hears and transmits like any node, following its scripted
@@ -44,7 +45,7 @@ from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mo
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
 from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
-from .node import BEHAVIORS, MUTATION_OPS, STEALTH_RELAY, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
+from .node import BEHAVIORS, MUTATION_OPS, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
 from .runtime import Ctx, render_detail
 
 LOG_HEADER = "#manetsec-log v1"
@@ -565,10 +566,9 @@ class EventLog:
         return b"".join(chunks)
 
 
-# The pieces of an event's text.  An actor, a word or a pair's name is never
-# empty; a recipient or a pair's value may be, and an empty about is none.
+# A piece of an event's text: an actor, a recipient, an about, a word, or a
+# pair's name or value.  None is empty; an empty about is none.
 _PIECE = re.compile(r"[^>:=]+")
-_OPTIONAL_PIECE = re.compile(r"[^>:=]*")
 # Pairs whose value the auditor reads as a count, written as `str(int)` does.
 _COUNT_PAIRS = ("epoch", "hops")
 _COUNT = re.compile(r"0|[1-9][0-9]*")
@@ -579,7 +579,9 @@ def _read_principals(text: str) -> tuple:
     `actor:about`."""
     actor, arrow, recipient = text.partition(">")
     actor, _, about = actor.partition(":")
-    if not (_PIECE.fullmatch(actor) and _OPTIONAL_PIECE.fullmatch(recipient) and _OPTIONAL_PIECE.fullmatch(about)):
+    if not (
+        _PIECE.fullmatch(actor) and (not arrow or _PIECE.fullmatch(recipient)) and (not about or _PIECE.fullmatch(about))
+    ):
         raise ValueError(f"principals {text!r} are not actor, actor>recipient or actor:about")
     return actor, (recipient if arrow else None), about
 
@@ -589,10 +591,10 @@ def _read_detail(text: str) -> tuple:
     parts = []
     for part in text.split(":"):
         name, equals, value = part.partition("=")
-        if not (_PIECE.fullmatch(name) and _OPTIONAL_PIECE.fullmatch(value)):
-            raise ValueError(f"detail {text!r} has a part {part!r} that is neither a word nor name=value")
         if equals and name in _COUNT_PAIRS and not _COUNT.fullmatch(value):
             raise ValueError(f"detail {text!r} has a part {part!r} whose value is not a decimal count")
+        if not (_PIECE.fullmatch(name) and (not equals or _PIECE.fullmatch(value))):
+            raise ValueError(f"detail {text!r} has a part {part!r} that is neither a word nor name=value")
         parts.append((name, value) if equals else name)
     return tuple(parts)
 
@@ -715,8 +717,7 @@ class Simulation:
     __slots__ = (
         "scenario", "params", "provider", "now", "_ran", "_tx", "log", "queue", "specs", "group_map", "leaders",
         "lineage_counters", "last_trust", "ring_version", "_signals", "_reach", "_where", "_cells", "_side",
-        "_digests", "_searches", "authority", "nodes", "taps", "contexts", "adversaries", "_no_relay", "crashed",
-        "relayed"
+        "_digests", "_searches", "authority", "nodes", "taps", "contexts", "adversaries", "crashed", "relayed"
     )
 
     def __init__(self, scenario: Scenario):
@@ -795,11 +796,9 @@ class Simulation:
         registry.adversary_names.extend(tap.name for tap in self.taps)
         # One step context per node for the run; see runtime.py.
         self.contexts = {name: Ctx(name, 0, node.rng) for name, node in self.nodes.items()}
-        # The nodes placed as adversaries, and of those the ones that never
-        # relay, all but stealth relays: no node changes its behaviour
+        # The nodes placed as adversaries: no node changes its behaviour
         # during a run.
         self.adversaries = frozenset(placed)
-        self._no_relay = frozenset(name for name in self.adversaries if placed[name].kind != STEALTH_RELAY)
         self.crashed: set = set()  # the nodes that have crashed
         # Each protocol node's relay record, which only `_flush` writes: the
         # wire bytes of every group broadcast it has sent, its own or a
@@ -899,21 +898,19 @@ class Simulation:
         return None
 
     def _radio_path(self, source: str, target: str) -> Optional[list]:
-        """Shortest radio path avoiding `crashed`; relays are honest nodes or
-        stealth relays.  Of several, it is the one whose names, read from
-        `source`, sort first.
+        """Shortest radio path over live nodes, chosen by position and
+        liveness alone: any live node relays, a placed adversary too.  Of
+        several, it is the one whose names, read from `source`, sort first.
 
         One breadth-first search per addressee serves every sender that
         addresses it while reach and liveness hold: rooted at `target`, it
         counts hops in FIFO order until `source` has a count, and the next
-        call resumes it there.  A node that cannot relay gets a count but is
-        never expanded; the root always is.  The path then walks from
-        `source`, taking at each hop the first name in the sorted row that is
-        one hop nearer and is the addressee or can relay.  No crashed node
-        sends, so `source` gets a count whenever a path exists."""
+        call resumes it there.  The path then walks from `source`, taking at
+        each hop the first name in the sorted row that is one hop nearer.  No
+        crashed node sends, so `source` gets a count whenever a path exists."""
         if target == source or target in self._neighbours(source):
             return [source, target]
-        crashed, no_relay = self.crashed, self._no_relay
+        crashed = self.crashed
         search = self._searches.get(target)
         if search is None:
             search = self._searches[target] = [{target: 0}, [target], 0]
@@ -925,8 +922,7 @@ class Simulation:
             for v in self._neighbours(u):
                 if v not in hops and v not in crashed:
                     hops[v] = count
-                    if v not in no_relay:
-                        queue.append(v)
+                    queue.append(v)
         search[2] = head
         count = hops.get(source)
         if count is None:
@@ -934,7 +930,7 @@ class Simulation:
         path = [source]
         for nearer in range(count - 1, 0, -1):
             for v in self._neighbours(path[-1]):
-                if hops.get(v) == nearer and v not in no_relay:
+                if hops.get(v) == nearer:
                     break
             path.append(v)
         path.append(target)
@@ -985,9 +981,10 @@ class Simulation:
 
     def _unicast(self, envelope: Envelope, tx: tuple) -> None:
         """Walk an addressed message along its path once, a tick a hop.  A
-        hop's tap acts on what reaches it (`_tap`), then a placed adversary
-        relaying at its far end overhears what arrives.  Nothing is
-        scheduled past an eaten message."""
+        hop's tap acts on what reaches it (`_tap`); then a placed adversary
+        relaying at its far end is logged an `overheard` copy of what
+        arrives, and what `intercept` leaves of it goes on with no extra
+        tick.  Nothing is scheduled past an eaten message."""
         target = envelope.to
         alive = target in self.nodes and target not in self.crashed
         path = self._radio_path(envelope.sender, target) if alive else None
@@ -1007,6 +1004,11 @@ class Simulation:
                     break
             if v != target and v in adversaries:
                 self._schedule(arrive, carried, (v,), u, ("overheard", ("hops", str(arrive - now)), tx))
+                relay = self.nodes[v]
+                passed = intercept(relay.behavior, relay.args, carried.message, relay.rng)
+                carried = None if passed is None else replace(carried, message=passed)
+                if carried is None:
+                    break
         # Each node on the path is reached by the walk, not by overhearing.
         self._overhear(envelope, tx, path)
         if carried is not None:

@@ -37,6 +37,7 @@ from topologies import (
     churn_scenario,
     held_labels,
     line_scenario,
+    placed,
     stealth_link_scenario,
     stealth_node_scenario,
     two_group_scenario,
@@ -455,16 +456,15 @@ _PIECE_TEXT = st.text(
 @st.composite
 def _event(draw, tick, seq):
     """An event of any shape the grammar allows: principals `actor`,
-    `actor>recipient` (the recipient may be empty) or `actor:about`, and a
-    detail of words and `name=value` pairs (the value may be empty, but an
-    `epoch` or `hops` value is a decimal count)."""
+    `actor>recipient` or `actor:about`, and a detail of words and
+    `name=value` pairs (an `epoch` or `hops` value is a decimal count)."""
     shape = draw(st.sampled_from(("actor", "recipient", "about")))
-    recipient = draw(_PIECE_TEXT | st.just("")) if shape == "recipient" else None
+    recipient = draw(_PIECE_TEXT) if shape == "recipient" else None
     about = draw(_PIECE_TEXT) if shape == "about" else ""
     counts = ("epoch", "hops")
     part = (
         _PIECE_TEXT
-        | st.tuples(_PIECE_TEXT.filter(lambda name: name not in counts), _PIECE_TEXT | st.just(""))
+        | st.tuples(_PIECE_TEXT.filter(lambda name: name not in counts), _PIECE_TEXT)
         | st.tuples(st.sampled_from(counts), st.integers(min_value=0, max_value=99).map(str))
     )
     return SimEvent(
@@ -498,6 +498,7 @@ def test_rendered_events_parse_back_to_themselves(data):
         ("a:b:c", "x", "principals 'a:b:c' are not"),
         ("a=b", "x", "principals 'a=b' are not"),
         (">b", "x", "principals '>b' are not"),
+        ("a>", "x", "principals 'a>' are not"),
         ("", "x", "principals '' are not"),
         ("a:b>c", "x", "does not render back to itself"),
         ("a:", "x", "does not render back to itself"),
@@ -506,6 +507,7 @@ def test_rendered_events_parse_back_to_themselves(data):
         ("a", "x:", "part '' that is neither"),
         ("a", "=v", "part '=v' that is neither"),
         ("a", "x:n=v=w", "part 'n=v=w' that is neither"),
+        ("a", "x:to=", "part 'to=' that is neither"),
         ("a", "x:n>v", "part 'n>v' that is neither"),
         ("a", "x:epoch=x", "part 'epoch=x' whose value is not a decimal count"),
         ("a", "x:hops=x", "part 'hops=x' whose value is not a decimal count"),
@@ -699,8 +701,7 @@ def test_crash_mid_tick_cuts_relay_out_of_kept_path_search():
 
 def _fresh_path(sim, source, target):
     """The path search as it was before searches were kept: a new early-exit
-    breadth-first search per call, where only the target may be an adversary
-    other than a stealth relay."""
+    breadth-first search per call over live nodes."""
     if target == source or target in sim._neighbours(source):
         return [source, target]
     frontier = [source]
@@ -710,9 +711,6 @@ def _fresh_path(sim, source, target):
         for u in frontier:
             for v in sim._neighbours(u):
                 if v in parents or v in sim.crashed:
-                    continue
-                node = sim.nodes[v]
-                if v != target and isinstance(node, AdversaryNode) and node.behavior != "mitm_relay":
                     continue
                 parents[v] = u
                 if v == target:
@@ -836,9 +834,9 @@ def _crash_between_senders():
 
 
 def _forged_join_far():
-    """X, which cannot relay, sends a forged join to the leader L three hops
-    away, X-M-N-L.  D, a dropper that cannot relay either, is as near to L
-    as M and sorts before it."""
+    """X, an impostor, sends a forged join to the leader L three hops away.
+    D, a dropper, is as near to L as M and sorts before it, so the join takes
+    the path X-D-N-L and is eaten at D."""
     nodes = [NodeSpec("X", [(0.0, 0.0)]), NodeSpec("D", [(100.0, 40.0)]), NodeSpec("M", [(100.0, 0.0)], 0.3),
              NodeSpec("N", [(200.0, 0.0)], 0.3), NodeSpec("L", [(300.0, 0.0)], 1.0)]
     return Scenario(
@@ -1055,6 +1053,21 @@ def test_a_tap_that_changes_a_unicast_delivers_bytes_no_send_logged():
     assert any(event.kind == "deliver" and event.digest not in sent for event in log.events)
 
 
+def test_a_session_with_no_leader_to_ask_sends_nothing():
+    # A, in no group, has no leader to ask for B's key: it aborts the session
+    # with a verdict and sends no query to the empty name.
+    log = run(
+        Scenario(
+            seed=1,
+            nodes=placed(("A", 0.0, 0.0, 0.5), ("B", 100.0, 0.0, 0.8)),
+            groups=[GroupSpec("g1", 8, ["B"])],
+            params=SimParams(radio_radius=110.0, duration=6),
+            script=[Action(2, "session", ("A", "B"))],
+        )
+    )
+    assert [e.line() for e in log.events if e.tick == 2] == ["2\t5\tverdict\tA:A-B\t-\tsession_aborted:no_leader"]
+
+
 def test_leader_opens_each_session1_once(monkeypatch):
     from manetsec.crypto import DeterministicProvider
     from manetsec.messages import MessageKind, decode_message
@@ -1221,6 +1234,36 @@ def test_mitm_relay_learns_no_keys_from_join():
     assert k.sym_keys == {}
     assert k.opened == set()
     assert audit(log).passed
+
+
+def _dropper_on_the_join_path():
+    """J joins g1, whose leader L is two hops away through D, a dropper; the
+    only way round D, J-P-Q-R-L, is four hops long, and a join that took it
+    would be admitted by tick 35."""
+    return Scenario(
+        seed=6,
+        nodes=placed(
+            ("L", 0.0, 0.0, 1.0), ("D", 100.0, -30.0, 0.5), ("J", 200.0, 0.0, 0.5),
+            ("P", 200.0, 100.0, 0.5), ("Q", 100.0, 100.0, 0.6), ("R", 20.0, 100.0, 0.6),
+        ),
+        groups=[GroupSpec("g1", 8, ["L", "Q", "R"])],
+        params=SimParams(radio_radius=110.0, duration=40),
+        script=[Action(3, "join", ("J", "g1"))],
+        adversaries=[AdversarySpec("drop_all", ("node", "D"))],
+    )
+
+
+def test_a_dropper_on_the_shortest_path_eats_the_join_request():
+    # Relays are chosen by position and liveness alone, so the join request
+    # takes the two-hop path through D, which logs its copy and passes
+    # nothing on: L never hears of J, and J is not admitted.
+    log = run(_dropper_on_the_join_path())
+    [request] = [e for e in log.events if e.kind == "send" and e.actor == "J" and e.word == "JOIN_REQ"]
+    tx = request.get("tx")
+    copies = [(e.kind, e.principals, e.detail) for e in log.events if e.kind != "send" and e.get("tx") == tx]
+    assert copies == [("deliver", "J>D", f"JOIN_REQ:overheard:hops=1:tx={tx}")]
+    assert not [e for e in log.events if e.kind == "admit" and e.about == "J"]
+    assert not verdicts(log, prefix="joined")
 
 
 def test_eavesdropper_sees_only_ciphertexts():

@@ -18,6 +18,7 @@ import pytest
 import corpus
 import manetsec
 from manetsec import messages, sim
+from manetsec.node import BEHAVIORS
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -187,16 +188,34 @@ def test_only_the_simulation_setup_tells_node_classes_apart():
 
 
 def test_one_method_decides_what_a_tap_does():
-    # Both the unicast walk and a broadcast's tapped hop hand a crossing
-    # message to Simulation._tap, the one caller of `intercept` in sim.py.
+    # Both the unicast walk and a broadcast's tapped hop hand a message
+    # crossing a link tap to Simulation._tap.  `intercept` is called there
+    # and in the unicast walk, for a placed node adversary the walk crosses,
+    # and nowhere else in sim.py.
     calls = {
         name: {ast.unparse(node.func) for node in ast.walk(method) if isinstance(node, ast.Call)}
         for name, method in _simulation_methods(ast.parse(pathlib.Path(sim.__file__).read_text())).items()
     }
-    assert [name for name, called in calls.items() if "intercept" in called] == ["_tap"]
+    assert [name for name, called in calls.items() if "intercept" in called] == ["_unicast", "_tap"]
     assert sorted(name for name, called in calls.items() if "self._tap" in called) == ["_dispatch_radio", "_unicast"]
     text = pathlib.Path(sim.__file__).read_text()
-    assert len(re.findall(r"\bintercept\(", text)) == 1
+    assert len(re.findall(r"\bintercept\(", text)) == 2
+
+
+def test_path_search_reads_position_and_liveness_alone():
+    # Relays are chosen by position and liveness alone: of the simulation,
+    # Simulation._radio_path reads only the reach rows, the crashed set and
+    # its kept searches, and it names no behavior, so it cannot tell a
+    # placed adversary from any other node.
+    method = _simulation_methods(ast.parse(pathlib.Path(sim.__file__).read_text()))["_radio_path"]
+    read = {
+        node.attr for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    assert read == {"_neighbours", "crashed", "_searches"}
+    names = {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+    words = {node.value for node in ast.walk(method) if isinstance(node, ast.Constant)}
+    assert not (names | words) & ({"BEHAVIORS", "STEALTH_RELAY", "AdversaryNode"} | set(BEHAVIORS))
 
 
 def test_only_the_wake_loop_steps_a_node():

@@ -1369,6 +1369,20 @@ def test_single_member_group_dissolves():
     assert dissolved
 
 
+def test_one_dissolution_logs_one_alert():
+    # L expels its only member A, which keeps the group's keys, then
+    # crashes: g1 is dissolved at tick 20.  When A notices L's silence
+    # later, the election it signals finds the group already dissolved and
+    # logs nothing more.
+    scenario = line_scenario(
+        ["L", "A"], seed=5, script=[Action(5, "expel", ("L", "A")), Action(20, "crash", ("L",))], duration=80
+    )
+    log = run(scenario)
+    dissolved = [(e.tick, e.principals) for e in log.events if e.detail == "group_dissolved"]
+    assert dissolved == [(20, "g1")]
+    assert audit(log).passed
+
+
 def test_crashing_a_dead_former_leader_is_skipped():
     # A dead node keeps its leader service; crashing it again must not
     # unseat its live successor.

@@ -23,9 +23,10 @@ share an out-of-band "ring" channel for leader-to-leader traffic.
 Adversaries come in two shapes: a *node* adversary is a placed radio
 participant (it hears and transmits like any node, following its scripted
 misbehaviour), and a *link* adversary owns the link between two nodes and
-intercepts whatever crosses it either way.  Everything an adversary
-receives is in the log, which is how the auditor bounds what it could have
-learned.
+intercepts whatever crosses it either way.  What a link adversary passes on
+of a broadcast or a unicast stays the sender's transmission; it transmits
+only its replays.  Everything an adversary receives is in the log, which is
+how the auditor bounds what it could have learned.
 """
 
 from __future__ import annotations
@@ -678,7 +679,7 @@ class LinkTap:
     ends: frozenset  # the two nodes of its link
     settings: dict  # its arguments over its behavior's defaults
     rng: random.Random
-    outbox: list = field(default_factory=list)  # (due, envelope, recipient)
+    outbox: list = field(default_factory=list)  # its replays: (due, envelope, recipient)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +717,8 @@ class Simulation:
     # Slots, not an instance dict: a 30th dict attribute cost 3 % of churn's run time.
     __slots__ = (
         "scenario", "params", "provider", "now", "_ran", "_tx", "log", "queue", "specs", "group_map", "leaders",
-        "lineage_counters", "last_trust", "ring_version", "_signals", "_reach", "_where", "_cells", "_side",
-        "_digests", "_searches", "authority", "nodes", "taps", "contexts", "adversaries", "crashed", "relayed"
+        "lineage_counters", "last_trust", "dissolved", "ring_version", "_signals", "_reach", "_where", "_cells",
+        "_side", "_digests", "_searches", "authority", "nodes", "taps", "contexts", "adversaries", "crashed", "relayed"
     )
 
     def __init__(self, scenario: Scenario):
@@ -737,6 +738,7 @@ class Simulation:
         self.leaders: dict[str, Optional[str]] = {}
         self.lineage_counters: dict[str, int] = {}
         self.last_trust: dict[str, dict] = {}
+        self.dissolved: set = set()  # the groups whose dissolution is logged
         self.ring_version = 0
         self._signals: list = []
         self._reach: dict[str, list] = {}  # name -> _neighbours row; see run
@@ -825,8 +827,8 @@ class Simulation:
         events.append(SimEvent(self.now, len(events), kind, str(actor), recipient, about, digest, parts))
 
     def _digest(self, payload: bytes) -> str:
-        """The hex digest that names a logged payload; the first time a
-        payload is logged, it is hashed and kept for the sidecar."""
+        """The hex digest that names a logged payload, hashed and kept for the
+        sidecar the first time; a tap's edit is first logged at its delivery."""
         digest = self._digests.get(payload)
         if digest is None:
             digest = self._digests[payload] = self.provider.hash(payload).hex()
@@ -1015,25 +1017,26 @@ class Simulation:
             self._schedule(arrive, carried, (target,), envelope.sender, (("hops", str(arrive - now)), tx))
 
     def _dispatch_radio(self, envelope: Envelope, recipient: str, tx: tuple) -> None:
-        """One copy of a broadcast to `recipient`, past their link's tap if
-        any (`_tap`): what a replay tap lets flow is queued ahead of the tap's
-        copy, and what another tap passes on it sends itself next tick."""
-        sender, arrive = envelope.sender, self.now + 1
+        """One copy of a broadcast to `recipient`, by a unicast hop's rule
+        past their link's tap (`_tap`): the tap's copy is queued first, and
+        what it passes on keeps the broadcast's `tx`, with `hops=2` if held."""
+        sender, arrive, parts = envelope.sender, self.now + 1, (tx,)
         tap = self._tap_for(sender, recipient)
-        if tap is None or tap.kind == "replay":
-            self._schedule(arrive, envelope, (recipient,), sender, (tx,))
         if tap is not None:
-            passed, at = self._tap(tap, envelope, sender, arrive, (tx,), recipient)
-            if passed is not None and at > arrive:
-                tap.outbox.append((arrive, passed, recipient))
+            envelope, at = self._tap(tap, envelope, sender, arrive, parts, recipient)
+            if envelope is None:
+                return
+            if at > arrive:
+                arrive, parts = at, (("hops", str(at - self.now)), tx)
+        self._schedule(arrive, envelope, (recipient,), sender, parts)
 
     def _tap(self, tap: LinkTap, envelope: Envelope, via: str, arrive: int, parts: tuple, recipient: str) -> tuple:
         """What `tap` does to `envelope`, reaching it from `via` at tick
         `arrive` on its way to `recipient`; `parts` end its copy's detail.  A
         replay tap logs an `overheard` copy, files a replay for `recipient`
-        and lets the envelope flow on; any other logs an `intercepted` copy
-        and passes on what `intercept` leaves a tick later.  Returns what
-        goes on (None when eaten) and the tick it goes on."""
+        (a tap's only send) and lets the envelope flow on; any other logs an
+        `intercepted` copy and passes on what `intercept` leaves a tick
+        later.  Returns what goes on (None when eaten) and the tick it goes on."""
         if tap.kind == "replay":
             self._schedule(arrive, envelope, (tap.name,), via, ("overheard",) + parts)
             tap.outbox.append((arrive + tap.settings["delay"], envelope, recipient))
@@ -1166,8 +1169,10 @@ class Simulation:
             if group == group_id and name != departed and name not in self.crashed
         ]
         if not candidates:
-            self._log("alert", group_id, ("group_dissolved",))
             self.leaders[group_id] = None
+            if group_id not in self.dissolved:  # one dissolution, one alert
+                self.dissolved.add(group_id)
+                self._log("alert", group_id, ("group_dissolved",))
             return
         trust_table = self.last_trust.get(group_id, {})
         winner = elect_leader(self._attrs(candidates, trust_table), self.scenario.weights)
@@ -1177,13 +1182,13 @@ class Simulation:
 
     def _unseat(self, name: str) -> None:
         """Leader `name` leads no more: its trust table seeds its successor's,
-        and a group it leaves empty is dissolved."""
+        and a group it leaves empty is dissolved (an election with no candidate)."""
         service = self.nodes[name].leader_service
         group = service.group_id
         self.last_trust[group] = dict(service.trust)
         self.leaders[group] = None
         if group not in self.group_map.values():
-            self._log("alert", group, ("group_dissolved",))
+            self._election(group, name)
 
     # -- script actions ---------------------------------------------------------------
 

@@ -180,9 +180,9 @@ def late_joiner():
 
 def late_member_set():
     """L leads P and Q (g1); J, in range of P and Q only, joins.  A relaying
-    tap on the link P-J delays everything on the path L-P-J by a tick, so
-    the admission's group REKEY, re-flooded by Q, reaches J before the
-    MEMBER_SET that makes J a member."""
+    tap on the link P-J holds everything crossing it a tick, so the
+    admission's group REKEY, re-flooded by Q, reaches J before the
+    MEMBER_SET, unicast on the path L-P-J, that makes J a member."""
     return Scenario(
         seed=9,
         nodes=placed(("L", 0.0, 0.0, 0.9), ("P", 80.0, -50.0, 0.6), ("Q", 80.0, 50.0, 0.6), ("J", 160.0, 0.0, 0.5)),

@@ -46,7 +46,7 @@ PINNED_FAILURES = {
     (100, "skip_rekey"): "backward_secrecy: FAIL at events 4263,5405",
     (100, "forge_admit"): "mutual_auth: FAIL at events 330,1168,2608,3874,4947",
     (500, "leak_key"): "backward_secrecy: FAIL at events 2164,3698,5617,7153",
-    (500, "skip_rekey"): "backward_secrecy: FAIL at events 2164,5500,6745",
+    (500, "skip_rekey"): "backward_secrecy: FAIL at events 2164,5500,6744",
     (500, "forge_admit"): "mutual_auth: FAIL at events 530,1731,3086,4923,6327",
 }
 

@@ -354,7 +354,7 @@ t=2    discover S:S (discovery_started:dest=D:seq=1)
 t=6    reject   D:D (reject:chain_mismatch:source=S:seq=1)
 summary: elections=1 admits=3 removals=0 rekeys=2 discoveries=1 accepts=0 rejects=1 routes_installed=0 alerts=0
 drops: duplicate=2
-traffic: HEARTBEAT=13/13 LEADER_ANNOUNCE=2/0 REKEY=3/5 RREQ=5/7
+traffic: HEARTBEAT=11/13 LEADER_ANNOUNCE=2/0 REKEY=3/5 RREQ=3/7
 """,
     "benign_line": """\
 t=0    elect    n0 (group=g1:cause=founding)

@@ -1805,8 +1805,8 @@ _CHAT_EDITED = "d691a1f0d3376f7833bd8bbc8cc2181331c4b4793c38bb5b21adc13ecf806803
             ("6", "9", "10"),
             [
                 f"5\t17\tsend\tA\t{_CHAT}\tDATA:to=*:ch=radio:tx=6",
-                f"6\t18\tdeliver\tA>B\t{_CHAT}\tDATA:tx=6",
-                f"6\t20\tdeliver\tA>tap0\t{_CHAT}\tDATA:overheard:tx=6",
+                f"6\t18\tdeliver\tA>tap0\t{_CHAT}\tDATA:overheard:tx=6",
+                f"6\t19\tdeliver\tA>B\t{_CHAT}\tDATA:tx=6",
                 f"8\t25\tsend\ttap0\t{_CHAT}\tDATA:to=B:ch=radio:tx=9",
                 f"9\t27\tsend\ttap0\t{_CHAT}\tDATA:to=A:ch=radio:tx=10",
                 f"9\t28\tdeliver\ttap0>B\t{_CHAT}\tDATA:tx=9",
@@ -1814,23 +1814,47 @@ _CHAT_EDITED = "d691a1f0d3376f7833bd8bbc8cc2181331c4b4793c38bb5b21adc13ecf806803
         ),
         (
             ("modify_field", {"field": "group", "op": "set", "value": "gx"}),
-            ("4", "5", "7"),
+            ("4", "5"),
             [
                 f"5\t13\tsend\tA\t{_CHAT}\tDATA:to=*:ch=radio:tx=4",
-                f"6\t14\tsend\ttap0\t{_CHAT_EDITED}\tDATA:to=B:ch=radio:tx=5",
-                f"6\t15\tdeliver\tA>tap0\t{_CHAT}\tDATA:intercepted:tx=4",
-                f"7\t16\tdeliver\ttap0>B\t{_CHAT_EDITED}\tDATA:tx=5",
-                f"8\t18\tsend\ttap0\t{_CHAT_EDITED}\tDATA:to=A:ch=radio:tx=7",
-                f"9\t22\tdeliver\ttap0>A\t{_CHAT_EDITED}\tDATA:tx=7",
+                f"6\t14\tdeliver\tA>tap0\t{_CHAT}\tDATA:intercepted:tx=4",
+                f"7\t15\tdeliver\tA>B\t{_CHAT_EDITED}\tDATA:hops=2:tx=4",
+                f"7\t16\tsend\tB\t{_CHAT_EDITED}\tDATA:to=*:ch=radio:tx=5",
+                f"8\t17\tdeliver\tB>tap0\t{_CHAT_EDITED}\tDATA:intercepted:tx=5",
+                f"8\t18\tdeliver\tB>C\t{_CHAT_EDITED}\tDATA:tx=5",
+                f"9\t20\tdeliver\tB>A\t{_CHAT_EDITED}\tDATA:hops=2:tx=5",
+            ],
+        ),
+        (
+            ("mitm_relay", {}),
+            ("4", "5"),
+            [
+                f"5\t13\tsend\tA\t{_CHAT}\tDATA:to=*:ch=radio:tx=4",
+                f"6\t14\tdeliver\tA>tap0\t{_CHAT}\tDATA:intercepted:tx=4",
+                f"7\t15\tdeliver\tA>B\t{_CHAT}\tDATA:hops=2:tx=4",
+                f"7\t16\tsend\tB\t{_CHAT}\tDATA:to=*:ch=radio:tx=5",
+                f"8\t17\tdeliver\tB>tap0\t{_CHAT}\tDATA:intercepted:tx=5",
+                f"8\t18\tdeliver\tB>C\t{_CHAT}\tDATA:tx=5",
+                f"9\t20\tdeliver\tB>A\t{_CHAT}\tDATA:hops=2:tx=5",
+            ],
+        ),
+        (
+            ("drop_all", {}),
+            ("4", "5"),
+            [
+                f"5\t11\tsend\tA\t{_CHAT}\tDATA:to=*:ch=radio:tx=4",
+                f"6\t12\tdeliver\tA>tap0\t{_CHAT}\tDATA:intercepted:tx=4",
             ],
         ),
     ],
-    ids=["replay", "modify_field"],
+    ids=["replay", "modify_field", "mitm_relay", "drop_all"],
 )
 def test_broadcast_across_a_link_tap(tap, txs, lines):
-    # A chats at tick 5 on the line A-B-C with a tap on A-B: a replaying
-    # tap lets B hear it and re-sends a copy later, an editing one takes it
-    # and passes on its edit a tick later.
+    # A chats at tick 5 on the line A-B-C with a tap on A-B.  A replaying
+    # tap lets B hear it at once and later sends copies of its own; any
+    # other tap holds it a tick and passes on what it leaves of it under A's
+    # own tx, logged hops=2, as a unicast hop's tap does.  A dropping tap
+    # passes on nothing, so B neither hears nor re-floods it.
     scenario = line_scenario(
         ["A", "B", "C"],
         script=[Action(5, "send_data", ("A", "*", "hi"))],
@@ -1838,6 +1862,29 @@ def test_broadcast_across_a_link_tap(tap, txs, lines):
         duration=9,
     )
     assert _lines_of(run(scenario), txs, since=5) == lines
+
+
+def test_a_link_tap_sends_only_its_replays():
+    # Over every corpus case with a link tap: what a tap passes on stays
+    # its sender's transmission, so each send a tap logs is a replay, of a
+    # payload delivered to that tap at least its delay earlier.
+    tapped = []
+    for case_id, case in corpus.CASES.items():
+        adversaries = case.build().adversaries
+        # A tap is named by its position among all of the scenario's adversaries.
+        taps = {f"tap{i}": adv for i, adv in enumerate(adversaries) if adv.placement[0] == "link"}
+        if not taps:
+            continue
+        tapped.append(case_id)
+        heard = {}  # (tap, payload digest) -> the first tick it reached the tap
+        for e in corpus.log(case_id).events:
+            if e.kind == "deliver" and e.recipient in taps:
+                heard.setdefault((e.recipient, e.digest), e.tick)
+            elif e.kind == "send" and e.actor in taps:
+                tap = taps[e.actor]
+                assert tap.kind == "replay", (case_id, e.line())
+                assert heard.get((e.actor, e.digest), math.inf) <= e.tick - tap.settings["delay"], (case_id, e.line())
+    assert {"modify_unicast", "fixture:stealth_mitm.scn", "adversary:replay:link", "late_member_set"} <= set(tapped)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,14 @@ def test_one_method_decides_what_a_tap_does():
     assert sorted(name for name, called in calls.items() if "self._tap" in called) == ["_dispatch_radio", "_unicast"]
     text = pathlib.Path(sim.__file__).read_text()
     assert len(re.findall(r"\bintercept\(", text)) == 2
+    # What a tap passes on keeps its sender's transmission, so a tap's
+    # outbox holds only replays: it is filled once, in _tap's replay branch.
+    assert len(re.findall(r"\boutbox\.append\(", text)) == 1
+    tap = _simulation_methods(ast.parse(text))["_tap"]
+    [replay] = [
+        node for node in ast.walk(tap) if isinstance(node, ast.If) and ast.unparse(node.test) == "tap.kind == 'replay'"
+    ]
+    assert "tap.outbox.append" in {ast.unparse(node.func) for node in ast.walk(replay) if isinstance(node, ast.Call)}
 
 
 def test_path_search_reads_position_and_liveness_alone():

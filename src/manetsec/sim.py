@@ -494,11 +494,7 @@ class SimEvent:
 
     @property
     def principals(self) -> str:
-        if self.recipient is not None:
-            return f"{self.actor}>{self.recipient}"
-        if self.about:
-            return f"{self.actor}:{self.about}"
-        return self.actor
+        return _principals(self.actor, self.recipient, self.about)
 
     @property
     def detail(self) -> str:
@@ -524,7 +520,18 @@ class SimEvent:
         return default
 
     def line(self) -> str:
+        """The event's log line: the reference :meth:`EventLog.to_text` is
+        tested against."""
         return f"{self.tick}\t{self.seq}\t{self.kind}\t{self.principals}\t{self.digest}\t{render_detail(self.parts)}"
+
+
+def _principals(actor: str, recipient: Optional[str], about: str) -> str:
+    """An event's principals field: `actor`, `actor>recipient` or `actor:about`."""
+    if recipient is not None:
+        return f"{actor}>{recipient}"
+    if about:
+        return f"{actor}:{about}"
+    return actor
 
 
 @dataclass
@@ -552,11 +559,26 @@ class EventLog:
     complete: bool = False
 
     def to_text(self) -> str:
+        """The header, each event's :meth:`SimEvent.line` and, for a run that
+        completed, the footer.  A tick's text is rendered once, and so is the
+        digest-and-detail tail of a run of consecutive events that share one
+        parts tuple and one digest: the deliveries of one queued hop, or lines
+        read back with one detail text and one digest."""
         lines = [LOG_HEADER]
-        lines.extend(event.line() for event in self.events)
+        append = lines.append
+        tick = parts = digest = None
+        for event in self.events:
+            if event.tick != tick:
+                tick = event.tick
+                tick_text = f"{tick}"
+            if event.parts is not parts or event.digest != digest:
+                parts, digest = event.parts, event.digest
+                tail = f"{digest}\t{render_detail(parts)}"
+            append(f"{tick_text}\t{event.seq}\t{event.kind}\t{_principals(event.actor, event.recipient, event.about)}\t{tail}")
         if self.complete:
-            lines.append(LOG_FOOTER)
-        return "\n".join(lines) + "\n"
+            append(LOG_FOOTER)
+        append("")
+        return "\n".join(lines)
 
     def payload_blob(self) -> bytes:
         chunks = [PAYLOAD_MAGIC]
@@ -573,38 +595,53 @@ _PIECE = re.compile(r"[^>:=]+")
 # Pairs whose value the auditor reads as a count, written as `str(int)` does.
 _COUNT_PAIRS = ("epoch", "hops")
 _COUNT = re.compile(r"0|[1-9][0-9]*")
+# A digest field: `-` for an event that names no payload, else the payload's
+# hash as `Simulation._digest` writes it.
+_DIGEST = re.compile(r"-|[0-9a-f]{64}")
 
 
 def _read_principals(text: str) -> tuple:
     """(actor, recipient, about) of `actor`, `actor>recipient` or
-    `actor:about`."""
+    `actor:about`, and whether they render back to `text`."""
     actor, arrow, recipient = text.partition(">")
     actor, _, about = actor.partition(":")
     if not (
         _PIECE.fullmatch(actor) and (not arrow or _PIECE.fullmatch(recipient)) and (not about or _PIECE.fullmatch(about))
     ):
         raise ValueError(f"principals {text!r} are not actor, actor>recipient or actor:about")
-    return actor, (recipient if arrow else None), about
+    fields = actor, (recipient if arrow else None), about
+    return fields, _principals(*fields) == text
 
 
-def _read_detail(text: str) -> tuple:
-    """The parts of a `:`-joined detail, each a word or a `name=value` pair."""
-    parts = []
-    for part in text.split(":"):
-        name, equals, value = part.partition("=")
-        if equals and name in _COUNT_PAIRS and not _COUNT.fullmatch(value):
-            raise ValueError(f"detail {text!r} has a part {part!r} whose value is not a decimal count")
-        if not (_PIECE.fullmatch(name) and (not equals or _PIECE.fullmatch(value))):
-            raise ValueError(f"detail {text!r} has a part {part!r} that is neither a word nor name=value")
-        parts.append((name, value) if equals else name)
-    return tuple(parts)
+def _read_part(part: str):
+    """A detail part: a word, or a `name=value` pair as (name, value)."""
+    name, equals, value = part.partition("=")
+    if equals and name in _COUNT_PAIRS and not _COUNT.fullmatch(value):
+        raise ValueError(f"has a part {part!r} whose value is not a decimal count")
+    if not (_PIECE.fullmatch(name) and (not equals or _PIECE.fullmatch(value))):
+        raise ValueError(f"has a part {part!r} that is neither a word nor name=value")
+    return (name, value) if equals else name
+
+
+def _read_detail(text: str, read_part) -> tuple:
+    """The parts of a `:`-joined detail, each read by `read_part`, and
+    whether they render back to `text`."""
+    try:
+        parts = tuple(map(read_part, text.split(":")))
+    except ValueError as exc:
+        raise ValueError(f"detail {text!r} {exc}") from None
+    return parts, render_detail(parts) == text
 
 
 def parse_log_text(text: str) -> EventLog:
     """Read a log back into the events that were logged.  A line that does
-    not follow the grammar of :class:`SimEvent`, or does not render back to
-    itself, is rejected with its line number.  Each distinct principals or
-    detail field is read once per call; every line is still rendered back."""
+    not follow the grammar of :class:`SimEvent`, does not render back to
+    itself (its :meth:`SimEvent.line` is not the line), has a digest that is
+    neither `-` nor 64 lowercase hex digits, or breaks the order of sequence
+    numbers or ticks, is rejected with its line number, for the first of
+    these it breaks.  A line renders back exactly when each of its fields
+    does, so each distinct field is read and checked once per call: every
+    line with one detail text is handed one parts tuple."""
     lines = text.splitlines()
     if not lines or lines[0] != LOG_HEADER:
         raise SimulationError("not an event log (bad header)")
@@ -613,30 +650,45 @@ def parse_log_text(text: str) -> EventLog:
     if body and body[-1] == LOG_FOOTER:
         log.complete = True
         body = body[:-1]
-    read_principals, read_detail = functools.cache(_read_principals), functools.cache(_read_detail)
+    read_principals = functools.cache(_read_principals)
+    read_detail = functools.cache(functools.partial(_read_detail, read_part=functools.cache(_read_part)))
+    digests = set()  # the digest fields read so far, each well formed
+    events = log.events
+    tick_text = None  # the last line's tick field, which rendered back
     for i, line in enumerate(body, start=2):
         fields = line.split("\t")
         if len(fields) != 6:
             raise SimulationError(f"line {i}: expected 6 tab-separated fields")
+        tick_field, seq_field, kind, principals, digest, detail = fields
         try:
-            tick, seq = int(fields[0]), int(fields[1])
+            if tick_field != tick_text:
+                tick = int(tick_field)
+            seq = int(seq_field)
         except ValueError as exc:
             raise SimulationError(f"line {i}: bad tick/sequence") from exc
-        if fields[2] not in EVENT_KINDS:
-            raise SimulationError(f"line {i}: unknown event kind {fields[2]!r}")
+        if kind not in EVENT_KINDS:
+            raise SimulationError(f"line {i}: unknown event kind {kind!r}")
         try:
-            event = SimEvent(tick, seq, fields[2], *read_principals(fields[3]), fields[4], read_detail(fields[5]))
+            (actor, recipient, about), principals_back = read_principals(principals)
+            parts, detail_back = read_detail(detail)
         except ValueError as exc:
             raise SimulationError(f"line {i}: {exc}") from None
-        if event.line() != line:
+        if not (
+            principals_back and detail_back and str(seq) == seq_field and (tick_field == tick_text or str(tick) == tick_field)
+        ):
             raise SimulationError(f"line {i}: does not render back to itself")
-        if log.events:
-            last = log.events[-1]
+        tick_text = tick_field
+        if digest not in digests:
+            if not _DIGEST.fullmatch(digest):
+                raise SimulationError(f"line {i}: digest {digest!r} is neither - nor 64 lowercase hex digits")
+            digests.add(digest)
+        if events:
+            last = events[-1]
             if seq <= last.seq:
                 raise SimulationError(f"line {i}: sequence {seq} does not follow {last.seq}")
             if tick < last.tick:
                 raise SimulationError(f"line {i}: tick {tick} is before tick {last.tick}")
-        log.events.append(event)
+        events.append(SimEvent(tick, seq, kind, actor, recipient, about, digest, parts))
     return log
 
 

@@ -16,6 +16,8 @@ from manetsec.runtime import render_detail
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
     EVENT_KINDS,
+    LOG_FOOTER,
+    LOG_HEADER,
     PAYLOAD_MAGIC,
     Action,
     AdversarySpec,
@@ -42,6 +44,7 @@ from topologies import (
     stealth_node_scenario,
     two_group_scenario,
     verdicts,
+    workloads,
 )
 
 
@@ -446,6 +449,64 @@ def test_log_text_roundtrip():
     assert payloads == log.payloads
 
 
+def _reference_text(log) -> str:
+    """A log's text rendered event by event: the header, each event's
+    `SimEvent.line` and, for a complete log, the footer."""
+    lines = [LOG_HEADER, *(event.line() for event in log.events)]
+    if log.complete:
+        lines.append(LOG_FOOTER)
+    return "\n".join(lines) + "\n"
+
+
+# Every corpus case but the grid workloads' pool seeds past the three that
+# `test_golden.py` runs: the grid cases kept cover the writer on a grid, and
+# each further seed is a 64-node run that the rest of the suite mostly skips.
+_UNRUN_POOL = {f"{name}:{seed}:plain" for name in ("grid_static", "grid_mobile") for seed in workloads.WORKLOADS[name].pool[3:]}
+
+
+@pytest.mark.parametrize("case_id", [case_id for case_id in corpus.CASES if case_id not in _UNRUN_POOL])
+def test_log_text_is_the_line_of_each_event(case_id):
+    # The writer renders a tick once, and the tail of a run of events that
+    # share one parts tuple and one digest once (the deliveries of one hop).
+    log = corpus.log(case_id)
+    assert log.to_text() == _reference_text(log)
+
+
+# Lines that a reader hands one parts tuple, across ticks, kinds and
+# digests, with neighbours that differ in their digest alone.
+_ONE_DETAIL = "".join(
+    f"{tick}\t{seq}\t{kind}\tA>B\t{digest}\tdead:tx=7\n"
+    for seq, (tick, kind, digest) in enumerate(
+        [(0, "drop", "-"), (0, "deliver", "0f" * 32), (1, "deliver", "0f" * 32), (1, "deliver", "a1" * 32), (2, "drop", "-")]
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_log_text(f"{LOG_HEADER}\n{_ONE_DETAIL}{LOG_FOOTER}\n"),
+        lambda: parse_log_text(corpus.log("churn:500:plain").to_text()),
+        # A tap changes the unicast, so the addressee's delivery has a digest
+        # that the hop's intercepted copy does not.
+        lambda: parse_log_text(corpus.log("modify_unicast").to_text()),
+        lambda: EventLog(events=corpus.log("modify_unicast").events[:40]),
+        EventLog,
+        lambda: EventLog(complete=True),
+    ],
+    ids=["one_detail", "read_back", "modify_unicast_read_back", "incomplete", "empty", "empty_complete"],
+)
+def test_log_text_is_the_line_of_each_event_read_back_cut_or_empty(build):
+    log = build()
+    assert log.to_text() == _reference_text(log)
+
+
+def test_a_read_back_log_hands_one_detail_one_parts_tuple():
+    read = parse_log_text(f"{LOG_HEADER}\n{_ONE_DETAIL}")
+    assert len({id(event.parts) for event in read.events}) == 1
+    assert len({(event.tick, event.kind, event.digest) for event in read.events}) == 5
+
+
 # A piece of event text: any character but the separators, a tab or a line
 # break (control characters and line separators are left out altogether).
 _PIECE_TEXT = st.text(
@@ -563,16 +624,40 @@ def test_log_parse_rejects_tick_going_back():
 
 
 @pytest.mark.parametrize(
-    "tick,error",
-    [("4", "tick 4 is before tick 5"), ("x", "bad tick/sequence"), ("05", "does not render back to itself")],
+    "tick,seq,error",
+    [
+        pytest.param("4", "2", "tick 4 is before tick 5", id="4-tick 4 is before tick 5"),
+        pytest.param("x", "2", "bad tick/sequence", id="x-bad tick/sequence"),
+        pytest.param("05", "2", "does not render back to itself", id="05-does not render back to itself"),
+        pytest.param("5", "07", "does not render back to itself", id="seq 07-does not render back to itself"),
+        pytest.param("5", "+2", "does not render back to itself", id="seq +2-does not render back to itself"),
+        pytest.param("5", " 2", "does not render back to itself", id="seq  2-does not render back to itself"),
+    ],
 )
-def test_log_parse_rejects_a_bad_tick_on_a_line_that_repeats_earlier_fields(tick, error):
-    # Line 4 has the principals and the detail of lines 2 and 3, read
-    # already; its tick is still checked.
+def test_log_parse_rejects_a_bad_tick_on_a_line_that_repeats_earlier_fields(tick, seq, error):
+    # Line 4 has the principals, the detail and (but in the first three
+    # cases) the tick of lines 2 and 3, read already; its tick and its
+    # sequence are still checked.
     rest = "\tdrop\tA>B\t-\tdead:hops=2:tx=7"
-    text = f"#manetsec-log v1\n5\t0{rest}\n5\t1{rest}\n{tick}\t2{rest}\n#complete\n"
+    text = f"#manetsec-log v1\n5\t0{rest}\n5\t1{rest}\n{tick}\t{seq}{rest}\n#complete\n"
     with pytest.raises(SimulationError, match=f"^line 4: {error}$"):
         parse_log_text(text)
+
+
+@pytest.mark.parametrize(
+    "digest", ["", "xyz", "0" * 63, "0" * 65, "0F" * 32], ids=["empty", "xyz", "63_hex", "65_hex", "uppercase_hex"]
+)
+def test_log_parse_rejects_a_digest_that_is_neither_a_dash_nor_lowercase_hex(digest):
+    # Line 3's tick goes back too: the digest is checked first.  A line that
+    # does not render back (principals `A:`) is rejected for that first.
+    good = "5\t0\talert\tA\t-\tnode_crashed"
+    for principals, error in [
+        ("A", f"digest {re.escape(repr(digest))} is neither - nor 64 lowercase hex digits"),
+        ("A:", "does not render back to itself"),
+    ]:
+        text = f"#manetsec-log v1\n{good}\n4\t1\talert\t{principals}\t{digest}\tnode_crashed\n#complete\n"
+        with pytest.raises(SimulationError, match=f"^line 3: {error}$"):
+            parse_log_text(text)
 
 
 def _sidecar():

@@ -24,9 +24,9 @@ re-floods it: the simulator records every group broadcast a node sends,
 and logs each later copy as delivered without handing it over.
 
 :class:`AdversaryNode` implements the injectable misbehaviours for nodes
-placed as adversaries: stealth relaying, field mutation, replay, and the
-impostor flows (fake leader answering joins, forged certificates, rogue
-session attempts).
+placed as adversaries: stealth relaying, field mutation, replay, and a fake
+leader answering joins.  An adversary joins, and opens sessions, as any node
+does, with a certificate it signed itself and its own key.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from .keymgmt import Certificate, LeaderKeyService, MemberKeyService, SessionService, emit_session1
-from .messages import BROADCAST, FIELD_TYPES, UNOPENABLE, Envelope, Message, MessageKind, msg, open_sealed, seal_plain
+from .messages import BROADCAST, FIELD_TYPES, NAME_RE, UNOPENABLE, Envelope, Message, MessageKind, msg
+from .messages import open_sealed, seal_plain
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
 from .routing import Discovery, Router
 from .runtime import Ctx
@@ -542,10 +543,12 @@ BEHAVIORS = {
     "mitm_relay": {},
     "modify_field": {"value": None},
     "replay": {"delay": 5},
-    "impersonate": {"strategy": "replay", "modulus": (1 << 61) - 1},
+    "impersonate": {"strategy": "replay"},
     "drop_all": {},
     "drop_probabilistic": {"p": 1.0},
 }
+# The modulus of the identification values a random impostor makes up.
+_IMPOSTOR_MODULUS = (1 << 61) - 1
 # The stealth relay forwards whatever it carries to stay invisible.  Every
 # placed node relays addressed traffic on its path alike, passing on what
 # `intercept` leaves of it; a dropper there goes unnoticed, since no node
@@ -580,25 +583,28 @@ class AdversaryNode:
 
     It overhears whatever reaches its position (the engine logs those
     deliveries, which is how the auditor knows what it learned) but holds
-    no certificate, so every active behaviour is caught by the protocol's
-    checks; the stealth relay is caught by the chain reconstruction.  On a
-    unicast's path it relays what `intercept` leaves of what it carries, so
-    a dropper there eats the message, and no node detects that yet.
+    only a certificate it signed itself, so every active behaviour is caught
+    by the protocol's checks; the stealth relay is caught by the chain
+    reconstruction.  On a unicast's path it relays what `intercept` leaves
+    of what it carries, so a dropper there eats the message, and no node
+    detects that yet.
     """
 
-    def __init__(self, name: str, keypair, provider, rng: random.Random, behavior: str, args: dict, publics: dict):
+    def __init__(self, name: str, keypair, provider, rng, params: SimParams, behavior: str, args: dict, publics: dict):
         self.name = name
-        self.keypair = keypair
-        self.provider = provider
         self.rng = rng
         self.behavior = behavior
         self.args = args  # every argument its behavior reads, defaults included
         self.publics = publics  # certificate directory: public material only
+        signed = provider.sign(keypair.private, Certificate(name, keypair.public, b"").signed_payload())
+        self.member = MemberKeyService(
+            name, keypair, Certificate(name, keypair.public, signed), provider, params.challenge_bits,
+            params.challenge_rounds,
+        )
         self.recorded_params: Optional[Message] = None  # the last ZK_PARAMS overheard
         self.recorded_responses: Optional[Message] = None  # the last ZK_RESPONSE overheard
         self.replay_buffer: list = []  # (due tick, envelope) to replay
         self.active_impostor_joins: set = set()  # joiners this impostor answers
-        self.forged_join_leader: Optional[str] = None  # the leader this node's forged join targets
         self.seen_broadcasts: set = set()  # wire bytes of broadcasts already handled
         self.wake_by = _unclocked  # set by the simulator, as for a ProtocolNode
 
@@ -613,13 +619,9 @@ class AdversaryNode:
             self.recorded_params = message
         elif kind == MessageKind.ZK_RESPONSE:
             self.recorded_responses = message
-        if self.forged_join_leader is not None and kind in (
-            MessageKind.ZK_PARAMS,
-            MessageKind.ZK_RESPONSE,
-        ):
-            if message["join_id"] == self.name:
-                self.continue_forged_join(message, ctx)
-                return
+        if self.member.join is not None and kind in MemberKeyService.JOIN_HANDLERS and message["join_id"] == self.name:
+            self.member.handle_join(message, ctx)
+            return
         if self.behavior == "impersonate":
             self._impostor_step(envelope, ctx)
             return
@@ -644,14 +646,13 @@ class AdversaryNode:
             if self.args["strategy"] == "replay" and recorded is not None:
                 ctx.emit(recorded.replace(join_id=requester))
             else:
-                modulus = self.args["modulus"]
                 ctx.emit(
                     msg(
                         MessageKind.ZK_PARAMS,
                         join_id=requester,
-                        modulus=modulus,
-                        square=self.rng.randrange(2, modulus),
-                        commitments=[self.rng.randrange(2, modulus)],
+                        modulus=_IMPOSTOR_MODULUS,
+                        square=self.rng.randrange(2, _IMPOSTOR_MODULUS),
+                        commitments=[self.rng.randrange(2, _IMPOSTOR_MODULUS)],
                     )
                 )
         elif message.kind == MessageKind.ZK_CHALLENGE:
@@ -665,39 +666,9 @@ class AdversaryNode:
                 responses = [self.rng.getrandbits(64) + 2 for _ in message["challenges"]]
             ctx.emit(msg(MessageKind.ZK_RESPONSE, join_id=join_id, responses=responses))
 
-    # Scripted active attacks ---------------------------------------------------
-
-    def begin_forged_join(self, leader: str, ctx: Ctx) -> None:
-        self.forged_join_leader = leader
-        ctx.emit(msg(MessageKind.JOIN_REQ, requester=self.name), to=leader)
-
-    def continue_forged_join(self, message: Message, ctx: Ctx) -> None:
-        """Answer the next message of this node's forged join: a ZK_PARAMS or
-        a ZK_RESPONSE addressed to it."""
-        if message.kind == MessageKind.ZK_PARAMS:
-            ctx.emit(
-                msg(
-                    MessageKind.ZK_CHALLENGE,
-                    join_id=self.name,
-                    challenges=[self.rng.getrandbits(64) for _ in message["commitments"]],
-                )
-            )
-        else:
-            ctx.emit(
-                msg(
-                    MessageKind.CERT,
-                    subject=self.name,
-                    subject_public=self.keypair.public,
-                    authority_sig=self.rng.randbytes(32),
-                ),
-                to=self.forged_join_leader,
-            )
-
-    def begin_rogue_session(self, peer: str, ctx: Ctx) -> None:
-        """Initiate a session as a non-member; the leader lookup exposes us."""
-        peer_public = self.publics.get(peer)
-        if peer_public is not None:
-            emit_session1(self.name, self.keypair, self.provider, peer, peer_public, ctx)
+    def start_session(self, peer: str, ctx: Ctx) -> None:
+        """Open a session as a non-member; the leader lookup exposes it."""
+        emit_session1(self.name, self.member.keypair, self.member.provider, peer, self.publics[peer], ctx)
 
     def next_due(self, now: int) -> Optional[int]:
         """The earliest tick after `now` at which a replay falls due, or None
@@ -714,8 +685,8 @@ class AdversaryNode:
 
 
 # The single-field mutations `mutate_message` knows, each with the wire
-# types (`messages.FIELD_TYPES`) it applies to; those in VALUE_OPS take a
-# value.
+# types (`messages.FIELD_TYPES`) it applies to; those that write a scalar,
+# `add` and `set`, take a value.
 _LISTS = ("list[int]", "list[name]", "list[bytes]")
 MUTATION_OPS = {
     "add": ("int",),
@@ -727,7 +698,25 @@ MUTATION_OPS = {
     "drop_last": _LISTS,
     "dup_last": _LISTS,
 }
-VALUE_OPS = ("add", "set")
+
+
+def mutation_problems(fieldname: Optional[str], op: str, value) -> list:
+    """What keeps mutation `op`, with `value`, from applying to the field
+    `fieldname` (to any field, when None): at most one problem.  This is the
+    rule `mutate_message` and scenario validation both keep."""
+    if op not in MUTATION_OPS:
+        return [f"unknown modify_field op {op!r}"]
+    if op in ("add", "set") and value is None:
+        return [f"modify_field op {op} needs value="]
+    wire_type = FIELD_TYPES.get(fieldname)
+    if fieldname is not None and wire_type not in MUTATION_OPS[op]:
+        return [f"modify_field op {op} does not apply to {fieldname}, whose type is {wire_type}"]
+    # An op that fits an int or name field is a value op, so `value` is set.
+    if wire_type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+        return [f"modify_field value {value!r} for int field {fieldname} is not an integer"]
+    if wire_type == "name" and not NAME_RE.fullmatch(str(value)):
+        return [f"modify_field value {value!r} for name field {fieldname} is not a name"]
+    return []
 
 
 def _flip_bit(data: bytes, rng: random.Random) -> bytes:
@@ -742,12 +731,12 @@ def _flip_bit(data: bytes, rng: random.Random) -> bytes:
 def mutate_message(message: Message, fieldname: str, op: str, value, rng: random.Random) -> Message:
     """Apply one named single-field mutation; used by adversaries and fuzzing.
     A mutation with nothing to act on (an empty list or byte string) leaves
-    the field as it is."""
-    if op not in MUTATION_OPS:
-        raise ValueError(f"unknown mutation op {op!r}")
+    the field as it is.  A mutation that breaks `mutation_problems`' rule
+    raises ValueError."""
+    problems = mutation_problems(fieldname, op, value)
+    if problems:
+        raise ValueError(problems[0])
     wire_type = FIELD_TYPES[fieldname]
-    if wire_type not in MUTATION_OPS[op]:
-        raise ValueError(f"mutation op {op!r} does not apply to {fieldname} ({wire_type})")
     current = message[fieldname]
     mutated = current
     if op == "add":

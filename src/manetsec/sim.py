@@ -44,9 +44,9 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from .crypto import PROVIDERS, make_provider
 from .group import TRUST_INITIAL, NodeAttributes, WeightConfig, elect_leader, mobility
 from .keymgmt import CertificateAuthority, LeaderKeyService, leader_ring_agree
-from .messages import BROADCAST, FIELD_TYPES, HEADER_FIELDS, NAME_RE, Envelope, MessageKind
+from .messages import BROADCAST, HEADER_FIELDS, NAME_RE, Envelope, MessageKind
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
-from .node import BEHAVIORS, MUTATION_OPS, VALUE_OPS, AdversaryNode, ProtocolNode, intercept, refloods
+from .node import BEHAVIORS, AdversaryNode, ProtocolNode, intercept, mutation_problems, refloods
 from .runtime import Ctx, render_detail
 
 LOG_HEADER = "#manetsec-log v1"
@@ -150,7 +150,6 @@ class Scenario:
 # The roles an argument of a script action or an expectation can play.
 ANY_NODE = "node"
 PROTOCOL_NODE = "protocol node"  # a node that is not adversarial
-ADVERSARIAL_NODE = "adversarial node"
 GROUP = "group"
 NODE_OR_ALL = "node or *"  # `*` addresses the whole group
 TEXT = "text"
@@ -158,17 +157,15 @@ OPTIONAL_TEXT = "optional text"  # only ever the last argument
 
 # Each script action with the roles of its arguments, in order.
 ACTIONS = {
-    "join": (PROTOCOL_NODE, GROUP),
-    "join_via": (PROTOCOL_NODE, ANY_NODE),
+    "join": (ANY_NODE, GROUP),
+    "join_via": (ANY_NODE, ANY_NODE),
     "leave": (PROTOCOL_NODE,),
     "crash": (ANY_NODE,),
     "crash_leader": (GROUP,),
     "discover": (PROTOCOL_NODE, ANY_NODE),
     "send_data": (PROTOCOL_NODE, NODE_OR_ALL, OPTIONAL_TEXT),
-    "session": (PROTOCOL_NODE, ANY_NODE),
+    "session": (ANY_NODE, ANY_NODE),
     "expel": (PROTOCOL_NODE, ANY_NODE),
-    "forged_join": (ADVERSARIAL_NODE, GROUP),
-    "rogue_session": (ADVERSARIAL_NODE, ANY_NODE),
 }
 
 # Each expectation with the roles of its arguments: a verdict's detail
@@ -286,31 +283,16 @@ def _adversary_arg_problems(adv: AdversarySpec) -> list:
         problems.append("drop probability must be within [0, 1]")
     elif adv.kind == "replay" and args["delay"] < 0:
         problems.append(f"replay delay must be a non-negative integer, not {args['delay']!r}")
-    elif adv.kind == "impersonate":
-        if args["strategy"] not in ("replay", "random"):
-            problems.append(f"impersonate strategy must be replay or random, not {args['strategy']!r}")
-        if args["modulus"] < 4:
-            problems.append(f"impersonate modulus must be an integer of at least 4, not {args['modulus']!r}")
+    elif adv.kind == "impersonate" and args["strategy"] not in ("replay", "random"):
+        problems.append(f"impersonate strategy must be replay or random, not {args['strategy']!r}")
     elif adv.kind == "modify_field":
-        for key in ("field", "op"):
-            if key not in args:
-                problems.append(f"modify_field needs {key}=")
-        fieldname, op, value = args.get("field"), args.get("op"), args["value"]
-        if op is not None and op not in MUTATION_OPS:
-            problems.append(f"unknown modify_field op {op!r}")
-        elif op in VALUE_OPS and value is None:
-            problems.append(f"modify_field op {op} needs value=")
+        problems += [f"modify_field needs {key}=" for key in ("field", "op") if key not in args]
+        fieldname = args.get("field")
         if fieldname is not None and fieldname not in HEADER_FIELDS:
             problems.append(f"modify_field field {fieldname!r} names no message field")
-        elif fieldname is not None and op in MUTATION_OPS:
-            wire_type = FIELD_TYPES[fieldname]
-            if wire_type not in MUTATION_OPS[op]:
-                problems.append(f"modify_field op {op} does not apply to {fieldname}, whose type is {wire_type}")
-            elif op in VALUE_OPS and value is not None:
-                if wire_type == "int" and not _is(value, int):
-                    problems.append(f"modify_field value {value!r} for int field {fieldname} is not an integer")
-                elif wire_type == "name" and not NAME_RE.fullmatch(str(value)):
-                    problems.append(f"modify_field value {value!r} for name field {fieldname} is not a name")
+            fieldname = None
+        if "op" in args:
+            problems += mutation_problems(fieldname, args["op"], args["value"])
     return problems
 
 
@@ -336,8 +318,6 @@ def _argument_problems(what: str, word: str, args: tuple, table: dict, names, ad
             problems.append(f"{what} {word}: unknown node {arg!r}")
         elif role == PROTOCOL_NODE and arg in adversarial:
             problems.append(f"{what} {word}: {arg!r} is adversarial, not a protocol node")
-        elif role == ADVERSARIAL_NODE and arg not in adversarial:
-            problems.append(f"{what} {word}: {arg!r} is not an adversarial node")
     return problems
 
 
@@ -831,7 +811,8 @@ class Simulation:
             spec = placed.get(name)
             if spec is not None:
                 self.nodes[name] = AdversaryNode(
-                    name, keypairs[name], self.provider, rng_for(f"node:{name}"), spec.kind, spec.settings, publics
+                    name, keypairs[name], self.provider, rng_for(f"node:{name}"), scenario.params, spec.kind,
+                    spec.settings, publics
                 )
             else:
                 self.nodes[name] = ProtocolNode(
@@ -1280,12 +1261,6 @@ class Simulation:
                 self._log("alert", actor, ("expel_failed", "not_leader", args[1]))
                 return
             self._step(actor, node.leader_service.remove_members, [args[1]], "misbehavior")
-        elif op == "forged_join":
-            leader = self.leaders.get(args[1])
-            if leader is not None:
-                self._step(actor, node.begin_forged_join, leader)
-        elif op == "rogue_session":
-            self._step(actor, node.begin_rogue_session, args[1])
 
     def _leave(self, ctx: Ctx) -> None:
         """Scripted leave: the node announces it, and a leaving leader's group

@@ -70,13 +70,14 @@ def adversary_line_scenario(kind, placement, args=None):
 
 
 def active_adversary_scenario(kind):
-    """The bridge placement of `kind`, where X also attempts a forged join
-    and two rogue sessions, so its own random stream reaches the log."""
+    """The bridge placement of `kind`, where X also joins g1 with the
+    certificate it signed itself and opens two sessions, so its own random
+    stream reaches the log."""
     scenario = adversary_line_scenario(kind, "bridge")
     scenario.script += [
-        Action(5, "forged_join", ("X", "g1")),
-        Action(8, "rogue_session", ("X", "D")),
-        Action(30, "rogue_session", ("X", "A")),
+        Action(5, "join", ("X", "g1")),
+        Action(8, "session", ("X", "D")),
+        Action(30, "session", ("X", "A")),
     ]
     scenario.script.sort(key=lambda action: action.tick)
     return scenario

@@ -111,7 +111,7 @@ HALF_FORMED_BASE = "[nodes]\nA 1.0 0,0\nB 0.9 100,0\nX 0.5 50,0\n[groups]\ng1 4 
         ("[adversaries]\nlink A B replay delay=abc\n", "adversary 0: replay delay must be an integer, not 'abc'"),
         (
             "[adversaries]\nnode X impersonate strategy=random modulus=1\n",
-            "adversary 0: impersonate modulus must be an integer of at least 4, not 1",
+            "adversary 0: impersonate reads no argument 'modulus'",
         ),
         ("[params]\nradio_radius = 0\n", "radio_radius must be finite and positive, not 0.0"),
         ("[params]\nradio_radius = -1\n", "radio_radius must be finite and positive, not -1.0"),

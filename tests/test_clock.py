@@ -248,7 +248,8 @@ def test_a_node_with_no_role_is_never_due():
 def test_an_adversary_is_due_at_its_earliest_replay():
     provider = make_provider("test_double")
     rng = random.Random("x")
-    adversary = AdversaryNode("x", provider.generate_keypair(rng), provider, rng, "replay", {"delay": 5}, {})
+    keypair = provider.generate_keypair(rng)
+    adversary = AdversaryNode("x", keypair, provider, rng, SimParams(), "replay", {"delay": 5}, {})
     assert adversary.next_due(0) is None
     heard = Envelope(message=msg(MessageKind.LEAVE, who="a"), sender="a", to="*", channel="radio")
     adversary.replay_buffer = [(30, heard), (22, heard)]

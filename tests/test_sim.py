@@ -297,10 +297,6 @@ def test_validation_rejects_a_node_named_like_a_link_tap(placements, names, prob
             "action leave: 'C' is adversarial, not a protocol node",
         ),
         (
-            lambda s: s.script.append(Action(1, "forged_join", ("A", "g1"))),
-            "action forged_join: 'A' is not an adversarial node",
-        ),
-        (
             lambda s: (s.nodes.append(NodeSpec("C", [(50.0, 60.0)], 0.5)), s.groups.append(GroupSpec("g1", 4, ["C"]))),
             "duplicate group id 'g1'",
         ),
@@ -849,10 +845,10 @@ def _path_scenario(draw):
     tick = st.integers(min_value=1, max_value=24)
     script = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        op = draw(st.sampled_from(["crash", "session", "discover", "forged_join"]))
+        op = draw(st.sampled_from(["crash", "session", "discover", "join"]))
         if op == "crash":
             script.append(Action(draw(tick), op, (draw(st.sampled_from(names)),)))
-        elif op == "forged_join" and placed:
+        elif op == "join" and placed:
             script.append(Action(draw(tick), op, (draw(st.sampled_from(placed)), "g1")))
         elif op in ("session", "discover") and len(honest) > 1:
             a, b = draw(st.lists(st.sampled_from(honest), min_size=2, max_size=2, unique=True))
@@ -879,7 +875,7 @@ def _bridged(kind):
         nodes=nodes,
         groups=[GroupSpec("g1", 6, ["A", "B", "C"])],
         params=SimParams(radio_radius=110.0, heartbeat_period=3, duration=8),
-        script=[Action(4, "crash", ("C",)), Action(5, "forged_join", ("X", "g1"))],
+        script=[Action(4, "crash", ("C",)), Action(5, "join", ("X", "g1"))],
         adversaries=[AdversarySpec(kind, ("node", "X"))],
     )
 
@@ -918,9 +914,9 @@ def _crash_between_senders():
     )
 
 
-def _forged_join_far():
-    """X, an impostor, sends a forged join to the leader L three hops away.
-    D, a dropper, is as near to L as M and sorts before it, so the join takes
+def _adversary_join_far():
+    """X, an impostor, joins g1, whose leader L is three hops away.  D, a
+    dropper, is as near to L as M and sorts before it, so the join takes
     the path X-D-N-L and is eaten at D."""
     nodes = [NodeSpec("X", [(0.0, 0.0)]), NodeSpec("D", [(100.0, 40.0)]), NodeSpec("M", [(100.0, 0.0)], 0.3),
              NodeSpec("N", [(200.0, 0.0)], 0.3), NodeSpec("L", [(300.0, 0.0)], 1.0)]
@@ -929,7 +925,7 @@ def _forged_join_far():
         nodes=nodes,
         groups=[GroupSpec("g1", 6, ["L", "M", "N"])],
         params=SimParams(radio_radius=110.0, heartbeat_period=3, duration=12),
-        script=[Action(2, "forged_join", ("X", "g1"))],
+        script=[Action(2, "join", ("X", "g1"))],
         adversaries=[AdversarySpec("impersonate", ("node", "X")), AdversarySpec("drop_all", ("node", "D"))],
     )
 
@@ -940,7 +936,7 @@ def _forged_join_far():
 @example(_bridged("mitm_relay"))
 @example(_walking_grid())
 @example(_crash_between_senders())
-@example(_forged_join_far())
+@example(_adversary_join_far())
 def test_kept_path_searches_equal_fresh_searches(scenario):
     _CheckedPaths(scenario).run()
 
@@ -2091,6 +2087,28 @@ def test_joiner_aborts_on_degenerate_zk_modulus(modulus):
     assert not [e for e in log.events if e.kind == "admit" and e.detail == "handshake"]
 
 
+@pytest.mark.parametrize("provider", ["test_double", "real"])
+def test_an_adversary_join_fails_at_the_leaders_certificate_check(provider):
+    # X runs the joiner's half of the handshake as any node does: it checks
+    # the leader's proof (zk_ok), then offers the certificate it signed
+    # itself, which the leader rejects and raises on the ring.
+    scenario = line_scenario(["L", "M"], seed=5, script=[Action(3, "join", ("X", "g1"))], duration=20)
+    scenario.nodes += placed(("X", 50.0, 60.0, 0.5))
+    scenario.adversaries.append(AdversarySpec("drop_all", ("node", "X")))
+    scenario.provider_name = provider
+    sim = Simulation(scenario)
+    log = sim.run()
+    assert len(verdicts(log, "X", "zk_ok")) == 1
+    assert len(verdicts(log, "L", "join_rejected:bad_certificate")) == 1
+    assert not verdicts(log, "L", "cert_ok")
+    assert [e for e in log.events if e.kind == "send" and e.principals == "L" and e.detail.startswith(
+        "MALICIOUS_ALERT:to=*:ch=ring:"
+    )]
+    assert not [e for e in log.events if e.kind == "admit" and e.about == "X"]
+    assert not sim.nodes["X"].member.is_member() and "X" not in sim.nodes["L"].leader_service.member_view
+    assert audit(log).passed
+
+
 def test_founding_leader_ignores_a_forged_alert():
     # X rewrites the leader's genuine not_a_member alert about X to accuse
     # M; the leader checks it against its own key and M against the
@@ -2098,11 +2116,12 @@ def test_founding_leader_ignores_a_forged_alert():
     scenario = parse_scenario(
         "[nodes]\nL 1.0 0,0\nM 0.5 100,0\nX 0.5 50,60\n[groups]\ng1 8 L M\n"
         "[adversaries]\nnode X modify_field field=accused op=set value=M\n"
-        "[script]\n3 rogue_session X M\n30 session L M\n"
+        "[script]\n3 session X M\n30 session L M\n"
     )
     scenario.seed = 0
     sim = Simulation(scenario)
     log = sim.run()
+    assert corpus.digest(log) == "ed166a3a82010619bc2989050aa30130bdbea9d9e4d65ed3c0ba089125a2b9c7"
     assert [e.about for e in log.events if e.kind == "alert" and e.word == "not_a_member"] == ["X"]
     assert not verdicts(log, "L", "session_refused")
     assert verdicts(log, "L", "session_confirmed") and verdicts(log, "M", "session_confirmed")

@@ -87,6 +87,23 @@ def test_one_data_builder():
     assert sites == ["node.py"]
 
 
+def test_only_keymgmt_builds_the_joiners_messages():
+    # Every node that joins, a placed adversary too, runs the joiner's half
+    # of the handshake in `keymgmt.MemberKeyService`: no other module builds
+    # a JOIN_REQ, ZK_CHALLENGE, CERT or NONCE.
+    joiners = {"JOIN_REQ", "ZK_CHALLENGE", "CERT", "NONCE"}
+    src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
+    sites = {
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and node.args
+        and isinstance(kind := node.args[0], ast.Attribute) and kind.attr in joiners
+        and isinstance(kind.value, ast.Name) and kind.value.id == "MessageKind"
+    }
+    assert sites == {"keymgmt.py"}
+
+
 def test_only_keymgmt_knows_the_ring_secret():
     # Each leader draws its own ring secret in its LeaderKeyService; no
     # other module sizes, draws or writes one.

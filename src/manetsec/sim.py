@@ -39,6 +39,7 @@ import re
 import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 from dataclasses import fields as dc_fields
+from itertools import chain
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .crypto import PROVIDERS, make_provider
@@ -749,8 +750,9 @@ class Simulation:
     # Slots, not an instance dict: a 30th dict attribute cost 3 % of churn's run time.
     __slots__ = (
         "scenario", "params", "provider", "now", "_ran", "_tx", "log", "queue", "specs", "group_map", "leaders",
-        "lineage_counters", "last_trust", "dissolved", "ring_version", "_signals", "_reach", "_where", "_cells",
-        "_side", "_digests", "_searches", "authority", "nodes", "taps", "contexts", "adversaries", "crashed", "relayed"
+        "lineage_counters", "last_trust", "dissolved", "ring_version", "_signals", "_traces", "_reach", "_where",
+        "_cells", "_blocks", "_side", "_digests", "_searches", "_fanouts", "_opened", "authority", "nodes", "taps",
+        "contexts", "adversaries", "crashed", "relayed"
     )
 
     def __init__(self, scenario: Scenario):
@@ -773,14 +775,11 @@ class Simulation:
         self.dissolved: set = set()  # the groups whose dissolution is logged
         self.ring_version = 0
         self._signals: list = []
-        self._reach: dict[str, list] = {}  # name -> _neighbours row; see run
+        self._traces: list = []  # (name, trace) of every node, in node order; filled by run
         self._where: dict[str, tuple] = {}  # name -> position on the tick _cells was built
-        self._cells: Optional[dict] = None  # (column, row) -> names in that cell
         self._side = 0.0
         self._digests: dict[bytes, str] = {}  # logged payload -> its digest, hex
-        # addressee -> its resumable path search, [hops, FIFO queue, head];
-        # emptied with _reach and whenever a node dies.
-        self._searches: dict[str, list] = {}
+        self._forget_topology()
 
         seed_bytes = scenario.seed.to_bytes(8, "big", signed=True)
 
@@ -877,51 +876,78 @@ class Simulation:
 
     # -- radio ------------------------------------------------------------------
 
+    def _forget_topology(self) -> None:
+        """Drop everything worked out from positions and liveness: the cells,
+        their blocks, the reach rows, the path searches rooted at addressees
+        (with their next hops) and at fanning-out senders, and the addressee
+        each sender's first path opened a search at.  The run loop calls it on
+        each tick where a node can move, `_action` when a node crashes."""
+        self._cells: Optional[dict] = None  # (column, row) -> names in that cell
+        self._blocks: dict[tuple, list] = {}  # (column, row) -> sorted names of its 3x3 block
+        self._reach: dict[str, list] = {}  # name -> _neighbours row
+        # addressee -> its path search: [hops, FIFO queue, head, next hops,
+        # the one sender that has walked it, or None once a second has].
+        self._searches: dict[str, list] = {}
+        self._fanouts: dict[str, list] = {}  # sender -> its fan-out search: [first finders, FIFO queue, head]
+        self._opened: dict[str, str] = {}  # sender -> the addressee whose search its first path opened
+
     def _index_cells(self) -> None:
-        """Read every node's position for this tick and bucket it into square
+        """Read every node's position for this tick and file it into square
         cells, so that a node's neighbours lie in the 3x3 block around its
         cell.  The side exceeds the radius by a margin that outweighs the
-        rounding of `x / side` (relative to the largest coordinate), so two
-        nodes within the radius never land two cells apart, and that keeps
-        `x / side` finite however small the radius."""
-        where = {}
-        extent = 0.0
-        specs, now = self.specs, self.now
-        for name in self.nodes:
-            trace = specs[name].trace
-            x, y = where[name] = trace[min(now, len(trace) - 1)]
-            extent = max(extent, abs(x), abs(y))
+        rounding of `x / side` (relative to this tick's largest coordinate),
+        so two nodes within the radius never land two cells apart, and that
+        keeps `x / side` finite however small the radius."""
+        now = self.now
+        where = {name: trace[now] if now < len(trace) else trace[-1] for name, trace in self._traces}
+        extent = max(map(abs, chain.from_iterable(where.values())), default=0.0)
         radius = self.params.radio_radius
         side = radius + (radius + extent) * 1e-9
-        cells: dict[tuple, list] = {}
+        cells, floor = {}, math.floor
         for name, (x, y) in where.items():
-            cells.setdefault((math.floor(x / side), math.floor(y / side)), []).append(name)
+            key = floor(x / side), floor(y / side)
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = [name]
+            else:
+                cell.append(name)
         self._where, self._cells, self._side = where, cells, side
 
-    def _in_range(self, a: str, b: str) -> bool:
-        ax, ay = self._where[a]
-        bx, by = self._where[b]
-        return math.hypot(ax - bx, ay - by) <= self.params.radio_radius
+    def _in_range(self, name: str, names: list) -> list:
+        """Those of `names` within radio range of `name`, in their order and
+        without `name` itself: the simulator's one distance test."""
+        where, radius, hypot = self._where, self.params.radio_radius, math.hypot
+        x, y = where[name]
+        row = []
+        for v in names:
+            vx, vy = where[v]
+            if hypot(x - vx, y - vy) <= radius and v != name:
+                row.append(v)
+        return row
 
     def _neighbours(self, name: str) -> list:
         """Sorted names within radio range of `name` this tick, crashed or
         not: positions change only between ticks, crashes at any time, so
-        callers check `crashed` themselves."""
+        callers check `crashed` themselves.  Every node of a cell shares the
+        sorted 3x3 block around it, and a row is that block filtered by one
+        `_in_range` call, so it comes out sorted."""
         row = self._reach.get(name)
         if row is None:
             if self._cells is None:
                 self._index_cells()
             x, y = self._where[name]
-            column, line = math.floor(x / self._side), math.floor(y / self._side)
-            cells, in_range = self._cells, self._in_range
-            row = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for v in cells.get((column + dx, line + dy), ()):
-                        if v != name and in_range(name, v):
-                            row.append(v)
-            row.sort()
-            self._reach[name] = row
+            side = self._side
+            key = column, line = math.floor(x / side), math.floor(y / side)
+            block = self._blocks.get(key)
+            if block is None:
+                cells = self._cells
+                block = []
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        block += cells.get((column + dx, line + dy), ())
+                block.sort()
+                self._blocks[key] = block
+            row = self._reach[name] = self._in_range(name, block)
         return row
 
     def _tap_for(self, a: str, b: str) -> Optional[LinkTap]:
@@ -937,19 +963,54 @@ class Simulation:
         liveness alone: any live node relays, a placed adversary too.  Of
         several, it is the one whose names, read from `source`, sort first.
 
-        One breadth-first search per addressee serves every sender that
-        addresses it while reach and liveness hold: rooted at `target`, it
-        counts hops in FIFO order until `source` has a count, and the next
-        call resumes it there.  The path then walks from `source`, taking at
-        each hop the first name in the sorted row that is one hop nearer.  No
-        crashed node sends, so `source` gets a count whenever a path exists."""
+        Each search is breadth-first over sorted rows in FIFO order, resumed
+        where the last call left it and kept while reach and liveness hold
+        (`_forget_topology`).  A search rooted at an addressee serves every
+        sender toward it: the path walks from `source`, taking at each hop
+        the first name in the row that is one hop nearer, and a node's next
+        hop is kept once found (every node nearer than it was counted before
+        it, so it cannot change).  A sender that opens searches at two
+        addressees fans out, as a founding leader does with its REKEYs: one
+        search rooted at the sender serves each later addressee with no
+        search of its own, and the search its first path opened goes unless
+        another sender has walked it.  There the path is the addressee's
+        chain of first finders, since FIFO order counts each level in the
+        order of the paths that reach it, read from the sender.  No crashed
+        node sends, so `source` is live."""
         if target == source or target in self._neighbours(source):
             return [source, target]
-        crashed = self.crashed
-        search = self._searches.get(target)
-        if search is None:
-            search = self._searches[target] = [{target: 0}, [target], 0]
-        hops, queue, head = search
+        crashed, searches = self.crashed, self._searches
+        search = searches.get(target)
+        fanout = self._fanouts.get(source) if search is None else None
+        if search is None and fanout is None:
+            first = self._opened.setdefault(source, target)
+            if first == target:
+                search = searches[target] = [{target: 0}, [target], 0, {}, source]
+            else:  # a second addressee: the sender fans out
+                fanout = self._fanouts[source] = [{source: None}, [source], 0]
+                kept = searches.get(first)
+                if kept is not None and kept[4] == source:
+                    del searches[first]
+        if fanout is not None:
+            finders, queue, head = fanout
+            while target not in finders and head < len(queue):
+                u = queue[head]
+                head += 1
+                for v in self._neighbours(u):
+                    if v not in finders and v not in crashed:
+                        finders[v] = u
+                        queue.append(v)
+            fanout[2] = head
+            if target not in finders:
+                return None
+            path = [target]
+            while (u := finders[path[-1]]) is not None:
+                path.append(u)
+            path.reverse()
+            return path
+        if search[4] != source:
+            search[4] = None
+        hops, queue, head, ahead, _ = search
         while source not in hops and head < len(queue):
             u = queue[head]
             head += 1
@@ -959,16 +1020,20 @@ class Simulation:
                     hops[v] = count
                     queue.append(v)
         search[2] = head
-        count = hops.get(source)
-        if count is None:
+        if source not in hops:
             return None
         path = [source]
-        for nearer in range(count - 1, 0, -1):
-            for v in self._neighbours(path[-1]):
-                if hops.get(v) == nearer:
-                    break
+        u = source
+        while u != target:
+            v = ahead.get(u)
+            if v is None:
+                nearer = hops[u] - 1
+                for v in self._neighbours(u):
+                    if hops.get(v) == nearer:
+                        break
+                ahead[u] = v
             path.append(v)
-        path.append(target)
+            u = v
         return path
 
     def _send(self, envelope: Envelope, sender: str, to: str) -> tuple:
@@ -1236,7 +1301,7 @@ class Simulation:
         node = self.nodes[actor]
         if op in ("crash", "crash_leader"):
             self.crashed.add(actor)
-            self._searches = {}
+            self._forget_topology()
             self.group_map.pop(actor, None)
             self._log("alert", actor, ("node_crashed",))
             if actor not in self.adversaries and node.leader_service is not None:
@@ -1301,6 +1366,7 @@ class Simulation:
         clock = _Clock(len(self.nodes))
         for index, node in enumerate(self.nodes.values()):
             node.wake_by = functools.partial(clock.lower, index)
+        self._traces = [(name, self.specs[name].trace) for name in self.nodes]
         self._setup()
         pending = list(script)
         nodes, contexts, log, flush_pending = self.nodes, self.contexts, self._log, self._flush_pending
@@ -1313,7 +1379,7 @@ class Simulation:
         for tick in range(duration + 1):
             self.now = tick
             if 0 < tick <= last_move:
-                self._reach, self._cells, self._searches = {}, None, {}
+                self._forget_topology()
             while pending and pending[0].tick <= tick:
                 self._action(pending.pop(0))
             self._drain_taps()

@@ -810,16 +810,20 @@ class _CheckedPaths(Simulation):
     def __init__(self, scenario):
         super().__init__(scenario)
         self.paths = []  # (tick, source, target, path)
-        self.searches_seen = {}  # addressee -> the searches its paths used, in order
+        self.searches_seen = {}  # addressee -> the searches rooted at it when paths toward it were found
+        self.fanouts_seen = {}  # sender -> its fan-out searches when paths from it were found
 
     def _radio_path(self, source, target):
         path = super()._radio_path(source, target)
         assert path == _fresh_path(self, source, target), (self.now, source, target)
         self.paths.append((self.now, source, target, path))
-        if target in self._searches:
-            seen = self.searches_seen.setdefault(target, [])
-            if not seen or seen[-1] is not self._searches[target]:
-                seen.append(self._searches[target])
+        for seen, kept, root in (
+            (self.searches_seen, self._searches, target), (self.fanouts_seen, self._fanouts, source)
+        ):
+            if root in kept:
+                runs = seen.setdefault(root, [])
+                if not runs or runs[-1] is not kept[root]:
+                    runs.append(kept[root])
         return path
 
 
@@ -930,6 +934,24 @@ def _adversary_join_far():
     )
 
 
+def _relay_crash_then_fan_out():
+    """A ladder t0..t3 over b0..b3, 100 apart; t0 leads and its founding
+    fans out through b2.  b2 crashes at tick 3, then t0 expels t3 and fans
+    its REKEYs out around b2; t0 crashes at tick 8, and b3 founds the group
+    again with a fan-out of its own."""
+    nodes = []
+    for i in range(4):
+        nodes.append(NodeSpec(f"t{i}", [(100.0 * i, 0.0)], 1.0 if i == 0 else 0.5 - 0.01 * i))
+        nodes.append(NodeSpec(f"b{i}", [(100.0 * i, 100.0)], 0.9 if i == 3 else 0.4 - 0.01 * i))
+    return Scenario(
+        seed=5,
+        nodes=nodes,
+        groups=[GroupSpec("g1", 10, [node.name for node in nodes])],
+        params=SimParams(radio_radius=110.0, heartbeat_period=3, liveness_deadline=9, duration=18),
+        script=[Action(3, "crash", ("b2",)), Action(5, "expel", ("t0", "t3")), Action(8, "crash_leader", ("g1",))],
+    )
+
+
 @settings(max_examples=120, deadline=None)
 @given(_path_scenario())
 @example(_bridged("drop_all"))
@@ -937,23 +959,64 @@ def _adversary_join_far():
 @example(_walking_grid())
 @example(_crash_between_senders())
 @example(_adversary_join_far())
+@example(_relay_crash_then_fan_out())
 def test_kept_path_searches_equal_fresh_searches(scenario):
     _CheckedPaths(scenario).run()
 
 
+# The golden cases, churn seeds 500-519 and the first seed of each grid pool.
+_PATH_CASES = corpus.PINNED + [f"churn:{seed}:plain" for seed in range(505, 520)] + [
+    f"{name}:{workloads.WORKLOADS[name].pool[0]}:plain" for name in ("grid_static", "grid_mobile")
+]
+
+
+@pytest.mark.parametrize("case_id", _PATH_CASES)
+def test_every_path_equals_a_fresh_search(case_id):
+    # A fresh run whose every path is checked, so it cannot be the corpus's.
+    corpus.fresh(case_id, _CheckedPaths)
+
+
 def test_static_run_keeps_one_path_search_per_addressee():
-    # No node moves or dies, so the search rooted at an addressee serves
-    # every sender that addresses it for the rest of the run, founding
-    # keysets included.
+    # No node moves or dies, so every search serves for the rest of the run:
+    # the one rooted at an addressee serves every sender toward it, and the
+    # founding leader's fan-out of keyset REKEYs is served by one search
+    # rooted at the leader.  No search is opened twice.
     sim = _CheckedPaths(line_scenario(["A", "B", "C", "D", "E"], duration=40))
     sim.run()
     relayed = [(tick, source, target) for tick, source, target, path in sim.paths if path is not None and len(path) > 2]
-    addressees = {target for _, _, target in relayed}
-    assert len(addressees) >= 2 and len({tick for tick, _, _ in relayed}) >= 2
-    assert any(len({source for _, source, t in relayed if t == target}) >= 2 for target in addressees)
-    assert len(sim._searches) == len(addressees)
-    for target in addressees:
+    founding = {target for tick, source, target in relayed if (tick, source) == (0, "A")}
+    assert len(founding) >= 3 and len({tick for tick, _, _ in relayed}) >= 2
+    assert list(sim._fanouts) == list(sim.fanouts_seen) == ["A"]
+    assert len(sim.fanouts_seen["A"]) == 1 and sim.fanouts_seen["A"][0] is sim._fanouts["A"]
+    toward = {target for tick, source, target in relayed if (tick, source) != (0, "A")}
+    assert any(len({source for _, source, t in relayed if t == target}) >= 2 for target in toward)
+    assert set(sim._searches) == toward
+    for target in toward:
         assert len(sim.searches_seen[target]) == 1 and sim.searches_seen[target][0] is sim._searches[target]
+
+
+def test_founding_fan_out_keeps_no_search_at_its_members():
+    # A static 5x5 grid: the founding leader seals a REKEY to each of 24
+    # members, most of them several hops away.  No search outlives the
+    # founding's tick at a member that only the founding addressed, and the
+    # members' heartbeats toward the leader still share one search.
+    kept = {}  # tick -> the addressees with a kept search when it began
+
+    class Founding(_CheckedPaths):
+        def _drain_taps(self):
+            kept.setdefault(self.now, set(self._searches))
+            super()._drain_taps()
+
+    sim = Founding(workloads.grid_static(1, side=5))
+    sim.run()
+    [leader] = [e.principals for e in sim.log.events if e.kind == "elect"]
+    founding = {target for tick, source, target, path in sim.paths if (tick, source) == (0, leader) and len(path) > 2}
+    others = {target for tick, source, target, _ in sim.paths if tick == 0 and source != leader}
+    assert len(founding - others) >= 3
+    assert not kept[1] & (founding - others)
+    beats = {source for tick, source, target, path in sim.paths if tick > 0 and target == leader and len(path) > 2}
+    assert len(beats) >= 3
+    assert len(sim.searches_seen[leader]) == 1 and sim.searches_seen[leader][0] is sim._searches[leader]
 
 
 class _CheckedReach(Simulation):
@@ -1005,19 +1068,22 @@ def _still(radius, *points):
 @example(_still(0.3, (-0.15, -0.15), (0.15, -0.15), (-0.15, 0.15), (0.45, 0.15), (-0.45, -0.45)))
 @example(_still(1e-300, (0.0, 0.0), (1e-300, 0.0), (1e10, -1e10)))
 @example(_still(130.0, (-1e6, -1e6), (-1e6 + 130.0, -1e6), (1e6, 1e6), (1e6 - 130.0, 1e6)))
+@example(corpus.CASES["grid_mobile:900:plain"].build())  # 64 nodes walking every tick
 def test_reach_rows_equal_all_pairs_distance_test(scenario):
     _CheckedReach(scenario).run()
 
 
 def test_static_run_tests_each_pair_at_most_once(monkeypatch):
     # No node moves, so the rows of tick 0 serve the whole run: radio reach
-    # costs at most one distance test per ordered pair.
-    calls = []
+    # costs one `_in_range` call per row, and at most one distance test per
+    # ordered pair.
+    rows, calls = [], []
     in_range = Simulation._in_range
 
-    def counted(self, a, b):
-        calls.append((a, b))
-        return in_range(self, a, b)
+    def counted(self, name, names):
+        rows.append(name)
+        calls.extend((name, v) for v in names if v != name)
+        return in_range(self, name, names)
 
     monkeypatch.setattr(Simulation, "_in_range", counted)
     names = ["A", "B", "C", "D", "E"]
@@ -1029,6 +1095,7 @@ def test_static_run_tests_each_pair_at_most_once(monkeypatch):
         )
     )
     assert verdicts(log, "A", "route_installed:dest=E")
+    assert sorted(rows) == names
     assert 0 < len(calls) == len(set(calls)) <= len(names) * (len(names) - 1)
 
 

@@ -116,9 +116,10 @@ def test_only_keymgmt_knows_the_ring_secret():
 
 
 def test_only_in_range_measures_distance():
-    # Every distance test of the simulator goes through Simulation._in_range,
-    # so the benchmark's `sim.in_range.calls` counts them all: no other line
-    # of sim.py names math.hypot, under any alias.
+    # Every distance test of the simulator is made inside
+    # Simulation._in_range, one call per reach row, so the benchmark's
+    # `sim.in_range.calls` counts the rows built: no other line of sim.py
+    # names math.hypot, under any alias.
     path = pathlib.Path(sim.__file__)
     text = path.read_text()
     [cls] = [node for node in ast.parse(text).body if isinstance(node, ast.ClassDef) and node.name == "Simulation"]
@@ -228,19 +229,35 @@ def test_one_method_decides_what_a_tap_does():
 
 
 def test_path_search_reads_position_and_liveness_alone():
-    # Relays are chosen by position and liveness alone: of the simulation,
-    # Simulation._radio_path reads only the reach rows, the crashed set and
-    # its kept searches, and it names no behavior, so it cannot tell a
-    # placed adversary from any other node.
-    method = _simulation_methods(ast.parse(pathlib.Path(sim.__file__).read_text()))["_radio_path"]
-    read = {
-        node.attr for node in ast.walk(method)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
-    }
-    assert read == {"_neighbours", "crashed", "_searches"}
-    names = {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
-    words = {node.value for node in ast.walk(method) if isinstance(node, ast.Constant)}
-    assert not (names | words) & ({"BEHAVIORS", "STEALTH_RELAY", "AdversaryNode"} | set(BEHAVIORS))
+    # Relays are chosen by position and liveness alone.  Every method that
+    # searches or walks paths (each that reads a kept search, and each method
+    # of the simulation that one calls, but the reach rows) reads, of the
+    # simulation, only the reach rows, the crashed set and the kept searches,
+    # and names no behavior, so none can tell a placed adversary from any
+    # other node.
+    methods = _simulation_methods(ast.parse(pathlib.Path(sim.__file__).read_text()))
+    kept = {"_searches", "_fanouts", "_opened"}
+
+    def read(method):
+        return {
+            node.attr for node in ast.walk(method)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and isinstance(node.ctx, ast.Load)
+        }
+
+    searching = {name for name, method in methods.items() if read(method) & kept}
+    pending = list(searching)
+    while pending:
+        for name in read(methods[pending.pop()]) & set(methods) - {"_neighbours"} - searching:
+            searching.add(name)
+            pending.append(name)
+    assert "_radio_path" in searching
+    for name in sorted(searching):
+        method = methods[name]
+        assert read(method) <= {"_neighbours", "crashed"} | kept, name
+        names = {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+        words = {node.value for node in ast.walk(method) if isinstance(node, ast.Constant)}
+        assert not (names | words) & ({"BEHAVIORS", "STEALTH_RELAY", "AdversaryNode"} | set(BEHAVIORS)), name
 
 
 def test_only_the_wake_loop_steps_a_node():

@@ -17,7 +17,7 @@ import corpus
 from corpus import GOLDEN, digest
 from manetsec.crypto import make_provider
 from manetsec.keymgmt import CertificateAuthority, LeaderKeyService
-from manetsec.messages import Envelope, MessageKind, msg, seal_plain
+from manetsec.messages import Envelope, MessageKind, msg, open_sealed, seal_plain
 from manetsec.node import AdversaryNode, ProtocolNode
 from manetsec.runtime import Ctx
 from manetsec.sim import SimParams, Simulation
@@ -222,17 +222,27 @@ def test_a_member_is_due_at_its_next_beat_or_its_leader_expiry():
     _assert_due(member, 21, [25], 25)
 
 
-def test_a_remote_job_past_its_deadline_with_a_route_is_due_each_tick():
+def test_a_remote_job_ends_at_its_deadline():
+    # At its deadline a job is answered as a request is on arrival: with
+    # the route its leader holds by then, else as missing.  Either way it
+    # leaves `remote_jobs`, so it wakes its leader no more.
     leader = _leader(heartbeat_period=10, liveness_deadline=30)
+    leader.ring_key = leader.provider.generate_symmetric_key(random.Random(0))
     leader.remote_jobs = {"d": [["r", 1, "o", 12]], "e": [["r", 2, "o", 17]]}
     _assert_due(leader, 8, [10, 12, 17], 10)
     _assert_due(leader, 10, [20, 12, 17], 12)
     leader.router.install("d", ["L", "d"], 1)
-    _assert_due(leader, 12, [20, 17], 13)
-    ctx = Ctx("L", 13, leader.rng)
-    leader.on_tick(ctx)
-    assert _is_empty(ctx) and [job[3] for jobs in leader.remote_jobs.values() for job in jobs] == [12, 17]
-    _assert_due(leader, 13, [20, 17], 14)
+    answers = ((12, MessageKind.GROUP_REP, "d", ["e"], [20, 17], 17), (17, MessageKind.GROUP_NEG, "e", [], [20], 20))
+    for tick, kind, dest, left, deadlines, due in answers:
+        ctx = Ctx("L", tick, leader.rng)
+        leader.on_tick(ctx)
+        [envelope] = ctx.outbound
+        assert (envelope.message.kind, envelope.to, envelope.channel) == (kind, "o", "ring")
+        answer = open_sealed(kind, leader.provider.sym_decrypt(leader.ring_key, envelope.message["sealed"]))
+        assert (answer["dest"], answer["requester"]) == (dest, "r")
+        assert answer.get("route", ["L", "d"]) == ["L", "d"]
+        assert sorted(leader.remote_jobs) == left
+        _assert_due(leader, tick, deadlines, due)
 
 
 def test_a_node_with_no_role_is_never_due():

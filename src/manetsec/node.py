@@ -458,10 +458,9 @@ class ProtocolNode:
     def next_due(self, now: int) -> Optional[int]:
         """The earliest tick after `now` at which `on_tick` could act, or None
         while it could act at no tick.  A leader is due at its next beat, at
-        its earliest member expiry and at its earliest remote-job deadline
-        (every tick once a job is past its deadline, since the job then ends
-        when its route goes); a member at its next beat, when it has a
-        leader, and at its leader's expiry."""
+        its earliest member expiry and at its earliest remote-job deadline,
+        where the job ends; a member at its next beat, when it has a leader,
+        and at its leader's expiry."""
         params = self.params
         period = params.heartbeat_period
         beat = (max(now, 0) // period + 1) * period  # beats fall on positive multiples of the period
@@ -519,13 +518,19 @@ class ProtocolNode:
         ctx.emit(msg(MessageKind.HEARTBEAT, who=self.name, role=role, group=group, beat=ctx.now), to=to)
 
     def _expire_remote_jobs(self, ctx: Ctx) -> None:
+        """End each remote job at its deadline as `_handle_ring` answers a
+        request on arrival: with the route this leader holds, else missing."""
         for dest in sorted(self.remote_jobs):
+            entry = self.router.route_to(dest)
             still = []
-            for requester, seq, origin, deadline in self.remote_jobs[dest]:
-                if ctx.now >= deadline and self.router.route_to(dest) is None:
-                    self._send_route_missing(requester, dest, seq, origin, ctx)
+            for job in self.remote_jobs[dest]:
+                requester, seq, origin, deadline = job
+                if ctx.now < deadline:
+                    still.append(job)
+                elif entry is not None:
+                    self._answer_group_req(requester, dest, seq, origin, entry.route, ctx)
                 else:
-                    still.append([requester, seq, origin, deadline])
+                    self._send_route_missing(requester, dest, seq, origin, ctx)
             if still:
                 self.remote_jobs[dest] = still
             else:

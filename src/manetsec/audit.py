@@ -3,10 +3,10 @@
 The auditor owns the run registry (every principal's key material and every
 generated secret), so for any principal it can reconstruct the *knowledge
 set*: the closure of what that principal generated itself plus everything
-it could decrypt from the traffic it received or overheard.  Secrecy
-checks are then literal: take the departed (or newly joined) node's
-knowledge and brute-force it against every group ciphertext outside its
-membership, expecting zero successful decryptions.
+it could decrypt from the traffic it received or overheard, by the end of
+the log.  Secrecy checks are then literal: take the departed (or newly
+joined) node's knowledge and brute-force it against every group ciphertext
+outside its membership, expecting zero successful decryptions.
 
 A knowledge set holds key bytes, never names for them.  The registry names
 each secret once, where it was made (see `Ctx.secret`), so backward secrecy
@@ -176,7 +176,6 @@ class _LogIndex:
         self.payloads = log.payloads
         self.provider = make_provider(log.registry.provider_name)
         self.events = log.events
-        self.horizon = log.events[-1].tick if log.events else 0
         # kind -> positions, for every kind but deliveries and drops
         self.by_kind: dict[str, list] = defaultdict(list)
         # recipient -> positions of its deliveries of a sealed kind (the only
@@ -346,10 +345,40 @@ class _LogIndex:
         return self.message(digest) if _sealed_kind(self.payloads.get(digest)) else None
 
     def knowledge(self, principal: str) -> KnowledgeSet:
-        """The principal's knowledge at the end of the log."""
-        if principal not in self._knowledge:
-            self._knowledge[principal] = knowledge_set(principal, self)
-        return self._knowledge[principal]
+        """The closure of everything the principal holds or could decrypt by
+        the end of the log: the secrets it made (but member secrets, which
+        only derive keys) and every key carried by a sealed payload
+        delivered to it that its private key, or a key it holds by then,
+        opens.  Closed once per index."""
+        known = self._knowledge.get(principal)
+        if known is not None:
+            return known
+        registry = self.registry
+        keypair = registry.keypairs.get(principal)
+        private = keypair.private if keypair is not None else None
+        sym_keys = dict.fromkeys(
+            value for _, owner, label, value in registry.secrets if owner == principal and label[0] != "member_secret"
+        )
+        events = self.events
+        digests = dict.fromkeys(events[i].digest for i in self.received.get(principal, ()))
+        # Only deliveries of a kind that carries a sealed field are indexed.
+        received = [(d, m) for d in digests if (m := self.message(d)) is not None]
+        opened: set[str] = set()
+        progress = True
+        while progress:
+            progress = False
+            for digest, message in received:
+                if digest in opened:
+                    continue
+                plain = _try_open(self, message, private, sym_keys)
+                if plain is None:
+                    continue
+                opened.add(digest)
+                progress = True
+                for key in self.keys_in(message.kind, plain):
+                    sym_keys.setdefault(key, None)
+        known = self._knowledge[principal] = KnowledgeSet(sym_keys=sym_keys, private_key=private, opened=opened)
+        return known
 
     @cached_property
     def outcomes(self) -> list:
@@ -393,45 +422,13 @@ class _LogIndex:
 _KEY_FIELDS = ("group_key", "member_key", "session_key")
 
 
-def knowledge_set(principal: str, log, tick: Optional[int] = None) -> KnowledgeSet:
-    """Closure of everything the principal holds or could decrypt by `tick`.
-
-    `log` is an EventLog, or the index an audit already built from one.
-    """
+def knowledge_set(principal: str, log: EventLog) -> KnowledgeSet:
+    """Closure of everything the principal holds or could decrypt by the end
+    of `log` (see `_LogIndex.knowledge`)."""
     registry = log.registry
     if principal not in registry.node_names and principal not in registry.adversary_names:
         raise SimulationError(f"unknown principal {principal!r}")
-    index = log if isinstance(log, _LogIndex) else _LogIndex(log)
-    horizon = tick if tick is not None else index.horizon
-
-    keypair = registry.keypairs.get(principal)
-    private = keypair.private if keypair is not None else None
-    sym_keys: dict[bytes, None] = {}
-    for entry_tick, owner, label, value in registry.secrets:
-        if owner == principal and entry_tick <= horizon and label[0] != "member_secret":
-            sym_keys[value] = None
-
-    events = index.events
-    digests = dict.fromkeys(
-        events[i].digest for i in index.received.get(principal, ()) if events[i].tick <= horizon
-    )
-    # Only deliveries of a kind that carries a sealed field are indexed.
-    received = [(d, m) for d in digests if (m := index.message(d)) is not None]
-    opened: set[str] = set()
-    progress = True
-    while progress:
-        progress = False
-        for digest, message in received:
-            if digest in opened:
-                continue
-            plain = _try_open(index, message, private, sym_keys)
-            if plain is None:
-                continue
-            opened.add(digest)
-            progress = True
-            for key in index.keys_in(message.kind, plain):
-                sym_keys.setdefault(key, None)
-    return KnowledgeSet(sym_keys=sym_keys, private_key=private, opened=opened)
+    return _LogIndex(log).knowledge(principal)
 
 
 def _try_open(index: _LogIndex, message, private, sym_keys) -> Optional[bytes]:

@@ -18,6 +18,8 @@ instance carries the message layer's directory memo (``directories``) too.
 The quadratic-residue identification arithmetic (``zk_*``), the primality
 test behind it (``is_prime``, ``next_prime``) and the ring key-agreement step
 (``dh_contribute``) are provider-independent integer math and live here.
+The primality test is exact below 4,759,123,141, which covers a leader's
+32-bit prime draws, and refuses anything larger with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -361,39 +363,37 @@ def make_provider(name: str):
 # Integer arithmetic: primality, identification scheme, ring DH
 # ---------------------------------------------------------------------------
 
-# Miller-Rabin with the first twelve primes as bases has no strong
-# pseudoprime below psi_12 (OEIS A014233; Sorenson & Webster 2015), so below
-# that bound the test is exact.  The often-quoted 3.317e24 is psi_13, which
-# needs base 41 as well.  Below 4,759,123,141 = 48,781 * 97,561 the three
-# bases 2, 7 and 61 are exact already (Jaeschke, Math. Comp. 1993), which
-# covers every draw of a leader's 32-bit identification primes.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 318_665_857_834_031_151_167_461
-_MR_SMALL_BASES = (2, 7, 61)
-_MR_SMALL_LIMIT = 4_759_123_141
+# Miller-Rabin with the bases 2, 7 and 61 has no strong pseudoprime below
+# 4,759,123,141 = 48,781 * 97,561 (Jaeschke, Math. Comp. 1993), so below
+# that bound the test is exact.  The bound lies above every 32-bit number,
+# so it covers every draw of a leader's identification primes.
+_MR_BASES = (2, 7, 61)
+_MR_BOUND = 4_759_123_141
+# Trial division by the primes up to 37 rules out most candidates before a
+# Miller-Rabin round; it halves the time a leader spends drawing its primes.
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for ``n`` below psi_12.
+    """Deterministic primality test for ``n`` below 4,759,123,141.
 
-    Trial division by the twelve bases, then Miller-Rabin with the bases
-    2, 7 and 61 below 4,759,123,141 and with all twelve from there to
-    psi_12.  A base that is 0 mod ``n`` proves nothing and is skipped
-    (61 is prime but is its own witness).  Raises ``ValueError`` at or
-    above psi_12, where the fixed bases no longer make the test exact.
+    Trial division by the primes up to 37, then Miller-Rabin with the bases
+    2, 7 and 61.  A base that is 0 mod ``n`` proves nothing and is skipped
+    (61 is prime but is its own witness).  Raises ``ValueError`` at or above
+    4,759,123,141, where those bases no longer make the test exact.
     """
     if n < 2:
         return False
-    if n >= _MR_LIMIT:
+    if n >= _MR_BOUND:
         raise ValueError(f"{n} is beyond the exact range of the primality test")
-    for base in _MR_BASES:
-        if n % base == 0:
-            return n == base
+    for prime in _TRIAL_PRIMES:
+        if n % prime == 0:
+            return n == prime
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
         s += 1
-    for base in _MR_SMALL_BASES if n < _MR_SMALL_LIMIT else _MR_BASES:
+    for base in _MR_BASES:
         if base % n == 0:
             continue
         x = pow(base, d, n)
@@ -409,8 +409,8 @@ def is_prime(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    """The smallest prime strictly greater than ``n``, as long as the search
-    stays below :func:`is_prime`'s bound (``ValueError`` otherwise)."""
+    """The smallest prime strictly greater than ``n``; ``ValueError`` when
+    the search reaches :func:`is_prime`'s bound."""
     if n < 2:
         return 2
     candidate = n + 1 + (n & 1)

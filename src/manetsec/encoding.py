@@ -18,11 +18,12 @@ with the following tags and body rules:
 no outer framing; ``decode(data)`` reverses that, returning a list.  The
 encoding is injective: distinct value tuples never produce the same bytes.
 Each value is encoded by the encoder of its exact type (``encode_int``,
-``encode_str``, ``encode_bytes``, ``encode_seq``); a subclass, a
-``bytearray`` or ``memoryview``, or a value outside the format (a bool, a
-negative int, any other type) goes through an ``isinstance`` chain that
-gives the same bytes or the same error.  The message layer calls the
-per-type encoders directly for fields whose type it has checked.
+``encode_str``, ``encode_bytes``, ``encode_seq``): an ``int``, ``str``,
+``bytes``, ``list`` or ``tuple``.  Any other value is refused with
+``EncodingError``: a negative int, a bool or another subclass of those
+types, a ``bytearray`` or ``memoryview``.  ``decode`` takes ``bytes``.  The
+message layer calls the per-type encoders directly for fields whose type it
+has checked.
 
 ``field_span(data, index)`` bounds one whole field from its headers alone;
 fields are self-delimiting, so the pieces of a cut decode as the whole does.
@@ -69,7 +70,7 @@ def encode_str(value: str) -> bytes:
 
 
 def encode_bytes(value: bytes) -> bytes:
-    """The field of a bytes object (a bytes subclass gives the same octets)."""
+    """The field of a bytes object."""
     if len(value) > _MAX_BODY:
         raise EncodingError("field body exceeds 4-octet length range")
     return _pack(_TAG_BYTES, len(value)) + value
@@ -83,28 +84,17 @@ def encode_seq(value) -> bytes:
     return _pack(_TAG_SEQ, len(body)) + body
 
 
-# Encoder by exact type; `_encode_one` reads subclasses, bytes-likes and
-# what it refuses through `isinstance`.
+# The encoder of each type the wire format holds, looked up by exact type.
 _BY_TYPE = {bytes: encode_bytes, str: encode_str, int: encode_int, list: encode_seq, tuple: encode_seq}
 
 
 def _encode_one(value: Value) -> bytes:
     encoder = _BY_TYPE.get(type(value))
-    if encoder is not None:
-        return encoder(value)
-    if isinstance(value, bytes):
-        return encode_bytes(value)
-    if isinstance(value, str):
-        return encode_str(value)
-    if isinstance(value, bool):
-        raise EncodingError("booleans are not part of the wire format")
-    if isinstance(value, int):
-        return encode_int(value)
-    if isinstance(value, (list, tuple)):
-        return encode_seq(value)
-    if isinstance(value, (bytearray, memoryview)):
-        return encode_bytes(bytes(value))
-    raise EncodingError(f"cannot encode value of type {type(value).__name__}")
+    if encoder is None:
+        if type(value) is bool:
+            raise EncodingError("booleans are not part of the wire format")
+        raise EncodingError(f"cannot encode value of type {type(value).__name__}")
+    return encoder(value)
 
 
 def encode(*values: Value) -> bytes:
@@ -145,9 +135,7 @@ def _decode_body(data: bytes, start: int, end: int) -> list:
 
 
 def decode(data: bytes) -> list:
-    """Decode a concatenation of tagged fields back into a list of values;
-    `data` may be any bytes-like object."""
-    data = bytes(data)
+    """Decode a concatenation of tagged fields back into a list of values."""
     return _decode_body(data, 0, len(data))
 
 

@@ -38,7 +38,7 @@ from .crypto import (
     zk_setup,
     zk_verify,
 )
-from .group import TRUST_INITIAL, update_trust
+from .group import update_trust
 from .messages import BROADCAST, UNOPENABLE, Message, MessageKind, msg, open_sealed, seal_batch, seal_plain
 from .runtime import Ctx
 
@@ -186,7 +186,7 @@ class LeaderKeyService:
     """Leader-side key management: the group's keys and members, joins,
     removals, lookups.  A leader is a member of its own group, so the
     service also answers every read a :class:`MemberKeyService` answers,
-    under the same names."""
+    under the same names.  It reads its run's `params` once, when built."""
 
     def __init__(
         self,
@@ -198,8 +198,7 @@ class LeaderKeyService:
         rng: random.Random,
         authority_public: bytes,
         capacity: int,
-        challenge_rounds: int = 1,
-        trust_initial: float = TRUST_INITIAL,
+        params,
     ):
         self.name = name
         self.group_id = group_id
@@ -207,8 +206,8 @@ class LeaderKeyService:
         self.provider = provider
         self.authority_public = authority_public
         self.capacity = capacity
-        self.challenge_rounds = challenge_rounds
-        self.trust_initial = trust_initial
+        self.challenge_rounds = params.challenge_rounds
+        self.trust_initial = params.trust_initial
         p = _draw_prime(rng, PRIME_BITS)
         q = _draw_prime(rng, PRIME_BITS)
         while q == p:
@@ -534,23 +533,16 @@ class NodeJoinState:
 
 
 class MemberKeyService:
-    """Member-side keyring and the node half of the join handshake."""
+    """Member-side keyring and the node half of the join handshake; it
+    reads its run's `params` once, when built."""
 
-    def __init__(
-        self,
-        name: str,
-        keypair,
-        certificate: Certificate,
-        provider,
-        challenge_bits: int = 64,
-        challenge_rounds: int = 1,
-    ):
+    def __init__(self, name: str, keypair, certificate: Certificate, provider, params):
         self.name = name
         self.keypair = keypair
         self.certificate = certificate
         self.provider = provider
-        self.challenge_bits = challenge_bits
-        self.challenge_rounds = challenge_rounds
+        self.challenge_bits = params.challenge_bits
+        self.challenge_rounds = params.challenge_rounds
         self.join: Optional[NodeJoinState] = None
         self.group_id: Optional[str] = None
         self.lineage: Optional[str] = None
@@ -745,26 +737,19 @@ def _session1_payload(initiator: str, responder: str, t_a: int) -> bytes:
     return encoding.encode("session1", initiator, responder, t_a)
 
 
-def emit_session1(initiator: str, keypair, provider, peer: str, peer_public: bytes, ctx: Ctx) -> None:
-    """Open a session with `peer`: a SESSION_1 stamped now, signed by
-    `initiator` and sealed to `peer_public`."""
-    sig = provider.sign(keypair.private, _session1_payload(initiator, peer, ctx.now))
-    plain = seal_plain(MessageKind.SESSION_1, initiator=initiator, responder=peer, t_a=ctx.now, sig=sig)
-    ctx.emit(msg(MessageKind.SESSION_1, sealed=provider.pk_encrypt(peer_public, plain, ctx.rng)), to=peer)
-
-
 def _session2_payload(initiator: str, responder: str, t_a: int, t_b: int) -> bytes:
     return encoding.encode("session2", initiator, responder, t_a, t_b)
 
 
 class SessionService:
-    """Four-message pairwise key agreement, run by any group member."""
+    """Four-message pairwise key agreement, run by any group member; it
+    reads its freshness window from its run's `params` once, when built."""
 
-    def __init__(self, name: str, keypair, provider, freshness_window: int = 50):
+    def __init__(self, name: str, keypair, provider, params):
         self.name = name
         self.keypair = keypair
         self.provider = provider
-        self.window = freshness_window
+        self.window = params.freshness_window
         self.sessions: dict[tuple[str, str], SessionState] = {}
         self.directory: dict[str, bytes] = {}  # peer name -> public key
         self.distrusted: set = set()
@@ -792,8 +777,13 @@ class SessionService:
         self._send_session1(peer, ctx)
 
     def _send_session1(self, peer: str, ctx: Ctx) -> None:
+        """A SESSION_1 to `peer`, stamped now, signed by this node and sealed
+        to `peer`'s key in the directory."""
         self.sessions[(self.name, peer)].t_a = ctx.now
-        emit_session1(self.name, self.keypair, self.provider, peer, self.directory[peer], ctx)
+        sig = self.provider.sign(self.keypair.private, _session1_payload(self.name, peer, ctx.now))
+        plain = seal_plain(MessageKind.SESSION_1, initiator=self.name, responder=peer, t_a=ctx.now, sig=sig)
+        sealed = self.provider.pk_encrypt(self.directory[peer], plain, ctx.rng)
+        ctx.emit(msg(MessageKind.SESSION_1, sealed=sealed), to=peer)
 
     def open_addressed(self, message: Message) -> Optional[dict]:
         """The fields of a message sealed to this node's public key, or None."""

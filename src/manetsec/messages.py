@@ -4,8 +4,9 @@ A message is a one-octet kind tag followed by the canonical encoding of the
 kind's payload fields, in the fixed order listed in ``_FIELDS``.  Encrypted
 parts travel as a single ``sealed`` octet field whose plaintext is itself a
 canonical encoding, laid out as ``_SEALED`` lists.  Every field name, in a
-header or in a sealed plaintext, has one wire type (``FIELD_TYPES``); a
-``Message`` checks its fields against it once, when :func:`msg` or
+header or in a sealed plaintext, has one wire type (``FIELD_TYPES``), held
+in exact Python types as ``encoding.encode`` takes them; a ``Message``
+checks its fields against it once, when :func:`msg` or
 :func:`decode_message` builds it, and :func:`open_sealed` checks a plaintext
 the same way.  Because every field passed its check, :func:`encode_message`
 and :func:`seal_batch` send each field straight to its wire type's encoder
@@ -66,12 +67,14 @@ class MessageKind(IntEnum):
     GROUP_NEG = 0x19
 
 
+# Each check takes a value of the exact wire type alone, as `encoding.encode`
+# does: a bool, an int enum or another subclass is refused.
 def _is_int(value) -> bool:
-    return type(value) is int and value >= 0  # bool is an int subclass, not a wire int
+    return type(value) is int and value >= 0
 
 
 def _is_str(value) -> bool:
-    return isinstance(value, str)
+    return type(value) is str
 
 
 # A node or group name, as scenarios give them.  Names are written into the
@@ -81,21 +84,19 @@ NAME_RE = re.compile(r"[A-Za-z0-9_.]+")
 
 
 def _is_name(value) -> bool:
-    return isinstance(value, str) and NAME_RE.fullmatch(value) is not None
+    return type(value) is str and NAME_RE.fullmatch(value) is not None
 
 
 def _is_bytes(value) -> bool:
-    return isinstance(value, bytes)
+    return type(value) is bytes
 
 
 def _is_row(row) -> bool:
-    return (
-        isinstance(row, (list, tuple)) and len(row) == 2 and isinstance(row[0], str) and isinstance(row[1], bytes)
-    )
+    return type(row) in (list, tuple) and len(row) == 2 and type(row[0]) is str and type(row[1]) is bytes
 
 
 def _list_of(check):
-    return lambda value: isinstance(value, (list, tuple)) and all(map(check, value))
+    return lambda value: type(value) in (list, tuple) and all(map(check, value))
 
 
 # Wire type -> the check a value of that type passes.  Integers are
@@ -273,6 +274,12 @@ class Message:
         return self.fields[name]
 
     encoded = _Encoded()
+
+    def __copy__(self) -> "Message":
+        return self  # immutable, so a copy may share it
+
+    def __deepcopy__(self, memo) -> "Message":
+        return self
 
     def replace(self, **changes) -> "Message":
         """This message with some fields changed; the fields it keeps passed

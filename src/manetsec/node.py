@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from .keymgmt import Certificate, LeaderKeyService, MemberKeyService, SessionService, emit_session1
+from .keymgmt import Certificate, LeaderKeyService, MemberKeyService, SessionService
 from .messages import BROADCAST, FIELD_TYPES, NAME_RE, UNOPENABLE, Envelope, Message, MessageKind, msg
 from .messages import open_sealed, seal_plain
 from .messages import encode_message  # noqa: F401 -- kept: perfbench/tracing.py wraps this binding
@@ -77,11 +77,9 @@ class ProtocolNode:
         self.provider = provider
         self.rng = rng
         self.params = params
-        self.member = MemberKeyService(
-            name, keypair, certificate, provider, params.challenge_bits, params.challenge_rounds
-        )
-        self.sessions = SessionService(name, keypair, provider, params.freshness_window)
-        self.router = Router(name, keypair, provider, strict_chain=params.strict_chain)
+        self.member = MemberKeyService(name, keypair, certificate, provider, params)
+        self.sessions = SessionService(name, keypair, provider, params)
+        self.router = Router(name, keypair, provider, params)
         self.leader_service: Optional[LeaderKeyService] = None
         self.ring_key: Optional[bytes] = None
         self.known_leaders: dict[str, tuple[str, bytes]] = {}  # leader -> (its group, its public key)
@@ -600,12 +598,10 @@ class AdversaryNode:
         self.rng = rng
         self.behavior = behavior
         self.args = args  # every argument its behavior reads, defaults included
-        self.publics = publics  # certificate directory: public material only
         signed = provider.sign(keypair.private, Certificate(name, keypair.public, b"").signed_payload())
-        self.member = MemberKeyService(
-            name, keypair, Certificate(name, keypair.public, signed), provider, params.challenge_bits,
-            params.challenge_rounds,
-        )
+        self.member = MemberKeyService(name, keypair, Certificate(name, keypair.public, signed), provider, params)
+        self.sessions = SessionService(name, keypair, provider, params)
+        self.sessions.directory = publics  # the certificate directory: public material only
         self.recorded_params: Optional[Message] = None  # the last ZK_PARAMS overheard
         self.recorded_responses: Optional[Message] = None  # the last ZK_RESPONSE overheard
         self.replay_buffer: list = []  # (due tick, envelope) to replay
@@ -672,8 +668,9 @@ class AdversaryNode:
             ctx.emit(msg(MessageKind.ZK_RESPONSE, join_id=join_id, responses=responses))
 
     def start_session(self, peer: str, ctx: Ctx) -> None:
-        """Open a session as a non-member; the leader lookup exposes it."""
-        emit_session1(self.name, self.member.keypair, self.member.provider, peer, self.publics[peer], ctx)
+        """Open a session as a non-member, with `peer`'s key from the
+        certificate directory; the leader lookup exposes it."""
+        self.sessions.initiate(peer, None, ctx)
 
     def next_due(self, now: int) -> Optional[int]:
         """The earliest tick after `now` at which a replay falls due, or None

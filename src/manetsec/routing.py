@@ -164,12 +164,13 @@ class Discovery:
 
 @dataclass
 class Router:
-    """Routing state owned by one node: table, dedup cache, open discoveries."""
+    """Routing state owned by one node: table, dedup cache, open discoveries.
+    Its run's `params` say whether a forwarder checks the chain too."""
 
     name: str
     keypair: object
     provider: object
-    strict_chain: bool = False
+    params: object  # the run's SimParams
     table: dict = field(default_factory=dict)  # dest -> RouteEntry
     seen: set = field(default_factory=set)  # (source, seq) pairs processed
     last_seq_from: dict = field(default_factory=dict)  # source -> last accepted seq
@@ -221,7 +222,7 @@ class Router:
         if not verify_route_signatures(self.provider, message, directory):
             ctx.note("verdict", "rreq_discard", "bad_signature", ("source", source), ("seq", seq), about=self.name)
             return
-        if self.strict_chain and not chain_matches(self.provider, message):
+        if self.params.strict_chain and not chain_matches(self.provider, message):
             ctx.note("verdict", "rreq_discard", "chain_mismatch", ("source", source), ("seq", seq), about=self.name)
             return
         new_lifetime = message["lifetime"] - 1

@@ -1214,8 +1214,7 @@ class Simulation:
             node.rng,
             self.authority.public,
             capacity,
-            self.params.challenge_rounds,
-            trust_initial=self.params.trust_initial,
+            self.params,
         )
         trust_seed = self.last_trust.get(group_id, {})
         for member, value in trust_seed.items():

@@ -20,7 +20,7 @@ from manetsec.messages import MessageKind, decode_message
 from manetsec.node import mutate_message
 from manetsec.routing import Router
 from manetsec.runtime import Ctx, render_detail
-from manetsec.sim import Action, AdversarySpec, run
+from manetsec.sim import Action, AdversarySpec, SimParams, run
 from topologies import (
     RADIUS,
     connected_random_positions,
@@ -139,7 +139,7 @@ def _journey(provider, keys, directory, route, start_index, message):
     """Run a request through the remaining honest hops; True if accepted."""
     for position in range(start_index, len(route)):
         name = route[position]
-        router = Router(name, keys[name], provider)
+        router = Router(name, keys[name], provider, SimParams())
         router.next_seq = message["seq"]  # the source already spent this seq
         ctx = Ctx(name=name, now=0, rng=random.Random(0))
         router.handle_rreq(message, directory, ctx)

@@ -228,24 +228,6 @@ def test_report_text_has_one_line_per_property():
     assert all((": PASS" in line) or (": FAIL" in line) for line in lines)
 
 
-def test_knowledge_is_tick_bounded():
-    from manetsec.sim import Action, NodeSpec
-
-    scenario = line_scenario(
-        ["L", "M1"],
-        seed=21,
-        script=[Action(3, "join", ("N", "g1"))],
-        duration=30,
-    )
-    scenario.nodes.append(NodeSpec("N", [(50.0, 40.0)], 0.5))
-    log = run(scenario)
-    admit = next(e for e in log.events if e.kind == "admit" and e.detail == "handshake")
-    before = knowledge_set("N", log, tick=admit.tick - 5)
-    after = knowledge_set("N", log)
-    assert not [label for label in held_labels(log, before) if label[0] == "group_key"]
-    assert ("group_key", "g1-1", 2) in held_labels(log, after)
-
-
 def test_a_rejoiner_reads_its_own_history_but_not_what_it_missed():
     # C leaves and joins again.  It still holds epoch 1's key, so it reads
     # the chat sent while it was a member, which is its own history and not

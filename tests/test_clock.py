@@ -162,7 +162,7 @@ def _leader(name="L", members=(), **params) -> ProtocolNode:
     """A leader of g1 whose `members` each last beat at the tick given."""
     node = _node(name, **params)
     service = node.leader_service = LeaderKeyService(
-        name, "g1", "g1-1", node.keypair, node.provider, node.rng, b"authority", capacity=8
+        name, "g1", "g1-1", node.keypair, node.provider, node.rng, b"authority", 8, node.params
     )
     for member, last in dict(members).items():
         service.member_view[member] = node.provider.generate_keypair(random.Random(member)).public

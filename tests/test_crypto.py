@@ -393,11 +393,6 @@ def test_a_provider_with_warm_caches_answers_as_a_fresh_one(mode, plaintext, see
 # Primality
 # ---------------------------------------------------------------------------
 
-# psi_12 (OEIS A014233) = 399165290221 * 798330580441: the least composite
-# that is a strong pseudoprime to every one of the first twelve prime bases.
-PSI_12 = 318_665_857_834_031_151_167_461
-
-
 def test_is_prime_agrees_with_sieve_below_200000():
     limit = 200_000
     sieve = bytearray([1]) * limit
@@ -411,9 +406,11 @@ def test_is_prime_agrees_with_sieve_below_200000():
     assert [next_prime(n) for n in range(-3, 12)] == [2, 2, 2, 2, 2, 3, 5, 5, 7, 7, 11, 11, 11, 11, 13]
 
 
-# The least strong pseudoprime to bases 2, 7 and 61 (Jaeschke 1993), where
-# is_prime moves from those three bases to all twelve.
+# The least strong pseudoprime to bases 2, 7 and 61 (Jaeschke 1993): the
+# bound of is_prime's exact range.
 JAESCHKE = 4_759_123_141
+# The largest prime below it.
+LAST_PRIME = 4_759_123_129
 
 
 def _strong_probable_prime(n, base):
@@ -428,45 +425,44 @@ def _strong_probable_prime(n, base):
 def test_is_prime_at_the_small_base_boundary():
     assert JAESCHKE == 48_781 * 97_561
     assert all(_strong_probable_prime(JAESCHKE, base) for base in (2, 7, 61))
-    assert not is_prime(JAESCHKE)
     # Each small base is 0 mod itself, which proves nothing and is skipped.
     assert all(is_prime(base) for base in (2, 7, 61))
+    # Exact up to the bound; from there on, a refusal and not an answer.
+    assert is_prime(LAST_PRIME) and not any(is_prime(n) for n in range(LAST_PRIME + 1, JAESCHKE))
+    for n in (JAESCHKE, JAESCHKE + 10, 2**64):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert next_prime(LAST_PRIME - 1) == LAST_PRIME
+    with pytest.raises(ValueError):
+        next_prime(LAST_PRIME)
+    with pytest.raises(ValueError):
+        zk_setup(sympy.nextprime(JAESCHKE), 3, 2)
 
 
 def test_next_prime_matches_sympy_on_drawn_values():
-    # Shaped like keymgmt._draw_prime's draws, then across the small-base
-    # boundary, one bit wider, and wider than 64 bits.
+    # Shaped like keymgmt._draw_prime's draws, then up to the bound.
     rng = random.Random(20)
     for _ in range(20_000):
         value = rng.getrandbits(32) | (1 << 31)
         assert next_prime(value) == sympy.nextprime(value)
-    for value in range(JAESCHKE - 2_000, JAESCHKE + 2_000, 7):
-        assert next_prime(value) == sympy.nextprime(value)
-    for _ in range(2_000):
-        value = rng.getrandbits(33) | (1 << 32)
-        assert next_prime(value) == sympy.nextprime(value)
-    for _ in range(2_000):
-        value = rng.getrandbits(70)
+    assert next_prime(2**32 - 1) == sympy.nextprime(2**32 - 1)
+    for value in range(LAST_PRIME - 4_000, LAST_PRIME, 7):
         assert next_prime(value) == sympy.nextprime(value)
 
 
+# The least strong pseudoprimes to the first one to eight prime bases (OEIS
+# A014233, whose twelfth term is psi_12).  None is taken for a prime: below
+# JAESCHKE is_prime answers False, and from there on it refuses to answer.
 @pytest.mark.parametrize(
     "pseudoprime",
     [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051],
 )
 def test_is_prime_rejects_strong_pseudoprimes_below_psi_12(pseudoprime):
-    assert not is_prime(pseudoprime)
-
-
-def test_is_prime_refuses_psi_12_and_above():
-    assert is_prime(PSI_12 - 20)  # the largest prime below the bound
-    assert not is_prime(PSI_12 - 2)  # 137 * 1619 * 111519523 * 12883006211
-    with pytest.raises(ValueError):
-        is_prime(PSI_12)
-    with pytest.raises(ValueError):
-        is_prime(PSI_12 + 1)
-    with pytest.raises(ValueError):
-        zk_setup(PSI_12, 3, 2)
+    if pseudoprime < JAESCHKE:
+        assert not is_prime(pseudoprime)
+    else:
+        with pytest.raises(ValueError):
+            is_prime(pseudoprime)
 
 
 # ---------------------------------------------------------------------------

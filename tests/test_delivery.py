@@ -166,10 +166,9 @@ def _payload(draw, kind: MessageKind) -> bytes:
 
 
 def _copy_of_fixture() -> Simulation:
-    """A private copy of the fixture; queued messages are immutable, so the
+    """A private copy of the fixture; messages copy as themselves, so the
     copy shares them."""
-    memo = {id(envelope.message): envelope.message for queued in _SIM.queue.values() for envelope, *_ in queued}
-    return copy.deepcopy(_SIM, memo)
+    return copy.deepcopy(_SIM)
 
 
 def test_fixture_holds_every_recipient_role():

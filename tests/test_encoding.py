@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from manetsec.messages import (
     sealed_readings,
 )
 from manetsec.runtime import Ctx
+from manetsec.sim import SimParams
 
 
 def test_roundtrip_basic():
@@ -229,25 +231,10 @@ def test_field_span_rejects_a_cut_header_or_body(data, text):
         encoding.field_span(data, 1)
 
 
-@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
-def test_decode_reads_any_bytes_like(wrap):
-    values = [7, "h\u00e9llo", b"\x00\x01", ["x", [2, b""]]]
-    decoded = encoding.decode(wrap(encoding.encode(*values)))
-    assert decoded == values
-    assert type(decoded[2]) is bytes and type(decoded[3][1][1]) is bytes
-
-
 @pytest.mark.parametrize("value", [[True], ["a", [1, False]], [-1], [0, [-5]], None, [None], 1.5, [b"x", 0.5]])
 def test_encode_rejects_values_outside_the_wire_format(value):
     with pytest.raises(encoding.EncodingError):
         encoding.encode(value)
-
-
-def test_encode_reads_int_enums_and_bytes_likes():
-    assert encoding.encode(MessageKind.HEARTBEAT) == encoding.encode(int(MessageKind.HEARTBEAT))
-    assert encoding.encode([MessageKind.REKEY]) == encoding.encode([int(MessageKind.REKEY)])
-    assert encoding.encode(bytearray(b"ab"), memoryview(b"cd")) == encoding.encode(b"ab", b"cd")
-    assert encoding.encode([bytearray(b"ab"), [memoryview(b"")]]) == encoding.encode([b"ab", [b""]])
 
 
 def test_message_is_immutable_and_encodes_once():
@@ -256,6 +243,7 @@ def test_message_is_immutable_and_encodes_once():
         message.fields["beat"] = 11
     assert message.encoded is message.encoded
     assert decode_message(message.encoded) == message
+    assert copy.copy(message) is message and copy.deepcopy([message])[0] is message  # copies share it
 
 
 def test_message_replace_has_its_own_encoding():
@@ -415,7 +403,7 @@ def test_founding_keysets_equal_their_seal_plain(provider):
     rng = random.Random(5)
     authority = CertificateAuthority(provider, rng)
     keys = {name: provider.generate_keypair(rng) for name in ("L", "a", "b", "c")}
-    leader = LeaderKeyService("L", "g1", "g1-1", keys["L"], provider, rng, authority.public, capacity=8)
+    leader = LeaderKeyService("L", "g1", "g1-1", keys["L"], provider, rng, authority.public, 8, SimParams())
     ctx = Ctx("L", 0, rng)
     leader.found_group([(name, keys[name].public) for name in ("c", "a", "b")], ctx, "founding")
     rekeys = [envelope for envelope in ctx.outbound if envelope.message.kind == MessageKind.REKEY]
@@ -707,15 +695,19 @@ class _Blob(bytes):
     pass
 
 
-def test_subclasses_and_bytes_likes_encode_to_the_same_bytes():
-    assert encoding.encode(_Name("ab")) == b"\x02\x00\x00\x00\x02ab"
-    assert encoding.encode(_Blob(b"ab")) == b"\x03\x00\x00\x00\x02ab"
-    assert encoding.encode(bytearray(b"ab")) == b"\x03\x00\x00\x00\x02ab"
-    assert encoding.encode(memoryview(b"ab")) == b"\x03\x00\x00\x00\x02ab"
-    assert encoding.encode([_Name("a"), memoryview(b"")]) == b"\x04\x00\x00\x00\x0b\x02\x00\x00\x00\x01a\x03\x00\x00\x00\x00"
-    assert encoding.encode(MessageKind.LEAVE) == b"\x01\x00\x00\x00\x01\x16"
-    leave = msg(MessageKind.LEAVE, who=_Name("a"))
-    assert leave.encoded == b"\x16\x02\x00\x00\x00\x01a" == msg(MessageKind.LEAVE, who="a").encoded
-    cert = msg(MessageKind.CERT, subject=_Name("a"), subject_public=_Blob(b"k"), authority_sig=b"s")
-    assert cert.encoded == msg(MessageKind.CERT, subject="a", subject_public=b"k", authority_sig=b"s").encoded
-    assert cert.encoded == b"\x05\x02\x00\x00\x00\x01a\x03\x00\x00\x00\x01k\x03\x00\x00\x00\x01s"
+def test_encode_refuses_subclasses_and_bytes_likes():
+    # Only an int, str, bytes, list or tuple of exactly that type is
+    # encoded; a message takes a field of its wire type's exact type alone.
+    refused = [
+        MessageKind.HEARTBEAT, [MessageKind.REKEY], _Name("ab"), [_Name("a")], _Blob(b"ab"), bytearray(b"ab"),
+        memoryview(b"ab"), [b"ab", [bytearray(b"")]],
+    ]
+    for value in refused:
+        with pytest.raises(encoding.EncodingError, match="cannot encode value of type"):
+            encoding.encode(value)
+    with pytest.raises(encoding.EncodingError, match="LEAVE field 'who' is not name"):
+        msg(MessageKind.LEAVE, who=_Name("a"))
+    with pytest.raises(encoding.EncodingError, match="CERT field 'subject_public' is not bytes"):
+        msg(MessageKind.CERT, subject="a", subject_public=_Blob(b"k"), authority_sig=b"s")
+    with pytest.raises(encoding.EncodingError, match="REKEY field 'rows' is not rows"):
+        seal_plain(MessageKind.REKEY, "group", group_key=b"k", epoch=1, lineage="g1-1", rows=[[_Name("a"), b"p"]])

@@ -25,6 +25,10 @@ from manetsec.keymgmt import (
 )
 from manetsec.messages import MessageKind, msg, open_sealed, seal_plain
 from manetsec.runtime import Ctx, render_detail
+from manetsec.sim import SimParams
+
+# The run parameters every service here is built with.
+PARAMS = SimParams()
 
 
 def make_ctx(name, now, rng):
@@ -50,7 +54,7 @@ def world(provider):
         w.keys[name] = provider.generate_keypair(rng)
         w.certs[name] = authority.issue(name, w.keys[name].public)
     w.leader = LeaderKeyService(
-        "L", "g1", "g1-1", w.keys["L"], provider, rng, authority.public, capacity=8
+        "L", "g1", "g1-1", w.keys["L"], provider, rng, authority.public, 8, PARAMS
     )
     return w
 
@@ -101,11 +105,12 @@ def test_certificate_roundtrip(provider, rng):
 # ---------------------------------------------------------------------------
 
 
-def run_join(w, joiner_name, tamper=None, max_steps=20):
-    """Ferry messages between leader and joiner; returns all envelopes.
-    The notes both sides leave are gathered, in order, in `w.notes`."""
+def run_join(w, joiner_name, tamper=None, max_steps=20, leader="L"):
+    """Ferry messages between `w.leader`, named `leader`, and the joiner;
+    returns the joiner's service and all envelopes.  The notes both sides
+    leave are gathered, in order, in `w.notes`."""
     member = MemberKeyService(
-        joiner_name, w.keys[joiner_name], w.certs[joiner_name], w.provider
+        joiner_name, w.keys[joiner_name], w.certs[joiner_name], w.provider, PARAMS
     )
     now = [0]
     transcript = []
@@ -123,7 +128,7 @@ def run_join(w, joiner_name, tamper=None, max_steps=20):
                 MessageKind.CERT,
                 MessageKind.NONCE,
             ):
-                ctx.name = "L"
+                ctx.name = leader
                 w.leader.handle_join(env.message, ctx)
             elif env.message.kind in (
                 MessageKind.ZK_PARAMS,
@@ -139,7 +144,7 @@ def run_join(w, joiner_name, tamper=None, max_steps=20):
             deliver(ctx.outbound)
 
     ctx = make_ctx(joiner_name, 0, w.rng)
-    member.begin_join("L", ctx)
+    member.begin_join(leader, ctx)
     deliver(ctx.outbound)
     return member, transcript
 
@@ -168,6 +173,28 @@ def test_honest_join_admits_and_rekeys(world):
     # ... and the member key derived from the id the leader issued last.
     member_id = world.leader.next_member_id - 1
     assert member.member_key == derive_member_key(member_id, world.leader.member_secret, world.provider)
+
+
+def test_a_joiner_authenticates_no_particular_leader(world):
+    # Today's outcome, pinned: X leads nothing, yet with primes and a secret
+    # of its own and the authority's real public key it passes the joiner's
+    # identification check and admits N.  The joiner verifies the proof
+    # against the modulus and square ZK_PARAMS itself carries and adopts the
+    # leader key ADMIT carries; nothing it held before binds either to the
+    # leader it addressed, and the audit's mutual-authentication check asks
+    # only for the `zk_ok` and `cert_ok` verdicts.  ROADMAP item 7's fix,
+    # which checks a leader's key against one the joiner already holds,
+    # flips this test.
+    x_keys = world.provider.generate_keypair(world.rng)
+    world.leader = LeaderKeyService(
+        "X", "g9", "g9-1", x_keys, world.provider, world.rng, world.authority.public, 8, PARAMS
+    )
+    member, _ = run_join(world, "N", leader="X")
+    notes = [(n.kind, render_detail(n.parts), n.about) for n in world.notes]
+    assert [note for note in notes if note[0] == "verdict"] == [
+        ("verdict", "zk_ok", "N"), ("verdict", "cert_ok", "N"), ("verdict", "joined", "N")
+    ]
+    assert member.is_member() and member.leader == "X" and member.leader_public == x_keys.public
 
 
 def test_join_rejected_on_forged_certificate(world):
@@ -361,9 +388,11 @@ def test_join_sides_take_turns_in_join_order():
 def _join_sides(world, expects, joiner="N"):
     """A fresh leader holding N's join, and member `joiner` joining L, both
     expecting `expects`; the leader's join has a pending member key."""
-    leader = LeaderKeyService("L", "g1", "g1-1", world.keys["L"], world.provider, world.rng, world.authority.public, 8)
+    leader = LeaderKeyService(
+        "L", "g1", "g1-1", world.keys["L"], world.provider, world.rng, world.authority.public, 8, PARAMS
+    )
     leader.join_sessions["N"] = LeaderJoinSession("N", expects, [1], pending_key=b"k" * 16)
-    member = MemberKeyService(joiner, world.keys[joiner], world.certs[joiner], world.provider)
+    member = MemberKeyService(joiner, world.keys[joiner], world.certs[joiner], world.provider, PARAMS)
     member.join = NodeJoinState(leader="L", expects=expects)
     return leader, member
 
@@ -442,7 +471,7 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     # Founding member M1 follows the epoch chain; an outsider cannot.
     ctx = make_ctx("L", 0, rng)
     world.leader.found_group([("M1", world.keys["M1"].public)], ctx, "founding")
-    m1 = MemberKeyService("M1", world.keys["M1"], world.certs["M1"], world.provider)
+    m1 = MemberKeyService("M1", world.keys["M1"], world.certs["M1"], world.provider, PARAMS)
     for env in ctx.outbound:
         if env.to == "M1":
             m1.handle_rekey(env.message, make_ctx("M1", 1, rng))
@@ -455,7 +484,7 @@ def test_rekey_broadcast_decrypts_only_with_old_key(world, rng):
     assert m1.epoch == world.leader.epoch
     assert m1.group_key == world.leader.group_key
 
-    outsider = MemberKeyService("M2", world.keys["M2"], world.certs["M2"], world.provider)
+    outsider = MemberKeyService("M2", world.keys["M2"], world.certs["M2"], world.provider, PARAMS)
     out_ctx = make_ctx("M2", 2, rng)
     outsider.handle_rekey(rekey.message, out_ctx)
     assert outsider.group_key is None
@@ -468,7 +497,7 @@ def test_unopenable_rekey_is_refused_and_adopts_nothing(world, rng, mode):
     # authentication, or the founding rekey sealed to M2, is refused.
     ctx = make_ctx("L", 0, rng)
     world.leader.found_group([("M1", world.keys["M1"].public), ("M2", world.keys["M2"].public)], ctx, "founding")
-    m1 = MemberKeyService("M1", world.keys["M1"], world.certs["M1"], world.provider)
+    m1 = MemberKeyService("M1", world.keys["M1"], world.certs["M1"], world.provider, PARAMS)
     m1.handle_rekey(next(env for env in ctx.outbound if env.to == "M1").message, make_ctx("M1", 1, rng))
     if mode == "group":
         plain = seal_plain(
@@ -610,10 +639,10 @@ class SessionWorld:
         self.rng = random.Random(777)
         self.authority = CertificateAuthority(provider, self.rng)
         self.keys = {n: provider.generate_keypair(self.rng) for n in ("A", "B", "L")}
-        self.a = SessionService("A", self.keys["A"], provider, freshness_window=50)
-        self.b = SessionService("B", self.keys["B"], provider, freshness_window=50)
+        self.a = SessionService("A", self.keys["A"], provider, PARAMS)
+        self.b = SessionService("B", self.keys["B"], provider, PARAMS)
         self.leader = LeaderKeyService(
-            "L", "g1", "g1-1", self.keys["L"], provider, self.rng, self.authority.public, 8
+            "L", "g1", "g1-1", self.keys["L"], provider, self.rng, self.authority.public, 8, PARAMS
         )
         ctx = make_ctx("L", 0, self.rng)
         self.leader.found_group(
@@ -952,7 +981,7 @@ def test_leader_draws_its_ring_secret_last(world, seed):
     # The simulator's streams are those of a leader drawn its ring secret
     # just after its service was built: the constructor's last draw.
     leader = LeaderKeyService(
-        "L", "g1", "g1-1", world.keys["L"], world.provider, random.Random(seed), world.authority.public, 8
+        "L", "g1", "g1-1", world.keys["L"], world.provider, random.Random(seed), world.authority.public, 8, PARAMS
     )
     stream = random.Random(seed)
     p = _draw_prime(stream, PRIME_BITS)

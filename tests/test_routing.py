@@ -21,6 +21,7 @@ from manetsec.routing import (
     verify_route_signatures,
 )
 from manetsec.runtime import Ctx, render_detail
+from manetsec.sim import SimParams
 
 
 def nested_hash_oracle(provider, source, dest, seq, origin_budget, forwarders):
@@ -42,7 +43,7 @@ class Net:
         authority = CertificateAuthority(self.provider, self.rng)
         self.keys = {n: self.provider.generate_keypair(self.rng) for n in names}
         self.directory = {n: self.keys[n].public for n in names}
-        self.routers = {n: Router(n, self.keys[n], self.provider) for n in names}
+        self.routers = {n: Router(n, self.keys[n], self.provider, SimParams()) for n in names}
 
     def ctx(self, name, now=0):
         return Ctx(name=name, now=now, rng=self.rng)
@@ -214,7 +215,7 @@ def test_foreign_route_entries_discarded(net):
 
 
 def test_strict_chain_mode_detects_at_first_honest_hop(net):
-    net.routers["B"].strict_chain = True
+    net.routers["B"].params = SimParams(strict_chain=True)
     origin = net.originate("S", "D", 8)
     at_a, _ = net.step("A", origin)
     relayed = at_a.replace(lifetime=at_a["lifetime"] - 1)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import corpus
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import make_provider
-from manetsec.group import WeightConfig
+from manetsec.group import NodeAttributes, WeightConfig, mobility, weight
 from manetsec.messages import Envelope, MessageKind, msg
 from manetsec.node import AdversaryNode, ProtocolNode
 from manetsec.runtime import render_detail
@@ -1477,6 +1477,26 @@ def test_leaders_seed_trust_tables_from_trust_initial():
     assert founding == {"B": 0.9, "C": 0.9}
     successor = sim.nodes[sim.leaders["g1"]].leader_service
     assert set(successor.trust.values()) == {0.9}
+
+
+def test_an_election_scores_only_the_movement_so_far():
+    # Leader A crashes at tick 5 and its group elects at its silence.  B
+    # jitters 5 units a tick before the crash, then stands still; C, with
+    # less battery, stands still until well after the election and then
+    # swings 40 units a tick.  Scored on their movement up to the election,
+    # B loses to C; scored on their whole traces, C would lose to B.
+    scenario = line_scenario(["A", "B", "C"], script=[Action(5, "crash_leader", ("g1",))], duration=80)
+    a, b, c = scenario.nodes
+    a.battery, b.battery, c.battery = 1.0, 0.9, 0.8
+    b.trace = [(100.0, 5.0 * (tick % 2)) for tick in range(5)]
+    c.trace = [(200.0, 0.0)] * 60 + [(200.0, 40.0 * (tick % 2)) for tick in range(20)]
+    elects = [e for e in run(scenario).events if e.kind == "elect"]
+    assert [e.actor for e in elects] == ["A", "C"]
+    assert 5 < elects[1].tick < 60
+    whole = {spec.name: mobility(spec.trace) for spec in (b, c)}
+    assert weight(NodeAttributes("C", whole["C"], 0.8, 0.5), WeightConfig()) > weight(
+        NodeAttributes("B", whole["B"], 0.9, 0.5), WeightConfig()
+    )
 
 
 def test_leader_crash_detected_by_beacon_silence():

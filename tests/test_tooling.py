@@ -115,6 +115,30 @@ def test_only_keymgmt_knows_the_ring_secret():
     assert sites == {"keymgmt.py"}
 
 
+def test_no_service_declares_a_run_parameter_of_its_own():
+    # Each protocol parameter is declared once, as a `SimParams` field, and
+    # a service reads it from the run's params: no constructor in `keymgmt`
+    # or `routing` (an `__init__` or a dataclass field) takes one by name,
+    # so no second default can creep in.
+    params = {f.name for f in fields(sim.SimParams)}
+    src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
+    declared = []
+    for module in ("keymgmt.py", "routing.py"):
+        for cls in ast.parse((src / module).read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            is_dataclass_ = any("dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list)
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    names = [arg.arg for arg in item.args.posonlyargs + item.args.args + item.args.kwonlyargs]
+                elif is_dataclass_ and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names = [item.target.id]
+                else:
+                    continue
+                declared += [f"{module}:{cls.name}.{name}" for name in names if name in params]
+    assert declared == []
+
+
 def test_only_in_range_measures_distance():
     # Every distance test of the simulator is made inside
     # Simulation._in_range, one call per reach row, so the benchmark's
@@ -372,14 +396,14 @@ def test_the_audit_opens_with_a_provider_of_its_own(monkeypatch):
     log = run.run()
     assert run.provider._held  # the group broadcast is never opened
     first = []
-    knowledge_set = audit_module.knowledge_set
+    knowledge = audit_module._LogIndex.knowledge
 
-    def spy(principal, index, tick=None):
+    def spy(index, principal):
         if not first:
             first.append((index.provider, dict(index.provider._held)))
-        return knowledge_set(principal, index, tick)
+        return knowledge(index, principal)
 
-    monkeypatch.setattr(audit_module, "knowledge_set", spy)
+    monkeypatch.setattr(audit_module._LogIndex, "knowledge", spy)
     audit_module.audit(log)
     [(provider, held)] = first
     assert provider is not run.provider and type(provider) is type(run.provider) and held == {}

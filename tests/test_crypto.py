@@ -427,12 +427,16 @@ def test_is_prime_at_the_small_base_boundary():
     assert all(_strong_probable_prime(JAESCHKE, base) for base in (2, 7, 61))
     # Each small base is 0 mod itself, which proves nothing and is skipped.
     assert all(is_prime(base) for base in (2, 7, 61))
-    # Exact up to the bound; from there on, a refusal and not an answer.
+    # Exact up to the bound.
     assert is_prime(LAST_PRIME) and not any(is_prime(n) for n in range(LAST_PRIME + 1, JAESCHKE))
+    assert next_prime(LAST_PRIME - 1) == LAST_PRIME
+
+
+def test_is_prime_refuses_from_the_small_base_bound():
+    # From the bound on, a refusal and not an answer, also in what builds on it.
     for n in (JAESCHKE, JAESCHKE + 10, 2**64):
         with pytest.raises(ValueError):
             is_prime(n)
-    assert next_prime(LAST_PRIME - 1) == LAST_PRIME
     with pytest.raises(ValueError):
         next_prime(LAST_PRIME)
     with pytest.raises(ValueError):

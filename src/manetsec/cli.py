@@ -146,9 +146,10 @@ def cmd_report(args) -> int:
         "summary: "
         + " ".join(f"{name}={value}" for name, value in counts.items())
     )
-    # Drops by reason, the words of a drop's detail.
-    drops = Counter(event.words for event in log.events if event.kind == "drop")
-    print("drops: " + (" ".join(f"{reason}={drops[reason]}" for reason in sorted(drops)) or "none"))
+    # Drops by reason and verdicts by outcome, the words of each detail.
+    for kind, label in (("drop", "drops"), ("verdict", "verdicts")):
+        tally = Counter(event.words for event in log.events if event.kind == kind)
+        print(f"{label}: " + (" ".join(f"{words}={tally[words]}" for words in sorted(tally)) or "none"))
     # Traffic by message kind, the leading word of a send or deliver detail.
     sent = Counter(event.word for event in log.events if event.kind == "send")
     delivered = Counter(event.word for event in log.events if event.kind == "deliver")

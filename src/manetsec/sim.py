@@ -870,9 +870,16 @@ class Simulation:
     def _schedule(self, tick: int, envelope: Envelope, recipients, via: str, parts: tuple) -> None:
         """Queue one transmission hop from `via` to each of `recipients`, in
         their order, as one entry.  `parts` end the detail its deliveries and
-        drops log; a delivery's whole detail is built here, once per hop."""
-        detail = (_KIND_NAMES[envelope.message.kind],) + parts
-        self.queue.setdefault(tick, []).append((envelope, via, detail, recipients))
+        drops log; a delivery's whole detail is built here, once per hop.
+        The entry holds `recipients` itself, which may be a sender's reach
+        row, so no one writes to it once filed.  A tick's list is looked up
+        once, and made only by the tick's first entry."""
+        entry = (envelope, via, (_KIND_NAMES[envelope.message.kind],) + parts, recipients)
+        filed = self.queue.get(tick)
+        if filed is None:
+            self.queue[tick] = [entry]
+        else:
+            filed.append(entry)
 
     # -- radio ------------------------------------------------------------------
 
@@ -930,7 +937,8 @@ class Simulation:
         not: positions change only between ticks, crashes at any time, so
         callers check `crashed` themselves.  Every node of a cell shares the
         sorted 3x3 block around it, and a row is that block filtered by one
-        `_in_range` call, so it comes out sorted."""
+        `_in_range` call, so it comes out sorted.  A row is never written
+        once built: a broadcast may file it as its hearers."""
         row = self._reach.get(name)
         if row is None:
             if self._cells is None:
@@ -1038,35 +1046,50 @@ class Simulation:
 
     def _send(self, envelope: Envelope, sender: str, to: str) -> tuple:
         """Number and log one transmission; returns its `("tx", number)`
-        part, which every delivery and drop of it shares."""
+        part, which every delivery and drop of it shares.  A payload sent
+        before has its digest kept, read here; `_digest` hashes a first one."""
         tx = ("tx", str(self._tx))
         self._tx += 1
         message = envelope.message
+        encoded = message.encoded
+        digest = self._digests.get(encoded)
+        if digest is None:
+            digest = self._digest(encoded)
         parts = (_KIND_NAMES[message.kind], ("to", to), _CHANNEL_PARTS[envelope.channel], tx)
         events = self.log.events
-        events.append(SimEvent(self.now, len(events), "send", sender, None, "", self._digest(message.encoded), parts))
+        events.append(SimEvent(self.now, len(events), "send", sender, None, "", digest, parts))
         return tx
 
     def _transmit(self, envelope: Envelope) -> None:
-        tx = self._send(envelope, envelope.sender, envelope.to)
+        """Send one envelope and queue what it reaches, by its shape.  A ring
+        message goes to its leader, or to the sorted peer leaders, a tick
+        later.  A radio broadcast reaches the live nodes of the sender's
+        reach row (`_neighbours` builds a missing one): before any crash
+        that row is its hearer list, filed as it is, since a row is never
+        written once built; with link taps, each hearer's copy crosses its
+        link on its own (`_dispatch_radio`).  An addressed message is
+        `_unicast`."""
+        sender, to = envelope.sender, envelope.to
+        tx = self._send(envelope, sender, to)
         if envelope.channel == "ring":
-            if envelope.to == BROADCAST:
-                targets = sorted(
-                    leader for leader in self.leaders.values()
-                    if leader is not None and leader != envelope.sender
-                )
+            if to == BROADCAST:
+                targets = sorted(leader for leader in self.leaders.values() if leader is not None and leader != sender)
             else:
-                targets = (envelope.to,)
-            self._schedule(self.now + 1, envelope, targets, envelope.sender, (tx,))
+                targets = (to,)
+            self._schedule(self.now + 1, envelope, targets, sender, (tx,))
             return
-        if envelope.to == BROADCAST:
+        if to == BROADCAST:
+            hearers = self._reach.get(sender)
+            if hearers is None:
+                hearers = self._neighbours(sender)
             crashed = self.crashed
-            hearers = [name for name in self._neighbours(envelope.sender) if name not in crashed]
+            if crashed:
+                hearers = [name for name in hearers if name not in crashed]
             if self.taps:
                 for name in hearers:
                     self._dispatch_radio(envelope, name, tx)
             else:
-                self._schedule(self.now + 1, envelope, hearers, envelope.sender, (tx,))
+                self._schedule(self.now + 1, envelope, hearers, sender, (tx,))
             return
         self._unicast(envelope, tx)
 
@@ -1084,7 +1107,9 @@ class Simulation:
         hop's tap acts on what reaches it (`_tap`); then a placed adversary
         relaying at its far end is logged an `overheard` copy of what
         arrives, and what `intercept` leaves of it goes on with no extra
-        tick.  Nothing is scheduled past an eaten message."""
+        tick.  Nothing is scheduled past an eaten message.  In a run with
+        no tap and no placed adversary nothing acts on the way and no one
+        overhears, so the arrival is filed at once, a tick per hop."""
         target = envelope.to
         alive = target in self.nodes and target not in self.crashed
         path = self._radio_path(envelope.sender, target) if alive else None
@@ -1093,6 +1118,10 @@ class Simulation:
             self._overhear(envelope, tx)
             return
         adversaries, taps = self.adversaries, self.taps
+        if not (taps or adversaries):
+            hops = len(path) - 1
+            self._schedule(self.now + hops, envelope, (target,), envelope.sender, (("hops", str(hops)), tx))
+            return
         carried = envelope
         arrive = now = self.now
         for u, v in zip(path, path[1:]):
@@ -1160,14 +1189,10 @@ class Simulation:
         ctx = self.contexts[name]
         ctx.now = self.now
         act(*args, ctx)
-        self._flush_pending(name, ctx)
-        node = self.nodes[name]
-        node.wake_by(node.next_due(self.now - 1))
-
-    def _flush_pending(self, name: str, ctx: Ctx) -> None:
-        """Flush a step's context unless the step left it empty."""
         if ctx.outbound or ctx.notes or ctx.secrets or ctx.signals:
             self._flush(name, ctx)
+        node = self.nodes[name]
+        node.wake_by(node.next_due(self.now - 1))
 
     def _flush(self, name: str, ctx: Ctx) -> None:
         """Log and send what a step noted and emitted, and empty its context.
@@ -1368,7 +1393,7 @@ class Simulation:
         self._traces = [(name, self.specs[name].trace) for name in self.nodes]
         self._setup()
         pending = list(script)
-        nodes, contexts, log, flush_pending = self.nodes, self.contexts, self._log, self._flush_pending
+        nodes, contexts, log, flush = self.nodes, self.contexts, self._log, self._flush
         crashed, relayed, events, digests = self.crashed, self.relayed, self.log.events, self._digests
         stepping = [(name, node, contexts[name]) for name, node in nodes.items()]
         wake_at, wakeups = clock.at, clock.buckets
@@ -1402,10 +1427,13 @@ class Simulation:
                     ctx = contexts[recipient]
                     ctx.now = tick
                     node.handle(envelope, ctx)
-                    flush_pending(recipient, ctx)
+                    # Only a handling that left something is flushed.
+                    if ctx.outbound or ctx.notes or ctx.secrets or ctx.signals:
+                        flush(recipient, ctx)
             # The wake loop: step each live node due this tick, in node
-            # order, and file its next wakeup.  An entry whose wakeup has
-            # moved since it was filed, or a repeat of one, is skipped.
+            # order, flush the step if it left something, and file its next
+            # wakeup.  An entry whose wakeup has moved since it was filed,
+            # or a repeat of one, is skipped.
             due = wakeups.pop(tick, None)
             clock.floor = tick + 1
             if due:
@@ -1417,7 +1445,8 @@ class Simulation:
                     if name not in crashed:
                         ctx.now = tick
                         node.on_tick(ctx)
-                        flush_pending(name, ctx)
+                        if ctx.outbound or ctx.notes or ctx.secrets or ctx.signals:
+                            flush(name, ctx)
                         wake_at[index] = math.inf
                         clock.lower(index, node.next_due(tick))
             if self._signals:

@@ -340,8 +340,8 @@ def test_strict_chain_flag(tmp_path, capsys):
 
 
 # Full report text of two fixtures, as `report` printed it before it became
-# table-driven, and then the `traffic:` line; between them they hit every
-# timeline row but `alert`.
+# table-driven, and then the `verdicts:` and `traffic:` lines; between them
+# they hit every timeline row but `alert`.
 REPORTS = {
     "stealth_mitm": """\
 t=0    elect    A (group=g1:cause=founding)
@@ -354,6 +354,7 @@ t=2    discover S:S (discovery_started:dest=D:seq=1)
 t=6    reject   D:D (reject:chain_mismatch:source=S:seq=1)
 summary: elections=1 admits=3 removals=0 rekeys=2 discoveries=1 accepts=0 rejects=1 routes_installed=0 alerts=0
 drops: duplicate=2
+verdicts: discovery_started=1 reject:chain_mismatch=1 rreq_processed=3
 traffic: HEARTBEAT=11/13 LEADER_ANNOUNCE=2/0 REKEY=3/5 RREQ=3/7
 """,
     "benign_line": """\
@@ -371,6 +372,7 @@ t=23   remove   n0:n3 (announced_leave)
 t=23   rekey    n0 (leave:lineage=g1-1:epoch=2)
 summary: elections=1 admits=4 removals=1 rekeys=3 discoveries=1 accepts=1 rejects=0 routes_installed=1 alerts=0
 drops: duplicate=3
+verdicts: accept=1 discovery_started=1 route_installed=1 rreq_processed=4
 traffic: DATA=10/16 HEARTBEAT=33/45 LEADER_ANNOUNCE=2/0 LEAVE=5/8 REKEY=7/7 RREP=4/4 RREQ=4/7
 """,
 }
@@ -391,7 +393,7 @@ def test_report_counts_alerts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "t=3    alert    A (node_crashed)"
     assert "alerts=1" in out
-    assert out.splitlines()[-2:] == ["drops: none", "traffic: none"]
+    assert out.splitlines()[-3:] == ["drops: none", "verdicts: none", "traffic: none"]
 
 
 def test_report_summarises_drops_by_reason(tmp_path, capsys):
@@ -402,4 +404,18 @@ def test_report_summarises_drops_by_reason(tmp_path, capsys):
     assert main(["report", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("summary: ")
-    assert out[1:] == ["drops: data_undecryptable:no_key=1 duplicate=2 out_of_range=1", "traffic: none"]
+    assert out[1:] == ["drops: data_undecryptable:no_key=1 duplicate=2 out_of_range=1", "verdicts: none", "traffic: none"]
+
+
+def test_report_counts_verdicts_by_their_words(tmp_path, capsys):
+    path = tmp_path / "verdicts.log"
+    details = ["rekey_undecryptable:unknown_epoch", "zk_ok", "accept:source=S:seq=1", "zk_ok", "join_abort:bad_cert"]
+    rows = "".join(f"2\t{seq}\tverdict\tJ:J\t-\t{detail}\n" for seq, detail in enumerate(details))
+    path.write_text(f"#manetsec-log v1\n{rows}#complete\n")
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "drops: none",
+        "verdicts: accept=1 join_abort:bad_cert=1 rekey_undecryptable:unknown_epoch=1 zk_ok=2",
+        "traffic: none",
+    ]

@@ -175,6 +175,70 @@ def test_only_schedule_writes_the_queue():
     assert [use for use in uses if use[0] == "_schedule"]
 
 
+def test_no_method_writes_a_reach_row():
+    # A broadcast files its sender's reach row itself as its hearers, so a
+    # row is shared by the reach cache and the queue: no function of sim.py
+    # calls a mutating list method on, adds to, or stores or deletes an item
+    # of a value read from `self._reach` or returned by `self._neighbours`,
+    # or of a name that ever holds one.
+    mutators = {"append", "clear", "extend", "insert", "pop", "remove", "reverse", "sort"}
+
+    def is_row(node, held):
+        if isinstance(node, ast.Name):
+            return node.id in held
+        if isinstance(node, ast.Subscript):
+            return ast.unparse(node.value) == "self._reach"
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in ("self._reach.get", "self._neighbours")
+
+    held_by, writes = {}, []
+    for scope in ast.walk(ast.parse(pathlib.Path(sim.__file__).read_text())):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        held = set()  # the names that ever hold a row, found to a fixed point
+        while True:
+            before = len(held)
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Assign) and any(is_row(part, held) for part in [node.value, *node.targets]):
+                    held |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+                elif isinstance(node, ast.NamedExpr) and is_row(node.value, held):
+                    held.add(node.target.id)
+            if len(held) == before:
+                break
+        held_by[scope.name] = held
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in mutators:
+                written = node.func.value
+            elif isinstance(node, ast.AugAssign):
+                written = node.target
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                written = node.value
+            else:
+                continue
+            if is_row(written, held):
+                writes.append((scope.name, ast.unparse(node)))
+    assert writes == []
+    # The pin reads the rows where they are held.
+    assert "row" in held_by["_neighbours"] and "hearers" in held_by["_transmit"]
+
+
+def test_one_send_builder():
+    # Every send event, a node's transmission or a link tap's replay, is
+    # built by Simulation._send, so the send format has one source: no other
+    # function of the program builds a SimEvent whose kind is "send".
+    builders = []
+    for path in sorted(pathlib.Path(manetsec.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "SimEvent":
+                        kinds = node.args[2:3] + [word.value for word in node.keywords if word.arg == "kind"]
+                        if any(isinstance(kind, ast.Constant) and kind.value == "send" for kind in kinds):
+                            builders.append((path.name, owner + getattr(scope, "name", "<module>")))
+    assert builders == [("sim.py", "Simulation._send")]
+
+
 def _simulation_methods(tree):
     """Each method of the Simulation class in sim.py's parsed `tree`, by name."""
     [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Simulation"]

@@ -19,12 +19,12 @@ signature it can check: a radio alert against its own group leader's key
 leader announced; any other alert is ignored.  The leaders of all groups
 share a ring key for traffic between groups: each leader draws its own
 ring secret when its service is built, and `leader_ring_agree` raises the
-RFC 3526 group's generator to every current leader's secret in turn.
+RFC 3526 group's generator to every current leader's secret in turn.  A
+ring of one leader agrees no key.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,42 +58,6 @@ RING_MODULUS = int(
 )
 RING_GENERATOR = 2
 RING_SECRET_BITS = 192  # width of each leader's ring secret
-RING_WINDOW = 5  # secret bits per row of the generator's power table
-
-
-@functools.cache
-def _ring_powers() -> list[list[int]]:
-    """The ring generator's power table for fixed-base exponentiation
-    (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): row ``i`` holds
-    ``RING_GENERATOR ** (d << (RING_WINDOW * i)) % RING_MODULUS`` for every
-    digit ``d`` of one window.  A wider window means fewer products per
-    secret but a larger table; under tracemalloc the 39 rows of 32 powers of
-    a 5-bit window take about 350 KiB and need at most 39 products, where 4
-    bits take 210 KiB for 48 products and 6 bits 590 KiB for 32.  Built the
-    first time a ring is agreed rather than at import, so runs that agree
-    none never pay for it."""
-    rows, base = [], RING_GENERATOR
-    for _ in range(-(-RING_SECRET_BITS // RING_WINDOW)):
-        row = [1, base]
-        for _ in range(2, 1 << RING_WINDOW):
-            row.append(row[-1] * base % RING_MODULUS)
-        rows.append(row)
-        base = row[-1] * base % RING_MODULUS
-    return rows
-
-
-def _ring_power(secret: int) -> int:
-    """``RING_GENERATOR ** secret % RING_MODULUS`` read from the table: one
-    modular product per nonzero digit and no squaring."""
-    if not 0 <= secret < 1 << RING_SECRET_BITS:
-        raise ValueError("ring secret out of range")
-    modulus, mask = RING_MODULUS, (1 << RING_WINDOW) - 1
-    result = 1
-    for row in _ring_powers():
-        if secret & mask:
-            result = result * row[secret & mask] % modulus
-        secret >>= RING_WINDOW
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -964,15 +928,15 @@ def leader_ring_agree(leaders: list[tuple[str, int]], provider) -> bytes:
     The chain of the leaders' Diffie-Hellman steps (GDH.2's upflow):
     starting from the generator, each leader in turn raises the value to
     its own secret, so the last step yields the generator raised to every
-    secret.  The simulator computes the whole chain in one call; the first
-    step reads the generator's power table.  Returns the symmetric key
-    derived from the result.
+    secret.  The simulator computes the whole chain in one call.  A ring
+    needs two leaders: a lone leader has no one to share a key with, and no
+    caller asks it to agree one.  Returns the symmetric key derived from the
+    result.
     """
-    if not leaders:
-        raise ValueError("ring needs at least one leader")
-    (_, first), *rest = leaders
-    shared = _ring_power(first)
-    for _, secret in rest:
+    if len(leaders) < 2:
+        raise ValueError("ring needs at least two leaders")
+    shared = RING_GENERATOR
+    for _, secret in leaders:
         shared = dh_contribute(RING_GENERATOR, RING_MODULUS, secret, shared)
     digest = provider.hash(encoding.encode("ring-key", shared))
     return digest[: provider.sym_key_size]

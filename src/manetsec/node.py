@@ -123,7 +123,6 @@ class ProtocolNode:
         if kind in LeaderKeyService.JOIN_HANDLERS:
             if self.leader_service is not None:
                 self.leader_service.handle_join(message, ctx)
-                self._rearm(ctx)  # an admission adds a member's deadline
         elif kind in MemberKeyService.JOIN_HANDLERS:
             self.member.handle_join(message, ctx)
             self._rearm(ctx)
@@ -194,8 +193,6 @@ class ProtocolNode:
         if self.leader_service is not None and message["role"] == "member":
             self.leader_service.record_heartbeat(message["who"], ctx.now)
         elif message["role"] == "leader" and message["who"] == self.member.leader:
-            if self.leader_last_seen is None:  # a later beat only pushes the expiry back
-                self.wake_by(ctx.now + self.params.liveness_deadline + 1)
             self.leader_last_seen = ctx.now
 
     def _handle_leave(self, message: Message, ctx: Ctx) -> None:
@@ -458,7 +455,11 @@ class ProtocolNode:
         while it could act at no tick.  A leader is due at its next beat, at
         its earliest member expiry and at its earliest remote-job deadline,
         where the job ends; a member at its next beat, when it has a leader,
-        and at its leader's expiry."""
+        and at its leader's expiry.  A new member deadline or leader expiry
+        needs no wakeup of its own: validation keeps the liveness deadline
+        at least one heartbeat period, so it falls after the next beat, which
+        a node with a leader always has filed, and that beat's step files
+        it."""
         params = self.params
         period = params.heartbeat_period
         beat = (max(now, 0) // period + 1) * period  # beats fall on positive multiples of the period

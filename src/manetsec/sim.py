@@ -1245,9 +1245,7 @@ class Simulation:
         for member, value in trust_seed.items():
             node.leader_service.trust[member] = value
         node.leader_last_seen = None
-        members_with_pubs = [
-            (m, self.log.registry.keypairs[m].public) for m in sorted(member_names) if m != name
-        ]
+        members_with_pubs = [(m, self.log.registry.keypairs[m].public) for m in member_names]
         self.group_map[name] = group_id
         self.leaders[group_id] = name
         self._step(name, self._found, members_with_pubs, cause)
@@ -1263,11 +1261,14 @@ class Simulation:
         if not leaders:
             return
         self.ring_version += 1
-        pairs = [(name, self.nodes[name].leader_service.ring_secret) for name in leaders]
-        key = leader_ring_agree(pairs, self.provider)
-        for name in leaders:
-            self.nodes[name].ring_key = key
-            self.log.registry.secrets.append((self.now, name, ("ring_key", self.ring_version), key))
+        if len(leaders) == 1:  # a lone leader has no one to share a ring key with
+            self.nodes[leaders[0]].ring_key = None
+        else:
+            pairs = [(name, self.nodes[name].leader_service.ring_secret) for name in leaders]
+            key = leader_ring_agree(pairs, self.provider)
+            for name in leaders:
+                self.nodes[name].ring_key = key
+                self.log.registry.secrets.append((self.now, name, ("ring_key", self.ring_version), key))
         self._log("rekey", ",".join(leaders), ("ring", ("version", str(self.ring_version))))
 
     def _attrs(self, candidates: list, trust_table: dict) -> list:
@@ -1299,7 +1300,7 @@ class Simulation:
         trust_table = self.last_trust.get(group_id, {})
         winner = elect_leader(self._attrs(candidates, trust_table), self.scenario.weights)
         self._log("elect", winner, (("group", group_id), ("cause", "leader_departure")))
-        self._make_leader(winner, group_id, [c for c in candidates if c != winner], "election")
+        self._make_leader(winner, group_id, candidates, "election")
         self._ring_rekey()
 
     def _unseat(self, name: str) -> None:
@@ -1371,7 +1372,7 @@ class Simulation:
             self._log("elect", leader, (("group", spec.group_id), ("cause", "founding")))
             founding.append((leader, spec))
         for leader, spec in founding:
-            self._make_leader(leader, spec.group_id, [m for m in spec.members if m != leader], "founding")
+            self._make_leader(leader, spec.group_id, spec.members, "founding")
         # Announce again once every leader exists so they all know each other.
         for leader, _ in founding:
             self._step(leader, self.nodes[leader].announce)

@@ -594,55 +594,16 @@ def test_dh_three_party_equal_secrets():
 
 
 # ---------------------------------------------------------------------------
-# The ring generator's fixed-base table
+# The ring's constants under dh_contribute
 # ---------------------------------------------------------------------------
 
 G, P = keymgmt.RING_GENERATOR, keymgmt.RING_MODULUS
 
 
-def _exponents(max_bits):
-    """Exponents of every width from 0 to `max_bits` bits, each width alike."""
-    return st.integers(0, max_bits).flatmap(lambda bits: st.integers(0, (1 << bits) - 1))
-
-
-def _one_digit_per_window():
-    """A ring secret whose every window holds a nonzero digit, the digits
-    running through the window's values; the top window, which may be
-    narrower, holds 1."""
-    window, rows = keymgmt.RING_WINDOW, -(-keymgmt.RING_SECRET_BITS // keymgmt.RING_WINDOW)
-    digits = [1 + i % ((1 << window) - 1) for i in range(rows - 1)] + [1]
-    return sum(digit << (window * i) for i, digit in enumerate(digits))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_exponents(keymgmt.RING_SECRET_BITS))
-@example(0)
-@example(1)
-@example(2**192 - 1)
-@example(_one_digit_per_window())
-def test_ring_table_equals_pow(exponent):
-    assert keymgmt._ring_power(exponent) == pow(G, exponent, P)
-
-
-@pytest.mark.parametrize("secret", [2**192, -1])
-def test_ring_table_rejects_a_secret_out_of_range(secret):
-    # No leader draws one; a negative secret would read the wrong digits.
-    with pytest.raises(ValueError, match="ring secret"):
-        keymgmt._ring_power(secret)
-
-
-def test_ring_table_is_built_once_and_sized_from_the_secret_width():
-    table = keymgmt._ring_powers()
-    assert keymgmt._ring_powers() is table
-    assert len(table) == -(-keymgmt.RING_SECRET_BITS // keymgmt.RING_WINDOW) == 39
-    assert {len(row) for row in table} == {32}
-
-
 def test_dh_checks_still_raise_for_the_table():
-    # The table runs no check: its generator and modulus are the ring's
-    # constants, which dh_contribute's checks accept.  Every later step is
-    # dh_contribute's, and its checks still reject a bad value.
-    assert dh_contribute(G, P, 6, G) == keymgmt._ring_power(6)
+    # Every ring step is dh_contribute's: it accepts the ring's generator
+    # and modulus, and its checks still reject a bad value.
+    assert dh_contribute(G, P, 6, G) == pow(G, 6, P)
     for generator, modulus in ((1, 23), (0, 23), (23, 23), (30, 23)):
         with pytest.raises(ValueError):
             dh_contribute(generator, modulus, 6, generator)

@@ -126,8 +126,8 @@ RING_CASES += [case_id for case_id in corpus.PINNED if len(corpus.CASES[case_id]
 @pytest.mark.parametrize("case_id", RING_CASES, ids=lambda case_id: case_id.removesuffix(":plain"))
 def test_ring_keys_equal_a_chain_of_builtin_pow(case_id, monkeypatch):
     # The chain is recorded as the run agrees each ring key, so the run is
-    # a fresh one.
-    chains = []  # the leaders and secrets of each ring version, in order
+    # a fresh one.  A ring of one leader records no chain and no key.
+    chains = []  # the leaders and secrets of each ring version agreed, in order
 
     def recorded(leaders, provider):
         chains.append(list(leaders))
@@ -137,14 +137,16 @@ def test_ring_keys_equal_a_chain_of_builtin_pow(case_id, monkeypatch):
     log = corpus.fresh(case_id)
     provider = make_provider(log.registry.provider_name)
     rekeys = [event for event in log.events if event.kind == "rekey" and event.word == "ring"]
-    assert [event.actor.split(",") for event in rekeys] == [[name for name, _ in chain] for chain in chains]
+    agreed = [event for event in rekeys if "," in event.actor]
+    assert [event.actor.split(",") for event in agreed] == [[name for name, _ in chain] for chain in chains]
+    versions = [int(event.get("version")) for event in agreed]
     keys = [(label[1], owner, key) for _, owner, label, key in log.registry.secrets if label[0] == "ring_key"]
     assert sorted((version, owner) for version, owner, _ in keys) == [
-        (version, name) for version, chain in enumerate(chains, 1) for name, _ in chain
+        (version, name) for version, chain in zip(versions, chains) for name, _ in chain
     ]
     for version, _, key in keys:
         shared = RING_GENERATOR
-        for _, secret in chains[version - 1]:
+        for _, secret in chains[versions.index(version)]:
             shared = pow(shared, secret, RING_MODULUS)
         assert key == provider.hash(encoding.encode("ring-key", shared))[: provider.sym_key_size]
 

@@ -955,11 +955,6 @@ def test_ring_two_leaders_matches_direct_exponentiation(provider):
     assert key == _ring_key(shared, provider)
 
 
-def test_ring_single_leader_degenerate(provider):
-    key = leader_ring_agree([("L1", 6)], provider)
-    assert key == _ring_key(pow(RING_GENERATOR, 6, RING_MODULUS), provider)
-
-
 def test_ring_order_of_members_does_not_change_key(provider):
     a = leader_ring_agree([("L1", 6), ("L2", 15), ("L3", 11)], provider)
     b = leader_ring_agree([("L3", 11), ("L1", 6), ("L2", 15)], provider)
@@ -994,6 +989,8 @@ def test_leader_draws_its_ring_secret_last(world, seed):
     assert leader.ring_secret == stream.getrandbits(RING_SECRET_BITS)
 
 
-def test_ring_empty_rejected(provider):
-    with pytest.raises(ValueError):
-        leader_ring_agree([], provider)
+@pytest.mark.parametrize("leaders", [[], [("L1", 6)]], ids=["no_leader", "one_leader"])
+def test_ring_of_fewer_than_two_leaders_rejected(provider, leaders):
+    # A lone leader has no one to share a ring key with, and no caller asks.
+    with pytest.raises(ValueError, match="two leaders"):
+        leader_ring_agree(leaders, provider)

@@ -1688,6 +1688,44 @@ def test_negative_reply_waits_for_every_other_leader():
     assert audit(log).passed
 
 
+@pytest.mark.parametrize("b0_last", [False, True], ids=["b0_first", "b0_last"])
+def test_a_crashed_groups_dissolution_hangs_on_crash_order_and_its_leader_stays_in_the_ring(b0_last):
+    # All of g2 (leader b0) crashes at tick 2, then a0 looks for zz, a node
+    # in no group.  g2 is dissolved only when b0 crashes last: crashed
+    # members never signal that their leader is gone.  Either way a0 keeps
+    # ring version 1, agreed with the dead b0, and its job for zz waits for
+    # b0's answer to the end, with no verdict.  Pinned as it stands: item 13
+    # (the leader ring run as messages) and item 6 (a gateway job counts
+    # only live ring peers) flip it.
+    scenario, _, _ = two_group_scenario(seed=4)
+    scenario.nodes.append(NodeSpec("zz", [(900.0, 900.0)], 0.5))
+    scenario.params.duration = 120
+    crashes = ["b1", "b2", "b3", "b0"] if b0_last else ["b0", "b1", "b2", "b3"]
+    scenario.script = [Action(2, "crash", (name,)) for name in crashes] + [Action(10, "discover", ("a0", "zz"))]
+    sim = Simulation(scenario)
+    log = sim.run()
+    dissolved = [(e.tick, e.actor) for e in log.events if e.kind == "alert" and e.word == "group_dissolved"]
+    assert dissolved == ([(2, "g2")] if b0_last else [])
+    rings = [(e.actor, e.get("version")) for e in log.events if e.kind == "rekey" and e.word == "ring"]
+    assert rings == [("a0,b0", "1")] and sim.ring_version == 1
+    ring_keys = {owner: key for _, owner, label, key in log.registry.secrets if label == ("ring_key", 1)}
+    assert sim.nodes["a0"].ring_key == ring_keys["a0"] == ring_keys["b0"] and "b0" in sim.crashed
+    assert sim.nodes["a0"].gateway_jobs == {("a0", "zz", 1): 1}
+    assert not [e for e in log.events if e.kind == "verdict" and e.actor == "a0" and "zz" in e.detail]
+
+
+def test_a_lone_leader_holds_no_ring_key():
+    # A ring of one leader agrees nothing: each version is still logged,
+    # but no key is agreed, held or recorded.
+    sim = Simulation(churn_scenario(500))
+    log = sim.run()
+    rings = [e for e in log.events if e.kind == "rekey" and e.word == "ring"]
+    assert rings and all("," not in e.actor for e in rings)
+    assert [e.get("version") for e in rings] == [str(version) for version in range(1, sim.ring_version + 1)]
+    assert not [label for _, _, label, _ in log.registry.secrets if label[0] == "ring_key"]
+    assert all(sim.nodes[name].ring_key is None for name in sim.leaders.values() if name is not None)
+
+
 def _leader_without_ring_key():
     """Two founded groups a tick after their announcements, with g1's leader
     a1 holding no ring key, and a context for one of its steps."""
@@ -2344,8 +2382,6 @@ def test_each_node_steps_in_one_context_that_starts_empty(monkeypatch, name):
 
 
 def test_empty_steps_are_not_flushed(monkeypatch):
-    import hashlib
-
     flushed = []
     original_flush = Simulation._flush
 
@@ -2355,12 +2391,12 @@ def test_empty_steps_are_not_flushed(monkeypatch):
         return original_flush(self, owner, ctx)
 
     monkeypatch.setattr(Simulation, "_flush", flush)
-    digest = hashlib.sha256()  # of runs watched as they flush, so fresh ones
-    for seed in range(500, 505):
-        digest.update(repr(run(churn_scenario(seed)).registry.secrets).encode())
+    seeds = range(500, 505)
+    watched = [run(churn_scenario(seed)).registry.secrets for seed in seeds]  # watched as they flush, so fresh
     assert flushed
-    # The secrets, entry for entry and in order, as every step was flushed.
-    assert digest.hexdigest() == "82fdb7d6d04cacdcb67b5fd10e61e008c60ee90d1145adefa8b9675fda505402"
+    monkeypatch.undo()
+    # The secrets, entry for entry and in order, are those of unwatched runs.
+    assert watched == [run(churn_scenario(seed)).registry.secrets for seed in seeds]
 
 
 def test_a_placed_adversary_overhears_a_unicast_from_a_sender_in_its_range():

@@ -18,22 +18,25 @@ the rekey is in flight (multi-hop delivery takes one tick per hop), so a
 ciphertext under an old epoch only counts against backward secrecy if its
 sender had already received newer key material when it spoke.
 
-An audit reads the log once.  Events hold their principals and detail
-parts as fields, and one pass over them gathers every fact the ten checks
-share: event positions by kind and sealed deliveries by recipient; the
-rekey points in log order, by group and by key; the membership changes
-and intervals; the handshake steps (`zk_ok` and `cert_ok` verdicts and
-handshake admissions) in log order; and each delivery or drop of a
-numbered transmission with the tick of that transmission's latest send so
-far, read once per hop.  No property walks the log again: each judges
-lists the pass already holds, and secret confinement reads the events only
-when some payload leaks.  A payload's first octet is its kind tag, and the
-audit reads that tag before anything else: it indexes a delivery by
-recipient, and decodes a payload, only when its kind carries a sealed
-field (`messages.SEALED_KINDS`), or decodes it when it is the request
-behind an accepted route, and each such payload at most once.  Every other
-kind holds nothing a principal could open, so skipping it changes no
-outcome.
+An audit reads the log once, at the cost of its transmissions and its
+distinct sealed payloads.  Events hold their principals and detail parts
+as fields, and one pass over them gathers every fact the ten checks share:
+event positions by kind (sends, deliveries and drops aside); the first send
+of each sealed payload, and each recipient's earliest delivery of each
+sealed payload, however often it was re-flooded; the rekey points in log
+order, by group and by key; the membership changes and intervals; the
+handshake steps (`zk_ok` and `cert_ok` verdicts and handshake admissions)
+in log order; and each delivery or drop of a numbered transmission with the
+tick of that transmission's latest send so far, its facts read once per
+hop.  A delivery or drop that names no transmission, such as a routing
+`drop` note, is no transmission outcome.  No property walks the log again:
+each judges what the pass already holds, and secret confinement reads the
+events only when some payload leaks.  A payload's first octet is its kind
+tag, and the audit reads that tag before anything else: it keeps a send or
+delivery, and decodes a payload, only when its kind carries a sealed field
+(`messages.SEALED_KINDS`), or decodes it when it is the request behind an
+accepted route, and each such payload at most once.  Every other kind
+holds nothing a principal could open, so skipping it changes no outcome.
 Each principal's knowledge set is closed once and shared by both secrecy
 checks, and each distinct (key, ciphertext) trial decryption runs once, its
 outcome shared by every principal that tries it.  An opened plaintext is
@@ -116,27 +119,18 @@ class MembershipChange:
 
 
 def _transmission(event: SimEvent) -> tuple:
-    """The event's transmission number (None when it has none) and, for a
-    delivery or drop, its hop count (1 when it names none).  A send's hop
-    count is None: no check reads it.
+    """The event's transmission number and, for a delivery or drop, its hop
+    count (1 when it names none), read by name: the last `tx` and `hops`
+    pairs wherever they stand.  An event whose parts name no `tx` is no
+    transmission outcome (a routing `drop` note is one), so it gets (None,
+    None) before any hop count is read; a send's hop count is None too,
+    since no check reads it.
 
-    The simulator ends a transmission's parts with its `tx` pair, just
-    after its `hops` pair when it has one; a delivery or drop whose only
-    other part is a word names no hops.  Those parts are read by position,
-    any other by name."""
-    parts = event.parts
-    last = parts[-1] if parts else ""
-    in_place = not isinstance(last, str) and last[0] == "tx"
-    tx = last[1] if in_place else event.get("tx")
-    if event.kind == "send":
+    `_LogIndex` reads the simulator's own shapes by position and calls this
+    only for any other."""
+    tx = event.get("tx")
+    if tx is None or event.kind == "send":
         return tx, None
-    if in_place and len(parts) > 1:
-        before = parts[-2]
-        if isinstance(before, str):
-            if len(parts) == 2:
-                return tx, 1
-        elif before[0] == "hops":
-            return tx, int(before[1])
     return tx, int(event.get("hops", 1))
 
 
@@ -154,16 +148,22 @@ class _LogIndex:
     """What the property checks read, built in one pass over the log.
 
     It lives for one `audit()` (or one `knowledge_set()`) call.  It holds
-    event positions, not events: `by_kind`, `received` and the gathered
-    records index into `events`, the log's own list.  Each send and each
-    hop is read once, here, through `_transmission`: consecutive
-    deliveries or drops that share one parts tuple (by identity), tick and
-    kind share that read, its causality verdict and its outcome table,
-    until a send of the transmission comes between them; conservation is
-    judged per recipient, as each is read.  Payloads are read by kind tag
-    first (see `sealed_message`): `received` keeps only the deliveries of
-    a kind that carries a sealed field, the tag tested once per distinct
-    digest, and only such a kind, or a request a property asks for by
+    event positions and ticks, not events: `by_kind` and the gathered
+    records index into `events`, the log's own list.  The pass is built
+    around transmissions and distinct sealed payloads, not around events.
+    A queued hop's facts are read once per hop: the outcomes of one hop
+    share one parts tuple, so consecutive deliveries or drops with the same
+    parts (by identity), tick, kind and digest share its `tx`, hop count,
+    causality verdict, outcome table and sealed-kind verdict, until a send
+    of the transmission comes between them; conservation is judged per
+    recipient, as each is read.  A delivery or drop whose parts name no
+    `tx`, such as a routing `drop` note, is no transmission outcome.
+    Payloads are read by kind tag first (`_sealed_kind`, tested once per
+    distinct digest), and of a kind that carries a sealed field the pass
+    keeps only what a reader of the sealed traffic needs: the first send of
+    each payload (`first_sends`) and, per recipient, the tick of its
+    earliest delivery of each (`received`), however often it was
+    re-flooded.  Only such a kind, or a request a property asks for by
     digest, is decoded, on first use.  Decoded payloads and each
     principal's knowledge set (closed on first use) are then kept for the
     index's life, as are the outcome of each symmetric trial decryption
@@ -176,11 +176,15 @@ class _LogIndex:
         self.payloads = log.payloads
         self.provider = make_provider(log.registry.provider_name)
         self.events = log.events
-        # kind -> positions, for every kind but deliveries and drops
+        # kind -> positions, for every kind but sends, deliveries and drops
         self.by_kind: dict[str, list] = defaultdict(list)
-        # recipient -> positions of its deliveries of a sealed kind (the only
-        # ones a principal could open; see `sealed_message`)
-        self.received: dict[str, list] = defaultdict(list)
+        # digest -> position of its first send, for each payload of a kind
+        # that carries a sealed field, in log order
+        self.first_sends: dict[str, int] = {}
+        # recipient -> {digest: tick of its earliest delivery there}, for each
+        # payload of a kind that carries a sealed field (the only ones a
+        # principal could open), in the order they first reached it
+        self.received: dict[str, dict] = {}
         self.rekeys = []  # rekey points in log order
         self.rekey_counts: dict[str, int] = {}  # group -> its rekeys; a lineage's prefix names its group
         self.key_positions: dict = {}  # (group, lineage, epoch) -> its first position in the group's rekey order
@@ -204,27 +208,41 @@ class _LogIndex:
         outcomes: dict[str, dict] = {}
         payloads = log.payloads
         sealed = {"-": False}  # digest -> `_sealed_kind` of its payload ("-" names none)
-        # The hop last read: the outcomes of one queued hop share one parts
-        # tuple, so an outcome with the same parts (by identity), tick and
-        # kind shares its transmission, causality verdict and outcome table.
-        # A send of its transmission moves `latest` and so ends the hop.
-        hop_parts = hop_tick = hop_kind = hop_tx = hop_late = hop_heard = None
-        by_kind, received = self.by_kind, self.received
+        # The hop last read, keyed by its parts (by identity), tick, kind and
+        # digest: a read-back or hand-edited line can carry another payload
+        # under the same detail.  A send of its transmission moves `latest`
+        # and so ends the hop.
+        hop_parts = hop_tick = hop_kind = hop_digest = hop_opens = hop_tx = hop_late = hop_heard = None
+        by_kind, received, first_sends = self.by_kind, self.received, self.first_sends
         causality_failures, conservation_failures = self.causality_failures, self.conservation_failures
         for i, event in enumerate(log.events):
             kind = event.kind
             if kind == "deliver" or kind == "drop":
-                if kind == "deliver":
-                    digest = event.digest
-                    opens = sealed.get(digest)
-                    if opens is None:
-                        opens = sealed[digest] = _sealed_kind(payloads.get(digest))
-                    if opens:
-                        received[event.recipient].append(i)
-                parts, tick = event.parts, event.tick
-                if parts is not hop_parts or tick != hop_tick or kind != hop_kind:
-                    hop_parts, hop_tick, hop_kind = parts, tick, kind
-                    hop_tx, hops = _transmission(event)
+                parts, tick, digest = event.parts, event.tick, event.digest
+                if parts is not hop_parts or tick != hop_tick or kind != hop_kind or digest != hop_digest:
+                    hop_parts, hop_tick, hop_kind, hop_digest = parts, tick, kind, digest
+                    if kind == "deliver":
+                        hop_opens = sealed.get(digest)
+                        if hop_opens is None:
+                            hop_opens = sealed[digest] = _sealed_kind(payloads.get(digest))
+                    else:
+                        hop_opens = False
+                    # The simulator ends an outcome's parts with its `tx`
+                    # pair, just after its `hops` pair when it has one; an
+                    # outcome whose only other part is a word names no hops.
+                    # Any other shape is read by name.
+                    hops = None
+                    last = parts[-1] if parts else ""
+                    if not isinstance(last, str) and last[0] == "tx":
+                        hop_tx = last[1]
+                        before = parts[-2] if len(parts) > 1 else ""
+                        if isinstance(before, str):
+                            if len(parts) <= 2:
+                                hops = 1
+                        elif before[0] == "hops":
+                            hops = int(before[1])
+                    if hops is None:
+                        hop_tx, hops = _transmission(event)
                     if hop_tx is not None:
                         # A delivery is due `hops` ticks after the latest send
                         # of its transmission; a drop needs only some earlier send.
@@ -233,6 +251,13 @@ class _LogIndex:
                         hop_heard = outcomes.get(hop_tx)
                         if hop_heard is None:
                             hop_heard = outcomes[hop_tx] = {}
+                if hop_opens:
+                    earliest = received.get(event.recipient)
+                    if earliest is None:
+                        earliest = received[event.recipient] = {}
+                    at = earliest.get(digest)
+                    if at is None or tick < at:
+                        earliest[digest] = tick
                 if hop_tx is not None:
                     if hop_late:
                         causality_failures.append(i)
@@ -242,16 +267,24 @@ class _LogIndex:
                     else:
                         hop_heard[recipient] = None
                 continue
-            by_kind[kind].append(i)
             if kind == "send":
                 # The simulator ends a send's parts with its `tx` pair.
-                last = event.parts[-1] if event.parts else ""
+                parts = event.parts
+                last = parts[-1] if parts else ""
                 tx = last[1] if not isinstance(last, str) and last[0] == "tx" else _transmission(event)[0]
                 if tx is not None:
                     latest[tx] = event.tick
                     if tx == hop_tx:
                         hop_parts = None
-            elif kind == "verdict":
+                digest = event.digest
+                opens = sealed.get(digest)
+                if opens is None:
+                    opens = sealed[digest] = _sealed_kind(payloads.get(digest))
+                if opens and digest not in first_sends:
+                    first_sends[digest] = i
+                continue
+            by_kind[kind].append(i)
+            if kind == "verdict":
                 if event.parts == ("zk_ok",) or event.parts == ("cert_ok",):
                     self.handshakes.append((i, event.parts[0], event.about))
             elif kind == "rekey" and event.word != "ring":
@@ -328,9 +361,10 @@ class _LogIndex:
         """The decoded payload, or None when it is missing or malformed.
 
         The audit's one decoder, and each digest is decoded at most once.
-        Readers that look only for something to open go through
-        `sealed_message`; chain soundness calls this for the request
-        behind each accepted route, whatever its kind."""
+        Readers that look only for something to open ask only for the
+        payloads the index kept by their kind tag (`first_sends`,
+        `received`); chain soundness calls this for the request behind each
+        accepted route, whatever its kind."""
         if digest not in self._messages:
             payload = self.payloads.get(digest)
             try:
@@ -338,11 +372,6 @@ class _LogIndex:
             except encoding.EncodingError:
                 self._messages[digest] = None
         return self._messages[digest]
-
-    def sealed_message(self, digest: str):
-        """The decoded payload when its kind tag names a kind that carries a
-        sealed field (`_sealed_kind`), else None without decoding it."""
-        return self.message(digest) if _sealed_kind(self.payloads.get(digest)) else None
 
     def knowledge(self, principal: str) -> KnowledgeSet:
         """The closure of everything the principal holds or could decrypt by
@@ -353,16 +382,11 @@ class _LogIndex:
         known = self._knowledge.get(principal)
         if known is not None:
             return known
-        registry = self.registry
-        keypair = registry.keypairs.get(principal)
+        keypair = self.registry.keypairs.get(principal)
         private = keypair.private if keypair is not None else None
-        sym_keys = dict.fromkeys(
-            value for _, owner, label, value in registry.secrets if owner == principal and label[0] != "member_secret"
-        )
-        events = self.events
-        digests = dict.fromkeys(events[i].digest for i in self.received.get(principal, ()))
-        # Only deliveries of a kind that carries a sealed field are indexed.
-        received = [(d, m) for d in digests if (m := self.message(d)) is not None]
+        sym_keys = dict.fromkeys(self.own_secrets.get(principal, ()))
+        # Only payloads of a kind that carries a sealed field are indexed.
+        received = [(d, m) for d in self.received.get(principal, ()) if (m := self.message(d)) is not None]
         opened: set[str] = set()
         progress = True
         while progress:
@@ -386,6 +410,16 @@ class _LogIndex:
         return [_expectation_met(self, expectation) for expectation in self.registry.expectations]
 
     @cached_property
+    def own_secrets(self) -> dict:
+        """owner -> the secrets it made, in registry order, but member
+        secrets, which only derive keys."""
+        own: dict = {}
+        for _, owner, label, value in self.registry.secrets:
+            if label[0] != "member_secret":
+                own.setdefault(owner, []).append(value)
+        return own
+
+    @cached_property
     def minted(self) -> dict:
         """(lineage, epoch) -> the group key the registry says was minted for it."""
         return {label[1:]: value for _, _, label, value in self.registry.secrets if label[0] == "group_key"}
@@ -396,21 +430,21 @@ class _LogIndex:
 
     @cached_property
     def rekeys_received(self) -> dict:
-        """recipient -> [(deliver tick, carried lineage, carried epoch)].
+        """recipient -> [(deliver tick, carried lineage, carried epoch)], one
+        entry per distinct REKEY payload it was delivered, at its earliest
+        delivery: a re-flooded copy tells the recipient nothing new.
 
         A sealed-to-member rekey carries the epoch in its header; a rekey
         sealed under the previous group key carries that header epoch plus one.
         """
         out: dict = {}
-        events = self.events
-        for recipient, positions in self.received.items():
-            for i in positions:
-                event = events[i]
-                message = self.sealed_message(event.digest)
+        for recipient, earliest in self.received.items():
+            for digest, tick in earliest.items():
+                message = self.message(digest)
                 if message is None or message.kind != MessageKind.REKEY:
                     continue
                 carried = message["epoch"] + (1 if message["mode"] == "group" else 0)
-                out.setdefault(recipient, []).append((event.tick, message["lineage"], carried))
+                out.setdefault(recipient, []).append((tick, message["lineage"], carried))
         return out
 
 
@@ -475,16 +509,16 @@ class PkCiphertext:
 def _collect_ciphertexts(index: _LogIndex):
     """Group-key-sealed and member-addressed ciphertexts, one per distinct
     payload, attributed to the first transmitter (re-flooded copies carry
-    the same bytes and say nothing new)."""
+    the same bytes and say nothing new).  Only the first send of each
+    payload of a kind that carries a sealed field is read
+    (`_LogIndex.first_sends`)."""
     group_ct, pk_ct = [], []
-    seen = set()
-    for i, event in index.of_kind("send"):
-        if event.digest in seen:
-            continue
-        seen.add(event.digest)
-        message = index.sealed_message(event.digest)
+    events = index.events
+    for digest, i in index.first_sends.items():
+        message = index.message(digest)
         if message is None:
             continue
+        event = events[i]
         group_sealed = (message.kind == MessageKind.DATA and message["group"] != "ring") or (
             message.kind == MessageKind.REKEY and message["mode"] == "group"
         )
@@ -505,7 +539,8 @@ def _stale_sender_excused(index: _LogIndex, ct: GroupCiphertext) -> bool:
     at its tick in honest staleness: a newer key had been minted, but the
     sender's copy of that rekey had not reached it yet.  If no newer key
     exists at all, the missing rotation is precisely the violation and
-    nothing is excused."""
+    nothing is excused.  Each rekey is judged at its earliest delivery to
+    the sender (`rekeys_received`), which decides as every copy would."""
     positions = index.key_positions
     position = positions.get((ct.group, ct.lineage, ct.epoch))
     if position is None or position >= index.rekey_counts[ct.group] - 1:

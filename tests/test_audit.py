@@ -477,12 +477,17 @@ def _resend_and_repeat(rows):
     rows[:] = edited
 
 
-@pytest.mark.parametrize("case", REAUDITED)
+# A routing-heavy run: a walking grid logs hundreds of routing `drop` notes,
+# which name no transmission, and unicasts of many hops.
+ROUTED = "grid_mobile:900:plain"
+
+
+@pytest.mark.parametrize("case", REAUDITED + [ROUTED])
 def test_the_index_equals_a_plain_reader_of_every_event(case):
-    # The index reads a hop's outcomes once and keeps only the deliveries a
-    # principal could open; on the run's log, its read-back and an edited
-    # read-back full of early, orphaned and repeated outcomes, it finds
-    # what a reader of every event finds.
+    # The index reads a hop's outcomes once and keeps only the first
+    # delivery of each payload a principal could open; on the run's log,
+    # its read-back and an edited read-back full of early, orphaned and
+    # repeated outcomes, it finds what a reader of every event finds.
     log = corpus.log(case)
     index = audit_module._LogIndex(log)
     for principal in sorted(log.registry.node_names) + sorted(log.registry.adversary_names):
@@ -492,6 +497,25 @@ def test_the_index_equals_a_plain_reader_of_every_event(case):
         index = audit_module._LogIndex(read)
         assert (index.causality_failures, index.conservation_failures) == _plain_outcome_failures(read)
     assert index.causality_failures and index.conservation_failures
+
+
+def test_an_outcome_that_names_no_transmission_is_not_asked_its_hops(monkeypatch):
+    # A routing `drop` note names no `tx`: it is no transmission outcome, so
+    # the index never reads a hop count for it.
+    log = corpus.log(ROUTED)
+    real_get = SimEvent.get
+    asked = []
+
+    def spy(event, name, default=None):
+        asked.append((event, name))
+        return real_get(event, name, default)
+
+    notes = [event for event in log.events if event.kind == "drop" and real_get(event, "tx") is None]
+    assert len(notes) > 100
+    monkeypatch.setattr(SimEvent, "get", spy)
+    audit_module._LogIndex(log)
+    assert not [event for event, name in asked if name == "hops" and real_get(event, "tx") is None]
+    assert any(event is notes[0] for event, _ in asked)
 
 
 def test_payloads_that_do_not_decode_leave_the_audit_unchanged():
@@ -985,6 +1009,64 @@ def test_hand_built_breach_fails_its_property_alone(breach):
     report = audit(log)
     assert report.result(name).counterexamples == counterexamples
     assert [r.name for r in report.results if not r.passed] == [name]
+
+
+def _rekey_deliveries(log):
+    """(recipient, digest, tick, carried lineage, carried epoch) of every
+    delivery of a REKEY payload, each decoded where it stands."""
+    out = []
+    for event in log.events:
+        payload = log.payloads.get(event.digest)
+        if event.kind != "deliver" or not payload:
+            continue
+        try:
+            message = decode_message(payload)
+        except encoding.EncodingError:
+            continue
+        if message.kind == MessageKind.REKEY:
+            carried = message["epoch"] + (1 if message["mode"] == "group" else 0)
+            out.append((event.recipient, event.digest, event.tick, message["lineage"], carried))
+    return out
+
+
+def _excused_by_every_delivery(index, deliveries, ct):
+    """`_stale_sender_excused` read off every delivery of a rekey to the
+    sender, re-flooded copies too."""
+    position = index.key_positions.get((ct.group, ct.lineage, ct.epoch))
+    if position is None or position >= index.rekey_counts[ct.group] - 1:
+        return False
+    for recipient, _, tick, lineage, epoch in deliveries:
+        got = index.key_positions.get((ct.group, lineage, epoch))
+        if recipient == ct.sender and tick + 1 <= ct.tick and got is not None and got > position:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "case",
+    CHURN_BY_FAULT + [_member_speaks_under_a_key_it_has_replaced, _member_speaks_under_a_key_it_has_replaced_just_after_a_removal],
+    ids=lambda case: case.removeprefix("churn:") if isinstance(case, str) else case.__name__.lstrip("_"),
+)
+def test_the_earliest_delivery_of_each_rekey_excuses_a_stale_sender_as_all_of_them_do(case):
+    # The index keeps one delivery of each REKEY payload per recipient, the
+    # earliest; a sender's staleness is judged by it exactly as by every
+    # re-flooded copy.
+    log = corpus.log(case) if isinstance(case, str) else case()[0]
+    index = audit_module._LogIndex(log)
+    deliveries = _rekey_deliveries(log)
+    earliest = {}
+    for recipient, digest, tick, lineage, epoch in deliveries:
+        earliest[recipient, digest] = min(earliest.get((recipient, digest), (tick, lineage, epoch)), (tick, lineage, epoch))
+    expected = {}
+    for (recipient, _), entry in earliest.items():
+        expected.setdefault(recipient, []).append(entry)
+    assert {r: sorted(entries) for r, entries in index.rekeys_received.items()} == {r: sorted(e) for r, e in expected.items()}
+    if isinstance(case, str):  # a churn run re-floods its group rekeys
+        assert len(deliveries) > len(earliest)
+    group_ct, _ = index.ciphertexts
+    assert group_ct
+    for ct in group_ct:
+        assert audit_module._stale_sender_excused(index, ct) == _excused_by_every_delivery(index, deliveries, ct), ct
 
 
 @pytest.mark.parametrize("case", REAUDITED)

@@ -41,15 +41,20 @@ def test_only_the_schema_decodes():
     assert decoders == ["messages.py"]
 
 
-def _audit_call_sites(name):
-    """The function or method of `audit.py` around each call to `name`."""
+def _audit_call_sites(name, *args):
+    """The function or method of `audit.py` around each call to `name`
+    whose leading arguments are the constants `args`."""
     tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "manetsec" / "audit.py").read_text())
     sites = []
     for top in tree.body:
         owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
         for node in top.body if isinstance(top, ast.ClassDef) else [top]:
             for call in ast.walk(node):
-                if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                if (
+                    isinstance(call, ast.Call)
+                    and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                    and [getattr(arg, "value", None) for arg in call.args[: len(args)]] == list(args)
+                ):
                     sites.append(owner + getattr(node, "name", "<module>"))
     return sites
 
@@ -66,6 +71,13 @@ def test_the_audit_reads_transmissions_in_one_pass():
     assert set(_audit_call_sites("_transmission")) == {"_LogIndex.__init__"}
     src = pathlib.Path(__file__).parent.parent / "src" / "manetsec"
     assert [path.name for path in sorted(src.glob("*.py")) if "_transmission(" in path.read_text()] == ["audit.py"]
+
+
+def test_no_audit_reader_walks_the_sends():
+    # The index keeps the first send of each sealed payload; no property
+    # walks every send of the log again to find them.
+    assert _audit_call_sites("of_kind")
+    assert _audit_call_sites("of_kind", "send") == []
 
 
 def test_sealed_kinds_are_the_kinds_with_a_sealed_layout():

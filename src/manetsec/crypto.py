@@ -84,12 +84,18 @@ class DeterministicProvider:
     simulator relies on (verification, tamper detection, wrong-key failure)
     all hold.  Do not use outside simulation.
 
-    Each instance derives a public key's signature MAC key once and keeps it
-    for every later signature and verification under that key; `sign` and
-    `verify` still MAC their full data.  In the same way it derives each
-    symmetric key's tag key once (a public-key seal's content key counts),
-    on its first seal or open under that key, so an open under a wrong key
-    costs one keyed hash, over the nonce and body.
+    Each instance keeps four memos, each filled on first use:
+    a private seed's public key, so `sign` and `pk_decrypt` derive it once
+    (a seed that is not 32 octets of exact `bytes` raises before any
+    lookup, on every call); a public key's signature MAC key, for every
+    later signature and verification under that key; each symmetric key's
+    tag key (a public-key seal's content key counts), so an open under a
+    wrong key costs one keyed hash, over the nonce and body; and the
+    verdict of each (public key, data, signature) that `verify` has MACed.
+    So `sign` MACs its full data on every call, and `verify` MACs it the
+    first time an instance is asked about that exact triple and returns the
+    kept verdict for it after that.  Memo keys and values are `bytes` and
+    `bool` alone, so the cycle collector need not walk them.
 
     Each instance also holds the plaintext of every seal it makes (a held
     seal), keyed by the seal's key, nonce and tag, until that instance first
@@ -106,7 +112,9 @@ class DeterministicProvider:
     HELD_SEALS = 4096
 
     def __init__(self):
+        self._publics: dict[bytes, bytes] = {}  # private seed -> its public key
         self._mac_keys: dict[bytes, bytes] = {}  # public key -> its signature MAC key
+        self._verdicts: dict[tuple, bool] = {}  # (public key, data, signature) -> what verify returned
         self._held: dict[tuple, bytes] = {}  # (key, nonce, tag) -> plaintext, oldest first
         self._tag_keys: dict[bytes, bytes] = {}  # symmetric key -> its tag MAC key
         self.directories: dict = {}  # the message layer's directory memo; see messages._read
@@ -132,9 +140,12 @@ class DeterministicProvider:
         return KeyPair(public=_b2(seed, key=b"manetsec.pub"), private=seed)
 
     def _public_of(self, private: bytes) -> bytes:
-        if len(private) != _SEED_LEN:
-            raise MalformedKeyError("private key must be a 32-octet seed")
-        return _b2(private, key=b"manetsec.pub")
+        if type(private) is not bytes or len(private) != _SEED_LEN:
+            raise MalformedKeyError("private key must be a 32-octet bytes seed")
+        public = self._publics.get(private)
+        if public is None:
+            public = self._publics[private] = _b2(private, key=b"manetsec.pub")
+        return public
 
     def sign(self, private: bytes, data: bytes) -> bytes:
         return _b2(bytes(data), key=self._mac_key(self._public_of(private)))
@@ -142,7 +153,11 @@ class DeterministicProvider:
     def verify(self, public: bytes, data: bytes, sig: bytes) -> bool:
         if len(public) != 32 or not isinstance(sig, bytes):
             return False
-        return hmac.compare_digest(_b2(bytes(data), key=self._mac_key(bytes(public))), sig)
+        asked = (bytes(public), bytes(data), bytes(sig))
+        verdict = self._verdicts.get(asked)
+        if verdict is None:
+            verdict = self._verdicts[asked] = hmac.compare_digest(_b2(asked[1], key=self._mac_key(asked[0])), sig)
+        return verdict
 
     def pk_encrypt(self, public: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         if len(public) != 32:

@@ -288,6 +288,28 @@ class Message:
         _check(self.kind.name, tuple(check for check in checks if check[0] in changes), changes)
         return _holding(self.kind, {**self.fields, **changes})
 
+    def with_hop(self, hop: str, sig: bytes, lifetime: int, chain: bytes) -> "Message":
+        """This route request forwarded by `hop`: exactly ``replace(lifetime=
+        lifetime, route=route + [hop], sigs=sigs + [sig], chain=chain)``.
+        Only the four values it adds are checked; the route and signatures
+        it keeps passed their checks when this message was built."""
+        if self.kind is not MessageKind.RREQ:
+            raise encoding.EncodingError(f"{self.kind.name} is not a route request")
+        if not _is_name(hop):
+            raise _mistyped("RREQ", "route")
+        if not _is_bytes(sig):
+            raise _mistyped("RREQ", "sigs")
+        if not _is_int(lifetime):
+            raise _mistyped("RREQ", "lifetime")
+        if not _is_bytes(chain):
+            raise _mistyped("RREQ", "chain")
+        fields = self.fields
+        return _holding(
+            self.kind,
+            {**fields, "lifetime": lifetime, "route": [*fields["route"], hop], "sigs": [*fields["sigs"], sig],
+             "chain": chain},
+        )
+
 
 def _holding(kind: MessageKind, fields: dict) -> Message:
     """A message over `fields`, a dict that passed its checks and that no

@@ -5,15 +5,15 @@ join handshake, pairwise sessions, router) plus, while it leads a group, a
 :class:`~manetsec.keymgmt.LeaderKeyService`.  It reads its group through
 one view, ``keys``: its leader service while it leads, its member keyring
 otherwise, which answer the same names, so only a leader's own duties
-branch on its role.  ``handle`` dispatches one
-delivered message; ``on_tick`` emits heartbeats, expires silent members,
-detects a silent leader and times out pending gateway work.  The simulator
-steps a node only when it has work due: after each step it asks
-``next_due`` for the earliest later tick at which ``on_tick`` could act,
-and a handler that gives the node a role or an earlier deadline lowers that
-wakeup through ``wake_by``.  Waking early is safe, since each duty of
-``on_tick`` keeps its own due test and an early call does nothing; a node
-in no group is never stepped.  Cross-group
+branch on its role.  ``handle`` dispatches one delivered message, through
+one lookup of its kind in ``HANDLERS``; ``on_tick`` emits heartbeats,
+expires silent members, detects a silent leader and times out pending
+gateway work.  The simulator steps a node only when it has work due:
+after each step it asks ``next_due`` for the earliest later tick at which
+``on_tick`` could act, and a handler that gives the node a role or an
+earlier deadline lowers that wakeup through ``wake_by``.  Waking early is
+safe, since each duty of ``on_tick`` keeps its own due test and an early
+call does nothing; a node in no group is never stepped.  Cross-group
 discovery composes three verified legs: requester to its leader, leader to
 leader over the ring channel, and remote leader to the destination.  Each
 DATA hop is sealed for its next hop, the first included: under the ring
@@ -116,57 +116,62 @@ class ProtocolNode:
     # ------------------------------------------------------------------ dispatch
 
     def handle(self, envelope: Envelope, ctx: Ctx) -> None:
+        """Pass a group broadcast on first, then hand the message to its
+        kind's entry in `HANDLERS`; a kind with no entry does nothing."""
         message = envelope.message
-        kind = message.kind
         if refloods(envelope):  # the first copy: the simulator hands a node no other
             ctx.emit(message)
-        if kind in LeaderKeyService.JOIN_HANDLERS:
-            if self.leader_service is not None:
-                self.leader_service.handle_join(message, ctx)
-        elif kind in MemberKeyService.JOIN_HANDLERS:
-            self.member.handle_join(message, ctx)
-            self._rearm(ctx)
-        elif kind == MessageKind.REKEY:
-            self.member.handle_rekey(message, ctx)
-            if message["mode"] == "public" and self.member.leader == envelope.sender:
-                self.leader_last_seen = ctx.now
-            self._rearm(ctx)
-        elif kind == MessageKind.HEARTBEAT:
-            self._handle_heartbeat(message, ctx)
-        elif kind == MessageKind.LEAVE:
-            self._handle_leave(message, ctx)
-        elif kind == MessageKind.PUBKEY_QUERY:
-            if self.leader_service is not None:
-                self.leader_service.handle_pubkey_query(message, envelope.sender, ctx)
-        elif kind == MessageKind.PUBKEY_ANSWER:
-            if self.member.leader_public is not None:
-                self.sessions.handle_pubkey_answer(message, self.member.leader_public, ctx)
-        elif kind == MessageKind.MALICIOUS_ALERT:
-            verifier = self._alert_verifier(envelope)
-            if verifier is not None:
-                self.sessions.handle_alert(message, verifier, ctx)
-        elif kind == MessageKind.SESSION_1:
-            self._handle_session1(message, ctx)
-        elif kind == MessageKind.SESSION_2:
-            self.sessions.handle_session2(message, ctx)
-        elif kind == MessageKind.SESSION_3:
-            self.sessions.handle_session3(message, ctx)
-        elif kind == MessageKind.SESSION_4:
-            self.sessions.handle_session4(message, ctx)
-        elif kind == MessageKind.RREQ:
-            if self.keys.group_id is not None:
-                self.router.handle_rreq(message, self.keys.member_view, ctx)
-        elif kind == MessageKind.RREP:
-            done = self.router.handle_rrep(message, self.keys.member_view, ctx)
-            if done is not None:
-                self._discovery_completed(done, ctx)
-        elif kind == MessageKind.DATA:
-            self._handle_data(message, envelope, ctx)
-        elif kind in (MessageKind.GROUP_REQ, MessageKind.GROUP_REP, MessageKind.GROUP_NEG):
-            if self.leader_service is not None and self.ring_key is not None:
-                self._handle_ring(message, kind, ctx)
-        elif kind == MessageKind.LEADER_ANNOUNCE:
-            self._handle_leader_announce(message, ctx)
+        handler = self.HANDLERS.get(message.kind)
+        if handler is not None:
+            handler(self, message, envelope, ctx)
+
+    # Each handler takes (message, envelope, ctx), whatever it reads of them.
+
+    def _handle_leader_join(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        if self.leader_service is not None:
+            self.leader_service.handle_join(message, ctx)
+
+    def _handle_member_join(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        self.member.handle_join(message, ctx)
+        self._rearm(ctx)
+
+    def _handle_rekey(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        self.member.handle_rekey(message, ctx)
+        if message["mode"] == "public" and self.member.leader == envelope.sender:
+            self.leader_last_seen = ctx.now
+        self._rearm(ctx)
+
+    def _handle_pubkey_query(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        if self.leader_service is not None:
+            self.leader_service.handle_pubkey_query(message, envelope.sender, ctx)
+
+    def _handle_pubkey_answer(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        if self.member.leader_public is not None:
+            self.sessions.handle_pubkey_answer(message, self.member.leader_public, ctx)
+
+    def _handle_alert(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        verifier = self._alert_verifier(envelope)
+        if verifier is not None:
+            self.sessions.handle_alert(message, verifier, ctx)
+
+    def _handle_session2(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        self.sessions.handle_session2(message, ctx)
+
+    def _handle_session3(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        self.sessions.handle_session3(message, ctx)
+
+    def _handle_session4(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        self.sessions.handle_session4(message, ctx)
+
+    def _handle_rreq(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        keys = self.keys
+        if keys.group_id is not None:
+            self.router.handle_rreq(message, keys.member_view, ctx)
+
+    def _handle_rrep(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        done = self.router.handle_rrep(message, self.keys.member_view, ctx)
+        if done is not None:
+            self._discovery_completed(done, ctx)
 
     def _alert_verifier(self, envelope: Envelope) -> Optional[bytes]:
         """The key an alert must be signed under: on the ring, its sending
@@ -176,7 +181,7 @@ class ProtocolNode:
             return self.known_leaders.get(envelope.sender, (None, None))[1]
         return self.keys.leader_public
 
-    def _handle_leader_announce(self, message: Message, ctx: Ctx) -> None:
+    def _handle_leader_announce(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
         leader, group = message["leader"], message["group"]
         if leader == self.name:
             return
@@ -189,13 +194,13 @@ class ProtocolNode:
         if is_new and self.leader_service is not None:
             self.announce(ctx, to=leader)
 
-    def _handle_heartbeat(self, message: Message, ctx: Ctx) -> None:
+    def _handle_heartbeat(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
         if self.leader_service is not None and message["role"] == "member":
             self.leader_service.record_heartbeat(message["who"], ctx.now)
         elif message["role"] == "leader" and message["who"] == self.member.leader:
             self.leader_last_seen = ctx.now
 
-    def _handle_leave(self, message: Message, ctx: Ctx) -> None:
+    def _handle_leave(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
         who = message["who"]
         if self.leader_service is not None:
             self.leader_service.remove_members([who], "announced_leave", ctx)
@@ -203,7 +208,7 @@ class ProtocolNode:
             self.leader_last_seen = None
             ctx.signals.append((self.member.group_id, who))
 
-    def _handle_session1(self, message: Message, ctx: Ctx) -> None:
+    def _handle_session1(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
         if self.leader_service is None:
             self.sessions.handle_session1(message, self.member.leader, ctx)
             return
@@ -379,7 +384,11 @@ class ProtocolNode:
         else:
             self._send_routed(seal_plain(MessageKind.DATA, tag="route_failed", dest=dest, seq=seq), requester, ctx)
 
-    def _handle_ring(self, message: Message, kind: MessageKind, ctx: Ctx) -> None:
+    def _handle_ring(self, message: Message, envelope: Envelope, ctx: Ctx) -> None:
+        """Act on a ring message, while this node leads and holds the ring key."""
+        if self.leader_service is None or self.ring_key is None:
+            return
+        kind = message.kind
         try:
             inner = open_sealed(kind, self.provider.sym_decrypt(self.ring_key, message["sealed"]))
         except UNOPENABLE:
@@ -534,6 +543,27 @@ class ProtocolNode:
                 self.remote_jobs[dest] = still
             else:
                 del self.remote_jobs[dest]
+
+    # Message kind -> the handler `handle` calls, one lookup per delivery.
+    HANDLERS = {
+        **dict.fromkeys(LeaderKeyService.JOIN_HANDLERS, _handle_leader_join),
+        **dict.fromkeys(MemberKeyService.JOIN_HANDLERS, _handle_member_join),
+        MessageKind.REKEY: _handle_rekey,
+        MessageKind.HEARTBEAT: _handle_heartbeat,
+        MessageKind.LEAVE: _handle_leave,
+        MessageKind.PUBKEY_QUERY: _handle_pubkey_query,
+        MessageKind.PUBKEY_ANSWER: _handle_pubkey_answer,
+        MessageKind.MALICIOUS_ALERT: _handle_alert,
+        MessageKind.SESSION_1: _handle_session1,
+        MessageKind.SESSION_2: _handle_session2,
+        MessageKind.SESSION_3: _handle_session3,
+        MessageKind.SESSION_4: _handle_session4,
+        MessageKind.RREQ: _handle_rreq,
+        MessageKind.RREP: _handle_rrep,
+        MessageKind.DATA: _handle_data,
+        **dict.fromkeys((MessageKind.GROUP_REQ, MessageKind.GROUP_REP, MessageKind.GROUP_NEG), _handle_ring),
+        MessageKind.LEADER_ANNOUNCE: _handle_leader_announce,
+    }
 
 
 # ---------------------------------------------------------------------------

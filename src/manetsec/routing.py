@@ -9,9 +9,14 @@ from the budget value it actually received: an invisible relay that burned
 one hop shifts every reconstructed term by one and the digests no longer
 match, so the request is discarded.  Signatures bind each listed node to
 the discovery (source, dest, seq); the chain is what binds the hop budgets.
-The reply carries the verified chain back, signed as a whole by the
-destination, and the source re-derives the chain from its own original
-budget before installing the route.
+Every forwarder, and the destination, still verifies every signature the
+request lists, as intermediate nodes authenticate each other; the
+provider's verdict memo only spares re-MACing bytes it has checked before.
+A forwarder builds its request by appending its own hop
+(:meth:`~manetsec.messages.Message.with_hop`), so only what it adds is
+checked again.  The reply carries the verified chain back, signed as a
+whole by the destination, and the source re-derives the chain from its own
+original budget before installing the route.
 
 Verdict order at the destination is chain first, then signatures, then
 sequence freshness, so a budget-shift attack surfaces as ``chain_mismatch``.
@@ -119,11 +124,12 @@ def verify_route_signatures(provider, message: Message, directory: dict) -> bool
     if len(route) != len(sigs) or not route:
         return False
     # The encoding concatenates its fields, so each signer's payload is this
-    # prefix followed by the signer's own field: its rreq_signed_payload.
+    # prefix followed by the signer's own field, a string field since the
+    # route's names passed their checks: its rreq_signed_payload.
     prefix = encoding.encode("rreq", message["source"], message["dest"], message["seq"])
     for node, sig_bytes in zip(route, sigs):
         public = directory.get(node)
-        if public is None or not provider.verify(public, prefix + encoding.encode(node), sig_bytes):
+        if public is None or not provider.verify(public, prefix + encoding.encode_str(node), sig_bytes):
             return False
     return True
 
@@ -197,8 +203,9 @@ class Router:
     def handle_rreq(self, message: Message, directory: dict, ctx: Ctx) -> None:
         """Process a request against the group's `directory` (member name ->
         public key): a request that lists a node outside it is dropped."""
-        source, dest, seq = message["source"], message["dest"], message["seq"]
-        if any(node not in directory for node in message["route"]):
+        fields = message.fields
+        source, dest, seq, route = fields["source"], fields["dest"], fields["seq"], fields["route"]
+        if not directory.keys() >= set(route):
             ctx.note("drop", "foreign_group", ("source", source), ("seq", seq), about=self.name)
             return
         if (source, seq) in self.seen:
@@ -209,32 +216,27 @@ class Router:
         if dest == self.name:
             self._destination_verify(message, directory, ctx)
         else:
-            self._forward_rreq(message, directory, ctx)
+            self._forward_rreq(message, source, dest, seq, route, directory, ctx)
 
-    def _forward_rreq(self, message: Message, directory: dict, ctx: Ctx) -> None:
-        source, seq = message["source"], message["seq"]
-        if self.name in message["route"]:
-            ctx.note("drop", "loop", ("source", source), ("seq", seq), about=self.name)
+    def _forward_rreq(self, message: Message, source: str, dest: str, seq: int, route: list, directory: dict,
+                      ctx: Ctx) -> None:
+        name = self.name
+        if name in route:
+            ctx.note("drop", "loop", ("source", source), ("seq", seq), about=name)
             return
-        if message["lifetime"] < 1:
-            ctx.note("drop", "lifetime_exhausted", ("source", source), ("seq", seq), about=self.name)
+        lifetime = message["lifetime"]
+        if lifetime < 1:
+            ctx.note("drop", "lifetime_exhausted", ("source", source), ("seq", seq), about=name)
             return
         if not verify_route_signatures(self.provider, message, directory):
-            ctx.note("verdict", "rreq_discard", "bad_signature", ("source", source), ("seq", seq), about=self.name)
+            ctx.note("verdict", "rreq_discard", "bad_signature", ("source", source), ("seq", seq), about=name)
             return
         if self.params.strict_chain and not chain_matches(self.provider, message):
-            ctx.note("verdict", "rreq_discard", "chain_mismatch", ("source", source), ("seq", seq), about=self.name)
+            ctx.note("verdict", "rreq_discard", "chain_mismatch", ("source", source), ("seq", seq), about=name)
             return
-        new_lifetime = message["lifetime"] - 1
-        payload = rreq_signed_payload(source, message["dest"], seq, self.name)
-        sig = self.provider.sign(self.keypair.private, payload)
-        forwarded = message.replace(
-            lifetime=new_lifetime,
-            route=message["route"] + [self.name],
-            sigs=message["sigs"] + [sig],
-            chain=chain_extend(self.provider, message["chain"], self.name, new_lifetime),
-        )
-        ctx.emit(forwarded)
+        lifetime -= 1
+        sig = self.provider.sign(self.keypair.private, rreq_signed_payload(source, dest, seq, name))
+        ctx.emit(message.with_hop(name, sig, lifetime, chain_extend(self.provider, message["chain"], name, lifetime)))
 
     def _destination_verify(self, message: Message, directory: dict, ctx: Ctx) -> None:
         source, seq = message["source"], message["seq"]

@@ -205,12 +205,83 @@ def test_deterministic_memo_keeps_malformed_inputs_failing():
 
 
 def test_deterministic_providers_share_no_memo():
+    # No MAC key, public key or verdict one instance keeps is seen by another.
     a, b = crypto.make_provider("test_double"), crypto.make_provider("test_double")
     private, public, [(data, sig), *_] = SIGNATURE_VECTORS[0]
-    assert a.sign(bytes.fromhex(private), bytes.fromhex(data)) == bytes.fromhex(sig)
-    assert a._mac_keys and not b._mac_keys
-    assert b.verify(bytes.fromhex(public), bytes.fromhex(data), bytes.fromhex(sig))
+    private, public, data, sig = (bytes.fromhex(v) for v in (private, public, data, sig))
+    assert a.sign(private, data) == sig and a.verify(public, data, sig)
+    assert a._mac_keys and a._publics == {private: public} and a._verdicts == {(public, data, sig): True}
+    assert not (b._mac_keys or b._publics or b._verdicts)
+    assert b.verify(public, data, sig)
     assert a._mac_keys == b._mac_keys and a._mac_keys is not b._mac_keys
+    assert a._verdicts == b._verdicts and a._verdicts is not b._verdicts
+    assert not b._publics
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    """`data` with one bit flipped, chosen by `bit` modulo its length."""
+    flipped = bytearray(data)
+    bit %= len(data) * 8
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@given(
+    data=st.binary(max_size=120),
+    forged=st.binary(max_size=40),
+    seed=st.integers(0, 2**32),
+    bit=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_kept_verdict_answers_only_its_own_triple(data, forged, seed, bit):
+    # After one triple verifies, the same instance still refuses a flipped
+    # bit of its data or signature, another key and a forged signature, each
+    # asked twice; a fresh instance agrees on every case.  The memo holds
+    # bytes and bools alone.
+    provider = DeterministicProvider()
+    rng = random.Random(seed)
+    pair, other = provider.generate_keypair(rng), provider.generate_keypair(rng)
+    sig = provider.sign(pair.private, data)
+    assert provider.verify(pair.public, data, sig)
+    cases = [
+        (pair.public, data, sig),
+        (pair.public, _flip(data, bit) if data else b"\x00", sig),
+        (pair.public, data, _flip(sig, bit)),
+        (other.public, data, sig),
+        (pair.public, data, forged),
+        (pair.public, bytearray(data), sig),
+    ]
+    for public, signed, claimed in cases:
+        expected = DeterministicProvider().verify(public, signed, claimed)
+        assert expected == (public == pair.public and bytes(signed) == data and claimed == sig)
+        assert provider.verify(public, signed, claimed) == expected
+        assert provider.verify(public, signed, claimed) == expected
+    assert all(type(part) is bytes for key in provider._verdicts for part in key)
+    assert all(type(verdict) is bool for verdict in provider._verdicts.values())
+
+
+@given(
+    private=st.one_of(
+        st.binary(max_size=64).filter(lambda key: len(key) != 32),
+        st.binary(min_size=32, max_size=32).map(bytearray),
+    ),
+    data=st.binary(max_size=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_malformed_private_key_raises_on_every_use(private, data):
+    # A seed that is not 32 octets of exact bytes is refused before the
+    # public-key memo is asked, on the first call and on every later one,
+    # and leaves nothing kept.
+    provider = DeterministicProvider()
+    ciphertext = provider.pk_encrypt(provider.generate_keypair(random.Random(1)).public, data, random.Random(2))
+    for _ in range(3):
+        with pytest.raises(crypto.MalformedKeyError):
+            provider.sign(private, data)
+        with pytest.raises(crypto.MalformedKeyError):
+            provider.pk_decrypt(private, ciphertext)
+    assert not provider._publics
+    if len(private) == 32:  # the same seed as exact bytes signs
+        assert provider.sign(bytes(private), data) == DeterministicProvider().sign(bytes(private), data)
 
 
 @given(st.binary(max_size=200))

@@ -292,6 +292,35 @@ def test_message_replace_checks_what_it_changes(kind):
     assert dict(message.fields) == fields and message.encoded is before == msg(kind, **fields).encoded
 
 
+def test_a_forwarded_request_checks_only_what_it_adds():
+    # `with_hop` is `replace` with one hop appended: the same fields and
+    # bytes, and each value it adds refused as `replace` refuses it.
+    fields = {name: REPLACE_VALUES[FIELD_TYPES[name]][0] for name in _FIELDS[MessageKind.RREQ]}
+    message = msg(MessageKind.RREQ, **fields)
+    before = message.encoded
+    added = {"hop": "c", "sig": b"s", "lifetime": 0, "chain": b"c2"}
+
+    def replaced(hop, sig, lifetime, chain):
+        return message.replace(lifetime=lifetime, route=fields["route"] + [hop], sigs=fields["sigs"] + [sig], chain=chain)
+
+    later, expect = message.with_hop(**added), replaced(**added)
+    assert later == expect and dict(later.fields) == dict(expect.fields)
+    assert later.encoded == expect.encoded == encode_message(expect) != before
+    assert later["route"] == ["a", "b", "c"] and later["sigs"] == [b"x", b"s"]
+    assert dict(message.fields) == fields and message.encoded is before
+    for arg, name in (("hop", "route"), ("sig", "sigs"), ("lifetime", "lifetime"), ("chain", "chain")):
+        wire_type = FIELD_TYPES[name].removeprefix("list[").removesuffix("]")
+        for value in REPLACE_VALUES[wire_type][2]:
+            with pytest.raises(encoding.EncodingError, match=f"RREQ field '{name}' is not"):
+                message.with_hop(**{**added, arg: value})
+            with pytest.raises(encoding.EncodingError, match=f"RREQ field '{name}' is not"):
+                replaced(**{**added, arg: value})
+    for kind in set(_FIELDS) - {MessageKind.RREQ}:
+        other = msg(kind, **{name: REPLACE_VALUES[FIELD_TYPES[name]][0] for name in _FIELDS[kind]})
+        with pytest.raises(encoding.EncodingError, match="is not a route request"):
+            other.with_hop(**added)
+
+
 def test_unassigned_message_tags_rejected():
     # 0x1A is past the last kind the protocol builds (GROUP_NEG, 0x19).
     assert max(MessageKind) == MessageKind.GROUP_NEG

@@ -84,6 +84,47 @@ def test_runs_in_one_process_keep_their_digests_in_either_order():
         assert moved == []
 
 
+# A walking grid (many forwards and verdicts), a stealth relay and a churn.
+MEMO_CASES = ("grid_mobile:900:plain", "fixture:stealth_mitm.scn", "churn:500:plain")
+
+
+def test_provider_memos_leak_nothing_between_runs_in_either_order():
+    # Every memo (verdicts, public keys, MAC and tag keys, held seals,
+    # directories) lives on a run's provider or on the audit's own.  The
+    # cases run forward and then in reverse in one process give the same
+    # log, sidecar and audit bytes, the committed ones, both times.  The
+    # memos hold bytes and bools alone, so a full collection untracks them.
+    # The point is fresh runs, so none comes from the corpus.
+    import gc
+
+    providers, seen = [], {}
+
+    def simulation(scenario):
+        run = Simulation(scenario)
+        providers.append(run.provider)
+        return run
+
+    for order in (MEMO_CASES, MEMO_CASES[::-1]):
+        for case_id in order:
+            log = corpus.fresh(case_id, simulation)
+            artifacts = {"log": log.to_text().encode(), "payloads": log.payload_blob()}
+            artifacts["audit"] = audit(log).to_text().encode()
+            digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+            assert seen.setdefault(case_id, digests) == digests, case_id
+            if case_id in GOLDEN:
+                assert digest(log) == GOLDEN[case_id] and digests["audit"] == GOLDEN_AUDIT[case_id]
+            else:
+                workload, seed, _ = case_id.split(":")
+                assert digests == BENCHMARK_REFERENCE[workload][seed]["digests"]
+    gc.collect()
+    assert all(provider._verdicts and provider._publics for provider in providers)
+    tracked = [
+        name for provider in providers for name in ("_verdicts", "_publics", "_mac_keys", "_tag_keys")
+        if gc.is_tracked(getattr(provider, name))
+    ]
+    assert tracked == []
+
+
 def test_a_corpus_log_is_a_copy_no_caller_can_change():
     # Every caller gets its own events, payloads, registry and audit report,
     # and a second request simulates nothing.

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+import corpus
 from manetsec import encoding
 from manetsec.crypto import DeterministicProvider, RealCryptoProvider
 from manetsec.keymgmt import CertificateAuthority
-from manetsec.messages import MessageKind
+from manetsec.messages import Message, MessageKind
 from manetsec.node import mutate_message
 from manetsec.routing import (
     ACCEPT,
@@ -462,3 +463,35 @@ def test_route_signatures_agree_with_the_full_payload_reference(provider):
     for message, directory, valid in cases:
         assert reference_route_signatures(net.provider, message, directory) == valid
         assert verify_route_signatures(net.provider, message, directory) == valid
+
+
+# Runs with many forwards (a static and a walking 64-node grid), a stealth
+# relay and the mutators, whose forwarders append to requests an adversary
+# rewrote or passed on.
+APPEND_CASES = ["grid_mobile:900:plain", "grid_static:700:plain"] + [
+    case_id for case_id in corpus.PINNED if "stealth_mitm" in case_id or "modify_field" in case_id
+]
+
+
+@pytest.mark.parametrize("case_id", APPEND_CASES)
+def test_each_forwarded_request_is_the_request_replaced(case_id, monkeypatch):
+    # A forwarder appends its hop to the request it received; what it sends
+    # equals that request with every changed field replaced, in its fields
+    # and its bytes.  The forwards are watched as the run makes them, so the
+    # run is a fresh one.
+    original, forwarded = Message.with_hop, []
+
+    def with_hop(self, hop, sig, lifetime, chain):
+        appended = original(self, hop, sig, lifetime, chain)
+        expect = self.replace(lifetime=lifetime, route=self["route"] + [hop], sigs=self["sigs"] + [sig], chain=chain)
+        forwarded.append(
+            appended == expect
+            and dict(appended.fields) == dict(expect.fields)
+            and type(appended["route"]) is type(appended["sigs"]) is list
+            and appended.encoded == expect.encoded
+        )
+        return appended
+
+    monkeypatch.setattr(Message, "with_hop", with_hop)
+    corpus.fresh(case_id)
+    assert forwarded and all(forwarded)

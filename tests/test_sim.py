@@ -10,7 +10,7 @@ import corpus
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import make_provider
 from manetsec.group import NodeAttributes, WeightConfig, mobility, weight
-from manetsec.messages import Envelope, MessageKind, msg
+from manetsec.messages import BROADCAST, Envelope, MessageKind, msg
 from manetsec.node import AdversaryNode, ProtocolNode
 from manetsec.runtime import render_detail
 from manetsec.scenariofile import parse_scenario
@@ -1133,25 +1133,121 @@ def test_a_node_is_handed_each_group_broadcast_once(monkeypatch):
     # Every member re-floods each group broadcast once, so most copies a
     # node hears are ones it has already relayed: they are logged as
     # delivered and never reach its handler, and the log does not move.
+    # The re-flood is the first thing the handling emits, ahead of what the
+    # kind's handler emits (a leader's REKEY after a LEAVE, say).
     # The handler is watched as the run makes it, so that run is a fresh one.
     from manetsec.node import refloods
 
     expected = corpus.log("churn:500:plain").to_text()
     original = ProtocolNode.handle
-    calls, repeats = [], []
+    calls, repeats, refloods_first = [], [], []
     sim = Simulation(churn_scenario(500))
 
     def handle(self, envelope, ctx):
         calls.append(self.name)
-        if refloods(envelope) and envelope.message.encoded in sim.relayed[self.name]:
+        reflooded = refloods(envelope)
+        if reflooded and envelope.message.encoded in sim.relayed[self.name]:
             repeats.append((ctx.now, self.name, envelope.message.kind.name))
-        return original(self, envelope, ctx)
+        outbound = ctx.outbound
+        original(self, envelope, ctx)
+        if reflooded:
+            first = outbound[0]
+            refloods_first.append(
+                (first.message is envelope.message and first.to == BROADCAST and first.sender == self.name, len(outbound))
+            )
 
     monkeypatch.setattr(ProtocolNode, "handle", handle)
     log = sim.run()
     assert calls and repeats == []
+    assert refloods_first and all(first for first, _ in refloods_first)
+    assert any(emitted > 1 for _, emitted in refloods_first)  # some handler spoke after the re-flood
     assert all(sim.relayed.values())  # every protocol node sent some group broadcast
     assert log.to_text() == expected
+
+
+# The handler `ProtocolNode.handle` hands each kind to, by name.
+HANDLER_OF = {
+    **dict.fromkeys(("JOIN_REQ", "ZK_CHALLENGE", "CERT", "NONCE"), "_handle_leader_join"),
+    **dict.fromkeys(("ZK_PARAMS", "ZK_RESPONSE", "ADMIT", "MEMBER_SET"), "_handle_member_join"),
+    "REKEY": "_handle_rekey",
+    "SESSION_1": "_handle_session1",
+    "SESSION_2": "_handle_session2",
+    "SESSION_3": "_handle_session3",
+    "SESSION_4": "_handle_session4",
+    "PUBKEY_QUERY": "_handle_pubkey_query",
+    "PUBKEY_ANSWER": "_handle_pubkey_answer",
+    "MALICIOUS_ALERT": "_handle_alert",
+    "HEARTBEAT": "_handle_heartbeat",
+    "LEADER_ANNOUNCE": "_handle_leader_announce",
+    "RREQ": "_handle_rreq",
+    "RREP": "_handle_rrep",
+    "DATA": "_handle_data",
+    "LEAVE": "_handle_leave",
+    **dict.fromkeys(("GROUP_REQ", "GROUP_REP", "GROUP_NEG"), "_handle_ring"),
+}
+
+
+def _hand_built_node(name="n"):
+    """A node in no group, with its own provider and key."""
+    import random
+
+    from manetsec.keymgmt import CertificateAuthority
+
+    provider = make_provider("test_double")
+    rng = random.Random(name)
+    keypair = provider.generate_keypair(rng)
+    return ProtocolNode(
+        name, keypair, CertificateAuthority(provider, rng).issue(name, keypair.public), provider, rng, SimParams()
+    )
+
+
+def _any_message(kind):
+    """A `kind` message with a well-typed value in every field."""
+    from manetsec.messages import _FIELDS, FIELD_TYPES
+
+    values = {"int": 1, "str": "x", "name": "a", "bytes": b"x", "list[int]": [1], "list[name]": ["a"],
+              "list[bytes]": [b"x"]}
+    return msg(kind, **{name: values[FIELD_TYPES[name]] for name in _FIELDS[kind]})
+
+
+def test_each_message_kind_has_its_pinned_handler():
+    assert {kind.name: handler.__name__ for kind, handler in ProtocolNode.HANDLERS.items()} == HANDLER_OF
+    assert set(HANDLER_OF) == set(MessageKind.__members__)
+    assert all(ProtocolNode.HANDLERS[kind] is getattr(ProtocolNode, HANDLER_OF[kind.name]) for kind in MessageKind)
+
+
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.name)
+def test_handle_hands_each_kind_to_its_table_entry_alone(kind, monkeypatch):
+    # One lookup: the kind's entry is called once, with the node, the
+    # message, the envelope and the context, and nothing else runs.
+    from manetsec.runtime import Ctx
+
+    reached = []
+    monkeypatch.setitem(ProtocolNode.HANDLERS, kind, lambda *args: reached.append(args))
+    node = _hand_built_node()
+    envelope, ctx = Envelope(_any_message(kind), "peer", node.name), Ctx(node.name, 3, node.rng)
+    node.handle(envelope, ctx)
+    assert reached == [(node, envelope.message, envelope, ctx)]
+    assert not (ctx.outbound or ctx.notes or ctx.secrets or ctx.signals)
+
+
+@pytest.mark.parametrize("to", ["n", BROADCAST])
+def test_a_kind_with_no_handler_does_nothing(to, monkeypatch):
+    # With no entry, a unicast leaves the node and its context as they
+    # were, and a group broadcast is only passed on.
+    from manetsec.node import refloods
+    from manetsec.runtime import Ctx
+
+    monkeypatch.setattr(ProtocolNode, "HANDLERS", {})
+    node = _hand_built_node()
+    state = dict(vars(node))
+    for kind in MessageKind:
+        envelope, ctx = Envelope(_any_message(kind), "peer", to), Ctx(node.name, 3, node.rng)
+        node.handle(envelope, ctx)
+        passed_on = [(e.message, e.to, e.channel) for e in ctx.outbound]
+        assert passed_on == ([(envelope.message, BROADCAST, "radio")] if refloods(envelope) else [])
+        assert not (ctx.notes or ctx.secrets or ctx.signals)
+    assert vars(node) == state and not node.router.seen
 
 
 def test_each_payload_hashed_once(monkeypatch):

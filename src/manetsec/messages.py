@@ -245,10 +245,16 @@ def _mistyped(what: str, name: str) -> encoding.EncodingError:
 
 BROADCAST = "*"
 
+# `Message.with_beat` re-encodes a heartbeat's last field alone, so that
+# field must be its beat.
+if _FIELDS[MessageKind.HEARTBEAT][-1] != "beat":
+    raise RuntimeError("a HEARTBEAT's last field must be its beat, which Message.with_beat re-encodes")
+
 
 class _Encoded:
     """``Message.encoded``: a message's wire bytes, encoded on first read and
-    stored on the message, where every later read finds them first."""
+    stored on the message, where every later read finds them first (a
+    heartbeat built by ``with_beat`` has them stored when it is built)."""
 
     def __get__(self, message, owner=None):
         if message is None:
@@ -309,6 +315,24 @@ class Message:
             {**fields, "lifetime": lifetime, "route": [*fields["route"], hop], "sigs": [*fields["sigs"], sig],
              "chain": chain},
         )
+
+    def with_beat(self, beat: int) -> "Message":
+        """This heartbeat at beat `beat`: exactly ``replace(beat=beat)``.
+        Only `beat` is checked, and only it is encoded: the new message's
+        bytes are this one's with the last field, the beat, re-encoded."""
+        if self.kind is not MessageKind.HEARTBEAT:
+            raise encoding.EncodingError(f"{self.kind.name} is not a heartbeat")
+        if not _is_int(beat):
+            raise _mistyped("HEARTBEAT", "beat")
+        fields = self.fields.copy()
+        last = fields["beat"]
+        # `encoding.encode_int(last)`'s length: a 5-octet header, then the
+        # minimal big-endian body (one octet for 0).
+        kept = self.encoded[: -5 - ((last.bit_length() + 7) // 8 or 1)]
+        fields["beat"] = beat
+        message = _holding(self.kind, fields)
+        message.__dict__["encoded"] = kept + encoding.encode_int(beat)
+        return message
 
 
 def _holding(kind: MessageKind, fields: dict) -> Message:

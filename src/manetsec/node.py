@@ -6,7 +6,8 @@ join handshake, pairwise sessions, router) plus, while it leads a group, a
 one view, ``keys``: its leader service while it leads, its member keyring
 otherwise, which answer the same names, so only a leader's own duties
 branch on its role.  ``handle`` dispatches one delivered message, through
-one lookup of its kind in ``HANDLERS``; ``on_tick`` emits heartbeats,
+one lookup of its kind in ``HANDLERS``; ``on_tick`` emits heartbeats
+(each the node's last one with a new beat, while its role and group hold),
 expires silent members, detects a silent leader and times out pending
 gateway work.  The simulator steps a node only when it has work due:
 after each step it asks ``next_due`` for the earliest later tick at which
@@ -84,6 +85,7 @@ class ProtocolNode:
         self.ring_key: Optional[bytes] = None
         self.known_leaders: dict[str, tuple[str, bytes]] = {}  # leader -> (its group, its public key)
         self.leader_last_seen: Optional[int] = None
+        self.last_heartbeat: Optional[Message] = None  # the last HEARTBEAT this node emitted
         # Cross-group discovery bookkeeping.
         self.pending_composed: dict[str, int] = {}  # final dest -> composed seq
         self.gateway_jobs: dict = {}  # (requester, dest, seq) -> peer leaders still awaited
@@ -515,7 +517,11 @@ class ProtocolNode:
                 ctx.signals.append((self.member.group_id, self.member.leader))
 
     def _heartbeat(self, ctx: Ctx) -> None:
-        """A leader beats to its group, a member to its leader."""
+        """A leader beats to its group, a member to its leader.  A beat in
+        the role and group of this node's last one is that beat with a new
+        `beat` (`Message.with_beat`, which checks and encodes that one int);
+        a first beat, or one after a change of role or group, is built and
+        checked whole."""
         if self.leader_service is not None:
             role, to = "leader", BROADCAST
         elif self.member.is_member() and self.member.leader:
@@ -523,7 +529,13 @@ class ProtocolNode:
         else:
             return
         group = self.keys.group_id or ""
-        ctx.emit(msg(MessageKind.HEARTBEAT, who=self.name, role=role, group=group, beat=ctx.now), to=to)
+        last = self.last_heartbeat  # its `who` is this node's name, which never changes
+        if last is not None and last.fields["role"] == role and last.fields["group"] == group:
+            beat = last.with_beat(ctx.now)
+        else:
+            beat = msg(MessageKind.HEARTBEAT, who=self.name, role=role, group=group, beat=ctx.now)
+        self.last_heartbeat = beat
+        ctx.emit(beat, to=to)
 
     def _expire_remote_jobs(self, ctx: Ctx) -> None:
         """End each remote job at its deadline as `_handle_ring` answers a

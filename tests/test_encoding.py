@@ -321,6 +321,64 @@ def test_a_forwarded_request_checks_only_what_it_adds():
             other.with_hop(**added)
 
 
+# Beats on each side of `encode_int`'s body-length steps, so a kept prefix
+# is cut before beat fields of every length the runs reach and beyond.
+BEAT_BOUNDARIES = (0, 255, 256, 65_535, 65_536, 2**32)
+BEATS = st.sampled_from(BEAT_BOUNDARIES) | st.integers(min_value=0, max_value=2**40)
+NAMES = st.from_regex(messages.NAME_RE, fullmatch=True)
+
+
+@given(
+    who=NAMES,
+    role=st.sampled_from(["leader", "member"]) | st.text(),
+    group=NAMES,
+    first=BEATS,
+    then=BEATS,
+    read_first=st.booleans(),
+)
+def test_a_next_heartbeat_checks_only_its_beat(who, role, group, first, then, read_first):
+    # `with_beat` is `replace(beat=...)`: the same fields and bytes as a
+    # heartbeat built whole, whether or not the last one was encoded yet.
+    fields = {"who": who, "role": role, "group": group, "beat": first}
+    message = msg(MessageKind.HEARTBEAT, **fields)
+    before = message.encoded if read_first else None
+    later = message.with_beat(then)
+    expect = msg(MessageKind.HEARTBEAT, **{**fields, "beat": then})
+    assert later == expect and dict(later.fields) == dict(expect.fields)
+    assert later.encoded == encode_message(expect)
+    assert dict(message.fields) == fields and message.encoded == encode_message(message)
+    assert before is None or message.encoded is before
+
+
+def test_a_next_heartbeat_refuses_what_replace_refuses():
+    message = msg(MessageKind.HEARTBEAT, who="a", role="member", group="g1", beat=5)
+    for value in REPLACE_VALUES["int"][2]:
+        with pytest.raises(encoding.EncodingError, match="HEARTBEAT field 'beat' is not int"):
+            message.with_beat(value)
+        with pytest.raises(encoding.EncodingError, match="HEARTBEAT field 'beat' is not int"):
+            message.replace(beat=value)
+    for kind in set(_FIELDS) - {MessageKind.HEARTBEAT}:
+        other = msg(kind, **{name: REPLACE_VALUES[FIELD_TYPES[name]][0] for name in _FIELDS[kind]})
+        with pytest.raises(encoding.EncodingError, match="is not a heartbeat"):
+            other.with_beat(6)
+
+
+def test_a_heartbeat_whose_beat_is_not_last_fails_at_import():
+    # `with_beat` cuts a heartbeat's last field, so a schema that moved the
+    # beat from the end would not load.
+    import pathlib
+    import types
+
+    source = pathlib.Path(messages.__file__).read_text()
+    order = 'MessageKind.HEARTBEAT: ("who", "role", "group", "beat")'
+    assert source.count(order) == 1
+    reordered = types.ModuleType("manetsec.reordered_messages")
+    reordered.__package__ = "manetsec"
+    code = compile(source.replace(order, 'MessageKind.HEARTBEAT: ("who", "beat", "role", "group")'), "<reordered>", "exec")
+    with pytest.raises(RuntimeError, match="last field must be its beat"):
+        exec(code, reordered.__dict__)
+
+
 def test_unassigned_message_tags_rejected():
     # 0x1A is past the last kind the protocol builds (GROUP_NEG, 0x19).
     assert max(MessageKind) == MessageKind.GROUP_NEG

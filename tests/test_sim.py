@@ -10,7 +10,7 @@ import corpus
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import make_provider
 from manetsec.group import NodeAttributes, WeightConfig, mobility, weight
-from manetsec.messages import BROADCAST, Envelope, MessageKind, msg
+from manetsec.messages import BROADCAST, Envelope, Message, MessageKind, decode_message, encode_message, msg
 from manetsec.node import AdversaryNode, ProtocolNode
 from manetsec.runtime import render_detail
 from manetsec.scenariofile import parse_scenario
@@ -1115,18 +1115,33 @@ def test_leader_unicast_to_itself_is_delivered():
 def test_each_message_encoded_once(monkeypatch):
     import manetsec.messages as messages
 
-    encoded = []  # holding the messages keeps their ids unique
-    original = messages.encode_message
+    encoded, beats = [], []  # holding the messages keeps their ids unique
+    original, with_beat = messages.encode_message, messages.Message.with_beat
 
     def counting(message):
         encoded.append(message)
         return original(message)
 
+    def beating(self, beat):
+        beats.append(with_beat(self, beat))
+        return beats[-1]
+
     monkeypatch.setattr(messages, "encode_message", counting)
+    monkeypatch.setattr(messages.Message, "with_beat", beating)
     log = run(churn_scenario(500))  # counted as it runs, so a fresh run
     assert len({id(m) for m in encoded}) == len(encoded)
-    # Every encoding is a logged payload and every payload came from one.
-    assert {m.encoded for m in encoded} == set(log.payloads.values())
+    # A heartbeat built from its node's last one has its bytes stored when it
+    # is built, so it never passes through `encode_message`: the payloads
+    # that did not are exactly those heartbeats.  Every encoding is a logged
+    # payload, and every payload is its own message's canonical encoding.
+    assert beats and {m.kind for m in beats} == {MessageKind.HEARTBEAT}
+    assert not {id(m) for m in encoded} & {id(m) for m in beats}
+    payloads = set(log.payloads.values())
+    through = {m.encoded for m in encoded}
+    assert through <= payloads
+    assert payloads - through == {m.encoded for m in beats}
+    for payload in payloads:
+        assert original(messages.decode_message(payload)) == payload
 
 
 def test_a_node_is_handed_each_group_broadcast_once(monkeypatch):
@@ -1358,6 +1373,75 @@ def test_scripted_expel_by_non_leader_is_logged():
 def test_heartbeat_keeps_connected_members_alive():
     log = run(line_scenario(["A", "B", "C", "D"], duration=80))
     assert not [e for e in log.events if e.kind == "remove"]
+
+
+def two_groups_moved():
+    """The two-group fixture beating every 2 ticks, where member a1 leaves
+    g1 at tick 5, walks out of g1's reach into g2's at tick 6 and joins g2
+    at tick 8: its beats change group."""
+    scenario = corpus.fixture("two_groups.scn")
+    scenario.params.heartbeat_period = 2
+    mover = next(spec for spec in scenario.nodes if spec.name == "a1")
+    mover.trace = [(100.0, 0.0)] * 6 + [(320.0, 0.0)]
+    scenario.script = [Action(5, "leave", ("a1",)), Action(8, "join", ("a1", "g2"))]
+    return scenario
+
+
+# Run -> (its scenario builder, what its nodes' beats change besides the beat).
+HEARTBEAT_RUNS = {
+    "churn:520:plain": (corpus.CASES["churn:520:plain"].build, {"role"}),  # a leader crash: a member leads
+    "grid_mobile:900:plain": (corpus.CASES["grid_mobile:900:plain"].build, set()),
+    "fixture:two_groups.scn": (corpus.CASES["fixture:two_groups.scn"].build, set()),
+    "two_groups_moved": (two_groups_moved, {"group"}),
+}
+
+
+@pytest.mark.parametrize("case", list(HEARTBEAT_RUNS))
+def test_each_heartbeat_is_its_nodes_last_with_a_new_beat(case, monkeypatch):
+    # A node's beat in the role and group of its last one is that beat with
+    # a new `beat`; its first beat, and the first after a change of role or
+    # group, is built whole by the checked `msg`.  Each beat a node sends is
+    # its own at the tick it sends it, and each copy another node sends is
+    # a re-flood of one.  The builders are spied on as the run makes them,
+    # so the run is a fresh one.
+    import manetsec.node as node_module
+
+    build, expected_changes = HEARTBEAT_RUNS[case]
+    built = {}  # (who, beat) -> what built it
+    checked, with_beat = node_module.msg, Message.with_beat
+
+    def spied_msg(kind, **fields):
+        if kind is MessageKind.HEARTBEAT:
+            built[fields["who"], fields["beat"]] = "msg"
+        return checked(kind, **fields)
+
+    def spied_with_beat(self, beat):
+        built[self["who"], beat] = "with_beat"
+        return with_beat(self, beat)
+
+    monkeypatch.setattr(node_module, "msg", spied_msg)
+    monkeypatch.setattr(Message, "with_beat", spied_with_beat)
+    log = run(build())
+    first_sent, last, expected, changes = {}, {}, {}, set()
+    for event in log.events:
+        if event.kind != "send" or event.parts[0] != "HEARTBEAT":
+            continue
+        payload = log.payloads[event.digest]
+        beat = decode_message(payload)
+        assert encode_message(beat) == payload
+        first_sent.setdefault(event.digest, (event.actor, event.tick))
+        if beat["who"] != event.actor:  # a re-flood of its sender's own beat
+            assert first_sent[event.digest] == (beat["who"], beat["beat"])
+            continue
+        assert beat["beat"] == event.tick
+        was = last.get(event.actor)
+        now = last[event.actor] = (beat["role"], beat["group"])
+        expected[event.actor, event.tick] = "with_beat" if now == was else "msg"
+        if was is not None and now != was:
+            changes |= {what for what, old, new in zip(("role", "group"), was, now) if old != new}
+    assert built == expected
+    assert "with_beat" in built.values()
+    assert changes == expected_changes
 
 
 def test_drifting_node_times_out_and_is_removed():

@@ -233,22 +233,81 @@ def test_no_method_writes_a_reach_row():
     assert "row" in held_by["_neighbours"] and "hearers" in held_by["_transmit"]
 
 
+def _scoped_nodes():
+    """(module file, `Class.method`, `function` or "<module>", node) for every
+    AST node of the program, under the top-level scope that holds it."""
+    for path in sorted(pathlib.Path(manetsec.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = owner + scope.name if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+                for node in ast.walk(scope):
+                    yield path.name, name, node
+
+
 def test_one_send_builder():
     # Every send event, a node's transmission or a link tap's replay, is
     # built by Simulation._send, so the send format has one source: no other
     # function of the program builds a SimEvent whose kind is "send".
     builders = []
-    for path in sorted(pathlib.Path(manetsec.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
-            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
-                for node in ast.walk(scope):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "SimEvent":
-                        kinds = node.args[2:3] + [word.value for word in node.keywords if word.arg == "kind"]
-                        if any(isinstance(kind, ast.Constant) and kind.value == "send" for kind in kinds):
-                            builders.append((path.name, owner + getattr(scope, "name", "<module>")))
+    for module, scope, node in _scoped_nodes():
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "SimEvent":
+            kinds = node.args[2:3] + [word.value for word in node.keywords if word.arg == "kind"]
+            if any(isinstance(kind, ast.Constant) and kind.value == "send" for kind in kinds):
+                builders.append((module, scope))
     assert builders == [("sim.py", "Simulation._send")]
+
+
+def test_only_the_message_layer_stores_a_messages_bytes():
+    # A message's `encoded` is written in messages.py alone: by its first
+    # read, or by `with_beat` as it builds a heartbeat.  Everywhere else a
+    # message's bytes are read, never set.
+    stores = []
+    for module, scope, node in _scoped_nodes():
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        )
+        for target in targets:
+            if isinstance(target, ast.Attribute) and target.attr == "encoded":
+                stores.append((module, scope))
+            if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant):
+                if target.slice.value == "encoded":
+                    stores.append((module, scope))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(("setattr", "__setattr__")):
+            if any(isinstance(arg, ast.Constant) and arg.value == "encoded" for arg in node.args):
+                stores.append((module, scope))
+    assert sorted(stores) == [("messages.py", "Message.with_beat"), ("messages.py", "_Encoded.__get__")]
+
+
+def test_only_the_heartbeat_builds_a_beat_from_the_last():
+    callers = [
+        (module, scope) for module, scope, node in _scoped_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "with_beat"
+    ]
+    assert callers == [("node.py", "ProtocolNode._heartbeat")]
+
+
+def test_a_node_keeps_its_last_heartbeat_on_itself():
+    # The kept beat is per node and per run: an attribute of the node set in
+    # its `__init__` and its `_heartbeat`, never a class attribute nor an
+    # entry of a container that outlives the node.
+    writes, names = [], []
+    for module, scope, node in _scoped_nodes():
+        if module != "node.py":
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "last_heartbeat":
+            names.append(ast.unparse(node))
+            if isinstance(node.ctx, ast.Store):
+                writes.append((scope, ast.unparse(node)))
+        if isinstance(node, ast.Name) and node.id == "last_heartbeat":
+            names.append(node.id)
+    assert sorted(writes) == [
+        ("ProtocolNode.__init__", "self.last_heartbeat"), ("ProtocolNode._heartbeat", "self.last_heartbeat")
+    ]
+    assert set(names) == {"self.last_heartbeat"}
+    from manetsec.node import ProtocolNode
+
+    assert not hasattr(ProtocolNode, "last_heartbeat")
 
 
 def _simulation_methods(tree):
@@ -593,7 +652,11 @@ def test_a_finished_runs_directories_die_with_its_simulation():
     memo = weakref.ref(run.provider.directories)
     log = run.run()
     assert memo()  # the run read its directories through it
+    # Each node's last heartbeat, kept to build its next one, dies with it too.
+    beats = [weakref.ref(node.last_heartbeat) for node in run.nodes.values() if node.last_heartbeat is not None]
+    assert beats
     del run
     gc.collect()
     assert memo() is None
+    assert [beat for beat in beats if beat() is not None] == []
     assert audit(log).passed  # the log alone is still whole

@@ -56,10 +56,10 @@ from functools import cached_property
 from typing import Optional
 
 from . import encoding
+from .artifacts import EventLog, SimEvent, SimulationError
 from .crypto import DecryptionError, make_provider
 from .messages import PK, SEALED_KINDS, MessageKind, decode_message, sealed_readings, seals
 from .routing import expected_chain
-from .sim import EventLog, SimEvent, SimulationError
 
 
 @dataclass

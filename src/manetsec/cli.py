@@ -19,10 +19,11 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
+from .artifacts import SimulationError, parse_log_text
 from .audit import audit
 from .crypto import PROVIDERS
 from .scenariofile import ScenarioParseError, parse_scenario
-from .sim import Simulation, SimulationError, parse_log_text, validate_scenario
+from .sim import Simulation, validate_scenario
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

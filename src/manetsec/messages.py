@@ -292,7 +292,9 @@ class Message:
         their checks when it was built, so only the changed ones are checked."""
         checks = _HEADER_CHECKS[self.kind]
         _check(self.kind.name, tuple(check for check in checks if check[0] in changes), changes)
-        return _holding(self.kind, {**self.fields, **changes})
+        fields = self.fields.copy()
+        fields.update(changes)
+        return _holding(self.kind, fields)
 
     def with_hop(self, hop: str, sig: bytes, lifetime: int, chain: bytes) -> "Message":
         """This route request forwarded by `hop`: exactly ``replace(lifetime=
@@ -309,12 +311,12 @@ class Message:
             raise _mistyped("RREQ", "lifetime")
         if not _is_bytes(chain):
             raise _mistyped("RREQ", "chain")
-        fields = self.fields
-        return _holding(
-            self.kind,
-            {**fields, "lifetime": lifetime, "route": [*fields["route"], hop], "sigs": [*fields["sigs"], sig],
-             "chain": chain},
-        )
+        fields = self.fields.copy()
+        fields["lifetime"] = lifetime
+        fields["route"] = [*fields["route"], hop]
+        fields["sigs"] = [*fields["sigs"], sig]
+        fields["chain"] = chain
+        return _holding(self.kind, fields)
 
     def with_beat(self, beat: int) -> "Message":
         """This heartbeat at beat `beat`: exactly ``replace(beat=beat)``.

@@ -31,11 +31,6 @@ class Note:
     message: Message = None  # attach the message a verdict refers to
 
 
-def render_detail(parts) -> str:
-    """The `:`-joined text of detail parts, each pair as `name=value`."""
-    return ":".join([part if isinstance(part, str) else "=".join(part) for part in parts])
-
-
 @dataclass(slots=True)
 class Ctx:
     name: str

@@ -18,9 +18,10 @@ from dataclasses import fields, replace
 from functools import partial
 from operator import attrgetter
 
+from manetsec.artifacts import EventLog, SimEvent
 from manetsec.audit import AuditReport, audit as audit_log
 from manetsec.scenariofile import parse_scenario
-from manetsec.sim import Action, AdversarySpec, EventLog, GroupSpec, NodeSpec, Scenario, SimEvent, SimParams, Simulation
+from manetsec.sim import Action, AdversarySpec, GroupSpec, NodeSpec, Scenario, SimParams, Simulation
 from topologies import (
     LEADERS, churn_scenario, line_scenario, placed, random_group_scenario, run_led_by, stealth_family_scenario,
     stealth_link_scenario, stealth_node_scenario, two_group_scenario, workloads,

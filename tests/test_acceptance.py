@@ -7,6 +7,7 @@ import random
 import time
 
 import corpus
+from manetsec.artifacts import render_detail
 from manetsec.audit import audit
 from manetsec.crypto import (
     DeterministicProvider,
@@ -19,7 +20,7 @@ from manetsec.group import NodeAttributes, WeightConfig, elect_leader, weight
 from manetsec.messages import MessageKind, decode_message
 from manetsec.node import mutate_message
 from manetsec.routing import Router
-from manetsec.runtime import Ctx, render_detail
+from manetsec.runtime import Ctx
 from manetsec.sim import Action, AdversarySpec, SimParams, run
 from topologies import (
     RADIUS,

@@ -8,21 +8,12 @@ import pytest
 import corpus
 import manetsec.audit as audit_module
 from manetsec import encoding
+from manetsec.artifacts import EventLog, SimEvent, SimulationError, parse_log_text, parse_payload_blob
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import DecryptionError, DeterministicProvider, make_provider
 from manetsec.messages import SEALED_KINDS, MessageKind, decode_message, msg, seal_plain, sealed_readings
 from manetsec.scenariofile import parse_scenario
-from manetsec.sim import (
-    Action,
-    EventLog,
-    Expectation,
-    NodeSpec,
-    SimEvent,
-    SimulationError,
-    parse_log_text,
-    parse_payload_blob,
-    run,
-)
+from manetsec.sim import Action, Expectation, NodeSpec, run
 from topologies import LEADERS, held_labels, line_scenario, run_led_by, stealth_link_scenario
 
 PROPERTIES = (

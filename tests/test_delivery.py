@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec import encoding
+from manetsec.artifacts import parse_log_text
 from manetsec.keymgmt import derive_member_key
 from manetsec.messages import _FIELDS, _SEALED, FIELD_TYPES, PK, Envelope, MessageKind, decode_message, msg, seal_plain
 from manetsec.scenariofile import parse_scenario
-from manetsec.sim import Simulation, parse_log_text
+from manetsec.sim import Simulation
 
 FIXTURE = """[params]
 duration = 7

@@ -277,6 +277,7 @@ def test_message_replace_checks_what_it_changes(kind):
         later = message.replace(**{name: other})
         expect = msg(kind, **{**fields, name: other})
         assert later == expect and dict(later.fields) == dict(expect.fields)
+        assert list(later.fields) == list(fields)  # each field where it was
         assert later.encoded == expect.encoded != before
         with pytest.raises(TypeError):
             later.fields[name] = other
@@ -305,6 +306,7 @@ def test_a_forwarded_request_checks_only_what_it_adds():
 
     later, expect = message.with_hop(**added), replaced(**added)
     assert later == expect and dict(later.fields) == dict(expect.fields)
+    assert list(later.fields) == list(expect.fields) == list(fields)  # each field where it was
     assert later.encoded == expect.encoded == encode_message(expect) != before
     assert later["route"] == ["a", "b", "c"] and later["sigs"] == [b"x", b"s"]
     assert dict(message.fields) == fields and message.encoded is before

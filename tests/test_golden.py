@@ -34,11 +34,12 @@ import pytest
 import corpus
 from corpus import GOLDEN, digest
 from manetsec import encoding, sim as sim_module
+from manetsec.artifacts import parse_log_text
 from manetsec.audit import audit
 from manetsec.crypto import make_provider
 from manetsec.keymgmt import RING_GENERATOR, RING_MODULUS, leader_ring_agree
 from manetsec.node import ProtocolNode
-from manetsec.sim import Simulation, parse_log_text
+from manetsec.sim import Simulation
 from topologies import workloads
 
 HERE = os.path.dirname(__file__)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from manetsec import encoding
+from manetsec.artifacts import render_detail
 from manetsec.crypto import DecryptionError, make_provider
 from manetsec.group import update_trust
 from manetsec.keymgmt import (
@@ -24,7 +25,7 @@ from manetsec.keymgmt import (
     leader_ring_agree,
 )
 from manetsec.messages import MessageKind, msg, open_sealed, seal_plain
-from manetsec.runtime import Ctx, render_detail
+from manetsec.runtime import Ctx
 from manetsec.sim import SimParams
 
 # The run parameters every service here is built with.

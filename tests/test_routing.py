@@ -4,6 +4,7 @@ import pytest
 
 import corpus
 from manetsec import encoding
+from manetsec.artifacts import render_detail
 from manetsec.crypto import DeterministicProvider, RealCryptoProvider
 from manetsec.keymgmt import CertificateAuthority
 from manetsec.messages import Message, MessageKind
@@ -21,7 +22,7 @@ from manetsec.routing import (
     rreq_signed_payload,
     verify_route_signatures,
 )
-from manetsec.runtime import Ctx, render_detail
+from manetsec.runtime import Ctx
 from manetsec.sim import SimParams
 
 

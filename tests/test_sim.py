@@ -7,31 +7,33 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import corpus
+from manetsec.artifacts import (
+    EVENT_KINDS,
+    LOG_FOOTER,
+    LOG_HEADER,
+    PAYLOAD_MAGIC,
+    EventLog,
+    SimEvent,
+    SimulationError,
+    parse_log_text,
+    parse_payload_blob,
+    render_detail,
+)
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import make_provider
 from manetsec.group import NodeAttributes, WeightConfig, mobility, weight
 from manetsec.messages import BROADCAST, Envelope, Message, MessageKind, decode_message, encode_message, msg
 from manetsec.node import AdversaryNode, ProtocolNode
-from manetsec.runtime import render_detail
 from manetsec.scenariofile import parse_scenario
 from manetsec.sim import (
-    EVENT_KINDS,
-    LOG_FOOTER,
-    LOG_HEADER,
-    PAYLOAD_MAGIC,
     Action,
     AdversarySpec,
-    EventLog,
     Expectation,
     GroupSpec,
     NodeSpec,
     Scenario,
     SimParams,
-    SimEvent,
     Simulation,
-    SimulationError,
-    parse_log_text,
-    parse_payload_blob,
     run,
     validate_scenario,
 )
@@ -609,8 +611,34 @@ def test_log_parse_rejects_unknown_kind():
 def test_log_parse_rejects_swapped_lines():
     lines = run(line_scenario(["A", "B"], duration=10)).to_text().splitlines()
     lines[1], lines[2] = lines[2], lines[1]
-    with pytest.raises(SimulationError, match="line 3: sequence 0 does not follow 1"):
+    with pytest.raises(SimulationError, match="^line 2: sequence 1 is not the event's position 0$"):
         parse_log_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "seqs, line, error",
+    [
+        ((7, 9), 2, "sequence 7 is not the event's position 0"),
+        ((1, 2), 2, "sequence 1 is not the event's position 0"),
+        ((0, 2), 3, "sequence 2 is not the event's position 1"),
+        ((0, 0), 3, "sequence 0 is not the event's position 1"),
+    ],
+)
+def test_log_parse_rejects_a_sequence_number_that_is_not_the_position(seqs, line, error):
+    # The writer numbers each event by its position, which is what an audit
+    # counterexample ("at events N") names; a gap would set the two apart.
+    text = "#manetsec-log v1\n" + "".join(f"5\t{seq}\talert\tA\t-\tx\n" for seq in seqs) + "#complete\n"
+    with pytest.raises(SimulationError, match=f"^line {line}: {error}$"):
+        parse_log_text(text)
+
+
+def test_log_parse_rejects_a_negative_tick():
+    # A run starts at tick 0 and its ticks never go back, so no line holds a
+    # tick below 0; the first line is where one would show.
+    text = "#manetsec-log v1\n-3\t0\talert\tA\t-\tx\n-3\t1\talert\tA\t-\tx\n#complete\n"
+    with pytest.raises(SimulationError, match="^line 2: tick -3 is negative$"):
+        parse_log_text(text)
+    assert parse_log_text(text.replace("-3", "0")).events[0].tick == 0
 
 
 def test_log_parse_rejects_tick_going_back():

@@ -450,6 +450,71 @@ def test_each_module_name_on_the_package_is_that_module():
             assert getattr(manetsec, name) is sys.modules[f"manetsec.{name}"], name
 
 
+def _program_imports(module) -> set:
+    """The modules of the program that `module`'s source imports, relatively
+    or by their `manetsec.` name; "manetsec" for the package itself."""
+    src = pathlib.Path(manetsec.__file__).parent
+    imported = set()
+    for node in ast.walk(ast.parse((src / module).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "manetsec":
+            names = node.module.split(".")[1:2] or [alias.name for alias in node.names]
+            imported |= set(names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "manetsec":
+                    imported.add(alias.name.split(".")[1] if "." in alias.name else "manetsec")
+    return imported
+
+
+# What `artifacts.py` holds: the run's written format, its writer and readers.
+_ARTIFACT_NAMES = {
+    "SimEvent", "_principals", "RunRegistry", "EventLog", "LOG_HEADER", "LOG_FOOTER", "PAYLOAD_MAGIC", "EVENT_KINDS",
+    "_PIECE", "_COUNT_PAIRS", "_COUNT", "_DIGEST", "_read_principals", "_read_part", "_read_detail", "parse_log_text",
+    "_HEX_DIGITS", "parse_payload_blob", "SimulationError", "render_detail",
+}
+
+
+def test_the_log_and_its_auditor_load_no_engine():
+    # The auditor checks the log a run wrote, so it is loaded, and read,
+    # apart from the engine that wrote it.  The package's `__init__` imports
+    # every module, so only the source shows this, not `sys.modules`.
+    engine = {"sim", "node", "keymgmt", "group", "scenariofile", "cli"}
+    audited = _program_imports("audit.py")
+    assert "artifacts" in audited and not audited & engine, sorted(audited & engine)
+    assert _program_imports("artifacts.py") == set()
+
+
+def test_only_the_artifacts_module_defines_the_log_format():
+    # One module owns the log's grammar: no other defines, or re-exports
+    # under `__all__`, a name of it.
+    src = pathlib.Path(manetsec.__file__).parent
+    defined = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {target.id for target in targets if isinstance(target, ast.Name)}
+            else:
+                continue
+            for name in names & (_ARTIFACT_NAMES | {"__all__"}):
+                defined.setdefault(path.name, set()).add(name)
+    assert defined == {"artifacts.py": _ARTIFACT_NAMES}
+
+
+def test_the_readme_layout_lists_every_module():
+    # A module added to the program is named, with its role, in the
+    # README's Layout block.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+)\.py ", layout, re.M)
+    src = pathlib.Path(manetsec.__file__).parent
+    assert sorted(listed) == sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__")
+
+
 def test_import_loads_no_heavy_dependency():
     # The identification primes come from crypto.is_prime, and the real
     # provider imports `cryptography` only when constructed, so importing

@@ -37,6 +37,9 @@ delivery, and decodes a payload, only when its kind carries a sealed field
 (`messages.SEALED_KINDS`), or decodes it when it is the request behind an
 accepted route, and each such payload at most once.  Every other kind
 holds nothing a principal could open, so skipping it changes no outcome.
+Only the secrecy checks read sealed traffic, and they gather it only when
+the log holds a departure or a handshake admission for them to judge: a
+log with neither decodes no sealed payload at all.
 Each principal's knowledge set is closed once and shared by both secrecy
 checks, and each distinct (key, ciphertext) trial decryption runs once, its
 outcome shared by every principal that tries it.  An opened plaintext is
@@ -156,8 +159,10 @@ class _LogIndex:
     parts (by identity), tick, kind and digest share its `tx`, hop count,
     causality verdict, outcome table and sealed-kind verdict, until a send
     of the transmission comes between them; conservation is judged per
-    recipient, as each is read.  A delivery or drop whose parts name no
-    `tx`, such as a routing `drop` note, is no transmission outcome.
+    recipient, as each is read.  An outcome that the simulator's shapes do
+    not cover is read by name, once per distinct parts.  A delivery or drop
+    whose parts name no `tx`, such as a routing `drop` note, is no
+    transmission outcome.
     Payloads are read by kind tag first (`_sealed_kind`, tested once per
     distinct digest), and of a kind that carries a sealed field the pass
     keeps only what a reader of the sealed traffic needs: the first send of
@@ -169,6 +174,13 @@ class _LogIndex:
     index's life, as are the outcome of each symmetric trial decryption
     (see `sym_open`) and the keys each opened plaintext carries (see
     `keys_in`): what principals share is worked out once.
+
+    Only the pass over the events is eager.  Every derived table
+    (`ciphertexts`, `rekeys_received`, `minted`, `own_secrets` and the
+    knowledge sets) is built the first time a check that has something to
+    judge asks for it: the secrecy checks ask only inside their loops over
+    departures and handshake admissions, so a log with neither collects no
+    ciphertext and closes no knowledge set.
     """
 
     def __init__(self, log: EventLog):
@@ -206,6 +218,10 @@ class _LogIndex:
         # the garbage collector one tuple to track per delivery and drop (a
         # dict holding only strings is not tracked).
         outcomes: dict[str, dict] = {}
+        # parts -> `_transmission` of an outcome with those parts, for each
+        # outcome the simulator's shapes do not cover (a routing `drop` note
+        # is one): a delivery's or drop's reading depends on its parts alone.
+        by_name: dict[tuple, tuple] = {}
         payloads = log.payloads
         sealed = {"-": False}  # digest -> `_sealed_kind` of its payload ("-" names none)
         # The hop last read, keyed by its parts (by identity), tick, kind and
@@ -242,7 +258,10 @@ class _LogIndex:
                         elif before[0] == "hops":
                             hops = int(before[1])
                     if hops is None:
-                        hop_tx, hops = _transmission(event)
+                        reading = by_name.get(parts)
+                        if reading is None:
+                            reading = by_name[parts] = _transmission(event)
+                        hop_tx, hops = reading
                     if hop_tx is not None:
                         # A delivery is due `hops` ticks after the latest send
                         # of its transmission; a drop needs only some earlier send.
@@ -606,12 +625,16 @@ def _attempt_all(index: _LogIndex, knowledge: KnowledgeSet, sealed: bytes) -> bo
 
 
 def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
-    group_ct, pk_ct = index.ciphertexts
+    """No departed node holds a group key minted after it left, or opens
+    group traffic a member sent, or a rekey sealed to another node, while it
+    was out.  The sealed traffic is gathered (`_LogIndex.ciphertexts`) only
+    when some departure asks for it."""
     intervals = index.intervals
     failures = []
     for change in index.changes:
         if change.change != "out":
             continue
+        group_ct, pk_ct = index.ciphertexts
         node, out_idx = change.node, change.event_index
         knowledge = index.knowledge(node)
         spans = intervals.get(node, [])
@@ -647,12 +670,16 @@ def _check_backward_secrecy(index: _LogIndex) -> PropertyResult:
 
 
 def _check_forward_secrecy(index: _LogIndex) -> PropertyResult:
-    group_ct, _ = index.ciphertexts
+    """No node admitted by handshake opens group traffic sent before its
+    admission, outside its own earlier membership.  The sealed traffic is
+    gathered (`_LogIndex.ciphertexts`) only when some handshake admission
+    asks for it."""
     intervals = index.intervals
     failures = []
     for i, step, node in index.handshakes:
         if step != "handshake":
             continue
+        group_ct, _ = index.ciphertexts
         join_tick = index.events[i].tick
         knowledge = index.knowledge(node)
         # Epochs inside earlier membership intervals of this node are its
@@ -715,8 +742,10 @@ def _check_duplicate_suppression(index: _LogIndex) -> PropertyResult:
     seen = set()
     failures = []
     for i, event in index.of_kind("verdict"):
+        if event.word != "rreq_processed":
+            continue
         source, seq = event.get("source"), event.get("seq")
-        if event.word != "rreq_processed" or source is None or seq is None:
+        if source is None or seq is None:
             continue
         key = (event.actor, source, seq)
         if key in seen:

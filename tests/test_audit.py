@@ -339,7 +339,10 @@ def test_fault_counterexamples_are_pinned(seed, fault):
 def test_audit_decodes_each_payload_at_most_once(monkeypatch):
     # A payload of a kind without a sealed field holds nothing to open, so
     # the audit leaves it undecoded unless it is the request behind an
-    # `accept` verdict, which chain soundness reads.
+    # `accept` verdict, which chain soundness reads.  The churn run and
+    # benign_line have departures, which ask for the sealed traffic;
+    # stealth_mitm has no departure, no handshake admission and no `accept`
+    # verdict, so its audit decodes nothing.
     decodes = Counter()  # payload -> decodes
     real_decode = audit_module.decode_message
 
@@ -348,7 +351,10 @@ def test_audit_decodes_each_payload_at_most_once(monkeypatch):
         return real_decode(data)
 
     monkeypatch.setattr(audit_module, "decode_message", counting_decode)
-    for log in map(corpus.log, ("churn:100:plain", "fixture:stealth_mitm.scn", "fixture:benign_line.scn")):
+    for case, decodes_some in (
+        ("churn:100:plain", True), ("fixture:stealth_mitm.scn", False), ("fixture:benign_line.scn", True)
+    ):
+        log = corpus.log(case)
         decodes.clear()
         audit(log)
         accepted = {
@@ -356,11 +362,74 @@ def test_audit_decodes_each_payload_at_most_once(monkeypatch):
             for event in log.events
             if event.kind == "verdict" and event.word == "accept" and event.digest != "-"
         }
-        assert decodes and max(decodes.values()) == 1
+        assert bool(decodes) == decodes_some, case
+        assert max(decodes.values(), default=0) <= 1
         unsealed = Counter(
             MessageKind(data[0]).name for data in decodes if data[0] not in SEALED_KINDS and data not in accepted
         )
         assert not unsealed, unsealed
+
+
+def _has_a_departure_or_a_handshake_admission(log):
+    """Whether some node leaves (a removal, or a leader an election
+    replaces) or is admitted by handshake: what the secrecy checks judge."""
+    leaders = {}
+    for event in log.events:
+        if event.kind == "remove" or (event.kind == "admit" and event.parts == ("handshake",)):
+            return True
+        if event.kind == "elect":
+            group = event.get("group")
+            if leaders.setdefault(group, event.actor) != event.actor:
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "case, asks",
+    [
+        ("grid_static:700:plain", False),
+        ("grid_mobile:900:plain", False),
+        ("grid_static:16x16:1", False),
+        ("fixture:stealth_mitm.scn", False),
+        ("fixture:benign_line.scn", True),
+        ("churn:500:plain", True),
+        ("late_joiner", True),
+    ],
+)
+def test_sealed_traffic_is_collected_only_when_a_secrecy_check_asks(monkeypatch, case, asks):
+    # The ciphertext table is built once when a departure or a handshake
+    # admission asks for it, and never for a log with neither.
+    log = corpus.log(case)
+    assert _has_a_departure_or_a_handshake_admission(log) == asks
+    calls = []
+    real_collect = audit_module._collect_ciphertexts
+
+    def spy(index):
+        calls.append(index)
+        return real_collect(index)
+
+    monkeypatch.setattr(audit_module, "_collect_ciphertexts", spy)
+    audit(log)
+    assert len(calls) == asks
+
+
+def test_a_founding_only_audit_holds_no_decoded_rekey(monkeypatch):
+    # The founding's REKEYs are sealed traffic no property of a log without
+    # departures or handshake admissions reads, so the audit never decodes them.
+    indexes = []
+
+    class KeptIndex(audit_module._LogIndex):
+        def __init__(self, log):
+            super().__init__(log)
+            indexes.append(self)
+
+    log = corpus.log("grid_static:16x16:1")
+    monkeypatch.setattr(audit_module, "_LogIndex", KeptIndex)
+    audit(log)
+    (index,) = indexes
+    founding = [d for d in index.first_sends if log.payloads[d][0] == MessageKind.REKEY]
+    assert founding
+    assert not [m for m in index._messages.values() if m is not None and m.kind == MessageKind.REKEY]
 
 
 def _brute_force_knowledge(principal, log):
@@ -979,6 +1048,23 @@ def _member_speaks_under_a_key_it_has_replaced_just_after_a_removal():
     return log, "backward_secrecy", [at]
 
 
+def _member_speaks_after_a_removal_from_a_founding_only_grid():
+    # Nothing in a founding-only grid log asks for its sealed traffic until
+    # a removal of r0c0 is appended; then r0c1 chats under the founding key,
+    # which r0c0 still holds.
+    log = corpus.log("grid_static:700:plain")
+    provider, rng = make_provider(log.registry.provider_name), random.Random(7)
+    key = next(value for _, _, label, value in log.registry.secrets if label == ("group_key", "g1-1", 1))
+    leader = next(event.actor for event in log.events if event.kind == "elect")
+    _append(log, SimEvent(0, 0, "remove", leader, None, "r0c0", "-", ("announced_leave",)))
+    chat = msg(
+        MessageKind.DATA, group="g1", lineage="g1-1", epoch=1, route=[], hop=0,
+        sealed=provider.sym_encrypt(key, b"after r0c0 left", rng),
+    )
+    send = SimEvent(0, 0, "send", "r0c1", None, "", "-", ("DATA", ("to", "*")))
+    return log, "backward_secrecy", [_append(log, send, provider, chat)]
+
+
 @pytest.mark.parametrize(
     "breach",
     [
@@ -990,6 +1076,7 @@ def _member_speaks_under_a_key_it_has_replaced_just_after_a_removal():
         _rekey_to_another_opens_for_the_departed,
         _member_speaks_under_a_key_it_has_replaced,
         _member_speaks_under_a_key_it_has_replaced_just_after_a_removal,
+        _member_speaks_after_a_removal_from_a_founding_only_grid,
     ],
     ids=lambda breach: breach.__name__.lstrip("_"),
 )

@@ -80,6 +80,29 @@ def test_no_audit_reader_walks_the_sends():
     assert _audit_call_sites("of_kind", "send") == []
 
 
+def test_only_a_departure_or_an_admission_asks_for_the_sealed_traffic():
+    # The ciphertext table is built on first demand: only the secrecy checks
+    # read `.ciphertexts`, each inside its loop over departures or handshake
+    # admissions and after the filter that skips every other entry, so a log
+    # with neither never collects it.
+    tree = ast.parse((pathlib.Path(__file__).parent.parent / "src" / "manetsec" / "audit.py").read_text())
+    reads = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "ciphertexts":
+                reads.setdefault(top.name, []).append(node)
+    assert sorted(reads) == ["_check_backward_secrecy", "_check_forward_secrecy"]
+    for top in tree.body:
+        if top.__class__ is ast.FunctionDef and top.name in reads:
+            (loop,) = [statement for statement in top.body if isinstance(statement, ast.For)]
+            skip = next(
+                n for n, statement in enumerate(loop.body)
+                if isinstance(statement, ast.If) and isinstance(statement.body[0], ast.Continue)
+            )
+            filtered = {id(node) for statement in loop.body[skip + 1:] for node in ast.walk(statement)}
+            assert all(id(read) in filtered for read in reads[top.name]), top.name
+
+
 def test_sealed_kinds_are_the_kinds_with_a_sealed_layout():
     # The audit skips a payload by its tag when its kind is not in
     # SEALED_KINDS; every kind that can be sealed must be in it.

@@ -159,8 +159,9 @@ class EventLog:
 # A piece of an event's text: an actor, a recipient, an about, a word, or a
 # pair's name or value.  None is empty; an empty about is none.
 _PIECE = re.compile(r"[^>:=]+")
-# Pairs whose value the auditor reads as a count, written as `str(int)` does.
-_COUNT_PAIRS = ("epoch", "hops")
+# Pairs whose value is a count, written as `str(int)` does: an epoch, a hop
+# count or a transmission's number.
+_COUNT_PAIRS = ("epoch", "hops", "tx")
 _COUNT = re.compile(r"0|[1-9][0-9]*")
 # A digest field: `-` for an event that names no payload, else the payload's
 # hash as `sim.Simulation._digest` writes it.
@@ -200,17 +201,42 @@ def _read_detail(text: str, read_part) -> tuple:
     return parts, render_detail(parts) == text
 
 
+def shape_problem(kind: str, addressed: bool, parts: tuple) -> str:
+    """What keeps an event, `addressed` when it names a recipient, from its
+    kind's shape, or "" when nothing does.  A `send` names no recipient and
+    its parts are exactly `KIND:to=NAME:ch=CHANNEL:tx=N`.  A `deliver`, and
+    a `drop` that names a recipient, is a transmission outcome: one or more
+    words, at most one `hops` pair, then its `tx` pair.  Every other event
+    is a note, such as a routing `drop`, and names no `tx` or `hops`."""
+    names = [None if isinstance(part, str) else part[0] for part in parts]
+    if kind == "send":
+        if addressed:
+            return "a send names no recipient"
+        if names != [None, "to", "ch", "tx"]:
+            return f"send detail {render_detail(parts)!r} is not KIND:to=NAME:ch=CHANNEL:tx=N"
+    elif kind == "deliver" and not addressed:
+        return "a deliver names its recipient (actor>recipient)"
+    elif kind == "deliver" or (kind == "drop" and addressed):
+        words = names[:-2] if names[-2:-1] == ["hops"] else names[:-1]
+        if names[-1:] != ["tx"] or set(words) != {None}:
+            return f"{kind} detail {render_detail(parts)!r} is not an outcome's: words, at most one hops=N, then tx=N"
+    elif "tx" in names or "hops" in names:
+        return f"{kind} detail {render_detail(parts)!r} is a note's, which names no tx or hops"
+    return ""
+
+
 def parse_log_text(text: str) -> EventLog:
     """Read a log back into the events that were logged.  A line that does
     not follow the grammar of :class:`SimEvent`, does not render back to
     itself (its :meth:`SimEvent.line` is not the line), has a digest that is
-    neither `-` nor 64 lowercase hex digits, has a sequence number other
-    than its event's position (counted from 0), or has a tick before the
-    last line's (below 0 on the first line) is rejected with its line
-    number, for the first of these it breaks: the reader takes only what
-    the writer writes.  A line renders back exactly when each of its fields
-    does, so each distinct field is read and checked once per call: every
-    line with one detail text is handed one parts tuple."""
+    neither `-` nor 64 lowercase hex digits, breaks its kind's shape
+    (:func:`shape_problem`), has a sequence number other than its event's
+    position (counted from 0), or has a tick before the last line's (below
+    0 on the first line) is rejected with its line number, for the first of
+    these it breaks: the reader takes only what the writer writes.  A line
+    renders back exactly when each of its fields does, so each distinct
+    field (and shape) is read and checked once per call: every line with
+    one detail text is handed one parts tuple."""
     lines = text.splitlines()
     if not lines or lines[0] != LOG_HEADER:
         raise SimulationError("not an event log (bad header)")
@@ -221,6 +247,7 @@ def parse_log_text(text: str) -> EventLog:
         body = body[:-1]
     read_principals = functools.cache(_read_principals)
     read_detail = functools.cache(functools.partial(_read_detail, read_part=functools.cache(_read_part)))
+    check_shape = functools.cache(shape_problem)
     digests = set()  # the digest fields read so far, each well formed
     events = log.events
     tick_text = None  # the last line's tick field, which rendered back
@@ -251,6 +278,9 @@ def parse_log_text(text: str) -> EventLog:
             if not _DIGEST.fullmatch(digest):
                 raise SimulationError(f"line {i}: digest {digest!r} is neither - nor 64 lowercase hex digits")
             digests.add(digest)
+        problem = check_shape(kind, recipient is not None, parts)
+        if problem:
+            raise SimulationError(f"line {i}: {problem}")
         if seq != len(events):
             raise SimulationError(f"line {i}: sequence {seq} is not the event's position {len(events)}")
         if events:

@@ -19,27 +19,16 @@ ciphertext under an old epoch only counts against backward secrecy if its
 sender had already received newer key material when it spoke.
 
 An audit reads the log once, at the cost of its transmissions and its
-distinct sealed payloads.  Events hold their principals and detail parts
-as fields, and one pass over them gathers every fact the ten checks share:
-event positions by kind (sends, deliveries and drops aside); the first send
-of each sealed payload, and each recipient's earliest delivery of each
-sealed payload, however often it was re-flooded; the rekey points in log
-order, by group and by key; the membership changes and intervals; the
-handshake steps (`zk_ok` and `cert_ok` verdicts and handshake admissions)
-in log order; and each delivery or drop of a numbered transmission with the
-tick of that transmission's latest send so far, its facts read once per
-hop.  A delivery or drop that names no transmission, such as a routing
-`drop` note, is no transmission outcome.  No property walks the log again:
-each judges what the pass already holds, and secret confinement reads the
-events only when some payload leaks.  A payload's first octet is its kind
-tag, and the audit reads that tag before anything else: it keeps a send or
-delivery, and decodes a payload, only when its kind carries a sealed field
-(`messages.SEALED_KINDS`), or decodes it when it is the request behind an
-accepted route, and each such payload at most once.  Every other kind
-holds nothing a principal could open, so skipping it changes no outcome.
+distinct sealed payloads (see `_LogIndex`): one pass gathers every fact the
+ten checks share, reading each transmission's parts by position
+(`artifacts.shape_problem`), and no property walks the log again; secret
+confinement reads the events only when some payload leaks.  A payload's
+first octet is its kind tag, read before anything else: the audit decodes
+only payloads of a kind that carries a sealed field
+(`messages.SEALED_KINDS`) and the request behind each accepted route, each
+at most once, since no other kind holds anything a principal could open.
 Only the secrecy checks read sealed traffic, and they gather it only when
-the log holds a departure or a handshake admission for them to judge: a
-log with neither decodes no sealed payload at all.
+the log holds a departure or a handshake admission for them to judge.
 Each principal's knowledge set is closed once and shared by both secrecy
 checks, and each distinct (key, ciphertext) trial decryption runs once, its
 outcome shared by every principal that tries it.  An opened plaintext is
@@ -59,7 +48,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import encoding
-from .artifacts import EventLog, SimEvent, SimulationError
+from .artifacts import EventLog, SimEvent, SimulationError, shape_problem
 from .crypto import DecryptionError, make_provider
 from .messages import PK, SEALED_KINDS, MessageKind, decode_message, sealed_readings, seals
 from .routing import expected_chain
@@ -121,20 +110,9 @@ class MembershipChange:
     change: str  # "in" | "out"
 
 
-def _transmission(event: SimEvent) -> tuple:
-    """The event's transmission number and, for a delivery or drop, its hop
-    count (1 when it names none), read by name: the last `tx` and `hops`
-    pairs wherever they stand.  An event whose parts name no `tx` is no
-    transmission outcome (a routing `drop` note is one), so it gets (None,
-    None) before any hop count is read; a send's hop count is None too,
-    since no check reads it.
-
-    `_LogIndex` reads the simulator's own shapes by position and calls this
-    only for any other."""
-    tx = event.get("tx")
-    if tx is None or event.kind == "send":
-        return tx, None
-    return tx, int(event.get("hops", 1))
+def _misshapen(i: int, event: SimEvent) -> SimulationError:
+    """The error for the event at position `i`, which breaks its shape."""
+    return SimulationError(f"event {i}: {shape_problem(event.kind, event.recipient is not None, event.parts)}")
 
 
 def _sealed_kind(payload: Optional[bytes]) -> bool:
@@ -159,10 +137,10 @@ class _LogIndex:
     parts (by identity), tick, kind and digest share its `tx`, hop count,
     causality verdict, outcome table and sealed-kind verdict, until a send
     of the transmission comes between them; conservation is judged per
-    recipient, as each is read.  An outcome that the simulator's shapes do
-    not cover is read by name, once per distinct parts.  A delivery or drop
-    whose parts name no `tx`, such as a routing `drop` note, is no
-    transmission outcome.
+    recipient, as each is read.  A `tx`, hop count or `to` is read where the
+    event's shape places it (`artifacts.shape_problem`), and anything else
+    there raises `SimulationError` naming the event's position.  Notes are
+    skipped.
     Payloads are read by kind tag first (`_sealed_kind`, tested once per
     distinct digest), and of a kind that carries a sealed field the pass
     keeps only what a reader of the sealed traffic needs: the first send of
@@ -218,10 +196,6 @@ class _LogIndex:
         # the garbage collector one tuple to track per delivery and drop (a
         # dict holding only strings is not tracked).
         outcomes: dict[str, dict] = {}
-        # parts -> `_transmission` of an outcome with those parts, for each
-        # outcome the simulator's shapes do not cover (a routing `drop` note
-        # is one): a delivery's or drop's reading depends on its parts alone.
-        by_name: dict[tuple, tuple] = {}
         payloads = log.payloads
         sealed = {"-": False}  # digest -> `_sealed_kind` of its payload ("-" names none)
         # The hop last read, keyed by its parts (by identity), tick, kind and
@@ -234,6 +208,11 @@ class _LogIndex:
         for i, event in enumerate(log.events):
             kind = event.kind
             if kind == "deliver" or kind == "drop":
+                recipient = event.recipient
+                if recipient is None:
+                    if kind == "drop":
+                        continue  # a note, such as a routing `drop`
+                    raise _misshapen(i, event)
                 parts, tick, digest = event.parts, event.tick, event.digest
                 if parts is not hop_parts or tick != hop_tick or kind != hop_kind or digest != hop_digest:
                     hop_parts, hop_tick, hop_kind, hop_digest = parts, tick, kind, digest
@@ -243,58 +222,48 @@ class _LogIndex:
                             hop_opens = sealed[digest] = _sealed_kind(payloads.get(digest))
                     else:
                         hop_opens = False
-                    # The simulator ends an outcome's parts with its `tx`
-                    # pair, just after its `hops` pair when it has one; an
-                    # outcome whose only other part is a word names no hops.
-                    # Any other shape is read by name.
-                    hops = None
-                    last = parts[-1] if parts else ""
-                    if not isinstance(last, str) and last[0] == "tx":
-                        hop_tx = last[1]
-                        before = parts[-2] if len(parts) > 1 else ""
-                        if isinstance(before, str):
-                            if len(parts) <= 2:
-                                hops = 1
-                        elif before[0] == "hops":
-                            hops = int(before[1])
-                    if hops is None:
-                        reading = by_name.get(parts)
-                        if reading is None:
-                            reading = by_name[parts] = _transmission(event)
-                        hop_tx, hops = reading
-                    if hop_tx is not None:
-                        # A delivery is due `hops` ticks after the latest send
-                        # of its transmission; a drop needs only some earlier send.
-                        sent = latest.get(hop_tx)
-                        hop_late = sent is None or (kind == "deliver" and tick - hops != sent)
-                        hop_heard = outcomes.get(hop_tx)
-                        if hop_heard is None:
-                            hop_heard = outcomes[hop_tx] = {}
+                    # An outcome's parts end with its `tx` pair, after its
+                    # `hops` pair or, for one hop, after a word.
+                    last = parts[-1] if len(parts) > 1 else ""
+                    if isinstance(last, str) or last[0] != "tx":
+                        raise _misshapen(i, event)
+                    hop_tx, before = last[1], parts[-2]
+                    if isinstance(before, str):
+                        hops = 1
+                    elif before[0] == "hops" and len(parts) > 2:
+                        hops = int(before[1])
+                    else:
+                        raise _misshapen(i, event)
+                    # A delivery is due `hops` ticks after the latest send
+                    # of its transmission; a drop needs only some earlier send.
+                    sent = latest.get(hop_tx)
+                    hop_late = sent is None or (kind == "deliver" and tick - hops != sent)
+                    hop_heard = outcomes.get(hop_tx)
+                    if hop_heard is None:
+                        hop_heard = outcomes[hop_tx] = {}
                 if hop_opens:
-                    earliest = received.get(event.recipient)
+                    earliest = received.get(recipient)
                     if earliest is None:
-                        earliest = received[event.recipient] = {}
+                        earliest = received[recipient] = {}
                     at = earliest.get(digest)
                     if at is None or tick < at:
                         earliest[digest] = tick
-                if hop_tx is not None:
-                    if hop_late:
-                        causality_failures.append(i)
-                    recipient = event.recipient or event.principals
-                    if recipient in hop_heard:
-                        conservation_failures.append(i)
-                    else:
-                        hop_heard[recipient] = None
+                if hop_late:
+                    causality_failures.append(i)
+                if recipient in hop_heard:
+                    conservation_failures.append(i)
+                else:
+                    hop_heard[recipient] = None
                 continue
             if kind == "send":
-                # The simulator ends a send's parts with its `tx` pair.
+                # A send's parts are its kind, `to`, `ch` and `tx`.
                 parts = event.parts
-                last = parts[-1] if parts else ""
-                tx = last[1] if not isinstance(last, str) and last[0] == "tx" else _transmission(event)[0]
-                if tx is not None:
-                    latest[tx] = event.tick
-                    if tx == hop_tx:
-                        hop_parts = None
+                if len(parts) != 4 or parts[1][0] != "to" or parts[3][0] != "tx":
+                    raise _misshapen(i, event)
+                tx = parts[3][1]
+                latest[tx] = event.tick
+                if tx == hop_tx:
+                    hop_parts = None
                 digest = event.digest
                 opens = sealed.get(digest)
                 if opens is None:
@@ -549,7 +518,7 @@ def _collect_ciphertexts(index: _LogIndex):
                 )
             )
         elif message.kind == MessageKind.REKEY:
-            pk_ct.append(PkCiphertext(i, event.tick, event.get("to"), message["sealed"]))
+            pk_ct.append(PkCiphertext(i, event.tick, event.parts[1][1], message["sealed"]))
     return group_ct, pk_ct
 
 

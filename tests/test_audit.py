@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -170,6 +171,54 @@ def test_log_read_back_audits_as_the_run_did(case):
     parsed.payloads, parsed.registry = parse_payload_blob(log.payload_blob()), log.registry
     assert parsed.events == log.events
     assert audit(parsed).to_text() == corpus.audit(case).to_text()
+
+
+def _tx_renamed(rows):
+    """Line 133 of grid_static:700, a REKEY's delivery, with its `tx` pair
+    renamed `xt`."""
+    assert rows[131][2:4] == ["deliver", "r7c4>r6c4"] and rows[131][5] == "REKEY:hops=1:tx=52"
+    rows[131][5] = "REKEY:hops=1:xt=52"
+
+
+def _no_such_kind(rows):
+    """Line 133 of grid_static:700 with the detail of no transmission, over
+    the REKEY's digest."""
+    _tx_renamed(rows)
+    rows[131][5] = "NOSUCHKIND:banana=7"
+
+
+def _delivered_first(rows, keep_tx=False):
+    """benign_line's first DATA delivery moved to position 0 (tick 0),
+    before its send, and unless `keep_tx` with its `tx` pair removed."""
+    at = next(n for n, row in enumerate(rows) if row[2] == "deliver" and row[5].startswith("DATA:"))
+    row = rows.pop(at)
+    row[0] = rows[0][0]
+    if not keep_tx:
+        row[5] = row[5].rsplit(":tx=", 1)[0]
+    rows.insert(0, row)
+
+
+@pytest.mark.parametrize(
+    "case, edit, error",
+    [
+        ("grid_static:700:plain", _tx_renamed, "line 133: deliver detail 'REKEY:hops=1:xt=52' is not an outcome's"),
+        ("grid_static:700:plain", _no_such_kind, "line 133: deliver detail 'NOSUCHKIND:banana=7' is not an outcome's"),
+        ("fixture:benign_line.scn", _delivered_first, "line 2: deliver detail 'DATA' is not an outcome's"),
+    ],
+    ids=["tx_renamed", "no_such_kind", "delivered_first_without_tx"],
+)
+def test_the_reader_rejects_a_delivery_that_names_no_transmission(case, edit, error):
+    # Each line reads back as grammar, and the reader once handed it to an
+    # audit that passed every property: a delivery naming no `tx` was no
+    # transmission outcome, so neither causality nor conservation judged it.
+    with pytest.raises(SimulationError, match=f"^{re.escape(error)}"):
+        _read_back(corpus.log(case), edit)
+
+
+def test_a_delivery_moved_before_its_send_fails_causality():
+    # The moved line of the last probe, with its `tx` pair kept.
+    report = audit(_read_back(corpus.log("fixture:benign_line.scn"), lambda rows: _delivered_first(rows, keep_tx=True)))
+    assert report.result("causality").counterexamples == [0]
 
 
 def test_expectations_evaluate_against_log():
@@ -559,23 +608,24 @@ def test_the_index_equals_a_plain_reader_of_every_event(case):
     assert index.causality_failures and index.conservation_failures
 
 
-def test_an_outcome_that_names_no_transmission_is_not_asked_its_hops(monkeypatch):
-    # A routing `drop` note names no `tx`: it is no transmission outcome, so
-    # the index never reads a hop count for it.
-    log = corpus.log(ROUTED)
+@pytest.mark.parametrize("case", [ROUTED, "churn:500:plain"])
+def test_the_index_reads_no_transmission_pair_by_name(case, monkeypatch):
+    # Each send's `tx` and `to`, and each hop's `tx` and hop count, are read
+    # where the event's shape places them, never looked up by name: not on
+    # a walking grid full of routing `drop` notes, nor on a churn log whose
+    # departures gather the sealed traffic.
+    log = corpus.log(case)
     real_get = SimEvent.get
-    asked = []
+    asked = set()
 
     def spy(event, name, default=None):
-        asked.append((event, name))
+        asked.add(name)
         return real_get(event, name, default)
 
-    notes = [event for event in log.events if event.kind == "drop" and real_get(event, "tx") is None]
-    assert len(notes) > 100
     monkeypatch.setattr(SimEvent, "get", spy)
-    audit_module._LogIndex(log)
-    assert not [event for event, name in asked if name == "hops" and real_get(event, "tx") is None]
-    assert any(event is notes[0] for event, _ in asked)
+    report = audit(log)
+    assert "lineage" in asked and report.passed
+    assert not asked & {"tx", "hops", "to"}
 
 
 def test_payloads_that_do_not_decode_leave_the_audit_unchanged():
@@ -612,14 +662,29 @@ def _deliver(log, provider, messages, recipient="n3"):
     _deliver_payloads(log, provider, [(message.kind.name, message.encoded) for message in messages], recipient)
 
 
+def _new_send(log, sender, word, to, n=0, tick=0):
+    """A send of a `word` message from `sender` to `to`, naming no payload,
+    with the `n`-th number after every transmission of the log."""
+    tx = 1 + n + max(int(event.parts[3][1]) for event in log.events if event.kind == "send")
+    return SimEvent(tick, 0, "send", sender, None, "", "-", (word, ("to", to), ("ch", "radio"), ("tx", str(tx))))
+
+
 def _deliver_payloads(log, provider, payloads, recipient="n3"):
     """Append a delivery to n3 (or `recipient`) of each (kind word, payload
-    bytes) pair at the log's last tick."""
+    bytes) pair at the log's last tick, each one hop after a send of its own
+    transmission placed just before that tick.  The sends name no payload,
+    so the sealed traffic the audit gathers is the log's own."""
     last = log.events[-1]
-    for n, (word, payload) in enumerate(payloads, start=1):
+    at = next(i for i, event in enumerate(log.events) if event.tick == last.tick)
+    sends, deliveries = [], []
+    for n, (word, payload) in enumerate(payloads):
         digest = provider.hash(payload).hex()
         log.payloads[digest] = payload
-        log.events.append(SimEvent(last.tick, last.seq + n, "deliver", "n2", recipient, "", digest, (word, "crafted")))
+        sends.append(_new_send(log, "n2", word, recipient, n, last.tick - 1))
+        tx = sends[-1].parts[3]
+        deliveries.append(SimEvent(last.tick, 0, "deliver", "n2", recipient, "", digest, (word, "crafted", tx)))
+    moved = sends + log.events[at:] + deliveries
+    log.events[at:] = [replace(event, seq=at + n) for n, event in enumerate(moved)]
 
 
 def test_undecodable_plaintext_counts_as_opened():
@@ -817,11 +882,48 @@ def _transmission_log(canonical):
     return EventLog(events=events, complete=True)
 
 
-def test_transmission_pairs_are_read_by_name_wherever_they_stand():
-    scrambled, canonical = audit(_transmission_log(False)), audit(_transmission_log(True))
+def test_a_transmission_pair_out_of_its_place_is_rejected():
+    # Out of canonical order, the first send's `tx` pair stands before its
+    # `to` pair: the audit rejects the log there, naming the event's
+    # position, and the reader rejects each misplaced line alone, naming it.
+    # In their places, the same pairs give the expected verdicts.
+    scrambled, canonical = _transmission_log(False), _transmission_log(True)
+    with pytest.raises(SimulationError, match=r"^event 0: send detail 'DATA:tx=1:to=\*:ch=radio' is not KIND:"):
+        audit(scrambled)
+    for i, (event, placed) in enumerate(zip(scrambled.events, canonical.events)):
+        if event.parts != placed.parts:
+            one = EventLog(events=canonical.events[:i] + [event] + canonical.events[i + 1 :], complete=True)
+            with pytest.raises(SimulationError, match=f"^line {i + 2}: {event.kind} detail"):
+                parse_log_text(one.to_text())
+    report = audit(parse_log_text(canonical.to_text()))
     for name, counterexamples in (("causality", [3, 5]), ("conservation", [4, 7])):
-        assert scrambled.result(name).counterexamples == counterexamples
-        assert scrambled.result(name).line() == canonical.result(name).line()
+        assert report.result(name).counterexamples == counterexamples
+
+
+@pytest.mark.parametrize(
+    "kind, recipient, parts",
+    [
+        ("send", None, ("DATA", ("to", "*"), ("tx", "1"))),
+        ("send", None, ("DATA", ("ch", "radio"), ("to", "*"), ("tx", "1"))),
+        ("send", None, ("DATA", ("to", "*"), ("ch", "radio"), ("tx", "1"), "late")),
+        ("deliver", "B", (("tx", "1"),)),
+        ("deliver", "B", ("DATA", ("tx", "1"), ("hops", "1"))),
+        ("deliver", "B", ("DATA", ("seq", "4"), ("tx", "1"))),
+        ("deliver", "B", (("hops", "1"), ("tx", "1"))),
+        ("deliver", None, ("DATA", ("tx", "1"))),
+        ("drop", "B", ("dead", ("tx", "1"), "x")),
+    ],
+)
+def test_the_audit_rejects_an_event_whose_transmission_parts_are_out_of_place(kind, recipient, parts):
+    # A log built in memory is checked where the audit reads it: the event
+    # at position 1 holds something else where its shape places `tx`,
+    # `hops` or `to`, and the error says which shape it breaks.
+    events = [
+        SimEvent(1, 0, "send", "A", None, "", "-", ("DATA", ("to", "*"), ("ch", "radio"), ("tx", "1"))),
+        SimEvent(2, 1, kind, "A", recipient, "", "-", parts),
+    ]
+    with pytest.raises(SimulationError, match="^event 1: .*(send|deliver|drop)"):
+        audit(EventLog(events=events, complete=True))
 
 
 def test_causality_judges_each_outcome_against_its_latest_earlier_send():
@@ -1008,8 +1110,7 @@ def _rekey_to_another_opens_for_the_departed():
         MessageKind.REKEY, group="g1", lineage="g1-1", epoch=2, mode="public",
         sealed=provider.pk_encrypt(log.registry.keypairs["n3"].public, b"for n1", rng),
     )
-    send = SimEvent(0, 0, "send", "n0", None, "", "-", ("REKEY", ("to", "n1")))
-    return log, "backward_secrecy", [_append(log, send, provider, crafted)]
+    return log, "backward_secrecy", [_append(log, _new_send(log, "n0", "REKEY", "n1"), provider, crafted)]
 
 
 def _stale_chat(log, provider, rng):
@@ -1019,7 +1120,7 @@ def _stale_chat(log, provider, rng):
         MessageKind.DATA, group="g1", lineage="g1-1", epoch=1, route=[], hop=0,
         sealed=provider.sym_encrypt(old_key, b"stale chat", rng),
     )
-    return stale, SimEvent(0, 0, "send", "n1", None, "", "-", ("DATA", ("to", "*")))
+    return stale, _new_send(log, "n1", "DATA", "*")
 
 
 def _member_speaks_under_a_key_it_has_replaced():
@@ -1061,8 +1162,7 @@ def _member_speaks_after_a_removal_from_a_founding_only_grid():
         MessageKind.DATA, group="g1", lineage="g1-1", epoch=1, route=[], hop=0,
         sealed=provider.sym_encrypt(key, b"after r0c0 left", rng),
     )
-    send = SimEvent(0, 0, "send", "r0c1", None, "", "-", ("DATA", ("to", "*")))
-    return log, "backward_secrecy", [_append(log, send, provider, chat)]
+    return log, "backward_secrecy", [_append(log, _new_send(log, "r0c1", "DATA", "*"), provider, chat)]
 
 
 @pytest.mark.parametrize(
@@ -1174,7 +1274,8 @@ def _confinement_log(payloads, secrets):
         digest = provider.hash(payload).hex()
         log.payloads[digest] = payload
         tx = ("tx", str(n + 1))
-        log.events.append(SimEvent(2 * n, 2 * n, "send", "A", None, "", digest, ("DATA", ("to", "B"), tx)))
+        parts = ("DATA", ("to", "B"), ("ch", "radio"), tx)
+        log.events.append(SimEvent(2 * n, 2 * n, "send", "A", None, "", digest, parts))
         log.events.append(SimEvent(2 * n + 1, 2 * n + 1, "deliver", "A", "B", "", digest, ("DATA", tx)))
     log.registry.node_names = ["A", "B"]
     log.registry.secrets = [(0, "A", ("member_secret", f"g{n}-1"), secret) for n, secret in enumerate(secrets)]

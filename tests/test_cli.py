@@ -398,8 +398,14 @@ def test_report_counts_alerts(tmp_path, capsys):
 
 def test_report_summarises_drops_by_reason(tmp_path, capsys):
     path = tmp_path / "drops.log"
-    details = ["duplicate:source=S:seq=1", "out_of_range:tx=4", "data_undecryptable:no_key", "duplicate:source=A:seq=2"]
-    rows = "".join(f"1\t{seq}\tdrop\tB\t-\t{detail}\n" for seq, detail in enumerate(details))
+    # A drop of a transmission names its recipient; a note names none.
+    drops = [
+        ("B", "duplicate:source=S:seq=1"),
+        ("B>C", "out_of_range:tx=4"),
+        ("B", "data_undecryptable:no_key"),
+        ("B", "duplicate:source=A:seq=2"),
+    ]
+    rows = "".join(f"1\t{seq}\tdrop\t{principals}\t-\t{detail}\n" for seq, (principals, detail) in enumerate(drops))
     path.write_text(f"#manetsec-log v1\n{rows}#complete\n")
     assert main(["report", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import fields, is_dataclass
@@ -18,6 +19,7 @@ from manetsec.artifacts import (
     parse_log_text,
     parse_payload_blob,
     render_detail,
+    shape_problem,
 )
 from manetsec.audit import audit, knowledge_set
 from manetsec.crypto import make_provider
@@ -470,6 +472,22 @@ def test_log_text_is_the_line_of_each_event(case_id):
     assert log.to_text() == _reference_text(log)
 
 
+@pytest.mark.parametrize("case_id", corpus.PINNED)
+def test_every_logged_event_has_the_shape_of_its_kind(case_id):
+    # A writer site that drifts from its kind's shape fails here before a
+    # reader rejects its line: exactly the sends, the deliveries and the
+    # drops that name a recipient name a `tx`.
+    seen = set()
+    for i, event in enumerate(corpus.log(case_id).events):
+        key = (event.kind, event.recipient is not None, event.parts)
+        if key in seen:
+            continue
+        seen.add(key)
+        assert shape_problem(*key) == "", (i, event.line())
+        transmission = event.kind in ("send", "deliver") or (event.kind == "drop" and event.recipient is not None)
+        assert any(part[0] == "tx" for part in event.parts if not isinstance(part, str)) == transmission, event.line()
+
+
 # Lines that a reader hands one parts tuple, across ticks, kinds and
 # digests, with neighbours that differ in their digest alone.
 _ONE_DETAIL = "".join(
@@ -512,29 +530,36 @@ _PIECE_TEXT = st.text(
 )
 
 
+_COUNT_TEXT = st.integers(min_value=0, max_value=99).map(str)
+
+
 @st.composite
 def _event(draw, tick, seq):
-    """An event of any shape the grammar allows: principals `actor`,
-    `actor>recipient` or `actor:about`, and a detail of words and
-    `name=value` pairs (an `epoch` or `hops` value is a decimal count)."""
-    shape = draw(st.sampled_from(("actor", "recipient", "about")))
-    recipient = draw(_PIECE_TEXT) if shape == "recipient" else None
-    about = draw(_PIECE_TEXT) if shape == "about" else ""
-    counts = ("epoch", "hops")
-    part = (
-        _PIECE_TEXT
-        | st.tuples(_PIECE_TEXT.filter(lambda name: name not in counts), _PIECE_TEXT)
-        | st.tuples(st.sampled_from(counts), st.integers(min_value=0, max_value=99).map(str))
-    )
+    """An event of any shape its kind allows: a send (`actor` or
+    `actor:about`, detail `KIND:to=NAME:ch=CHANNEL:tx=N`); an outcome (a
+    `deliver`, or a `drop` that names a recipient: `actor>recipient`, one or
+    more words, at most one `hops` pair, then its `tx` pair); or a note, of
+    any other kind or a `drop` that names no recipient (`actor` or
+    `actor:about`, words and pairs that name no `tx` or `hops`, an `epoch`
+    value a decimal count)."""
+    kind = draw(st.sampled_from(sorted(EVENT_KINDS)))
+    tx = ("tx", draw(_COUNT_TEXT))
+    recipient, about = None, draw(st.just("") | _PIECE_TEXT)
+    if kind == "send":
+        parts = (draw(_PIECE_TEXT), ("to", draw(_PIECE_TEXT)), ("ch", draw(_PIECE_TEXT)), tx)
+    elif kind == "deliver" or (kind == "drop" and draw(st.booleans())):
+        recipient, about = draw(_PIECE_TEXT), ""
+        hops = draw(st.lists(st.tuples(st.just("hops"), _COUNT_TEXT), max_size=1))
+        parts = (*draw(st.lists(_PIECE_TEXT, min_size=1, max_size=3)), *hops, tx)
+    else:
+        part = (
+            _PIECE_TEXT
+            | st.tuples(_PIECE_TEXT.filter(lambda name: name not in ("epoch", "hops", "tx")), _PIECE_TEXT)
+            | st.tuples(st.just("epoch"), _COUNT_TEXT)
+        )
+        parts = tuple(draw(st.lists(part, min_size=1, max_size=5)))
     return SimEvent(
-        tick,
-        seq,
-        draw(st.sampled_from(sorted(EVENT_KINDS))),
-        draw(_PIECE_TEXT),
-        recipient,
-        about,
-        draw(st.sampled_from(("-", "0f" * 32))),
-        tuple(draw(st.lists(part, min_size=1, max_size=5))),
+        tick, seq, kind, draw(_PIECE_TEXT), recipient, about, draw(st.sampled_from(("-", "0f" * 32))), parts
     )
 
 
@@ -547,6 +572,57 @@ def test_rendered_events_parse_back_to_themselves(data):
     parsed = parse_log_text(text)
     assert parsed.events == events
     assert parsed.to_text() == text
+
+
+@functools.cache
+def _log_lines(case_id):
+    return corpus.log(case_id).to_text().splitlines()
+
+
+# What each shape's detail is, read without the program's own rule.
+_SHAPES = {
+    "send": re.compile(r"[^:=]+:to=[^:=]+:ch=[^:=]+:tx=(0|[1-9][0-9]*)"),
+    "outcome": re.compile(r"[^:=]+(:[^:=]+)*(:hops=(0|[1-9][0-9]*))?:tx=(0|[1-9][0-9]*)"),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["modify_unicast", "adversary:replay:bridge", "leader_crash"]),
+    st.data(),
+    st.sampled_from(["rename", "drop", "repeat", "move"]),
+)
+def test_a_damaged_transmission_line_is_rejected_or_keeps_its_shape(case_id, data, damage):
+    # One part of a send, delivery or drop line is renamed, dropped, repeated
+    # or moved.  The reader rejects that line by its number, or reads an
+    # event whose detail still has its kind's shape.
+    lines = list(_log_lines(case_id))
+    rows = [n for n, line in enumerate(lines) if re.match(r"[^\t]*\t[^\t]*\t(send|deliver|drop\t[^\t]*>)", line)]
+    n = data.draw(st.sampled_from(rows))
+    fields = lines[n].split("\t")
+    parts = fields[5].split(":")
+    k = data.draw(st.integers(min_value=0, max_value=len(parts) - 1))
+    if damage == "rename":
+        name, equals, value = parts[k].partition("=")
+        names = ["tx", "hops", "to", "ch", "xt", "DATA", "overheard"]
+        other = data.draw(st.sampled_from([other for other in names if other != name]))
+        parts[k] = f"{other}={value}" if equals else other
+    elif damage == "drop":
+        del parts[k]
+    elif damage == "repeat":
+        parts.insert(k, parts[k])
+    else:
+        parts.insert(data.draw(st.integers(min_value=0, max_value=len(parts) - 1)), parts.pop(k))
+    fields[5] = ":".join(parts)
+    lines[n] = "\t".join(fields)
+    try:
+        event = parse_log_text("\n".join(lines) + "\n").events[n - 1]
+    except SimulationError as exc:
+        assert str(exc).startswith(f"line {n + 1}: "), str(exc)
+        return
+    shape = "send" if event.kind == "send" else "outcome"
+    assert event.recipient is None if shape == "send" else event.recipient is not None
+    assert _SHAPES[shape].fullmatch(event.detail), event.line()
 
 
 @pytest.mark.parametrize(
@@ -575,12 +651,38 @@ def test_rendered_events_parse_back_to_themselves(data):
         ("a", "x:epoch=-1", "part 'epoch=-1' whose value"),
         ("a", "x:hops=+1", "part 'hops=+1' whose value"),
         ("a", "x:hops=\u0663", "part 'hops=\u0663' whose value"),
+        ("a>b", "x:tx=07", "part 'tx=07' whose value is not a decimal count"),
     ],
 )
 def test_log_parse_rejects_what_does_not_follow_the_grammar(principals, detail, error):
     good = "0\t0\talert\tA\t-\tnode_crashed"
     text = f"#manetsec-log v1\n{good}\n1\t1\talert\t{principals}\t-\t{detail}\n#complete\n"
     with pytest.raises(SimulationError, match=f"^line 3: .*{re.escape(error)}"):
+        parse_log_text(text)
+
+
+@pytest.mark.parametrize(
+    "kind, principals, detail, error",
+    [
+        ("send", "A>B", "DATA:to=B:ch=radio:tx=1", "a send names no recipient"),
+        ("send", "A", "DATA:to=B:tx=1", "send detail 'DATA:to=B:tx=1' is not KIND:to=NAME:ch=CHANNEL:tx=N"),
+        ("send", "A", "to=B:ch=radio:tx=1:DATA", "send detail 'to=B:ch=radio:tx=1:DATA' is not"),
+        ("deliver", "A", "DATA:tx=1", "a deliver names its recipient (actor>recipient)"),
+        ("deliver", "A:B", "DATA:tx=1", "a deliver names its recipient"),
+        ("deliver", "A>B", "DATA:hops=1:hops=1:tx=1", "deliver detail 'DATA:hops=1:hops=1:tx=1' is not an outcome's"),
+        ("deliver", "A>B", "hops=1:tx=1", "deliver detail 'hops=1:tx=1' is not an outcome's"),
+        ("drop", "A>B", "dead", "drop detail 'dead' is not an outcome's"),
+        ("drop", "A:B", "duplicate:source=S:tx=1", "drop detail 'duplicate:source=S:tx=1' is a note's"),
+        ("verdict", "A", "accept:hops=2", "verdict detail 'accept:hops=2' is a note's, which names no tx or hops"),
+        ("alert", "A>B", "node_crashed:tx=3", "alert detail 'node_crashed:tx=3' is a note's"),
+    ],
+)
+def test_log_parse_rejects_an_event_out_of_its_kinds_shape(kind, principals, detail, error):
+    # The line follows the grammar and renders back, but a send, an outcome
+    # or a note holds what its shape does not allow; the sequence number is
+    # off too, and checked after the shape.
+    text = f"#manetsec-log v1\n0\t0\talert\tA\t-\tnode_crashed\n0\t7\t{kind}\t{principals}\t-\t{detail}\n#complete\n"
+    with pytest.raises(SimulationError, match=f"^line 3: {re.escape(error)}"):
         parse_log_text(text)
 
 
